@@ -39,7 +39,11 @@ against the committed ``benchmarks/BENCH_scaling_baseline.json``.  It
 watches the largest (10k-HAU) point: the batched-over-unbatched tuple
 throughput ratio falling below ``--scaling-speedup-floor`` (default
 3.0), any cell's ``tuples_per_sec`` dropping beyond
-``--wall-tolerance``, and per-cell ``events_popped`` drift.  All of it
+``--wall-tolerance``, per-cell ``events_popped`` drift, and any cell's
+construction share — ``build_seconds / wall_seconds``, set-up per
+second of run — growing beyond ``--build-tolerance`` (default 0.5;
+construction is pure overhead, and a superlinear build shows up here
+long before it shows in the run rates).  All of it
 warns rather than fails: the rates are host timing, and the batched
 event count is not digest-pinned — an intentional batched-path
 optimisation legitimately changes it.
@@ -59,7 +63,8 @@ Usage::
     python benchmarks/check_regression.py artifacts/BENCH_headline.json \
         [--baseline benchmarks/BENCH_baseline.json] [--tolerance 0.15] \
         [--latency-tolerance 0.15] [--kernel artifacts/BENCH_kernel.json] \
-        [--wall-tolerance 0.5] [--alerts artifacts/ALERTS_headline.json] \
+        [--wall-tolerance 0.5] [--build-tolerance 0.5] \
+        [--alerts artifacts/ALERTS_headline.json] \
         [--alerts-baseline benchmarks/ALERTS_baseline.json]
 
 Every gate runs every time: a tripped throughput gate never hides the
@@ -296,13 +301,15 @@ def compare_scaling(
     baseline_scaling: dict,
     wall_tolerance: float,
     speedup_floor: float,
+    build_tolerance: float = 0.5,
 ) -> list[str]:
     """Warn-only verdicts for the kernel scaling benchmark.
 
     The headline claim rides on the largest size present in both
     reports (the 10k-HAU point in the committed baseline): batched mode
     must sustain ``speedup_floor`` times the unbatched tuple throughput
-    there.  Per-cell rate drops and ``events_popped`` drift also warn —
+    there.  Per-cell rate drops, ``events_popped`` drift and growth of
+    the build:run ratio (``build_seconds / wall_seconds``) also warn —
     nothing in this gate can change the exit status.
     """
     warnings: list[str] = []
@@ -343,6 +350,16 @@ def compare_scaling(
                     f"scaling: {haus}/{scheduler}/q={quantum} tuples_per_sec "
                     f"{c_rate:,.0f} vs baseline {b_rate:,.0f} ({delta:+.1%}), "
                     f"beyond --wall-tolerance {wall_tolerance:.0%} (warn-only)"
+                )
+        if all(cell.get("build_seconds") and cell.get("wall_seconds") for cell in (b, c)):
+            b_ratio = b["build_seconds"] / b["wall_seconds"]
+            c_ratio = c["build_seconds"] / c["wall_seconds"]
+            growth = c_ratio / b_ratio - 1.0
+            if growth > build_tolerance:
+                warnings.append(
+                    f"scaling: {haus}/{scheduler}/q={quantum} build:run ratio "
+                    f"{c_ratio:.2f} vs baseline {b_ratio:.2f} ({growth:+.1%}), "
+                    f"beyond --build-tolerance {build_tolerance:.0%} (warn-only)"
                 )
 
     gated = [s for s in scaling.get("speedups", []) if s.get("haus") in
@@ -481,6 +498,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scaling-speedup-floor", type=float, default=3.0,
                         help="warn-only floor for the largest-size batched "
                              "tuple-throughput speedup (default 3.0)")
+    parser.add_argument("--build-tolerance", type=float, default=0.5,
+                        help="warn-only threshold for per-cell growth of the "
+                             "scaling bench's build_seconds / wall_seconds "
+                             "ratio (default 0.5)")
     parser.add_argument("--alerts", default=None,
                         help="ALERTS_headline.json to check (default: sibling "
                              "of current)")
@@ -551,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_BAD_INVOCATION
         notes.extend(compare_scaling(
             scaling, baseline_scaling, args.wall_tolerance,
-            args.scaling_speedup_floor,
+            args.scaling_speedup_floor, args.build_tolerance,
         ))
     elif Path(args.scaling_baseline).is_file():
         notes.append(f"scaling: no {scaling_path}, scaling gate skipped")

@@ -45,6 +45,7 @@ import numpy as np
 from repro.apps.base import AppProfile, SizedPayload
 from repro.dsps.graph import QueryGraph
 from repro.dsps.operator import Emit, Operator, SinkOperator, SourceOperator
+from repro.simulation.core import paused_gc
 from repro.state.spec import StateHint
 
 PROFILE = AppProfile(
@@ -276,6 +277,7 @@ def _hau_ids(stage: dict) -> list[str]:
     return [f"{stage['name']}{i}" for i in range(n)]
 
 
+@paused_gc()
 def build(seed: int = 0, topology: dict | None = None) -> "StreamApplication":
     """Build a synthetic application from a declarative topology spec."""
     from repro.dsps.application import StreamApplication

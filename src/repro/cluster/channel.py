@@ -87,10 +87,11 @@ class Channel:
         self.batch_quantum = batch_quantum
         self._batch: list = []
         self._batch_epoch = 0
-        self._on_break: list[Callable[["Channel"], None]] = []
+        self._on_break: tuple[Callable[["Channel"], None], ...] = ()
         self._pump = src.spawn(self._run(), label=f"chan:{self.name}")
-        src.on_fail(lambda _n: self.close())
-        dst.on_fail(lambda _n: self.close())
+        endpoint_failed = self._endpoint_failed  # one bound method for both ends
+        src.on_fail(endpoint_failed)
+        dst.on_fail(endpoint_failed)
 
     # -- public API -----------------------------------------------------------
     def send(self, payload: Any, size: int) -> Event:
@@ -195,7 +196,10 @@ class Channel:
         return len(self._inbox)
 
     def on_break(self, callback: Callable[["Channel"], None]) -> None:
-        self._on_break.append(callback)
+        self._on_break += (callback,)
+
+    def _endpoint_failed(self, _node: Node) -> None:
+        self.close()
 
     def close(self) -> None:
         if self.closed:
@@ -209,9 +213,9 @@ class Channel:
             self._pump.interrupt("channel-closed")
         # Wake blocked receivers with an error.
         while self._inbox._getters:
-            getter = self._inbox._getters.popleft()
+            getter = self._inbox._getters.pop(0)
             getter.fail(ChannelClosedError(self.name))
-        observers, self._on_break = list(self._on_break), []
+        observers, self._on_break = self._on_break, ()
         for cb in observers:
             cb(self)
 

@@ -72,6 +72,11 @@ class DataCenter:
         self.racks: list[Rack] = [Rack(f"rack{i}") for i in range(self.spec.racks)]
         self.workers: list[Node] = []
         self.spares: list[Node] = []
+        # Every node ever created, by id.  A claimed spare leaves ``spares``
+        # but stays here: it now hosts recovered HAUs and must remain a
+        # target for by-id lookups (a second failure after recovery).
+        self._nodes: dict[str, Node] = {}
+        self._racks_by_id = {rack.rack_id: rack for rack in self.racks}
         self._channels: list[Channel] = []
 
         def make(node_id: str, rack: Rack, disk_bw: float) -> Node:
@@ -84,6 +89,7 @@ class DataCenter:
                 disk_bw=disk_bw,
             )
             rack.nodes.append(node)
+            self._nodes[node_id] = node
             return node
 
         for i in range(self.spec.workers):
@@ -98,19 +104,16 @@ class DataCenter:
     # -- lookups -----------------------------------------------------------------
     @property
     def all_nodes(self) -> list[Node]:
-        return self.workers + self.spares + [self.storage_node]
+        """Workers, spares (claimed ones included), then the storage node."""
+        return list(self._nodes.values())
 
     def node(self, node_id: str) -> Node:
-        for n in self.all_nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._nodes[node_id]
 
     def rack_of(self, node: Node) -> Rack:
-        for rack in self.racks:
-            if node in rack.nodes:
-                return rack
-        raise KeyError(node.node_id)
+        if self._nodes.get(node.node_id) is not node:
+            raise KeyError(node.node_id)
+        return self._racks_by_id[node.rack]
 
     def alive_workers(self) -> list[Node]:
         return [n for n in self.workers if n.alive]

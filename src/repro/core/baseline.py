@@ -301,7 +301,7 @@ class BaselineScheme(CheckpointScheme):
         # tuples into the fresh channel at its next tuple boundary, then
         # attaches the channel for live traffic.
         for edge, chan in deferred:
-            edge_idx = hau.in_edges.index(edge)
+            edge_idx = graph.in_edge_index(edge)
             after = restored_in_seq.get(edge_idx, 0)
             self._pending_replays.setdefault(edge.src, []).append((edge, chan, after))
             up = rt.haus.get(edge.src)

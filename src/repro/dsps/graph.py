@@ -59,6 +59,12 @@ class QueryGraph:
     def __init__(self):
         self.haus: dict[str, HAUSpec] = {}
         self.edges: list[EdgeSpec] = []
+        # Indexes over ``edges``, kept by connect() — its only mutation
+        # point.  Adjacency lists hold each HAU's edges in edge-list order
+        # (in-port indices, token bookkeeping and digests depend on it).
+        self._out: dict[str, list[EdgeSpec]] = {}
+        self._in: dict[str, list[EdgeSpec]] = {}
+        self._in_index: dict[str, int] = {}  # edge_id -> position in _in[dst]
 
     # -- construction ------------------------------------------------------------
     def add_hau(
@@ -88,17 +94,25 @@ class QueryGraph:
         if routing not in ("broadcast", "hash"):
             raise GraphError(f"unknown routing mode {routing!r}")
         edge = EdgeSpec(src, dst, src_port, dst_port, routing)
-        if any(e.edge_id == edge.edge_id for e in self.edges):
+        if edge.edge_id in self._in_index:
             raise GraphError(f"duplicate edge {edge.edge_id}")
         self.edges.append(edge)
+        self._out.setdefault(src, []).append(edge)
+        ins = self._in.setdefault(dst, [])
+        self._in_index[edge.edge_id] = len(ins)
+        ins.append(edge)
         return edge
 
     # -- queries -------------------------------------------------------------------
     def out_edges(self, hau_id: str) -> list[EdgeSpec]:
-        return [e for e in self.edges if e.src == hau_id]
+        return list(self._out.get(hau_id, ()))
 
     def in_edges(self, hau_id: str) -> list[EdgeSpec]:
-        return [e for e in self.edges if e.dst == hau_id]
+        return list(self._in.get(hau_id, ()))
+
+    def in_edge_index(self, edge: EdgeSpec) -> int:
+        """Position of ``edge`` in ``in_edges(edge.dst)`` (its in-edge index)."""
+        return self._in_index[edge.edge_id]
 
     def upstream(self, hau_id: str) -> list[str]:
         return sorted({e.src for e in self.in_edges(hau_id)})

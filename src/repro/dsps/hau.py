@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from collections.abc import Sequence
 from typing import Any
 
 from repro.cluster.channel import Channel, ChannelClosedError
@@ -208,9 +209,10 @@ class HAURuntime:
         # recovery (a replayed/resent tuple with seq <= this is dropped)
         self._in_seq: dict[int, int] = {i: 0 for i in range(len(self.in_edges))}
         # restart support: items to re-process / re-emit before normal work
-        self._replay_backlog: list[tuple[int, DataTuple]] = []
-        self._replay_out: list[tuple[str, DataTuple]] = []
-        self._replay_source: list[DataTuple] = []
+        # (only ever rebound, never appended to, so empty is the shared ())
+        self._replay_backlog: Sequence[tuple[int, DataTuple]] = ()
+        self._replay_out: Sequence[tuple[str, DataTuple]] = ()
+        self._replay_source: Sequence[DataTuple] = ()
 
         self.tuples_processed = 0
         self.busy_time = 0.0
@@ -592,8 +594,8 @@ class HAURuntime:
                 )
             for edge_id, tup in self._replay_out:
                 yield from self.resend(edge_id, tup)
-            self._replay_out = []
-            backlog, self._replay_backlog = self._replay_backlog, []
+            self._replay_out = ()
+            backlog, self._replay_backlog = self._replay_backlog, ()
             if backlog and self._trace.enabled:
                 self._trace.emit(
                     "replay.backlog",
@@ -677,12 +679,12 @@ class HAURuntime:
                 )
             for edge_id, tup in self._replay_out:
                 yield from self.resend(edge_id, tup)
-            self._replay_out = []
+            self._replay_out = ()
             # Post-recovery: replay preserved tuples at full speed ("it can
             # process the replayed tuples faster than usual to catch up",
             # §III).  Replayed tuples keep their original creation time and
             # are already preserved, so the preservation hook is skipped.
-            replay, self._replay_source = self._replay_source, []
+            replay, self._replay_source = self._replay_source, ()
             if replay and self._trace.enabled:
                 self._trace.emit(
                     "replay.source",

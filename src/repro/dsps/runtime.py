@@ -20,7 +20,7 @@ from repro.dsps.application import StreamApplication
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime, SchemeHooks
 from repro.metrics.collectors import MetricsHub
-from repro.simulation.core import Environment, Interrupt
+from repro.simulation.core import Environment, Interrupt, paused_gc
 from repro.simulation.rng import RngRegistry
 from repro.storage.shared import SharedStorage, StorageClient
 
@@ -96,6 +96,7 @@ class DSPSRuntime:
         scheme.attach(self)
 
     # -- construction -----------------------------------------------------------
+    @paused_gc()
     def build(self) -> None:
         """Place HAUs and create all runtimes and channels (no processes yet)."""
         if self._built:
@@ -131,7 +132,8 @@ class DSPSRuntime:
         return hau
 
     def _wire_data_channels(self) -> None:
-        for edge in self.app.graph.edges:
+        graph = self.app.graph
+        for edge in graph.edges:
             src_hau = self.haus[edge.src]
             dst_hau = self.haus[edge.dst]
             chan = self.dc.connect(
@@ -143,8 +145,7 @@ class DSPSRuntime:
             )
             self.data_channels[edge.edge_id] = chan
             src_hau.attach_out_channel(edge, chan)
-            dst_idx = dst_hau.in_edges.index(edge)
-            dst_hau.attach_in_channel(dst_idx, chan)
+            dst_hau.attach_in_channel(graph.in_edge_index(edge), chan)
 
     def _wire_control(self, hau_id: str) -> None:
         hau = self.haus[hau_id]
@@ -171,6 +172,7 @@ class DSPSRuntime:
             return
 
     # -- lifecycle -----------------------------------------------------------------
+    @paused_gc()
     def start(self) -> None:
         if not self._built:
             self.build()
@@ -267,7 +269,7 @@ class DSPSRuntime:
         self.placement[hau_id] = node
         hau = self._make_hau(hau_id, node, restored)
         deferred: list[tuple[EdgeSpec, Channel]] = []
-        for edge in graph.in_edges(hau_id):
+        for edge_idx, edge in enumerate(hau.in_edges):
             src_hau = self.haus[edge.src]
             chan = self.dc.connect(
                 src_hau.node,
@@ -281,8 +283,8 @@ class DSPSRuntime:
                 src_hau.attach_out_channel(edge, chan)
             else:
                 deferred.append((edge, chan))
-            hau.attach_in_channel(hau.in_edges.index(edge), chan)
-        for edge in graph.out_edges(hau_id):
+            hau.attach_in_channel(edge_idx, chan)
+        for edge in hau.out_edges:
             dst_hau = self.haus[edge.dst]
             if not dst_hau.node.alive:
                 # The downstream neighbour is itself dead; its own recovery
@@ -297,7 +299,7 @@ class DSPSRuntime:
             )
             self.data_channels[edge.edge_id] = chan
             hau.attach_out_channel(edge, chan)
-            dst_hau.replace_in_channel(dst_hau.in_edges.index(edge), chan)
+            dst_hau.replace_in_channel(graph.in_edge_index(edge), chan)
         self._wire_control(hau_id)
         return hau, deferred
 

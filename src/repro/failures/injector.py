@@ -17,7 +17,12 @@ SCN001 lint rule pin themselves to it):
 
 Degradations (``partition``/``straggler``) compose multiplicatively, so
 overlapping events restore cleanly in any order; ``duration <= 0`` means
-the degradation lasts for the rest of the run.  Plans are sampled (or
+the degradation lasts for the rest of the run.  ``node``/``straggler``
+targets resolve against every node the data center ever created —
+spares that recovery has claimed included, so a node hosting
+*recovered* HAUs can fail again; an id that was never part of the
+cluster is skipped silently (synthetic failure traces may name nodes a
+smaller simulated cluster does not have).  Plans are sampled (or
 declared — see :mod:`repro.scenarios`) up front and are deterministic
 given the RNG stream, so experiments can be replayed and compared.
 """

@@ -240,7 +240,7 @@ def _san_store_put(self, item: Any):
         if self._getters:
             self._drain()
         return ev
-    self._putters.append(ev)
+    self._putters = [*self._putters, ev]
     self._drain()
     return ev
 
@@ -259,11 +259,11 @@ def _san_store_get(self):
     if self.items and not self._getters:
         ev.succeed(self.items.popleft())
         if self._putters and len(self.items) < self.capacity:
-            put = self._putters.popleft()
+            put = self._putters.pop(0)
             self.items.append(put.item)
             put.succeed()
         return ev
-    self._getters.append(ev)
+    self._getters = [*self._getters, ev]
     self._drain()
     return ev
 
@@ -285,11 +285,11 @@ def _san_priority_store_get(self):
         del self.items[best_idx]
         ev.succeed(item)
         if self._putters and len(self.items) < self.capacity:
-            put = self._putters.popleft()
+            put = self._putters.pop(0)
             self.items.append(put.item)
             put.succeed()
         return ev
-    self._getters.append(ev)
+    self._getters = [*self._getters, ev]
     self._drain()
     return ev
 

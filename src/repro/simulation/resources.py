@@ -157,8 +157,12 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._getters: deque[_Get] = deque()
-        self._putters: deque[_Put] = deque()
+        # Waiter queues are empty for almost the whole run (and short when
+        # not), so no store owns one until its first blocked get/put: both
+        # start as the shared empty tuple — falsy like an empty queue,
+        # which is all the fast paths ask — and are lists from then on.
+        self._getters: list[_Get] | tuple[()] = ()
+        self._putters: list[_Put] | tuple[()] = ()
         # Get/put events churn once per tuple hop; recycle them through
         # the environment's free lists (shared across stores per class).
         # The pool lists are cached on the store so put()/get() skip the
@@ -196,7 +200,7 @@ class Store:
             if self._getters:
                 self._drain()
             return ev
-        self._putters.append(ev)
+        self._putters = [*self._putters, ev]
         self._drain()
         return ev
 
@@ -227,11 +231,11 @@ class Store:
         if self.items and not self._getters:
             ev.succeed(self.items.popleft())
             if self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
+                put = self._putters.pop(0)
                 self.items.append(put.item)
                 put.succeed()
             return ev
-        self._getters.append(ev)
+        self._getters = [*self._getters, ev]
         self._drain()
         return ev
 
@@ -241,27 +245,23 @@ class Store:
             progress = False
             # admit puts while there is room
             while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
+                put = self._putters.pop(0)
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
             # satisfy getters while there are items
             while self._getters and self.items:
-                get = self._getters.popleft()
+                get = self._getters.pop(0)
                 get.succeed(self.items.popleft())
                 progress = True
 
     def _abandon_get(self, ev: _Get) -> None:
-        try:
+        if ev in self._getters:
             self._getters.remove(ev)
-        except ValueError:
-            pass
 
     def _abandon_put(self, ev: _Put) -> None:
-        try:
+        if ev in self._putters:
             self._putters.remove(ev)
-        except ValueError:
-            pass
 
 
 class PriorityStore(Store):
@@ -296,11 +296,11 @@ class PriorityStore(Store):
             del self.items[best_idx]
             ev.succeed(item)
             if self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
+                put = self._putters.pop(0)
                 self.items.append(put.item)
                 put.succeed()
             return ev
-        self._getters.append(ev)
+        self._getters = [*self._getters, ev]
         self._drain()
         return ev
 
@@ -309,7 +309,7 @@ class PriorityStore(Store):
         while progress:
             progress = False
             while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
+                put = self._putters.pop(0)
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
@@ -317,7 +317,7 @@ class PriorityStore(Store):
                 best_idx = min(range(len(self.items)), key=lambda i: self.items[i])
                 item, _seq = self.items[best_idx]
                 del self.items[best_idx]
-                self._getters.popleft().succeed(item)
+                self._getters.pop(0).succeed(item)
                 progress = True
 
 

@@ -6,6 +6,7 @@ from repro.cluster import ClusterSpec
 from repro.core import BaselineScheme
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
+from repro.failures import FailureInjector, FailurePlan, PlannedFailure
 from repro.simulation import Environment
 
 
@@ -125,3 +126,35 @@ def test_source_failure_unrecoverable_without_stable_preservation():
     rt, failed_log, scheme = run_with_failure(2.3, ["src"])
     # src has no upstream, so single-failure recovery applies
     assert scheme.recovered and scheme.recovered[0][1] == "src"
+
+
+def test_second_failure_hits_the_spare_hosting_a_recovered_hau():
+    """A claimed spare stays a by-id failure target: kill w3, let the
+    baseline restart its HAU on spare0, then kill spare0.  (claim_spare
+    used to drop the node from the data center, so the injector's lookup
+    raised KeyError and the second failure was silently skipped.)"""
+    scheme = BaselineScheme(checkpoint_period=1.0, enable_recovery=True)
+    env, rt, _ = deploy(scheme)
+    victim = next(h for h, node in rt.placement.items() if node.node_id == "w3")
+    injector = FailureInjector(
+        env,
+        rt.dc,
+        FailurePlan(
+            events=[
+                PlannedFailure(at=2.3, kind="node", target="w3"),
+                PlannedFailure(at=12.0, kind="node", target="spare0"),
+            ]
+        ),
+    )
+    injector.start()
+    env.run(until=11.9)
+    assert scheme.recovered == [(scheme.recovered[0][0], victim)]
+    assert rt.haus[victim].node is rt.dc.node("spare0")
+    env.run(until=40.0)
+    assert [e.target for e in injector.injected] == ["w3", "spare0"]
+    assert not rt.dc.node("spare0").alive
+    # the HAU is dealt with a second time: restarted again or given up on
+    outcomes = [h for (_t, h) in scheme.recovered + scheme.unrecoverable]
+    assert outcomes == [victim, victim]
+    if len(scheme.recovered) == 2:
+        assert rt.haus[victim].node.alive

@@ -326,3 +326,50 @@ def test_non_dict_cell_exits_4(tmp_path, capsys):
         == check_regression.EXIT_BAD_BASELINE
     )
     assert "cells[0] is not an object" in capsys.readouterr().err
+
+
+# -- kernel scaling gate: build:run ratio (warn-only) ---------------------------
+
+def _scaling(build, wall=2.0):
+    cells = [
+        {"haus": 10_000, "scheduler": "heap", "batch_quantum": q, "wall_seconds": wall,
+         "build_seconds": build, "events_popped": 1000, "tuples": 100,
+         "tuples_per_sec": 100 / wall}
+        for q in (0.0, 0.25)
+    ]
+    speedups = [{"haus": 10_000, "scheduler": "heap", "batched_speedup": 4.0}]
+    return {"mode": "fast", "cells": cells, "speedups": speedups}
+
+
+def _scaling_args(tmp_path, base_build, cur_build):
+    rep = _report([_cell()])
+    return [
+        _write(tmp_path, "cur.json", rep),
+        "--baseline", _write(tmp_path, "base.json", rep),
+        "--scaling", _write(tmp_path, "scaling.json", _scaling(cur_build)),
+        "--scaling-baseline", _write(tmp_path, "scaling_base.json", _scaling(base_build)),
+    ]
+
+
+def test_scaling_build_ratio_growth_is_warn_only(tmp_path, capsys):
+    args = _scaling_args(tmp_path, base_build=1.0, cur_build=2.0)  # 0.5 -> 1.0
+    assert check_regression.main(args) == check_regression.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("build:run ratio 1.00 vs baseline 0.50 (+100.0%)") == 2
+    assert "--build-tolerance 50% (warn-only)" in out
+    # a looser tolerance absorbs it
+    assert check_regression.main(args + ["--build-tolerance", "1.5"]) == check_regression.EXIT_OK
+    assert "build:run" not in capsys.readouterr().out
+
+
+def test_scaling_build_ratio_within_tolerance_or_unrecorded_is_silent(tmp_path, capsys):
+    for cur_build in (1.4, 0.2, None):  # +40 %, a saving, a report without the field
+        args = _scaling_args(tmp_path, base_build=1.0, cur_build=cur_build)
+        assert check_regression.main(args) == check_regression.EXIT_OK
+        assert "build:run" not in capsys.readouterr().out
+
+
+def test_checked_in_scaling_baseline_records_build_seconds():
+    path = _MOD_PATH.parent / "BENCH_scaling_baseline.json"
+    cells = json.loads(path.read_text())["cells"]
+    assert cells and all(c["build_seconds"] > 0 and c["wall_seconds"] > 0 for c in cells)

@@ -314,6 +314,21 @@ def test_claim_spare_removes_from_pool():
     first = dc.claim_spare()
     assert first not in dc.spares
     assert dc.spares_available() == 1
+    # ...but it is still a node of the data center (it hosts recovered HAUs)
+    assert dc.node(first.node_id) is first
+    assert first in dc.all_nodes
+    assert first in dc.rack_of(first).nodes
+
+
+def test_node_lookup_rejects_foreign_ids_and_nodes():
+    env = Environment()
+    dc = DataCenter(env, ClusterSpec(workers=2, spares=1, racks=2))
+    other = DataCenter(env, ClusterSpec(workers=2, spares=1, racks=2))
+    assert [n.node_id for n in dc.all_nodes] == ["w0", "w1", "spare0", "storage"]
+    with pytest.raises(KeyError):
+        dc.node("w2")
+    with pytest.raises(KeyError):
+        dc.rack_of(other.node("w0"))
 
 
 def test_claim_spare_skips_dead_and_exhausts():

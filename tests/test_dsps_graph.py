@@ -1,6 +1,8 @@
 """Tests for the query network builder/validator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsps import GraphError, QueryGraph
 from repro.dsps.operator import SinkOperator, SourceOperator, StatelessMapOperator
@@ -151,3 +153,96 @@ def test_fanout_and_ports():
     g.validate()
     assert g.downstream("s") == ["a", "b"]
     assert len(g.in_edges("k")) == 2
+
+
+# -- adjacency indexes --------------------------------------------------------
+
+def _scan_queries(g, hau_id):
+    """The definitional (whole-edge-list) answers the indexes must match."""
+    outs = [e for e in g.edges if e.src == hau_id]
+    ins = [e for e in g.edges if e.dst == hau_id]
+    return outs, ins, sorted({e.src for e in ins}), sorted({e.dst for e in outs})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("hau"), st.integers(0, 11)),
+            st.tuples(
+                st.just("edge"), st.integers(0, 11), st.integers(0, 11),
+                st.integers(0, 2), st.integers(0, 2),
+            ),
+        ),
+        max_size=60,
+    )
+)
+def test_indexed_queries_equal_list_scans(ops):
+    """After any add_hau/connect sequence (rejected calls included) the
+    indexed queries return the list scans' elements in the same order."""
+    g = QueryGraph()
+    for op in ops:
+        try:
+            if op[0] == "hau":
+                g.add_hau(f"h{op[1]}", _mapop)
+            else:
+                _, a, b, sp, dp = op
+                if a < b:  # forward edges only: a DAG by construction
+                    g.connect(f"h{a}", f"h{b}", src_port=sp, dst_port=dp)
+        except GraphError:
+            pass  # duplicate HAU / unknown endpoint / duplicate edge
+        for hau_id in g.haus:
+            outs, ins, ups, downs = _scan_queries(g, hau_id)
+            assert g.out_edges(hau_id) == outs
+            assert g.in_edges(hau_id) == ins
+            assert g.upstream(hau_id) == ups
+            assert g.downstream(hau_id) == downs
+            assert [g.in_edge_index(e) for e in ins] == list(range(len(ins)))
+
+
+def test_query_results_are_copies():
+    g = chain_graph()
+    g.out_edges("s").clear()
+    g.in_edges("m").clear()
+    assert len(g.out_edges("s")) == len(g.in_edges("m")) == 1
+
+
+def test_rejected_connect_leaves_indexes_untouched():
+    g = chain_graph()
+    for bad in (("s", "m"), ("s", "nope"), ("nope", "m")):
+        with pytest.raises(GraphError):
+            g.connect(*bad)
+    with pytest.raises(GraphError):
+        g.connect("s", "k", routing="magic")
+    assert [e.edge_id for e in g.edges] == ["s[0]->m[0]", "m[0]->k[0]"]
+    assert g.out_edges("s") == g.in_edges("m") == g.edges[:1]
+
+
+def test_in_edge_index_matches_list_index_all_to_all():
+    g = QueryGraph()
+    srcs = [f"s{i}" for i in range(7)]
+    dsts = [f"d{i}" for i in range(5)]
+    for s in srcs:
+        g.add_hau(s, _src, is_source=True)
+    for d in dsts:
+        g.add_hau(d, _sink, is_sink=True)
+    for s in srcs:
+        for d in dsts:
+            g.connect(s, d, routing="hash")
+    g.validate()
+    for d in dsts:
+        ins = g.in_edges(d)
+        assert [e.src for e in ins] == srcs
+        assert [g.in_edge_index(e) for e in ins] == [ins.index(e) for e in ins]
+
+
+def test_empty_graph_rejected():
+    with pytest.raises(GraphError, match="empty graph"):
+        QueryGraph().validate()
+
+
+def test_source_without_outbound_rejected():
+    g = chain_graph()
+    g.add_hau("idle", _src, is_source=True)
+    with pytest.raises(GraphError, match="source idle has no outbound"):
+        g.validate()
