@@ -1,20 +1,19 @@
-"""Kernel scaling: events/sec at 100/1k/10k HAUs x scheduler x batching.
+"""Kernel scaling: events/sec at 100/1k/10k HAUs, unbatched and batched.
 
 One synthetic aligned-chain app (S -> W -> A -> K, equal replicas) is
-run at three sizes under every {heap, calendar} x {unbatched, batched}
-combination.  The rates time the ``env.run`` phase only (graph
-construction is the same work in every mode and would dilute the
-ratios); construction is timed beside it, because it is what a user
-waits for first.  Recorded per cell: run wall seconds, build seconds
-(``Environment()`` through ``start()`` plus the post-build collection),
-kernel events popped, tuples processed, and the derived events/sec +
-tuples/sec rates.
+run at three sizes, unbatched and batched.  The rates time the
+``env.run`` phase only (graph construction is the same work in every
+mode and would dilute the ratios); construction is timed beside it,
+because it is what a user waits for first.  Recorded per cell: run wall
+seconds, build seconds (``Environment()`` through ``start()`` plus the
+post-build collection), kernel events popped, tuples processed, and the
+derived events/sec + tuples/sec rates.
 
 Hard assertions are determinism facts: the same tuples drain in every
-mode at a given size, the two schedulers pop identical event counts
-for the same configuration, and batching strictly reduces the kernel
-event count.  The *rates* are host-dependent and therefore gated
-warn-only by ``check_regression.py --scaling`` against the committed
+mode at a given size, identical runs pop identical event counts, and
+batching strictly reduces the kernel event count.  The *rates* are
+host-dependent and therefore gated warn-only by ``check_regression.py
+--scaling`` against the committed
 ``benchmarks/BENCH_scaling_baseline.json`` — including the headline
 claim that batched mode sustains >= 3x the unbatched tuple throughput
 at the 10k-HAU point, and (``--build-tolerance``) each cell's
@@ -31,12 +30,12 @@ from repro.dsps.runtime import CheckpointScheme, DSPSRuntime, RuntimeConfig
 from repro.simulation.core import Environment
 
 SIZES = (100, 1_000, 10_000)  # total HAUs (4 stages x replicas)
-SCHEDULERS = ("heap", "calendar")
 QUANTA = (0.0, 0.25)
 WINDOW = 1.25  # covers the 0.12 s burst plus three quantum-deep flush waves
 
-# repeat cheap cells to shed scheduler noise; the 10k cells run once
-ROUNDS = {100: 3, 1_000: 2, 10_000: 1}
+# best-of-N per cell sheds host noise (a single shot can land whole in
+# one of the sandbox's slow phases)
+ROUNDS = {100: 3, 1_000: 2, 10_000: 2}
 
 
 def _topology(replicas: int) -> dict:
@@ -56,7 +55,7 @@ def _topology(replicas: int) -> dict:
     }
 
 
-def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
+def _run_cell(haus: int, quantum: float) -> dict:
     replicas = haus // 4
     best_wall = float("inf")
     popped = set()
@@ -67,7 +66,7 @@ def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
         # build: it is cyclic garbage only a full collection reclaims
         gc.collect()
         t0 = time.perf_counter()  # repro-lint: disable=DET001 (host timing, not simulated)
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         app = build(seed=1, topology=_topology(replicas))
         rt = DSPSRuntime(
             env,
@@ -102,7 +101,6 @@ def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
     n_popped = popped.pop()
     return {
         "haus": haus,
-        "scheduler": scheduler,
         "batch_quantum": quantum,
         "wall_seconds": best_wall,
         "build_seconds": build_wall,
@@ -114,13 +112,8 @@ def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
 
 
 def test_kernel_scaling(write_artifact):
-    cells = [
-        _run_cell(haus, scheduler, quantum)
-        for haus in SIZES
-        for scheduler in SCHEDULERS
-        for quantum in QUANTA
-    ]
-    by_key = {(c["haus"], c["scheduler"], c["batch_quantum"]): c for c in cells}
+    cells = [_run_cell(haus, quantum) for haus in SIZES for quantum in QUANTA]
+    by_key = {(c["haus"], c["batch_quantum"]): c for c in cells}
 
     speedups = []
     for haus in SIZES:
@@ -128,40 +121,30 @@ def test_kernel_scaling(write_artifact):
         drained = {c["tuples"] for c in cells if c["haus"] == haus}
         assert len(drained) == 1, f"{haus} HAUs: tuple drain varied: {drained}"
         assert drained.pop() == 3 * 24 * (haus // 4)  # W + A + K, full drain
-        for quantum in QUANTA:
-            # scheduler equivalence: same event count, only its cost differs
-            heap_c = by_key[(haus, "heap", quantum)]
-            cal_c = by_key[(haus, "calendar", quantum)]
-            assert heap_c["events_popped"] == cal_c["events_popped"], (
-                f"{haus} HAUs q={quantum}: calendar popped "
-                f"{cal_c['events_popped']} vs heap {heap_c['events_popped']}"
-            )
-        for scheduler in SCHEDULERS:
-            unb = by_key[(haus, scheduler, 0.0)]
-            bat = by_key[(haus, scheduler, QUANTA[1])]
-            assert bat["events_popped"] < unb["events_popped"]
-            speedups.append({
-                "haus": haus,
-                "scheduler": scheduler,
-                "batched_speedup": bat["tuples_per_sec"] / unb["tuples_per_sec"],
-                "event_reduction": unb["events_popped"] / bat["events_popped"],
-            })
+        unb = by_key[(haus, 0.0)]
+        bat = by_key[(haus, QUANTA[1])]
+        assert bat["events_popped"] < unb["events_popped"]
+        speedups.append({
+            "haus": haus,
+            "batched_speedup": bat["tuples_per_sec"] / unb["tuples_per_sec"],
+            "event_reduction": unb["events_popped"] / bat["events_popped"],
+        })
 
     header = (
-        f"{'haus':>6} {'sched':>8} {'quantum':>7} {'build':>7} {'run':>7} {'b:r':>5} "
+        f"{'haus':>6} {'quantum':>7} {'build':>7} {'run':>7} {'b:r':>5} "
         f"{'popped':>9} {'ev/s':>10} {'tup/s':>9}"
     )
     lines = [header]
     for c in cells:
         lines.append(
-            f"{c['haus']:>6} {c['scheduler']:>8} {c['batch_quantum']:>7.2f} "
+            f"{c['haus']:>6} {c['batch_quantum']:>7.2f} "
             f"{c['build_seconds']:>6.2f}s {c['wall_seconds']:>6.2f}s "
             f"{c['build_seconds'] / c['wall_seconds']:>5.2f} {c['events_popped']:>9} "
             f"{c['events_per_sec']:>10,.0f} {c['tuples_per_sec']:>9,.0f}"
         )
     for s in speedups:
         lines.append(
-            f"  {s['haus']} HAUs / {s['scheduler']}: batched {s['batched_speedup']:.2f}x "
+            f"  {s['haus']} HAUs: batched {s['batched_speedup']:.2f}x "
             f"tuple throughput, {s['event_reduction']:.2f}x fewer kernel events"
         )
     print("\n" + "\n".join(lines))

@@ -321,24 +321,21 @@ def compare_scaling(
         return warnings
 
     def by_key(report: dict) -> dict[tuple, dict]:
-        return {
-            (c["haus"], c["scheduler"], c["batch_quantum"]): c
-            for c in report.get("cells", [])
-        }
+        return {(c["haus"], c["batch_quantum"]): c for c in report.get("cells", [])}
 
     cur, base = by_key(scaling), by_key(baseline_scaling)
     for key in sorted(base, key=str):
-        haus, scheduler, quantum = key
+        haus, quantum = key
         b, c = base[key], cur.get(key)
         if c is None:
             warnings.append(
-                f"scaling: {haus}/{scheduler}/q={quantum} missing from current "
+                f"scaling: {haus}/q={quantum} missing from current "
                 "report (warn-only)"
             )
             continue
         if b.get("events_popped") != c.get("events_popped"):
             warnings.append(
-                f"scaling: {haus}/{scheduler}/q={quantum} events_popped "
+                f"scaling: {haus}/q={quantum} events_popped "
                 f"{c.get('events_popped')} vs baseline {b.get('events_popped')} "
                 "(warn-only: batched event counts are not digest-pinned)"
             )
@@ -347,7 +344,7 @@ def compare_scaling(
             delta = c_rate / b_rate - 1.0
             if delta < -wall_tolerance:
                 warnings.append(
-                    f"scaling: {haus}/{scheduler}/q={quantum} tuples_per_sec "
+                    f"scaling: {haus}/q={quantum} tuples_per_sec "
                     f"{c_rate:,.0f} vs baseline {b_rate:,.0f} ({delta:+.1%}), "
                     f"beyond --wall-tolerance {wall_tolerance:.0%} (warn-only)"
                 )
@@ -357,7 +354,7 @@ def compare_scaling(
             growth = c_ratio / b_ratio - 1.0
             if growth > build_tolerance:
                 warnings.append(
-                    f"scaling: {haus}/{scheduler}/q={quantum} build:run ratio "
+                    f"scaling: {haus}/q={quantum} build:run ratio "
                     f"{c_ratio:.2f} vs baseline {b_ratio:.2f} ({growth:+.1%}), "
                     f"beyond --build-tolerance {build_tolerance:.0%} (warn-only)"
                 )
@@ -369,7 +366,7 @@ def compare_scaling(
         for s in (s for s in gated if s["haus"] == top):
             if s["batched_speedup"] < speedup_floor:
                 warnings.append(
-                    f"scaling: {top} HAUs / {s['scheduler']} batched speedup "
+                    f"scaling: {top} HAUs batched speedup "
                     f"{s['batched_speedup']:.2f}x below --scaling-speedup-floor "
                     f"{speedup_floor:g}x (warn-only)"
                 )

@@ -223,11 +223,6 @@ def _check_topology(topo: dict) -> tuple[list[dict], list[dict]]:
             isinstance(replicas, int) and replicas >= 1,
             f"topology.stages[{i}].replicas must be an int >= 1",
         )
-        seed_base = stage.get("seed_base", 0)
-        _require(
-            isinstance(seed_base, int) and seed_base >= 0,
-            f"topology.stages[{i}].seed_base must be an int >= 0",
-        )
         shape = stage.get("shape", "constant")
         _require(
             shape in SOURCE_SHAPES,
@@ -299,13 +294,7 @@ def build(seed: int = 0, topology: dict | None = None) -> "StreamApplication":
                 maker = (
                     lambda stage=stage, si=si, ri=ri, hau_id=hau_id: [
                         SynthSource(
-                            # seed_base shifts replica indices within the
-                            # stage's seed stream: rack shards (see
-                            # repro.harness.shard) use it so local replica j
-                            # draws the same source stream as global replica
-                            # seed_base + j in the unsharded topology.
-                            seed=seed * 10_000 + si * 100
-                            + stage.get("seed_base", 0) + ri,
+                            seed=seed * 10_000 + si * 100 + ri,
                             name=hau_id,
                             count=stage.get("count", DEFAULT_COUNT),
                             interval=stage.get("interval", DEFAULT_INTERVAL),

@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown app {self.app!r}; choose from {sorted(APPS)}")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        # `not >=` rather than `<`: nan (REPRO_BATCH_QUANTUM=nan) fails too
+        if not self.batch_quantum >= 0:
+            raise ValueError(f"batch_quantum must be >= 0, got {self.batch_quantum!r}")
         if self.monitor_period < 0:
             raise ValueError(f"monitor_period must be >= 0, got {self.monitor_period!r}")
         if self.monitor_slos:

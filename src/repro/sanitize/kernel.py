@@ -120,17 +120,10 @@ def _check_order(env: Any, key: tuple[float, int, int]) -> None:
 
 
 def _san_step(self) -> None:
-    cal = self._cal
-    if cal is None:
-        heap = self._heap
-        if not heap:
-            raise _core.SimulationError("step() on empty schedule")
-        when, prio, seq, event = heappop(heap)
-    else:
-        entry = cal.pop()
-        if entry is None:
-            raise _core.SimulationError("step() on empty schedule")
-        when, prio, seq, event = entry
+    heap = self._heap
+    if not heap:
+        raise _core.SimulationError("step() on empty schedule")
+    when, prio, seq, event = heappop(heap)
     now = self._now
     if when < now - 1e-12:
         raise SanitizerError(
@@ -187,10 +180,7 @@ def _san_timeout(self, delay: float, value: Any = None):
         t._value = value
         t._flushed = False
         self._seq = seq = self._seq + 1
-        if self._cal is None:
-            heappush(self._heap, (self._now + delay, _core.NORMAL, seq, t))
-        else:
-            self._cal.push((self._now + delay, _core.NORMAL, seq, t))
+        heappush(self._heap, (self._now + delay, _core.NORMAL, seq, t))
         return t
     self.pool_misses += 1
     return _core.Timeout(self, delay, value)

@@ -21,7 +21,6 @@ slow paths, so same-seed runs remain bit-identical (checked by
 from __future__ import annotations
 
 import gc
-import os
 from collections.abc import Callable, Generator, Iterable, Iterator
 from contextlib import contextmanager
 from heapq import heappop, heappush
@@ -29,7 +28,6 @@ from sys import getrefcount
 from typing import Any
 
 from repro.observability.tracer import NULL_TRACER, Tracer
-from repro.simulation.calendar import CalendarQueue
 from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
 
 # Event scheduling priorities.  URGENT is used internally for process
@@ -41,13 +39,6 @@ from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
 URGENT = 0
 NORMAL = 1
 MONITOR = 2
-
-# Scheduler backend for new environments: the binary heap (default, the
-# digest-pinned fast path) or the calendar queue (REPRO_SCHED=calendar;
-# same (time, priority, seq) total order, amortized O(1) at high event
-# density).  Read once at import, like the other REPRO_* config knobs.
-_SCHEDULERS = ("heap", "calendar")
-_DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHED", "heap")
 
 # Per-environment free-list bound: big enough to absorb the steady-state
 # churn of a 56-node run, small enough that a burst never pins memory.
@@ -182,10 +173,7 @@ class Event:
         self._scheduled = True
         env = self.env
         env._seq = seq = env._seq + 1
-        if env._cal is None:
-            heappush(env._heap, (env._now + delay, NORMAL, seq, self))
-        else:
-            env._cal.push((env._now + delay, NORMAL, seq, self))
+        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -200,10 +188,7 @@ class Event:
         self._scheduled = True
         env = self.env
         env._seq = seq = env._seq + 1
-        if env._cal is None:
-            heappush(env._heap, (env._now + delay, NORMAL, seq, self))
-        else:
-            env._cal.push((env._now + delay, NORMAL, seq, self))
+        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -466,7 +451,6 @@ class Environment:
     __slots__ = (
         "_now",
         "_heap",
-        "_cal",
         "_seq",
         "_active_process",
         "trace",
@@ -478,21 +462,9 @@ class Environment:
         "pool_misses",
     )
 
-    def __init__(self, scheduler: str | None = None):
+    def __init__(self):
         self._now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
-        # Scheduler backend: None means the binary heap above (default);
-        # a CalendarQueue means every push/pop goes through it instead.
-        # Both produce the identical (time, priority, seq) total order.
-        if scheduler is None:
-            scheduler = _DEFAULT_SCHEDULER
-        if scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} (expected one of {_SCHEDULERS})"
-            )
-        self._cal: CalendarQueue | None = (
-            CalendarQueue() if scheduler == "calendar" else None
-        )
         self._seq = 0
         self._active_process: Process | None = None
         # Structured tracing (repro.observability): the no-op default means
@@ -530,11 +502,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def scheduler(self) -> str:
-        """Name of the active scheduler backend (``heap`` or ``calendar``)."""
-        return "heap" if self._cal is None else "calendar"
 
     @property
     def active_process(self) -> Process | None:
@@ -606,10 +573,7 @@ class Environment:
             # _settled/_ok/_scheduled were left True by the recycler; the
             # schedule below mirrors Timeout.__init__ exactly.
             self._seq = seq = self._seq + 1
-            if self._cal is None:
-                heappush(self._heap, (self._now + delay, NORMAL, seq, t))
-            else:
-                self._cal.push((self._now + delay, NORMAL, seq, t))
+            heappush(self._heap, (self._now + delay, NORMAL, seq, t))
             return t
         self.pool_misses += 1
         return Timeout(self, delay, value)
@@ -629,10 +593,7 @@ class Environment:
             return
         event._scheduled = True
         self._seq = seq = self._seq + 1
-        if self._cal is None:
-            heappush(self._heap, (self._now + delay, priority, seq, event))
-        else:
-            self._cal.push((self._now + delay, priority, seq, event))
+        heappush(self._heap, (self._now + delay, priority, seq, event))
 
     def _schedule_kick(
         self,
@@ -653,24 +614,14 @@ class Environment:
         kick.target = target
         kick.throw = throw
         self._seq = seq = self._seq + 1
-        if self._cal is None:
-            heappush(self._heap, (self._now, NORMAL, seq, kick))
-        else:
-            self._cal.push((self._now, NORMAL, seq, kick))
+        heappush(self._heap, (self._now, NORMAL, seq, kick))
 
     def step(self) -> None:
         """Pop and fire the next event; advances the clock."""
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            if not heap:
-                raise SimulationError("step() on empty schedule")
-            when, _prio, _seq, event = heappop(heap)
-        else:
-            entry = cal.pop()
-            if entry is None:
-                raise SimulationError("step() on empty schedule")
-            when, _prio, _seq, event = entry
+        heap = self._heap
+        if not heap:
+            raise SimulationError("step() on empty schedule")
+        when, _prio, _seq, event = heappop(heap)
         now = self._now
         if when < now - 1e-12:
             raise SimulationError("event scheduled in the past")
@@ -701,10 +652,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        cal = self._cal
-        if cal is None:
-            return self._heap[0][0] if self._heap else float("inf")
-        return cal.peek()
+        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until a time, an event, or schedule exhaustion.
@@ -714,9 +662,9 @@ class Environment:
           value (raises if it failed).
         * ``until`` is None → run until no events remain.
         """
-        if until is None or isinstance(until, Event) or self._cal is not None:
+        if until is None or isinstance(until, Event):
             return self._run_stepwise(until)
-        # Heap fast path for the run-until-horizon shape every experiment
+        # Fast path for the run-until-horizon shape every experiment
         # uses: step() inlined with the heap, free lists and counters
         # hoisted into locals.  Pops the identical entries in the
         # identical order as step(), so digests are unaffected.
@@ -762,25 +710,20 @@ class Environment:
     def _run_stepwise(self, until: float | Event | None) -> Any:
         """Generic run loop driving :meth:`step` per event.
 
-        Used for the calendar-queue backend and the non-horizon ``until``
-        shapes; also the loop the REPRO_SAN sanitizer reinstates so every
-        pop goes through the audited step.
+        Used for the non-horizon ``until`` shapes; also the loop the
+        REPRO_SAN sanitizer reinstates so every pop goes through the
+        audited step.
         """
         step = self.step
-        cal = self._cal
+        heap = self._heap
         if until is None:
-            if cal is None:
-                heap = self._heap
-                while heap:
-                    step()
-            else:
-                while cal:
-                    step()
+            while heap:
+                step()
             return None
         if isinstance(until, Event):
             sentinel = until
             while not sentinel._flushed:
-                if not (self._heap if cal is None else cal):
+                if not heap:
                     if sentinel.triggered:
                         break
                     raise SimulationError("schedule exhausted before until-event fired")

