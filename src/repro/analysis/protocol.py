@@ -46,7 +46,6 @@ PLAIN_HOOKS = frozenset(
         "on_recovery_reset",
         "attach",
         "start",
-        "control_reply",
     }
 )
 

@@ -29,6 +29,8 @@ from collections import deque
 from collections.abc import Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.cluster.channel import Channel, ChannelClosedError
 from repro.cluster.node import Node
 from repro.dsps.graph import EdgeSpec, HAUSpec
@@ -36,6 +38,7 @@ from repro.dsps.operator import Emit, Operator, OperatorContext, SourceOperator
 from repro.dsps.tuples import BatchEnvelope, DataTuple, Token, is_token
 from repro.simulation.core import Environment, Interrupt
 from repro.simulation.resources import Gate, Store
+from repro.simulation.rng import RngRegistry
 
 DEFAULT_INBOX_CAPACITY = 128
 
@@ -140,7 +143,7 @@ class HAURuntime:
         in_edges: list[EdgeSpec],
         out_edges: list[EdgeSpec],
         scheme: SchemeHooks,
-        rng,
+        rngs: RngRegistry,
         metrics=None,
         inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
         restored: dict | None = None,
@@ -159,7 +162,6 @@ class HAURuntime:
         self.node = node
         self.scheme = scheme
         self.metrics = metrics
-        self.rng = rng
         self._trace = env.trace  # cached: one attribute check per emission site
         # Telemetry handles are resolved once here (the registry is
         # get-or-create, so caching is purely a hot-loop optimisation);
@@ -180,9 +182,9 @@ class HAURuntime:
         self.operators: list[Operator] = spec.make_operators()
         if not self.operators:
             raise ValueError(f"HAU {self.hau_id} has no operators")
-        ctx = OperatorContext(hau_id=self.hau_id, now=lambda: env.now, rng=rng)
+        self.ctx = OperatorContext(hau_id=self.hau_id, now=lambda: env.now, rngs=rngs)
         for op in self.operators:
-            op.setup(ctx)
+            op.setup(self.ctx)
 
         self.in_edges = list(in_edges)
         self.out_edges = list(out_edges)
@@ -216,8 +218,11 @@ class HAURuntime:
 
         self.tuples_processed = 0
         self.busy_time = 0.0
-        self.control_outbox: Channel | None = None  # to controller
         self._procs = []
+        # Set by kill_local_processes: a rolled-back incarnation is never
+        # restarted (rewire builds its successor), so the controller must
+        # not bind a control link to it.
+        self.torn_down = False
 
         if restored:
             self._apply_restore(restored)
@@ -256,6 +261,11 @@ class HAURuntime:
         self.scheme.on_hau_started(self)
 
     # -- classification -----------------------------------------------------------
+    @property
+    def rng(self) -> np.random.Generator:
+        """This HAU's named random stream (resolved on first read)."""
+        return self.ctx.rng
+
     @property
     def is_source(self) -> bool:
         return self.spec.is_source
@@ -764,6 +774,7 @@ class HAURuntime:
 
     def kill_local_processes(self) -> None:
         """Stop this HAU's processes without failing the node (rollback)."""
+        self.torn_down = True
         procs, self._procs = self._procs, []
         for p in procs:
             p.interrupt("rollback")

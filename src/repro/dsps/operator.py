@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from repro.dsps.tuples import DataTuple
+from repro.simulation.rng import RngRegistry
 from repro.state.spec import StateHint, estimate_state_size
 
 
@@ -41,7 +42,17 @@ class OperatorContext:
 
     hau_id: str
     now: Callable[[], float]
-    rng: np.random.Generator
+    rngs: RngRegistry
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The host HAU's stream ``hau:<id>``, resolved on first read.
+
+        The registry derives streams by name and memoises them, so every
+        read returns the same generator and an operator that never draws
+        (all of the bundled applications seed their own) costs none.
+        """
+        return self.rngs.stream(f"hau:{self.hau_id}")
 
 
 # Default CPU cost model: a 2.3 GHz core moving/working a byte of tuple.

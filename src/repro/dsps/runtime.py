@@ -2,10 +2,13 @@
 
 Builds the simulated deployment the paper evaluates: one HAU per worker
 node (more HAUs per node if the cluster is smaller than the graph), data
-channels along every query-network edge, a control-plane star between
-the controller (on the storage node) and every HAU, and the shared
-storage service.  Also provides the re-wiring primitive the recovery
-manager uses to restart HAUs on spare nodes.
+channels along every query-network edge, and the shared storage service.
+The control plane — one channel from the controller (on the storage
+node) to a HAU, plus the listener that feeds ``on_control`` — is bound
+the first time the controller sends that HAU a command, so a scheme that
+never commands a HAU never pays for its link.  Also provides the
+re-wiring primitive the recovery manager uses to restart HAUs on spare
+nodes.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.cluster.channel import Channel
+from repro.cluster.channel import Channel, ChannelClosedError
 from repro.cluster.node import Node
 from repro.cluster.topology import ClusterSpec, DataCenter
 from repro.dsps.application import StreamApplication
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime, SchemeHooks
 from repro.metrics.collectors import MetricsHub
-from repro.simulation.core import Environment, Interrupt, paused_gc
+from repro.simulation.core import Environment, Interrupt, Process, paused_gc
 from repro.simulation.rng import RngRegistry
 from repro.storage.shared import SharedStorage, StorageClient
 
@@ -56,16 +59,6 @@ class CheckpointScheme(SchemeHooks):
     def start(self) -> None:
         """Spawn controller-side processes; called after HAUs start."""
 
-    def control_reply(self, hau: HAURuntime, message: Any) -> None:
-        """HAU -> controller message (fire and forget)."""
-        chan = self.runtime.control_up.get(hau.hau_id) if self.runtime else None
-        if chan is not None and not chan.closed:
-            if hau.env.telemetry.enabled:
-                hau.env.telemetry.counter(
-                    "ms_control_messages_total", direction="up"
-                ).inc()
-            chan.send(message, size=CONTROL_MSG_SIZE)
-
 
 class DSPSRuntime:
     """One application deployed on one simulated cluster."""
@@ -89,9 +82,10 @@ class DSPSRuntime:
         self.placement: dict[str, Node] = {}
         self.haus: dict[str, HAURuntime] = {}
         self.data_channels: dict[str, Channel] = {}  # edge_id -> channel
-        self.control_down: dict[str, Channel] = {}  # controller -> HAU
-        self.control_up: dict[str, Channel] = {}  # HAU -> controller
-        self._control_procs = []
+        # Controller -> HAU links and their listeners, keyed by hau_id and
+        # bound by the first send_control to that HAU.
+        self.control_down: dict[str, Channel] = {}
+        self._control_procs: dict[str, Process] = {}
         self._built = False
         scheme.attach(self)
 
@@ -109,8 +103,6 @@ class DSPSRuntime:
         for hau_id in order:
             self._make_hau(hau_id, self.placement[hau_id], restored=None)
         self._wire_data_channels()
-        for hau_id in order:
-            self._wire_control(hau_id)
         self._built = True
 
     def _make_hau(self, hau_id: str, node: Node, restored: dict | None) -> HAURuntime:
@@ -122,7 +114,7 @@ class DSPSRuntime:
             in_edges=graph.in_edges(hau_id),
             out_edges=graph.out_edges(hau_id),
             scheme=self.scheme,
-            rng=self.rngs.stream(f"hau:{hau_id}"),
+            rngs=self.rngs,
             metrics=self.metrics,
             inbox_capacity=self.config.inbox_capacity,
             restored=restored,
@@ -147,20 +139,37 @@ class DSPSRuntime:
             src_hau.attach_out_channel(edge, chan)
             dst_hau.attach_in_channel(graph.in_edge_index(edge), chan)
 
-    def _wire_control(self, hau_id: str) -> None:
-        hau = self.haus[hau_id]
-        down = self.dc.connect(self.dc.storage_node, hau.node, name=f"ctl->{hau_id}")
-        up = self.dc.connect(hau.node, self.dc.storage_node, name=f"{hau_id}->ctl")
-        self.control_down[hau_id] = down
-        self.control_up[hau_id] = up
-        hau.control_outbox = up
-        self._control_procs.append(
-            hau.node.spawn(self._control_listener(hau, down), label=f"{hau_id}.ctl")
+    def _bind_control(self, hau_id: str) -> Channel | None:
+        """Create the controller -> HAU link and its listener.
+
+        None when there is nobody to deliver to — unknown id, HAU torn
+        down for a rollback, or either end's node dead — so the message
+        is dropped exactly as a closed channel drops it, and no channel
+        is built towards a dead endpoint.
+        """
+        hau = self.haus.get(hau_id)
+        controller = self.dc.storage_node
+        if hau is None or hau.torn_down or not (hau.node.alive and controller.alive):
+            return None
+        chan = self.dc.connect(controller, hau.node, name=f"ctl->{hau_id}")
+        self.control_down[hau_id] = chan
+        self._control_procs[hau_id] = hau.node.spawn(
+            self._control_listener(hau, chan), label=f"{hau_id}.ctl"
         )
+        return chan
+
+    def _unbind_control(self, hau_id: str) -> None:
+        """Close and forget a HAU's control link, so the next command
+        binds a listener to whichever ``HAURuntime`` then holds the id."""
+        chan = self.control_down.pop(hau_id, None)
+        if chan is None:
+            return
+        chan.close()
+        listener = self._control_procs.pop(hau_id)
+        if listener.is_alive:
+            listener.interrupt("teardown")
 
     def _control_listener(self, hau: HAURuntime, chan: Channel):
-        from repro.cluster.channel import ChannelClosedError
-
         try:
             while True:
                 try:
@@ -189,7 +198,7 @@ class DSPSRuntime:
 
     def send_control(self, hau_id: str, message: Any) -> None:
         """Controller -> HAU, fire and forget."""
-        chan = self.control_down.get(hau_id)
+        chan = self.control_down.get(hau_id) or self._bind_control(hau_id)
         if chan is not None and not chan.closed:
             if self.env.trace.enabled:
                 tag = message[0] if isinstance(message, tuple) and message else str(message)
@@ -203,7 +212,7 @@ class DSPSRuntime:
             chan.send(message, size=CONTROL_MSG_SIZE)
 
     def broadcast_control(self, message: Any) -> None:
-        for hau_id in sorted(self.control_down):
+        for hau_id in sorted(self.haus):
             self.send_control(hau_id, message)
 
     # -- recovery support ----------------------------------------------------------------
@@ -213,12 +222,8 @@ class DSPSRuntime:
             hau.kill_local_processes()
         for chan in self.data_channels.values():
             chan.close()
-        for chan in list(self.control_down.values()) + list(self.control_up.values()):
-            chan.close()
-        procs, self._control_procs = self._control_procs, []
-        for p in procs:
-            if p.is_alive:
-                p.interrupt("teardown")
+        for hau_id in list(self.control_down):
+            self._unbind_control(hau_id)
 
     def rewire(
         self,
@@ -234,13 +239,11 @@ class DSPSRuntime:
         self.placement = dict(assignments)
         self.haus = {}
         self.data_channels = {}
-        self.control_down = {}
-        self.control_up = {}
+        for hau_id in list(self.control_down):
+            self._unbind_control(hau_id)
         for hau_id in sorted(self.app.graph.haus):
             self._make_hau(hau_id, assignments[hau_id], restored.get(hau_id))
         self._wire_data_channels()
-        for hau_id in sorted(self.haus):
-            self._wire_control(hau_id)
 
     def restart_haus(self) -> None:
         for hau_id in sorted(self.haus):
@@ -300,7 +303,7 @@ class DSPSRuntime:
             self.data_channels[edge.edge_id] = chan
             hau.attach_out_channel(edge, chan)
             dst_hau.replace_in_channel(graph.in_edge_index(edge), chan)
-        self._wire_control(hau_id)
+        self._unbind_control(hau_id)
         return hau, deferred
 
     # -- introspection -----------------------------------------------------------------

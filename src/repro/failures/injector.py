@@ -217,9 +217,10 @@ class FailureInjector:
         """Slow every channel crossing the target rack's boundary.
 
         Only channels that exist at the injection instant participate;
-        channels re-wired later (e.g. by recovery onto spares) see the
-        healed network — the partition is a property of the links, not
-        of the nodes.
+        channels created later (re-wired by recovery onto spares, or a
+        control link the controller binds on its first command to a
+        HAU) see the healed network — the partition is a property of
+        the links, not of the nodes.
         """
         factor = max(1.0, event.factor)
         affected = [

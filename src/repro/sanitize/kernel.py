@@ -202,7 +202,8 @@ def _san_run(self, until: Any = None) -> Any:
     # bypass the audited step; the generic stepwise loop drives the
     # patched step() for every pop, so each one passes the poison and
     # total-order checks.  Semantics (and digests) are identical.
-    return _core.Environment._run_stepwise(self, until)
+    with _core.frozen_heap():
+        return _core.Environment._run_stepwise(self, until)
 
 
 # Store.put / Store.get / PriorityStore.get pop their recycled events

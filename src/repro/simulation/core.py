@@ -69,6 +69,55 @@ def paused_gc() -> Iterator[None]:
             gc.enable()
 
 
+@contextmanager
+def frozen_heap() -> Iterator[None]:
+    """Keep everything alive now out of the collector's sight for one run.
+
+    The run-phase twin of :func:`paused_gc`: the topology built before
+    ``env.run`` cannot die before it returns, yet every older-generation
+    collection during the run re-traverses all of it and frees nothing.
+    ``gc.freeze()`` parks those objects in the permanent generation, so
+    the garbage the run itself makes is still collected and only the
+    pointless re-scan goes; ``gc.unfreeze()`` hands them back on exit
+    (objects torn down mid-run are therefore reclaimed after the run,
+    not during it).  A heap the caller froze is left alone — both ways.
+    Also a decorator: ``@frozen_heap()``.
+
+    Like :func:`paused_gc` it restores what it found, and that includes
+    the collector's pacing: ``freeze()`` zeroes the per-generation pass
+    counters, and if they stayed zeroed the full collection a process is
+    always a few young passes away from would never come — garbage older
+    than the run (the previous cell of a sweep) would be pinned by this
+    run and the next, without bound.  So the middle and full counters
+    read at entry are put back at exit, on top of what the run added,
+    the only way the ``gc`` module allows: a collection of generation
+    *n* bumps the counter of *n + 1*, and the young generations only
+    ever hold what the thresholds let pile up, so the first such pass is
+    small and the rest are empty.
+    (The allocation counter of the youngest generation cannot be put
+    back; a driver stepping ``run`` in calls that allocate less than one
+    young pass's worth each leaves its cyclic garbage to the first
+    longer call.)
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    _allocations, middle, full = gc.get_count()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        # Past its threshold a counter says "due" whatever its value, so
+        # that is as far as it needs putting back.
+        _t0, middle_due, full_due = (t + 1 for t in gc.get_threshold())
+        middle += gc.get_count()[1]  # collecting generation 1 zeroes it
+        for _ in range(min(full, full_due)):
+            gc.collect(1)
+        for _ in range(min(middle, middle_due)):
+            gc.collect(0)
+
+
 class Interrupt(Exception):
     """Thrown into a process that is interrupted while waiting.
 
@@ -654,6 +703,7 @@ class Environment:
         """Time of the next scheduled event, or +inf if none."""
         return self._heap[0][0] if self._heap else float("inf")
 
+    @frozen_heap()
     def run(self, until: float | Event | None = None) -> Any:
         """Run until a time, an event, or schedule exhaustion.
 

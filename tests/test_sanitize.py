@@ -8,13 +8,13 @@ activation contract: nothing is patched unless REPRO_SAN is set.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import sanitize
 from repro.sanitize import SanitizerError, kernel as san_kernel
 from repro.sanitize import state_guard
 from repro.simulation.core import Environment, Event, Timeout
+from repro.simulation.rng import RngRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -201,6 +201,24 @@ def test_order_state_evicts_old_environments(kernel_sanitizer):
     assert len(san_kernel._order_state) <= san_kernel._ORDER_CAP
 
 
+def test_sanitized_run_freezes_the_heap_like_the_pristine_run(kernel_sanitizer):
+    """REPRO_SAN swaps ``run`` for the stepwise loop; the run-phase
+    ``frozen_heap`` must come along."""
+    import gc
+
+    env = Environment()
+    seen = []
+
+    def probe():
+        yield env.timeout(1.0)
+        seen.append(gc.get_freeze_count() > 0)
+
+    env.process(probe())
+    env.run(until=2.0)
+    assert seen == [True]
+    assert gc.get_freeze_count() == 0
+
+
 # -- cross-HAU state-isolation guard ------------------------------------------
 
 
@@ -216,9 +234,7 @@ def _make_operator(hau_id):
 
     op = CounterOp()
     op.setup(
-        OperatorContext(
-            hau_id=hau_id, now=lambda: 0.0, rng=np.random.default_rng(0)
-        )
+        OperatorContext(hau_id=hau_id, now=lambda: 0.0, rngs=RngRegistry(0))
     )
     return op
 

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel (repro.simulation.core)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simulation import (
@@ -9,6 +12,7 @@ from repro.simulation import (
     Interrupt,
     SimulationError,
 )
+from repro.simulation.core import frozen_heap
 
 
 def test_clock_starts_at_zero():
@@ -419,3 +423,106 @@ def test_inlined_run_loop_matches_stepwise_loop():
     assert [label for _, label in done] == [f"p{i}" for i in range(15)]
     assert stats["events_popped"] > 0 and stats["pool_hits"] > 0
     assert now == 1.5 < nxt
+
+
+# -- run-phase collector: frozen_heap --------------------------------------------
+
+
+def test_frozen_heap_unfreezes_on_exit_and_on_error():
+    assert gc.get_freeze_count() == 0
+    with frozen_heap():
+        assert gc.get_freeze_count() > 0
+    assert gc.get_freeze_count() == 0
+
+    with pytest.raises(RuntimeError), frozen_heap():
+        raise RuntimeError("boom")
+    assert gc.get_freeze_count() == 0
+
+
+def test_frozen_heap_leaves_a_callers_freeze_alone():
+    gc.freeze()
+    try:
+        with frozen_heap():
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() > 0  # the caller's freeze survives
+    finally:
+        gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+
+
+def frozen_during(run):
+    """Was the heap frozen while ``run(env, sentinel)`` drove a process?"""
+    env = Environment()
+    seen = []
+
+    def probe():
+        yield env.timeout(1.0)
+        seen.append(gc.get_freeze_count() > 0)
+
+    run(env, env.process(probe()))
+    assert gc.get_freeze_count() == 0
+    return seen
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda env, proc: env.run(until=2.0),
+        lambda env, proc: env.run(until=proc),
+        lambda env, proc: env.run(),
+    ],
+    ids=["horizon", "event", "exhaustion"],
+)
+def test_every_run_shape_freezes_the_heap(run):
+    assert frozen_during(run) == [True]
+
+
+class _Knot:
+    """Half of a reference cycle: garbage only the collector can free."""
+
+
+def dead_cycle():
+    a, b = _Knot(), _Knot()
+    a.peer, b.peer = b, a
+    return weakref.ref(a)
+
+
+def test_run_collects_young_garbage_but_not_the_prebuilt_heap():
+    """What the freeze is for: cycles made during the run die during the
+    run; what existed before it is not traversed (so not collected) until
+    the run returns."""
+    env = Environment()
+    before = dead_cycle()  # garbage already, but older than the run
+    alive = {}
+
+    def proc():
+        yield env.timeout(1.0)
+        during = dead_cycle()
+        gc.collect()
+        alive["during"], alive["before"] = during() is not None, before() is not None
+
+    env.process(proc())
+    env.run(until=2.0)
+    assert alive == {"during": False, "before": True}
+    gc.collect()
+    assert before() is None
+
+
+def test_frozen_heap_gives_the_collector_its_pacing_back():
+    """``gc.freeze()`` zeroes the pass counters; left zeroed, the next
+    full collection never comes and a sweep's dead cells stay pinned run
+    after run.  The middle and full counters come back at exit."""
+    gc.disable()  # only the passes made below move the counters
+    try:
+        gc.collect()
+        for _ in range(3):
+            gc.collect(1)  # three middle passes towards the next full one
+        for _ in range(2):
+            gc.collect(0)
+        assert gc.get_count()[1:] == (2, 3)
+        with frozen_heap():
+            assert gc.get_count()[1:] == (0, 0)  # what freeze() does
+            gc.collect(0)  # the run's own young pass is kept on top
+        assert gc.get_count()[1:] == (3, 3)
+    finally:
+        gc.enable()
