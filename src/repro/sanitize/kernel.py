@@ -8,8 +8,9 @@ to be invisible).  That guard is sound for CPython refcounting but
 untracked reference.  Under ``REPRO_SAN=1`` this module replaces the
 pool-touching entry points (``step`` / ``event`` / ``timeout`` /
 ``acquire``, plus ``run``, whose inlined fast loop would otherwise
-bypass the audited step, and the Store/PriorityStore fast paths, which
-pop recycled events straight off cached pool lists) with copies that
+bypass the audited step, ``__init__``, which gives the environment a
+stamping FIFO, and the Store/PriorityStore fast paths, which pop
+recycled events straight off cached pool lists) with copies that
 additionally:
 
 * swap a recycled event's ``__class__`` for a generated *poisoned* twin
@@ -18,16 +19,20 @@ additionally:
   and swap it back the moment a factory re-issues it — so pooling
   behaviour, pool counters and event identity stay bit-identical while
   any use-after-recycle detonates at the offending line;
-* assert the simulation clock never moves backwards and that heap pops
-  respect the ``(time, priority, seq)`` total order the determinism
-  digests rest on.
+* assert the simulation clock never moves backwards and that *every*
+  pop — heap or current-instant FIFO — respects the ``(time, priority,
+  seq)`` total order the determinism digests rest on.  The kernel's FIFO
+  carries no sequence numbers, so under the sanitizer its appends draw
+  from the heap's counter (:class:`_StampedFifo`): every entry then has
+  exactly the key a single heap would have given it, and a sanitized run
+  is a run-time proof that the two-tier order *is* the heap order.
 
 The originals are kept for :func:`uninstall` (test support).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from heapq import heappop, heappush
 from typing import Any
 
@@ -113,18 +118,52 @@ def _check_order(env: Any, key: tuple[float, int, int]) -> None:
         _order_state.popitem(last=False)
 
 
+class _StampedFifo(deque):
+    """The current-instant FIFO, stamping each entry with its heap key.
+
+    ``append`` draws the next number from ``env._seq`` — the counter heap
+    pushes draw from — and records it with the instant, so the entry
+    carries the ``(time, NORMAL, seq)`` it would have had on a single
+    heap; the sanitized ``step`` pops ``stamps`` along with the entry.
+    Sequence numbers are not observable, so the run is unchanged.
+    """
+
+    def __init__(self, env: Any):
+        super().__init__()
+        self.env = env
+        self.stamps: deque[tuple[float, int]] = deque()
+
+    def append(self, event: Any) -> None:
+        env = self.env
+        env._seq = seq = env._seq + 1
+        self.stamps.append((env._now, seq))
+        super().append(event)
+
+
 # -- sanitized entry points ----------------------------------------------------
 # Each is a line-for-line copy of the original (simulation/core.py) plus
-# the poison/assert additions; pool counters, heap entries and sequence
-# numbers are touched identically so sanitized runs stay digest-clean.
+# the poison/assert additions; pool counters and the event list are
+# touched identically so sanitized runs stay digest-clean.
+
+
+def _san_init(self) -> None:
+    _originals["__init__"](self)
+    self._fifo = _StampedFifo(self)
 
 
 def _san_step(self) -> None:
+    fifo = self._fifo
     heap = self._heap
-    if not heap:
-        raise _core.SimulationError("step() on empty schedule")
-    when, prio, seq, event = heappop(heap)
     now = self._now
+    normal = _core.NORMAL
+    if fifo and not (heap and heap[0][0] <= now and heap[0][1] == normal):
+        event = fifo.popleft()
+        when, seq = fifo.stamps.popleft()
+        prio = normal
+    elif heap:
+        when, prio, seq, event = heappop(heap)
+    else:
+        raise _core.SimulationError("step() on empty schedule")
     if when < now - 1e-12:
         raise SanitizerError(
             f"simulation clock moved backwards: popped t={when!r} at now={now!r}"
@@ -139,13 +178,18 @@ def _san_step(self) -> None:
         return
     if cls in _POISON_CLASSES:
         raise SanitizerError(
-            f"poisoned event popped from the heap: {event!r} was scheduled "
-            "after being recycled into a free list"
+            f"poisoned event popped from the schedule: {event!r} was "
+            "scheduled after being recycled into a free list"
         )
     event._flushed = True
     callbacks = event.callbacks
     if callbacks is not None:
-        event.callbacks = None
+        event.callbacks = None  # a callback added from here on is too late
+    waiter = event._waiter
+    if waiter is not None:
+        event._waiter = None
+        waiter._resume(event)
+    if callbacks is not None:
         for cb in callbacks:
             cb(event)
     if getrefcount(event) == 2:
@@ -171,16 +215,21 @@ def _san_event(self, name: str = ""):
 def _san_timeout(self, delay: float, value: Any = None):
     pool = self._pools[_core.Timeout]
     if pool:
-        if delay < 0:
-            raise _core.SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:
+            raise _core.SimulationError(f"delay {delay!r} is not >= 0")
         self.pool_hits += 1
         t = pool.pop()
         t.__class__ = _core.Timeout
         t.delay = delay
         t._value = value
         t._flushed = False
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, _core.NORMAL, seq, t))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._fifo.append(t)
+        else:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (when, _core.NORMAL, seq, t))
         return t
     self.pool_misses += 1
     return _core.Timeout(self, delay, value)
@@ -286,6 +335,7 @@ def _san_priority_store_get(self):
 
 
 _PATCHES = {
+    "__init__": _san_init,
     "step": _san_step,
     "event": _san_event,
     "timeout": _san_timeout,
@@ -309,7 +359,12 @@ def installed() -> bool:
 
 
 def install() -> None:
-    """Swap the kernel entry points for the sanitized copies (idempotent)."""
+    """Swap the kernel entry points for the sanitized copies (idempotent).
+
+    Environments built from here on get the stamping FIFO the sanitized
+    ``step`` reads; install before constructing the ones to be audited
+    (``REPRO_SAN=1`` installs at import).
+    """
     global _core, _res
     if _originals:
         return

@@ -1,26 +1,33 @@
 """Core of the discrete-event engine: events, processes, environment.
 
-The engine is a classic event-heap design.  An :class:`Event` has a value
-and a list of callbacks; scheduling an event pushes ``(time, priority,
-seq, event)`` onto a heap.  A :class:`Process` wraps a generator: every
-``yield`` hands back an event (or condition), and the process resumes when
-that event fires.  This mirrors the structure of SimPy, trimmed to what
-the reproduction needs and tuned for determinism.
+The engine is a classic event-list design.  An :class:`Event` has a
+value, a waiting process and a list of callbacks; events fire in
+``(time, priority, seq)`` order.  The event list has two tiers that
+together apply exactly that order: an entry due at the current instant
+with NORMAL priority is appended to a FIFO (it is next, after everything
+scheduled before it at this instant, and a queue already knows that);
+everything else is pushed as ``(time, priority, seq, event)`` onto a
+heap.  A :class:`Process` wraps a generator: every ``yield`` hands back
+an event (or condition), and the process resumes when that event fires.
+This mirrors the structure of SimPy, trimmed to what the reproduction
+needs and tuned for determinism.
 
 Fast paths (see DESIGN.md, "Kernel performance"): the kernel recycles
 hot-path event objects through per-environment free lists, resumes
 processes through pooled :class:`_Kick` markers instead of throwaway
-``boot:``/``rewait:``/``interrupt:`` events, allocates callback lists
-lazily, and settles events with inlined scheduling.  Every fast path
-preserves the ``(time, priority, seq)`` total order exactly — the heap
-receives the same entries with the same sequence numbers as the original
-slow paths, so same-seed runs remain bit-identical (checked by
-``benchmarks/DIGEST_baseline.json`` and ``python -m repro.harness.digest``).
+``boot:``/``rewait:``/``interrupt:`` events, keeps the first process to
+wait on an event in a slot and allocates the callback list only for
+later registrants, and settles events with inlined scheduling.  Every
+fast path preserves the ``(time, priority, seq)`` total order exactly,
+so same-seed runs remain bit-identical (checked by
+``benchmarks/DIGEST_baseline.json`` and ``python -m repro.harness.digest``;
+``REPRO_SAN=1`` re-derives the order on every pop).
 """
 
 from __future__ import annotations
 
 import gc
+from collections import deque
 from collections.abc import Callable, Generator, Iterable, Iterator
 from contextlib import contextmanager
 from heapq import heappop, heappush
@@ -30,13 +37,11 @@ from typing import Any
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
 
-# Event scheduling priorities.  URGENT is used internally for process
-# resumption bookkeeping so that, at a given instant, state mutations
-# settle before ordinary events fire.  MONITOR sorts *after* every
+# Event scheduling priorities.  NORMAL is the lowest: nothing can sort
+# ahead of the current-instant FIFO.  MONITOR sorts *after* every
 # workload event at the same instant: the observability plane
 # (repro.monitor) evaluates its windows only once the instant has fully
 # settled, so monitoring can never perturb workload event order.
-URGENT = 0
 NORMAL = 1
 MONITOR = 2
 
@@ -135,18 +140,22 @@ class Event:
 
     An event starts *pending*; :meth:`succeed` or :meth:`fail` settles it
     exactly once.  Callbacks registered before settlement run when the
-    environment pops the event off the heap; callbacks registered after
-    settlement run immediately at the current simulated instant (callers
-    check ``_flushed`` first — see :class:`_Condition` / :class:`Process`).
+    environment pops the event off its schedule; callbacks registered
+    after settlement run immediately at the current simulated instant
+    (callers check ``_flushed`` first — see :class:`_Condition` /
+    :class:`Process`).
 
-    ``callbacks`` is ``None`` until the first waiter attaches, so events
-    nobody waits on (pure delays, fire-and-forget puts) never allocate a
-    list.  Use :meth:`add_callback` or handle the ``None`` case inline.
+    A process that is the *first* registrant is kept in ``_waiter`` and
+    resumed directly; ``callbacks`` is ``None`` until anyone else
+    attaches, and fires after the waiter, so registration order holds and
+    the usual wait (one process, one event) allocates neither a list nor
+    a bound method.  Use :meth:`add_callback` to observe an event.
     """
 
     __slots__ = (
         "env",
         "callbacks",
+        "_waiter",
         "_value",
         "_ok",
         "_settled",
@@ -158,6 +167,7 @@ class Event:
     def __init__(self, env: "Environment", name: str = ""):
         self.env = env
         self.callbacks: list[Callable[[Event], None]] | None = None
+        self._waiter: Process | None = None
         self._value: Any = None
         self._ok: bool | None = None
         self._settled = False
@@ -209,20 +219,22 @@ class Event:
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Settle the event successfully, scheduling callbacks after ``delay``.
 
-        Scheduling is inlined: a settleable event is never already on the
-        heap (pre-scheduled settled events — timeouts — bypass this path),
-        so the ``_scheduled`` guard of :meth:`Environment._schedule` is
-        statically true here.
+        The zero-delay schedule is inlined: a settleable event is never
+        already scheduled (pre-scheduled settled events — timeouts —
+        bypass this path), so the ``_scheduled`` guard of
+        :meth:`Environment._schedule` is statically true here, and "due
+        now" is one FIFO append.
         """
         if self._settled:
             raise SimulationError(f"event {self!r} already settled")
+        if delay == 0.0:
+            self._scheduled = True
+            self.env._fifo.append(self)
+        else:
+            self.env._schedule(self, delay)
         self._settled = True
         self._ok = True
         self._value = value
-        self._scheduled = True
-        env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -231,13 +243,14 @@ class Event:
             raise SimulationError(f"event {self!r} already settled")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
+        if delay == 0.0:
+            self._scheduled = True
+            self.env._fifo.append(self)
+        else:
+            self.env._schedule(self, delay)
         self._settled = True
         self._ok = False
         self._value = exception
-        self._scheduled = True
-        env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -257,14 +270,12 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._settled = True
         self._ok = True
         self._value = value
-        env._schedule(self, delay=delay)
+        env._schedule(self, delay=delay)  # refuses a delay that is not >= 0
 
     def _recycle(self) -> None:
         # A timeout is born settled, so _settled/_ok/_scheduled stay True
@@ -274,13 +285,13 @@ class Timeout(Event):
 
 
 class _Kick:
-    """A pooled direct-resume marker on the event heap.
+    """A pooled direct-resume marker in the current-instant FIFO.
 
     Replaces the throwaway ``boot:``/``rewait:``/``interrupt:`` kick
     events: when popped, :meth:`fire` sends the settled value (or throws
     the stored exception) straight into the waiting generator — no Event
-    allocation, no callback-list flush.  A kick occupies a heap slot with
-    the same ``(time, priority, seq)`` it would have had as an event, so
+    allocation, no callback-list flush.  A kick is always due now, so it
+    takes the FIFO position the event it replaces would have taken and
     the total order is untouched.  Kicks are engine-internal and never
     escape to model code, so they recycle unconditionally after firing.
     """
@@ -390,7 +401,7 @@ class Process(Event):
         self._waiting_on: Event | None = None
         self.label = label
         # Bootstrap: resume once at the current instant (pooled kick; same
-        # heap slot the old `boot:` event occupied).
+        # position the old `boot:` event occupied).
         env._schedule_kick(self)
 
     @property
@@ -404,8 +415,11 @@ class Process(Event):
         # Detach from whatever we were waiting on so its later settlement
         # does not resume us twice.
         waited = self._waiting_on
-        if waited is not None and waited.callbacks and self._resume in waited.callbacks:
-            waited.callbacks.remove(self._resume)
+        if waited is not None:
+            if waited._waiter is self:
+                waited._waiter = None
+            elif waited.callbacks and self._resume in waited.callbacks:
+                waited.callbacks.remove(self._resume)
         self._waiting_on = None
         self.env._schedule_kick(self, throw=Interrupt(cause))
 
@@ -416,8 +430,6 @@ class Process(Event):
         self._waiting_on = None
         if self._settled:
             return
-        env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -432,8 +444,6 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             return
-        finally:
-            env._active_process = None
 
         if not isinstance(target, Event):
             self._generator.close()
@@ -441,19 +451,15 @@ class Process(Event):
             return
         self._waiting_on = target
         if target._flushed:
-            env._schedule_kick(self, target=target)
+            self.env._schedule_kick(self, target=target)
+        elif target.callbacks is None and target._waiter is None:
+            target._waiter = self  # first registrant: resumed directly
         else:
-            cbs = target.callbacks
-            if cbs is None:
-                target.callbacks = [self._resume]
-            else:
-                cbs.append(self._resume)
+            target.add_callback(self._resume)
 
     def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
         if self._settled:
             return
-        env = self.env
-        env._active_process = self
         try:
             if throw is not None:
                 target = self._generator.throw(throw)
@@ -470,8 +476,6 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             return
-        finally:
-            env._active_process = None
 
         if not isinstance(target, Event):
             self._generator.close()
@@ -480,14 +484,12 @@ class Process(Event):
         self._waiting_on = target
         if target._flushed:
             # The event already flushed its callbacks (it fired in the past):
-            # resume via a pooled kick so we stay in heap order.
-            env._schedule_kick(self, target=target)
+            # resume via a pooled kick so we stay in schedule order.
+            self.env._schedule_kick(self, target=target)
+        elif target.callbacks is None and target._waiter is None:
+            target._waiter = self  # first registrant: resumed directly
         else:
-            cbs = target.callbacks
-            if cbs is None:
-                target.callbacks = [self._resume]
-            else:
-                cbs.append(self._resume)
+            target.add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"
@@ -495,13 +497,25 @@ class Process(Event):
 
 
 class Environment:
-    """Holds the clock and the event heap; runs the simulation."""
+    """Holds the clock and the two-tier event list; runs the simulation.
+
+    ``_fifo`` holds bare events due at the current instant with NORMAL
+    priority, in the order they were scheduled; ``_heap`` holds
+    ``(time, priority, seq, event)`` for everything else.  Nothing is
+    ever pushed onto the heap due *now* with NORMAL priority, so a heap
+    entry that is due now with NORMAL priority was pushed before the
+    instant began and precedes the whole FIFO, a MONITOR entry due now
+    follows it, and the clock only advances once the FIFO is empty:
+    together the ``(time, priority, seq)`` order of a single heap,
+    without a sequence number, a tuple or a sift for the entries that
+    are simply next.
+    """
 
     __slots__ = (
         "_now",
         "_heap",
+        "_fifo",
         "_seq",
-        "_active_process",
         "trace",
         "telemetry",
         "_pools",
@@ -514,8 +528,8 @@ class Environment:
     def __init__(self):
         self._now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
+        self._fifo: deque[Event | _Kick] = deque()
         self._seq = 0
-        self._active_process: Process | None = None
         # Structured tracing (repro.observability): the no-op default means
         # instrumented hot paths pay one attribute check per emission site.
         self.trace = NULL_TRACER
@@ -551,10 +565,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
 
     # -- kernel statistics ---------------------------------------------------
     def kernel_stats(self) -> dict[str, int]:
@@ -612,17 +622,22 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._pools[Timeout]
         if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
+            if not delay >= 0:
+                raise SimulationError(f"delay {delay!r} is not >= 0")
             self.pool_hits += 1
             t = pool.pop()
             t.delay = delay
             t._value = value
             t._flushed = False
             # _settled/_ok/_scheduled were left True by the recycler; the
-            # schedule below mirrors Timeout.__init__ exactly.
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self._now + delay, NORMAL, seq, t))
+            # schedule below mirrors _schedule exactly.
+            now = self._now
+            when = now + delay
+            if when == now:
+                self._fifo.append(t)
+            else:
+                self._seq = seq = self._seq + 1
+                heappush(self._heap, (when, NORMAL, seq, t))
             return t
         self.pool_misses += 1
         return Timeout(self, delay, value)
@@ -638,11 +653,24 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
+            raise SimulationError(f"delay {delay!r} is not >= 0")
+        if priority < NORMAL:
+            # Nothing may sort ahead of the current-instant FIFO.
+            raise SimulationError(f"priority {priority!r} is below NORMAL")
         if event._scheduled:
             return
         event._scheduled = True
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, priority, seq, event))
+        # Routed by the due time, not by `delay == 0`: a positive delay
+        # that underflows (5.0 + 1e-30 == 5.0) is due now all the same,
+        # and on the heap it would overtake the FIFO.
+        now = self._now
+        when = now + delay
+        if when == now and priority == NORMAL:
+            self._fifo.append(event)
+        else:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (when, priority, seq, event))
 
     def _schedule_kick(
         self,
@@ -652,8 +680,9 @@ class Environment:
     ) -> None:
         """Schedule a pooled direct-resume marker at the current instant.
 
-        Takes the same heap slot (NORMAL priority, next sequence number)
-        the old kick events took, so resumption order is unchanged."""
+        Takes the same position (NORMAL priority, after everything
+        already scheduled for now) the old kick events took, so
+        resumption order is unchanged."""
         pool = self._kick_pool
         if pool:
             kick = pool.pop()
@@ -662,20 +691,26 @@ class Environment:
         kick.process = process
         kick.target = target
         kick.throw = throw
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now, NORMAL, seq, kick))
+        self._fifo.append(kick)
 
     def step(self) -> None:
-        """Pop and fire the next event; advances the clock."""
+        """Pop and fire the next event; advances the clock.
+
+        The next event is the FIFO head, unless the heap's top is due
+        now with NORMAL priority (see the class docstring)."""
+        fifo = self._fifo
         heap = self._heap
-        if not heap:
-            raise SimulationError("step() on empty schedule")
-        when, _prio, _seq, event = heappop(heap)
         now = self._now
-        if when < now - 1e-12:
-            raise SimulationError("event scheduled in the past")
-        if when > now:
-            self._now = when
+        if fifo and not (heap and heap[0][0] <= now and heap[0][1] == NORMAL):
+            event = fifo.popleft()
+        elif heap:
+            when, _prio, _seq, event = heappop(heap)
+            if when < now - 1e-12:
+                raise SimulationError("event scheduled in the past")
+            if when > now:
+                self._now = when
+        else:
+            raise SimulationError("step() on empty schedule")
         self.events_popped += 1
         cls = event.__class__
         if cls is _Kick:
@@ -684,7 +719,12 @@ class Environment:
         event._flushed = True
         callbacks = event.callbacks
         if callbacks is not None:
-            event.callbacks = None
+            event.callbacks = None  # a callback added from here on is too late
+        waiter = event._waiter
+        if waiter is not None:
+            event._waiter = None
+            waiter._resume(event)
+        if callbacks is not None:
             for cb in callbacks:
                 cb(event)
         # Recycle provably-unreferenced hot-path events: refcount 2 means
@@ -701,6 +741,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
+        if self._fifo:
+            return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
     @frozen_heap()
@@ -715,27 +757,40 @@ class Environment:
         if until is None or isinstance(until, Event):
             return self._run_stepwise(until)
         # Fast path for the run-until-horizon shape every experiment
-        # uses: step() inlined with the heap, free lists and counters
-        # hoisted into locals.  Pops the identical entries in the
-        # identical order as step(), so digests are unaffected.
+        # uses: step() inlined with the event list, free lists and
+        # counters hoisted into locals.  Pops the identical entries in
+        # the identical order as step(), so digests are unaffected.
         horizon = float(until)
         now = self._now
         if horizon < now:
             raise SimulationError("cannot run backwards in time")
+        fifo = self._fifo
+        popleft = fifo.popleft
         heap = self._heap
         pools_get = self._pools.get
         kick_cls = _Kick
+        normal = NORMAL
         limit = _POOL_LIMIT
         refcount = getrefcount
         pop = heappop
         popped = 0
+        # step()'s rule with its heap test hoisted: nothing is pushed onto
+        # the heap due now with NORMAL priority, so whether its top
+        # precedes the FIFO can only change when the heap is popped.
+        heap_first = bool(heap) and heap[0][0] <= now and heap[0][1] == normal
         try:
-            while heap and heap[0][0] <= horizon:
-                when, _prio, _seq, event = pop(heap)
-                if when > now:
-                    self._now = now = when
-                elif when < now - 1e-12:
-                    raise SimulationError("event scheduled in the past")
+            while True:
+                if fifo and not heap_first:
+                    event = popleft()
+                elif heap and heap[0][0] <= horizon:
+                    when, _prio, _seq, event = pop(heap)
+                    if when > now:
+                        self._now = now = when
+                    elif when < now - 1e-12:
+                        raise SimulationError("event scheduled in the past")
+                    heap_first = bool(heap) and heap[0][0] <= now and heap[0][1] == normal
+                else:
+                    break
                 popped += 1
                 cls = event.__class__
                 if cls is kick_cls:
@@ -744,7 +799,12 @@ class Environment:
                 event._flushed = True
                 callbacks = event.callbacks
                 if callbacks is not None:
-                    event.callbacks = None
+                    event.callbacks = None  # a callback added from here on is too late
+                waiter = event._waiter
+                if waiter is not None:
+                    event._waiter = None
+                    waiter._resume(event)
+                if callbacks is not None:
                     for cb in callbacks:
                         cb(event)
                 if refcount(event) == 2:
@@ -766,14 +826,15 @@ class Environment:
         """
         step = self.step
         heap = self._heap
+        fifo = self._fifo
         if until is None:
-            while heap:
+            while fifo or heap:
                 step()
             return None
         if isinstance(until, Event):
             sentinel = until
             while not sentinel._flushed:
-                if not heap:
+                if not (fifo or heap):
                     if sentinel.triggered:
                         break
                     raise SimulationError("schedule exhausted before until-event fired")

@@ -21,7 +21,7 @@ from repro.simulation.resources import Store
 
 
 def drain(env):
-    while env._heap:
+    while env.peek() < float("inf"):
         env.step()
 
 

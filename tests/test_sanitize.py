@@ -56,7 +56,7 @@ def state_sanitizer():
 
 
 def drain(env):
-    while env._heap:
+    while env.peek() < float("inf"):
         env.step()
 
 
@@ -143,6 +143,17 @@ def test_scheduling_a_poisoned_event_is_caught(kernel_sanitizer):
         drain(env)
 
 
+def test_poisoned_event_in_the_fifo_is_caught(kernel_sanitizer):
+    """The tripwire covers current-instant pops, not only heap pops."""
+    env = Environment()
+    t = env.timeout(1.0)
+    del t
+    drain(env)
+    env._fifo.append(env._pools[Timeout][-1])
+    with pytest.raises(SanitizerError, match="poisoned event popped"):
+        drain(env)
+
+
 # -- pooling stays bit-identical under the sanitizer --------------------------
 
 
@@ -181,6 +192,48 @@ def test_clock_backwards_is_caught(kernel_sanitizer):
     heapq.heappush(env._heap, (1.0, 1, env._seq, stale))
     with pytest.raises(SanitizerError, match="clock moved backwards"):
         env.step()
+
+
+def test_stale_fifo_entry_is_caught(kernel_sanitizer):
+    """A FIFO entry is stamped with the instant it was due; popping it
+    after the clock moved on is the FIFO's clock-backwards case."""
+    env = Environment()
+    env._fifo.append(Event(env))  # due at t=0 ...
+    env._now = 5.0  # ... but the clock advanced past a non-empty FIFO
+    with pytest.raises(SanitizerError, match="clock moved backwards"):
+        env.step()
+
+
+def test_fifo_pops_carry_the_single_heap_key(kernel_sanitizer):
+    """Every pop is order-checked with the key one heap would have used:
+    FIFO appends draw from the heap's own sequence counter."""
+    env = Environment()
+    env.timeout(1.0)  # heap, seq 1
+    env.event().succeed()  # FIFO, seq 2
+    env.timeout(0.0)  # FIFO, seq 3
+    env.timeout(1.0)  # heap, seq 4
+    keys = []
+    while env.peek() < float("inf"):
+        env.step()
+        keys.append(san_kernel._order_state[id(env)][1])
+    assert keys == [(0.0, 1, 2), (0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 4)]
+
+
+def test_due_now_entry_on_the_heap_is_caught(kernel_sanitizer):
+    """What the shadow order exists for.  A kernel that routed "due now"
+    by ``delay == 0`` would push an underflowing delay onto the heap,
+    where it overtakes FIFO entries scheduled before it."""
+    import heapq
+
+    env = Environment()
+    env.timeout(1.0)
+    env.step()
+    env.event().succeed()  # FIFO: (1.0, NORMAL, 2)
+    env._seq += 1
+    heapq.heappush(env._heap, (1.0, 1, env._seq, Event(env)))  # (1.0, NORMAL, 3)
+    env.step()  # the heap's top is due now: it goes first
+    with pytest.raises(SanitizerError, match="total order violated"):
+        env.step()  # seq 2 after seq 3
 
 
 def test_heap_order_regression_is_caught(kernel_sanitizer):

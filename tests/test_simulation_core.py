@@ -12,7 +12,7 @@ from repro.simulation import (
     Interrupt,
     SimulationError,
 )
-from repro.simulation.core import frozen_heap
+from repro.simulation.core import MONITOR, NORMAL, Event, Timeout, frozen_heap
 
 
 def test_clock_starts_at_zero():
@@ -37,6 +37,74 @@ def test_timeout_negative_delay_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+# A delay that is not >= 0 is refused where it is passed.  NaN is the
+# dangerous one: `nan < 0` is False, and a NaN key at the heap root made
+# `run(until=...)` return at once with every pending event dropped.
+_BAD_DELAYS = [float("nan"), -1.0, float("-inf")]
+
+
+def _recycled_timeout_env():
+    env = Environment()
+    env.timeout(0.0)
+    env.step()  # the Timeout pool now serves the next call
+    return env
+
+
+@pytest.mark.parametrize("bad", _BAD_DELAYS)
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda env, d: Timeout(env, d),
+        lambda env, d: env.timeout(d),
+        lambda env, d: _recycled_timeout_env().timeout(d),
+        lambda env, d: env._schedule(Event(env), delay=d),
+        lambda env, d: env.event().succeed(delay=d),
+        lambda env, d: env.event().fail(RuntimeError("x"), delay=d),
+    ],
+    ids=["Timeout", "timeout-fresh", "timeout-pooled", "_schedule", "succeed", "fail"],
+)
+def test_delay_that_is_not_nonnegative_is_rejected_at_the_call(schedule, bad):
+    env = Environment()
+    with pytest.raises(SimulationError):
+        schedule(env, bad)
+    assert env.peek() == float("inf")  # and nothing was scheduled
+
+
+def test_rejected_delay_leaves_the_event_pending():
+    env = Environment()
+    ev = env.event()
+    with pytest.raises(SimulationError):
+        ev.succeed("v", delay=float("nan"))
+    assert not ev.triggered
+    ev.succeed("v")  # still settleable
+    assert env.run(until=ev) == "v"
+
+
+def test_nan_timeout_cannot_drop_the_pending_events():
+    env = Environment()
+    resumed = []
+
+    def waiter(d):
+        yield env.timeout(d)
+        resumed.append(d)
+
+    for d in (1.0, 2.0, 3.0):
+        env.process(waiter(d))
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    env.run(until=10.0)
+    assert resumed == [1.0, 2.0, 3.0]
+
+
+def test_priority_below_normal_is_rejected():
+    """Nothing may sort ahead of the current-instant FIFO."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env._schedule(Event(env), priority=NORMAL - 1)
+    env._schedule(Event(env), priority=MONITOR)  # the one other class
+    assert env.peek() == 0.0
 
 
 def test_run_until_time_stops_exactly():
@@ -395,19 +463,42 @@ def test_determinism_same_schedule_twice():
     assert build() == build()
 
 
-def _mixed_workload(run):
+def _mixed_workload(run, stop_mid_instant=False):
     """Twenty tickers with distinct periods, cut off mid-flight at
-    t=1.5 (p0..p14 finish, p15..p19 are still waiting)."""
+    t=1.5 (p0..p14 finish, p15..p19 are still waiting), and a gate at
+    t=0.2 that releases five same-instant waiters.
+    ``stop_mid_instant`` first runs until
+    the third waiter's mark fires, leaving the rest of the instant
+    scheduled, and lets ``run`` pick it up from there."""
     env = Environment()
     done = []
+    gate = env.event()
+    marks = [env.event() for _ in range(5)]
 
     def ticker(label, delay, n):
         for _ in range(n):
             yield env.timeout(delay)
         done.append((env.now, label))
 
+    def gated(i):
+        yield gate
+        marks[i].succeed()
+        yield env.timeout(0.0)
+        done.append((env.now, f"g{i}"))
+
+    def opener():
+        yield env.timeout(0.2)
+        gate.succeed()
+
     for i in range(20):
         env.process(ticker(f"p{i}", 0.01 * (i + 1), 10), label=f"p{i}")
+    for i in range(5):
+        env.process(gated(i))
+    env.process(opener())
+    if stop_mid_instant:
+        env.run(until=marks[2])
+        assert env.now == 0.2 == env.peek()  # the instant is not over
+        assert [label for _, label in done if label[0] == "g"] == ["g0", "g1"]
     run(env, 1.5)
     return done, env.kernel_stats(), env.now, env.peek()
 
@@ -416,13 +507,98 @@ def test_inlined_run_loop_matches_stepwise_loop():
     """``run(until=<number>)`` inlines ``step()``; ``_run_stepwise`` is the
     per-event loop REPRO_SAN=1 reinstates.  Same pops, same order, same
     free-list traffic — otherwise sanitized runs would not be
-    digest-comparable to plain ones."""
+    digest-comparable to plain ones.  A run that stopped mid-instant is
+    continued, by either loop, exactly where it stopped."""
     inlined = _mixed_workload(Environment.run)
     assert inlined == _mixed_workload(Environment._run_stepwise)
+    assert inlined == _mixed_workload(Environment.run, stop_mid_instant=True)
+    assert inlined == _mixed_workload(Environment._run_stepwise, stop_mid_instant=True)
     done, stats, now, nxt = inlined
-    assert [label for _, label in done] == [f"p{i}" for i in range(15)]
+    labels = [label for _, label in done]
+    assert [x for x in labels if x[0] == "p"] == [f"p{i}" for i in range(15)]
+    assert [x for x in labels if x[0] == "g"] == [f"g{i}" for i in range(5)]
     assert stats["events_popped"] > 0 and stats["pool_hits"] > 0
     assert now == 1.5 < nxt
+
+
+def test_peek_is_now_while_the_current_instant_has_entries():
+    env = Environment()
+    env.timeout(7.0)
+    env.run(until=3.0)
+    env.event().succeed()
+    assert env.peek() == 3.0
+    env.step()
+    assert env.peek() == 7.0
+
+
+# -- sole-waiter slot -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("waiter_first", [True, False])
+def test_waiter_and_observer_fire_in_registration_order(waiter_first):
+    env = Environment()
+    order = []
+    ev = env.event()
+
+    def proc():
+        yield ev
+        order.append("process")
+
+    def observe():
+        ev.add_callback(lambda _e: order.append("observer"))
+
+    if waiter_first:
+        env.process(proc())
+        env.step()  # boot: the process registers on ev
+        observe()
+    else:
+        observe()
+        env.process(proc())
+    ev.succeed()
+    env.run()
+    expected = ["process", "observer"]
+    assert order == (expected if waiter_first else expected[::-1])
+
+
+def test_second_waiter_fires_after_the_first():
+    env = Environment()
+    order = []
+    ev = env.event()
+
+    def proc(tag):
+        yield ev
+        order.append(tag)
+
+    for tag in "abc":
+        env.process(proc(tag))
+    env.run()
+    assert ev._waiter is not None and len(ev.callbacks) == 2
+    ev.succeed()
+    env.run()
+    assert order == ["a", "b", "c"]
+
+
+def test_interrupting_the_sole_waiter_leaves_the_event_with_no_waiter():
+    env = Environment()
+    ev = env.event()
+    woken = []
+
+    def proc():
+        try:
+            yield ev
+        except Interrupt:
+            woken.append("interrupt")
+            return
+        woken.append("event")
+
+    p = env.process(proc())
+    env.run()
+    assert ev._waiter is p and ev.callbacks is None
+    p.interrupt()
+    assert ev._waiter is None and ev.callbacks is None
+    ev.succeed()
+    env.run()
+    assert woken == ["interrupt"]
 
 
 # -- run-phase collector: frozen_heap --------------------------------------------
@@ -526,3 +702,25 @@ def test_frozen_heap_gives_the_collector_its_pacing_back():
         assert gc.get_count()[1:] == (3, 3)
     finally:
         gc.enable()
+
+
+def test_callback_added_during_the_flush_is_not_part_of_it():
+    """An event's waiter and callbacks are detached before any of them
+    runs: whoever registers on it mid-flush is too late, with or without
+    a second registrant keeping a callback list alive."""
+    env = Environment()
+    ev = env.event()
+    seen = []
+
+    def first():
+        yield ev
+        ev.add_callback(lambda _e: seen.append("late"))
+
+    def second():
+        yield ev
+
+    env.process(first())
+    env.process(second())
+    ev.succeed()
+    env.run()
+    assert seen == [] and ev.callbacks is not None
