@@ -36,17 +36,13 @@ rather than fails while the profiler is young.
 A fifth, **warn-only**, gate covers the kernel scaling benchmark
 (``BENCH_kernel_scaling.json``, written by ``bench_kernel_scaling.py``)
 against the committed ``benchmarks/BENCH_scaling_baseline.json``.  It
-watches the largest (10k-HAU) point: the batched-over-unbatched tuple
-throughput ratio falling below ``--scaling-speedup-floor`` (default
-3.0), any cell's ``tuples_per_sec`` dropping beyond
-``--wall-tolerance``, per-cell ``events_popped`` drift, and any cell's
-construction share — ``build_seconds / wall_seconds``, set-up per
-second of run — growing beyond ``--build-tolerance`` (default 0.5;
-construction is pure overhead, and a superlinear build shows up here
-long before it shows in the run rates).  All of it
-warns rather than fails: the rates are host timing, and the batched
-event count is not digest-pinned — an intentional batched-path
-optimisation legitimately changes it.
+watches, per size: ``tuples_per_sec`` dropping beyond
+``--wall-tolerance``, ``events_popped`` drift, and the construction
+share — ``build_seconds / wall_seconds``, set-up per second of run —
+growing beyond ``--build-tolerance`` (default 0.5; construction is pure
+overhead, and a superlinear build shows up here long before it shows in
+the run rates).  All of it warns rather than fails: the rates are host
+timing, and the synthetic chain's event count is not digest-pinned.
 
 A sixth, **warn-only**, gate covers the monitored headline run
 (``ALERTS_headline.json``, written by ``bench_headline.py``) against the
@@ -300,17 +296,13 @@ def compare_scaling(
     scaling: dict,
     baseline_scaling: dict,
     wall_tolerance: float,
-    speedup_floor: float,
     build_tolerance: float = 0.5,
 ) -> list[str]:
     """Warn-only verdicts for the kernel scaling benchmark.
 
-    The headline claim rides on the largest size present in both
-    reports (the 10k-HAU point in the committed baseline): batched mode
-    must sustain ``speedup_floor`` times the unbatched tuple throughput
-    there.  Per-cell rate drops, ``events_popped`` drift and growth of
-    the build:run ratio (``build_seconds / wall_seconds``) also warn —
-    nothing in this gate can change the exit status.
+    Per size: rate drops, ``events_popped`` drift and growth of the
+    build:run ratio (``build_seconds / wall_seconds``) warn — nothing in
+    this gate can change the exit status.
     """
     warnings: list[str] = []
     if scaling.get("mode") != baseline_scaling.get("mode"):
@@ -320,31 +312,27 @@ def compare_scaling(
         )
         return warnings
 
-    def by_key(report: dict) -> dict[tuple, dict]:
-        return {(c["haus"], c["batch_quantum"]): c for c in report.get("cells", [])}
+    def by_size(report: dict) -> dict[int, dict]:
+        return {c["haus"]: c for c in report.get("cells", [])}
 
-    cur, base = by_key(scaling), by_key(baseline_scaling)
-    for key in sorted(base, key=str):
-        haus, quantum = key
-        b, c = base[key], cur.get(key)
+    cur, base = by_size(scaling), by_size(baseline_scaling)
+    for haus in sorted(base):
+        b, c = base[haus], cur.get(haus)
         if c is None:
-            warnings.append(
-                f"scaling: {haus}/q={quantum} missing from current "
-                "report (warn-only)"
-            )
+            warnings.append(f"scaling: {haus} HAUs missing from current report (warn-only)")
             continue
         if b.get("events_popped") != c.get("events_popped"):
             warnings.append(
-                f"scaling: {haus}/q={quantum} events_popped "
+                f"scaling: {haus} HAUs events_popped "
                 f"{c.get('events_popped')} vs baseline {b.get('events_popped')} "
-                "(warn-only: batched event counts are not digest-pinned)"
+                "(warn-only: the synthetic chain is not digest-pinned)"
             )
         b_rate, c_rate = b.get("tuples_per_sec"), c.get("tuples_per_sec")
         if b_rate and c_rate is not None:
             delta = c_rate / b_rate - 1.0
             if delta < -wall_tolerance:
                 warnings.append(
-                    f"scaling: {haus}/q={quantum} tuples_per_sec "
+                    f"scaling: {haus} HAUs tuples_per_sec "
                     f"{c_rate:,.0f} vs baseline {b_rate:,.0f} ({delta:+.1%}), "
                     f"beyond --wall-tolerance {wall_tolerance:.0%} (warn-only)"
                 )
@@ -354,24 +342,10 @@ def compare_scaling(
             growth = c_ratio / b_ratio - 1.0
             if growth > build_tolerance:
                 warnings.append(
-                    f"scaling: {haus}/q={quantum} build:run ratio "
+                    f"scaling: {haus} HAUs build:run ratio "
                     f"{c_ratio:.2f} vs baseline {b_ratio:.2f} ({growth:+.1%}), "
                     f"beyond --build-tolerance {build_tolerance:.0%} (warn-only)"
                 )
-
-    gated = [s for s in scaling.get("speedups", []) if s.get("haus") in
-             {c["haus"] for c in baseline_scaling.get("cells", [])}]
-    if gated:
-        top = max(s["haus"] for s in gated)
-        for s in (s for s in gated if s["haus"] == top):
-            if s["batched_speedup"] < speedup_floor:
-                warnings.append(
-                    f"scaling: {top} HAUs batched speedup "
-                    f"{s['batched_speedup']:.2f}x below --scaling-speedup-floor "
-                    f"{speedup_floor:g}x (warn-only)"
-                )
-    else:
-        warnings.append("scaling: current report has no speedups to gate (warn-only)")
     return warnings
 
 
@@ -492,9 +466,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=str(DEFAULT_BASELINE.parent / "BENCH_scaling_baseline.json"),
                         help="committed scaling baseline "
                              "(default: benchmarks/BENCH_scaling_baseline.json)")
-    parser.add_argument("--scaling-speedup-floor", type=float, default=3.0,
-                        help="warn-only floor for the largest-size batched "
-                             "tuple-throughput speedup (default 3.0)")
     parser.add_argument("--build-tolerance", type=float, default=0.5,
                         help="warn-only threshold for per-cell growth of the "
                              "scaling bench's build_seconds / wall_seconds "
@@ -568,8 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INVOCATION
         notes.extend(compare_scaling(
-            scaling, baseline_scaling, args.wall_tolerance,
-            args.scaling_speedup_floor, args.build_tolerance,
+            scaling, baseline_scaling, args.wall_tolerance, args.build_tolerance,
         ))
     elif Path(args.scaling_baseline).is_file():
         notes.append(f"scaling: no {scaling_path}, scaling gate skipped")

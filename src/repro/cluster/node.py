@@ -32,6 +32,18 @@ class BandwidthPipe:
     ``size / bandwidth`` (+ fixed per-op latency).  This models the key
     contention effect in the paper: 55 HAU states funnelling into one
     storage node's disk stretches a "parallel" checkpoint.
+
+    Two lanes apply that one discipline.  :meth:`transfer` holds the
+    pipe's ``Resource`` for each chunk (priorities, cancellation).
+    :meth:`book` is for a caller that only needs to know *when* its
+    bytes are through (a channel message): on an idle pipe FIFO service
+    is arithmetic — it starts when everything booked before it is
+    through (``busy_until``) — so no process has to wait for the grant.
+    The lanes never overlap: bytes are booked only while nobody holds or
+    waits for the ``Resource`` (see :attr:`idle`), and a transfer that
+    is granted the ``Resource`` first waits out what was booked before it
+    asked.  A transfer is therefore never delayed by bytes booked after
+    it asked, and booked bytes wait for at most the one chunk in service.
     """
 
     #: default service quantum: large transfers are split into chunks so the
@@ -55,8 +67,42 @@ class BandwidthPipe:
         self.name = name
         self.chunk_bytes = int(chunk_bytes)
         self._res = Resource(env, capacity=1)
+        self.busy_until = 0.0  # when the last booked byte is through
         self.bytes_moved = 0
         self.ops = 0
+
+    @property
+    def idle(self) -> bool:
+        """Nobody holds the pipe's ``Resource`` — hence nobody waits for
+        it either — so :meth:`book` may be called."""
+        return not self._res._users
+
+    def book(self, size: int) -> float:
+        """Queue ``size`` bytes behind everything booked; returns the
+        instant they are through.
+
+        Only while :attr:`idle`, or by the holder of the ``Resource`` in
+        place of its timed hold.  The arithmetic is :meth:`transfer`'s,
+        operation for operation — per chunk ``now + (chunk / bandwidth
+        [+ per-op latency])`` with ``now`` the instant the previous one
+        ended — so an instant computed here is bit-equal to the one a
+        process waiting through the same service would have reached.
+        """
+        now = self.env._now
+        end = self.busy_until if self.busy_until > now else now
+        remaining = size = int(size)
+        per_op = self.per_op_latency
+        while True:
+            chunk = remaining if remaining < self.chunk_bytes else self.chunk_bytes
+            end += chunk / self.bandwidth + per_op
+            remaining -= chunk
+            if remaining <= 0:
+                break
+            per_op = 0.0
+        self.busy_until = end
+        self.bytes_moved += size
+        self.ops += 1
+        return end
 
     def transfer(self, size: int, priority: int = 0):
         """Process generator: move ``size`` bytes through the pipe.
@@ -73,6 +119,9 @@ class BandwidthPipe:
             req = self._res.request(priority=priority)
             try:
                 yield req
+                if self.busy_until > self.env._now:
+                    # bytes booked before this request: they go first
+                    yield self.env.schedule_at(self.env.event(), self.busy_until)
                 duration = chunk / self.bandwidth
                 if first:
                     duration += self.per_op_latency

@@ -135,7 +135,6 @@ class DataCenter:
         dst: Node,
         name: str = "",
         capacity: float = float("inf"),
-        batch_quantum: float = 0.0,
     ) -> Channel:
         chan = Channel(
             self.env,
@@ -144,7 +143,6 @@ class DataCenter:
             latency=self.spec.latency,
             name=name,
             capacity=capacity,
-            batch_quantum=batch_quantum,
         )
         self._channels.append(chan)
         return chan

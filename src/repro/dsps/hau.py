@@ -3,10 +3,12 @@
 This is where the paper's execution semantics live:
 
 * **Per-edge FIFO intake with backpressure.** Each inbound edge has its
-  own reliable channel; a receiver process moves deliveries into a
-  bounded inbox.  When the HAU stalls (e.g. a synchronous checkpoint),
-  the inbox fills, channel buffers fill, and upstream sends block — the
-  cascading disruption the paper measures in Fig. 15.
+  own reliable channel; every delivery is moved into a bounded inbox by
+  the call that announces it (:meth:`HAURuntime._pull` — no process per
+  edge).  When the HAU stalls (e.g. a synchronous checkpoint), the
+  inbox fills, each edge is left holding one item, channel buffers
+  fill, and upstream sends block — the cascading disruption the paper
+  measures in Fig. 15.
 * **Token alignment.** When the main loop dequeues a token for edge *e*,
   edge *e* is blocked: subsequent tuples from *e* are held back, while
   other edges keep flowing ("HAU 5 then stops processing tuples from
@@ -35,9 +37,9 @@ from repro.cluster.channel import Channel, ChannelClosedError
 from repro.cluster.node import Node
 from repro.dsps.graph import EdgeSpec, HAUSpec
 from repro.dsps.operator import Emit, Operator, OperatorContext, SourceOperator
-from repro.dsps.tuples import BatchEnvelope, DataTuple, Token, is_token
-from repro.simulation.core import Environment, Interrupt
-from repro.simulation.resources import Gate, Store
+from repro.dsps.tuples import DataTuple, Token, is_token
+from repro.simulation.core import Environment, Event, Interrupt
+from repro.simulation.resources import Gate
 from repro.simulation.rng import RngRegistry
 
 DEFAULT_INBOX_CAPACITY = 128
@@ -68,9 +70,20 @@ def stable_route_hash(key: Any) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-
 IDLE_SOURCE_POLL = 0.05  # safe-point poll for sources with no pending data
 SOURCE_DELAY_CHUNK = 0.25  # max wait between source safe-points
+
+
+def _until_accepted(accepted: Event):
+    """Process generator: wait for a full outbox to take a message.
+
+    The channel closing meanwhile is the broken edge the senders skip
+    anyway when they find it closed beforehand (the preservation hook has
+    run by then, so the tuple is retained for replay)."""
+    try:
+        yield accepted
+    except ChannelClosedError:
+        pass
 
 
 class _Nudge:
@@ -104,7 +117,8 @@ class SchemeHooks:
         yield  # pragma: no cover
 
     def on_token_arrival(self, hau: "HAURuntime", edge_idx: int, token: Token) -> None:
-        """Receiver-level notification: a token landed in the inbox."""
+        """Intake-level notification: a token reached the head of its edge
+        (it enters the inbox now, or as soon as a slot frees)."""
 
     def handle_token(self, hau: "HAURuntime", edge_idx: int, token: Token):
         """Main-loop token processing. Generator."""
@@ -147,16 +161,8 @@ class HAURuntime:
         metrics=None,
         inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
         restored: dict | None = None,
-        batched: bool = False,
     ):
         self.env = env
-        # True when this runtime's data channels coalesce tuples
-        # (batch_quantum > 0).  The batched path is not digest-pinned, so
-        # the hot loops may shed waits on an already-open intake gate —
-        # semantically a pass-through either way; only the kernel event
-        # is saved.  The unbatched path keeps every wait: its exact event
-        # sequence is what the committed digests fingerprint.
-        self.batched = batched
         self.spec = spec
         self.hau_id = spec.hau_id
         self.node = node
@@ -203,7 +209,16 @@ class HAURuntime:
             None if getattr(on_emit, "__func__", None) is SchemeHooks.on_emit else on_emit
         )
 
-        self.inbox = Store(env, capacity=inbox_capacity)
+        # Bounded intake queue of (edge_idx, item).  An edge whose next
+        # item finds it full (or finds others queued) keeps that item in
+        # its hand and joins _slot_waiters — as do nudges, edge -1 — and
+        # each pop admits the longest waiter.  Both are allocated by the
+        # first item that has to wait (the shared-empty-tuple idiom).
+        self.inbox: deque[tuple[int, Any]] = deque()
+        self.inbox_capacity = inbox_capacity
+        self._hands: list[Any] | None = None  # per in-edge; None = empty
+        self._slot_waiters: list[int] | tuple[()] = ()
+        self._wake: Event | None = None  # set while the main loop is idle
         self.intake_gate = Gate(env, opened=True)
         self.blocked_edges: set[int] = set()
         self.holdback: dict[int, deque] = {}
@@ -233,23 +248,23 @@ class HAURuntime:
 
     def replace_in_channel(self, edge_idx: int, chan: Channel) -> None:
         """Swap in a fresh inbound channel (downstream side of a single-HAU
-        restart) and start a receiver for it — the old receiver exited when
-        the old channel broke."""
+        restart).  What the broken one delivered and this HAU has not yet
+        had room for stays ahead of everything the new one brings."""
+        old = self.in_channels[edge_idx]
+        if old is not None and old.pending:
+            chan._inbox.extend(old._inbox)
+            old._inbox.clear()
         self.in_channels[edge_idx] = chan
-        self._procs.append(
-            self.node.spawn(self._receiver(edge_idx, chan), label=f"{self.hau_id}.rx{edge_idx}r")
-        )
+        chan.bind(self._pull, edge_idx)
 
     def attach_out_channel(self, edge: EdgeSpec, chan: Channel) -> None:
         self.out_channels[edge.edge_id] = chan
 
     def start(self) -> None:
-        """Spawn receiver processes and the main loop on the host node."""
+        """Open the intake and spawn the main loop on the host node."""
         for idx, chan in enumerate(self.in_channels):
             if chan is not None:
-                self._procs.append(
-                    self.node.spawn(self._receiver(idx, chan), label=f"{self.hau_id}.rx{idx}")
-                )
+                chan.bind(self._pull, idx)
         if self.is_source:
             self._procs.append(self.node.spawn(self._source_loop(), label=f"{self.hau_id}.src"))
         else:
@@ -298,18 +313,15 @@ class HAURuntime:
         """
         backlog: list[tuple[int, DataTuple]] = []
         token_seen: set[int] = set()
-        for edge_idx, item in self.inbox.peek_all():
+        for edge_idx, item in self.inbox:
             if is_token(item):
                 if item.round_id == round_id:
                     token_seen.add(edge_idx)
                 continue
             if edge_idx in token_seen or edge_idx in self.blocked_edges:
                 continue
-            if item.__class__ is BatchEnvelope:
-                backlog.extend((edge_idx, t) for t in item.tuples)
-            elif item.__class__ is DataTuple:
+            if item.__class__ is DataTuple:  # a queued _NUDGE is not stream data
                 backlog.append((edge_idx, item))
-            # anything else (a queued _NUDGE) is not stream data
         return backlog
 
     # -- checkpoint/restore plumbing -----------------------------------------------------
@@ -389,7 +401,8 @@ class HAURuntime:
         The scheme hook (preservation) runs before the send and even when
         the channel is currently broken: a tuple emitted while the
         downstream neighbour is dead must still be retained so it can be
-        replayed once the neighbour is restarted.
+        replayed once the neighbour is restarted.  Only a send into a
+        full outbox waits.
         """
         out_seq = self._out_seq
         out_channels = self.out_channels
@@ -410,13 +423,9 @@ class HAURuntime:
             chan = out_channels.get(eid)
             if chan is None or chan.closed:
                 continue
-            if chan.batch_quantum > 0.0:
-                # Batched: hand the tuple to the channel's coalescing
-                # buffer synchronously; the flush timer sends one
-                # envelope per quantum.
-                chan.offer(tup, size=tup.size)
-            else:
-                yield chan.send(tup, size=tup.size)
+            accepted = chan.send(tup, tup.size)
+            if not accepted._flushed:
+                yield from _until_accepted(accepted)
 
     def emit_token(self, token: Token):
         """Process generator: send ``token`` down every out-edge, in order."""
@@ -436,7 +445,9 @@ class HAURuntime:
                 )
             if self._telem.enabled:
                 self._m_tokens_sent.inc()
-            yield chan.send(token, size=token.size)
+            accepted = chan.send(token, token.size)
+            if not accepted._flushed:
+                yield from _until_accepted(accepted)
 
     def emit_token_front(self, token: Token) -> None:
         """Send ``token`` at the *head* of every output queue (1-hop tokens,
@@ -471,16 +482,9 @@ class HAURuntime:
             chan = self.out_channels.get(edge.edge_id)
             if chan is None:
                 continue
-            for msg in chan._outbox.peek_all():
-                payload = msg.payload
-                if payload.__class__ is BatchEnvelope:
-                    out.extend((edge.edge_id, t) for t in payload.tuples)
-                elif isinstance(payload, DataTuple):
-                    out.append((edge.edge_id, payload))
-            # tuples offered within the current quantum but not yet
-            # flushed are queued-unsent too
-            for tup in chan.pending_batch_tuples():
-                out.append((edge.edge_id, tup))
+            for msg in chan._outbox:
+                if isinstance(msg.payload, DataTuple):
+                    out.append((edge.edge_id, msg.payload))
         return out
 
     def set_replay_source(self, tuples: list[DataTuple]) -> None:
@@ -491,59 +495,96 @@ class HAURuntime:
         """Wake the main loop if it is idle so the scheme's safe-point hook
         runs promptly (periodic baseline checkpoints, queued replays).
         Sources poll their own safe-points; no nudge needed."""
-        if not self.is_source:
-            self.inbox.put((-1, _NUDGE))
+        if not self.is_source and not self.enqueue(-1, _NUDGE):
+            self._slot_waiters = [*self._slot_waiters, -1]
 
     def resend(self, edge_id: str, tup: DataTuple):
-        """Re-emit a saved in-flight tuple after recovery (same seq)."""
+        """Re-emit a saved in-flight tuple after recovery (same seq).
+
+        Takes a scheduler turn per tuple even when the send is accepted
+        at once: every HAU restarts at the same instant, and co-located
+        ones then share their node's NIC message by message instead of
+        one flushing its whole backlog ahead of the others'."""
         chan = self.out_channels.get(edge_id)
         if chan is None or chan.closed:
             return
-        yield chan.send(tup, size=tup.size)
+        yield from _until_accepted(chan.send(tup, tup.size))
+
+    # -- intake ----------------------------------------------------------------------------
+    def enqueue(self, edge_idx: int, item: Any) -> bool:
+        """Put ``item`` in the inbox, waking the main loop if it is idle.
+
+        False — and nothing done — if the inbox is full or others are
+        already queued for a slot; the caller then joins that queue."""
+        if self._slot_waiters or len(self.inbox) >= self.inbox_capacity:
+            return False
+        self.inbox.append((edge_idx, item))
+        wake = self._wake
+        if wake is not None:
+            # Dropped before it fires, so nothing but the schedule holds
+            # the event and the kernel can recycle it.
+            self._wake = None
+            wake.succeed()
+        return True
+
+    def _pull(self, edge_idx: int) -> None:
+        """Move what in-edge ``edge_idx`` has delivered into the inbox.
+
+        Called by the edge's channel at every delivery and when it
+        closes, and by :meth:`_admit` once the edge's hand is empty
+        again.  A token announces itself (``on_token_arrival``) when it
+        comes off the channel — the head of its edge — whether or not
+        the inbox has room for it yet.
+        """
+        if self.torn_down or not self.node.alive:
+            return
+        hands = self._hands
+        if hands is not None and hands[edge_idx] is not None:
+            return
+        chan = self.in_channels[edge_idx]
+        while (msg := chan.take()) is not None:
+            item = msg.payload
+            if item.__class__ is Token:
+                if self._trace.enabled:
+                    self._trace.emit(
+                        "token.recv",
+                        t=self.env.now,
+                        subject=self.hau_id,
+                        round=item.round_id,
+                        edge_idx=edge_idx,
+                        origin=item.origin,
+                        token_kind=item.kind,
+                    )
+                if self._telem.enabled:
+                    self._m_tokens_recv.inc()
+                self.scheme.on_token_arrival(self, edge_idx, item)
+            if not self.enqueue(edge_idx, item):
+                if hands is None:
+                    self._hands = hands = [None] * len(self.in_edges)
+                hands[edge_idx] = item
+                self._slot_waiters = [*self._slot_waiters, edge_idx]
+                return
+        if chan.closed:  # and drained
+            self.scheme.on_channel_broken(self, edge_idx)
+
+    def _admit(self) -> None:
+        """A slot has freed: the longest-waiting edge (or nudge) takes it."""
+        edge_idx = self._slot_waiters.pop(0)
+        if edge_idx < 0:
+            self.inbox.append((edge_idx, _NUDGE))
+            return
+        hands = self._hands
+        self.inbox.append((edge_idx, hands[edge_idx]))
+        hands[edge_idx] = None
+        self._pull(edge_idx)
 
     # -- processes -------------------------------------------------------------------------
-    def _receiver(self, edge_idx: int, chan: Channel):
-        recv = chan.recv
-        inbox_put = self.inbox.put
-        try:
-            while True:
-                try:
-                    msg = yield recv()
-                except ChannelClosedError:
-                    self.scheme.on_channel_broken(self, edge_idx)
-                    return
-                item = msg.payload
-                if item.__class__ is Token:
-                    if self._trace.enabled:
-                        self._trace.emit(
-                            "token.recv",
-                            t=self.env.now,
-                            subject=self.hau_id,
-                            round=item.round_id,
-                            edge_idx=edge_idx,
-                            origin=item.origin,
-                            token_kind=item.kind,
-                        )
-                    if self._telem.enabled:
-                        self._m_tokens_recv.inc()
-                    self.scheme.on_token_arrival(self, edge_idx, item)
-                yield inbox_put((edge_idx, item))
-        except Interrupt:
-            return
-
-    def _process_tuple(self, edge_idx: int, tup: DataTuple, charge: bool = True):
-        """Run the operator chain over one tuple; emit the results.
-
-        With ``charge=False`` the processing-cost wait is skipped and the
-        cost is returned instead: the envelope unpack loop charges one
-        summed wait per envelope (batch execution) rather than one kernel
-        event per constituent.  Accounting (busy time, metrics) is
-        identical either way; only when the simulated wait is paid moves.
-        """
+    def _process_tuple(self, edge_idx: int, tup: DataTuple):
+        """Run the operator chain over one tuple; emit the results."""
         if tup.seq:
             in_seq = self._in_seq
             if tup.seq <= in_seq.get(edge_idx, 0):
-                return 0.0  # duplicate after recovery: already in restored state
+                return  # duplicate after recovery: already in restored state
             in_seq[edge_idx] = tup.seq
         dst_ports = self._dst_ports
         port = dst_ports[edge_idx] if edge_idx < len(dst_ports) else 0
@@ -575,7 +616,7 @@ class HAURuntime:
                 if depth == len(ops) - 1:
                     break
         cost *= 1.0 + self.scheme.processing_overhead(self)
-        if charge and cost > 0:
+        if cost > 0:
             yield self.env.timeout(cost)
         self.busy_time += cost
         self.tuples_processed += 1
@@ -589,7 +630,6 @@ class HAURuntime:
                 self.metrics.record_sink(self.hau_id, tup.created_at, self.env.now)
         for emit_spec in emissions:
             yield from self.emit(emit_spec, created_at=tup.created_at, source=tup.source)
-        return cost
 
     def _main_loop(self):
         try:
@@ -623,50 +663,27 @@ class HAURuntime:
             maybe_checkpoint = self.scheme.maybe_checkpoint
             handle_token = self.scheme.handle_token
             gate = self.intake_gate
-            gate_wait = gate.wait
-            inbox_get = self.inbox.get
+            inbox = self.inbox
+            new_event = self.env.event
             blocked = self.blocked_edges
             holdback = self.holdback
             process_tuple = self._process_tuple
-            batched = self.batched
             while True:
                 yield from maybe_checkpoint(self)
-                if not batched or not gate._opened:
-                    yield gate_wait()
-                edge_idx, item = yield inbox_get()
+                if not gate._opened:
+                    yield gate.wait()
+                if not inbox:
+                    # Idle: park until enqueue() has put something there.
+                    self._wake = new_event()
+                    yield self._wake
+                edge_idx, item = inbox.popleft()
+                if self._slot_waiters:
+                    self._admit()
                 if item.__class__ is DataTuple:
                     if edge_idx in blocked:
                         holdback[edge_idx].append(item)
                     else:
                         yield from process_tuple(edge_idx, item)
-                elif item.__class__ is BatchEnvelope:
-                    # Unpack in emission order, re-running the per-tuple
-                    # boundary protocol (safe-point, intake gate, edge
-                    # block) between constituents so schemes observe the
-                    # exact tuple sequence of the unbatched path.  Two
-                    # per-constituent kernel events are shed — waits on an
-                    # already-open gate (a pass-through either way) and
-                    # individual processing-cost timeouts, charged instead
-                    # as one summed wait after the envelope (batch
-                    # execution).  Both sheds live only under
-                    # batch_quantum > 0, which is not digest-pinned.
-                    first = True
-                    deferred = 0.0
-                    for tup in item.tuples:
-                        if first:
-                            first = False
-                        else:
-                            yield from maybe_checkpoint(self)
-                            if not gate._opened:
-                                yield gate_wait()
-                        if edge_idx in blocked:
-                            holdback[edge_idx].append(tup)
-                        else:
-                            deferred += yield from process_tuple(
-                                edge_idx, tup, False
-                            )
-                    if deferred > 0:
-                        yield self.env.timeout(deferred)
                 elif item is _NUDGE:
                     continue  # safe-point wake-up: hook runs at loop top
                 else:
@@ -703,6 +720,8 @@ class HAURuntime:
                     count=len(replay),
                 )
             for tup in replay:
+                # A scheduler turn per tuple, gate open or not: restarted
+                # sources interleave (see resend).
                 yield self.intake_gate.wait()
                 op.emitted_count += 1
                 yield from self.emit(
@@ -725,8 +744,6 @@ class HAURuntime:
             maybe_checkpoint = self.scheme.maybe_checkpoint
             on_source_emit = self.scheme.on_source_emit
             gate = self.intake_gate
-            gate_wait = gate.wait
-            batched = self.batched
             hau_id = self.hau_id
             do_emit = self.emit
             for delay, emit_spec in gen:
@@ -753,9 +770,8 @@ class HAURuntime:
                     seq=op.emitted_count + 1,
                     source=hau_id,
                 )
-                # Same open-gate shed as the main loop: batched mode only.
-                if not batched or not gate._opened:
-                    yield gate_wait()
+                if not gate._opened:
+                    yield gate.wait()
                 yield from on_source_emit(self, tup)
                 op.emitted_count += 1
                 produced += 1

@@ -39,10 +39,6 @@ class RuntimeConfig:
     cluster: ClusterSpec | None = None
     channel_capacity: int = DEFAULT_CHANNEL_CAPACITY
     inbox_capacity: int = DEFAULT_INBOX_CAPACITY
-    # Coalesce same-edge tuples for this many simulated seconds into one
-    # BatchEnvelope per data channel (0.0 = per-tuple sends, the
-    # digest-pinned default).  Control channels never batch.
-    batch_quantum: float = 0.0
 
 
 class CheckpointScheme(SchemeHooks):
@@ -118,7 +114,6 @@ class DSPSRuntime:
             metrics=self.metrics,
             inbox_capacity=self.config.inbox_capacity,
             restored=restored,
-            batched=self.config.batch_quantum > 0.0,
         )
         self.haus[hau_id] = hau
         return hau
@@ -133,7 +128,6 @@ class DSPSRuntime:
                 dst_hau.node,
                 name=edge.edge_id,
                 capacity=self.config.channel_capacity,
-                batch_quantum=self.config.batch_quantum,
             )
             self.data_channels[edge.edge_id] = chan
             src_hau.attach_out_channel(edge, chan)
@@ -260,7 +254,7 @@ class DSPSRuntime:
 
         Used by 1-safe (baseline) recovery: neighbours keep running; the
         upstream sides get replacement out-channels, the downstream sides
-        get replacement in-channels with fresh receivers.  The caller
+        get replacement in-channels.  The caller
         starts the HAU when its recovery phases are done.
 
         With ``attach_upstream=False`` the new inbound channels are *not*
@@ -279,7 +273,6 @@ class DSPSRuntime:
                 node,
                 name=edge.edge_id,
                 capacity=self.config.channel_capacity,
-                batch_quantum=self.config.batch_quantum,
             )
             self.data_channels[edge.edge_id] = chan
             if attach_upstream:
@@ -298,7 +291,6 @@ class DSPSRuntime:
                 dst_hau.node,
                 name=edge.edge_id,
                 capacity=self.config.channel_capacity,
-                batch_quantum=self.config.batch_quantum,
             )
             self.data_channels[edge.edge_id] = chan
             hau.attach_out_channel(edge, chan)

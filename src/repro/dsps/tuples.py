@@ -33,16 +33,6 @@ class DataTuple:
     seq: int = 0
     source: str = ""
 
-    def with_seq(self, seq: int) -> "DataTuple":
-        return DataTuple(
-            payload=self.payload,
-            size=self.size,
-            key=self.key,
-            created_at=self.created_at,
-            seq=seq,
-            source=self.source,
-        )
-
 
 @dataclass(frozen=True)
 class Token:
@@ -58,34 +48,6 @@ class Token:
     origin: str = ""
     kind: str = "cascade"  # "cascade" | "one_hop"
     size: int = field(default=TOKEN_SIZE, compare=False)
-
-
-class BatchEnvelope:
-    """Several same-edge :class:`DataTuple`\\ s coalesced into one wire unit.
-
-    With channel batching on (``batch_quantum > 0``), tuples emitted onto
-    the same edge within one time quantum travel as a single envelope: the
-    channel pays one ``latency`` plus the summed serialisation time
-    (``Σ size / bandwidth``) instead of per-tuple overheads, and the
-    kernel pays one event chain per envelope instead of per tuple.  The
-    receiver unpacks it back into individual tuples in emission order, so
-    operators and checkpoint schemes observe the identical per-edge tuple
-    sequence as the unbatched path.
-    """
-
-    __slots__ = ("tuples", "size")
-
-    def __init__(self, tuples: list[DataTuple], size: int | None = None):
-        self.tuples = tuples
-        # the channel passes the wire size it accumulated at offer() time;
-        # deriving it from the tuples is the convenience-construction path
-        self.size = sum(t.size for t in tuples) if size is None else size
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BatchEnvelope(n={len(self.tuples)}, size={self.size})"
 
 
 StreamItem = DataTuple | Token

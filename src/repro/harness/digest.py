@@ -49,8 +49,6 @@ def config_fingerprint(cfg: ExperimentConfig) -> dict[str, Any]:
     # Fields added after the baseline was pinned are omitted while at
     # their inert default, so historical digests stay comparable; a
     # non-default value genuinely changes behaviour and must fingerprint.
-    if out.get("batch_quantum") == 0.0:
-        del out["batch_quantum"]
     if out.get("monitor_period") == 0.0:
         del out["monitor_period"]
     if out.get("monitor_slos") == {}:

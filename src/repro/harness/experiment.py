@@ -42,10 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FULL_SCALE = bool(int(os.environ.get("REPRO_FULL", "0")))
 DEFAULT_WINDOW = 600.0 if FULL_SCALE else 150.0
 DEFAULT_WARMUP = 60.0 if FULL_SCALE else 30.0
-# Channel tuple-coalescing quantum in simulated seconds (see
-# repro.cluster.channel.Channel.offer); 0 = per-tuple sends, the
-# digest-pinned default.
-DEFAULT_BATCH_QUANTUM = float(os.environ.get("REPRO_BATCH_QUANTUM", "0") or 0.0)
 
 SCHEME_NAMES = ("none", "baseline", "ms-src", "ms-src+ap", "ms-src+ap+aa", "oracle")
 
@@ -65,7 +61,6 @@ class ExperimentConfig:
     oracle_times: list[float] | None = None
     enable_recovery: bool = False
     costs: CostModel | None = None
-    batch_quantum: float = DEFAULT_BATCH_QUANTUM
     # Live monitoring plane (repro.monitor): 0 = off, the digest-pinned
     # default.  ``monitor_slos`` maps SLO kind -> bound override.
     monitor_period: float = 0.0
@@ -76,9 +71,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown app {self.app!r}; choose from {sorted(APPS)}")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # `not >=` rather than `<`: nan (REPRO_BATCH_QUANTUM=nan) fails too
-        if not self.batch_quantum >= 0:
-            raise ValueError(f"batch_quantum must be >= 0, got {self.batch_quantum!r}")
         if self.monitor_period < 0:
             raise ValueError(f"monitor_period must be >= 0, got {self.monitor_period!r}")
         if self.monitor_slos:
@@ -379,7 +371,6 @@ def run_experiment(
             # saturated stage) stays well inside a checkpoint period.
             channel_capacity=16,
             inbox_capacity=32,
-            batch_quantum=cfg.batch_quantum,
         ),
     )
     runtime.start()

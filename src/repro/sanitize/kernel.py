@@ -8,10 +8,8 @@ to be invisible).  That guard is sound for CPython refcounting but
 untracked reference.  Under ``REPRO_SAN=1`` this module replaces the
 pool-touching entry points (``step`` / ``event`` / ``timeout`` /
 ``acquire``, plus ``run``, whose inlined fast loop would otherwise
-bypass the audited step, ``__init__``, which gives the environment a
-stamping FIFO, and the Store/PriorityStore fast paths, which pop
-recycled events straight off cached pool lists) with copies that
-additionally:
+bypass the audited step, and ``__init__``, which gives the environment a
+stamping FIFO) with copies that additionally:
 
 * swap a recycled event's ``__class__`` for a generated *poisoned* twin
   (same slot layout, every entry point raises
@@ -255,85 +253,6 @@ def _san_run(self, until: Any = None) -> Any:
         return _core.Environment._run_stepwise(self, until)
 
 
-# Store.put / Store.get / PriorityStore.get pop their recycled events
-# straight off the cached per-class pool lists (bypassing the patched
-# ``acquire``), so the sanitized copies must heal the poisoned
-# ``__class__`` at the same spot.  Everything else is line-for-line the
-# pristine fast path: counters, succeed order and drain behaviour match.
-
-
-def _san_store_put(self, item: Any):
-    env = self.env
-    pool = self._put_pool
-    if pool:
-        env.pool_hits += 1
-        ev = pool.pop()
-        ev.__class__ = _res._Put
-        ev.store = self
-        ev.item = item
-    else:
-        env.pool_misses += 1
-        ev = _res._Put(env, self, item)
-    if not self._putters and len(self.items) < self.capacity:
-        self.items.append(ev.item)
-        ev.succeed()
-        if self._getters:
-            self._drain()
-        return ev
-    self._putters = [*self._putters, ev]
-    self._drain()
-    return ev
-
-
-def _san_store_get(self):
-    env = self.env
-    pool = self._get_pool
-    if pool:
-        env.pool_hits += 1
-        ev = pool.pop()
-        ev.__class__ = _res._Get
-        ev.store = self
-    else:
-        env.pool_misses += 1
-        ev = _res._Get(env, self)
-    if self.items and not self._getters:
-        ev.succeed(self.items.popleft())
-        if self._putters and len(self.items) < self.capacity:
-            put = self._putters.pop(0)
-            self.items.append(put.item)
-            put.succeed()
-        return ev
-    self._getters = [*self._getters, ev]
-    self._drain()
-    return ev
-
-
-def _san_priority_store_get(self):
-    env = self.env
-    pool = self._get_pool
-    if pool:
-        env.pool_hits += 1
-        ev = pool.pop()
-        ev.__class__ = _res._Get
-        ev.store = self
-    else:
-        env.pool_misses += 1
-        ev = _res._Get(env, self)
-    if self.items and not self._getters:
-        best_idx = min(range(len(self.items)), key=lambda i: self.items[i])
-        item, _seq = self.items[best_idx]
-        del self.items[best_idx]
-        ev.succeed(item)
-        if self._putters and len(self.items) < self.capacity:
-            put = self._putters.pop(0)
-            self.items.append(put.item)
-            put.succeed()
-        return ev
-    self._getters = [*self._getters, ev]
-    self._drain()
-    return ev
-
-
 _PATCHES = {
     "__init__": _san_init,
     "step": _san_step,
@@ -342,16 +261,7 @@ _PATCHES = {
     "acquire": _san_acquire,
     "run": _san_run,
 }
-# (class-name, method-name) -> sanitized copy, applied to
-# repro.simulation.resources at install time.
-_RES_PATCHES = {
-    ("Store", "put"): _san_store_put,
-    ("Store", "get"): _san_store_get,
-    ("PriorityStore", "get"): _san_priority_store_get,
-}
-_res: Any = None
 _originals: dict[str, Any] = {}
-_res_originals: dict[tuple[str, str], Any] = {}
 
 
 def installed() -> bool:
@@ -365,20 +275,15 @@ def install() -> None:
     ``step`` reads; install before constructing the ones to be audited
     (``REPRO_SAN=1`` installs at import).
     """
-    global _core, _res
+    global _core
     if _originals:
         return
-    from repro.simulation import core, resources
+    from repro.simulation import core
 
     _core = core
-    _res = resources
     for name, fn in _PATCHES.items():
         _originals[name] = getattr(_core.Environment, name)
         setattr(_core.Environment, name, fn)
-    for (cls_name, meth), fn in _RES_PATCHES.items():
-        cls = getattr(_res, cls_name)
-        _res_originals[(cls_name, meth)] = cls.__dict__[meth]
-        setattr(cls, meth, fn)
 
 
 def uninstall() -> None:
@@ -392,8 +297,5 @@ def uninstall() -> None:
     """
     for name, fn in _originals.items():
         setattr(_core.Environment, name, fn)
-    for (cls_name, meth), fn in _res_originals.items():
-        setattr(getattr(_res, cls_name), meth, fn)
     _originals.clear()
-    _res_originals.clear()
     _order_state.clear()

@@ -10,7 +10,7 @@ live state.
 Under ``REPRO_SAN=1`` this module:
 
 * wraps the HAU runtime's process-loop generator methods
-  (``_main_loop`` / ``_source_loop`` / ``_receiver``) in a trampoline
+  (``_main_loop`` / ``_source_loop``) in a trampoline
   that pushes the host's ``hau_id`` around **each resumption** of the
   generator (a plain push/pop around creation would be wrong — the
   kernel interleaves generators, they do not finish LIFO);
@@ -35,7 +35,7 @@ from repro.sanitize import SanitizerError
 # drive another wrapped generator within one resumption.
 _hau_stack: list[str] = []
 
-_WRAPPED_LOOPS = ("_main_loop", "_source_loop", "_receiver")
+_WRAPPED_LOOPS = ("_main_loop", "_source_loop")
 
 
 def current_hau() -> str | None:

@@ -516,6 +516,7 @@ class Environment:
         "_heap",
         "_fifo",
         "_seq",
+        "past",
         "trace",
         "telemetry",
         "_pools",
@@ -530,6 +531,12 @@ class Environment:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._fifo: deque[Event | _Kick] = deque()
         self._seq = 0
+        # An event that has already fired: what a call returns when its
+        # work was done by the time it returned (a send into a channel
+        # with room).  Yielding it resumes the process at this instant;
+        # callers that test ``_flushed`` first skip even that.
+        self.past = past = Event(self, name="past")
+        past._settled = past._ok = past._scheduled = past._flushed = True
         # Structured tracing (repro.observability): the no-op default means
         # instrumented hot paths pay one attribute check per emission site.
         self.trace = NULL_TRACER
@@ -671,6 +678,32 @@ class Environment:
         else:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (when, priority, seq, event))
+
+    def schedule_at(self, event: Event, when: float) -> Event:
+        """Arm a caller-owned ``event`` to fire at the absolute instant ``when``.
+
+        The event fires like a timeout (succeeded, value ``None``) and may
+        be armed again once it has fired, so a caller that knows *when*
+        its next occurrence is due — a link whose delivery instant is
+        arithmetic on a busy-until clock — keeps one event for its whole
+        life instead of drawing two timeouts per occurrence.  ``when`` is
+        taken as computed: ``timeout(when - now)`` would round it again.
+        Callbacks are the caller's to set before each arming (``step``
+        detaches them when the event fires).
+        """
+        now = self._now
+        if not when >= now:  # also rejects NaN
+            raise SimulationError(f"instant {when!r} is not >= now ({now!r})")
+        if event._scheduled and not event._flushed:
+            raise SimulationError(f"event {event!r} is already scheduled")
+        event._settled = event._ok = event._scheduled = True
+        event._flushed = False
+        if when == now:
+            self._fifo.append(event)
+        else:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (when, NORMAL, seq, event))
+        return event
 
     def _schedule_kick(
         self,

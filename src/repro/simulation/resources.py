@@ -147,8 +147,7 @@ class Store:
 
     ``get()`` returns an event that fires with the next item; ``put(item)``
     returns an event that fires when the item is accepted (immediately if
-    under capacity).  Used for operator input buffers and network channel
-    endpoints.
+    under capacity).
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
@@ -163,14 +162,10 @@ class Store:
         # which is all the fast paths ask — and are lists from then on.
         self._getters: list[_Get] | tuple[()] = ()
         self._putters: list[_Put] | tuple[()] = ()
-        # Get/put events churn once per tuple hop; recycle them through
-        # the environment's free lists (shared across stores per class).
-        # The pool lists are cached on the store so put()/get() skip the
-        # acquire() call and its dict lookup on every tuple hop.
+        # Get/put events are recycled through the environment's free
+        # lists (shared across stores per class).
         env.register_pool(_Get)
         env.register_pool(_Put)
-        self._get_pool = env._pools[_Get]
-        self._put_pool = env._pools[_Put]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -180,16 +175,12 @@ class Store:
         return tuple(self.items)
 
     def put(self, item: Any) -> _Put:
-        env = self.env
-        pool = self._put_pool
-        if pool:
-            env.pool_hits += 1
-            ev = pool.pop()
+        ev = self.env.acquire(_Put)
+        if ev is None:
+            ev = _Put(self.env, self, item)
+        else:
             ev.store = self
             ev.item = item
-        else:
-            env.pool_misses += 1
-            ev = _Put(env, self, item)
         # Fast path: room and no queued putters (the steady state) — accept
         # in place, skipping the _drain loop.  The succeed order matches
         # _drain exactly: the put settles first, then (via the virtual
@@ -204,26 +195,12 @@ class Store:
         self._drain()
         return ev
 
-    def put_front(self, item: Any) -> None:
-        """Insert ``item`` at the *head* of the queue, bypassing capacity.
-
-        Used for checkpoint tokens, which Meteor Shower places "at the
-        head of the queue" of the output buffers (§III-B); tokens are tiny
-        and must never be delayed behind backpressured data.
-        """
-        self.items.appendleft(item)
-        self._drain()
-
     def get(self) -> _Get:
-        env = self.env
-        pool = self._get_pool
-        if pool:
-            env.pool_hits += 1
-            ev = pool.pop()
-            ev.store = self
+        ev = self.env.acquire(_Get)
+        if ev is None:
+            ev = _Get(self.env, self)
         else:
-            env.pool_misses += 1
-            ev = _Get(env, self)
+            ev.store = self
         # Fast path: an item is ready (getters must be empty then — _drain
         # never leaves both getters and items).  Succeed order matches
         # _drain: the get settles first, then at most one backpressured
@@ -280,15 +257,11 @@ class PriorityStore(Store):
         return super().put((item, self._seq))
 
     def get(self) -> _Get:
-        env = self.env
-        pool = self._get_pool
-        if pool:
-            env.pool_hits += 1
-            ev = pool.pop()
-            ev.store = self
+        ev = self.env.acquire(_Get)
+        if ev is None:
+            ev = _Get(self.env, self)
         else:
-            env.pool_misses += 1
-            ev = _Get(env, self)
+            ev.store = self
         # Fast path mirroring Store.get, with the min-scan pick.
         if self.items and not self._getters:
             best_idx = min(range(len(self.items)), key=lambda i: self.items[i])

@@ -22,10 +22,11 @@ from repro.simulation import Environment
 from repro.simulation.core import paused_gc
 
 #: gc-tracked objects ``build()`` + ``start()`` may create per HAU of the
-#: aligned chain: what this tree achieves (35.8) + 10 %.  It was 96 before
-#: the object diet and 66 while every HAU got an eager control star and
-#: RNG stream.  Spend it knowingly — see DESIGN.md for the ledger.
-OBJECTS_PER_HAU_BUDGET = 39
+#: aligned chain: what this tree achieves (26.3) + 10 %.  It was 96 before
+#: the object diet, 66 while every HAU got an eager control star and RNG
+#: stream, and 35.8 while every channel had a pump process and every
+#: in-edge a receiver.  Spend it knowingly — see DESIGN.md for the ledger.
+OBJECTS_PER_HAU_BUDGET = 29
 
 
 def chain_topology(replicas):

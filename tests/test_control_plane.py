@@ -160,8 +160,8 @@ def test_ctx_rng_is_the_named_stream_resolved_on_first_read():
 #: sha256(trace JSONL) and run-bundle id of the canonical recovery cell
 #: (tmi/ms-src+ap@2, failure at 35 s: teardown, rewire, re-bound control
 #: links), recorded at the last commit with the eager control star.
-EAGER_STAR_TRACE_SHA256 = "8eb52926cb17bbeca776509c6f7fef5fe99e1d3c6c9a81e4dc810972748c85d4"
-EAGER_STAR_BUNDLE_ID = "7c288a47fa546610cee658d656946fe8e2ecd50e7291aae39cf82d418b434904"
+EAGER_STAR_TRACE_SHA256 = "cf5f4dfe6585bc165dfa17cc22513d25986add0039747fad7184bd245421fbab"
+EAGER_STAR_BUNDLE_ID = "38431359bde1e346f149fe6aaeec0021c188cb24bf746027dea3de6bbe865892"
 
 
 def test_recovery_cell_trace_and_bundle_byte_identical_to_the_eager_star():

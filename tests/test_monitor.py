@@ -174,14 +174,6 @@ def test_health_tracker_transitions_and_rack_rollup():
 # -- config plumbing -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [-0.25, float("nan")])
-def test_batch_quantum_validation(bad):
-    # a negative or nan quantum would run unbatched yet stay in the
-    # config fingerprint, so the cache key would claim a batched run
-    with pytest.raises(ValueError, match="batch_quantum"):
-        ExperimentConfig(**CFG, batch_quantum=bad)
-
-
 def test_monitor_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(**CFG, monitor_period=-1.0)

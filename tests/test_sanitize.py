@@ -13,7 +13,7 @@ import pytest
 from repro import sanitize
 from repro.sanitize import SanitizerError, kernel as san_kernel
 from repro.sanitize import state_guard
-from repro.simulation.core import Environment, Event, Timeout
+from repro.simulation.core import Environment, Event, SimulationError, Timeout
 from repro.simulation.rng import RngRegistry
 
 
@@ -217,6 +217,24 @@ def test_fifo_pops_carry_the_single_heap_key(kernel_sanitizer):
         env.step()
         keys.append(san_kernel._order_state[id(env)][1])
     assert keys == [(0.0, 1, 2), (0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 4)]
+
+
+def test_schedule_at_entries_carry_the_single_heap_key_too(kernel_sanitizer):
+    """An event armed at an absolute instant is stamped (due now) or
+    keyed (later) from the same counter, and refused like a bad delay."""
+    env = Environment()
+    env.timeout(1.0)  # heap, seq 1
+    env.schedule_at(Event(env), 1.0)  # heap, seq 2
+    env.schedule_at(Event(env), 0.0)  # FIFO, seq 3
+    keys = []
+    while env.peek() < float("inf"):
+        env.step()
+        keys.append(san_kernel._order_state[id(env)][1])
+    assert keys == [(0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 2)]
+    for bad in (float("nan"), 0.5):  # now is 1.0
+        with pytest.raises(SimulationError):
+            env.schedule_at(Event(env), bad)
+    assert env.peek() == float("inf")
 
 
 def test_due_now_entry_on_the_heap_is_caught(kernel_sanitizer):

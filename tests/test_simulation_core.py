@@ -62,8 +62,10 @@ def _recycled_timeout_env():
         lambda env, d: env._schedule(Event(env), delay=d),
         lambda env, d: env.event().succeed(delay=d),
         lambda env, d: env.event().fail(RuntimeError("x"), delay=d),
+        lambda env, d: env.schedule_at(Event(env), d),  # an instant, not a delay
     ],
-    ids=["Timeout", "timeout-fresh", "timeout-pooled", "_schedule", "succeed", "fail"],
+    ids=["Timeout", "timeout-fresh", "timeout-pooled", "_schedule", "succeed", "fail",
+         "schedule_at"],
 )
 def test_delay_that_is_not_nonnegative_is_rejected_at_the_call(schedule, bad):
     env = Environment()
@@ -724,3 +726,70 @@ def test_callback_added_during_the_flush_is_not_part_of_it():
     ev.succeed()
     env.run()
     assert seen == [] and ev.callbacks is not None
+
+
+# -- schedule_at: a caller-owned event armed at an absolute instant ------------
+
+def test_schedule_at_fires_at_the_instant_as_given_and_rearms():
+    """``when`` is not re-derived from a delay: 0.1 + 0.2 != 0.3, and the
+    event fires at whichever of them it was armed for."""
+    env = Environment()
+    ev = Event(env)
+    fired = []
+    cbs = [lambda _e: fired.append(env.now)]
+    for when in (0.1 + 0.2, 0.3 + 1.0, 7.0):
+        ev.callbacks = cbs
+        assert env.schedule_at(ev, when) is ev
+        assert ev.triggered and ev.ok and ev.value is None  # born settled, like a Timeout
+        env.run(until=when)
+    assert fired == [0.1 + 0.2, 1.3, 7.0]
+    assert env.events_popped == 3 and env.pool_hits == 0  # one event, never pooled
+
+
+def test_schedule_at_now_takes_its_turn_in_the_fifo():
+    env = Environment()
+    env.timeout(2.0)
+    env.run(until=2.0)
+    order = []
+    env.event().succeed().add_callback(lambda _e: order.append("before"))
+    late = Event(env)
+    late.add_callback(lambda _e: order.append("armed"))
+    env.schedule_at(late, 2.0)
+    env.event().succeed().add_callback(lambda _e: order.append("after"))
+    env.run(until=2.0)
+    assert order == ["before", "armed", "after"]
+
+
+def test_schedule_at_refuses_an_event_that_is_still_scheduled():
+    env = Environment()
+    ev = Event(env)
+    env.schedule_at(ev, 1.0)
+    with pytest.raises(SimulationError, match="already scheduled"):
+        env.schedule_at(ev, 2.0)
+    env.run(until=1.0)
+    env.schedule_at(ev, 2.0)  # fired: free again
+
+
+def test_a_process_can_wait_out_an_absolute_instant():
+    env = Environment()
+
+    def waiter():
+        yield env.schedule_at(env.event(), 0.1 + 0.2)
+        return env.now
+
+    assert env.run(until=env.process(waiter())) == 0.1 + 0.2
+
+
+def test_yielding_the_past_event_resumes_at_the_same_instant():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(1.5)
+        seen.append((yield env.past))
+        seen.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert seen == [None, 1.5]
+    assert env.past.triggered and env.past.ok

@@ -85,10 +85,10 @@ def test_pre_token_backlog_splits_at_token():
     # hand-build an inbox: two pre-token tuples, the token, one post-token
     hau.pause_intake()
     env.run(until=0.01)
-    hau.inbox.put((0, DataTuple(payload="pre1", size=10, seq=101)))
-    hau.inbox.put((0, DataTuple(payload="pre2", size=10, seq=102)))
-    hau.inbox.put((0, Token(round_id=7, kind="one_hop")))
-    hau.inbox.put((0, DataTuple(payload="post", size=10, seq=103)))
+    hau.enqueue(0, DataTuple(payload="pre1", size=10, seq=101))
+    hau.enqueue(0, DataTuple(payload="pre2", size=10, seq=102))
+    hau.enqueue(0, Token(round_id=7, kind="one_hop"))
+    hau.enqueue(0, DataTuple(payload="post", size=10, seq=103))
     backlog = hau.pre_token_backlog(round_id=7)
     payloads = [t.payload for (_e, t) in backlog]
     assert payloads == ["pre1", "pre2"]
@@ -100,7 +100,7 @@ def test_pre_token_backlog_skips_blocked_edges():
     hau.pause_intake()
     env.run(until=0.01)
     hau.block_edge(0)
-    hau.inbox.put((0, DataTuple(payload="held", size=10, seq=50)))
+    hau.enqueue(0, DataTuple(payload="held", size=10, seq=50))
     assert hau.pre_token_backlog(round_id=1) == []
 
 
@@ -109,8 +109,8 @@ def test_checkpoint_payload_accounts_saved_tuples():
     hau = rt.haus["mid"]
     hau.pause_intake()
     env.run(until=0.01)
-    hau.inbox.put((0, DataTuple(payload="pre", size=111, seq=1)))
-    hau.inbox.put((0, Token(round_id=3, kind="one_hop")))
+    hau.enqueue(0, DataTuple(payload="pre", size=111, seq=1))
+    hau.enqueue(0, Token(round_id=3, kind="one_hop"))
     extra = [("mid[0]->sink[0]", DataTuple(payload="copy", size=222, seq=9))]
     payload = hau.build_checkpoint_payload(3, extra_out=extra)
     assert len(payload["backlog"]) == 1
