@@ -22,6 +22,14 @@ class SizedPayload:
     def __post_init__(self):
         self.nominal_size = int(self.nominal_size)
 
+    # A payload is a value: immutable once emitted, so a copy of whatever
+    # holds it may share it (the contract is in repro.dsps.operator).
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 @dataclass(frozen=True)
 class AppProfile:

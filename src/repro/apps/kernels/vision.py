@@ -10,12 +10,22 @@ accounting (see DESIGN.md).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 FRAME_SHAPE = (24, 24)
 PERSON_INTENSITY = 200.0
 LIGHT_INTENSITY = {"red": 80.0, "yellow": 120.0, "green": 160.0}
 BACKGROUND_NOISE = 10.0
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice(shape: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """Blob anchors on a 4-pixel lattice, so blobs never merge (keeps
+    count_people exact)."""
+    h, w = shape
+    return tuple((r, c) for r in range(1, h - 2, 4) for c in range(1, w - 2, 4))
 
 
 def make_frame(
@@ -27,49 +37,37 @@ def make_frame(
     """Render a synthetic frame with ``people`` 2x2 blobs and optionally a
     traffic light patch of the given colour."""
     frame = rng.uniform(0.0, BACKGROUND_NOISE, size=shape)
-    h, w = shape
-    taken: set[tuple[int, int]] = set()
-    placed = 0
-    # deterministic-ish placement grid: blobs on a 4-pixel lattice so they
-    # never merge (keeps count_people exact)
-    cells = [(r, c) for r in range(1, h - 2, 4) for c in range(1, w - 2, 4)]
+    cells = _lattice(shape)
     order = rng.permutation(len(cells))
-    for idx in order:
-        if placed >= people:
-            break
+    for idx in order[: max(people, 0)].tolist():
         r, c = cells[idx]
-        if (r, c) in taken:
-            continue
         frame[r : r + 2, c : c + 2] = PERSON_INTENSITY
-        taken.add((r, c))
-        placed += 1
     if light is not None:
+        w = shape[1]
         frame[0:2, w - 3 : w - 1] = LIGHT_INTENSITY[light]
     return frame
 
 
 def count_people(frame: np.ndarray, threshold: float = 150.0) -> int:
     """Count connected bright blobs (4-connectivity flood fill)."""
-    mask = frame > threshold
-    # exclude the traffic-light patch region? people blobs are 200, lights
-    # <=160 < threshold 150? green is 160 > 150 — mask it out explicitly.
-    mask &= frame >= PERSON_INTENSITY - 1.0
-    visited = np.zeros_like(mask, dtype=bool)
-    h, w = mask.shape
+    # people blobs are 200 and a green light is 160 > threshold, so the
+    # second bound masks the traffic-light patch out explicitly
+    mask = (frame > threshold) & (frame >= PERSON_INTENSITY - 1.0)
+    w = mask.shape[1]
+    # flood-fill over the set of bright cells (flat indices), removing
+    # each as it is reached; an off-grid neighbour is simply not in it
+    live = set(np.flatnonzero(mask).tolist())
     count = 0
-    for r in range(h):
-        for c in range(w):
-            if mask[r, c] and not visited[r, c]:
-                count += 1
-                stack = [(r, c)]
-                visited[r, c] = True
-                while stack:
-                    rr, cc = stack.pop()
-                    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        nr, nc = rr + dr, cc + dc
-                        if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not visited[nr, nc]:
-                            visited[nr, nc] = True
-                            stack.append((nr, nc))
+    while live:
+        count += 1
+        stack = [live.pop()]
+        while stack:
+            p = stack.pop()
+            c = p % w
+            for q in (p + w, p - w, p + 1 if c + 1 < w else -1, p - 1 if c else -1):
+                if q in live:
+                    live.discard(q)
+                    stack.append(q)
     return count
 
 

@@ -51,6 +51,7 @@ COST_GROUP = 400e-9
 COST_KMEANS_APPEND = 270e-9
 
 MODE_SPEEDS = {0: 0.2, 1: 1.4, 2: 8.0, 3: 16.0}  # still/walk/bus/drive m/s
+_MODE_SPEED_TABLE = np.array([MODE_SPEEDS[m] for m in range(len(MODE_SPEEDS))])
 
 
 class PositionSource(SourceOperator):
@@ -67,7 +68,7 @@ class PositionSource(SourceOperator):
         rng = np.random.default_rng(self.seed)
         for i in range(self.count):
             modes = rng.integers(0, 4, size=PHONES_PER_BATCH)
-            speeds = np.array([MODE_SPEEDS[int(m)] for m in modes])
+            speeds = _MODE_SPEED_TABLE[modes]
             speeds = speeds * rng.uniform(0.7, 1.3, size=PHONES_PER_BATCH)
             phones = rng.integers(0, 10_000, size=PHONES_PER_BATCH)
             positions = rng.uniform(0, 1000, size=(PHONES_PER_BATCH, 2))
@@ -138,16 +139,15 @@ class GoogleMapOperator(Operator):
     def on_tuple(self, port, tup):
         data = tup.payload.data
         groups = data["phones"] % N_GROUP
+        features = np.column_stack([data["speeds"], data["displacement"]])
         out = []
         for g in range(N_GROUP):
             mask = groups == g
             if not mask.any():
                 continue
-            features = np.column_stack(
-                [data["speeds"][mask], data["displacement"][mask]]
-            )
             sub = SizedPayload(
-                data={"group": g, "phones": data["phones"][mask], "features": features},
+                data={"group": g, "phones": data["phones"][mask],
+                      "features": features[mask]},
                 nominal_size=SUB_BATCH_SIZE,
             )
             out.append(Emit(payload=sub, size=SUB_BATCH_SIZE, key=g))

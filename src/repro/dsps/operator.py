@@ -3,13 +3,28 @@
 Mirrors the paper's C++ operator class (§III-C1, Fig. 9): developers
 implement per-port processing; operator state is the instance's declared
 state attributes; ``state_size()`` is derived mechanically.  Here the
-"precompiler" is replaced by :mod:`repro.state` hints, and snapshots are
-deep copies of the declared state attributes.
+"precompiler" is replaced by :mod:`repro.state` hints.
 
 Determinism contract: given the same input tuples in the same per-port
 order, an operator must produce the same outputs and state.  Meteor
 Shower's recovery (global rollback + source replay) relies on this to
 regenerate post-token tuples.
+
+Payloads are values.  A :class:`~repro.dsps.tuples.DataTuple` and a
+:class:`~repro.apps.base.SizedPayload` are immutable once emitted: the
+same object sits in the sender's preservation buffer, on the channel, in
+every consumer a dispatcher fans it out to and in any pool that retains
+it, so nobody may write to one in place.  A snapshot is the host-side
+half of the paper's forked copy-on-write child: :meth:`Operator.snapshot`
+copies the *containers* of the declared state (lists, dicts, deques,
+sets, nested) and shares the payload values in them — both classes answer
+``copy.deepcopy`` with ``self`` — so a pool of N payloads costs one list
+copy, not N object graphs.  Anything else an operator keeps directly in
+state (an ndarray accumulator, a dict of lists, a user class) still gets
+a real copy.  An operator that does mutate payloads in place must
+override :meth:`Operator.snapshot` to copy them itself; ``REPRO_SAN=1``
+fingerprints every snapshot and fails the restore of one whose shared
+values changed in between (:mod:`repro.sanitize.state_guard`).
 """
 
 from __future__ import annotations
@@ -99,10 +114,11 @@ class Operator:
         return estimate_state_size(self)
 
     def snapshot(self) -> dict[str, Any]:
-        """Deep-copy the declared state attributes."""
+        """Copy the declared state attributes, sharing payload values."""
         return {attr: copy.deepcopy(getattr(self, attr)) for attr in self.state_attrs}
 
     def restore(self, snap: dict[str, Any]) -> None:
+        """Adopt a copy of ``snap``, which stays intact to be restored again."""
         for attr, value in snap.items():
             setattr(self, attr, copy.deepcopy(value))
 

@@ -33,6 +33,14 @@ class DataTuple:
     seq: int = 0
     source: str = ""
 
+    # A tuple is a value: no field is written after construction, so a
+    # copy of whatever holds it may share it (see repro.dsps.operator).
+    def __copy__(self) -> "DataTuple":
+        return self
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> "DataTuple":
+        return self
+
 
 @dataclass(frozen=True)
 class Token:

@@ -16,6 +16,9 @@ analysis cannot prove at runtime:
   writes to an operator's declared ``state_attrs`` must come from the
   HAU that hosts it, tracked through a generator trampoline around the
   runtime's process loops;
+* **snapshot aliasing** (same module) — operator snapshots share payload
+  values with the live dataflow, so each snapshot is fingerprinted when
+  taken and checked again when restored;
 * **iteration-order canary** (``python -m repro.sanitize``) — runs the
   digest gate under two ``PYTHONHASHSEED`` values and requires
   bit-identical digests, catching hash-order dependence end to end.

@@ -179,6 +179,11 @@ def _san_step(self) -> None:
             f"poisoned event popped from the schedule: {event!r} was "
             "scheduled after being recycled into a free list"
         )
+    if not event._ok and isinstance(event._value, SanitizerError):
+        # a guard that tripped inside a process (the state guards do) would
+        # otherwise die with that process: the kernel drops a failure nobody
+        # waits on, and the run would carry on without the HAU or recovery
+        raise event._value
     event._flushed = True
     callbacks = event.callbacks
     if callbacks is not None:

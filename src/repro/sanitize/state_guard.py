@@ -21,11 +21,24 @@ Under ``REPRO_SAN=1`` this module:
 Writes outside any tracked loop (setup, recovery drivers, tests
 constructing operators) are unconstrained — the guard only fires on a
 provable cross-host mutation.
+
+The same installation arms the **snapshot-alias guard**, the run-time
+proof of the "payloads are values" rule (:mod:`repro.dsps.operator`): a
+snapshot shares the payload objects the live dataflow still holds, so
+``Operator.snapshot`` records a content fingerprint of every attribute
+it captured and ``Operator.restore`` recomputes it — a payload written
+in place between the checkpoint and the recovery that reloads it raises
+:class:`~repro.sanitize.SanitizerError` naming HAU, operator and
+attribute, instead of silently restoring a state the checkpoint never
+saw.  An operator that overrides ``snapshot()`` to build its own dict of
+private copies is not checked.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import pickle
 from typing import Any
 
 from repro.sanitize import SanitizerError
@@ -107,8 +120,43 @@ def _guarded_setattr(self, name: str, value: Any) -> None:
     object.__setattr__(self, name, value)
 
 
+class _FingerprintedSnapshot(dict):
+    """``Operator.snapshot()``'s dict plus what its values hashed to when
+    taken; the fingerprint lives and dies with the snapshot it describes."""
+
+    __slots__ = ("fingerprint",)
+    fingerprint: dict[str, bytes]
+
+
+def _fingerprint(value: Any) -> bytes:
+    return hashlib.blake2b(pickle.dumps(value), digest_size=16).digest()
+
+
+def _guarded_snapshot(self) -> dict[str, Any]:
+    snap = _FingerprintedSnapshot(_originals["snapshot"](self))
+    snap.fingerprint = {attr: _fingerprint(value) for attr, value in snap.items()}
+    return snap
+
+
+def _guarded_restore(self, snap: dict[str, Any]) -> None:
+    if isinstance(snap, _FingerprintedSnapshot):
+        for attr, taken in snap.fingerprint.items():
+            if _fingerprint(snap[attr]) != taken:
+                ctx = getattr(self, "ctx", None)
+                raise SanitizerError(
+                    f"snapshot alias mutated: {type(self).__name__}.{attr} of "
+                    f"HAU {ctx.hau_id if ctx is not None else None!r} is being "
+                    "restored from a snapshot whose content changed after it "
+                    "was taken — snapshots share payload values with the live "
+                    "dataflow, so a payload must not be written in place "
+                    "(build a new one, or override snapshot() to copy)"
+                )
+    _originals["restore"](self, snap)
+
+
 _originals: dict[str, Any] = {}
 _SETATTR_KEY = "Operator.__setattr__"
+_SNAPSHOT_PATCHES = {"snapshot": _guarded_snapshot, "restore": _guarded_restore}
 
 
 def installed() -> bool:
@@ -116,12 +164,14 @@ def installed() -> bool:
 
 
 def install() -> None:
-    """Wrap the runtime loops and guard operator state (idempotent)."""
-    if _originals:
-        return
+    """Wrap the runtime loops, guard operator state and snapshots (idempotent)."""
+    # imported first: under REPRO_SAN=1 the first import of repro.dsps
+    # installs the guard itself, and that must not happen half-way through
     from repro.dsps.hau import HAURuntime
     from repro.dsps.operator import Operator
 
+    if _originals:
+        return
     for name in _WRAPPED_LOOPS:
         _originals[name] = getattr(HAURuntime, name)
         setattr(HAURuntime, name, _wrap_loop(_originals[name]))
@@ -130,10 +180,13 @@ def install() -> None:
     # restore.
     _originals[_SETATTR_KEY] = Operator.__dict__.get("__setattr__")
     Operator.__setattr__ = _guarded_setattr
+    for name, guarded in _SNAPSHOT_PATCHES.items():
+        _originals[name] = getattr(Operator, name)
+        setattr(Operator, name, guarded)
 
 
 def uninstall() -> None:
-    """Remove the wrappers and the setattr guard (test support)."""
+    """Remove the wrappers and both operator guards (test support)."""
     if not _originals:
         return
     from repro.dsps.hau import HAURuntime
@@ -141,6 +194,8 @@ def uninstall() -> None:
 
     for name in _WRAPPED_LOOPS:
         setattr(HAURuntime, name, _originals[name])
+    for name in _SNAPSHOT_PATCHES:
+        setattr(Operator, name, _originals[name])
     prior = _originals[_SETATTR_KEY]
     if prior is None:
         del Operator.__setattr__

@@ -71,12 +71,15 @@ def _sample_container_size(container: Any, hint: StateHint) -> int:
         return 0
     if length == 0:
         return 0
-    if isinstance(container, dict):
-        elements: list[Any] = list(container.values())
-    else:
-        elements = list(container)
     if hint.element_size is not None:
         return length * hint.element_size
+    # only a sampled estimate reads elements; lists and tuples index in place
+    if isinstance(container, dict):
+        elements: Any = list(container.values())
+    elif isinstance(container, (list, tuple)):
+        elements = container
+    else:
+        elements = list(container)
     n = max(1, min(hint.samples, length))
     # deterministic analogue of the paper's first/middle/last sampling
     idxs = sorted({0, length - 1, length // 2} if n >= 3 else {0, length - 1})

@@ -18,6 +18,8 @@ unsampled one.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.telemetry.registry import RegistryLike, ensure_registry
 
 DEFAULT_INTERVAL = 1.0
@@ -58,6 +60,9 @@ class Sampler:
         self.series: dict[str, dict[str, list[tuple[float, float]]]] = {
             name: {} for name in SERIES_METRICS
         }
+        # (metric, hau_id) -> registry gauge, so a recorded point does not
+        # pay the registry's label-sorting get-or-create each time
+        self._gauges: dict[tuple[str, str], Any] = {}
         runtime.env.process(self._run(), label="telemetry-sampler")
 
     # -- the sampling process ---------------------------------------------
@@ -107,8 +112,12 @@ class Sampler:
         if metric != "ms_hau_ckpt_write_seconds":
             # write-duration gauges are owned by the checkpoint sites;
             # everything else the sampler keeps current itself.
-            # names come from SERIES_METRICS, each documented in DESIGN.md
-            self.registry.gauge(metric, hau=hau_id).set(value)  # repro-lint: disable=TEL001
+            gauge = self._gauges.get((metric, hau_id))
+            if gauge is None:
+                # names come from SERIES_METRICS, each documented in DESIGN.md
+                gauge = self.registry.gauge(metric, hau=hau_id)  # repro-lint: disable=TEL001
+                self._gauges[metric, hau_id] = gauge
+            gauge.set(value)
 
     def _preserve_bytes(self, hau_id: str) -> float:
         """Retained bytes attributable to this HAU, whichever discipline.

@@ -293,8 +293,17 @@ def test_sanitized_run_freezes_the_heap_like_the_pristine_run(kernel_sanitizer):
 # -- cross-HAU state-isolation guard ------------------------------------------
 
 
+def _hosted(op, hau_id):
+    from repro.dsps.operator import OperatorContext
+
+    op.setup(
+        OperatorContext(hau_id=hau_id, now=lambda: 0.0, rngs=RngRegistry(0))
+    )
+    return op
+
+
 def _make_operator(hau_id):
-    from repro.dsps.operator import Operator, OperatorContext
+    from repro.dsps.operator import Operator
 
     class CounterOp(Operator):
         state_attrs = ("count",)
@@ -303,11 +312,7 @@ def _make_operator(hau_id):
             super().__init__(name="counter")
             self.count = 0
 
-    op = CounterOp()
-    op.setup(
-        OperatorContext(hau_id=hau_id, now=lambda: 0.0, rngs=RngRegistry(0))
-    )
-    return op
+    return _hosted(CounterOp(), hau_id)
 
 
 def test_state_write_from_owner_hau_is_allowed(state_sanitizer):
@@ -389,3 +394,169 @@ def test_digest_case_identical_under_sanitizers():
         state_guard.uninstall()
         san_kernel.uninstall()
     assert sanitized == plain  # every guard armed, result bit-identical
+
+
+# -- snapshot-alias guard: payloads are values ---------------------------------
+
+
+def _make_pooling_operator(hau_id="H1"):
+    from repro.apps.base import SizedPayload
+    from repro.dsps.operator import Operator
+
+    class Pooler(Operator):
+        state_attrs = ("pool", "count")
+
+        def __init__(self):
+            super().__init__(name="pooler")
+            self.pool = [SizedPayload(data={"x": i}, nominal_size=8) for i in range(3)]
+            self.count = 0
+
+    return _hosted(Pooler(), hau_id)
+
+
+def test_restore_of_an_untouched_snapshot_passes(state_sanitizer):
+    op = _make_pooling_operator()
+    snap = op.snapshot()
+    assert snap == {"pool": op.pool, "count": 0}  # still the {attr: value} dict
+    op.pool.append(op.pool[0])  # container writes are the operator's own business
+    op.count += 1
+    fresh = _make_pooling_operator()
+    fresh.restore(snap)
+    fresh.restore(snap)  # and again, as on a second failure
+    assert (len(fresh.pool), fresh.count) == (3, 0)
+
+
+def test_payload_written_in_place_after_a_snapshot_fails_the_restore(state_sanitizer):
+    op = _make_pooling_operator(hau_id="H7")
+    snap = op.snapshot()
+    op.pool[1].data["x"] += 1  # the pooled payload is shared with the snapshot
+    with pytest.raises(SanitizerError, match=r"snapshot alias.*Pooler\.pool.*'H7'"):
+        _make_pooling_operator(hau_id="H7").restore(snap)
+
+
+def test_snapshot_guard_comes_and_goes_with_the_state_guard():
+    from repro.dsps.operator import Operator
+
+    pristine = (Operator.snapshot, Operator.restore)
+    state_guard.install()
+    try:
+        assert Operator.snapshot is state_guard._guarded_snapshot
+        assert Operator.restore is state_guard._guarded_restore
+    finally:
+        state_guard.uninstall()
+    assert (Operator.snapshot, Operator.restore) == pristine
+    # unguarded, the same mutation goes unnoticed: no branch rides on restore
+    op = _make_pooling_operator()
+    snap = op.snapshot()
+    assert type(snap) is dict
+    op.pool[1].data["x"] += 1
+    _make_pooling_operator().restore(snap)
+
+
+def _planted_chain():
+    """source -> operator that writes to a pooled payload in place -> sink."""
+    from repro.apps.base import SizedPayload
+    from repro.dsps.graph import QueryGraph
+    from repro.dsps.operator import Emit, Operator, SourceOperator
+    from repro.dsps.testing import VerifySink
+
+    class PayloadSource(SourceOperator):
+        def generate(self):
+            for i in range(80):
+                yield (0.05, Emit(SizedPayload(data={"x": i}, nominal_size=50_000), 50_000, key=i))
+
+    class InPlaceWriter(Operator):
+        state_attrs = ("pool",)
+
+        def __init__(self):
+            super().__init__(name="writer")
+            self.pool = []
+
+        def on_tuple(self, port, tup):
+            self.pool.append(tup.payload)
+            self.pool[0].data["x"] += 1  # the planted bug
+            return [Emit(payload=len(self.pool), size=64, key=tup.key)]
+
+    g = QueryGraph()
+    g.add_hau("src", lambda: [PayloadSource()], is_source=True)
+    g.add_hau("writer", lambda: [InPlaceWriter()])
+    g.add_hau("sink", lambda: [VerifySink()], is_sink=True)
+    g.connect("src", "writer")
+    g.connect("writer", "sink")
+    return g
+
+
+def test_planted_in_place_write_trips_at_the_next_recovery(
+    kernel_sanitizer, state_sanitizer
+):
+    """End to end, as CI's sanitize job runs: the guard fires inside the
+    recovery process, and the sanitized kernel does not let it die there."""
+    from repro.cluster import ClusterSpec
+    from repro.core import MSSrc
+    from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
+
+    env = Environment()
+    rt = DSPSRuntime(
+        env,
+        StreamApplication(name="planted", graph=_planted_chain()),
+        MSSrc(checkpoint_times=[1.0], enable_recovery=True),
+        RuntimeConfig(seed=7, cluster=ClusterSpec(workers=4, spares=4, racks=2)),
+    )
+    rt.start()
+
+    def killer():
+        yield env.timeout(1.8)
+        rt.haus["sink"].node.fail("injected")
+
+    env.process(killer())
+    with pytest.raises(SanitizerError, match=r"InPlaceWriter\.pool.*'writer'"):
+        env.run(until=20.0)
+
+
+@pytest.mark.parametrize(
+    "app, window, failure_at",
+    [
+        ("tmi", 60.0, 40.0),
+        ("bcp", 60.0, 40.0),
+        ("signalguru", 80.0, 60.0),  # its first round commits late, its reload is long
+        ("synth", 60.0, 40.0),
+    ],
+)
+def test_bundled_apps_recover_clean_under_the_snapshot_guard(
+    app, window, failure_at, kernel_sanitizer, state_sanitizer
+):
+    from repro.harness import ExperimentConfig, run_experiment
+
+    cfg = ExperimentConfig(
+        app=app, scheme="ms-src+ap", n_checkpoints=2, window=window, warmup=10.0,
+        seed=5, enable_recovery=True,
+        app_params={"n_minutes": 0.25} if app == "tmi" else {},
+    )
+    res = run_experiment(cfg, failure_at=failure_at)
+    (recovery,) = res.scheme.recoveries
+    # every HAU was restored, from a checkpoint that was really read back
+    assert recovery.haus_recovered == 55 and recovery.bytes_read > 0
+
+
+def test_install_before_the_first_dsps_import_patches_once():
+    """Under REPRO_SAN=1 importing repro.dsps installs the guard; an
+    explicit install() that triggers that import must not then record the
+    guards as the originals (uninstall would leave them in place, and the
+    guarded snapshot would call itself)."""
+    import subprocess
+    import sys
+
+    from repro.sanitize.canary import _child_env
+
+    code = """
+from repro.sanitize import state_guard
+state_guard.install()
+from repro.dsps.operator import Operator
+assert Operator.snapshot is state_guard._guarded_snapshot
+state_guard.uninstall()
+assert "__setattr__" not in Operator.__dict__
+assert Operator.snapshot.__module__ == "repro.dsps.operator"
+"""
+    env = {**_child_env(0), "REPRO_SAN": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
