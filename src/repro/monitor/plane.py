@@ -6,7 +6,7 @@ sim-time period.  Each *tick* it
 1. folds the trace events emitted since the previous tick into SLO
    samples (checkpoint durations, recovery times, commit recency) and
    the health state machine,
-2. reads counter deltas and P² percentile snapshots from the
+2. reads counter deltas and exact (nearest-rank) percentiles from the
    :class:`~repro.telemetry.registry.MetricRegistry` (pure reads),
 3. advances every burn-rate evaluator and emits ``alert.fire`` /
    ``alert.resolve`` trace events plus ``ms_alerts_*`` metrics, and

@@ -1,7 +1,7 @@
 """Windowed readers over sim-time: tumbling/sliding aggregation helpers.
 
 The monitoring plane *reads* the cumulative state other subsystems
-already maintain — counters and P² percentile snapshots in the
+already maintain — counters and exact histogram percentiles in the
 :class:`~repro.telemetry.registry.MetricRegistry` — and turns it into
 per-window quantities: deltas and rates for counters (tumbling windows,
 one per evaluation tick) and bounded sliding-window aggregates for

@@ -582,16 +582,6 @@ class Environment:
             "pool_misses": self.pool_misses,
         }
 
-    def publish_kernel_metrics(self) -> None:
-        """Fold the kernel counters into ``env.telemetry`` (one shot, at
-        end of run — per-pop increments would tax the hot loop)."""
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            return
-        telemetry.counter("ms_kernel_events_popped_total").inc(self.events_popped)
-        telemetry.counter("ms_kernel_pool_hits_total").inc(self.pool_hits)
-        telemetry.counter("ms_kernel_pool_misses_total").inc(self.pool_misses)
-
     # -- event pooling -------------------------------------------------------
     def register_pool(self, cls: type) -> None:
         """Opt an :class:`Event` subclass into step()-time recycling.

@@ -1,7 +1,7 @@
 """Runtime telemetry: metric registry, per-HAU sampling, exporters.
 
 Counterpart to :mod:`repro.observability` (structured *traces*): this
-package carries aggregated *metrics* — counters, gauges and streaming
+package carries aggregated *metrics* — counters, gauges and exact
 percentile histograms — registered on ``env.telemetry`` and exported as
 a deterministic JSON snapshot or Prometheus text.
 
@@ -16,7 +16,7 @@ from repro.telemetry.export import (
     to_prometheus,
     write_snapshot,
 )
-from repro.telemetry.quantile import P2Quantile, exact_percentile
+from repro.telemetry.quantile import exact_percentile
 from repro.telemetry.registry import (
     DEFAULT_PERCENTILES,
     NULL_REGISTRY,
@@ -38,7 +38,6 @@ __all__ = [
     "MetricRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "P2Quantile",
     "SERIES_METRICS",
     "Sampler",
     "dumps_snapshot",

@@ -5,7 +5,10 @@ sorted by name then labels) and, when a sampler is attached, the per-HAU
 time series.  Every value is simulation-derived, keys are sorted and
 floats rendered by ``repr`` — so two runs with the same seed produce
 *byte-identical* snapshots (the same contract as the trace JSONL export,
-and what CI's telemetry artifact relies on).
+and what CI's telemetry artifact relies on).  The text holds one metric
+and one ``(series, hau)`` row per line: line-diffable, and every row
+goes through the C encoder (``indent=`` would select the pure-Python
+one).
 
 The Prometheus export renders the standard text exposition format
 (counters and gauges verbatim; histograms as summaries with quantile
@@ -20,7 +23,7 @@ from typing import Any
 
 from repro.telemetry.registry import Histogram, RegistryLike
 
-_JSON_KW = dict(sort_keys=True, indent=2, allow_nan=False)
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def snapshot(
@@ -39,7 +42,24 @@ def snapshot(
 
 def dumps_snapshot(snap: dict[str, Any]) -> str:
     """Canonical JSON text for a snapshot (trailing newline included)."""
-    return json.dumps(snap, **_JSON_KW) + "\n"
+    series = []
+    for metric, per_hau in sorted(snap["series"].items()):
+        rows = ",\n".join(
+            f"{_encode(hau)}: {_encode(points)}" for hau, points in sorted(per_hau.items())
+        )
+        series.append(f"{_encode(metric)}: {{\n{rows}\n}}")
+    return "\n".join([
+        "{",
+        f'"meta": {_encode(snap["meta"])},',
+        '"metrics": [',
+        ",\n".join(map(_encode, snap["metrics"])),
+        "],",
+        '"series": {',
+        ",\n".join(series),
+        "}",
+        "}",
+        "",
+    ])
 
 
 def write_snapshot(snap: dict[str, Any], path: str) -> None:

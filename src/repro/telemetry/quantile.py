@@ -1,19 +1,14 @@
-"""Streaming and exact percentile estimation (stdlib only).
+"""Exact percentiles of a sorted sample (stdlib only).
 
-:class:`P2Quantile` implements the P² algorithm (Jain & Chlamtac, CACM
-1985): a single-pass estimator that tracks one quantile with five
-markers — O(1) memory and O(1) per observation, no sample buffer.  It is
-what :class:`~repro.telemetry.registry.Histogram` uses for p50/p95/p99,
-so a telemetry run never accumulates unbounded per-tuple latency lists.
+``nearest_rank_percentile`` is the rule every
+:class:`~repro.telemetry.registry.Histogram` percentile follows at every
+sample size: the ``ceil(q * n)``-th order statistic — an actual observed
+value, never an interpolation past the sample (with a 3-sample monitor
+window, p99 is the 3rd order statistic, its maximum).
 
-``exact_percentile`` is the reference implementation (sorted sample,
-linear interpolation) used for the MetricsHub's exact percentile
-methods and by the tests that bound the P² error.
-``nearest_rank_percentile`` is the exact order statistic the estimator
-reports while fewer observations than markers have arrived: with a
-3-sample window, p99 is the 3rd order statistic — an actual observed
-value, never an interpolation past the sample (monitor windows are
-routinely this sparse).
+``exact_percentile`` is the linear-interpolation variant the MetricsHub's
+percentile methods report (``latency_percentiles`` in sweep payloads and
+digests).
 """
 
 from __future__ import annotations
@@ -58,97 +53,3 @@ def nearest_rank_percentile(sorted_values: Sequence[float], q: float) -> float:
         return 0.0
     rank = max(1, math.ceil(q * n))
     return float(sorted_values[rank - 1])
-
-
-class P2Quantile:
-    """One quantile tracked with the P² five-marker method.
-
-    Until five observations arrive the estimate is exact (sorted buffer);
-    from the sixth on, marker heights are adjusted with the parabolic
-    (or, when that would break monotonicity, linear) formula.  Entirely
-    deterministic: same observation sequence, same estimate.
-    """
-
-    __slots__ = ("p", "count", "_first", "_q", "_n", "_np", "_dn")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile fraction must be in (0, 1), got {p!r}")
-        self.p = float(p)
-        self.count = 0
-        self._first: list[float] = []  # first five observations
-        self._q: list[float] = []  # marker heights
-        self._n: list[float] = []  # actual marker positions
-        self._np: list[float] = []  # desired marker positions
-        self._dn: tuple[float, ...] = ()
-
-    def observe(self, x: float) -> None:
-        x = float(x)
-        self.count += 1
-        if self.count <= 5:
-            self._first.append(x)
-            if self.count == 5:
-                self._first.sort()
-                p = self.p
-                self._q = list(self._first)
-                self._n = [0.0, 1.0, 2.0, 3.0, 4.0]
-                self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-                self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-            return
-        q, n = self._q, self._n
-        # locate the cell k such that q[k] <= x < q[k+1]
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 3
-            for i in range(1, 4):
-                if x < q[i]:
-                    k = i - 1
-                    break
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        # adjust the three interior markers toward their desired positions
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (d <= -1.0 and n[i - 1] - n[i] < -1.0):
-                sign = 1.0 if d >= 0.0 else -1.0
-                cand = self._parabolic(i, sign)
-                if not (q[i - 1] < cand < q[i + 1]):
-                    cand = self._linear(i, sign)
-                q[i] = cand
-                n[i] += sign
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """The current estimate (exact while count <= 5; 0.0 when empty).
-
-        The small-sample path reports the nearest-rank order statistic —
-        an actual observation — rather than interpolating: p99 of a
-        3-sample window is its maximum, not a value 2% below it that
-        was never measured.  Monitor windows are routinely this sparse.
-        """
-        if self.count == 0:
-            return 0.0
-        if self.count <= 5:
-            return nearest_rank_percentile(sorted(self._first), self.p)
-        return self._q[2]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<P2Quantile p={self.p} n={self.count} ~{self.value():.6g}>"

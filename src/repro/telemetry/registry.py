@@ -1,4 +1,4 @@
-"""The metric registry: counters, gauges and streaming histograms.
+"""The metric registry: counters, gauges and exact histograms.
 
 A :class:`MetricRegistry` rides on the simulation
 :class:`~repro.simulation.core.Environment` (``env.telemetry``) the same
@@ -21,10 +21,11 @@ unit suffix where applicable — directly exportable as Prometheus text.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from typing import Any
 
-from repro.telemetry.quantile import P2Quantile
+from repro.telemetry.quantile import nearest_rank_percentile
 
 LabelPairs = tuple[tuple[str, str], ...]
 
@@ -88,14 +89,18 @@ class Gauge:
 
 
 class Histogram:
-    """A streaming distribution: count/sum/min/max plus P² percentiles.
+    """An exact distribution: the observations, reduced when read.
 
-    Keeps no sample buffer — each tracked percentile costs five markers
-    (see :class:`~repro.telemetry.quantile.P2Quantile`), so per-tuple
-    latency observation stays O(1) in both time and memory.
+    ``observe(value)`` is the bound ``append`` of an ``array('d')`` — one
+    C call per observation, 8 bytes each, the array coercing ints to
+    float and rejecting non-numbers.  ``count`` / ``sum`` / ``min`` /
+    ``max`` / ``mean`` and the percentiles are computed from that one
+    record at read time; every percentile is the nearest-rank order
+    statistic (:func:`~repro.telemetry.quantile.nearest_rank_percentile`)
+    — an actual observation, at every sample size.
     """
 
-    __slots__ = ("name", "labels", "count", "sum", "min", "max", "_estimators")
+    __slots__ = ("name", "labels", "observe", "_values", "_ordered", "_percentiles")
 
     kind = "histogram"
 
@@ -105,41 +110,63 @@ class Histogram:
         labels: LabelPairs = (),
         percentiles: tuple[float, ...] = DEFAULT_PERCENTILES,
     ):
+        for p in percentiles:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"percentile fraction must be in [0, 1], got {p!r}")
         self.name = name
         self.labels = labels
-        self.count = 0
-        self.sum = 0.0
-        self.min = 0.0
-        self.max = 0.0
-        self._estimators = {p: P2Quantile(p) for p in percentiles}
+        self._percentiles = tuple(sorted(percentiles))
+        self._values = array("d")
+        self._ordered: list[float] = []
+        self.observe = self._values.append
 
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if self.count == 0:
-            self.min = self.max = value
-        else:
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-        self.count += 1
-        self.sum += value
-        for est in self._estimators.values():
-            est.observe(value)
+    @property
+    def count(self) -> int:
+        return len(self._values)
+
+    @property
+    def sum(self) -> float:
+        # the left-to-right fold a running ``sum += value`` performs
+        # (sum() compensates on 3.12+, fsum() always: other last digits)
+        total = 0.0
+        for value in self._values:
+            total += value
+        return total
+
+    @property
+    def min(self) -> float:
+        return min(self._values, default=0.0)
+
+    @property
+    def max(self) -> float:
+        return max(self._values, default=0.0)
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
+    def _sorted(self) -> list[float]:
+        """The observations in ascending order, cached by length: what
+        arrived since the last read is appended and merged in (timsort
+        on a sorted run plus a tail), so repeated reads of a growing
+        histogram stay linear."""
+        ordered = self._ordered
+        if len(ordered) != len(self._values):
+            ordered.extend(self._values[len(ordered):])
+            ordered.sort()
+        return ordered
+
     def percentile(self, p: float) -> float:
-        est = self._estimators.get(p)
-        if est is None:
+        if p not in self._percentiles:
             raise KeyError(f"histogram {self.name} does not track p={p!r}")
-        return est.value()
+        return nearest_rank_percentile(self._sorted(), p)
 
     def quantiles(self) -> dict[str, float]:
         """``{"p50": ..., "p95": ..., "p99": ...}`` (tracked set)."""
+        ordered = self._sorted()
         return {
-            f"p{round(p * 100):d}": est.value()
-            for p, est in sorted(self._estimators.items())
+            f"p{round(p * 100):d}": nearest_rank_percentile(ordered, p)
+            for p in self._percentiles
         }
 
     def as_dict(self) -> dict[str, Any]:
@@ -237,16 +264,32 @@ class MetricRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create: repeated calls
     with the same identity return the same object, so call sites do not
-    need to cache handles for correctness (they may for speed).
+    need to cache handles for correctness (nor, since the registry
+    remembers how each spelling of an identity canonicalises, for speed).
     """
 
     enabled = True
 
     def __init__(self):
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
+        # (name, labels as a caller wrote them) -> key into _metrics
+        self._keys: dict[tuple, tuple[str, LabelPairs]] = {}
+
+    def _key(self, name: str, labels: dict[str, str]) -> tuple[str, LabelPairs]:
+        """The canonical identity, sorted and ``str()``-ed once per
+        spelling — hits and misses alike, a key is not a metric."""
+        spelling = (name, tuple(labels.items()))
+        key = self._keys.get(spelling)
+        if key is None:
+            key = (name, _label_pairs(labels))
+            # all-str spellings only: 1, 1.0 and True are one dict key
+            # but three label values
+            if all(type(v) is str for v in labels.values()):
+                self._keys[spelling] = key
+        return key
 
     def _get(self, cls, name: str, labels: dict[str, str], **kwargs) -> Metric:
-        key = (name, _label_pairs(labels))
+        key = self._key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls(name, key[1], **kwargs)
@@ -281,7 +324,7 @@ class MetricRegistry:
 
     def get(self, name: str, **labels: str) -> Metric | None:
         """The metric if it exists — never creates (for tooling/tests)."""
-        return self._metrics.get((name, _label_pairs(labels)))
+        return self._metrics.get(self._key(name, labels))
 
     def select(self, prefix: str) -> list[Metric]:
         return [m for m in self.metrics() if m.name.startswith(prefix)]

@@ -160,8 +160,11 @@ def test_ctx_rng_is_the_named_stream_resolved_on_first_read():
 #: sha256(trace JSONL) and run-bundle id of the canonical recovery cell
 #: (tmi/ms-src+ap@2, failure at 35 s: teardown, rewire, re-bound control
 #: links), recorded at the last commit with the eager control star.
+#: The bundle id was re-pinned once, when histograms became exact: of the
+#: bundle's files only ``telemetry.json`` changed, and in it only the
+#: p50/p95/p99 values (38431359bde1e346... with the P² estimates).
 EAGER_STAR_TRACE_SHA256 = "cf5f4dfe6585bc165dfa17cc22513d25986add0039747fad7184bd245421fbab"
-EAGER_STAR_BUNDLE_ID = "38431359bde1e346f149fe6aaeec0021c188cb24bf746027dea3de6bbe865892"
+EAGER_STAR_BUNDLE_ID = "0918a4bacc213fe5bb4a920d8a2aa91d798b8fad5a2b7d497bc14441f0677151"
 
 
 def test_recovery_cell_trace_and_bundle_byte_identical_to_the_eager_star():

@@ -1,12 +1,17 @@
 """Tests for the runtime telemetry subsystem (repro.telemetry):
-P² quantile accuracy, registry semantics, the no-op default, per-HAU
+exact histograms, registry semantics, the no-op default, per-HAU
 sampling, deterministic JSON snapshots, Prometheus export, and the
 report CLI."""
 
+import hashlib
 import json
 import random  # repro-lint: disable=DET002 — seeded local Random instances only, no global state
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import MSSrc, MSSrcAP
@@ -19,7 +24,6 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricRegistry,
-    P2Quantile,
     Sampler,
     dumps_snapshot,
     ensure_registry,
@@ -29,6 +33,8 @@ from repro.telemetry import (
     to_prometheus,
     write_snapshot,
 )
+from repro.telemetry.quantile import nearest_rank_percentile
+from repro.telemetry.registry import DEFAULT_PERCENTILES
 from repro.telemetry.report import main as report_main
 from repro.telemetry.report import render_snapshot
 
@@ -67,44 +73,94 @@ def test_exact_percentile_rejects_bad_fraction():
         exact_percentile([1.0], -0.1)
 
 
-# -- the P² estimator ----------------------------------------------------------
+# -- exact histograms ----------------------------------------------------------
+# The test_p2_* ids date from when a histogram ran three P² estimators;
+# they keep their names (the floor list names them) and now hold the
+# histogram itself to the property each one stated.
 
 
-def test_p2_rejects_degenerate_fractions():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
+def observed(samples, **kw):
+    h = Histogram("h", **kw)
+    for x in samples:
+        h.observe(x)
+    return h
 
 
 def test_p2_empty_and_small_samples_are_exact():
-    est = P2Quantile(0.5)
-    assert est.value() == 0.0
-    for x in [5.0, 1.0, 3.0]:
-        est.observe(x)
-    assert est.value() == pytest.approx(exact_percentile([1.0, 3.0, 5.0], 0.5))
+    assert observed([]).percentile(0.5) == 0.0
+    assert observed([5.0, 1.0, 3.0]).percentile(0.5) == 3.0
 
 
 @pytest.mark.parametrize("p", [0.5, 0.95, 0.99])
 def test_p2_within_5pct_of_exact_on_10k_samples(p):
-    """Acceptance criterion: P² within 5% of the exact sorted percentile."""
+    """The 5 % bound of the streaming estimator is now equality."""
     rng = random.Random(1234)
     samples = [rng.lognormvariate(0.0, 0.5) for _ in range(10_000)]
-    est = P2Quantile(p)
-    for x in samples:
-        est.observe(x)
-    exact = exact_percentile(sorted(samples), p)
-    assert est.value() == pytest.approx(exact, rel=0.05)
+    assert observed(samples).percentile(p) == nearest_rank_percentile(sorted(samples), p)
 
 
 def test_p2_is_deterministic():
     rng = random.Random(7)
     samples = [rng.random() for _ in range(500)]
-    a, b = P2Quantile(0.95), P2Quantile(0.95)
-    for x in samples:
-        a.observe(x)
-        b.observe(x)
-    assert a.value() == b.value()
+    assert observed(samples).as_dict() == observed(samples).as_dict()
+
+
+def nearest_rank_quantiles(xs):
+    ordered = sorted(xs)
+    return {f"p{round(p * 100)}": nearest_rank_percentile(ordered, p)
+            for p in DEFAULT_PERCENTILES}
+
+
+def check_against_reference(h, xs, total):
+    """``xs``: what was observed, as floats; ``total``: their running
+    ``+=`` fold."""
+    assert h.count == len(xs)
+    assert h.min == min(xs, default=0.0) and type(h.min) is float
+    assert h.max == max(xs, default=0.0) and type(h.max) is float
+    assert h.sum.hex() == total.hex()
+    assert h.mean.hex() == (total / len(xs) if xs else 0.0).hex()
+    want = nearest_rank_quantiles(xs)
+    assert h.quantiles() == want
+    assert [h.percentile(p) for p in DEFAULT_PERCENTILES] == list(want.values())
+    assert h.as_dict() == {
+        "name": "h", "labels": {}, "type": "histogram", "count": len(xs),
+        "sum": h.sum, "min": h.min, "max": h.max, "mean": h.mean, **want,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.just("read"),
+)))
+def test_histogram_equals_reference_with_reads_between_writes(script):
+    """Reads interleave with writes: the ordered view is cached by
+    length and extended, and must never serve a stale or unsorted one."""
+    h = Histogram("h")
+    xs, total = [], 0.0
+    for step in script:
+        if step == "read":
+            check_against_reference(h, xs, total)
+        else:
+            h.observe(step)
+            xs.append(float(step))
+            total += float(step)
+    check_against_reference(h, xs, total)
+
+
+def test_histogram_rejects_non_numbers_and_bad_fractions():
+    h = observed([1.0])
+    for junk in ("2.0", None, [3.0]):
+        with pytest.raises(TypeError):
+            h.observe(junk)
+    assert h.count == 1
+    for p in (-0.1, 1.5, 95):
+        with pytest.raises(ValueError):
+            Histogram("h", percentiles=(0.5, p))
+    # 0 and 1 are order statistics like any other: the extremes
+    ends = observed([4.0, 2.0, 8.0], percentiles=(0.0, 1.0))
+    assert ends.quantiles() == {"p0": 2.0, "p100": 8.0}
 
 
 # -- registry semantics --------------------------------------------------------
@@ -127,6 +183,33 @@ def test_registry_kind_mismatch_raises():
         reg.gauge("ms_x_total")
 
 
+def test_registry_canonicalises_each_spelling_once(monkeypatch):
+    """The registry memoises how a call site's spelling of an identity
+    canonicalises — hits and ``get()`` misses alike — without changing
+    what an identity is."""
+    from repro.telemetry import registry as registry_module
+
+    canonicalised = []
+    real = registry_module._label_pairs
+    monkeypatch.setattr(
+        registry_module, "_label_pairs",
+        lambda labels: canonicalised.append(dict(labels)) or real(labels),
+    )
+    reg = MetricRegistry()
+    for _ in range(50):
+        assert reg.get("ms_x_total", hau="a") is None  # not there yet
+    handles = {id(reg.counter("ms_x_total", hau="a")) for _ in range(50)}
+    assert len(handles) == 1 and reg.get("ms_x_total", hau="a") is not None
+    assert canonicalised == [{"hau": "a"}]
+    with pytest.raises(TypeError):  # the memo does not hide a kind mismatch
+        reg.gauge("ms_x_total", hau="a")
+    # str() coercion still folds 1 and "1" into one series, and still keeps
+    # True apart from them although True == 1 as a dict key
+    assert reg.counter("ms_y_total", k=1) is reg.counter("ms_y_total", k="1")
+    assert reg.counter("ms_y_total", k=True) is not reg.counter("ms_y_total", k=1)
+    assert reg.counter("ms_y_total", k=True).labels == (("k", "True"),)
+
+
 def test_counter_rejects_negative():
     with pytest.raises(ValueError):
         Counter("c").inc(-1.0)
@@ -147,9 +230,7 @@ def test_histogram_streams_quantiles():
     assert h.count == 100
     assert h.min == 1.0 and h.max == 100.0
     assert h.mean == pytest.approx(50.5)
-    q = h.quantiles()
-    assert set(q) == {"p50", "p95", "p99"}
-    assert q["p50"] == pytest.approx(50.0, rel=0.1)
+    assert h.quantiles() == {"p50": 50.0, "p95": 95.0, "p99": 99.0}
     with pytest.raises(KeyError):
         h.percentile(0.25)
 
@@ -280,6 +361,34 @@ def test_snapshot_roundtrip_and_render(tmp_path):
     assert "Series: ms_hau_inbox_depth" in report
 
 
+def test_snapshot_text_is_one_row_per_line():
+    env, rt, _ = deploy(MSSrcAP(checkpoint_times=[4.0]), source_count=60)
+    sampler = Sampler(rt, interval=1.0)
+    rt.run(until=10.0)
+    snap = snapshot(env.telemetry, sampler=sampler, meta={"app": "chain", "seed": 7})
+    text = dumps_snapshot(snap)
+    assert json.loads(text) == snap
+    lines = text.splitlines()
+    rows = [line.rstrip(",") for line in lines]
+    # every metric is one line, in registry order ...
+    first = lines.index('"metrics": [') + 1
+    assert [json.loads(r) for r in rows[first:first + len(snap["metrics"])]] == snap["metrics"]
+    # ... every (series, hau) row is one line, and nothing else is longer
+    # than a bracket or a name
+    series_rows = {
+        f"{json.dumps(hau)}: {json.dumps(points)}"
+        for per_hau in snap["series"].values() for hau, points in per_hau.items()
+    }
+    assert series_rows <= set(rows)
+    n_series_rows = sum(len(per_hau) for per_hau in snap["series"].values())
+    assert len(lines) == 7 + len(snap["metrics"]) + 2 * len(snap["series"]) + n_series_rows
+    # an empty snapshot is still a document
+    empty = {"meta": {}, "metrics": [], "series": {}}
+    assert json.loads(dumps_snapshot(empty)) == empty
+    with pytest.raises(ValueError):  # NaN never reaches a file
+        dumps_snapshot({"meta": {"x": float("nan")}, "metrics": [], "series": {}})
+
+
 def test_render_empty_snapshot():
     assert "empty" in render_snapshot({"meta": {}, "metrics": [], "series": {}})
 
@@ -344,12 +453,109 @@ def test_run_experiment_telemetry(tmp_path):
         plain.telemetry_snapshot()
 
 
+# -- two independent records of one run -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def observed_run():
+    """``perf``'s ``observed_run`` operation: bcp/ms-src+ap on the 55-worker
+    cluster, traced, telemetered and monitored."""
+    from repro.harness import ExperimentConfig, run_experiment
+
+    cfg = ExperimentConfig(
+        app="bcp", scheme="ms-src+ap", n_checkpoints=3, window=30.0, warmup=10.0,
+        workers=55, spares=60, racks=4, seed=1, monitor_period=5.0,
+    )
+    return run_experiment(cfg, trace=True, telemetry=True)
+
+
+def test_latency_histograms_agree_with_the_metrics_hub(observed_run):
+    """The registry and ``MetricsHub.stage_samples`` record every
+    processed tuple independently; per HAU they must tell one story."""
+    by_hau: dict[str, list[float]] = {}
+    for hau_id, created, done in observed_run.runtime.metrics.stage_samples:
+        by_hau.setdefault(hau_id, []).append(done - created)
+    histograms = observed_run.telemetry.select("ms_hau_tuple_latency_seconds")
+    busy = {dict(h.labels)["hau"]: h for h in histograms if h.count}
+    assert busy.keys() == by_hau.keys() and len(busy) > 10
+    for hau_id, latencies in by_hau.items():
+        h = busy[hau_id]
+        assert h.count == len(latencies)
+        assert h.quantiles() == nearest_rank_quantiles(latencies)
+
+
+#: sha256 of the run's snapshot without its p50/p95/p99 keys, recorded at
+#: the last commit whose histograms were streaming P² estimators: exact
+#: histograms moved those three keys and nothing else — every count, sum,
+#: min, max, mean, counter, gauge and series point is the parent's.
+STREAMING_PARENT_SNAPSHOT_SHA256 = (
+    "385e3937b17ae01aed707cf731c07c0a7ef0cec163e53413f7015e280c2261b5"
+)
+
+
+def test_snapshot_minus_percentiles_is_the_streaming_parents(observed_run):
+    from repro.harness.digest import environment_fingerprint
+
+    baseline = Path(__file__).resolve().parents[1] / "benchmarks" / "DIGEST_baseline.json"
+    if json.loads(baseline.read_text(encoding="utf-8"))["environment"] != environment_fingerprint():
+        pytest.skip("pin recorded under a different python/numpy build")
+    snap = observed_run.telemetry_snapshot()
+    for metric in snap["metrics"]:
+        for key in ("p50", "p95", "p99"):
+            metric.pop(key, None)
+    text = json.dumps(snap, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STREAMING_PARENT_SNAPSHOT_SHA256
+
+
+def test_a_processed_tuple_makes_at_most_three_telemetry_calls():
+    """Count gate (a count, so it cannot flake): with telemetry on, a
+    processed tuple enters ``repro.telemetry`` Python code at most three
+    times — today twice, the two counters; the latency observation is a
+    C call.  It was 10.8 when each observation fed three estimators."""
+    from repro.apps import synth
+    from repro.dsps.runtime import CheckpointScheme
+
+    topology = {
+        "stages": [
+            {"name": "S", "kind": "source", "count": 50, "interval": 0.005, "size": 4096},
+            {"name": "W", "kind": "map", "size": 4096},
+            {"name": "A", "kind": "map", "size": 4096},
+            {"name": "B", "kind": "map", "size": 4096},
+            {"name": "K", "kind": "sink"},
+        ],
+        "edges": [{"src": a, "dst": b} for a, b in ("SW", "WA", "AB", "BK")],
+    }
+    env = Environment()
+    env.enable_telemetry()
+    rt = DSPSRuntime(
+        env, synth.build(seed=1, topology=topology), CheckpointScheme(),
+        RuntimeConfig(cluster=ClusterSpec(workers=4, spares=2, racks=2)),
+    )
+    rt.start()
+    package = str(Path(sys.modules["repro.telemetry"].__file__).parent)
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        env.run(until=5.0)
+    finally:
+        sys.setprofile(None)
+    tuples = sum(hau.tuples_processed for hau in rt.haus.values())
+    assert tuples == 200  # 50 from the source through four processing stages
+    assert calls <= 3 * tuples, (calls, tuples)
+    latency = env.telemetry.select("ms_hau_tuple_latency_seconds")
+    assert sum(h.count for h in latency) == tuples
+
+
 # -- small-sample quantiles (exact order statistics) ----------------------------
 
 
 def test_nearest_rank_percentile_is_an_observed_value():
-    from repro.telemetry.quantile import nearest_rank_percentile
-
     assert nearest_rank_percentile([], 0.99) == 0.0
     assert nearest_rank_percentile([7.0], 0.99) == 7.0
     # ceil(q * n)-th order statistic, never an interpolation
@@ -366,20 +572,13 @@ def test_nearest_rank_percentile_is_an_observed_value():
 def test_p2_tail_quantiles_exact_below_five_observations(n):
     """Regression: p99 of a tiny window is its maximum — an actual
     observation — not a linear interpolation 2% below anything measured."""
-    from repro.telemetry.quantile import nearest_rank_percentile
-
     samples = [float(x) for x in range(10, 10 + n)]
-    for p in (0.5, 0.95, 0.99):
-        est = P2Quantile(p)
-        for x in samples:
-            est.observe(x)
-        assert est.value() == nearest_rank_percentile(samples, p)
-        assert est.value() in samples
+    h = observed(samples)
+    for p in DEFAULT_PERCENTILES:
+        assert h.percentile(p) == nearest_rank_percentile(samples, p)
+        assert h.percentile(p) in samples
     # in particular the tail of a 3-sample window is its max
-    est = P2Quantile(0.99)
-    for x in (0.3, 0.1, 0.2):
-        est.observe(x)
-    assert est.value() == 0.3
+    assert observed([0.3, 0.1, 0.2]).percentile(0.99) == 0.3
 
 
 def test_histogram_small_sample_percentile_is_observed():
