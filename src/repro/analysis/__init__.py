@@ -6,12 +6,12 @@ invariants that ordinary linters do not know about: model code must
 never read the wall clock, every random draw must come from the seeded
 ``repro.simulation.rng`` streams, export paths must not iterate
 unordered collections, simulation processes must only yield engine
-events, checkpoint schemes must implement their hook protocol, and the
-metric/trace name inventory must stay in sync with DESIGN.md.
+events, checkpoint schemes must implement their hook protocol, and every
+metric / trace name is one ``repro/vocabulary.py`` (and so DESIGN.md) has.
 
 ``python -m repro.analysis`` walks ``src/``, ``benchmarks/`` and
 ``examples/`` once with a shared visitor and dispatches each AST node to
-the registered rules; cross-file rules (schema sync, protocol checks)
+the registered rules; cross-file rules (vocabulary, protocol checks)
 accumulate state and report during a finalize phase.  See
 ``python -m repro.analysis --list-rules`` for the rule inventory.
 """
@@ -25,11 +25,8 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 from repro.analysis import (  # noqa: F401  (registration side effect)
     determinism,
     flow,
-    inspect_rule,
-    monitor_rule,
     protocol,
-    schema,
-    scenarios,
+    vocab,
 )
 
 __all__ = [

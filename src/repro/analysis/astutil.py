@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import re
 
-# `# repro-lint: disable=DET001` or `# repro-lint: disable=DET001,TEL001`
+# `# repro-lint: disable=DET001` or `# repro-lint: disable=DET001,DET005`
 # or `# repro-lint: disable=all` — suppresses matching rules on that line.
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 

@@ -2,7 +2,7 @@
 
 ``python -m repro.analysis [--strict] [--format json|text|github]
 [--baseline FILE] [--write-baseline FILE] [--include-dirs DIRS]
-[--call-graph FILE] [--list-rules] [DIRS...]``
+[--call-graph FILE] [--list-rules] [--write-docs] [DIRS...]``
 
 Exit codes: 0 — clean (errors gate by default; ``--strict`` gates
 warnings too); 1 — at least one gating finding survived baseline and
@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.baseline import baseline_from_findings, load_baseline, write_baseline
+from repro.analysis.docs import write_docs
 from repro.analysis.engine import DEFAULT_DIRS, AnalysisConfig, run_analysis
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import all_rules
@@ -31,8 +32,8 @@ def list_rules_text() -> str:
 
     rules = all_rules()
     table = format_table(
-        ["rule", "severity", "scope", "invariant"],
-        [[cls.id, cls.severity, ",".join(cls.dirs), cls.title] for cls in rules],
+        ["rule", "severity", "scope"],
+        [[cls.id, cls.severity, ",".join(cls.dirs)] for cls in rules],
         title="repro-lint rules",
     )
     sections = [table]
@@ -141,7 +142,12 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="also write the JSON report to FILE (independent of --format)",
     )
-    parser.add_argument("--design", default=None, help="DESIGN.md path (schema rules)")
+    parser.add_argument("--design", default=None, help="DESIGN.md path (generated blocks)")
+    parser.add_argument(
+        "--write-docs",
+        action="store_true",
+        help="rewrite DESIGN.md's generated blocks from src/repro/vocabulary.py and exit",
+    )
     parser.add_argument(
         "--rules",
         default=None,
@@ -172,6 +178,18 @@ def main(argv: list[str] | None = None) -> int:
             d for d in (args.include_dirs or "").split(",") if d
         ),
     )
+    if args.write_docs:
+        design = config.design_path or root / "DESIGN.md"
+        try:
+            rewritten, left = write_docs(root, design)
+        except (OSError, SyntaxError) as exc:
+            print(f"error: cannot write docs: {exc}", file=sys.stderr)
+            return 2
+        print(f"{design}: {rewritten} generated block(s) rewritten")
+        for message in left:
+            print(f"{design}: {message}", file=sys.stderr)
+        return 1 if left else 0
+
     project = run_analysis(config)
     all_findings = project.findings
     findings = all_findings

@@ -29,12 +29,10 @@ class WallClockRule(Rule):
     """DET001 — model and harness code must never read the wall clock."""
 
     id = "DET001"
-    title = "no wall-clock reads in model/simulation code"
+    title = "no wall-clock calls (`time.time`, `datetime.now`, `perf_counter`, `sleep`, ...)"
     rationale = (
-        "simulated time is `env.now`; a wall-clock read (time.time, "
-        "datetime.now, perf_counter, sleep) leaks host timing into "
-        "traces/metrics/artifacts and breaks the byte-identical same-seed "
-        "contract"
+        "simulated time is `env.now`; host timing in model code breaks the byte-identical "
+        "same-seed contract"
     )
     severity = Severity.ERROR
     node_types = (ast.Call,)
@@ -50,13 +48,10 @@ class GlobalRandomRule(Rule):
     """DET002 — all randomness must come from seeded named streams."""
 
     id = "DET002"
-    title = "no global `random` module / legacy numpy global RNG"
+    title = "no global `random` module, no legacy `numpy.random.<fn>` global-state draws"
     rationale = (
-        "every stochastic component must draw from its own named stream "
-        "(`repro.simulation.rng.RngRegistry`); the process-global stdlib "
-        "`random` and `numpy.random.<fn>` state is shared across "
-        "components, so adding one draw anywhere perturbs every seeded "
-        "outcome the regression tests pin"
+        "all randomness flows through seeded named streams (`repro.simulation.rng.RngRegistry`); "
+        "one stray draw perturbs every pinned seed"
     )
     severity = Severity.ERROR
     node_types = (ast.Import, ast.ImportFrom, ast.Call)
@@ -117,13 +112,13 @@ class UnorderedExportRule(Rule):
     """DET003 — export paths iterate collections in sorted order."""
 
     id = "DET003"
-    title = "no set / unsorted-dict-view iteration in serialization paths"
+    title = (
+        "no set iteration in export paths; dict views inside serialiser functions must be "
+        "`sorted(...)`"
+    )
     rationale = (
-        "trace JSONL, telemetry snapshots and bench artifacts promise "
-        "byte-identical output for a given seed; iterating a set (hash "
-        "order) anywhere in an export path, or a dict view inside a "
-        "serialiser function, emits in an order the source does not "
-        "visibly determine — wrap the iterable in sorted()"
+        "trace JSONL / telemetry snapshots / bench artifacts promise byte-identical output per "
+        "seed"
     )
     severity = Severity.ERROR
     node_types = (
@@ -205,13 +200,13 @@ class UnsortedFsEnumerationRule(Rule):
     """DET005 — filesystem enumeration must be explicitly ordered."""
 
     id = "DET005"
-    title = "filesystem enumeration must be wrapped in sorted()"
+    title = (
+        "no unsorted filesystem enumeration (`os.listdir`, `os.scandir`, "
+        "`Path.glob`/`iterdir`/`rglob`) unless wrapped in `sorted(...)`"
+    )
     rationale = (
-        "directory order is filesystem- and history-dependent: an "
-        "os.listdir/scandir/walk or Path.iterdir/glob/rglob whose result "
-        "is consumed unsorted makes cache scans, artifact discovery and "
-        "scenario loading depend on inode history — wrap the enumeration "
-        "directly in sorted() so the order is visible at the call site"
+        "directory order is filesystem-dependent; sweep caches, bundle loaders and campaign "
+        "aggregation must see files in the same order on every host"
     )
     severity = Severity.ERROR
     node_types = (ast.Call,)

@@ -6,7 +6,7 @@ most rules need (import alias table, inline-suppression comments), then
 walks the AST a single time dispatching each node to the rules that
 subscribed to its type.  Cross-file rules accumulate state during the
 walk and report from their ``finalize`` hook, which may also attach
-findings to non-Python files (e.g. DESIGN.md schema drift).
+findings to non-Python files (e.g. a stale DESIGN.md block).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class AnalysisConfig:
     # with ``extra_dirs_ok`` apply there even though the dirs are absent
     # from their declared ``dirs``.
     extra_dirs: tuple[str, ...] = ()
-
-    def resolved_design_path(self) -> Path:
-        return self.design_path if self.design_path is not None else self.root / "DESIGN.md"
 
 
 class ModuleContext:
@@ -123,20 +120,6 @@ class Project:
                 message=message,
             )
         )
-
-    def design_text(self) -> str | None:
-        path = self.config.resolved_design_path()
-        try:
-            return path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def design_relpath(self) -> str:
-        path = self.config.resolved_design_path()
-        try:
-            return path.relative_to(self.root).as_posix()
-        except ValueError:
-            return path.as_posix()
 
 
 class _InternalErrors(Rule):

@@ -61,14 +61,15 @@ class TransitiveExportTaintRule(Rule):
     """DET004 — no nondeterminism may flow into an export sink."""
 
     id = "DET004"
-    title = "transitive nondeterminism must not reach an export sink"
+    title = (
+        "*transitive*: no nondeterminism source (wall clock, global RNG, `os.environ`, unsorted "
+        "enumeration, `id()`/`hash()`) may **reach** an export sink (trace emit, telemetry metric, "
+        "serialiser function) through any call chain"
+    )
     rationale = (
-        "the per-file rules see one function at a time; a helper that "
-        "reads the wall clock, os.environ, id()/hash() or an unsorted "
-        "directory listing taints every trace event, telemetry metric "
-        "and serialised artifact downstream of it — the call graph is "
-        "walked so the leak is reported at the sink even when the source "
-        "hides two calls away"
+        "the per-file rules see one function at a time; a tainted helper poisons every artifact "
+        "downstream of it — the call graph is walked so the leak is reported at the sink even "
+        "when the source hides two calls away"
     )
     suppress_hint = (
         "add `# repro-lint: disable=DET004` on the source line to sanction "
@@ -110,14 +111,13 @@ class PureHookRule(Rule):
     """PUR001 — scheme hooks and snapshot/restore paths stay pure."""
 
     id = "PUR001"
-    title = "scheme hooks and operator snapshot/restore reach no nondeterminism"
+    title = (
+        "*transitive*: checkpoint-scheme hooks and operator `snapshot`/`restore` paths reach no "
+        "nondeterminism"
+    )
     rationale = (
-        "every control decision a checkpoint scheme makes must be "
-        "replayable from simulation state alone (the adaptive-controller "
-        "and chaos-replay roadmaps inherit this); a hook — or a "
-        "snapshot/restore path — that transitively reads the wall clock, "
-        "os.environ or an unsorted directory makes recovery and replay "
-        "diverge from the recorded run"
+        "every control decision a scheme makes must be replayable from simulation state alone; an "
+        "impure hook makes recovery and chaos-replay diverge from the recorded run"
     )
     suppress_hint = (
         "add `# repro-lint: disable=PUR001` on the source line (sanctions "

@@ -137,12 +137,13 @@ class ProcessYieldRule(Rule):
     """SIM001 — process generators yield engine events only."""
 
     id = "SIM001"
-    title = "process generators must yield only engine events"
+    title = (
+        "process generators driven by `env.process` / `spawn` / `Process(...)` yield only engine "
+        "events"
+    )
     rationale = (
-        "the DES kernel fails a process that yields anything but an "
-        "Event (`process ... yielded non-event`); a literal or bare "
-        "yield in a spawned generator is a guaranteed runtime failure "
-        "that static analysis can catch before a sweep burns hours"
+        "the DES kernel rejects non-event yields at runtime (`process ... yielded non-event`), "
+        "typically minutes into a sweep"
     )
     severity = Severity.ERROR
     node_types = (ast.FunctionDef, ast.Call)
@@ -209,14 +210,14 @@ class SchemeProtocolRule(Rule):
     """PROTO001 — checkpoint-scheme / operator hook discipline."""
 
     id = "PROTO001"
-    title = "scheme subclasses implement the hook protocol; save/restore stay paired"
+    title = (
+        "scheme subclasses respect the hook protocol: generator hooks stay generators, plain hooks "
+        "contain no yield, concrete MS variants implement `initiate_round`, operator "
+        "`snapshot`/`restore` stay paired"
+    )
     rationale = (
-        "a concrete MeteorShowerBase subclass without `initiate_round` "
-        "cannot run a round; a generator hook overridden as a plain "
-        "function breaks the HAU's `yield from` mid-checkpoint; a yield "
-        "in a plain hook means the hook body silently never executes; an "
-        "Operator overriding only one of snapshot/restore restores state "
-        "that its own snapshot did not write"
+        "a broken hook fails mid-checkpoint or silently never runs; unpaired serialisation "
+        "diverges recovery from the MRC state"
     )
     severity = Severity.ERROR
     node_types = (ast.ClassDef,)

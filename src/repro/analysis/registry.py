@@ -37,8 +37,7 @@ class Rule:
     #: optional extra fnmatch globs on the POSIX relpath; None = all files
     path_globs: tuple[str, ...] | None = None
     #: whether ``--include-dirs`` opt-in directories (tests/, ...) extend
-    #: this rule's scope; rules whose findings only make sense against
-    #: specific inventory files set this to False
+    #: this rule's scope (not VOC001's: test doubles emit names of their own)
     extra_dirs_ok: bool = True
 
     def applies_to(self, relpath: str) -> bool:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.dsps.operator import Operator
 
 
@@ -126,15 +124,19 @@ class QueryGraph:
     def sinks(self) -> list[str]:
         return sorted(h for h, s in self.haus.items() if s.is_sink)
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.haus)
-        for e in self.edges:
-            g.add_edge(e.src, e.dst)
-        return g
-
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self.to_networkx()))
+        """HAU ids with every edge's src before its dst (Kahn's
+        algorithm); raises :class:`GraphError` if there is a cycle."""
+        waiting = {h: len(self._in.get(h, ())) for h in self.haus}
+        order = [h for h, n in waiting.items() if n == 0]
+        for hau_id in order:  # grows as HAUs lose their last unplaced in-edge
+            for e in self._out.get(hau_id, ()):
+                waiting[e.dst] -= 1
+                if waiting[e.dst] == 0:
+                    order.append(e.dst)
+        if len(order) < len(self.haus):
+            raise GraphError("query network contains a cycle")
+        return order
 
     # -- validation -------------------------------------------------------------------
     def validate(self) -> None:
@@ -148,9 +150,7 @@ class QueryGraph:
         """
         if not self.haus:
             raise GraphError("empty graph")
-        g = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(g):
-            raise GraphError("query network contains a cycle")
+        self.topological_order()  # raises on a cycle
         srcs = self.sources()
         if not srcs:
             raise GraphError("no source HAUs")
@@ -169,8 +169,12 @@ class QueryGraph:
             if ports and ports != list(range(len(ports))):
                 raise GraphError(f"{hau_id} input ports not contiguous: {ports}")
         reachable = set(srcs)
-        for s in srcs:
-            reachable |= nx.descendants(g, s)
+        frontier = list(srcs)
+        for hau_id in frontier:  # grows as new HAUs are reached
+            for e in self._out.get(hau_id, ()):
+                if e.dst not in reachable:
+                    reachable.add(e.dst)
+                    frontier.append(e.dst)
         unreachable = set(self.haus) - reachable
         if unreachable:
             raise GraphError(f"unreachable HAUs: {sorted(unreachable)}")

@@ -1,9 +1,9 @@
 """Failure injection into the simulated cluster.
 
 Turns the statistical failure model into concrete events on a
-:class:`~repro.cluster.topology.DataCenter`.  Four event kinds (the
-authoritative list is :data:`FAILURE_KINDS`; the scenario schema and the
-SCN001 lint rule pin themselves to it):
+:class:`~repro.cluster.topology.DataCenter`.  Four event kinds
+(:data:`FAILURE_KINDS`, from ``repro.vocabulary``; each is executed by
+the ``_inject_<kind>`` method of :class:`FailureInjector`):
 
 * ``node`` — fail-stop of one node (ooops/disk/memory causes);
 * ``rack`` — rack-correlated burst: every node in the rack fail-stops
@@ -35,11 +35,7 @@ import numpy as np
 
 from repro.cluster.topology import DataCenter
 from repro.simulation.core import Environment, Interrupt
-
-#: Event kinds the injector can execute.  The scenario schema
-#: (``repro.scenarios.schema``) and DESIGN.md document exactly this
-#: vocabulary; SCN001 checks all three stay in sync.
-FAILURE_KINDS = ("node", "rack", "partition", "straggler")
+from repro.vocabulary import FAILURE_KINDS
 
 #: Default degradation magnitudes (used by the scenario compiler when a
 #: document omits ``factor``).
@@ -61,6 +57,14 @@ class PlannedFailure:
     cause: str = "injected"
     duration: float = 0.0  # 0 = permanent (degradation kinds only)
     factor: float = 1.0  # slowdown multiplier >= 1 (degradation kinds only)
+
+    def __post_init__(self) -> None:
+        # Here, not at injection: the injector runs as a process nobody
+        # waits on, and the kernel drops such a process's exception.
+        if self.kind not in FAILURE_KINDS:
+            raise ValueError(
+                f"unknown failure kind {self.kind!r}; choose from {', '.join(FAILURE_KINDS)}"
+            )
 
 
 @dataclass
@@ -139,7 +143,7 @@ class FailureInjector:
                 delay = event.at - self.env.now
                 if delay > 0:
                     yield self.env.timeout(delay)
-                self._inject(event)
+                getattr(self, "_inject_" + event.kind)(event)
         except Interrupt:
             return
 
@@ -184,18 +188,6 @@ class FailureInjector:
         self.env.process(restorer(), label=f"failure-restore:{event.target}")
 
     # -- per-kind mechanics --------------------------------------------------
-    def _inject(self, event: PlannedFailure) -> None:
-        if event.kind == "node":
-            self._inject_node(event)
-        elif event.kind == "rack":
-            self._inject_rack(event)
-        elif event.kind == "partition":
-            self._inject_partition(event)
-        elif event.kind == "straggler":
-            self._inject_straggler(event)
-        else:  # pragma: no cover - plan validation
-            raise ValueError(f"unknown failure kind {event.kind!r}")
-
     def _inject_node(self, event: PlannedFailure) -> None:
         try:
             node = self.dc.node(event.target)
@@ -259,3 +251,7 @@ class FailureInjector:
             node.disk.bandwidth *= factor
 
         self._schedule_restore(event, undo)
+
+
+# A declared kind without its handler would be the silent failure above.
+assert all(hasattr(FailureInjector, "_inject_" + kind) for kind in FAILURE_KINDS), FAILURE_KINDS

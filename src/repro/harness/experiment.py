@@ -35,6 +35,7 @@ from repro.telemetry import (
     snapshot,
     write_snapshot,
 )
+from repro.vocabulary import SCHEME_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.plane import MonitorPlane
@@ -42,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FULL_SCALE = bool(int(os.environ.get("REPRO_FULL", "0")))
 DEFAULT_WINDOW = 600.0 if FULL_SCALE else 150.0
 DEFAULT_WARMUP = 60.0 if FULL_SCALE else 30.0
-
-SCHEME_NAMES = ("none", "baseline", "ms-src", "ms-src+ap", "ms-src+ap+aa", "oracle")
 
 
 @dataclass

@@ -27,8 +27,7 @@ yields an identical id, which is what makes the diff engine's
 "identical bundles" short-circuit trustworthy.
 
 The phase vocabulary (:data:`PHASE_SPANS`) mirrors
-``repro.profiling.spans.PHASES`` — the INS001 lint rule keeps the two
-(and the DESIGN.md bundle-schema table) in sync.
+``repro.profiling.spans.PHASES``: both are ``repro.vocabulary.PHASES``.
 """
 
 from __future__ import annotations
@@ -41,16 +40,14 @@ from typing import Any
 
 from repro.harness.digest import canonical_json
 
+# Per-HAU checkpoint phase spans a bundle attributes time to.
+from repro.vocabulary import PHASES as PHASE_SPANS
+
 # v2: bundles carry alerts.json (SLO alert log + health timeline —
 # empty for unmonitored runs).  read_bundle still accepts v1 bundles,
 # defaulting the section.
 BUNDLE_VERSION = 2
 _READABLE_VERSIONS = frozenset({1, 2})
-
-# Per-HAU checkpoint phase spans a bundle attributes time to.  MUST
-# match repro.profiling.spans.PHASES and the DESIGN.md "Run bundles &
-# diffing" table — INS001 fails --strict on drift in any direction.
-PHASE_SPANS = ("token-wait", "safepoint-wait", "snapshot", "disk-io")
 
 MANIFEST_NAME = "MANIFEST.json"
 

@@ -25,14 +25,9 @@ from __future__ import annotations
 
 from typing import Any
 
-# Health vocabulary.  Literal tuple on purpose — repro-lint's MON001
-# rule diffs it against the DESIGN.md health-state table.
-HEALTH_STATES = (
-    "healthy",
-    "degraded",
-    "alerting",
-    "recovering",
-)
+from repro.vocabulary import HEALTH
+
+HEALTH_STATES = tuple(HEALTH)
 
 # Worst-member-wins ordering for the rack rollup.
 _SEVERITY = {"healthy": 0, "degraded": 1, "recovering": 2, "alerting": 3}

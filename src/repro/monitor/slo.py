@@ -26,15 +26,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-# The SLO vocabulary.  A literal tuple on purpose: repro-lint's MON001
-# rule reads it from the AST and diffs it against the DESIGN.md "Live
-# monitoring & SLOs" table, so docs and code cannot drift.
-SLO_KINDS = (
-    "latency-p99",  # probe/per-HAU p99 tuple latency snapshot per tick
-    "checkpoint-duration",  # per-HAU checkpoint.write.start -> commit seconds
-    "recovery-time",  # recovery.start -> recovery.done seconds
-    "checkpoint-staleness",  # per-HAU seconds since last commit, per tick
-)
+from repro.vocabulary import SLOS
+
+# The SLO vocabulary, in evaluation order (scenario ``monitor.slos``
+# mappings, ``expect.alerts`` and the ``ms_alerts_*`` labels use these).
+SLO_KINDS = tuple(SLOS)
 
 # SLO kinds evaluated per HAU (alert subjects are HAU ids); the rest
 # aggregate over the whole run (subject "").
@@ -75,14 +71,9 @@ class SLO:
             )
 
 
-# Default bounds, sized for the scaled-down harness runs (seconds).  A
-# scenario's ``monitor.slos`` mapping overrides per kind.
-DEFAULT_BOUNDS = {
-    "latency-p99": 1.0,
-    "checkpoint-duration": 5.0,
-    "recovery-time": 5.0,
-    "checkpoint-staleness": 60.0,
-}
+# Default bounds (seconds).  A scenario's ``monitor.slos`` mapping
+# overrides per kind.
+DEFAULT_BOUNDS = dict((kind, bound) for kind, (bound, _signal) in SLOS.items())
 
 
 def default_slos(

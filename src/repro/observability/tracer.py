@@ -22,43 +22,10 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
-# Dotted event kinds emitted by the instrumented layers.  Kept in one
-# place so the schema is discoverable; emission sites may add new kinds
-# but should document them in DESIGN.md.
-KINDS = (
-    "hau.start",  # an HAU's processes came up (fresh start or restart)
-    "control.send",  # controller -> HAU control-plane message
-    "token.send",  # a checkpoint token left an HAU along one edge
-    "token.recv",  # a checkpoint token landed in an HAU's inbox
-    "checkpoint.round.start",  # a scheme initiated an application checkpoint
-    "checkpoint.command",  # an HAU learned of the round (control msg or first token)
-    "checkpoint.tokens.done",  # an HAU has seen tokens on all of its input edges
-    "checkpoint.start",  # one HAU began its individual checkpoint
-    "checkpoint.write.start",  # the state write to shared storage began
-    "checkpoint.commit",  # the state write completed (version assigned)
-    "checkpoint.round.complete",  # every HAU of the round committed
-    "replay.out",  # post-recovery re-send of saved in-flight outputs
-    "replay.backlog",  # post-recovery re-processing of pre-token backlog
-    "replay.source",  # post-recovery full-speed source replay
-    "failure.inject",  # the injector (or harness) hit a node/rack/link
-    "failure.restore",  # a timed degradation (partition/straggler) healed
-    "failure.detected",  # the controller's watcher observed dead HAUs
-    "recovery.start",  # global rollback began
-    "recovery.hau.start",  # one HAU began its reload/read/deserialise phases
-    "recovery.hau",  # one HAU finished its reload/read/deserialise phases
-    "recovery.reconnect",  # phase 4: controller re-wired the application
-    "recovery.replay",  # preserved source tuples queued for replay
-    "recovery.done",  # global rollback complete
-    "baseline.recover.start",  # 1-safe single-HAU restart began
-    "baseline.recover.done",  # 1-safe single-HAU restart complete
-    "baseline.unrecoverable",  # correlated failure lost a retained buffer
-    "aa.profile",  # MS-aa profiling finished (dynamic HAUs, smax)
-    "aa.turning_point",  # controller processed a turning-point report
-    "aa.alert.enter",  # total dynamic state dropped below smax
-    "aa.decision",  # MS-aa chose a checkpoint instant (icr | deadline)
-    "alert.fire",  # an SLO's burn rate crossed threshold in both windows
-    "alert.resolve",  # a firing SLO's fast-window burn rate dropped back
-)
+from repro.vocabulary import TRACE_KINDS
+
+# Dotted event kinds the instrumented layers emit, in schema order.
+KINDS = tuple(TRACE_KINDS)
 
 
 @dataclass(frozen=True)

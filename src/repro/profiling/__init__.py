@@ -31,7 +31,6 @@ from repro.profiling.critical_path import (
 )
 from repro.profiling.spans import (
     PHASES,
-    SPAN_KINDS,
     HAUCheckpoint,
     RecoveryTimeline,
     RoundWave,
@@ -43,7 +42,6 @@ from repro.profiling.spans import (
 
 __all__ = [
     "PHASES",
-    "SPAN_KINDS",
     "CriticalPath",
     "HAUCheckpoint",
     "Hop",

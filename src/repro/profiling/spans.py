@@ -26,33 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.observability.tracer import NullTracer, TraceEvent, Tracer
-
-# Trace kinds the span builder consumes.  Every entry MUST exist in
-# ``repro.observability.tracer.KINDS`` — enforced by the TRC002 lint
-# rule (see repro.analysis.schema), which fails ``--strict`` on drift.
-SPAN_KINDS = (
-    "control.send",
-    "token.send",
-    "token.recv",
-    "checkpoint.round.start",
-    "checkpoint.command",
-    "checkpoint.tokens.done",
-    "checkpoint.start",
-    "checkpoint.write.start",
-    "checkpoint.commit",
-    "checkpoint.round.complete",
-    "failure.inject",
-    "failure.detected",
-    "recovery.start",
-    "recovery.hau.start",
-    "recovery.hau",
-    "recovery.reconnect",
-    "recovery.done",
-)
-
-# Per-HAU checkpoint phases, in causal order (DESIGN.md: "Causal
-# timelines & critical paths").
-PHASES = ("token-wait", "safepoint-wait", "snapshot", "disk-io")
+from repro.vocabulary import PHASES  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,9 @@ whole document and returns every :class:`SchemaError`, each carrying a
 values — the errors are meant to be pasted back at the scenario author.
 
 Enums are imported live from the modules that implement them
-(``SCHEME_NAMES``, ``APPS``, ``FAILURE_KINDS``), and the field tuples
-below are plain literals so the ``repro-lint`` SCN001 rule can
-cross-check them against DESIGN.md and the compiler without importing
-anything.
+(``SCHEME_NAMES``, ``APPS``, ``FAILURE_KINDS``); the top-level field list
+is ``repro.vocabulary.SCENARIO_FIELDS``, which DESIGN.md's scenario
+table is generated from.
 """
 
 from __future__ import annotations
@@ -55,25 +54,11 @@ from repro.apps.synth import TopologyError, _check_topology
 from repro.failures.injector import FAILURE_KINDS
 from repro.harness.experiment import SCHEME_NAMES
 from repro.monitor.slo import SLO_KINDS
+from repro.vocabulary import DEGRADATION_KINDS, SCENARIO_FIELDS
 
 VERSION = 1
 
-# Field registries: literal tuples on purpose — repro-lint's SCN001 rule
-# reads them from the AST and diffs them against DESIGN.md's scenario
-# table, so the docs cannot drift from what the validator accepts.
-TOP_LEVEL_FIELDS = (
-    "id",
-    "version",
-    "description",
-    "app",
-    "seed",
-    "cluster",
-    "run",
-    "scheme",
-    "failures",
-    "monitor",
-    "expect",
-)
+TOP_LEVEL_FIELDS = tuple(SCENARIO_FIELDS)
 REQUIRED_FIELDS = ("id", "version", "app", "scheme")
 APP_FIELDS = ("name", "params")
 CLUSTER_FIELDS = ("workers", "spares", "racks")
@@ -91,9 +76,6 @@ SCENARIO_SCHEMES = tuple(s for s in SCHEME_NAMES if s != "oracle")
 _ID_RE = re.compile(r"^[a-z0-9][a-z0-9-]{0,63}$")
 _NODE_RE = re.compile(r"^(w|spare)(\d+)$")
 _RACK_RE = re.compile(r"^rack(\d+)$")
-
-# Degradation kinds take duration/factor; kill kinds must not.
-DEGRADATION_KINDS = ("partition", "straggler")
 
 
 @dataclass(frozen=True)

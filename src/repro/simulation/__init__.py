@@ -27,7 +27,7 @@ from repro.simulation.core import (
     AnyOf,
     AllOf,
 )
-from repro.simulation.resources import Resource, Store, PriorityStore
+from repro.simulation.resources import Resource, Store
 from repro.simulation.rng import RngRegistry
 
 # Opt-in runtime sanitizers (REPRO_SAN=1): installed once at import time
@@ -47,6 +47,5 @@ __all__ = [
     "AllOf",
     "Resource",
     "Store",
-    "PriorityStore",
     "RngRegistry",
 ]

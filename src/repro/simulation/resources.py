@@ -183,8 +183,7 @@ class Store:
             ev.item = item
         # Fast path: room and no queued putters (the steady state) — accept
         # in place, skipping the _drain loop.  The succeed order matches
-        # _drain exactly: the put settles first, then (via the virtual
-        # _drain, so PriorityStore keeps its min-scan) any waiting getter.
+        # _drain exactly: the put settles first, then any waiting getter.
         if not self._putters and len(self.items) < self.capacity:
             self.items.append(ev.item)
             ev.succeed()
@@ -239,59 +238,6 @@ class Store:
     def _abandon_put(self, ev: _Put) -> None:
         if ev in self._putters:
             self._putters.remove(ev)
-
-
-class PriorityStore(Store):
-    """A store that yields the smallest item first (items must be orderable).
-
-    Ties are broken by insertion order via an internal sequence number, so
-    heterogeneous payloads can be wrapped as ``(priority, payload)``.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._seq = 0
-
-    def put(self, item: Any) -> _Put:
-        self._seq += 1
-        return super().put((item, self._seq))
-
-    def get(self) -> _Get:
-        ev = self.env.acquire(_Get)
-        if ev is None:
-            ev = _Get(self.env, self)
-        else:
-            ev.store = self
-        # Fast path mirroring Store.get, with the min-scan pick.
-        if self.items and not self._getters:
-            best_idx = min(range(len(self.items)), key=lambda i: self.items[i])
-            item, _seq = self.items[best_idx]
-            del self.items[best_idx]
-            ev.succeed(item)
-            if self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-            return ev
-        self._getters = [*self._getters, ev]
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            if self._getters and self.items:
-                best_idx = min(range(len(self.items)), key=lambda i: self.items[i])
-                item, _seq = self.items[best_idx]
-                del self.items[best_idx]
-                self._getters.pop(0).succeed(item)
-                progress = True
 
 
 class Gate:

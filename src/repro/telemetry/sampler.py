@@ -21,22 +21,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.telemetry.registry import RegistryLike, ensure_registry
+from repro.vocabulary import SERIES_METRICS
 
 DEFAULT_INTERVAL = 1.0
 
 # Keep in sync with repro.core.preservation.PRESERVE_NS (imported lazily
 # to avoid a package-level import cycle through dsps/simulation).
 _PRESERVE_NS = "preserve"
-
-# The per-HAU gauge series the sampler maintains, in export order.
-SERIES_METRICS = (
-    "ms_hau_inbox_depth",
-    "ms_hau_state_bytes",
-    "ms_hau_inflight_tuples",
-    "ms_hau_holdback_tuples",
-    "ms_hau_preserve_bytes",
-    "ms_hau_ckpt_write_seconds",
-)
 
 
 class Sampler:
@@ -114,8 +105,8 @@ class Sampler:
             # everything else the sampler keeps current itself.
             gauge = self._gauges.get((metric, hau_id))
             if gauge is None:
-                # names come from SERIES_METRICS, each documented in DESIGN.md
-                gauge = self.registry.gauge(metric, hau=hau_id)  # repro-lint: disable=TEL001
+                # names come from SERIES_METRICS
+                gauge = self.registry.gauge(metric, hau=hau_id)
                 self._gauges[metric, hau_id] = gauge
             gauge.set(value)
 

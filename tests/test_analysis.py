@@ -29,10 +29,13 @@ from repro.analysis.engine import (
 )
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.registry import Rule, all_rules, get_rule, register
-from repro.analysis.scenarios import parse_scenario_schema
-from repro.analysis.schema import parse_metric_schema, parse_trace_schema
+from repro.analysis.docs import BLOCKS, VOCABULARY_RELPATH, check_blocks, load_vocabulary
+from repro.analysis.vocab import VocabularyRule
 
 import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_fixture(tmp_path, files, design=None, rule_ids=None, dirs=("src",)):
@@ -436,332 +439,6 @@ def test_proto001_operator_snapshot_without_restore(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# TEL001 — metric names vs DESIGN.md metric schema
-# ---------------------------------------------------------------------------
-
-DESIGN_FIXTURE = """\
-# design
-
-## Trace schema
-
-| prefix | events |
-|---|---|
-| `ckpt.` | `round_started`, `round_done` |
-| `metrics.` | forwarded verbatim by `MetricsHub.record_event` |
-
-## Metric schema
-
-| metric | kind |
-|---|---|
-| `ms_good_total`, `ms_other_total` | counter |
-"""
-
-
-def test_tel001_clean_when_in_sync(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env):
-                env.telemetry.counter("ms_good_total").inc()
-                env.telemetry.counter("ms_other_total").inc()
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    assert project.findings == []
-
-
-def test_tel001_flags_undocumented_and_dead_metrics(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env):
-                env.telemetry.counter("ms_good_total").inc()
-                env.telemetry.gauge("ms_rogue_bytes").set(1.0)
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    msgs = {f.message for f in project.findings}
-    assert any("ms_rogue_bytes" in m and "not documented" in m for m in msgs)
-    assert any("ms_other_total" in m and "never emitted" in m for m in msgs)
-    # the dead-metric finding points at the DESIGN.md table row
-    dead = [f for f in project.findings if "never emitted" in f.message]
-    assert dead[0].path == "DESIGN.md"
-
-
-def test_tel001_flags_dynamic_metric_name(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env, name):
-                env.telemetry.counter(name).inc()
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    assert any("dynamic metric name" in f.message for f in project.findings)
-
-
-def test_tel001_warns_when_design_missing(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env):
-                env.telemetry.counter("ms_x_total").inc()
-            """
-        },
-        rule_ids=["TEL001"],
-    )
-    assert rules_of(project) == ["TEL001"]
-    assert project.findings[0].severity == Severity.WARNING
-
-
-def test_tel001_ignores_non_telemetry_receivers(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env, geiger):
-                env.telemetry.counter("ms_good_total").inc()
-                env.telemetry.counter("ms_other_total").inc()
-                geiger.counter("clicks").inc()
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    assert project.findings == []
-
-
-# ---------------------------------------------------------------------------
-# TRC001 — trace kinds vs KINDS and DESIGN.md trace schema
-# ---------------------------------------------------------------------------
-
-
-def test_trc001_clean_when_in_sync(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace, kind):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-                trace.emit("metrics." + kind)
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    assert project.findings == []
-
-
-def test_trc001_flags_emitted_but_undeclared_kind(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-                trace.emit("ckpt.rogue")
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    assert rules_of(project) == ["TRC001"]
-    assert "ckpt.rogue" in project.findings[0].message
-    assert "not declared in KINDS" in project.findings[0].message
-
-
-def test_trc001_flags_declared_but_never_emitted(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace):
-                trace.emit("ckpt.round_started")
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    msgs = [f.message for f in project.findings]
-    assert any("ckpt.round_done" in m and "never emitted" in m for m in msgs)
-    # the finding points at the KINDS tuple element
-    f = project.findings[0]
-    assert f.path == "src/tracer.py" and f.line == 1
-
-
-def test_trc001_flags_design_doc_drift_both_directions(tmp_path):
-    design = DESIGN_FIXTURE.replace("`round_started`, `round_done`", "`round_started`, `ghost`")
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-            """
-        },
-        design=design,
-        rule_ids=["TRC001"],
-    )
-    msgs = {f.message for f in project.findings}
-    assert any("ckpt.round_done" in m and "not documented" in m for m in msgs)
-    assert any("ckpt.ghost" in m and "not declared in KINDS" in m for m in msgs)
-
-
-def test_trc001_flags_undeclared_dynamic_prefix(tmp_path):
-    design = "\n".join(
-        line
-        for line in DESIGN_FIXTURE.splitlines()
-        if "metrics." not in line
-    )
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace, kind):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-                trace.emit("metrics." + kind)
-            """
-        },
-        design=design,
-        rule_ids=["TRC001"],
-    )
-    assert any("metrics." in f.message and "dynamic" in f.message for f in project.findings)
-
-
-def test_trc001_flags_dynamic_kind_without_constant_prefix(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            def run(trace, kind):
-                trace.emit(kind)
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    assert any("dynamic trace kind" in f.message for f in project.findings)
-
-
-# ---------------------------------------------------------------------------
-# TRC002 — profiling SPAN_KINDS vs tracer KINDS
-# ---------------------------------------------------------------------------
-
-
-def test_trc002_clean_when_span_kinds_subset_of_kinds(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": 'KINDS = ("ckpt.round_started", "ckpt.round_done")\n',
-            "src/spans.py": 'SPAN_KINDS = ("ckpt.round_started",)\n',
-        },
-        rule_ids=["TRC002"],
-    )
-    assert project.findings == []
-
-
-def test_trc002_flags_span_kind_missing_from_kinds(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": 'KINDS = ("ckpt.round_started",)\n',
-            "src/spans.py": 'SPAN_KINDS = ("ckpt.round_started", "ckpt.ghost")\n',
-        },
-        rule_ids=["TRC002"],
-    )
-    assert rules_of(project) == ["TRC002"]
-    f = project.findings[0]
-    assert "ckpt.ghost" in f.message and "tracer.KINDS" in f.message
-    assert f.path == "src/spans.py"
-
-
-def test_trc002_quiet_without_a_kinds_inventory(tmp_path):
-    # A fixture tree with SPAN_KINDS but no KINDS tuple anywhere must not
-    # fire: there is no vocabulary to validate against.
-    project = run_fixture(
-        tmp_path,
-        {"src/spans.py": 'SPAN_KINDS = ("ckpt.round_started",)\n'},
-        rule_ids=["TRC002"],
-    )
-    assert project.findings == []
-
-
-def test_trc002_ignores_computed_and_non_name_assignments(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": 'KINDS = ("a.b",)\n',
-            "src/other.py": """\
-            obj = object()
-            SPAN_KINDS = tuple(sorted(["a.b"]))
-            x, SPAN_KINDS2 = 1, ("a.b",)
-            """,
-        },
-        rule_ids=["TRC002"],
-    )
-    assert project.findings == []
-
-
-def test_repo_span_kinds_match_tracer_kinds():
-    # The real repo invariant TRC002 guards, asserted directly.
-    from repro.observability.tracer import KINDS
-    from repro.profiling import SPAN_KINDS
-
-    assert set(SPAN_KINDS) <= set(KINDS)
-
-
-# ---------------------------------------------------------------------------
-# schema parsers
-# ---------------------------------------------------------------------------
-
-
-def test_parse_metric_schema_first_cell_only():
-    documented = parse_metric_schema(DESIGN_FIXTURE)
-    assert set(documented) == {"ms_good_total", "ms_other_total"}
-    # backticked tokens in later cells (e.g. module paths) never count
-    text = DESIGN_FIXTURE + "| `ms_extra_total` | counter | `ms_not_a_metric` labels |\n"
-    # appended outside the section header scan: re-parse a table inside the section
-    assert "ms_not_a_metric" not in parse_metric_schema(
-        DESIGN_FIXTURE.replace(
-            "| `ms_good_total`, `ms_other_total` | counter |",
-            "| `ms_good_total`, `ms_other_total` | counter about `ms_not_a_metric` |",
-        )
-    )
-    del text
-
-
-def test_parse_trace_schema_kinds_and_dynamic_prefixes():
-    kinds, dynamic = parse_trace_schema(DESIGN_FIXTURE)
-    assert set(kinds) == {"ckpt.round_started", "ckpt.round_done"}
-    assert dynamic == {"metrics."}
-    # CamelCase prose tokens (MetricsHub.record_event) are not events
-
-
-# ---------------------------------------------------------------------------
 # engine plumbing
 # ---------------------------------------------------------------------------
 
@@ -793,7 +470,7 @@ def test_inline_suppression_does_not_hide_other_rules(tmp_path):
             import time
 
             def tick():
-                return time.time()  # repro-lint: disable=TEL001
+                return time.time()  # repro-lint: disable=VOC001
             """
         },
         rule_ids=["DET001"],
@@ -927,7 +604,7 @@ def test_cli_exit_one_on_violation(tmp_path, capsys):
 
 
 def test_cli_strict_gates_warnings(tmp_path, capsys):
-    # telemetry emitted with no DESIGN.md -> a single TEL001 *warning*
+    # telemetry emitted with no vocabulary.py -> a single VOC001 *warning*
     write_repo(
         tmp_path,
         {"src/m.py": 'def f(env):\n    env.telemetry.counter("ms_x_total").inc()\n'},
@@ -1053,8 +730,8 @@ def test_cli_include_dirs_extends_scope(tmp_path, capsys):
 
 
 def test_cli_include_dirs_skips_inventory_rules(tmp_path, capsys):
-    # TEL001-style inventory rules don't apply to opted-in extra dirs:
-    # telemetry in a test helper needs no DESIGN.md registration.
+    # VOC001 does not apply to opted-in extra dirs: telemetry in a test
+    # helper needs no vocabulary entry.
     write_repo(
         tmp_path,
         {
@@ -1144,403 +821,540 @@ def test_cli_stale_baseline_lifecycle(tmp_path, capsys):
 
 def test_repo_is_clean_under_strict(capsys):
     """The acceptance gate: the real tree passes --strict with no baseline."""
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parents[1]
-    assert main(["--root", str(root), "--strict"]) == 0
+    assert main(["--root", str(ROOT), "--strict"]) == 0
 
 
 # ---------------------------------------------------------------------------
-# SCN001 — scenario schema sync (validator / injector / DESIGN.md)
+# VOC001 — names at emission sites and in kind comparisons, and DESIGN.md's
+# generated blocks, vs src/repro/vocabulary.py
+#
+# One planted drift per behaviour, on a fixture tree that is clean without
+# it.  Many ids still carry the number of the rule that used to catch the
+# same drift by parsing a DESIGN.md table (tel001, trc00x, scn001, ins001,
+# mon001): the tier-1 floor list names them, so the names stay and each
+# now plants its drift against the one rule that replaced that parser.
 # ---------------------------------------------------------------------------
 
-_SCN_INJECTOR = """
-    FAILURE_KINDS = ("node", "rack")
+REAL_VOCABULARY = (ROOT / VOCABULARY_RELPATH).read_text(encoding="utf-8")
 
-    class FailureInjector:
-        def _inject(self, event):
-            pass
-
-        def _inject_node(self, event):
-            pass
-
-        def _inject_rack(self, event):
-            pass
+VOCABULARY = """\
+TRACE_KINDS = {
+    "ckpt.round_started": "a round began",
+    "ckpt.round_done": "a round ended",
+}
+TRACE_DYNAMIC = {"metrics.": "forwarded verbatim"}
+METRICS = (
+    ({"ms_good_total": "counter", "ms_other_total": "counter"}, "—", "m.py"),
+)
+SERIES_METRICS = ()
+TRACE_TABLE_NOTES = {}
+PHASES = ("a-wait",)
+SLOS = {"p99": (1.0, "max")}
+HEALTH = {}
+FAILURE_KINDS = ("node",)
+SCENARIO_FIELDS = {}
 """
 
-_SCN_SCHEMA = """
-    TOP_LEVEL_FIELDS = ("id", "app", "failures")
-    DEGRADATION_KINDS = ()
-"""
+MODULE = """\
+def run(env, name):
+    env.telemetry.counter("ms_good_total").inc()
+    env.telemetry.counter("ms_other_total").inc()
+    env.trace.emit("ckpt.round_started", t=env.now)
+    env.trace.emit("ckpt.round_done", t=env.now)
+    env.trace.emit("metrics." + name, t=env.now)
 
-_SCN_DESIGN = """
-    ## Scenario schema (repro.scenarios)
-
-    | field | shape | notes |
-    |---|---|---|
-    | `id` | slug | required |
-    | `app` | mapping | required |
-    | `failures` | list | kinds `node`, `rack` |
-"""
-
-
-def test_scn001_quiet_when_everything_in_sync(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": _SCN_SCHEMA},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_scn001_kind_without_inject_handler(tmp_path):
-    injector = _SCN_INJECTOR.replace(
-        'FAILURE_KINDS = ("node", "rack")',
-        'FAILURE_KINDS = ("node", "rack", "gamma-ray")',
-    )
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": injector, "src/schema.py": _SCN_SCHEMA},
-        design=_SCN_DESIGN.replace("`node`, `rack`", "`node`, `rack`, `gamma-ray`"),
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("no `_inject_gamma-ray` handler" in m for m in messages)
-
-
-def test_scn001_handler_without_declared_kind(tmp_path):
-    injector = _SCN_INJECTOR + "\n    def _inject_flood(self, event):\n        pass\n"
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": injector, "src/schema.py": _SCN_SCHEMA},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`_inject_flood` exists" in m and "not declared" in m for m in messages)
-
-
-def test_scn001_field_drift_both_directions(tmp_path):
-    schema = _SCN_SCHEMA.replace(
-        '("id", "app", "failures")', '("id", "app", "failures", "retries")'
-    )
-    design = _SCN_DESIGN + "    | `budget` | int | undeclared |\n"
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": schema},
-        design=design,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`retries`" in m and "undocumented" in m for m in messages)
-    assert any("`budget`" in m and "validator rejects it" in m for m in messages)
-
-
-def test_scn001_degradation_kind_must_be_failure_kind(tmp_path):
-    schema = _SCN_SCHEMA.replace(
-        "DEGRADATION_KINDS = ()", 'DEGRADATION_KINDS = ("brownout",)'
-    )
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": schema},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`brownout`" in m and "not a FAILURE_KINDS member" in m for m in messages)
-
-
-def test_scn001_documented_kind_not_declared(tmp_path):
-    design = _SCN_DESIGN.replace("`node`, `rack`", "`node`, `rack`, `quake`")
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": _SCN_SCHEMA},
-        design=design,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`quake`" in m and "FAILURE_KINDS" in m for m in messages)
-
-
-def test_scn001_warns_without_design_section(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": _SCN_SCHEMA},
-        design="# nothing relevant\n",
-        rule_ids=["SCN001"],
-    )
-    findings = [f for f in project.findings if f.rule == "SCN001"]
-    assert len(findings) == 1
-    assert findings[0].severity is Severity.WARNING
-    assert "no scenario-schema" in findings[0].message
-
-
-def test_scn001_silent_without_scenario_dsl(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/other.py": "X = 1\n"},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_parse_scenario_schema_fields_and_kinds():
-    import textwrap as _tw
-
-    fields, kinds = parse_scenario_schema(_tw.dedent(_SCN_DESIGN))
-    assert set(fields) == {"id", "app", "failures"}
-    assert set(kinds) == {"node", "rack"}
-    # tokens outside the failures row never count as kinds
-    assert "slug" not in kinds and "mapping" not in kinds
-
-
-def test_live_tree_scn001_clean():
-    """The real src/ + DESIGN.md must satisfy SCN001 (the CI gate)."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    config = AnalysisConfig(root=root, dirs=("src",), rule_ids=("SCN001",))
-    project = run_analysis(config)
-    assert [f.message for f in project.findings] == []
-
-
-# ---------------------------------------------------------------------------
-# INS001 — inspect phase-span sync (profiler / bundle / DESIGN.md)
-# ---------------------------------------------------------------------------
-
-_INS_SPANS = """
-    PHASES = ("token-wait", "snapshot")
-"""
-
-_INS_BUNDLE = """
-    PHASE_SPANS = ("token-wait", "snapshot")
-"""
-
-_INS_DESIGN = """
-    ## Run bundles & diffing (repro.inspect)
-
-    | file | contents |
-    |---|---|
-    | `MANIFEST.json` | hashes |
-    | `phases.json` | totals over the phases `token-wait`, `snapshot` |
+def consume(events):
+    return [e for e in events if e.kind == "ckpt.round_done"]
 """
 
 
-def _ins_fixture(tmp_path, spans=_INS_SPANS, bundle=_INS_BUNDLE, design=_INS_DESIGN):
-    return run_fixture(
-        tmp_path,
-        {
-            "src/repro/profiling/spans.py": spans,
-            "src/repro/inspect/bundle.py": bundle,
-        },
-        design=design,
-        rule_ids=["INS001"],
+SKELETON = "# design\n" + "".join(
+    f"\n<!-- generated:{name} -->stale<!-- /generated:{name} -->\n" for name in BLOCKS
+)
+
+
+def voc_tree(tmp_path, old="", new="", vocabulary=VOCABULARY, **more):
+    """The clean fixture — code, vocabulary and a DESIGN.md generated from
+    it — with ``old`` -> ``new`` planted in whichever of the module / the
+    vocabulary holds ``old``."""
+    assert old in MODULE or old in vocabulary
+    write_repo(tmp_path, {"src/m.py": MODULE.replace(old, new), **more})
+    if vocabulary is not None:
+        write_repo(tmp_path, {VOCABULARY_RELPATH: vocabulary.replace(old, new)}, design=SKELETON)
+        assert main(["--root", str(tmp_path), "--write-docs"]) == 0
+    return tmp_path
+
+
+def voc001(root, **config):
+    return run_analysis(AnalysisConfig(root=root, rule_ids=("VOC001",), **config)).findings
+
+
+def voc(tmp_path, *args, **kwargs):
+    return voc001(voc_tree(tmp_path, *args, **kwargs))
+
+
+def test_tel001_clean_when_in_sync(tmp_path):
+    assert voc(tmp_path) == []
+
+
+def test_tel001_flags_undocumented_and_dead_metrics(tmp_path):
+    rogue, dead = voc(
+        tmp_path, 'counter("ms_other_total").inc()', 'gauge("ms_rogue_bytes").set(1.0)'
     )
+    # emitted but undeclared: at the call, naming the file to edit
+    assert (rogue.path, rogue.line) == ("src/m.py", 3)
+    assert "`ms_rogue_bytes`" in rogue.message and VOCABULARY_RELPATH in rogue.message
+    # declared but never emitted: at the vocabulary row
+    assert (dead.path, dead.line) == (VOCABULARY_RELPATH, 7)
+    assert "`ms_other_total`" in dead.message and "never emitted" in dead.message
 
 
-def test_ins001_quiet_when_everything_in_sync(tmp_path):
-    assert rules_of(_ins_fixture(tmp_path)) == []
+def test_voc001_flags_metric_created_as_another_kind(tmp_path):
+    (f,) = voc(tmp_path, 'counter("ms_good_total").inc()', 'gauge("ms_good_total").set(1.0)')
+    assert (f.path, f.line) == ("src/m.py", 2)
+    assert "`ms_good_total`" in f.message and "gauge" in f.message and "counter" in f.message
 
 
-def test_ins001_profiler_phase_missing_from_bundle(tmp_path):
-    spans = _INS_SPANS.replace('"snapshot")', '"snapshot", "disk-io")')
-    project = _ins_fixture(tmp_path, spans=spans)
-    messages = [f.message for f in project.findings]
-    assert any("`disk-io`" in m and "silently vanish" in m for m in messages)
+def test_tel001_flags_dynamic_metric_name(tmp_path):
+    (f,) = voc(tmp_path, "def consume", "def more(env, name):\n"
+               "    env.telemetry.counter(name).inc()\n\ndef consume")
+    assert (f.path, f.line) == ("src/m.py", 9) and "computed metric name" in f.message
+    # ... except where the names are taken from the declared series
+    sampler = {
+        "src/sampler.py": """\
+        from repro.vocabulary import SERIES_METRICS
 
-
-def test_ins001_bundle_phase_profiler_never_emits(tmp_path):
-    bundle = _INS_BUNDLE.replace('"snapshot")', '"snapshot", "warp")')
-    design = _INS_DESIGN.replace("`snapshot`", "`snapshot`, `warp`")
-    project = _ins_fixture(tmp_path, bundle=bundle, design=design)
-    messages = [f.message for f in project.findings]
-    assert any("`warp`" in m and "cannot occur" in m for m in messages)
-
-
-def test_ins001_order_mismatch(tmp_path):
-    bundle = 'PHASE_SPANS = ("snapshot", "token-wait")\n'
-    project = _ins_fixture(tmp_path, bundle=bundle)
-    messages = [f.message for f in project.findings]
-    assert any("different order" in m for m in messages)
-
-
-def test_ins001_documented_drift_both_directions(tmp_path):
-    spans = _INS_SPANS.replace('"snapshot")', '"snapshot", "disk-io")')
-    bundle = _INS_BUNDLE.replace('"snapshot")', '"snapshot", "disk-io")')
-    design = _INS_DESIGN.replace("`snapshot`", "`snapshot`, `mystery-wait`")
-    project = _ins_fixture(tmp_path, spans=spans, bundle=bundle, design=design)
-    messages = [f.message for f in project.findings]
-    assert any("`disk-io`" in m and "undocumented" in m for m in messages)
-    assert any("`mystery-wait`" in m and "not declared" in m for m in messages)
-
-
-def test_ins001_warns_without_design_table(tmp_path):
-    project = _ins_fixture(tmp_path, design="# nothing relevant\n")
-    findings = [f for f in project.findings if f.rule == "INS001"]
-    assert len(findings) == 1
-    assert findings[0].severity is Severity.WARNING
-    assert "no `phases.json` row" in findings[0].message
-
-
-def test_ins001_silent_without_inspect_layer(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/repro/profiling/spans.py": _INS_SPANS},
-        design=_INS_DESIGN,
-        rule_ids=["INS001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_ins001_ignores_tuples_outside_tracked_paths(tmp_path):
-    # a PHASE_SPANS in some unrelated module must not be harvested
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/repro/profiling/spans.py": _INS_SPANS,
-            "src/repro/inspect/bundle.py": _INS_BUNDLE,
-            "src/other.py": 'PHASE_SPANS = ("bogus",)\n',
-        },
-        design=_INS_DESIGN,
-        rule_ids=["INS001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_parse_bundle_phases_table():
-    import textwrap as _tw
-
-    from repro.analysis.inspect_rule import parse_bundle_phases
-
-    phases = parse_bundle_phases(_tw.dedent(_INS_DESIGN))
-    assert set(phases) == {"token-wait", "snapshot"}
-    # tokens outside the phases.json row never count
-    assert "hashes" not in phases and "file" not in phases
-
-
-def test_live_tree_ins001_clean():
-    """The real src/ + DESIGN.md must satisfy INS001 (the CI gate)."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    config = AnalysisConfig(root=root, dirs=("src",), rule_ids=("INS001",))
-    project = run_analysis(config)
-    assert [f.message for f in project.findings] == []
-
-
-# ---------------------------------------------------------------------------
-# MON001 — monitoring vocabulary sync (SLO kinds / health states / DESIGN.md)
-# ---------------------------------------------------------------------------
-
-_MON_SLO = """
-    SLO_KINDS = ("latency-p99", "checkpoint-staleness")
-"""
-
-_MON_HEALTH = """
-    HEALTH_STATES = ("healthy", "degraded")
-"""
-
-_MON_DESIGN = """
-    ## Live monitoring & SLOs (repro.monitor)
-
-    ### SLO kinds
-
-    | kind | signal |
-    |---|---|
-    | `latency-p99` | p99 of `ms_hau_tuple_latency_seconds` |
-    | `checkpoint-staleness` | seconds since last commit |
-
-    ### Health states
-
-    | state | meaning |
-    |---|---|
-    | `healthy` | fine — prose mentions of `latency-p99` never count |
-    | `degraded` | a sample went over bound |
-"""
-
-
-def _mon_fixture(tmp_path, slo=_MON_SLO, health=_MON_HEALTH, design=_MON_DESIGN):
-    return run_fixture(
-        tmp_path,
-        {
-            "src/repro/monitor/slo.py": slo,
-            "src/repro/monitor/health.py": health,
-        },
-        design=design,
-        rule_ids=["MON001"],
-    )
-
-
-def test_mon001_quiet_when_in_sync(tmp_path):
-    assert rules_of(_mon_fixture(tmp_path)) == []
-
-
-def test_mon001_declared_but_undocumented(tmp_path):
-    slo = _MON_SLO.replace('"checkpoint-staleness")', '"checkpoint-staleness", "recovery-time")')
-    project = _mon_fixture(tmp_path, slo=slo)
-    messages = [f.message for f in project.findings]
-    assert any("`recovery-time`" in m and "not documented" in m for m in messages)
-
-
-def test_mon001_documented_but_undeclared(tmp_path):
-    design = _MON_DESIGN + "    | `recovering` | documented only |\n"
-    project = _mon_fixture(tmp_path, design=design)
-    findings = [f for f in project.findings if f.rule == "MON001"]
-    assert len(findings) == 1
-    assert "`recovering`" in findings[0].message
-    assert "HEALTH_STATES" in findings[0].message
-    assert findings[0].path.endswith("DESIGN.md")
-
-
-def test_mon001_first_cell_and_subsection_scoping():
-    from repro.analysis.monitor_rule import parse_monitor_schema
-
-    documented = parse_monitor_schema(textwrap.dedent(_MON_DESIGN))
-    assert set(documented["SLO_KINDS"]) == {"latency-p99", "checkpoint-staleness"}
-    assert set(documented["HEALTH_STATES"]) == {"healthy", "degraded"}
-    # nothing documented outside the live-monitoring section
-    assert parse_monitor_schema("## Other\n| `healthy` | x |\n") == {
-        "SLO_KINDS": {},
-        "HEALTH_STATES": {},
+        def record(registry, metric, hau):
+            registry.gauge(metric, hau=hau).set(0.0)
+        """
     }
+    series = VOCABULARY.replace("SERIES_METRICS = ()", 'SERIES_METRICS = ("ms_depth",)')
+    assert voc(tmp_path / "ok", vocabulary=series, **sampler) == []
+    (f,) = voc(tmp_path / "dead", vocabulary=series)  # declared, nobody creates them
+    assert f.path == VOCABULARY_RELPATH and "SERIES_METRICS" in f.message
+
+
+def test_tel001_warns_when_design_missing(tmp_path):
+    # names are emitted but the tree has no vocabulary to check them against
+    (f,) = voc(tmp_path, vocabulary=None)
+    assert f.severity == Severity.WARNING and VOCABULARY_RELPATH in f.message
+
+
+def test_tel001_ignores_non_telemetry_receivers(tmp_path):
+    assert voc(tmp_path, "def consume", 'def other(geiger, bus):\n'
+               '    geiger.counter("clicks").inc()\n    bus.emit("no.such")\n\ndef consume') == []
+
+
+def test_trc001_clean_when_in_sync(tmp_path):
+    # an f-string head and a literal kind under a dynamic namespace both count
+    assert voc(tmp_path, '"metrics." + name', 'f"metrics.{name}"') == []
+    assert voc(tmp_path / "b", "def consume", 'def more(env):\n'
+               '    env.trace.emit("metrics.legacy", t=0)\n\ndef consume') == []
+
+
+def test_trc001_flags_emitted_but_undeclared_kind(tmp_path):
+    (f,) = voc(tmp_path, "def consume", 'def more(env):\n'
+               '    env.trace.emit("ckpt.ghost", t=0)\n\ndef consume')
+    assert (f.path, f.line) == ("src/m.py", 9)
+    assert "`ckpt.ghost`" in f.message and VOCABULARY_RELPATH in f.message
+
+
+def test_trc001_flags_declared_but_never_emitted(tmp_path):
+    (f,) = voc(tmp_path, '    env.trace.emit("ckpt.round_done", t=env.now)\n', "")
+    assert (f.path, f.line) == (VOCABULARY_RELPATH, 3)
+    assert "`ckpt.round_done`" in f.message and "never emitted" in f.message
+
+
+def test_trc001_flags_undeclared_dynamic_prefix(tmp_path):
+    site, dead = voc(tmp_path, '"metrics." + name', '"legacy." + name')
+    assert site.path == "src/m.py" and "`legacy.`" in site.message
+    assert "TRACE_DYNAMIC" in site.message
+    assert dead.path == VOCABULARY_RELPATH and "`metrics.`" in dead.message
+
+
+def test_trc001_flags_dynamic_kind_without_constant_prefix(tmp_path):
+    found = voc(tmp_path, '"metrics." + name', "name")
+    assert any("without a constant dotted prefix" in f.message for f in found)
+
+
+CONSUMER = '''
+_DONE = ("ckpt.round_done", "KIND")
+
+def fold(events, kind):
+    for e in events:
+        k = e.kind
+        if k == "ckpt.round_started" or kind in ("ckpt.round_done",) or e.kind in _DONE:
+            yield e
+'''
+
+
+def test_trc002_clean_when_span_kinds_subset_of_kinds(tmp_path):
+    # `x.kind`, a name bound to one, a parameter called kind; a literal,
+    # a literal tuple, a module constant: every form, every kind declared
+    module = {"src/spans.py": CONSUMER.replace("KIND", "ckpt.round_started")}
+    assert voc(tmp_path, **module) == []
+
+
+def test_trc002_flags_span_kind_missing_from_kinds(tmp_path):
+    clean = CONSUMER.replace("KIND", "ckpt.round_started")
+    for i, text in enumerate(
+        (
+            clean.replace('k == "ckpt.round_started"', 'k == "ckpt.ghost"'),
+            clean.replace('("ckpt.round_done",)', '("ckpt.ghost",)'),
+            CONSUMER.replace("KIND", "ckpt.ghost"),
+        )
+    ):
+        (f,) = voc(tmp_path / str(i), **{"src/spans.py": text})
+        assert f.path == "src/spans.py" and "`ckpt.ghost`" in f.message
+        assert "can never match" in f.message and VOCABULARY_RELPATH in f.message
+
+
+def test_trc002_quiet_without_a_kinds_inventory(tmp_path):
+    # comparisons alone (nothing emitted) in a tree with no vocabulary
+    files = {"src/spans.py": CONSUMER}
+    assert run_fixture(tmp_path, files, rule_ids=["VOC001"]).findings == []
+
+
+def test_trc002_ignores_computed_and_non_name_assignments(tmp_path):
+    module = {
+        "src/other.py": """\
+        def f(event, path, kind, name):
+            a = event.kind == "rack"              # a failure kind: not dotted
+            b = path.name == "metrics.json"       # dotted, but not against a kind
+            c = kind.startswith("ckpt.")          # a prefix test, not a comparison
+            d = name == "no.such"
+            return a or b or c or d or kind > "ckpt.zzz"
+        """
+    }
+    assert voc(tmp_path, **module) == []
+
+
+def test_repo_span_kinds_match_tracer_kinds():
+    """On the real tree the comparison check is not vacuous: it sees the
+    span builder's, critical-path walker's, exporters' and monitor's
+    branches, and every kind they wait for is one the tracer declares."""
+    from repro.observability.tracer import KINDS
+
+    rule = VocabularyRule()
+    project = run_analysis(AnalysisConfig(root=ROOT), rules=[rule])
+    assert project.findings == []
+    assert len({kind for kind, _ in rule._compared}) >= 25
+    assert {kind for kind, _ in rule._compared} <= set(KINDS)
+    files = {site[0].rsplit("/", 1)[-1] for _, site in rule._compared}
+    assert {"spans.py", "critical_path.py", "summary.py", "plane.py"} <= files
 
 
 def test_mon001_non_literal_vocabulary_rejected(tmp_path):
-    project = _mon_fixture(tmp_path, health="HEALTH_STATES = tuple(x for x in y)\n")
-    messages = [f.message for f in project.findings]
-    assert any("literal tuple/list" in m for m in messages)
+    computed = VOCABULARY.replace("SERIES_METRICS = ()", "SERIES_METRICS = tuple(sorted([]))")
+    files = {"src/m.py": MODULE, VOCABULARY_RELPATH: computed}
+    (f,) = run_fixture(tmp_path, files, design="# d\n").findings  # every rule: one finding
+    assert (f.rule, f.path, f.line) == ("VOC001", VOCABULARY_RELPATH, 9)
+    assert "`SERIES_METRICS`" in f.message and "plain literal" in f.message
 
 
-def test_mon001_warns_when_design_missing(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/repro/monitor/slo.py": _MON_SLO},
-        rule_ids=["MON001"],
-    )
-    findings = [f for f in project.findings if f.rule == "MON001"]
-    assert len(findings) == 1
-    assert findings[0].severity is Severity.WARNING
-
-
-def test_mon001_ignores_vocabulary_outside_monitor_paths(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/other.py": 'SLO_KINDS = ("bogus",)\n'},
-        design=_MON_DESIGN,
-        rule_ids=["MON001"],
-    )
-    # only the documented-but-undeclared direction is impossible to hit
-    # here: with no tracked declarations at all, the rule stays silent
-    assert rules_of(project) == []
+def test_ins001_ignores_tuples_outside_tracked_paths(tmp_path):
+    # only <root>/src/repro/vocabulary.py is the vocabulary
+    (f,) = voc(tmp_path, vocabulary=None, **{"src/other/vocabulary.py": VOCABULARY})
+    assert f.severity == Severity.WARNING and "was not found" in f.message
 
 
 def test_live_tree_mon001_clean():
-    """The real src/ + DESIGN.md must satisfy MON001 (the CI gate)."""
-    from pathlib import Path
+    """What the rules read from the file is what the program imports."""
+    import repro.vocabulary as module
 
-    root = Path(__file__).resolve().parent.parent
-    config = AnalysisConfig(root=root, dirs=("src",), rule_ids=("MON001",))
-    project = run_analysis(config)
-    assert [f.message for f in project.findings] == []
+    public = {k: v for k, v in vars(module).items() if k.isupper()}
+    assert load_vocabulary(ROOT)[0] == public
+    assert set(module.DEGRADATION_KINDS) <= set(module.FAILURE_KINDS)
+
+
+# -- generated blocks --------------------------------------------------------
+
+def docs_tree(tmp_path, vocabulary=REAL_VOCABULARY, design=SKELETON):
+    """A tree whose DESIGN.md blocks are current for ``vocabulary``."""
+    write_repo(tmp_path, {VOCABULARY_RELPATH: vocabulary}, design=design)
+    assert main(["--root", str(tmp_path), "--write-docs"]) == 0
+    return tmp_path
+
+
+def plant(root, relpath, old, new):
+    text = (root / relpath).read_text(encoding="utf-8")
+    assert old in text
+    (root / relpath).write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+def doc(root):
+    """``(line, message)`` per generated block of DESIGN.md that is not current."""
+    text = (root / "DESIGN.md").read_text(encoding="utf-8")
+    return check_blocks(text, load_vocabulary(root)[0])[1]
+
+
+def stale(root, block):
+    """The one problem: names the block, the file to edit and the command."""
+    ((line, message),) = doc(root)
+    assert f"`{block}` is stale" in message and f"edit {VOCABULARY_RELPATH}" in message
+    assert "--write-docs" in message and line > 1
+    return message
+
+
+def test_scn001_quiet_when_everything_in_sync(tmp_path):
+    assert doc(docs_tree(tmp_path / "real")) == []
+    assert voc001(voc_tree(tmp_path / "wired")) == []
+
+
+def test_ins001_quiet_when_everything_in_sync(tmp_path, capsys):
+    # a stale block is one warning (strict gates it) that prints the diff;
+    # --write-docs repairs a stale file, and only a stale file
+    root = voc_tree(tmp_path)
+    plant(root, "DESIGN.md", "| `p99` |", "| `p90` |")
+    before = (root / "DESIGN.md").read_text()
+    (f,) = voc001(root)
+    assert (f.path, f.severity) == ("DESIGN.md", Severity.WARNING)
+    assert "`slo-kinds` is stale" in f.message and "\n-| `p90` | 1.0 s | max |" in f.message
+    assert main(["--root", str(root)]) == 0
+    assert main(["--root", str(root), "--strict"]) == 1
+    capsys.readouterr()
+    assert main(["--root", str(root), "--write-docs"]) == 0
+    assert "1 generated block(s) rewritten" in capsys.readouterr().out
+    assert (root / "DESIGN.md").read_text() == before.replace("| `p90` |", "| `p99` |")
+    assert main(["--root", str(root), "--write-docs"]) == 0
+    assert "0 generated block(s) rewritten" in capsys.readouterr().out
+    assert main(["--root", str(root), "--strict"]) == 0
+
+
+def test_mon001_quiet_when_in_sync(tmp_path, capsys):
+    # --write-docs without a vocabulary or a DESIGN.md is a usage error
+    write_repo(tmp_path, {"src/m.py": "x = 1\n"})
+    assert main(["--root", str(tmp_path), "--write-docs"]) == 2
+    write_repo(tmp_path, {VOCABULARY_RELPATH: REAL_VOCABULARY})
+    assert main(["--root", str(tmp_path), "--write-docs"]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_trc001_flags_design_doc_drift_both_directions(tmp_path):
+    # a hand edit inside a generated block ...
+    root = docs_tree(tmp_path / "a")
+    plant(root, "DESIGN.md", "`send` / `recv` — checkpoint", "`send` / `receive` — checkpoint")
+    message = stale(root, "trace-schema")
+    assert "-| `token.` | `send` / `receive`" in message
+    assert "+| `token.` | `send` / `recv`" in message
+    # ... and a vocabulary row added without --write-docs
+    root = docs_tree(tmp_path / "b")
+    plant(root, VOCABULARY_RELPATH, '    "token.send":', '    "token.lost": "dropped",\n    "token.send":')
+    assert "+| `token.` | `lost` / `send` / `recv`" in stale(root, "trace-schema")
+
+
+def test_scn001_field_drift_both_directions(tmp_path):
+    root = docs_tree(tmp_path / "a")
+    plant(root, VOCABULARY_RELPATH, '    "seed": (', '    "tenant": ("string", "owner"),\n    "seed": (')
+    assert "+| `tenant` | string | owner |" in stale(root, "scenario-fields")
+    root = docs_tree(tmp_path / "b")
+    plant(root, "DESIGN.md", "| `seed` | int | experiment seed (default 1) |\n", "")
+    assert "+| `seed` | int |" in stale(root, "scenario-fields")
+
+
+def test_scn001_documented_kind_not_declared(tmp_path):
+    # the `failures` row's kind list is FAILURE_KINDS, not prose
+    root = docs_tree(tmp_path)
+    plant(root, VOCABULARY_RELPATH, '"partition", "straggler")', '"partition", "straggler", "meteor")')
+    assert "`straggler`, `meteor` —" in stale(root, "scenario-fields")
+
+
+def test_ins001_documented_drift_both_directions(tmp_path):
+    root = docs_tree(tmp_path / "a")
+    plant(root, "DESIGN.md", "`snapshot`, `disk-io`", "`snapshot`")
+    stale(root, "phases")
+    root = docs_tree(tmp_path / "b")
+    plant(root, VOCABULARY_RELPATH, '"snapshot", "disk-io")', '"snapshot", "disk-io", "fsync")')
+    assert "`disk-io`, `fsync`" in stale(root, "phases")
+
+
+def test_ins001_order_mismatch(tmp_path):
+    root = docs_tree(tmp_path)
+    plant(root, VOCABULARY_RELPATH, '"token-wait", "safepoint-wait"', '"safepoint-wait", "token-wait"')
+    assert "+`safepoint-wait`, `token-wait`, `snapshot`" in stale(root, "phases")
+
+
+def test_mon001_declared_but_undocumented(tmp_path):
+    root = docs_tree(tmp_path)
+    plant(root, VOCABULARY_RELPATH, '    "recovery-time": (', '    "backlog": (9.5, "queue"),\n    "recovery-time": (')
+    assert "+| `backlog` | 9.5 s | queue |" in stale(root, "slo-kinds")
+
+
+def test_mon001_documented_but_undeclared(tmp_path):
+    root = docs_tree(tmp_path)
+    plant(root, "DESIGN.md", "| `degraded` |", "| `zombie` | undead |\n| `degraded` |")
+    assert "-| `zombie` | undead |" in stale(root, "health-states")
+
+
+def test_ins001_profiler_phase_missing_from_bundle(tmp_path):
+    # the rule table is generated too: from the registry, not the vocabulary
+    root = docs_tree(tmp_path)
+    plant(root, "DESIGN.md", "| `DET001` | no wall-clock calls", "| `DET001` | no clocks")
+    assert "+| `DET001` | no wall-clock calls" in stale(root, "lint-rules")
+
+
+def test_scn001_warns_without_design_section(tmp_path):
+    # a DESIGN.md without the markers: every table in it is hand-written
+    write_repo(tmp_path, {VOCABULARY_RELPATH: REAL_VOCABULARY}, design="| metric | kind |\n|---|---|\n")
+    assert [message.split("`")[1] for _, message in doc(tmp_path)] == [
+        f"<!-- generated:{name} -->" for name in sorted(BLOCKS)
+    ]
+    assert main(["--root", str(tmp_path), "--write-docs"]) == 1  # nothing it can rewrite
+
+
+def test_ins001_warns_without_design_table(tmp_path):
+    root = voc_tree(tmp_path)
+    (root / "DESIGN.md").unlink()
+    (f,) = voc001(root)
+    assert (f.path, f.severity) == (VOCABULARY_RELPATH, Severity.WARNING)
+    assert "DESIGN.md" in f.message and "not found" in f.message
+
+
+def test_mon001_warns_when_design_missing(tmp_path):
+    # --design moves the file the blocks are checked (and written) in
+    root = voc_tree(tmp_path)
+    moved = root / "docs" / "design.md"
+    moved.parent.mkdir()
+    (root / "DESIGN.md").rename(moved)
+    assert voc001(root, design_path=moved) == []
+    plant(root, "docs/design.md", "`a-wait`", "`b-wait`")
+    (f,) = voc001(root, design_path=moved)
+    assert f.path == "docs/design.md" and "`phases` is stale" in f.message
+    assert main(["--root", str(root), "--design", str(moved), "--write-docs"]) == 0
+    assert voc001(root, design_path=moved) == []
+
+
+def test_ins001_bundle_phase_profiler_never_emits(tmp_path):
+    # a vocabulary a block cannot be rendered from is that block's finding
+    root = docs_tree(tmp_path)
+    plant(root, VOCABULARY_RELPATH, '    "token.": "checkpoint', '    "tokn.": "checkpoint')
+    ((_, message),) = doc(root)
+    assert "`trace-schema` cannot be rendered" in message and "tokn." in message
+
+
+def test_scn001_silent_without_scenario_dsl(tmp_path):
+    # no vocabulary: nothing in DESIGN.md is generated, markers or not
+    write_repo(tmp_path, {"src/m.py": "x = 1\n"}, design=SKELETON)
+    assert voc001(tmp_path) == []
+
+
+def test_ins001_silent_without_inspect_layer(tmp_path):
+    write_repo(tmp_path, {"src/m.py": "x = 1\n"})
+    assert run_analysis(AnalysisConfig(root=tmp_path)).findings == []
+
+
+def test_mon001_ignores_vocabulary_outside_monitor_paths(tmp_path):
+    # a literal that merely shares a vocabulary name is not the vocabulary
+    root = docs_tree(tmp_path)
+    write_repo(root, {"src/repro/monitor/slo.py": 'SLOS = {"decoy": (1.0, "x")}\n'})
+    assert doc(root) == []
+
+
+def rendered(block, **values):
+    return BLOCKS[block](values).strip("\n").split("\n")
+
+
+def test_parse_metric_schema_first_cell_only():
+    rows = (
+        ({"ms_a_total": "counter", "ms_b_total": "counter"}, "`hau`", "`x.py` per tuple"),
+        ({"ms_c_total": "counter", "ms_c_seconds": "histogram"}, "—", "the watcher"),
+    )
+    assert rendered("metric-schema", METRICS=rows) == [
+        "| metric | kind | labels | emitted by |",
+        "|---|---|---|---|",
+        "| `ms_a_total`, `ms_b_total` | counter | `hau` | `x.py` per tuple |",
+        "| `ms_c_total`, `ms_c_seconds` | counter / histogram | — | the watcher |",
+    ]
+
+
+def test_parse_trace_schema_kinds_and_dynamic_prefixes():
+    kinds = {"hau.start": "came up", "token.send": "left", "token.recv": "landed",
+             "ckpt.start": "began", "ckpt.commit": "done"}
+    notes = {"token.": "hops", "ckpt.commit": "bytes"}
+    table = rendered("trace-schema", TRACE_KINDS=kinds, TRACE_TABLE_NOTES=notes,
+                     TRACE_DYNAMIC={"metrics.": "forwarded"})
+    assert table[2:] == [
+        "| `hau.` | `start` — came up |",  # alone and unannotated: its meaning
+        "| `token.` | `send` / `recv` — hops |",
+        "| `ckpt.` | `start`, `commit` (bytes) |",
+        "| `metrics.` | forwarded |",
+    ]
+
+
+def test_parse_scenario_schema_fields_and_kinds():
+    fields = {"id": ("slug", "required"), "failures": ("list", "kinds {FAILURE_KINDS} — more")}
+    table = rendered("scenario-fields", SCENARIO_FIELDS=fields, FAILURE_KINDS=("node", "rack"))
+    assert table[2:] == [
+        "| `id` | slug | required |",
+        "| `failures` | list | kinds `node`, `rack` — more |",
+    ]
+
+
+def test_parse_bundle_phases_table(tmp_path):
+    # an inline block: the list sits inside a hand-written table row
+    row = "| `phases.json` | over <!-- generated:phases -->?<!-- /generated:phases --> |\n"
+    fresh, problems = check_blocks(row, {"PHASES": ("a-wait", "b-io")})
+    assert fresh == row.replace("?", "`a-wait`, `b-io`")
+    ((_, message),) = [p for p in problems if "stale" in p[1]]
+    assert "`phases` is stale" in message
+
+
+def test_mon001_first_cell_and_subsection_scoping():
+    assert rendered("slo-kinds", SLOS={"p99": (1.0, "max p99"), "stale": (60.0, "age")})[2:] == [
+        "| `p99` | 1.0 s | max p99 |",
+        "| `stale` | 60.0 s | age |",
+    ]
+    assert rendered("health-states", HEALTH={"healthy": "fine"})[2:] == ["| `healthy` | fine |"]
+
+
+def test_live_tree_scn001_clean():
+    """--write-docs is idempotent on the committed DESIGN.md."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    assert check_blocks(text, load_vocabulary(ROOT)[0]) == (text, [])
+
+
+def test_live_tree_ins001_clean():
+    """The committed DESIGN.md holds every generated block exactly once."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    for name in BLOCKS:
+        assert text.count(f"<!-- generated:{name} -->") == 1
+        assert text.count(f"<!-- /generated:{name} -->") == 1
+
+
+# -- kinds vs handlers: the check a lint rule made, now made by the injector --
+
+
+def test_scn001_kind_without_inject_handler(monkeypatch):
+    """A declared kind with no ``_inject_<kind>`` fails at import."""
+    import runpy
+
+    import repro.failures.injector
+    import repro.vocabulary
+
+    monkeypatch.setattr(
+        repro.vocabulary, "FAILURE_KINDS", (*repro.vocabulary.FAILURE_KINDS, "meteor")
+    )
+    with pytest.raises(AssertionError, match="meteor"):
+        runpy.run_path(repro.failures.injector.__file__)
+
+
+def test_scn001_handler_without_declared_kind():
+    """The vocabulary is the gate: a handler alone does not make a kind."""
+    from repro.failures.injector import FailureInjector, PlannedFailure
+
+    class Meteoric(FailureInjector):
+        def _inject_meteor(self, event):  # pragma: no cover - unreachable
+            raise AssertionError
+
+    with pytest.raises(ValueError, match="node, rack, partition, straggler"):
+        PlannedFailure(at=1.0, kind="meteor", target="w0")
+
+
+def test_scn001_degradation_kind_must_be_failure_kind():
+    from repro.scenarios import schema
+
+    assert set(schema.DEGRADATION_KINDS) < set(schema.FAILURE_KINDS)
+    kill = {"at": 1.0, "kind": "node", "target": "w0", "duration": 2.0}
+    document = {"id": "x", "version": 1, "app": {"name": "bcp"}, "scheme": "none"}
+    (error,) = schema.validate({**document, "failures": [kill]})
+    assert "partition / straggler" in error.message

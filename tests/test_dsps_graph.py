@@ -246,3 +246,43 @@ def test_source_without_outbound_rejected():
     g.add_hau("idle", _src, is_source=True)
     with pytest.raises(GraphError, match="source idle has no outbound"):
         g.validate()
+
+
+# -- cycles: every shape reads as a cycle -------------------------------------
+
+def test_self_loop_rejected():
+    g = chain_graph()
+    g.connect("m", "m", src_port=1, dst_port=1)
+    with pytest.raises(GraphError, match="cycle"):
+        g.validate()
+    with pytest.raises(GraphError, match="cycle"):
+        g.topological_order()
+
+
+def test_cycle_no_source_reaches_reads_as_a_cycle():
+    """a <-> b hangs off nothing: it is a cycle, not "unreachable HAUs"
+    (and not "no inbound edges": each has one)."""
+    g = chain_graph()
+    g.add_hau("a", _mapop)
+    g.add_hau("b", _mapop)
+    g.connect("a", "b")
+    g.connect("b", "a")
+    with pytest.raises(GraphError, match="cycle"):
+        g.validate()
+
+
+def test_topological_order_with_parallel_edges_and_a_diamond():
+    g = QueryGraph()
+    g.add_hau("s", _src, is_source=True)
+    g.add_hau("a", _mapop)
+    g.add_hau("b", _mapop)
+    g.add_hau("k", _sink, is_sink=True)
+    g.connect("s", "a")
+    g.connect("s", "b")
+    g.connect("a", "k", src_port=0, dst_port=0)
+    g.connect("a", "k", src_port=1, dst_port=1)  # two edges, one pair
+    g.connect("b", "k", dst_port=2)
+    g.validate()
+    order = g.topological_order()
+    assert sorted(order) == ["a", "b", "k", "s"]
+    assert all(order.index(e.src) < order.index(e.dst) for e in g.edges)

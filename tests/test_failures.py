@@ -133,3 +133,16 @@ def test_injector_unknown_node_ignored():
     plan = FailurePlan(events=[PlannedFailure(at=0.5, kind="node", target="nope")])
     FailureInjector(env, dc, plan).start()
     env.run(until=1.0)  # must not raise
+
+
+def test_unknown_failure_kind_is_rejected_when_the_plan_is_built():
+    """The injector is a process nobody waits on, and the kernel drops
+    such a process's exception: a mistyped kind used to end the injector
+    silently, valid later events included — nothing injected, no error."""
+    with pytest.raises(ValueError, match="node, rack, partition, straggler"):
+        FailurePlan(
+            events=[
+                PlannedFailure(at=1.0, kind="nod", target="w0"),
+                PlannedFailure(at=2.0, kind="node", target="w1"),
+            ]
+        )

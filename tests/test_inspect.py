@@ -175,12 +175,6 @@ def test_same_seed_experiments_write_byte_identical_bundles(tmp_path):
     ]
 
 
-def test_phase_spans_vocabulary_matches_profiler():
-    from repro.profiling.spans import PHASES
-
-    assert PHASE_SPANS == PHASES
-
-
 # ---------------------------------------------------------------------------
 # diff engine: antisymmetry
 # ---------------------------------------------------------------------------

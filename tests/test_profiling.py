@@ -19,7 +19,6 @@ from repro.metrics.breakdown import CheckpointLog
 from repro.observability import write_jsonl
 from repro.profiling import (
     PHASES,
-    SPAN_KINDS,
     Timeline,
     build_timeline,
     compute_critical_path,
@@ -486,13 +485,3 @@ def test_cli_missing_trace_file_exits_two(tmp_path, capsys):
 def test_cli_unknown_scheme_exits_two(capsys):
     assert main(["--schemes", "warp-drive"]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-# -- vocabulary -----------------------------------------------------------------
-
-
-def test_span_kinds_are_a_subset_of_tracer_kinds():
-    from repro.observability.tracer import KINDS
-
-    assert set(SPAN_KINDS) <= set(KINDS)
-    assert len(SPAN_KINDS) == len(set(SPAN_KINDS))

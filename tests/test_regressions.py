@@ -127,3 +127,32 @@ def test_round_state_does_not_leak_across_recovery():
     # no un-snapshotted round state survives the rollback
     stale = [st for st in scheme.rounds.values() if not st.write_done]
     assert all(st.snapshot_done or st.round_id > 2 for st in stale) or not stale
+
+
+def test_src_imports_exactly_the_declared_dependencies():
+    """Bug: ``scenarios/loader.py`` imported ``yaml`` at module top but
+    ``pyproject.toml`` never declared it (``pip install -e .`` only
+    worked where something else had dragged PyYAML in), while ``scipy``
+    was declared and imported by nothing."""
+    import ast
+    import re
+    import sys
+    from pathlib import Path
+
+    import pytest
+
+    tomllib = pytest.importorskip("tomllib")  # python >= 3.11
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.split(r"[^A-Za-z0-9_.-]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
+
+    imported = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    distribution = {"yaml": "pyyaml"}  # import name -> what pip calls it
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert {distribution.get(name, name) for name in third_party} == declared

@@ -1,9 +1,9 @@
-"""Unit tests for Resource / Store / PriorityStore / Gate."""
+"""Unit tests for Resource / Store / Gate."""
 
 import pytest
 
 from repro.simulation import Environment, SimulationError, Store
-from repro.simulation.resources import Gate, PriorityStore, Resource
+from repro.simulation.resources import Gate, Resource
 
 
 def test_resource_capacity_validation():
@@ -161,41 +161,6 @@ def test_store_cancel_get():
     store.put("x")
     # the cancelled getter must not consume the item
     assert len(store) == 1
-
-
-def test_priority_store_orders_items():
-    env = Environment()
-    ps = PriorityStore(env)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield ps.get()
-            got.append(item)
-
-    ps.put(3)
-    ps.put(1)
-    ps.put(2)
-    env.process(consumer())
-    env.run()
-    assert got == [1, 2, 3]
-
-
-def test_priority_store_fifo_on_ties():
-    env = Environment()
-    ps = PriorityStore(env)
-    got = []
-    ps.put((1, "first"))
-    ps.put((1, "second"))
-
-    def consumer():
-        for _ in range(2):
-            item = yield ps.get()
-            got.append(item[1])
-
-    env.process(consumer())
-    env.run()
-    assert got == ["first", "second"]
 
 
 def test_gate_open_passes_immediately():
