@@ -10,7 +10,7 @@ Expected shape: disk I/O dominates; +aa cuts recovery time ~59% vs
 MS-src(+ap), close to the Oracle.
 """
 
-from repro.harness import format_table
+from repro.harness import breakdown_row, format_table
 from repro.harness.experiment import FULL_SCALE
 from repro.harness.figures import fig16_recovery_time
 
@@ -18,23 +18,21 @@ from repro.harness.figures import fig16_recovery_time
 def test_fig16_recovery_time(benchmark):
     data = benchmark.pedantic(fig16_recovery_time, rounds=1, iterations=1)
     for app, per_scheme in data.items():
-        rows = []
-        for scheme in ("ms-src+ap", "ms-src+ap+aa", "oracle"):
-            d = per_scheme.get(scheme, {})
-            rows.append([
-                scheme,
-                f"{d.get('reconnection', float('nan')):.2f}",
-                f"{d.get('disk_io', float('nan')):.2f}",
-                f"{d.get('other', float('nan')):.2f}",
-                f"{d.get('total', float('nan')):.2f}",
-                f"{d.get('bytes_read_mb', float('nan')):.1f}",
-            ])
+        columns = [
+            ("reconnection", ".2f"), ("disk_io", ".2f"), ("other", ".2f"),
+            ("total", ".2f"), ("bytes_read_mb", ".1f"),
+        ]
+        rows = [
+            breakdown_row(scheme, per_scheme[scheme], columns)
+            for scheme in ("ms-src+ap", "ms-src+ap+aa", "oracle")
+        ]
         print("\n" + format_table(
             ["scheme", "reconnect", "disk I/O", "other", "total (s)", "MB read"],
             rows, title=f"Fig. 16 — worst-case recovery, {app} (MS-src and MS-src+ap share recovery)",
         ))
 
-        totals = {s: d["total"] for s, d in per_scheme.items() if d.get("total") == d.get("total")}
+        # a cell that carries a reason (no recovery recorded) is left out
+        totals = {s: d["total"] for s, d in per_scheme.items() if "reason" not in d}
         if {"ms-src+ap", "ms-src+ap+aa", "oracle"} <= set(totals):
             ap = per_scheme["ms-src+ap"]
             # disk I/O dominates recovery over the reconnection round

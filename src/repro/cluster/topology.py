@@ -46,7 +46,8 @@ class ClusterSpec:
 
 
 class Rack:
-    """A failure-correlation domain (top-of-rack switch + power feed)."""
+    """A failure-correlation domain (top-of-rack switch + power feed):
+    ``nodes`` are the workers and spares that fail-stop with it."""
 
     def __init__(self, rack_id: str):
         self.rack_id = rack_id
@@ -88,17 +89,24 @@ class DataCenter:
                 nic_bw=self.spec.nic_bw,
                 disk_bw=disk_bw,
             )
-            rack.nodes.append(node)
             self._nodes[node_id] = node
             return node
 
-        for i in range(self.spec.workers):
-            rack = self.racks[i % self.spec.racks]
-            self.workers.append(make(f"w{i}", rack, self.spec.disk_bw))
-        for i in range(self.spec.spares):
-            rack = self.racks[i % self.spec.racks]
-            self.spares.append(make(f"spare{i}", rack, self.spec.disk_bw))
-        # Storage (and controller) node lives in rack 0, faster disks.
+        def racked(prefix: str, count: int) -> Iterator[Node]:
+            """Round-robin over the racks, joining each one's failure domain."""
+            for i in range(count):
+                rack = self.racks[i % self.spec.racks]
+                node = make(f"{prefix}{i}", rack, self.spec.disk_bw)
+                rack.nodes.append(node)
+                yield node
+
+        self.workers.extend(racked("w", self.spec.workers))
+        self.spares.extend(racked("spare", self.spec.spares))
+        # Storage (and controller) node: behind rack 0's switch (its links
+        # partition with that rack) but in no rack's failure domain — the
+        # paper's shared storage is a reliable service, not a blade in a
+        # worker rack, so a rack burst leaves it up.  Killing it is its
+        # own failure: a `node` kill of "storage" still works.
         self.storage_node = make("storage", self.racks[0], self.spec.storage_disk_bw)
 
     # -- lookups -----------------------------------------------------------------

@@ -292,13 +292,6 @@ class MeteorShowerBase(CheckpointScheme):
                             env.telemetry.histogram(
                                 "ms_recovery_seconds", scheme=self.name
                             ).observe(record.total)
-                    except Exception as exc:
-                        # Surface the failure instead of silently killing
-                        # the watcher: the experiment can inspect events.
-                        self.runtime.metrics.record_event(
-                            env.now, "recovery-failed", repr(exc)
-                        )
-                        raise
                     finally:
                         self._recovering = False
         except Interrupt:

@@ -6,8 +6,10 @@ Turns the statistical failure model into concrete events on a
 the ``_inject_<kind>`` method of :class:`FailureInjector`):
 
 * ``node`` — fail-stop of one node (ooops/disk/memory causes);
-* ``rack`` — rack-correlated burst: every node in the rack fail-stops
-  (the large-scale failures Meteor Shower is built for);
+* ``rack`` — rack-correlated burst: every worker and spare in the rack
+  fail-stops (the large-scale failures Meteor Shower is built for); the
+  shared-storage node is in no rack's failure domain — a ``node`` kill
+  of ``storage`` is its own failure;
 * ``partition`` — network partition around one rack: every channel
   crossing the rack boundary has its latency multiplied by ``factor``
   for ``duration`` seconds (nodes stay alive; tokens and data stall);
@@ -59,8 +61,8 @@ class PlannedFailure:
     factor: float = 1.0  # slowdown multiplier >= 1 (degradation kinds only)
 
     def __post_init__(self) -> None:
-        # Here, not at injection: the injector runs as a process nobody
-        # waits on, and the kernel drops such a process's exception.
+        # Here, not at injection: a misspelt kind is wrong from the moment
+        # the plan is written, not from the instant it would have fired.
         if self.kind not in FAILURE_KINDS:
             raise ValueError(
                 f"unknown failure kind {self.kind!r}; choose from {', '.join(FAILURE_KINDS)}"

@@ -20,7 +20,7 @@ from repro.harness.figures import (
     headline_numbers,
 )
 from repro.harness.digest import combined_digest, result_digest, result_fingerprint
-from repro.harness.report import format_table, format_series
+from repro.harness.report import breakdown_row, format_table, format_series
 from repro.harness.sweep import (
     CellSpec,
     SweepStats,
@@ -57,6 +57,7 @@ __all__ = [
     "fig16_recovery_time",
     "table1_failure_model",
     "headline_numbers",
+    "breakdown_row",
     "format_table",
     "format_series",
 ]

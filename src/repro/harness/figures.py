@@ -252,7 +252,12 @@ def headline_numbers(sweep: SweepResult, apps: list[str] | None = None) -> dict[
             b = sweep.cell(app, scheme_b, n)
             if a and b and getattr(b, metric):
                 vals.append(getattr(a, metric) / getattr(b, metric))
-        return sum(vals) / len(vals) if vals else float("nan")
+        if not vals:
+            raise ValueError(
+                f"no app in {apps} has {metric} cells for both {scheme_a} and "
+                f"{scheme_b} at {n} checkpoints"
+            )
+        return sum(vals) / len(vals)
 
     return {
         "src_thpt_gain_0ckpt": ratio("throughput", "ms-src", "baseline", 0) - 1.0,
@@ -275,12 +280,14 @@ def fig14_checkpoint_time(
     n_checkpoints: int = 2,
     jobs: int | None = None,
     use_cache: bool = True,
-) -> dict[str, dict[str, dict[str, float]]]:
+) -> dict[str, dict[str, dict[str, float | str]]]:
     """Checkpoint time breakdown per app per scheme.
 
     MS-src reports total wall clock (token propagation overlaps individual
     checkpoints); MS-src+ap(+aa) and Oracle report the slowest individual
     checkpoint broken into token collection / disk I/O / other (§IV-B).
+    A cell whose run completed no round has no numbers: it carries
+    ``{"reason": "no complete round (0 of N)"}`` instead.
     """
     apps = apps or ["tmi", "bcp", "signalguru"]
     schemes = ("ms-src", "ms-src+ap", "ms-src+ap+aa", "oracle")
@@ -301,14 +308,16 @@ def fig14_checkpoint_time(
             )
             specs.append(CellSpec(config=cfg))
     payloads = run_cells(specs, jobs=jobs, use_cache=use_cache)
-    out: dict[str, dict[str, dict[str, float]]] = {}
+    out: dict[str, dict[str, dict[str, float | str]]] = {}
     it = iter(payloads)
     for app in apps:
         out[app] = {}
         for scheme in schemes:
-            ckpt = next(it)["checkpoint"]
+            payload = next(it)
+            ckpt = payload["checkpoint"]
             if ckpt is None:
-                out[app][scheme] = {"total": float("nan")}
+                done = payload["rounds_completed"]
+                out[app][scheme] = {"reason": f"no complete round ({done} of {n_checkpoints})"}
             elif scheme == "ms-src":
                 out[app][scheme] = {"total": ckpt["wall_clock"]}
             else:
@@ -361,12 +370,13 @@ def fig16_recovery_time(
     seed: int = 1,
     jobs: int | None = None,
     use_cache: bool = True,
-) -> dict[str, dict[str, dict[str, float]]]:
+) -> dict[str, dict[str, dict[str, float | str]]]:
     """Worst-case recovery: all nodes hosting the application fail.
 
     MS-src and MS-src+ap share recovery (same checkpointed bytes), so one
     entry covers both, per the paper.  MS-src+ap+aa and Oracle recover
-    from smaller checkpoints.
+    from smaller checkpoints.  A cell whose run recorded no recovery
+    carries ``{"reason": ...}`` instead of numbers.
     """
     apps = apps or ["tmi", "bcp", "signalguru"]
     fail_at_frac = 0.6
@@ -388,14 +398,14 @@ def fig16_recovery_time(
             )
             specs.append(CellSpec(config=cfg, failure_at=wu + fail_at_frac * window))
     payloads = run_cells(specs, jobs=jobs, use_cache=use_cache)
-    out: dict[str, dict[str, dict[str, float]]] = {}
+    out: dict[str, dict[str, dict[str, float | str]]] = {}
     it = iter(payloads)
     for app in apps:
         out[app] = {}
         for scheme in schemes:
             rec = next(it)["recovery"]
             if rec is None:
-                out[app][scheme] = {"total": float("nan")}
+                out[app][scheme] = {"reason": "no recovery recorded"}
                 continue
             out[app][scheme] = {
                 "reconnection": rec["reconnect_seconds"],

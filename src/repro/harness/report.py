@@ -26,6 +26,25 @@ def format_table(
     return "\n".join(lines)
 
 
+def breakdown_row(
+    label: str, cell: dict[str, Any], columns: Sequence[tuple[str, str]]
+) -> list[str]:
+    """One row of a breakdown table (Fig. 14 / Fig. 16) from a figure cell.
+
+    ``columns`` are ``(key, format spec)`` pairs.  A part the scheme
+    does not report prints as ``-``; a cell with no numbers at all
+    carries a ``reason`` instead, printed where its total would be —
+    never a ``nan`` that says nothing.
+    """
+    row = [label]
+    for key, spec in columns:
+        if key in cell:
+            row.append(format(cell[key], spec))
+        else:
+            row.append(cell.get("reason", "-") if key == "total" else "-")
+    return row
+
+
 def format_series(
     name: str, points: Sequence[tuple[float, float]], unit: str = ""
 ) -> str:

@@ -1,40 +1,38 @@
 """Kernel sanitizers: free-list poisoning + clock/heap-order assertions.
 
 The kernel recycles hot-path events through per-environment free lists,
-guarded by a refcount-2 check in ``Environment.step`` (only the step
-frame and ``getrefcount`` itself hold the object, so reuse is supposed
-to be invisible).  That guard is sound for CPython refcounting but
+guarded by a refcount-2 check in ``Environment._drain`` (only the drain
+frame and the refcount probe itself hold the object, so reuse is
+supposed to be invisible).  That guard is sound for CPython refcounting but
 *assumes* no C-level cache, debugger hook, or future refactor keeps an
-untracked reference.  Under ``REPRO_SAN=1`` this module replaces the
-pool-touching entry points (``step`` / ``event`` / ``timeout`` /
-``acquire``, plus ``run``, whose inlined fast loop would otherwise
-bypass the audited step, and ``__init__``, which gives the environment a
-stamping FIFO) with copies that additionally:
+untracked reference.  Under ``REPRO_SAN=1`` this module gives every new
+environment auditing *containers* and wraps the kernel's one
+pop-and-fire body; no kernel code is repeated here:
 
-* swap a recycled event's ``__class__`` for a generated *poisoned* twin
-  (same slot layout, every entry point raises
-  :class:`~repro.sanitize.SanitizerError`) while it sits in the pool,
-  and swap it back the moment a factory re-issues it — so pooling
-  behaviour, pool counters and event identity stay bit-identical while
-  any use-after-recycle detonates at the offending line;
-* assert the simulation clock never moves backwards and that *every*
-  pop — heap or current-instant FIFO — respects the ``(time, priority,
-  seq)`` total order the determinism digests rest on.  The kernel's FIFO
-  carries no sequence numbers, so under the sanitizer its appends draw
-  from the heap's counter (:class:`_StampedFifo`): every entry then has
-  exactly the key a single heap would have given it, and a sanitized run
-  is a run-time proof that the two-tier order *is* the heap order.
+* the free lists are :class:`_PoisoningPool` lists: an event appended
+  (recycled) has its ``__class__`` swapped for a generated *poisoned*
+  twin (same slot layout, every entry point raises
+  :class:`~repro.sanitize.SanitizerError`) and gets it back the moment a
+  factory pops (re-issues) it — so pooling behaviour, pool counters and
+  event identity stay bit-identical while any use-after-recycle
+  detonates at the offending line;
+* the current-instant FIFO is a :class:`_StampedFifo`: the kernel's FIFO
+  carries no sequence numbers, so its appends draw from the heap's
+  counter and every entry has exactly the ``(time, priority, seq)`` key
+  a single heap would have given it — a sanitized run is a run-time
+  proof that the two-tier order *is* the heap order;
+* ``_drain`` is wrapped to pop one event at a time: the heap's top is
+  read before each pop and the FIFO reports what it popped, so *every*
+  pop is checked for a poisoned event, a clock that moved backwards and
+  a key that sorts before the previous pop's.
 
 The originals are kept for :func:`uninstall` (test support).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from heapq import heappop, heappush
+from collections import deque
 from typing import Any
-
-from sys import getrefcount
 
 from repro.sanitize import SanitizerError
 
@@ -47,8 +45,6 @@ _core: Any = None
 
 #: original class -> generated poisoned subclass
 _POISONED: dict[type, type] = {}
-#: the reverse set, for the heap defence check in the sanitized step
-_POISON_CLASSES: set[type] = set()
 
 _BLOCKED_METHODS = ("succeed", "fail", "add_callback", "_recycle")
 _BLOCKED_PROPS = ("triggered", "ok", "value")
@@ -69,8 +65,8 @@ def poisoned_class(cls: type) -> type:
             raise SanitizerError(
                 f"use-after-recycle: `{name}` touched on a pooled "
                 f"{cls.__name__} — a reference to this event survived its "
-                "recycle into the environment free list (the refcount-2 "
-                "guard in Environment.step was defeated)"
+                "recycle into the environment free list (the kernel's "
+                "refcount-2 guard was defeated)"
             )
 
         raise_use_after_recycle.__name__ = name
@@ -86,34 +82,23 @@ def poisoned_class(cls: type) -> type:
     ns["__repr__"] = lambda self: f"<poisoned pooled {cls.__name__}>"
     twin = type(f"_Poisoned{cls.__name__}", (cls,), ns)
     _POISONED[cls] = twin
-    _POISON_CLASSES.add(twin)
     return twin
 
 
-# -- heap total-order tracking -------------------------------------------------
+class _PoisoningPool(list):
+    """A free list whose entries are poisoned while they sit in it."""
 
-# Environment has __slots__ (and no __weakref__), so per-environment
-# sanitizer state lives here, keyed by id().  Entries hold the
-# environment strongly to rule out id reuse; the cap bounds the leak to
-# the most recently stepped environments (an evicted env just loses one
-# comparison on its next pop).
-_ORDER_CAP = 64
-_order_state: "OrderedDict[int, tuple[Any, tuple[float, int, int]]]" = OrderedDict()
+    def append(self, event: Any) -> None:
+        event.__class__ = poisoned_class(event.__class__)
+        super().append(event)
+
+    def pop(self) -> Any:
+        event = super().pop()
+        event.__class__ = event.__class__.__base__  # the twin's one base
+        return event
 
 
-def _check_order(env: Any, key: tuple[float, int, int]) -> None:
-    k = id(env)
-    entry = _order_state.get(k)
-    if entry is not None and entry[0] is env and key < entry[1]:
-        raise SanitizerError(
-            f"heap total order violated: popped {key} after {entry[1]} — "
-            "the (time, priority, seq) ordering the determinism digests "
-            "rest on no longer holds"
-        )
-    _order_state[k] = (env, key)
-    _order_state.move_to_end(k)
-    while len(_order_state) > _ORDER_CAP:
-        _order_state.popitem(last=False)
+# -- every pop audited -----------------------------------------------------------
 
 
 class _StampedFifo(deque):
@@ -122,14 +107,20 @@ class _StampedFifo(deque):
     ``append`` draws the next number from ``env._seq`` — the counter heap
     pushes draw from — and records it with the instant, so the entry
     carries the ``(time, NORMAL, seq)`` it would have had on a single
-    heap; the sanitized ``step`` pops ``stamps`` along with the entry.
-    Sequence numbers are not observable, so the run is unchanged.
+    heap; ``popleft`` checks the entry against that key before the
+    kernel fires it.  Sequence numbers are not observable, so the run is
+    unchanged.  The environment has ``__slots__``, so what the audit
+    remembers between pops lives here too: ``last_key``, the key of the
+    latest pop from either tier, and ``popped``, set by ``popleft`` so
+    the ``_drain`` wrapper can tell which tier a pop came from.
     """
 
     def __init__(self, env: Any):
         super().__init__()
         self.env = env
         self.stamps: deque[tuple[float, int]] = deque()
+        self.last_key: tuple[float, int, int] | None = None
+        self.popped = False
 
     def append(self, event: Any) -> None:
         env = self.env
@@ -137,134 +128,76 @@ class _StampedFifo(deque):
         self.stamps.append((env._now, seq))
         super().append(event)
 
+    def popleft(self) -> Any:
+        event = super().popleft()
+        when, seq = self.stamps.popleft()
+        self.last_key = self.check((when, _core.NORMAL, seq), event)
+        self.popped = True
+        return event
 
-# -- sanitized entry points ----------------------------------------------------
-# Each is a line-for-line copy of the original (simulation/core.py) plus
-# the poison/assert additions; pool counters and the event list are
-# touched identically so sanitized runs stay digest-clean.
+    def check(self, key: tuple[float, int, int], event: Any) -> tuple[float, int, int]:
+        """A scheduled entry, next to pop or not: not stale, not recycled,
+        not sorting before what was popped last.  Returns ``key``."""
+        now = self.env._now
+        if key[0] < now - 1e-12:
+            raise SanitizerError(
+                f"simulation clock moved backwards: popped t={key[0]!r} at now={now!r}"
+            )
+        if _POISONED.get(event.__class__.__base__) is event.__class__:  # a twin
+            raise SanitizerError(
+                f"poisoned event popped from the schedule: {event!r} was "
+                "scheduled after being recycled into a free list"
+            )
+        if self.last_key is not None and key < self.last_key:
+            raise SanitizerError(
+                f"heap total order violated: {key} scheduled behind {self.last_key}, "
+                "the last pop — the (time, priority, seq) ordering the "
+                "determinism digests rest on no longer holds"
+            )
+        return key
 
 
 def _san_init(self) -> None:
     _originals["__init__"](self)
     self._fifo = _StampedFifo(self)
+    for cls in self._pools:
+        self._pools[cls] = _PoisoningPool()
 
 
-def _san_step(self) -> None:
+def _san_register_pool(self, cls: type) -> None:
+    if cls not in self._pools:
+        self._pools[cls] = _PoisoningPool()
+
+
+def _san_drain(self, horizon: float, budget: int) -> None:
+    """The kernel's ``_drain``, one audited pop per call of it.
+
+    A heap top that is stale, poisoned or behind the last pop is wrong
+    whichever tier the next pop comes from, so it is checked before the
+    pop; the FIFO checks its own entry as it pops it.
+    """
+    drain = _originals["_drain"]
     fifo = self._fifo
     heap = self._heap
-    now = self._now
-    normal = _core.NORMAL
-    if fifo and not (heap and heap[0][0] <= now and heap[0][1] == normal):
-        event = fifo.popleft()
-        when, seq = fifo.stamps.popleft()
-        prio = normal
-    elif heap:
-        when, prio, seq, event = heappop(heap)
-    else:
-        raise _core.SimulationError("step() on empty schedule")
-    if when < now - 1e-12:
-        raise SanitizerError(
-            f"simulation clock moved backwards: popped t={when!r} at now={now!r}"
-        )
-    _check_order(self, (when, prio, seq))
-    if when > now:
-        self._now = when
-    self.events_popped += 1
-    cls = event.__class__
-    if cls is _core._Kick:
-        event.fire()
-        return
-    if cls in _POISON_CLASSES:
-        raise SanitizerError(
-            f"poisoned event popped from the schedule: {event!r} was "
-            "scheduled after being recycled into a free list"
-        )
-    if not event._ok and isinstance(event._value, SanitizerError):
-        # a guard that tripped inside a process (the state guards do) would
-        # otherwise die with that process: the kernel drops a failure nobody
-        # waits on, and the run would carry on without the HAU or recovery
-        raise event._value
-    event._flushed = True
-    callbacks = event.callbacks
-    if callbacks is not None:
-        event.callbacks = None  # a callback added from here on is too late
-    waiter = event._waiter
-    if waiter is not None:
-        event._waiter = None
-        waiter._resume(event)
-    if callbacks is not None:
-        for cb in callbacks:
-            cb(event)
-    if getrefcount(event) == 2:
-        pool = self._pools.get(cls)
-        if pool is not None and len(pool) < _core._POOL_LIMIT:
-            event._recycle()
-            event.__class__ = poisoned_class(cls)
-            pool.append(event)
-
-
-def _san_event(self, name: str = ""):
-    pool = self._pools[_core.Event]
-    if pool:
-        self.pool_hits += 1
-        ev = pool.pop()
-        ev.__class__ = _core.Event
-        ev.name = name
-        return ev
-    self.pool_misses += 1
-    return _core.Event(self, name=name)
-
-
-def _san_timeout(self, delay: float, value: Any = None):
-    pool = self._pools[_core.Timeout]
-    if pool:
-        if not delay >= 0:
-            raise _core.SimulationError(f"delay {delay!r} is not >= 0")
-        self.pool_hits += 1
-        t = pool.pop()
-        t.__class__ = _core.Timeout
-        t.delay = delay
-        t._value = value
-        t._flushed = False
-        now = self._now
-        when = now + delay
-        if when == now:
-            self._fifo.append(t)
-        else:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (when, _core.NORMAL, seq, t))
-        return t
-    self.pool_misses += 1
-    return _core.Timeout(self, delay, value)
-
-
-def _san_acquire(self, cls: type):
-    pool = self._pools.get(cls)
-    if pool:
-        self.pool_hits += 1
-        ev = pool.pop()
-        ev.__class__ = cls
-        return ev
-    self.pool_misses += 1
-    return None
-
-
-def _san_run(self, until: Any = None) -> Any:
-    # The pristine run() inlines the pop/fire loop for speed, which would
-    # bypass the audited step; the generic stepwise loop drives the
-    # patched step() for every pop, so each one passes the poison and
-    # total-order checks.  Semantics (and digests) are identical.
-    with _core.frozen_heap():
-        return _core.Environment._run_stepwise(self, until)
+    while budget:
+        budget -= 1
+        if heap:
+            # through the heap only: a local holding the event would be the
+            # third reference that keeps the pop from recycling it
+            key = fifo.check(heap[0][:3], heap[0][3])
+        fifo.popped = False
+        before = self.events_popped
+        drain(self, horizon, 1)
+        if self.events_popped == before:
+            break  # nothing due by the horizon
+        if not fifo.popped:
+            fifo.last_key = key  # the pop came off the heap
 
 
 _PATCHES = {
     "__init__": _san_init,
-    "step": _san_step,
-    "event": _san_event,
-    "timeout": _san_timeout,
-    "acquire": _san_acquire,
-    "run": _san_run,
+    "register_pool": _san_register_pool,
+    "_drain": _san_drain,
 }
 _originals: dict[str, Any] = {}
 
@@ -274,11 +207,11 @@ def installed() -> bool:
 
 
 def install() -> None:
-    """Swap the kernel entry points for the sanitized copies (idempotent).
+    """Wrap the kernel's pop seam and hand out auditing containers (idempotent).
 
-    Environments built from here on get the stamping FIFO the sanitized
-    ``step`` reads; install before constructing the ones to be audited
-    (``REPRO_SAN=1`` installs at import).
+    Only environments built from here on get the stamping FIFO and the
+    poisoning pools the wrapper reads; install before constructing the
+    ones to be audited (``REPRO_SAN=1`` installs at import).
     """
     global _core
     if _originals:
@@ -294,13 +227,10 @@ def install() -> None:
 def uninstall() -> None:
     """Restore the original kernel entry points (test support).
 
-    Events still poisoned inside live pools are healed by clearing the
-    pools would be wrong (counters); instead they heal lazily — the
-    original factories never see them because pools drain through the
-    same ``pool.pop()`` path, so tests should discard sanitized
-    environments after uninstalling.
+    An environment built while installed keeps its containers, which go
+    on poisoning, healing and auditing FIFO pops on their own; tests
+    should discard sanitized environments after uninstalling.
     """
     for name, fn in _originals.items():
         setattr(_core.Environment, name, fn)
     _originals.clear()
-    _order_state.clear()

@@ -21,7 +21,9 @@ later registrants, and settles events with inlined scheduling.  Every
 fast path preserves the ``(time, priority, seq)`` total order exactly,
 so same-seed runs remain bit-identical (checked by
 ``benchmarks/DIGEST_baseline.json`` and ``python -m repro.harness.digest``;
-``REPRO_SAN=1`` re-derives the order on every pop).
+``REPRO_SAN=1`` re-derives the order on every pop).  Popping and firing
+an event is written once, in :meth:`Environment._drain`; ``run`` and
+``step`` choose its bounds and the sanitizer wraps it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
 # settled, so monitoring can never perturb workload event order.
 NORMAL = 1
 MONITOR = 2
+
+_FOREVER = float("inf")  # the horizon of a run that has none
 
 # Per-environment free-list bound: big enough to absorb the steady-state
 # churn of a 56-node run, small enough that a burst never pins memory.
@@ -127,7 +131,10 @@ class Interrupt(Exception):
     """Thrown into a process that is interrupted while waiting.
 
     ``cause`` carries an arbitrary payload describing why (e.g. the
-    failure event that killed the node hosting the process).
+    failure event that killed the node hosting the process).  A process
+    that lets it through ends quietly, succeeded with ``None``; it is the
+    only exception that does — any other fails the process, and a failed
+    process nothing waits on stops the run (:meth:`Environment._drain`).
     """
 
     def __init__(self, cause: Any = None):
@@ -203,7 +210,7 @@ class Event:
     def _recycle(self) -> None:
         """Reset to pristine pre-settlement state before pooling.
 
-        Called by :meth:`Environment.step` only on provably-unreferenced
+        Called by :meth:`Environment._drain` only on provably-unreferenced
         instances of registered pool classes; subclasses with extra
         references override and chain up so the pool never pins objects.
         """
@@ -284,41 +291,40 @@ class Timeout(Event):
         self.callbacks = None
 
 
+def _awaited(event: "Event") -> None:
+    """What ``run(until=event)`` registers on its event: the run itself
+    reads the outcome, so a failed process is consumed, not unhandled."""
+
+
 class _Kick:
     """A pooled direct-resume marker in the current-instant FIFO.
 
     Replaces the throwaway ``boot:``/``rewait:``/``interrupt:`` kick
-    events: when popped, :meth:`fire` sends the settled value (or throws
-    the stored exception) straight into the waiting generator — no Event
-    allocation, no callback-list flush.  A kick is always due now, so it
+    events and carries the outcome it delivers the way an event does:
+    ``_ok`` / ``_value`` are ``True, None`` for a boot, ``False,
+    Interrupt(cause)`` for an interrupt and the flushed target's own
+    outcome for a rewait.  When popped, :meth:`fire` hands itself to
+    :meth:`Process._resume` — no Event allocation, no callback-list
+    flush, no second resume body.  A kick is always due now, so it
     takes the FIFO position the event it replaces would have taken and
     the total order is untouched.  Kicks are engine-internal and never
     escape to model code, so they recycle unconditionally after firing.
     """
 
-    __slots__ = ("env", "process", "target", "throw")
+    __slots__ = ("env", "process", "_ok", "_value")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self.process: Process | None = None
-        self.target: Event | None = None
-        self.throw: BaseException | None = None
+        self._ok = True
+        self._value: Any = None
 
     def fire(self) -> None:
-        proc, target, throw = self.process, self.target, self.throw
-        self.process = self.target = self.throw = None
+        self.process._resume(self)
+        self.process = self._value = None
         pool = self.env._kick_pool
         if len(pool) < _POOL_LIMIT:
             pool.append(self)
-        if throw is not None:
-            # interrupt: _step itself ignores already-finished processes
-            proc._step(throw=throw)
-        elif target is not None:
-            # rewait: deliver the flushed target's outcome
-            proc._resume(target)
-        elif not proc._settled:
-            # boot: first resumption of a fresh generator
-            proc._step(send=None)
 
 
 class _Condition(Event):
@@ -421,12 +427,12 @@ class Process(Event):
             elif waited.callbacks and self._resume in waited.callbacks:
                 waited.callbacks.remove(self._resume)
         self._waiting_on = None
-        self.env._schedule_kick(self, throw=Interrupt(cause))
+        self.env._schedule_kick(self, False, Interrupt(cause))
 
     # -- internal ----------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        # The callback-side twin of _step with the delegated call inlined:
-        # this runs once per popped event, so the extra frame is visible.
+    def _resume(self, event: "Event | _Kick") -> None:
+        """Deliver ``event``'s outcome to the generator: the one resume body,
+        for a popped event, a callback and a kick alike."""
         self._waiting_on = None
         if self._settled:
             return
@@ -439,41 +445,13 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except Interrupt:
-            self.succeed(None)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-
-        if not isinstance(target, Event):
-            self._generator.close()
-            self.fail(SimulationError(f"process {self.label!r} yielded non-event {target!r}"))
-            return
-        self._waiting_on = target
-        if target._flushed:
-            self.env._schedule_kick(self, target=target)
-        elif target.callbacks is None and target._waiter is None:
-            target._waiter = self  # first registrant: resumed directly
-        else:
-            target.add_callback(self._resume)
-
-    def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
-        if self._settled:
-            return
-        try:
-            if throw is not None:
-                target = self._generator.throw(throw)
-            else:
-                target = self._generator.send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
             # An uncaught Interrupt terminates the process quietly: this is
             # the normal fate of a process on a killed node.
             self.succeed(None)
             return
         except BaseException as exc:
+            # Anything else is a failure somebody has to consume: waiters
+            # see it raised, and with none the kernel stops the run.
             self.fail(exc)
             return
 
@@ -485,7 +463,7 @@ class Process(Event):
         if target._flushed:
             # The event already flushed its callbacks (it fired in the past):
             # resume via a pooled kick so we stay in schedule order.
-            self.env._schedule_kick(self, target=target)
+            self.env._schedule_kick(self, target._ok, target._value)
         elif target.callbacks is None and target._waiter is None:
             target._waiter = self  # first registrant: resumed directly
         else:
@@ -584,7 +562,7 @@ class Environment:
 
     # -- event pooling -------------------------------------------------------
     def register_pool(self, cls: type) -> None:
-        """Opt an :class:`Event` subclass into step()-time recycling.
+        """Opt an :class:`Event` subclass into pop-time recycling.
 
         The class must define ``_recycle`` to clear every extra reference
         it holds (see :meth:`Event._recycle`); instances come back via
@@ -678,7 +656,7 @@ class Environment:
         arithmetic on a busy-until clock — keeps one event for its whole
         life instead of drawing two timeouts per occurrence.  ``when`` is
         taken as computed: ``timeout(when - now)`` would round it again.
-        Callbacks are the caller's to set before each arming (``step``
+        Callbacks are the caller's to set before each arming (the pop
         detaches them when the event fires).
         """
         now = self._now
@@ -695,78 +673,34 @@ class Environment:
             heappush(self._heap, (when, NORMAL, seq, event))
         return event
 
-    def _schedule_kick(
-        self,
-        process: Process,
-        target: Event | None = None,
-        throw: BaseException | None = None,
-    ) -> None:
+    def _schedule_kick(self, process: Process, ok: bool = True, value: Any = None) -> None:
         """Schedule a pooled direct-resume marker at the current instant.
 
-        Takes the same position (NORMAL priority, after everything
-        already scheduled for now) the old kick events took, so
-        resumption order is unchanged."""
+        ``ok`` / ``value`` are the outcome it delivers (the default is a
+        boot).  Takes the same position (NORMAL priority, after
+        everything already scheduled for now) the old kick events took,
+        so resumption order is unchanged."""
         pool = self._kick_pool
         if pool:
             kick = pool.pop()
         else:
             kick = _Kick(self)
         kick.process = process
-        kick.target = target
-        kick.throw = throw
+        kick._ok = ok
+        kick._value = value
         self._fifo.append(kick)
 
     def step(self) -> None:
-        """Pop and fire the next event; advances the clock.
-
-        The next event is the FIFO head, unless the heap's top is due
-        now with NORMAL priority (see the class docstring)."""
-        fifo = self._fifo
-        heap = self._heap
-        now = self._now
-        if fifo and not (heap and heap[0][0] <= now and heap[0][1] == NORMAL):
-            event = fifo.popleft()
-        elif heap:
-            when, _prio, _seq, event = heappop(heap)
-            if when < now - 1e-12:
-                raise SimulationError("event scheduled in the past")
-            if when > now:
-                self._now = when
-        else:
+        """Pop and fire the next event; advances the clock."""
+        if not (self._fifo or self._heap):
             raise SimulationError("step() on empty schedule")
-        self.events_popped += 1
-        cls = event.__class__
-        if cls is _Kick:
-            event.fire()
-            return
-        event._flushed = True
-        callbacks = event.callbacks
-        if callbacks is not None:
-            event.callbacks = None  # a callback added from here on is too late
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        if callbacks is not None:
-            for cb in callbacks:
-                cb(event)
-        # Recycle provably-unreferenced hot-path events: refcount 2 means
-        # only this frame's local and getrefcount's argument hold the
-        # object, so no generator, condition, or model structure can ever
-        # observe it again — reuse is invisible.  The exact-class pool
-        # lookup keeps unregistered subclasses (conditions, processes,
-        # resource requests) out.
-        if getrefcount(event) == 2:
-            pool = self._pools.get(cls)
-            if pool is not None and len(pool) < _POOL_LIMIT:
-                event._recycle()
-                pool.append(event)
+        self._drain(_FOREVER, 1)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         if self._fifo:
             return self._now
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _FOREVER
 
     @frozen_heap()
     def run(self, until: float | Event | None = None) -> Any:
@@ -776,17 +710,44 @@ class Environment:
         * ``until`` is an :class:`Event` → run until it fires; returns its
           value (raises if it failed).
         * ``until`` is None → run until no events remain.
+
+        Raises :class:`SimulationError` when a process fails and nothing
+        consumes the failure (see :meth:`_drain`); being the ``until``
+        of a run counts as consuming it.
         """
-        if until is None or isinstance(until, Event):
-            return self._run_stepwise(until)
-        # Fast path for the run-until-horizon shape every experiment
-        # uses: step() inlined with the event list, free lists and
-        # counters hoisted into locals.  Pops the identical entries in
-        # the identical order as step(), so digests are unaffected.
+        if until is None:
+            self._drain(_FOREVER, -1)
+            return None
+        if isinstance(until, Event):
+            if not until._flushed:
+                until.add_callback(_awaited)
+            while not until._flushed:
+                if not (self._fifo or self._heap):
+                    raise SimulationError("schedule exhausted before until-event fired")
+                self._drain(_FOREVER, 1)
+            if not until._ok:
+                raise until._value
+            return until._value
         horizon = float(until)
-        now = self._now
-        if horizon < now:
+        if horizon < self._now:
             raise SimulationError("cannot run backwards in time")
+        self._drain(horizon, -1)
+        self._now = horizon
+        return None
+
+    def _drain(self, horizon: float, budget: int) -> None:
+        """Pop and fire what is due by ``horizon``, ``budget`` events at most.
+
+        The kernel's one pop-and-fire body; :meth:`run` and :meth:`step`
+        only choose its bounds (a negative ``budget`` is no bound).  The
+        next event is the FIFO head, unless the heap's top is due now
+        with NORMAL priority (see the class docstring).  The event list,
+        free lists and counters are hoisted into locals, and so is that
+        heap test: nothing is pushed onto the heap due now with NORMAL
+        priority, so whether its top precedes the FIFO can only change
+        when the heap is popped.
+        """
+        now = self._now
         fifo = self._fifo
         popleft = fifo.popleft
         heap = self._heap
@@ -797,12 +758,9 @@ class Environment:
         refcount = getrefcount
         pop = heappop
         popped = 0
-        # step()'s rule with its heap test hoisted: nothing is pushed onto
-        # the heap due now with NORMAL priority, so whether its top
-        # precedes the FIFO can only change when the heap is popped.
         heap_first = bool(heap) and heap[0][0] <= now and heap[0][1] == normal
         try:
-            while True:
+            while popped != budget:
                 if fifo and not heap_first:
                     event = popleft()
                 elif heap and heap[0][0] <= horizon:
@@ -827,9 +785,22 @@ class Environment:
                 if waiter is not None:
                     event._waiter = None
                     waiter._resume(event)
+                elif callbacks is None and not event._ok and isinstance(event, Process):
+                    # Nothing dies silently: nobody will ever read this
+                    # failure, so it ends the run instead of the process.
+                    raise SimulationError(
+                        f"process {event.label!r} failed at t={now!r} with nothing "
+                        f"waiting on it: {event._value!r}"
+                    ) from event._value
                 if callbacks is not None:
                     for cb in callbacks:
                         cb(event)
+                # Recycle provably-unreferenced hot-path events: refcount 2
+                # means only this frame's local and getrefcount's argument
+                # hold the object, so no generator, condition, or model
+                # structure can ever observe it again — reuse is invisible.
+                # The exact-class pool lookup keeps unregistered subclasses
+                # (conditions, processes, resource requests) out.
                 if refcount(event) == 2:
                     pool = pools_get(cls)
                     if pool is not None and len(pool) < limit:
@@ -837,38 +808,3 @@ class Environment:
                         pool.append(event)
         finally:
             self.events_popped += popped
-        self._now = horizon
-        return None
-
-    def _run_stepwise(self, until: float | Event | None) -> Any:
-        """Generic run loop driving :meth:`step` per event.
-
-        Used for the non-horizon ``until`` shapes; also the loop the
-        REPRO_SAN sanitizer reinstates so every pop goes through the
-        audited step.
-        """
-        step = self.step
-        heap = self._heap
-        fifo = self._fifo
-        if until is None:
-            while fifo or heap:
-                step()
-            return None
-        if isinstance(until, Event):
-            sentinel = until
-            while not sentinel._flushed:
-                if not (fifo or heap):
-                    if sentinel.triggered:
-                        break
-                    raise SimulationError("schedule exhausted before until-event fired")
-                step()
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError("cannot run backwards in time")
-        while self.peek() <= horizon:
-            step()
-        self._now = horizon
-        return None

@@ -156,12 +156,8 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: deque[Any] = deque()
-        # Waiter queues are empty for almost the whole run (and short when
-        # not), so no store owns one until its first blocked get/put: both
-        # start as the shared empty tuple — falsy like an empty queue,
-        # which is all the fast paths ask — and are lists from then on.
-        self._getters: list[_Get] | tuple[()] = ()
-        self._putters: list[_Put] | tuple[()] = ()
+        self._getters: deque[_Get] = deque()
+        self._putters: deque[_Put] = deque()
         # Get/put events are recycled through the environment's free
         # lists (shared across stores per class).
         env.register_pool(_Get)
@@ -181,16 +177,7 @@ class Store:
         else:
             ev.store = self
             ev.item = item
-        # Fast path: room and no queued putters (the steady state) — accept
-        # in place, skipping the _drain loop.  The succeed order matches
-        # _drain exactly: the put settles first, then any waiting getter.
-        if not self._putters and len(self.items) < self.capacity:
-            self.items.append(ev.item)
-            ev.succeed()
-            if self._getters:
-                self._drain()
-            return ev
-        self._putters = [*self._putters, ev]
+        self._putters.append(ev)
         self._drain()
         return ev
 
@@ -200,36 +187,26 @@ class Store:
             ev = _Get(self.env, self)
         else:
             ev.store = self
-        # Fast path: an item is ready (getters must be empty then — _drain
-        # never leaves both getters and items).  Succeed order matches
-        # _drain: the get settles first, then at most one backpressured
-        # putter is admitted into the slot just freed.
-        if self.items and not self._getters:
-            ev.succeed(self.items.popleft())
-            if self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-            return ev
-        self._getters = [*self._getters, ev]
+        self._getters.append(ev)
         self._drain()
         return ev
 
     def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # admit puts while there is room
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
+        """Settle every request that can be: puts while there is room, then
+        gets while there are items, and again (a get frees the slot the
+        next blocked put takes) until no get was served."""
+        items = self.items
+        getters = self._getters
+        putters = self._putters
+        while True:
+            while putters and len(items) < self.capacity:
+                put = putters.popleft()
+                items.append(put.item)
                 put.succeed()
-                progress = True
-            # satisfy getters while there are items
-            while self._getters and self.items:
-                get = self._getters.pop(0)
-                get.succeed(self.items.popleft())
-                progress = True
+            if not (getters and items):
+                return
+            while getters and items:
+                getters.popleft().succeed(items.popleft())
 
     def _abandon_get(self, ev: _Get) -> None:
         if ev in self._getters:

@@ -116,6 +116,43 @@ def test_injector_executes_plan():
     assert len(inj.injected) == 2
 
 
+def test_shared_storage_is_outside_every_rack_failure_domain():
+    """A rack0 burst used to fail-stop the storage node with the rack
+    (it was built into ``racks[0]``) and every HAU that then wrote a
+    checkpoint died of ``StorageError`` — unseen.  The paper's shared
+    storage is a reliable service; losing it is a failure of its own."""
+    env = Environment()
+    dc = DataCenter(env, ClusterSpec(workers=8, spares=2, racks=2))
+    plan = FailurePlan(events=[PlannedFailure(at=1.0, kind="rack", target="rack0")])
+    FailureInjector(env, dc, plan).start()
+    env.run(until=2.0)
+    assert all(not n.alive for n in dc.racks[0].nodes) and len(dc.racks[0].nodes) == 5
+    assert dc.storage_node.alive
+    assert dc.storage_node.rack == "rack0"  # still behind that rack's switch
+
+
+def test_killing_the_storage_node_stops_the_run_naming_who_died_of_it():
+    from repro.core import MSSrcAP
+    from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
+    from repro.dsps.testing import make_chain_graph
+    from repro.simulation import SimulationError
+
+    graph, _ = make_chain_graph()
+    env = Environment()
+    rt = DSPSRuntime(
+        env,
+        StreamApplication(name="t", graph=graph),
+        MSSrcAP(checkpoint_times=[2.0], enable_recovery=True),
+        RuntimeConfig(seed=7, cluster=ClusterSpec(workers=4, spares=3, racks=2)),
+    )
+    rt.start()
+    plan = FailurePlan(events=[PlannedFailure(at=1.0, kind="node", target="storage")])
+    FailureInjector(env, rt.dc, plan).start()
+    with pytest.raises(SimulationError, match=r"process 'w\d+:\w+\.\w+' failed at t=.*storage node down"):
+        env.run(until=20.0)
+    assert not rt.dc.storage_node.alive
+
+
 def test_injector_skips_dead_targets():
     env = Environment()
     dc = DataCenter(env, ClusterSpec(workers=4, spares=0, racks=1))

@@ -101,3 +101,43 @@ def test_format_series():
     out = format_series("s", [(1.0, 2.0), (3.0, 4.0)], unit="MB")
     assert "2 points" in out
     assert out.count("\n") == 2
+
+
+def test_a_breakdown_without_numbers_carries_its_reason_not_a_nan(monkeypatch):
+    """Fig. 14 / Fig. 16 cells with no complete round / no recovery say
+    so where the total would be; a scheme that reports only a total
+    prints ``-`` for the parts it has none of."""
+    from repro.harness import breakdown_row, figures
+
+    ckpt = {"wall_clock": 9.0, "token_collection": 1.0, "disk_io": 2.0, "other": 0.5, "total": 3.5}
+    payloads = [
+        {"checkpoint": None, "rounds_completed": 0},  # ms-src
+        {"checkpoint": ckpt, "rounds_completed": 2},  # ms-src+ap
+        {"checkpoint": ckpt, "rounds_completed": 2},  # ms-src+ap+aa
+        {"checkpoint": ckpt, "rounds_completed": 2},  # oracle
+    ]
+    monkeypatch.setattr(figures, "cached_oracle_times", lambda *a, **k: (12.0, 24.0))
+    monkeypatch.setattr(figures, "run_cells", lambda specs, **k: payloads)
+    cells = figures.fig14_checkpoint_time(apps=["bcp"], n_checkpoints=2)["bcp"]
+    assert cells["ms-src"] == {"reason": "no complete round (0 of 2)"}
+    columns = [("token_collection", ".2f"), ("disk_io", ".2f"), ("other", ".2f"), ("total", ".2f")]
+    assert breakdown_row("ms-src", cells["ms-src"], columns) == [
+        "ms-src", "-", "-", "-", "no complete round (0 of 2)",
+    ]
+    assert breakdown_row("ms-src+ap", cells["ms-src+ap"], columns) == [
+        "ms-src+ap", "1.00", "2.00", "0.50", "3.50",
+    ]
+    assert breakdown_row("ms-src", {"total": 9.0}, columns) == ["ms-src", "-", "-", "-", "9.00"]
+
+    monkeypatch.setattr(figures, "run_cells", lambda specs, **k: [{"recovery": None}] * 3)
+    cells = figures.fig16_recovery_time(apps=["bcp"])["bcp"]
+    assert cells["oracle"] == {"reason": "no recovery recorded"}
+    text = format_table(["scheme", "total (s)"], [breakdown_row("oracle", cells["oracle"], [("total", ".2f")])])
+    assert "nan" not in text and "no recovery recorded" in text
+
+
+def test_headline_over_no_comparable_cells_raises_instead_of_nan():
+    from repro.harness.figures import SweepResult, headline_numbers
+
+    with pytest.raises(ValueError, match="no app .* has throughput cells for both ms-src and baseline"):
+        headline_numbers(SweepResult())

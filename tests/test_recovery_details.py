@@ -7,7 +7,7 @@ from repro.cluster import ClusterSpec
 from repro.core import MSSrc, MSSrcAP
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
-from repro.simulation import Environment
+from repro.simulation import Environment, SimulationError
 
 
 def deploy(scheme, workers=4, spares=3, seed=7, **graph_kw):
@@ -115,6 +115,7 @@ def test_recovery_after_spare_exhaustion_raises_visibly():
     for spare in rt.dc.spares:
         spare.fail("pre-dead")
     kill_at(env, rt, 2.0, ["src", "agg", "mid", "sink"])
-    env.run(until=10.0)
-    assert not scheme.recoveries
-    assert any(kind == "recovery-failed" for (_t, kind, _d) in rt.metrics.events)
+    # the watcher re-raises, nobody waits on the watcher: the run stops
+    with pytest.raises(SimulationError, match=r"'storage:ms-src\+ap\.watch' failed at t=.*no healthy spare"):
+        env.run(until=10.0)
+    assert not scheme.recoveries and env.now == 2.0

@@ -8,6 +8,8 @@ activation contract: nothing is patched unless REPRO_SAN is set.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import sanitize
@@ -78,20 +80,56 @@ def test_disabled_means_untouched_kernel(monkeypatch):
     sanitize.maybe_install_state_guard()
     assert not san_kernel.installed()
     assert not state_guard.installed()
-    # the class dict carries the pristine entry points
-    assert Environment.step is not san_kernel._san_step
+    # the class dict carries the pristine pop seam, and a fresh
+    # environment plain containers
+    assert Environment._drain is not san_kernel._san_drain
+    env = Environment()
+    assert type(env._fifo).__name__ == "deque" and type(env._pools[Event]) is list
 
 
 def test_install_is_idempotent_and_uninstall_restores():
-    original_step = Environment.step
+    original = Environment._drain
     san_kernel.install()
     try:
         san_kernel.install()  # second call is a no-op
-        assert Environment.step is san_kernel._san_step
+        assert Environment._drain is san_kernel._san_drain
     finally:
         san_kernel.uninstall()
-    assert Environment.step is original_step
+    assert Environment._drain is original
     assert not san_kernel.installed()
+
+
+def test_the_sanitizer_wraps_the_pop_and_nothing_else(kernel_sanitizer):
+    """``step`` and every ``run`` shape are the kernel's own code; only
+    the one body they all call is wrapped, and the factories are audited
+    through the containers they already use."""
+    import inspect
+
+    patched = {
+        name
+        for name, attr in vars(Environment).items()
+        if getattr(attr, "__module__", None) == san_kernel.__name__
+    }
+    assert patched == {"__init__", "register_pool", "_drain"}
+    source = inspect.getsource(san_kernel)
+    for kernel_body in ("heappop", "heappush", "getrefcount", "._recycle()", "._resume("):
+        assert kernel_body not in source
+
+
+def test_registered_pools_poison_too(kernel_sanitizer):
+    from repro.simulation.resources import Store, _Get
+
+    env = Environment()
+    store = Store(env)
+    store.put("x")
+    store.get()
+    drain(env)
+    (pooled,) = env._pools[_Get]
+    assert type(pooled).__name__ == "_Poisoned_Get"
+    with pytest.raises(SanitizerError, match="use-after-recycle"):
+        pooled.cancel()
+    again = store.get()
+    assert again is pooled and type(again) is _Get
 
 
 # -- use-after-recycle poisoning ----------------------------------------------
@@ -215,7 +253,7 @@ def test_fifo_pops_carry_the_single_heap_key(kernel_sanitizer):
     keys = []
     while env.peek() < float("inf"):
         env.step()
-        keys.append(san_kernel._order_state[id(env)][1])
+        keys.append(env._fifo.last_key)
     assert keys == [(0.0, 1, 2), (0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 4)]
 
 
@@ -229,7 +267,7 @@ def test_schedule_at_entries_carry_the_single_heap_key_too(kernel_sanitizer):
     keys = []
     while env.peek() < float("inf"):
         env.step()
-        keys.append(san_kernel._order_state[id(env)][1])
+        keys.append(env._fifo.last_key)
     assert keys == [(0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 2)]
     for bad in (float("nan"), 0.5):  # now is 1.0
         with pytest.raises(SimulationError):
@@ -261,20 +299,42 @@ def test_heap_order_regression_is_caught(kernel_sanitizer):
     # a pop whose (time, priority, seq) key sorts before the previous
     # pop violates the total order even if the clock check passes
     with pytest.raises(SanitizerError, match="total order violated"):
-        san_kernel._check_order(env, (1.0, 0, 0))
+        env._fifo.check((1.0, 0, 0), Event(env))
 
 
-def test_order_state_evicts_old_environments(kernel_sanitizer):
-    envs = [Environment() for _ in range(san_kernel._ORDER_CAP + 8)]
-    for env in envs:
-        env.timeout(1.0)
+def test_a_heap_entry_behind_the_previous_pop_is_caught(kernel_sanitizer):
+    """The heap half of the order audit, through the wrapper: an entry
+    whose key sorts before the one just popped (here: the counter was
+    wound back, as a second scheduler sharing the heap would) is caught
+    before it fires."""
+    import heapq
+
+    env = Environment()
+    env.timeout(1.0)
+    env.timeout(1.0)
+    env.step()
+    env.step()  # popped (1.0, NORMAL, 2)
+    late = Event(env)
+    heapq.heappush(env._heap, (1.0, 1, 1, late))
+    with pytest.raises(SanitizerError, match=r"\(1.0, 1, 1\) scheduled behind \(1.0, 1, 2\)"):
         env.step()
-    assert len(san_kernel._order_state) <= san_kernel._ORDER_CAP
+    assert not late._flushed
+
+
+def test_order_audit_state_is_per_environment(kernel_sanitizer):
+    """The last key lives on each environment's own FIFO: a second
+    environment starting at t=0 is not compared with the first one's."""
+    first, second = Environment(), Environment()
+    first.timeout(5.0)
+    first.run()
+    second.timeout(1.0)
+    second.run()
+    assert (first._fifo.last_key[0], second._fifo.last_key[0]) == (5.0, 1.0)
 
 
 def test_sanitized_run_freezes_the_heap_like_the_pristine_run(kernel_sanitizer):
-    """REPRO_SAN swaps ``run`` for the stepwise loop; the run-phase
-    ``frozen_heap`` must come along."""
+    """``run`` is the kernel's own under REPRO_SAN, so the run-phase
+    ``frozen_heap`` is in force around the audited pops."""
     import gc
 
     env = Environment()
@@ -490,7 +550,8 @@ def test_planted_in_place_write_trips_at_the_next_recovery(
     kernel_sanitizer, state_sanitizer
 ):
     """End to end, as CI's sanitize job runs: the guard fires inside the
-    recovery process, and the sanitized kernel does not let it die there."""
+    recovery process, nobody waits on that process, and the kernel's own
+    rule — not a sanitizer special case — stops the run naming it."""
     from repro.cluster import ClusterSpec
     from repro.core import MSSrc
     from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
@@ -509,8 +570,11 @@ def test_planted_in_place_write_trips_at_the_next_recovery(
         rt.haus["sink"].node.fail("injected")
 
     env.process(killer())
-    with pytest.raises(SanitizerError, match=r"InPlaceWriter\.pool.*'writer'"):
+    with pytest.raises(SimulationError, match=r"'storage:ms-src\.watch' failed at t=") as failure:
         env.run(until=20.0)
+    cause = failure.value.__cause__
+    assert isinstance(cause, SanitizerError)
+    assert re.search(r"InPlaceWriter\.pool.*'writer'", str(cause))
 
 
 @pytest.mark.parametrize(

@@ -505,22 +505,53 @@ def _mixed_workload(run, stop_mid_instant=False):
     return done, env.kernel_stats(), env.now, env.peek()
 
 
-def test_inlined_run_loop_matches_stepwise_loop():
-    """``run(until=<number>)`` inlines ``step()``; ``_run_stepwise`` is the
-    per-event loop REPRO_SAN=1 reinstates.  Same pops, same order, same
-    free-list traffic — otherwise sanitized runs would not be
-    digest-comparable to plain ones.  A run that stopped mid-instant is
-    continued, by either loop, exactly where it stopped."""
-    inlined = _mixed_workload(Environment.run)
-    assert inlined == _mixed_workload(Environment._run_stepwise)
-    assert inlined == _mixed_workload(Environment.run, stop_mid_instant=True)
-    assert inlined == _mixed_workload(Environment._run_stepwise, stop_mid_instant=True)
-    done, stats, now, nxt = inlined
+def _step_until(env, horizon):
+    """``run(until=horizon)`` spelt with ``step()``: one pop per call."""
+    while env.peek() <= horizon:
+        env.step()
+    popped = env.events_popped
+    env.run(until=horizon)  # nothing is left to pop: only moves the clock
+    assert env.events_popped == popped
+
+
+def test_every_way_of_driving_the_kernel_pops_the_same_events():
+    """``run(<number>)`` and ``step()`` are two bounds on the kernel's one
+    pop-and-fire body (``step`` is a budget of 1): same pops, same
+    order, same free-list traffic — and a run that stopped mid-instant
+    (``run(<event>)``, budget 1 per pop) is continued by either exactly
+    where it stopped."""
+    by_run = _mixed_workload(Environment.run)
+    assert by_run == _mixed_workload(_step_until)
+    assert by_run == _mixed_workload(Environment.run, stop_mid_instant=True)
+    assert by_run == _mixed_workload(_step_until, stop_mid_instant=True)
+    done, stats, now, nxt = by_run
     labels = [label for _, label in done]
     assert [x for x in labels if x[0] == "p"] == [f"p{i}" for i in range(15)]
     assert [x for x in labels if x[0] == "g"] == [f"g{i}" for i in range(5)]
     assert stats["events_popped"] > 0 and stats["pool_hits"] > 0
     assert now == 1.5 < nxt
+
+
+def test_run_to_exhaustion_is_the_same_body_without_a_horizon():
+    """``run()`` pops what ``step()`` would, leaves the clock at the last
+    event and counts every pop once."""
+
+    def build():
+        env = Environment()
+        for i in range(5):
+            env.timeout(0.5 * i)
+            env.event().succeed()
+        return env
+
+    ran, stepped = build(), build()
+    ran.run()
+    while stepped.peek() < float("inf"):
+        stepped.step()
+    assert ran.kernel_stats() == stepped.kernel_stats()
+    assert ran.now == stepped.now == 2.0
+    assert ran.kernel_stats()["events_popped"] == 10
+    with pytest.raises(SimulationError, match="empty schedule"):
+        stepped.step()
 
 
 def test_peek_is_now_while_the_current_instant_has_entries():
