@@ -1,7 +1,7 @@
 """VOC001 — code and docs say what ``src/repro/vocabulary.py`` says.
 
-Code: every literal at a ``telemetry.counter/gauge/histogram(...)`` or
-``trace.emit(...)`` site is declared (a metric with the kind it is
+Code: every literal at a ``telemetry.counter/gauge/histogram(...)``,
+``trace.emit(...)`` or ``scheme.transition(...)`` site is declared (a metric with the kind it is
 created as) and every declared name is produced somewhere; a computed
 name needs a declaration that covers it; and every dotted literal
 compared with a trace ``kind`` is a declared kind.  Docs: every
@@ -116,7 +116,7 @@ class VocabularyRule(Rule):
                         "computed metric name `{}` — metric names are string literals, except "
                         "in a module that takes them from the vocabulary's SERIES_METRICS"
                     )
-            elif attr == "emit" and tail in TRACER_RECEIVERS:
+            elif (attr == "emit" and tail in TRACER_RECEIVERS) or attr == "transition":
                 prefix = _leading_prefix(arg)
                 if const_str(arg) is not None:
                     self._kinds.setdefault(arg.value, site)

@@ -16,13 +16,10 @@ from repro.core.costs import CostModel
 from repro.core.preservation import SourcePreserver
 from repro.core.recovery import GlobalRecovery
 from repro.dsps.hau import HAURuntime
-from repro.dsps.runtime import CheckpointScheme
+from repro.dsps.runtime import CKPT_NS, CheckpointScheme
 from repro.dsps.tuples import DataTuple
-from repro.metrics.breakdown import CheckpointBreakdown, CheckpointLog
+from repro.metrics.breakdown import CheckpointLog, RecoveryBreakdown
 from repro.simulation.core import Interrupt
-from repro.storage.shared import StorageClient
-
-CKPT_NS = "ckpt"
 
 
 @dataclass
@@ -30,7 +27,6 @@ class RoundState:
     """Per-HAU bookkeeping for one checkpoint round."""
 
     round_id: int
-    command_at: float = 0.0
     arrivals: set = field(default_factory=set)  # edge idx with token arrived
     processed: set = field(default_factory=set)  # edge idx with token popped
     ready: bool = False  # all tokens arrived
@@ -38,7 +34,6 @@ class RoundState:
     write_done: bool = False
     recording: bool = False
     out_copies: list = field(default_factory=list)  # (edge_id, DataTuple)
-    tokens_done_at: float = 0.0
 
 
 class MeteorShowerBase(CheckpointScheme):
@@ -62,11 +57,9 @@ class MeteorShowerBase(CheckpointScheme):
         # runs once per tuple on the hot path, and scanning every
         # (hau, round) pair there was ~5% of sweep wall-clock.
         self._hau_rounds: dict[str, list[RoundState]] = {}
-        self.logs: dict[int, CheckpointLog] = {}
         self.completed_rounds: dict[int, dict[str, int]] = {}  # round -> hau -> version
         self.source_markers: dict[tuple[int, str], int] = {}  # (round, src) -> emitted_count
         self.recovery: GlobalRecovery | None = None
-        self.recoveries: list = []
         self._round_counter = 0
         self._recovering = False
 
@@ -101,16 +94,7 @@ class MeteorShowerBase(CheckpointScheme):
 
     def next_round_id(self) -> int:
         self._round_counter += 1
-        env = self.runtime.env
-        if env.trace.enabled:
-            env.trace.emit(
-                "checkpoint.round.start",
-                t=env.now,
-                subject=self.name,
-                round=self._round_counter,
-            )
-        if env.telemetry.enabled:
-            env.telemetry.counter("ms_checkpoint_rounds_total", scheme=self.name).inc()
+        self.transition("checkpoint.round.start", self.name, round=self._round_counter)
         return self._round_counter
 
     # -- round state ----------------------------------------------------------------
@@ -121,17 +105,6 @@ class MeteorShowerBase(CheckpointScheme):
             self.rounds[(hau_id, round_id)] = st
             self._hau_rounds.setdefault(hau_id, []).append(st)
         return st
-
-    def log_for(self, round_id: int) -> CheckpointLog:
-        log = self.logs.get(round_id)
-        if log is None:
-            log = CheckpointLog(
-                round_id=round_id,
-                started_at=self.runtime.env.now,
-                expected_haus=tuple(sorted(self.runtime.app.graph.haus)),
-            )
-            self.logs[round_id] = log
-        return log
 
     def active_state(self, hau_id: str) -> RoundState | None:
         """The HAU's most recent round that has not yet snapshotted."""
@@ -146,55 +119,8 @@ class MeteorShowerBase(CheckpointScheme):
         yield from self.preserver.preserve(hau, tup)
 
     # -- checkpoint write -------------------------------------------------------------
-    def write_checkpoint(
-        self,
-        hau: HAURuntime,
-        payload: dict,
-        bd: CheckpointBreakdown,
-        billed_size: int | None = None,
-    ):
-        """Process generator: ship the individual checkpoint to storage.
-
-        ``billed_size`` overrides the bytes actually moved (delta-
-        checkpointing ships only the change; the stored value remains the
-        full payload so restores stay exact — see repro.core.delta).
-        """
-        size = billed_size if billed_size is not None else payload["state_size"]
-        bd.state_bytes = size
-        bd.write_start_at = self.runtime.env.now
-        trace = self.runtime.env.trace
-        if trace.enabled:
-            trace.emit(
-                "checkpoint.write.start",
-                t=self.runtime.env.now,
-                subject=hau.hau_id,
-                round=payload["round_id"],
-                bytes=size,
-            )
-        client = StorageClient(hau.node, self.runtime.storage)
-        version = yield from client.write(
-            CKPT_NS, hau.hau_id, payload, size=max(size, 1), bulk=True
-        )
-        bd.write_end_at = self.runtime.env.now
-        telem = self.runtime.env.telemetry
-        if telem.enabled:
-            telem.histogram(
-                "ms_checkpoint_write_seconds", scheme=self.name
-            ).observe(bd.write_end_at - bd.write_start_at)
-            telem.counter("ms_checkpoint_bytes_total", scheme=self.name).inc(size)
-            telem.gauge("ms_hau_ckpt_write_seconds", hau=hau.hau_id).set(
-                bd.write_end_at - bd.write_start_at
-            )
-        if trace.enabled:
-            trace.emit(
-                "checkpoint.commit",
-                t=self.runtime.env.now,
-                subject=hau.hau_id,
-                round=payload["round_id"],
-                bytes=size,
-                version=version,
-                scheme=self.name,
-            )
+    def write_checkpoint(self, hau: HAURuntime, payload: dict, billed_size: int | None = None):
+        version = yield from super().write_checkpoint(hau, payload, billed_size)
         self.mark_hau_done(payload["round_id"], hau.hau_id, version)
         return version
 
@@ -212,22 +138,10 @@ class MeteorShowerBase(CheckpointScheme):
         if st is not None:
             st.write_done = True
         if len(done) == len(self.runtime.app.graph.haus):
-            log = self.log_for(round_id)
-            if log.completed_at is None:
-                log.completed_at = self.runtime.env.now
-                env = self.runtime.env
-                if env.trace.enabled:
-                    env.trace.emit(
-                        "checkpoint.round.complete",
-                        t=env.now,
-                        subject=self.name,
-                        round=round_id,
-                        haus=len(done),
-                    )
-                if env.telemetry.enabled:
-                    env.telemetry.counter(
-                        "ms_checkpoint_rounds_completed_total", scheme=self.name
-                    ).inc()
+            if not self.logs[round_id].complete:
+                self.transition(
+                    "checkpoint.round.complete", self.name, round=round_id, haus=len(done)
+                )
             self._garbage_collect(round_id)
 
     def record_source_marker(self, round_id: int, hau: HAURuntime) -> None:
@@ -275,23 +189,9 @@ class MeteorShowerBase(CheckpointScheme):
                 ]
                 if dead and not self._recovering:
                     self._recovering = True
-                    if env.trace.enabled:
-                        env.trace.emit(
-                            "failure.detected",
-                            t=env.now,
-                            subject=self.name,
-                            dead=",".join(sorted(dead)),
-                        )
+                    self.transition("failure.detected", self.name, dead=",".join(sorted(dead)))
                     try:
-                        record = yield from self.recovery.run(dead)
-                        self.recoveries.append(record)
-                        if env.telemetry.enabled:
-                            env.telemetry.counter(
-                                "ms_recoveries_total", scheme=self.name
-                            ).inc()
-                            env.telemetry.histogram(
-                                "ms_recovery_seconds", scheme=self.name
-                            ).observe(record.total)
+                        yield from self.recovery.run(dead)
                     finally:
                         self._recovering = False
         except Interrupt:
@@ -310,6 +210,9 @@ class MeteorShowerBase(CheckpointScheme):
         (its tokens died with the channels); its RoundStates must not leak
         into the restarted application.
         """
+        for round_id, log in self.logs.items():
+            if not log.complete and log.abandoned_at is None:
+                self.transition("checkpoint.abandon", self.name, round=round_id, cause="rollback")
         self.rounds = {
             key: st for key, st in self.rounds.items() if st.write_done
         }
@@ -318,5 +221,15 @@ class MeteorShowerBase(CheckpointScheme):
             self._hau_rounds.setdefault(hid, []).append(st)
 
     # -- reporting ---------------------------------------------------------------------
+    @property
+    def logs(self) -> dict[int, CheckpointLog]:
+        return self.record.logs
+
     def checkpoint_logs(self) -> list[CheckpointLog]:
         return [self.logs[r] for r in sorted(self.logs)]
+
+    @property
+    def recoveries(self) -> list[RecoveryBreakdown]:
+        """The global rollbacks that ran to their end (one cut short is
+        only in ``self.record.recoveries``)."""
+        return [rec for rec in self.record.recoveries if rec.complete]

@@ -24,14 +24,11 @@ from repro.core.costs import CostModel
 from repro.core.preservation import InputPreserver
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import HAURuntime
-from repro.dsps.runtime import CheckpointScheme
+from repro.dsps.runtime import CKPT_NS, CheckpointScheme
 from repro.dsps.tuples import DataTuple
-from repro.metrics.breakdown import CheckpointBreakdown
 from repro.simulation.core import Interrupt
 from repro.storage.local import DEFAULT_BUFFER_BYTES
 from repro.storage.shared import StorageClient
-
-CKPT_NS = "ckpt"
 
 
 class BaselineScheme(CheckpointScheme):
@@ -56,11 +53,18 @@ class BaselineScheme(CheckpointScheme):
         # executed at the upstream's own tuple boundary, so the replayed
         # tuples enter the new channel strictly before any new emission.
         self._pending_replays: dict[str, list] = {}
-        self.breakdowns: list[CheckpointBreakdown] = []
         self.checkpoint_versions: dict[str, int] = {}  # hau -> latest version
-        self.unrecoverable: list[tuple[float, str]] = []
-        self.recovered: list[tuple[float, str]] = []
         self._recovering = False
+
+    @property
+    def recovered(self) -> list[tuple[float, str]]:
+        """(time, HAU) of every completed 1-safe restart."""
+        return self.record.recovered
+
+    @property
+    def unrecoverable(self) -> list[tuple[float, str]]:
+        """(time, HAU) of every restart given up: retained tuples lost."""
+        return self.record.unrecoverable
 
     # -- lifecycle -------------------------------------------------------------------
     def start(self) -> None:
@@ -126,18 +130,12 @@ class BaselineScheme(CheckpointScheme):
 
     # -- the synchronous independent checkpoint ------------------------------------------------
     def _sync_checkpoint(self, hau: HAURuntime, counter: int):
+        """No tokens to collect: the HAUs share a counter, not a round
+        (``self.record.logs[counter]`` groups their counter-th checkpoints)."""
         env = self.runtime.env
-        bd = CheckpointBreakdown(hau_id=hau.hau_id, round_id=counter)
-        bd.command_at = bd.tokens_done_at = env.now  # no tokens to collect
-        if env.trace.enabled:
-            env.trace.emit(
-                "checkpoint.start",
-                t=env.now,
-                subject=hau.hau_id,
-                round=counter,
-                mode="sync",
-                scheme=self.name,
-            )
+        bd = self.transition(
+            "checkpoint.start", hau.hau_id, round=counter, mode="sync", scheme=self.name
+        )
         hau.pause_intake()
         try:
             payload = hau.build_checkpoint_payload(counter, include_backlog=False)
@@ -145,43 +143,8 @@ class BaselineScheme(CheckpointScheme):
             bd.serialize_seconds = ser
             if ser > 0:
                 yield env.timeout(ser)
-            bd.state_bytes = payload["state_size"]
-            bd.write_start_at = env.now
-            if env.trace.enabled:
-                env.trace.emit(
-                    "checkpoint.write.start",
-                    t=env.now,
-                    subject=hau.hau_id,
-                    round=counter,
-                    bytes=payload["state_size"],
-                )
-            client = StorageClient(hau.node, self.runtime.storage)
-            version = yield from client.write(
-                CKPT_NS, hau.hau_id, payload, size=max(payload["state_size"], 1), bulk=True
-            )
-            bd.write_end_at = env.now
-            if env.telemetry.enabled:
-                env.telemetry.histogram(
-                    "ms_checkpoint_write_seconds", scheme=self.name
-                ).observe(bd.write_end_at - bd.write_start_at)
-                env.telemetry.counter(
-                    "ms_checkpoint_bytes_total", scheme=self.name
-                ).inc(payload["state_size"])
-                env.telemetry.gauge(
-                    "ms_hau_ckpt_write_seconds", hau=hau.hau_id
-                ).set(bd.write_end_at - bd.write_start_at)
-            if env.trace.enabled:
-                env.trace.emit(
-                    "checkpoint.commit",
-                    t=env.now,
-                    subject=hau.hau_id,
-                    round=counter,
-                    bytes=payload["state_size"],
-                    version=version,
-                    scheme=self.name,
-                )
+            version = yield from self.write_checkpoint(hau, payload)
             self.checkpoint_versions[hau.hau_id] = version
-            self.breakdowns.append(bd)
             # GC our own superseded checkpoints, then ack upstream: the
             # retained tuples we have checkpointed past can be discarded.
             self.runtime.storage.drop_versions_before(CKPT_NS, hau.hau_id, version)
@@ -208,13 +171,7 @@ class BaselineScheme(CheckpointScheme):
                 )
                 if dead and not self._recovering:
                     self._recovering = True
-                    if env.trace.enabled:
-                        env.trace.emit(
-                            "failure.detected",
-                            t=env.now,
-                            subject=self.name,
-                            dead=",".join(dead),
-                        )
+                    self.transition("failure.detected", self.name, dead=",".join(dead))
                     # Classify the whole sweep first: a victim whose upstream
                     # is also in the sweep has lost that upstream's retained
                     # buffer no matter the recovery order.
@@ -223,22 +180,9 @@ class BaselineScheme(CheckpointScheme):
                     for hau_id in dead:
                         ups = self.runtime.app.graph.upstream(hau_id)
                         if any(u in dead_set for u in ups):
-                            self.unrecoverable.append((env.now, hau_id))
-                            if env.trace.enabled:
-                                env.trace.emit(
-                                    "baseline.unrecoverable",
-                                    t=env.now,
-                                    subject=hau_id,
-                                    cause="upstream-dead",
-                                )
-                            self.runtime.metrics.record_event(
-                                env.now, "baseline-unrecoverable", hau_id
+                            self.transition(
+                                "baseline.unrecoverable", hau_id, cause="upstream-dead"
                             )
-                            if env.telemetry.enabled:
-                                env.telemetry.counter(
-                                    "ms_baseline_unrecoverable_total",
-                                    cause="upstream-dead",
-                                ).inc()
                         else:
                             recoverable.append(hau_id)
                     for hau_id in recoverable:
@@ -258,29 +202,15 @@ class BaselineScheme(CheckpointScheme):
         rt = self.runtime
         env = rt.env
         graph = rt.app.graph
-        if env.trace.enabled:
-            env.trace.emit(
-                "baseline.recover.start", t=env.now, subject=hau_id
-            )
+        self.transition("baseline.recover.start", hau_id)
         for up in graph.upstream(hau_id):
             up_store = self.preserver._stores.get(up)
             up_node_dead = not rt.haus[up].node.alive
             store_lost = up_store is not None and not up_store.node.alive
             if up_node_dead or store_lost:
-                self.unrecoverable.append((env.now, hau_id))
-                if env.trace.enabled:
-                    env.trace.emit(
-                        "baseline.unrecoverable",
-                        t=env.now,
-                        subject=hau_id,
-                        cause="retained-buffer-lost",
-                    )
-                rt.metrics.record_event(env.now, "baseline-unrecoverable", hau_id)
-                if env.telemetry.enabled:
-                    env.telemetry.counter(
-                        "ms_baseline_unrecoverable_total",
-                        cause="retained-buffer-lost",
-                    ).inc()
+                self.transition(
+                    "baseline.unrecoverable", hau_id, cause="retained-buffer-lost"
+                )
                 return
         spare = rt.dc.claim_spare()
         yield env.timeout(self.costs.reload_seconds)
@@ -307,15 +237,6 @@ class BaselineScheme(CheckpointScheme):
             up = rt.haus.get(edge.src)
             if up is not None:
                 up.request_safepoint()
-        self.recovered.append((env.now, hau_id))
-        if env.trace.enabled:
-            env.trace.emit(
-                "baseline.recover.done",
-                t=env.now,
-                subject=hau_id,
-                node=spare.node_id,
-                replay_edges=len(deferred),
-            )
-        rt.metrics.record_event(env.now, "baseline-recovered", hau_id)
-        if env.telemetry.enabled:
-            env.telemetry.counter("ms_baseline_recovered_total").inc()
+        self.transition(
+            "baseline.recover.done", hau_id, node=spare.node_id, replay_edges=len(deferred)
+        )

@@ -26,6 +26,7 @@ from repro.core.base import MeteorShowerBase, RoundState
 from repro.core.delta import DeltaPolicy, DeltaTracker
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import HAURuntime
+from repro.dsps.runtime import CKPT_NS
 from repro.dsps.tuples import DataTuple, Token
 from repro.simulation.core import Interrupt
 
@@ -41,7 +42,6 @@ class MSSrcAP(MeteorShowerBase):
     # -- round initiation -----------------------------------------------------------
     def initiate_round(self):
         round_id = self.next_round_id()
-        self.log_for(round_id)
         self.runtime.broadcast_control(("token_cmd", round_id))
         return
         yield  # pragma: no cover
@@ -50,17 +50,8 @@ class MSSrcAP(MeteorShowerBase):
         if not (isinstance(message, tuple) and message[0] == "token_cmd"):
             return
         round_id = message[1]
-        env = self.runtime.env
         st = self.round_state(hau.hau_id, round_id)
-        st.command_at = env.now
-        if env.trace.enabled:
-            env.trace.emit(
-                "checkpoint.command",
-                t=env.now,
-                subject=hau.hau_id,
-                round=round_id,
-                via="control",
-            )
+        self.transition("checkpoint.command", hau.hau_id, round=round_id, via="control")
         # Tuples already queued in the output buffers become post-token
         # once the 1-hop token is inserted at the head: save copies.
         st.out_copies = hau.outbox_tuples()
@@ -69,15 +60,7 @@ class MSSrcAP(MeteorShowerBase):
         if not hau.in_edges:
             # Sources (no upstream neighbours) are immediately ready.
             st.ready = True
-            st.tokens_done_at = env.now
-            if env.trace.enabled:
-                env.trace.emit(
-                    "checkpoint.tokens.done",
-                    t=env.now,
-                    subject=hau.hau_id,
-                    round=round_id,
-                    edges=0,
-                )
+            self.transition("checkpoint.tokens.done", hau.hau_id, round=round_id, edges=0)
         return
         yield  # pragma: no cover
 
@@ -87,16 +70,10 @@ class MSSrcAP(MeteorShowerBase):
         st.arrivals.add(edge_idx)
         if len(st.arrivals) == len(hau.in_edges) and not st.ready:
             st.ready = True
-            env = self.runtime.env
-            st.tokens_done_at = env.now
-            if env.trace.enabled:
-                env.trace.emit(
-                    "checkpoint.tokens.done",
-                    t=env.now,
-                    subject=hau.hau_id,
-                    round=token.round_id,
-                    edges=len(st.arrivals),
-                )
+            self.transition(
+                "checkpoint.tokens.done", hau.hau_id,
+                round=token.round_id, edges=len(st.arrivals),
+            )
 
     def handle_token(self, hau: HAURuntime, edge_idx: int, token: Token):
         """Popped from the inbox: erase; block the edge until the snapshot."""
@@ -125,19 +102,10 @@ class MSSrcAP(MeteorShowerBase):
         env = self.runtime.env
         st.snapshot_done = True
         st.recording = False
-        bd = self.log_for(st.round_id).breakdown(hau.hau_id)
-        bd.command_at = st.command_at or env.now
-        bd.tokens_done_at = st.tokens_done_at or env.now
-        if env.trace.enabled:
-            env.trace.emit(
-                "checkpoint.start",
-                t=env.now,
-                subject=hau.hau_id,
-                round=st.round_id,
-                mode="async",
-                scheme=self.name,
-                saved_out=len(st.out_copies),
-            )
+        bd = self.transition(
+            "checkpoint.start", hau.hau_id,
+            round=st.round_id, mode="async", scheme=self.name, saved_out=len(st.out_copies),
+        )
         self.record_source_marker(st.round_id, hau)
         # fork(): the parent is blocked while the child's page tables are set
         # up; the memory image is frozen (copy-on-write) at this instant.
@@ -178,9 +146,7 @@ class MSSrcAP(MeteorShowerBase):
             bd.serialize_seconds = ser
             if ser > 0:
                 yield env.timeout(ser)
-            version = yield from self.write_checkpoint(
-                hau, payload, bd, billed_size=billed
-            )
+            version = yield from self.write_checkpoint(hau, payload, billed_size=billed)
             if self.delta is not None:
                 self.delta.record(
                     hau.hau_id, payload["round_id"], version,
@@ -223,7 +189,7 @@ class MSSrcAP(MeteorShowerBase):
         for hau_id in self.completed_rounds[completed_round]:
             protected = self.delta.protected_versions(hau_id)
             if protected:
-                storage.drop_versions_before("ckpt", hau_id, min(protected))
+                storage.drop_versions_before(CKPT_NS, hau_id, min(protected))
         for src in self.runtime.app.graph.sources():
             marker = self.source_markers.get((completed_round, src))
             if marker is not None:

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 
 from repro.core.costs import CostModel
-from repro.metrics.breakdown import RecoveryBreakdown
+from repro.dsps.runtime import CKPT_NS
 from repro.simulation.core import AllOf
 from repro.storage.shared import StorageClient
-
-CKPT_NS = "ckpt"
 
 
 class GlobalRecovery:
@@ -32,21 +30,16 @@ class GlobalRecovery:
         """Process generator driving the four phases; returns the breakdown."""
         rt = self.runtime
         env = rt.env
-        record = RecoveryBreakdown(started_at=env.now)
-        cut = self.scheme.last_complete_round()
-        if env.trace.enabled:
-            env.trace.emit(
-                "recovery.start",
-                t=env.now,
-                subject=self.scheme.name,
-                dead=",".join(sorted(dead_haus)),
-                cut_round=cut[0] if cut is not None else 0,
-            )
-        rt.metrics.record_event(env.now, "recovery-start", ",".join(sorted(dead_haus)))
+        scheme = self.scheme
+        cut = scheme.last_complete_round()
+        record = scheme.transition(
+            "recovery.start", scheme.name,
+            dead=",".join(sorted(dead_haus)), cut_round=cut[0] if cut is not None else 0,
+        )
 
         # Quiesce what is left of the application: everything rolls back.
         rt.teardown_application()
-        self.scheme.on_recovery_reset()
+        scheme.on_recovery_reset()
 
         # Assign nodes: keep the old node when alive; dead nodes are
         # replaced by claimed spares, preserving the original packing
@@ -76,25 +69,18 @@ class GlobalRecovery:
 
         # Phases 1-3 in parallel across HAUs (each on its recovery node).
         restored: dict[str, dict] = {}
-        phase_times: dict[str, tuple[float, float, float]] = {}
 
         def recover_one(hau_id: str):
             node = assignments[hau_id]
             t0 = env.now
-            if env.trace.enabled:
-                env.trace.emit(
-                    "recovery.hau.start",
-                    t=t0,
-                    subject=hau_id,
-                    node=node.node_id,
-                )
+            scheme.transition("recovery.hau.start", hau_id, node=node.node_id)
             yield env.timeout(self.costs.reload_seconds)  # phase 1: reload
             t1 = env.now
             payload = None
             read_bytes = 0
             if cut is not None and hau_id in cut[1]:
                 client = StorageClient(node, rt.storage)
-                versions = self.scheme.recovery_read_plan(
+                versions = scheme.recovery_read_plan(
                     hau_id, cut_round=cut[0], cut_version=cut[1][hau_id]
                 )
                 for version in versions:
@@ -111,29 +97,16 @@ class GlobalRecovery:
                 yield env.timeout(self.costs.deserialize_time(read_bytes))  # phase 3
             t3 = env.now
             restored[hau_id] = payload
-            phase_times[hau_id] = (t1 - t0, t2 - t1, t3 - t2)
-            record.bytes_read += read_bytes
-            if env.trace.enabled:
-                env.trace.emit(
-                    "recovery.hau",
-                    t=env.now,
-                    subject=hau_id,
-                    node=node.node_id,
-                    reload=t1 - t0,
-                    disk_io=t2 - t1,
-                    deserialize=t3 - t2,
-                    bytes=read_bytes,
-                )
+            scheme.transition(
+                "recovery.hau", hau_id, node=node.node_id,
+                reload=t1 - t0, disk_io=t2 - t1, deserialize=t3 - t2, bytes=read_bytes,
+            )
 
         procs = [
             env.process(recover_one(hau_id), label=f"recover:{hau_id}")
             for hau_id in sorted(rt.app.graph.haus)
         ]
         yield AllOf(env, procs)
-
-        record.reload_seconds = max(p[0] for p in phase_times.values())
-        record.disk_io_seconds = max(p[1] for p in phase_times.values())
-        record.deserialize_seconds = max(p[2] for p in phase_times.values())
 
         # Rebuild runtimes and channels from the restored payloads.
         rt.rewire(assignments, restored)
@@ -142,20 +115,14 @@ class GlobalRecovery:
         reconnect_start = env.now
         for _hau_id in sorted(rt.app.graph.haus):
             yield env.timeout(self.costs.reconnect_per_hau)
-        record.reconnect_seconds = env.now - reconnect_start
-        if env.trace.enabled:
-            env.trace.emit(
-                "recovery.reconnect",
-                t=env.now,
-                subject=self.scheme.name,
-                seconds=record.reconnect_seconds,
-                haus=len(rt.app.graph.haus),
-            )
-        # Recovery time is the sum of the four phases (§IV-C); the source
-        # replay and catch-up that follow are not part of it ("since this
-        # procedure is the same with previous schemes, we do not further
-        # evaluate it").
-        record.completed_at = env.now
+        # Recovery time is the sum of the four phases (§IV-C) and ends
+        # here; the source replay and catch-up that follow are not part of
+        # it ("since this procedure is the same with previous schemes, we
+        # do not further evaluate it").
+        scheme.transition(
+            "recovery.reconnect", scheme.name,
+            seconds=env.now - reconnect_start, haus=len(rt.app.graph.haus),
+        )
 
         # Source replay: read the preserved tuples (billed to storage) and
         # queue them for full-speed re-emission.
@@ -166,38 +133,29 @@ class GlobalRecovery:
                 snaps = payload.get("operators", [])
                 if snaps:
                     after_seq = int(snaps[0].get("emitted_count", 0))
-            tuples = self.scheme.preserver.replay_tuples(src, after_seq)
+            tuples = scheme.preserver.replay_tuples(src, after_seq)
             if tuples:
                 node = assignments[src]
                 replay_bytes = sum(t.size for t in tuples)
-                if env.trace.enabled:
-                    env.trace.emit(
-                        "recovery.replay",
-                        t=env.now,
-                        subject=src,
-                        node=node.node_id,
-                        count=len(tuples),
-                        bytes=replay_bytes,
-                        after_seq=after_seq,
-                    )
+                scheme.transition(
+                    "recovery.replay", src, node=node.node_id,
+                    count=len(tuples), bytes=replay_bytes, after_seq=after_seq,
+                )
                 yield from rt.storage.node.disk.transfer(replay_bytes)
                 yield from rt.storage.node.nic_out.transfer(replay_bytes)
                 rt.haus[src].set_replay_source(tuples)
 
         rt.restart_haus()
-        record.haus_recovered = len(rt.app.graph.haus)
-        if env.trace.enabled:
-            env.trace.emit(
-                "recovery.done",
-                t=env.now,
-                subject=self.scheme.name,
-                total=record.total,
-                reload=record.reload_seconds,
-                disk_io=record.disk_io_seconds,
-                deserialize=record.deserialize_seconds,
-                reconnect=record.reconnect_seconds,
-                bytes=record.bytes_read,
-                haus=record.haus_recovered,
-            )
-        rt.metrics.record_event(env.now, "recovery-done", f"{record.total:.3f}s")
+        # The phase seconds of a recovery are its slowest HAU's.
+        rows = record.haus.values()
+        scheme.transition(
+            "recovery.done", scheme.name,
+            total=record.total,
+            reload=max(r.reload_seconds for r in rows),
+            disk_io=max(r.disk_io_seconds for r in rows),
+            deserialize=max(r.deserialize_seconds for r in rows),
+            reconnect=record.reconnect_seconds,
+            bytes=sum(r.bytes_read for r in rows),
+            haus=len(rt.app.graph.haus),
+        )
         return record

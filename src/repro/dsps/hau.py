@@ -626,8 +626,6 @@ class HAURuntime:
             self._m_latency.observe(self.env.now - tup.created_at)
         if self.metrics is not None:
             self.metrics.record_stage(self.hau_id, tup.created_at, self.env.now)
-            if self.is_sink:
-                self.metrics.record_sink(self.hau_id, tup.created_at, self.env.now)
         for emit_spec in emissions:
             yield from self.emit(emit_spec, created_at=tup.created_at, source=tup.source)
 

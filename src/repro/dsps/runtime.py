@@ -22,12 +22,14 @@ from repro.cluster.topology import ClusterSpec, DataCenter
 from repro.dsps.application import StreamApplication
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime, SchemeHooks
+from repro.metrics.breakdown import RunRecord
 from repro.metrics.collectors import MetricsHub
 from repro.simulation.core import Environment, Interrupt, Process, paused_gc
 from repro.simulation.rng import RngRegistry
 from repro.storage.shared import SharedStorage, StorageClient
 
 CONTROL_MSG_SIZE = 512
+CKPT_NS = "ckpt"  # storage namespace of individual checkpoints
 DEFAULT_CHANNEL_CAPACITY = 64
 
 
@@ -48,12 +50,46 @@ class CheckpointScheme(SchemeHooks):
 
     def __init__(self):
         self.runtime: "DSPSRuntime" | None = None
+        self.record = RunRecord()
 
     def attach(self, runtime: "DSPSRuntime") -> None:
         self.runtime = runtime
+        self.record.expected_haus = tuple(sorted(runtime.app.graph.haus))
+        self.record.telemetry = runtime.env.telemetry
 
     def start(self) -> None:
         """Spawn controller-side processes; called after HAUs start."""
+
+    def transition(self, kind: str, subject: str, **data: Any):
+        """Report one checkpoint/recovery transition, once: stamp the run
+        record (which counts it when telemetry is on) and emit the trace
+        event when tracing.  Returns the record entry the kind touched."""
+        env = self.runtime.env
+        if env.trace.enabled:
+            # the kind is a literal at every transition() site, checked there
+            env.trace.emit(kind, t=env.now, subject=subject, **data)  # repro-lint: disable=VOC001
+        return self.record.apply(kind, env.now, subject, data)
+
+    def write_checkpoint(self, hau: HAURuntime, payload: dict, billed_size: int | None = None):
+        """Process generator: ship the individual checkpoint to storage;
+        returns its version.
+
+        ``billed_size`` overrides the bytes actually moved (delta-
+        checkpointing ships only the change; the stored value remains the
+        full payload so restores stay exact — see repro.core.delta).
+        """
+        size = billed_size if billed_size is not None else payload["state_size"]
+        round_id = payload["round_id"]
+        self.transition("checkpoint.write.start", hau.hau_id, round=round_id, bytes=size)
+        client = StorageClient(hau.node, self.runtime.storage)
+        version = yield from client.write(
+            CKPT_NS, hau.hau_id, payload, size=max(size, 1), bulk=True
+        )
+        self.transition(
+            "checkpoint.commit", hau.hau_id,
+            round=round_id, bytes=size, version=version, scheme=self.name,
+        )
+        return version
 
 
 class DSPSRuntime:
@@ -73,7 +109,8 @@ class DSPSRuntime:
         self.rngs = RngRegistry(self.config.seed)
         self.dc = DataCenter(env, self.config.cluster)
         self.storage = SharedStorage(env, self.dc.storage_node)
-        self.metrics = MetricsHub(tracer=env.trace)
+        self.metrics = MetricsHub()
+        self.metrics.sinks = frozenset(app.graph.sinks())
 
         self.placement: dict[str, Node] = {}
         self.haus: dict[str, HAURuntime] = {}

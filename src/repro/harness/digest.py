@@ -60,7 +60,12 @@ def config_fingerprint(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def result_fingerprint(result: ExperimentResult) -> dict[str, Any]:
-    """Everything the run decided, as a JSON-ready deterministic dict."""
+    """Everything the run decided, as a JSON-ready deterministic dict.
+
+    This is the pinned serialisation: it keeps the shape the committed
+    digests were taken over — an instant not reached is 0.0 and a round
+    lists the HAUs whose checkpoint started.
+    """
     runtime = result.runtime
     haus = {
         hau_id: {"tuples": hau.tuples_processed, "busy_seconds": hau.busy_time}
@@ -75,13 +80,14 @@ def result_fingerprint(result: ExperimentResult) -> dict[str, Any]:
                 "completed_at": log.completed_at,
                 "haus": {
                     hau_id: {
-                        "command_at": bd.command_at,
-                        "tokens_done_at": bd.tokens_done_at,
-                        "write_start_at": bd.write_start_at,
-                        "write_end_at": bd.write_end_at,
+                        "command_at": bd.command_at or 0.0,
+                        "tokens_done_at": bd.tokens_done_at or 0.0,
+                        "write_start_at": bd.write_start_at or 0.0,
+                        "write_end_at": bd.write_end_at or 0.0,
                         "state_bytes": bd.state_bytes,
                     }
                     for hau_id, bd in sorted(log.haus.items())
+                    if bd.start_at is not None
                 },
             }
         )

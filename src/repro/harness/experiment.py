@@ -109,6 +109,7 @@ class ExperimentResult:
     telemetry_sampler: Sampler | None = None
     latency_percentiles: dict[str, float] = field(default_factory=dict)
     monitor: "MonitorPlane | None" = None
+    _timeline: Any = field(default=None, init=False, repr=False, compare=False)
 
     # -- monitoring plane access (cfg.monitor_period > 0) ------------------
     @property
@@ -140,10 +141,9 @@ class ExperimentResult:
         return write_jsonl(self.tracer, path)
 
     def trace_summary(self) -> dict:
-        """Checkpoint timelines + recovery breakdowns folded from the trace."""
-        if self.tracer is None:
-            raise RuntimeError("run_experiment(..., trace=True) to record a trace")
-        return summarize(self.tracer)
+        """Checkpoint timelines + recovery breakdowns rendered from the
+        run's timeline."""
+        return summarize(self.timeline())
 
     def trace_report(self) -> str:
         report = render_summary(self.trace_summary())
@@ -161,28 +161,28 @@ class ExperimentResult:
 
     # -- causal timelines (repro.profiling) --------------------------------
     def timeline(self):
-        """The run's causal span tree (checkpoint waves + recoveries)."""
+        """The run's trace folded into rounds and recoveries — once: the
+        summary, critical paths, Chrome trace and sweep payload all read
+        this one fold."""
         if self.tracer is None:
             raise RuntimeError("run_experiment(..., trace=True) to record a trace")
-        from repro.profiling import build_timeline
+        if self._timeline is None:
+            from repro.profiling import build_timeline
 
-        return build_timeline(self.tracer)
+            self._timeline = build_timeline(self.tracer)
+        return self._timeline
 
     def critical_paths(self):
         """Per-round token-propagation critical paths (complete rounds)."""
-        if self.tracer is None:
-            raise RuntimeError("run_experiment(..., trace=True) to record a trace")
         from repro.profiling import critical_paths
 
-        return critical_paths(self.tracer.events)
+        return critical_paths(self.timeline())
 
     def write_chrome_trace(self, path: str) -> int:
         """Export the run as Perfetto-loadable trace-event JSON."""
-        if self.tracer is None:
-            raise RuntimeError("run_experiment(..., trace=True) to record a trace")
         from repro.profiling import write_chrome_trace
 
-        return write_chrome_trace(self.tracer, path)
+        return write_chrome_trace(self.timeline(), path)
 
     def binned_latency(self, start: float, end: float, bin_width: float = 2.0):
         probe = self.runtime.app.params.get("probe_prefix", "")

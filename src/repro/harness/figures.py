@@ -287,7 +287,8 @@ def fig14_checkpoint_time(
     checkpoints); MS-src+ap(+aa) and Oracle report the slowest individual
     checkpoint broken into token collection / disk I/O / other (§IV-B).
     A cell whose run completed no round has no numbers: it carries
-    ``{"reason": "no complete round (0 of N)"}`` instead.
+    ``{"reason": "no complete round (0 of N): round 1 <its status>"}``
+    instead.
     """
     apps = apps or ["tmi", "bcp", "signalguru"]
     schemes = ("ms-src", "ms-src+ap", "ms-src+ap+aa", "oracle")
@@ -317,7 +318,10 @@ def fig14_checkpoint_time(
             ckpt = payload["checkpoint"]
             if ckpt is None:
                 done = payload["rounds_completed"]
-                out[app][scheme] = {"reason": f"no complete round ({done} of {n_checkpoints})"}
+                why = "".join(f": {line}" for line in payload["incomplete_rounds"])
+                out[app][scheme] = {
+                    "reason": f"no complete round ({done} of {n_checkpoints}){why}"
+                }
             elif scheme == "ms-src":
                 out[app][scheme] = {"total": ckpt["wall_clock"]}
             else:

@@ -59,7 +59,8 @@ from repro.telemetry.registry import MetricRegistry
 #     stragglers (the RunBundle content — see repro.inspect.bundle).
 # v5: cells carry the monitoring plane's alert block and health timeline
 #     (empty when cfg.monitor_period == 0 — see repro.monitor).
-PAYLOAD_VERSION = 5
+# v6: cells say why each round that did not complete did not.
+PAYLOAD_VERSION = 6
 
 
 def default_jobs() -> int:
@@ -215,9 +216,9 @@ def reduce_result(result: ExperimentResult, spec: CellSpec | None = None) -> dic
         # Per-phase span totals (token-wait/safepoint-wait/snapshot/
         # disk-io) summed over every HAU checkpoint of every round, plus
         # the per-HAU breakdown — the diff engine's attribution input.
-        from repro.profiling import build_timeline, straggler_report
+        from repro.profiling import straggler_report
 
-        timeline = build_timeline(result.tracer)
+        timeline = result.timeline()
         totals: dict[str, float] = {}
         per_hau: dict[str, dict[str, float]] = {}
         for wave in timeline.rounds:
@@ -243,6 +244,9 @@ def reduce_result(result: ExperimentResult, spec: CellSpec | None = None) -> dic
         "latency": result.latency,
         "latency_percentiles": dict(sorted(result.latency_percentiles.items())),
         "rounds_completed": len(complete),
+        "incomplete_rounds": [
+            f"round {log.round_id} {log.status()}" for log in logs if not log.complete
+        ],
         "checkpoint": checkpoint,
         "recovery": recovery,
         "critical_path": critical_path,
@@ -256,14 +260,9 @@ def reduce_result(result: ExperimentResult, spec: CellSpec | None = None) -> dic
     }
 
 
-def run_cell(spec: CellSpec) -> dict[str, Any]:
-    """Execute one cell and reduce it (module-level: pickled to workers).
-
-    The canonical-JSON round trip normalises tuples/floats so an
-    in-process payload is byte-identical to one that crossed a process
-    boundary or the disk cache.
-    """
-    result = run_experiment(
+def run_spec(spec: CellSpec) -> ExperimentResult:
+    """Execute one cell, traced."""
+    return run_experiment(
         spec.config,
         failure_at=spec.failure_at,
         failure_targets=(
@@ -279,7 +278,16 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
         # every cell gains its causal timeline (critical-path seconds).
         trace=True,
     )
-    return json.loads(canonical_json(reduce_result(result, spec)))
+
+
+def run_cell(spec: CellSpec) -> dict[str, Any]:
+    """Execute one cell and reduce it (module-level: pickled to workers).
+
+    The canonical-JSON round trip normalises tuples/floats so an
+    in-process payload is byte-identical to one that crossed a process
+    boundary or the disk cache.
+    """
+    return json.loads(canonical_json(reduce_result(run_spec(spec), spec)))
 
 
 @dataclass

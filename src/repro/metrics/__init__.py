@@ -1,16 +1,17 @@
 """Measurement: throughput, latency, checkpoint and recovery breakdowns."""
 
-from repro.metrics.collectors import MetricsHub, SinkSample
+from repro.metrics.collectors import MetricsHub
 from repro.metrics.breakdown import (
     CheckpointBreakdown,
     CheckpointLog,
     RecoveryBreakdown,
+    RunRecord,
 )
 
 __all__ = [
     "MetricsHub",
-    "SinkSample",
     "CheckpointBreakdown",
     "CheckpointLog",
     "RecoveryBreakdown",
+    "RunRecord",
 ]

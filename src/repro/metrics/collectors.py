@@ -9,12 +9,12 @@ full arrival-time series at the sinks, binnable around any instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.observability.tracer import ensure_tracer
 from repro.telemetry.quantile import exact_percentile
 
 DEFAULT_LATENCY_PERCENTILES = (0.5, 0.95, 0.99)
+
+# Which HAUs a reducer reads: an id prefix (the app's probe stage), or a set of ids.
+Probe = str | frozenset[str]
 
 
 def _percentile_dict(
@@ -26,68 +26,49 @@ def _percentile_dict(
     }
 
 
-@dataclass(frozen=True)
-class SinkSample:
-    """One tuple delivered to a sink."""
-
-    sink: str
-    created_at: float
-    arrived_at: float
-
-    @property
-    def latency(self) -> float:
-        return self.arrived_at - self.created_at
-
-
 class MetricsHub:
-    """Collects sink deliveries and derives the paper's metrics.
+    """Collects per-tuple processing records and derives the paper's
+    metrics from them, at a probe stage or at the sinks."""
 
-    Run-level events (recovery start/done, unrecoverable HAUs, ...) ride
-    on the observability tracer: :meth:`record_event` forwards onto
-    ``tracer`` when tracing is enabled, while the legacy ``events`` list
-    is kept as a cheap always-on view for the harness and tests.
-    """
-
-    def __init__(self, tracer=None):
-        self.tracer = ensure_tracer(tracer)
-        self.sink_samples: list[SinkSample] = []
+    def __init__(self):
         # per-stage processing records: (hau_id, created_at, processed_at).
         # Windowed applications (TMI's k-means, SignalGuru's episodes)
         # deliver to the sink only once per window, so per-tuple throughput
         # and latency are measured at a *probe stage* instead (§IV-A's
         # "tuples processed by the application").
         self.stage_samples: list[tuple[str, float, float]] = []
-        self.events: list[tuple[float, str, str]] = []  # (time, kind, detail)
+        # The application's sink HAUs; the runtime names them once.
+        self.sinks: frozenset[str] = frozenset()
 
     # -- recording ----------------------------------------------------------------
-    def record_sink(self, sink: str, created_at: float, arrived_at: float) -> None:
-        self.sink_samples.append(SinkSample(sink, created_at, arrived_at))
-
     def record_stage(self, hau_id: str, created_at: float, processed_at: float) -> None:
         self.stage_samples.append((hau_id, created_at, processed_at))
 
     # -- probe-stage metrics ---------------------------------------------------------
-    def _probe(self, probe_prefix: str, start: float, end: float | None):
-        for hau_id, created, done in self.stage_samples:
-            if not hau_id.startswith(probe_prefix):
-                continue
+    def _probe(self, probe: Probe, start: float, end: float | None):
+        """Samples of the probed HAUs processed in [start, end)."""
+        if isinstance(probe, str):
+            samples = (s for s in self.stage_samples if s[0].startswith(probe))
+        else:
+            samples = (s for s in self.stage_samples if s[0] in probe)
+        for _hau_id, created, done in samples:
             if done >= start and (end is None or done < end):
                 yield created, done
 
     def stage_throughput(
-        self, probe_prefix: str, start: float = 0.0, end: float | None = None
+        self, probe_prefix: Probe, start: float = 0.0, end: float | None = None
     ) -> int:
         return sum(1 for _ in self._probe(probe_prefix, start, end))
 
     def stage_latency(
-        self, probe_prefix: str, start: float = 0.0, end: float | None = None
+        self, probe_prefix: Probe, start: float = 0.0, end: float | None = None
     ) -> float:
         lats = [done - created for created, done in self._probe(probe_prefix, start, end)]
         return sum(lats) / len(lats) if lats else 0.0
 
     def stage_latency_percentiles(
         self,
-        probe_prefix: str,
+        probe_prefix: Probe,
         start: float = 0.0,
         end: float | None = None,
         percentiles: tuple[float, ...] = DEFAULT_LATENCY_PERCENTILES,
@@ -98,12 +79,12 @@ class MetricsHub:
         return _percentile_dict(lats, percentiles)
 
     def stage_latency_series(
-        self, probe_prefix: str, start: float = 0.0, end: float | None = None
+        self, probe_prefix: Probe, start: float = 0.0, end: float | None = None
     ) -> list[tuple[float, float]]:
         return [(done, done - created) for created, done in self._probe(probe_prefix, start, end)]
 
     def stage_binned_latency(
-        self, probe_prefix: str, start: float, end: float, bin_width: float
+        self, probe_prefix: Probe, start: float, end: float, bin_width: float
     ) -> list[tuple[float, float]]:
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
@@ -119,29 +100,13 @@ class MetricsHub:
             for b in range(n_bins)
         ]
 
-    def record_event(self, time: float, kind: str, detail: str = "") -> None:
-        self.events.append((time, kind, detail))
-        # Legacy events ride along on the trace under the "metrics." prefix
-        # (typed emissions at the call sites carry the structured form).
-        if self.tracer.enabled:
-            self.tracer.emit("metrics." + kind, t=time, subject=detail)
-
-    # -- derived metrics -----------------------------------------------------------
+    # -- the same, restricted to the sinks -------------------------------------------
     def throughput(self, start: float = 0.0, end: float | None = None) -> int:
         """Tuples delivered to sinks in [start, end)."""
-        return sum(
-            1
-            for s in self.sink_samples
-            if s.arrived_at >= start and (end is None or s.arrived_at < end)
-        )
+        return self.stage_throughput(self.sinks, start, end)
 
     def average_latency(self, start: float = 0.0, end: float | None = None) -> float:
-        lats = [
-            s.latency
-            for s in self.sink_samples
-            if s.arrived_at >= start and (end is None or s.arrived_at < end)
-        ]
-        return sum(lats) / len(lats) if lats else 0.0
+        return self.stage_latency(self.sinks, start, end)
 
     def latency_percentiles(
         self,
@@ -149,42 +114,20 @@ class MetricsHub:
         end: float | None = None,
         percentiles: tuple[float, ...] = DEFAULT_LATENCY_PERCENTILES,
     ) -> dict[str, float]:
-        """Exact sink-latency percentiles over [start, end), as
-        ``{"p50": ..., "p95": ..., "p99": ...}`` (0.0 for empty windows)."""
-        lats = [
-            s.latency
-            for s in self.sink_samples
-            if s.arrived_at >= start and (end is None or s.arrived_at < end)
-        ]
-        return _percentile_dict(lats, percentiles)
+        """Exact sink-latency percentiles over [start, end)."""
+        return self.stage_latency_percentiles(self.sinks, start, end, percentiles)
 
     def latency_series(
         self, start: float = 0.0, end: float | None = None
     ) -> list[tuple[float, float]]:
         """(arrival time, latency) pairs — instantaneous latency raw data."""
-        return [
-            (s.arrived_at, s.latency)
-            for s in self.sink_samples
-            if s.arrived_at >= start and (end is None or s.arrived_at < end)
-        ]
+        return self.stage_latency_series(self.sinks, start, end)
 
     def binned_latency(
         self, start: float, end: float, bin_width: float
     ) -> list[tuple[float, float]]:
         """Average latency per time bin — the Fig. 15 series."""
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        bins: dict[int, list[float]] = {}
-        for s in self.sink_samples:
-            if start <= s.arrived_at < end:
-                bins.setdefault(int((s.arrived_at - start) // bin_width), []).append(s.latency)
-        out = []
-        n_bins = int((end - start) / bin_width)
-        for b in range(n_bins):
-            lats = bins.get(b, [])
-            centre = start + (b + 0.5) * bin_width
-            out.append((centre, sum(lats) / len(lats) if lats else 0.0))
-        return out
+        return self.stage_binned_latency(self.sinks, start, end, bin_width)
 
     def peak_binned_latency(self, start: float, end: float, bin_width: float) -> float:
         series = [v for (_t, v) in self.binned_latency(start, end, bin_width) if v > 0]

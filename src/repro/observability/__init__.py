@@ -32,7 +32,6 @@ from repro.observability.tracer import (
     NullTracer,
     TraceEvent,
     Tracer,
-    ensure_tracer,
     events_of,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "Tracer",
     "JsonlStreamWriter",
     "dumps_jsonl",
-    "ensure_tracer",
     "event_to_json",
     "events_of",
     "read_jsonl",

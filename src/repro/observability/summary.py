@@ -1,154 +1,121 @@
 """Trace summaries: per-run checkpoint timelines and recovery breakdowns.
 
-Consumes a :class:`~repro.observability.tracer.Tracer` (or a plain event
-list) and folds it into the structures the paper's debugging workflow
-needs: per-round checkpoint timelines (command → tokens → write →
-commit, per HAU), token-hop counts, failure/recovery timelines with the
-four recovery phases, alert-mode decisions, and replay volumes.  The
-result is a plain dict (JSON-ready) plus a text renderer for humans.
+Renders a trace's :class:`~repro.profiling.spans.Timeline` (rounds and
+recoveries are folded there, once) as the structures the paper's
+debugging workflow needs: per-round checkpoint timelines (start → write
+→ commit, per HAU) with each round's status, token-hop counts,
+failure/recovery timelines with the four recovery phases, alert-mode
+decisions, and replay volumes.  The result is a plain dict (JSON-ready)
+plus a text renderer for humans.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 import json
 from typing import Any
 
-from repro.observability.tracer import TraceEvent, Tracer, events_of
+from repro.profiling.spans import build_timeline
 
 
-def summarize(source: Tracer | Iterable[TraceEvent]) -> dict[str, Any]:
-    """Fold a trace into a JSON-ready summary dict."""
-    events = events_of(source)
-    summary: dict[str, Any] = {
-        "n_events": len(events),
-        "span": [events[0].t, events[-1].t] if events else [0.0, 0.0],
-        "counts": {},
-        "rounds": [],
-        "failures": [],
-        "recoveries": [],
-        "baseline_recoveries": [],
-        "alerts": [],
-        "replays": {"out": 0, "backlog": 0, "source": 0},
-    }
+def summarize(source: Any) -> dict[str, Any]:
+    """Render a trace (tracer, events, JSONL dicts or its ``Timeline``)
+    as a JSON-ready summary dict."""
+    tl = build_timeline(source)
+    events = tl.events
     counts: dict[str, int] = {}
-    rounds: dict[int, dict[str, Any]] = {}
-    open_recovery: dict[str, Any] = {}
-
-    def round_entry(round_id: int) -> dict[str, Any]:
-        entry = rounds.get(round_id)
-        if entry is None:
-            entry = {
-                "round_id": round_id,
-                "scheme": "",
-                "started_at": None,
-                "completed_at": None,
-                "token_sends": 0,
-                "token_recvs": 0,
-                "haus": {},
-            }
-            rounds[round_id] = entry
-        return entry
-
-    def hau_entry(round_id: int, hau_id: str) -> dict[str, Any]:
-        haus = round_entry(round_id)["haus"]
-        ent = haus.get(hau_id)
-        if ent is None:
-            ent = {
-                "start_at": None,
-                "mode": "",
-                "write_start_at": None,
-                "commit_at": None,
-                "bytes": 0,
-            }
-            haus[hau_id] = ent
-        return ent
-
+    tokens: dict[tuple[str, int], int] = {}
+    failures: list[dict[str, Any]] = []
+    baseline_recoveries: list[dict[str, Any]] = []
+    alerts: list[dict[str, Any]] = []
+    replays = {"out": 0, "backlog": 0, "source": 0}
     for e in events:
-        counts[e.kind] = counts.get(e.kind, 0) + 1
         kind = e.kind
-        if kind == "checkpoint.round.start":
-            entry = round_entry(e.get("round"))
-            entry["started_at"] = e.t
-            entry["scheme"] = e.subject
-        elif kind == "token.send":
-            round_entry(e.get("round"))["token_sends"] += 1
-        elif kind == "token.recv":
-            round_entry(e.get("round"))["token_recvs"] += 1
-        elif kind == "checkpoint.start":
-            ent = hau_entry(e.get("round"), e.subject)
-            ent["start_at"] = e.t
-            ent["mode"] = e.get("mode", "")
-        elif kind == "checkpoint.write.start":
-            hau_entry(e.get("round"), e.subject)["write_start_at"] = e.t
-        elif kind == "checkpoint.commit":
-            ent = hau_entry(e.get("round"), e.subject)
-            ent["commit_at"] = e.t
-            ent["bytes"] = e.get("bytes", 0)
-        elif kind == "checkpoint.round.complete":
-            round_entry(e.get("round"))["completed_at"] = e.t
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind in ("token.send", "token.recv"):
+            key = (kind, e.get("round"))
+            tokens[key] = tokens.get(key, 0) + 1
         elif kind in ("failure.inject", "failure.detected"):
-            summary["failures"].append(
-                {
-                    "t": e.t,
-                    "kind": kind,
-                    "target": e.subject,
-                    "detail": dict(e.data),
-                }
-            )
-        elif kind == "recovery.start":
-            open_recovery = {
-                "started_at": e.t,
-                "dead": e.get("dead", ""),
-                "haus": {},
-                "phases": {},
-                "completed_at": None,
-                "total": None,
-            }
-            summary["recoveries"].append(open_recovery)
-        elif kind == "recovery.hau" and open_recovery:
-            open_recovery["haus"][e.subject] = dict(e.data)
-        elif kind == "recovery.reconnect" and open_recovery:
-            open_recovery["phases"]["reconnect"] = e.get("seconds", 0.0)
-        elif kind == "recovery.done" and open_recovery:
-            open_recovery["completed_at"] = e.t
-            open_recovery["total"] = e.get("total", 0.0)
-            open_recovery["phases"].update(
-                {
-                    "reload": e.get("reload", 0.0),
-                    "disk_io": e.get("disk_io", 0.0),
-                    "deserialize": e.get("deserialize", 0.0),
-                    "reconnect": e.get("reconnect", 0.0),
-                }
+            failures.append(
+                {"t": e.t, "kind": kind, "target": e.subject, "detail": dict(e.data)}
             )
         elif kind.startswith("baseline.recover") or kind == "baseline.unrecoverable":
-            summary["baseline_recoveries"].append(
-                {"t": e.t, "kind": kind, "hau": e.subject}
-            )
+            baseline_recoveries.append({"t": e.t, "kind": kind, "hau": e.subject})
         elif kind in ("aa.alert.enter", "aa.decision", "aa.profile"):
-            summary["alerts"].append(
-                {"t": e.t, "kind": kind, "detail": dict(e.data)}
-            )
-        elif kind == "replay.out":
-            summary["replays"]["out"] += e.get("count", 0)
-        elif kind == "replay.backlog":
-            summary["replays"]["backlog"] += e.get("count", 0)
-        elif kind == "replay.source":
-            summary["replays"]["source"] += e.get("count", 0)
+            alerts.append({"t": e.t, "kind": kind, "detail": dict(e.data)})
+        elif kind in ("replay.out", "replay.backlog", "replay.source"):
+            replays[kind.partition(".")[2]] += e.get("count", 0)
 
-    summary["counts"] = dict(sorted(counts.items()))
-    for rid in sorted(rounds):
-        entry = rounds[rid]
-        entry["haus"] = {h: entry["haus"][h] for h in sorted(entry["haus"])}
-        commits = [
-            ent["commit_at"]
-            for ent in entry["haus"].values()
-            if ent["commit_at"] is not None
-        ]
-        if entry["started_at"] is not None and commits:
-            entry["wall_clock"] = max(commits) - entry["started_at"]
-        summary["rounds"].append(entry)
-    return summary
+    rounds = []
+    for log in sorted(tl.rounds, key=lambda w: w.round_id):
+        started = {h: bd for h, bd in sorted(log.haus.items()) if bd.start_at is not None}
+        entry: dict[str, Any] = {
+            "round_id": log.round_id,
+            "scheme": log.scheme,
+            "started_at": log.started_at,
+            "completed_at": log.completed_at,
+            "status": log.status(),
+            "token_sends": tokens.get(("token.send", log.round_id), 0),
+            "token_recvs": tokens.get(("token.recv", log.round_id), 0),
+            "haus": {
+                h: {
+                    "start_at": bd.start_at,
+                    "mode": bd.mode,
+                    "write_start_at": bd.write_start_at,
+                    "commit_at": bd.write_end_at,
+                    "bytes": bd.state_bytes,
+                }
+                for h, bd in started.items()
+            },
+        }
+        if any(bd.complete for bd in started.values()):
+            entry["wall_clock"] = log.wall_clock()
+        rounds.append(entry)
+
+    recoveries = []
+    for rec in tl.recoveries:
+        if rec.started_at is None:
+            continue  # detected, never rolled back (the baseline restarts HAUs singly)
+        phases: dict[str, float] = {}
+        if rec.completed_at is not None:
+            phases["reconnect"] = rec.reconnect_seconds
+        if rec.complete:
+            phases.update(
+                reload=rec.reload_seconds,
+                disk_io=rec.disk_io_seconds,
+                deserialize=rec.deserialize_seconds,
+            )
+        recoveries.append(
+            {
+                "started_at": rec.started_at,
+                "dead": rec.dead,
+                "haus": {
+                    h: {
+                        "node": row.node,
+                        "reload": row.reload_seconds,
+                        "disk_io": row.disk_io_seconds,
+                        "deserialize": row.deserialize_seconds,
+                        "bytes": row.bytes_read,
+                    }
+                    for h, row in rec.haus.items()
+                    if row.end_at is not None
+                },
+                "phases": phases,
+                "completed_at": rec.done_at,
+                "total": rec.total if rec.complete else None,
+            }
+        )
+
+    return {
+        "n_events": len(events),
+        "span": [events[0].t, events[-1].t] if events else [0.0, 0.0],
+        "counts": dict(sorted(counts.items())),
+        "rounds": rounds,
+        "failures": failures,
+        "recoveries": recoveries,
+        "baseline_recoveries": baseline_recoveries,
+        "alerts": alerts,
+        "replays": replays,
+    }
 
 
 def render_summary(summary: dict[str, Any]) -> str:
@@ -165,11 +132,10 @@ def render_summary(summary: dict[str, Any]) -> str:
         lines.append("checkpoint rounds:")
         for entry in summary["rounds"]:
             rid = entry["round_id"]
-            status = "complete" if entry["completed_at"] is not None else "incomplete"
             wall = entry.get("wall_clock")
             wall_s = f" wall={wall:.3f}s" if wall is not None else ""
             lines.append(
-                f"  round {rid} [{entry['scheme']}] {status}: "
+                f"  round {rid} [{entry['scheme']}] {entry['status']}: "
                 f"{len(entry['haus'])} HAUs, "
                 f"{entry['token_sends']} token sends, "
                 f"{entry['token_recvs']} token recvs{wall_s}"

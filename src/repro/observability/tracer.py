@@ -147,14 +147,6 @@ class Tracer:
         return f"<Tracer {len(self.events)} events>"
 
 
-TracerLike = Any  # Tracer | NullTracer — both satisfy the emit/enabled surface
-
-
-def ensure_tracer(tracer: TracerLike | None) -> TracerLike:
-    """Coerce ``None`` to the shared no-op tracer."""
-    return NULL_TRACER if tracer is None else tracer
-
-
 def events_of(source: "Tracer | Iterable[TraceEvent]") -> list[TraceEvent]:
     """Accept a tracer or a plain event iterable; return the event list."""
     if isinstance(source, (Tracer, NullTracer)):

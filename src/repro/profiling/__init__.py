@@ -3,8 +3,9 @@
 Consumes a run's deterministic trace stream (live tracer, event list or
 JSONL dicts) and reconstructs causal structure:
 
-* :func:`build_timeline` — checkpoint waves, recovery timelines and
-  per-HAU phase attribution (:mod:`repro.profiling.spans`)
+* :func:`build_timeline` — the trace folded into the run's rounds and
+  recoveries (:mod:`repro.metrics.breakdown`'s types) with per-HAU phase
+  attribution (:mod:`repro.profiling.spans`)
 * :func:`compute_critical_path` / :func:`critical_paths` — the longest
   causal chain gating each round, plus :func:`straggler_report`
   (:mod:`repro.profiling.critical_path`)
@@ -29,25 +30,11 @@ from repro.profiling.critical_path import (
     critical_paths,
     straggler_report,
 )
-from repro.profiling.spans import (
-    PHASES,
-    HAUCheckpoint,
-    RecoveryTimeline,
-    RoundWave,
-    Span,
-    Timeline,
-    build_timeline,
-    normalize_events,
-)
+from repro.profiling.spans import Timeline, build_timeline, normalize_events
 
 __all__ = [
-    "PHASES",
     "CriticalPath",
-    "HAUCheckpoint",
     "Hop",
-    "RecoveryTimeline",
-    "RoundWave",
-    "Span",
     "Straggler",
     "Timeline",
     "build_timeline",

@@ -25,7 +25,7 @@ import json
 from typing import IO, Any
 
 from repro.profiling.critical_path import critical_paths
-from repro.profiling.spans import Timeline, build_timeline
+from repro.profiling.spans import build_timeline
 
 _JSON_KW = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -101,7 +101,7 @@ def to_chrome_trace(
     ``pid_base``/``label_prefix`` let a caller merge several runs (e.g.
     one per scheme) into a single file without pid collisions.
     """
-    tl = source if isinstance(source, Timeline) else build_timeline(source)
+    tl = build_timeline(source)
     hau_ids = tl.hau_ids()
     scheme_pid = pid_base
     pid_of = {h: pid_base + i + 1 for i, h in enumerate(hau_ids)}
@@ -130,12 +130,12 @@ def to_chrome_trace(
                 _instant(
                     scheme_pid, tid, f"round {wave.round_id} (incomplete)",
                     "round", wave.started_at,
-                    {"incomplete_haus": ",".join(wave.incomplete_haus())},
+                    {"incomplete_haus": ",".join(wave.stalled_haus())},
                 )
             )
 
     if include_critical_path:
-        for path in critical_paths(tl.events):
+        for path in critical_paths(tl):
             tid = _ROUND_TID_BASE + path.round_id
             touch(scheme_pid, tid)
             for hop in path.hops:
@@ -163,7 +163,7 @@ def to_chrome_trace(
                 )
             )
     for rec in tl.recoveries:
-        if rec.started_at is not None and rec.done_at is not None:
+        if rec.started_at is not None and rec.complete:
             out.append(
                 _span(
                     scheme_pid, _TID_LIFECYCLE, "recovery", "recovery",
@@ -171,11 +171,11 @@ def to_chrome_trace(
                     {"dead": rec.dead, "cut_round": rec.cut_round},
                 )
             )
-        if rec.reconnect_at is not None and rec.reconnect_seconds > 0.0:
+        if rec.completed_at is not None and rec.reconnect_seconds > 0.0:
             out.append(
                 _span(
                     scheme_pid, _TID_LIFECYCLE, "reconnect", "recovery",
-                    rec.reconnect_at - rec.reconnect_seconds, rec.reconnect_at,
+                    rec.completed_at - rec.reconnect_seconds, rec.completed_at,
                 )
             )
 

@@ -70,7 +70,7 @@ def render_timeline(
                 _fmt_t(w.completed_at),
                 _fmt_t(w.duration),
                 len(w.haus),
-                ",".join(w.incomplete_haus()) or "-",
+                ",".join(w.stalled_haus()) or "-",
             ]
             for w in waves
         ]
@@ -87,9 +87,9 @@ def render_timeline(
 
     if show_critical_path:
         paths = (
-            [p for p in [compute_critical_path(tl.events, round_filter)] if p]
+            [p for p in [compute_critical_path(tl, round_filter)] if p]
             if round_filter is not None
-            else critical_paths(tl.events)
+            else critical_paths(tl)
         )
         for path in paths:
             rows = [
@@ -117,7 +117,7 @@ def render_timeline(
                 i + 1,
                 _fmt_t(rec.detected_at),
                 _fmt_t(rec.started_at),
-                _fmt_t(rec.reconnect_at),
+                _fmt_t(rec.completed_at),
                 _fmt_t(rec.total),
                 len(rec.haus),
                 rec.dead or "-",
@@ -166,9 +166,9 @@ def timeline_payload(
 ) -> dict[str, Any]:
     """The JSON-format payload for one timeline."""
     paths = (
-        [p for p in [compute_critical_path(tl.events, round_filter)] if p]
+        [p for p in [compute_critical_path(tl, round_filter)] if p]
         if round_filter is not None
-        else critical_paths(tl.events)
+        else critical_paths(tl)
     )
     data = tl.as_dict()
     if round_filter is not None:
@@ -184,8 +184,8 @@ def timeline_payload(
     }
 
 
-def _run_schemes(args: argparse.Namespace) -> list[tuple[str, Any]]:
-    """Run each configured scheme with tracing on; returns (name, tracer)."""
+def _run_schemes(args: argparse.Namespace) -> list[tuple[str, Timeline]]:
+    """Run each configured scheme with tracing on; returns (name, timeline)."""
     # deferred: the harness pulls in the whole experiment stack
     from repro.harness.experiment import ExperimentConfig, run_experiment
 
@@ -207,7 +207,7 @@ def _run_schemes(args: argparse.Namespace) -> list[tuple[str, Any]]:
             enable_recovery=args.failure_at is not None,
         )
         result = run_experiment(cfg, failure_at=args.failure_at, trace=True)
-        out.append((scheme, result.tracer))
+        out.append((scheme, result.timeline()))
     return out
 
 
@@ -257,18 +257,17 @@ def main(argv: list[str] | None = None) -> int:
         from repro.observability.export import read_jsonl
 
         try:
-            events = read_jsonl(args.trace)
+            timelines = [("", build_timeline(read_jsonl(args.trace)))]
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        sources: list[tuple[str, Any]] = [("", events)]
     else:
         try:
-            sources = _run_schemes(args)
+            timelines = _run_schemes(args)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not sources:
+        if not timelines:
             print("error: no schemes to run", file=sys.stderr)
             return 2
 
@@ -278,19 +277,18 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         if args.format == "json":
-            payload = {}
-            for name, src in sources:
-                tl = build_timeline(src)
-                payload[name or "trace"] = [
+            payload = {
+                name or "trace": [
                     s.as_dict()
                     for s in straggler_report(tl, k=args.straggler_k)
                     if args.round is None or s.round_id == args.round
                 ]
+                for name, tl in timelines
+            }
             text = json.dumps(payload, **_JSON_KW) + "\n"
         else:
             parts = []
-            for name, src in sources:
-                tl = build_timeline(src)
+            for name, tl in timelines:
                 table = render_stragglers(tl, args.round, args.straggler_k)
                 if table is None:
                     table = f"no stragglers (> {args.straggler_k:g}x round median)"
@@ -301,36 +299,32 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "chrome-trace":
         traces = [
             to_chrome_trace(
-                src,
+                tl,
                 pid_base=i * 1000,
                 label_prefix=f"{name}/" if name else "",
             )
-            for i, (name, src) in enumerate(sources)
+            for i, (name, tl) in enumerate(timelines)
         ]
         text = dumps_chrome_trace(
             traces[0] if len(traces) == 1 else merge_chrome_traces(traces)
         )
     elif args.format == "json":
-        payload: dict[str, Any] = {}
-        for name, src in sources:
-            tl = build_timeline(src)
-            payload[name or "trace"] = timeline_payload(
-                tl, args.round, args.straggler_k
-            )
+        payload = {
+            name or "trace": timeline_payload(tl, args.round, args.straggler_k)
+            for name, tl in timelines
+        }
         text = json.dumps(payload, **_JSON_KW) + "\n"
     else:
-        parts = []
-        for name, src in sources:
-            tl = build_timeline(src)
-            parts.append(
-                render_timeline(
-                    tl,
-                    title=f"== {name} ==\n\n" if name else "",
-                    round_filter=args.round,
-                    show_critical_path=args.critical_path,
-                    straggler_k=args.straggler_k,
-                )
+        parts = [
+            render_timeline(
+                tl,
+                title=f"== {name} ==\n\n" if name else "",
+                round_filter=args.round,
+                show_critical_path=args.critical_path,
+                straggler_k=args.straggler_k,
             )
+            for name, tl in timelines
+        ]
         text = "\n\n".join(parts) + "\n"
 
     return _write_output(text, args.output)

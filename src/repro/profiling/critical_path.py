@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Any
 
-from repro.profiling.spans import Ev, Timeline, build_timeline, normalize_events
+from repro.metrics.breakdown import CheckpointLog
+from repro.profiling.spans import Ev, build_timeline
 
 
 @dataclass(frozen=True)
@@ -97,40 +98,18 @@ class CriticalPath:
 
 
 class _Index:
-    """Per-round lookup tables over the normalised event stream."""
+    """The trace-side lookups a path walk needs beside the timeline's
+    per-(HAU, round) instants: token sends / arrivals and control sends."""
 
     def __init__(self, events: list[Ev]):
-        self.round_start: dict[int, Ev] = {}
-        self.round_complete: dict[int, Ev] = {}
-        self.commits: dict[tuple[str, int], Ev] = {}
-        self.write_starts: dict[tuple[str, int], Ev] = {}
-        self.ckpt_starts: dict[tuple[str, int], Ev] = {}
-        self.tokens_done: dict[tuple[str, int], Ev] = {}
-        self.commands: dict[tuple[str, int], Ev] = {}
         self.recvs: dict[tuple[str, int], list[Ev]] = {}
         self.sends: dict[tuple[str, int], list[Ev]] = {}
         self.controls: dict[str, list[Ev]] = {}
         for e in events:
-            r = e.get("round")
-            key = (e.subject, int(r)) if r is not None else None
-            if e.kind == "checkpoint.round.start":
-                self.round_start.setdefault(int(r), e)
-            elif e.kind == "checkpoint.round.complete":
-                self.round_complete.setdefault(int(r), e)
-            elif e.kind == "checkpoint.commit" and key:
-                self.commits.setdefault(key, e)
-            elif e.kind == "checkpoint.write.start" and key:
-                self.write_starts.setdefault(key, e)
-            elif e.kind == "checkpoint.start" and key:
-                self.ckpt_starts.setdefault(key, e)
-            elif e.kind == "checkpoint.tokens.done" and key:
-                self.tokens_done.setdefault(key, e)
-            elif e.kind == "checkpoint.command" and key:
-                self.commands.setdefault(key, e)
-            elif e.kind == "token.recv" and key:
-                self.recvs.setdefault(key, []).append(e)
-            elif e.kind == "token.send" and key:
-                self.sends.setdefault(key, []).append(e)
+            if e.kind == "token.recv":
+                self.recvs.setdefault((e.subject, int(e.get("round"))), []).append(e)
+            elif e.kind == "token.send":
+                self.sends.setdefault((e.subject, int(e.get("round"))), []).append(e)
             elif e.kind == "control.send":
                 self.controls.setdefault(e.subject, []).append(e)
 
@@ -150,129 +129,114 @@ class _Index:
                 best = s
         return best
 
-    def last_control(self, hau_id: str, before: Ev) -> Ev | None:
+    def last_control(self, hau_id: str, before: float) -> Ev | None:
         best: Ev | None = None
         for c in self.controls.get(hau_id, ()):
-            if c.seq <= before.seq and (best is None or c.seq > best.seq):
+            if c.t <= before and (best is None or c.seq > best.seq):
                 best = c
         return best
 
 
-def compute_critical_path(source: Any, round_id: int) -> CriticalPath | None:
-    """Reconstruct round ``round_id``'s critical path from a trace.
-
-    Returns ``None`` for rounds that never completed (or are absent).
-    """
-    events = normalize_events(source)
-    idx = _Index(events)
-    start = idx.round_start.get(round_id)
-    complete = idx.round_complete.get(round_id)
-    if start is None or complete is None:
+def _walk(idx: _Index, log: CheckpointLog) -> CriticalPath | None:
+    """One complete round's path, last commit back to the round start."""
+    if log.completed_at is None:
         return None
-    scheme = start.subject
+    round_id, scheme, started_at = log.round_id, log.scheme, log.started_at
 
     # The gating commit: the latest one; ties go to the smallest HAU id.
-    commits = [e for (h, r), e in idx.commits.items() if r == round_id]
+    commits = [bd for bd in log.haus.values() if bd.complete]
     if not commits:
         return None
-    latest_t = max(e.t for e in commits)
+    latest_t = max(bd.write_end_at for bd in commits)
     gate = min(
-        (e for e in commits if e.t == latest_t), key=lambda e: e.subject
+        (bd for bd in commits if bd.write_end_at == latest_t), key=lambda bd: bd.hau_id
     )
 
-    hops: list[Hop] = [Hop("round-complete", scheme, gate.t, complete.t)]
-    cur_hau = gate.subject
-    cur_commit = gate
+    hops: list[Hop] = [Hop("round-complete", scheme, latest_t, log.completed_at)]
+    cur_hau = gate.hau_id
     visited: set[str] = set()
 
-    while True:
-        if cur_hau in visited:  # defensive: traces are acyclic by design
-            break
+    def root_through_control(hau_id: str, anchor: float) -> None:
+        ctrl = idx.last_control(hau_id, anchor)
+        if ctrl is not None:
+            hops.append(Hop("control-hop", hau_id, ctrl.t, anchor))
+            hops.append(Hop("round-start", scheme, started_at, ctrl.t))
+
+    while cur_hau not in visited:  # defensive: traces are acyclic by design
         visited.add(cur_hau)
-        key = (cur_hau, round_id)
-        ws = idx.write_starts.get(key)
-        cs = idx.ckpt_starts.get(key)
-        if ws is None or cs is None:
+        bd = log.haus.get(cur_hau)
+        if bd is None or bd.write_start_at is None or bd.start_at is None:
             break
-        hops.append(Hop("disk-io", cur_hau, ws.t, cur_commit.t))
-        hops.append(Hop("snapshot", cur_hau, cs.t, ws.t))
-        td = idx.tokens_done.get(key)
-        anchor = td if td is not None else cs
-        if td is not None:
-            hops.append(Hop("safepoint-wait", cur_hau, td.t, cs.t))
-        recvs = [
-            rv for rv in idx.recvs.get(key, ()) if rv.seq <= anchor.seq
-        ]
-        if recvs:
-            last = max(
-                recvs,
-                key=lambda e: (e.t, e.seq),
-            )
-            # Among arrivals at the same instant the chain is gated by
-            # all of them; pick the smallest origin id for determinism.
-            same_t = [rv for rv in recvs if rv.t == last.t]
-            last = min(same_t, key=lambda e: str(e.get("origin", "")))
-            hops.append(Hop("token-wait", cur_hau, last.t, anchor.t))
-            send = idx.matching_send(last, round_id)
-            origin = str(last.get("origin", ""))
-            if send is None:
-                break
-            hops.append(Hop("token-hop", f"{origin}->{cur_hau}", send.t, last.t))
-            if bool(send.get("front", False)):
-                # 1-hop token (MS-src+ap family): inserted at command
-                # receipt; the chain roots through the control plane.
-                cmd = idx.commands.get((origin, round_id))
-                if cmd is not None:
-                    hops.append(Hop("token-insert", origin, cmd.t, send.t))
-                    anchor_root = cmd
-                else:
-                    anchor_root = send
-                ctrl = idx.last_control(origin, anchor_root)
-                if ctrl is not None:
-                    hops.append(Hop("control-hop", origin, ctrl.t, anchor_root.t))
-                    hops.append(Hop("round-start", scheme, start.t, ctrl.t))
-                break
-            # Cascade token (MS-src): forwarded after the sender's own
-            # synchronous checkpoint — recurse through the sender.
-            sender_commit = idx.commits.get((origin, round_id))
-            if sender_commit is None:
-                break
-            hops.append(Hop("token-forward", origin, sender_commit.t, send.t))
-            cur_hau = origin
-            cur_commit = sender_commit
-            continue
-        # No token arrivals: a source; root through command + control.
-        cmd = idx.commands.get(key)
-        if cmd is not None:
-            hops.append(Hop("command-wait", cur_hau, cmd.t, anchor.t))
-            ctrl = idx.last_control(cur_hau, cmd)
-            if ctrl is not None:
-                hops.append(Hop("control-hop", cur_hau, ctrl.t, cmd.t))
-                hops.append(Hop("round-start", scheme, start.t, ctrl.t))
-        break
+        hops.append(Hop("disk-io", cur_hau, bd.write_start_at, bd.write_end_at))
+        hops.append(Hop("snapshot", cur_hau, bd.start_at, bd.write_start_at))
+        anchor = bd.start_at
+        if bd.tokens_done_at is not None:
+            anchor = bd.tokens_done_at
+            hops.append(Hop("safepoint-wait", cur_hau, anchor, bd.start_at))
+        recvs = [rv for rv in idx.recvs.get((cur_hau, round_id), ()) if rv.t <= anchor]
+        if not recvs:
+            # No token arrivals: a source; root through command + control.
+            if bd.command_at is not None:
+                hops.append(Hop("command-wait", cur_hau, bd.command_at, anchor))
+                root_through_control(cur_hau, bd.command_at)
+            break
+        latest = max(rv.t for rv in recvs)
+        # Among arrivals at the same instant the chain is gated by
+        # all of them; pick the smallest origin id for determinism.
+        last = min(
+            (rv for rv in recvs if rv.t == latest), key=lambda e: str(e.get("origin", ""))
+        )
+        hops.append(Hop("token-wait", cur_hau, last.t, anchor))
+        send = idx.matching_send(last, round_id)
+        origin = str(last.get("origin", ""))
+        if send is None:
+            break
+        hops.append(Hop("token-hop", f"{origin}->{cur_hau}", send.t, last.t))
+        sender = log.haus.get(origin)
+        if bool(send.get("front", False)):
+            # 1-hop token (MS-src+ap family): inserted at command
+            # receipt; the chain roots through the control plane.
+            root = send.t
+            if sender is not None and sender.command_at is not None:
+                root = sender.command_at
+                hops.append(Hop("token-insert", origin, root, send.t))
+            root_through_control(origin, root)
+            break
+        # Cascade token (MS-src): forwarded after the sender's own
+        # synchronous checkpoint — recurse through the sender.
+        if sender is None or not sender.complete:
+            break
+        hops.append(Hop("token-forward", origin, sender.write_end_at, send.t))
+        cur_hau = origin
 
     hops.reverse()
     return CriticalPath(
         round_id=round_id,
         scheme=scheme,
-        started_at=start.t,
-        completed_at=complete.t,
-        gating_hau=gate.subject,
+        started_at=started_at,
+        completed_at=log.completed_at,
+        gating_hau=gate.hau_id,
         hops=hops,
     )
 
 
+def compute_critical_path(source: Any, round_id: int) -> CriticalPath | None:
+    """Reconstruct round ``round_id``'s critical path from a trace (or
+    its timeline).
+
+    Returns ``None`` for rounds that never completed (or are absent).
+    """
+    tl = build_timeline(source)
+    log = tl.round(round_id)
+    return None if log is None else _walk(_Index(tl.events), log)
+
+
 def critical_paths(source: Any) -> list[CriticalPath]:
     """Critical paths for every *complete* round, in round order."""
-    events = normalize_events(source)
-    idx = _Index(events)
-    out = []
-    for r in sorted(idx.round_complete):
-        if r in idx.round_start:
-            path = compute_critical_path(events, r)
-            if path is not None:
-                out.append(path)
-    return out
+    tl = build_timeline(source)
+    idx = _Index(tl.events)
+    paths = (_walk(idx, log) for log in sorted(tl.rounds, key=lambda w: w.round_id))
+    return [p for p in paths if p is not None]
 
 
 @dataclass(frozen=True)
@@ -300,16 +264,13 @@ class Straggler:
         }
 
 
-def straggler_report(timeline: Timeline | Any, k: float = 2.0) -> list[Straggler]:
+def straggler_report(timeline: Any, k: float = 2.0) -> list[Straggler]:
     """HAUs whose per-round checkpoint time exceeds ``k`` x the round's
     median (command receipt to commit), sorted by round then HAU id."""
-    tl = timeline if isinstance(timeline, Timeline) else build_timeline(timeline)
     out: list[Straggler] = []
-    for wave in tl.rounds:
+    for wave in build_timeline(timeline).rounds:
         totals = {
-            h: hc.total
-            for h, hc in wave.haus.items()
-            if hc.total is not None
+            h: bd.elapsed for h, bd in wave.haus.items() if bd.elapsed is not None
         }
         if len(totals) < 2:
             continue

@@ -29,6 +29,7 @@ TRACE_KINDS = {
     "checkpoint.write.start": "the state write to shared storage began",
     "checkpoint.commit": "the state write completed (version assigned)",
     "checkpoint.round.complete": "every HAU of the round committed",
+    "checkpoint.abandon": "a round that can no longer complete was given up (cause)",
     "replay.out": "post-recovery re-send of saved in-flight outputs",
     "replay.backlog": "post-recovery re-processing of pre-token backlog",
     "replay.source": "post-recovery full-speed source replay",
@@ -53,9 +54,7 @@ TRACE_KINDS = {
 }
 
 # Namespaces whose kinds cannot be enumerated (built at the emit site).
-TRACE_DYNAMIC = {
-    "metrics.": "legacy `MetricsHub.record_event` kinds, forwarded verbatim under this namespace",
-}
+TRACE_DYNAMIC = {}
 
 # What DESIGN.md's trace-schema table (one row per namespace) shows
 # beside the event names: keyed by kind, the payload note in parentheses
@@ -67,6 +66,7 @@ TRACE_TABLE_NOTES = {
     "checkpoint.tokens.done": "all input edges tokenised; edges=N",
     "checkpoint.start": "per HAU; mode=sync/async",
     "checkpoint.commit": "bytes, version",
+    "checkpoint.abandon": "cause=rollback",
     "replay.": "post-recovery replay counts",
     "failure.inject": "node/rack/partition/straggler, cause",
     "failure.restore": "timed degradation healed",
@@ -102,10 +102,10 @@ METRICS = (
      "`scheme`", "round start / all-HAUs-done"),
     ({"ms_checkpoint_write_seconds": "histogram"}, "`scheme`", "per-HAU checkpoint write duration"),
     ({"ms_hau_ckpt_write_seconds": "gauge"},
-     "`hau`", "last checkpoint-write duration, per HAU (`core/base.py`, `core/baseline.py`)"),
+     "`hau`", "last checkpoint-write duration, per HAU (on `checkpoint.commit`)"),
     ({"ms_checkpoint_bytes_total": "counter"}, "`scheme`", "checkpointed state volume"),
     ({"ms_recoveries_total": "counter", "ms_recovery_seconds": "histogram"},
-     "`scheme`", "`core/base.py` failure watcher"),
+     "`scheme`", "global rollbacks (on `recovery.done`)"),
     ({"ms_baseline_recovered_total": "counter", "ms_baseline_unrecoverable_total": "counter"},
      "`cause` (latter)", "1-safe single-HAU restarts"),
     ({"ms_holdback_drained_total": "counter"}, "`hau`", "holdback queue drains (src / ap)"),

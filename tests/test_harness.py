@@ -111,7 +111,9 @@ def test_a_breakdown_without_numbers_carries_its_reason_not_a_nan(monkeypatch):
 
     ckpt = {"wall_clock": 9.0, "token_collection": 1.0, "disk_io": 2.0, "other": 0.5, "total": 3.5}
     payloads = [
-        {"checkpoint": None, "rounds_completed": 0},  # ms-src
+        {"checkpoint": None, "rounds_completed": 0, "incomplete_rounds": [
+            "round 1 open at end of run (28 of 55 HAUs reached, 28 started, 20 committed)",
+        ]},  # ms-src
         {"checkpoint": ckpt, "rounds_completed": 2},  # ms-src+ap
         {"checkpoint": ckpt, "rounds_completed": 2},  # ms-src+ap+aa
         {"checkpoint": ckpt, "rounds_completed": 2},  # oracle
@@ -119,10 +121,14 @@ def test_a_breakdown_without_numbers_carries_its_reason_not_a_nan(monkeypatch):
     monkeypatch.setattr(figures, "cached_oracle_times", lambda *a, **k: (12.0, 24.0))
     monkeypatch.setattr(figures, "run_cells", lambda specs, **k: payloads)
     cells = figures.fig14_checkpoint_time(apps=["bcp"], n_checkpoints=2)["bcp"]
-    assert cells["ms-src"] == {"reason": "no complete round (0 of 2)"}
+    why = (
+        "no complete round (0 of 2): "
+        "round 1 open at end of run (28 of 55 HAUs reached, 28 started, 20 committed)"
+    )
+    assert cells["ms-src"] == {"reason": why}
     columns = [("token_collection", ".2f"), ("disk_io", ".2f"), ("other", ".2f"), ("total", ".2f")]
     assert breakdown_row("ms-src", cells["ms-src"], columns) == [
-        "ms-src", "-", "-", "-", "no complete round (0 of 2)",
+        "ms-src", "-", "-", "-", why,
     ]
     assert breakdown_row("ms-src+ap", cells["ms-src+ap"], columns) == [
         "ms-src+ap", "1.00", "2.00", "0.50", "3.50",

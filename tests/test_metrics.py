@@ -3,28 +3,37 @@
 import pytest
 
 from repro.metrics import CheckpointBreakdown, CheckpointLog, MetricsHub, RecoveryBreakdown
+from repro.metrics.breakdown import PHASES, RunRecord
+
+
+def sink_hub(*sinks):
+    """A hub that has been told its sinks, as the runtime tells it."""
+    hub = MetricsHub()
+    hub.sinks = frozenset(sinks)
+    return hub
 
 
 def test_throughput_counts_window():
-    hub = MetricsHub()
+    hub = sink_hub("k")
     for t in (1.0, 2.0, 3.0, 10.0):
-        hub.record_sink("k", t - 0.5, t)
+        hub.record_stage("k", t - 0.5, t)
     assert hub.throughput() == 4
     assert hub.throughput(start=2.0, end=5.0) == 2
 
 
 def test_average_latency():
-    hub = MetricsHub()
-    hub.record_sink("k", 0.0, 2.0)
-    hub.record_sink("k", 1.0, 2.0)
+    hub = sink_hub("k")
+    hub.record_stage("k", 0.0, 2.0)
+    hub.record_stage("k", 1.0, 2.0)
+    hub.record_stage("k0", 0.0, 9.0)  # not a sink: a set of ids, not a prefix
     assert hub.average_latency() == pytest.approx(1.5)
     assert hub.average_latency(start=100.0) == 0.0
 
 
 def test_latency_series_and_binned():
-    hub = MetricsHub()
+    hub = sink_hub("k")
     for i in range(10):
-        hub.record_sink("k", float(i), float(i) + (2.0 if i >= 5 else 0.5))
+        hub.record_stage("k", float(i), float(i) + (2.0 if i >= 5 else 0.5))
     series = hub.latency_series()
     assert len(series) == 10
     binned = hub.binned_latency(0.0, 12.0, 6.0)
@@ -102,16 +111,26 @@ def test_recovery_breakdown_totals():
     assert rec.total == pytest.approx(10.0)
 
 
-def test_events_recorded():
-    hub = MetricsHub()
-    hub.record_event(5.0, "recovery-start", "w3")
-    assert hub.events == [(5.0, "recovery-start", "w3")]
+def test_phase_names_exist_once():
+    # a checkpoint that reached every instant has one span per phase, named
+    # by the model's own PHASES (the vocabulary's tuple, nothing respelt)
+    bd = CheckpointBreakdown(
+        hau_id="h", round_id=1, command_at=1.0, tokens_done_at=2.0,
+        start_at=2.5, write_start_at=3.0, write_end_at=5.0,
+    )
+    spans = bd.phase_spans()
+    assert tuple(s.name for s in spans) == PHASES
+    assert [(s.start, s.end) for s in spans] == [(1.0, 2.0), (2.0, 2.5), (2.5, 3.0), (3.0, 5.0)]
+    assert set(bd.as_dict()["phases"]) == set(PHASES)
+    # a phase whose end was never reached is absent, not zero-length
+    cut = CheckpointBreakdown(hau_id="h", round_id=1, command_at=1.0, tokens_done_at=2.0)
+    assert [s.name for s in cut.phase_spans()] == [PHASES[0]]
 
 
 def test_latency_percentiles_sink_and_stage():
-    hub = MetricsHub()
+    hub = sink_hub("s")
     for i in range(1, 101):
-        hub.record_sink("s", 0.0, float(i))
+        hub.record_stage("s", 0.0, float(i))
         hub.record_stage("A0", 0.0, float(i))
     pct = hub.latency_percentiles()
     assert set(pct) == {"p50", "p95", "p99"}
@@ -131,9 +150,9 @@ def test_latency_percentiles_empty_window():
 
 
 def test_latency_percentiles_custom_fractions():
-    hub = MetricsHub()
+    hub = sink_hub("s")
     for i in range(1, 11):
-        hub.record_sink("s", 0.0, float(i))
+        hub.record_stage("s", 0.0, float(i))
     pct = hub.latency_percentiles(percentiles=(0.1, 0.9))
     assert set(pct) == {"p10", "p90"}
 
@@ -144,27 +163,26 @@ def test_checkpoint_breakdown_completeness_flags():
     done.command_at, done.tokens_done_at = 1.0, 2.0
     done.write_start_at, done.write_end_at = 2.0, 5.0
     assert done.complete
-    assert done.spans() == {
-        "token_collection": pytest.approx(1.0),
-        "disk_io": pytest.approx(3.0),
-        "other": 0.0,
-    }
+    assert done.token_collection == pytest.approx(1.0)
+    assert done.disk_io == pytest.approx(3.0)
+    assert done.other == 0.0
 
-    # killed during token collection: clamped spans read 0.0, flags don't
+    # killed during token collection: the phases never reached are None,
+    # not zero-length
     cut = CheckpointBreakdown(hau_id="b", round_id=1)
     cut.command_at = 1.0
     assert not cut.complete
-    assert cut.token_collection == 0.0  # the misleading clamped value
-    spans = cut.spans()
-    assert spans["token_collection"] is None
-    assert spans["disk_io"] is None
+    assert cut.token_collection is None
+    assert cut.disk_io is None
+    assert cut.elapsed is None
 
     # killed mid-write: write_end_at never stamped
     midwrite = CheckpointBreakdown(hau_id="c", round_id=1)
     midwrite.command_at, midwrite.tokens_done_at = 1.0, 2.0
     midwrite.write_start_at = 2.0
     assert not midwrite.complete
-    assert midwrite.spans()["disk_io"] is None
+    assert midwrite.disk_io is None
+    assert midwrite.total == pytest.approx(1.0)  # the phases it did reach
 
 
 def test_checkpoint_log_incomplete_haus():
@@ -178,8 +196,27 @@ def test_checkpoint_log_incomplete_haus():
 
 
 def test_recovery_breakdown_completeness():
-    ok = RecoveryBreakdown(started_at=10.0, completed_at=15.0)
+    ok = RecoveryBreakdown(started_at=10.0, completed_at=15.0, done_at=15.5)
     assert ok.complete and ok.total == pytest.approx(5.0)
-    abandoned = RecoveryBreakdown(started_at=10.0)  # completed_at unset
+    abandoned = RecoveryBreakdown(started_at=10.0)  # never reconnected
     assert not abandoned.complete
-    assert abandoned.total == 0.0  # the misleading clamped value
+    assert abandoned.total is None
+
+
+def test_round_status_says_why_a_round_is_not_complete():
+    record = RunRecord(expected_haus=("a", "b", "c"))
+    record.apply("checkpoint.round.start", 1.0, "sch", {"round": 1})
+    record.apply("checkpoint.command", 1.1, "a", {"round": 1, "via": "control"})
+    record.apply("checkpoint.start", 1.2, "a", {"round": 1, "mode": "sync"})
+    record.apply("checkpoint.write.start", 1.3, "a", {"round": 1, "bytes": 10})
+    record.apply("checkpoint.commit", 1.4, "a", {"round": 1, "bytes": 10})
+    record.apply("checkpoint.command", 1.5, "b", {"round": 1, "via": "token"})
+    log = record.logs[1]
+    assert log.status() == (
+        "open at end of run (2 of 3 HAUs reached, 1 started, 1 committed)"
+    )
+    record.apply("checkpoint.abandon", 2.0, "sch", {"round": 1, "cause": "rollback"})
+    assert log.status().startswith("abandoned by rollback at 2.000s (2 of 3 HAUs reached")
+    assert log.incomplete_haus() == ["b", "c"] and log.stalled_haus() == ["b"]
+    record.apply("checkpoint.round.complete", 3.0, "sch", {"round": 1, "haus": 3})
+    assert log.status() == "complete"

@@ -12,14 +12,12 @@ from repro.core import MSSrc, MSSrcAP
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
 from repro.failures.injector import FailureInjector, FailurePlan, PlannedFailure
-from repro.metrics.collectors import MetricsHub
 from repro.observability import (
     NULL_TRACER,
     JsonlStreamWriter,
     TraceEvent,
     Tracer,
     dumps_jsonl,
-    ensure_tracer,
     event_to_json,
     read_jsonl,
     render_summary,
@@ -86,9 +84,6 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.events == ()
     with pytest.raises(RuntimeError):
         NULL_TRACER.subscribe(lambda e: None)
-    assert ensure_tracer(None) is NULL_TRACER
-    tr = Tracer()
-    assert ensure_tracer(tr) is tr
 
 
 def test_jsonl_is_canonical_and_round_trips(tmp_path):
@@ -131,20 +126,6 @@ def test_untraced_run_records_no_events():
     assert len(env.trace.events) == 0
     # the run itself still checkpointed normally
     assert scheme.checkpoint_logs()[0].complete
-
-
-def test_metrics_hub_forwards_onto_tracer():
-    tr = Tracer()
-    hub = MetricsHub(tracer=tr)
-    hub.record_event(5.0, "recovery-start", "w3")
-    assert hub.events == [(5.0, "recovery-start", "w3")]  # legacy view intact
-    assert tr.counts() == {"metrics.recovery-start": 1}
-    assert tr.events[0].subject == "w3"
-    # without a tracer the hub still works and nothing leaks to NULL_TRACER
-    hub2 = MetricsHub()
-    hub2.record_event(1.0, "x", "y")
-    assert hub2.events == [(1.0, "x", "y")]
-    assert len(NULL_TRACER.events) == 0
 
 
 # -- determinism: same seed => byte-identical JSONL ------------------------------
@@ -352,7 +333,7 @@ def test_summarize_single_event():
     assert entry["started_at"] == 3.0
     assert entry["completed_at"] is None
     report = render_summary(summary)
-    assert "round 1 [ms-src] incomplete" in report
+    assert "round 1 [ms-src] open at end of run (0 HAUs reached" in report
 
 
 def test_write_summary_of_empty_trace_is_deterministic(tmp_path):

@@ -119,3 +119,5 @@ def test_recovery_after_spare_exhaustion_raises_visibly():
     with pytest.raises(SimulationError, match=r"'storage:ms-src\+ap\.watch' failed at t=.*no healthy spare"):
         env.run(until=10.0)
     assert not scheme.recoveries and env.now == 2.0
+    # the rollback it began is on record, cut short
+    assert [r.complete for r in scheme.record.recoveries] == [False]
