@@ -81,12 +81,11 @@ def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact):
 
 
 def test_kernel_microbench(write_artifact):
-    """Kernel fast-path smoke: wall-clock + events/sec on one headline cell.
-
-    The wall-clock here is host-dependent, so the regression gate treats
-    the recorded numbers as warn-only (``check_regression.py
-    --wall-tolerance``); the determinism and pool-efficiency assertions
-    are hard.
+    """Kernel fast-path smoke on one headline cell: identical runs pop
+    identical event counts and the free lists absorb the churn (both
+    hard); ``check_regression.py`` holds ``events_popped`` to the
+    baseline's.  The wall-clock and events/sec are printed for the
+    reader and recorded nowhere — host time is ``perf/``'s to judge.
     """
     import time
 
@@ -120,8 +119,6 @@ def test_kernel_microbench(write_artifact):
     assert hit_rate > 0.90, f"pool hit-rate collapsed: {hit_rate:.2%}"
     write_artifact("BENCH_kernel.json", {
         "mode": "full" if os.environ.get("REPRO_FULL") else "fast",
-        "wall_seconds": wall,
-        "events_per_sec": events_per_sec,
         "events_popped": stats["events_popped"],
         "pool_hits": stats["pool_hits"],
         "pool_misses": stats["pool_misses"],
@@ -164,8 +161,8 @@ def test_monitor_artifact(write_artifact):
     """A monitored headline run: the live plane watches the same cell with
     a deliberately tight checkpoint-staleness SLO, so every CI run ships a
     fired-and-resolved alert log plus the per-HAU health timeline.  The
-    counts are deterministic; ``check_regression.py`` gates them warn-only
-    against the committed ``benchmarks/ALERTS_baseline.json``."""
+    assertions below are the gate; exact alert counts are pinned by
+    ``examples/scenarios/slo-staleness-alert.yaml``'s ``expect.alerts``."""
     from repro.harness import ExperimentConfig, run_experiment
 
     cfg = ExperimentConfig(

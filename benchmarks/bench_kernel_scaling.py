@@ -1,19 +1,15 @@
-"""Kernel scaling: events/sec and tuples/sec at 100/1k/10k HAUs.
+"""Kernel scaling: the count assertions at 100/1k/10k HAUs.
 
 One synthetic aligned-chain app (S -> W -> A -> K, equal replicas) is
-run at three sizes.  The rates time the ``env.run`` phase only;
-construction is timed beside it, because it is what a user waits for
-first.  Recorded per cell: run wall seconds, build seconds
-(``Environment()`` through ``start()`` plus the post-build collection),
-kernel events popped, tuples processed, and the derived events/sec +
-tuples/sec rates.
+run at three sizes.  Hard assertions are determinism facts: every size
+drains its whole workload, identical runs pop identical event counts,
+and a tuple hop stays within its kernel-event budget.  The artifact
+records those counts (HAUs, events popped, tuples) and nothing else.
 
-Hard assertions are determinism facts: every size drains its whole
-workload, identical runs pop identical event counts, and a tuple hop
-stays within its kernel-event budget.  The *rates* are host-dependent
-and therefore gated warn-only by ``check_regression.py --scaling``
-against the committed ``benchmarks/BENCH_scaling_baseline.json``, as is
-(``--build-tolerance``) each cell's build:run ratio.
+Build and run seconds (the rates time the ``env.run`` phase only) and
+the derived events/sec + tuples/sec are printed for the reader; they
+are recorded and compared nowhere — ``perf/``'s ``synth_chain_4k``
+workload is where host time at scale is measured, with a protocol.
 """
 
 import gc
@@ -130,5 +126,7 @@ def test_kernel_scaling(write_artifact):
     write_artifact("BENCH_kernel_scaling.json", {
         "mode": "full" if os.environ.get("REPRO_FULL") else "fast",
         "window_seconds": WINDOW,
-        "cells": cells,
+        "cells": [
+            {key: c[key] for key in ("haus", "events_popped", "tuples")} for c in cells
+        ],
     })

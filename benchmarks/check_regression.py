@@ -17,54 +17,22 @@ Two gates, each per cell:
   value are noted and skipped, so the gate is backward compatible with
   throughput-only baselines.
 
-A third, **warn-only** gate covers the kernel microbenchmark
-(``BENCH_kernel.json``, written next to the headline report): wall-clock
-growth or ``events_per_sec`` drop beyond ``--wall-tolerance`` (default
-50% — host timing varies wildly across runners) prints a warning but
-never changes the exit status.  ``events_popped`` drift, by contrast, is
-deterministic and *does* fail: the engine doing a different amount of
-work for the same config means the event order changed.
-
-A fourth, also **warn-only**, gate tracks each cell's
-``critical_path_seconds`` (the slowest per-round checkpoint critical
-path, reconstructed from the cell's trace): growth beyond
-``--critical-path-tolerance`` (default 25%) prints a warning.  The
-quantity is deterministic, but it measures the *checkpoint wave's*
-shape rather than the paper's headline throughput/latency, so it warns
-rather than fails while the profiler is young.
-
-A fifth, **warn-only**, gate covers the kernel scaling benchmark
-(``BENCH_kernel_scaling.json``, written by ``bench_kernel_scaling.py``)
-against the committed ``benchmarks/BENCH_scaling_baseline.json``.  It
-watches, per size: ``tuples_per_sec`` dropping beyond
-``--wall-tolerance``, ``events_popped`` drift, and the construction
-share — ``build_seconds / wall_seconds``, set-up per second of run —
-growing beyond ``--build-tolerance`` (default 0.5; construction is pure
-overhead, and a superlinear build shows up here long before it shows in
-the run rates).  All of it warns rather than fails: the rates are host
-timing, and the synthetic chain's event count is not digest-pinned.
-
-A sixth, **warn-only**, gate covers the monitored headline run
-(``ALERTS_headline.json``, written by ``bench_headline.py``) against the
-committed ``benchmarks/ALERTS_baseline.json``: any drift in the
-fired/resolved alert counts (total or per SLO kind), the alert-log
-length or the number of health-timeline transitions prints a warning.
-The counts are deterministic for a fixed config, so drift is a real
-behaviour change — but an intentional SLO-bound tweak produces the same
-signature, so the gate warns rather than fails while the monitoring
-plane is young.
+One exact count rides along: the kernel microbenchmark's
+``events_popped`` (``BENCH_kernel.json``, written next to the headline
+report) must equal the baseline's ``kernel.events_popped`` — the engine
+doing a different amount of work for the same config means the event
+order changed, so drift *fails*.  Nothing here judges host seconds:
+``perf/`` (``python -m perf.run`` / ``perf.compare``) is the one
+host-time instrument.
 
 Usage::
 
     python benchmarks/check_regression.py artifacts/BENCH_headline.json \
         [--baseline benchmarks/BENCH_baseline.json] [--tolerance 0.15] \
-        [--latency-tolerance 0.15] [--kernel artifacts/BENCH_kernel.json] \
-        [--wall-tolerance 0.5] [--build-tolerance 0.5] \
-        [--alerts artifacts/ALERTS_headline.json] \
-        [--alerts-baseline benchmarks/ALERTS_baseline.json]
+        [--latency-tolerance 0.15] [--kernel artifacts/BENCH_kernel.json]
 
 Every gate runs every time: a tripped throughput gate never hides the
-latency, kernel or critical-path verdicts — the FAIL summary lists all
+latency or kernel-count verdicts — the FAIL summary lists all
 failing gates in one run.  On any trip, an **attributed explanation**
 follows (via ``repro.inspect``): the per-cell top movers from the
 report diff, plus — when both the candidate bundle (``--bundle``,
@@ -147,10 +115,6 @@ def cell_values(report: dict, field: str) -> dict[Cell, float]:
     return out
 
 
-def cell_throughput(report: dict) -> dict[Cell, float]:
-    return cell_values(report, "throughput")
-
-
 def compare(
     current: dict,
     baseline: dict,
@@ -172,8 +136,8 @@ def compare(
         )
         return regressions, lat_regressions, notes
 
-    cur = cell_throughput(current)
-    base = cell_throughput(baseline)
+    cur = cell_values(current, "throughput")
+    base = cell_values(baseline, "throughput")
     cur_lat = cell_values(current, "latency")
     base_lat = cell_values(baseline, "latency")
     for key in sorted(base):
@@ -222,171 +186,16 @@ def compare(
     return regressions, lat_regressions, notes
 
 
-def compare_critical_path(
-    current: dict,
-    baseline: dict,
-    tolerance: float,
-) -> list[str]:
-    """Warn-only: per-cell critical-path seconds growing past tolerance.
-
-    Cells absent from either report, or with a non-positive baseline
-    (no round completed in that cell), are skipped silently — the gate
-    is backward compatible with baselines that predate the profiler.
-    """
-    warnings: list[str] = []
-    cur = cell_values(current, "critical_path_seconds")
-    base = cell_values(baseline, "critical_path_seconds")
-    for key in sorted(base):
-        app, scheme, n = key
-        b = base[key]
-        c = cur.get(key)
-        if c is None or b <= 0.0:
-            continue
-        delta = c / b - 1.0
-        if delta > tolerance:
-            warnings.append(
-                f"{app}/{scheme}@{n}: critical path {c:g}s vs baseline {b:g}s "
-                f"({delta:+.1%}), beyond --critical-path-tolerance "
-                f"{tolerance:.0%} (warn-only)"
-            )
-    return warnings
-
-
-def compare_kernel(
-    kernel: dict,
-    baseline_kernel: dict,
-    wall_tolerance: float,
-) -> tuple[list[str], list[str]]:
-    """Return (hard_failures, warnings) for the kernel microbenchmark.
-
-    Wall-clock / events-per-second are host-dependent → warn-only.
-    ``events_popped`` is part of the determinism contract → hard.
-    """
-    failures: list[str] = []
-    warnings: list[str] = []
-    if kernel.get("mode") != baseline_kernel.get("mode"):
-        warnings.append(
-            f"kernel: mode mismatch (current={kernel.get('mode')!r} "
-            f"baseline={baseline_kernel.get('mode')!r}), comparison skipped"
-        )
-        return failures, warnings
-    b_popped = baseline_kernel.get("events_popped")
-    c_popped = kernel.get("events_popped")
-    if b_popped is not None and c_popped is not None and b_popped != c_popped:
-        failures.append(
-            f"kernel: events_popped {c_popped} vs baseline {b_popped} — the "
-            "engine's work changed for an identical config (event-order drift)"
-        )
-    for field_name, worse_when in (("wall_seconds", "higher"), ("events_per_sec", "lower")):
-        b = baseline_kernel.get(field_name)
-        c = kernel.get(field_name)
-        if not b or c is None:
-            continue
-        delta = c / b - 1.0
-        regressed = delta > wall_tolerance if worse_when == "higher" else delta < -wall_tolerance
-        if regressed:
-            warnings.append(
-                f"kernel: {field_name} {c:g} vs baseline {b:g} ({delta:+.1%}), "
-                f"beyond --wall-tolerance {wall_tolerance:.0%} (warn-only)"
-            )
-    return failures, warnings
-
-
-def compare_scaling(
-    scaling: dict,
-    baseline_scaling: dict,
-    wall_tolerance: float,
-    build_tolerance: float = 0.5,
-) -> list[str]:
-    """Warn-only verdicts for the kernel scaling benchmark.
-
-    Per size: rate drops, ``events_popped`` drift and growth of the
-    build:run ratio (``build_seconds / wall_seconds``) warn — nothing in
-    this gate can change the exit status.
-    """
-    warnings: list[str] = []
-    if scaling.get("mode") != baseline_scaling.get("mode"):
-        warnings.append(
-            f"scaling: mode mismatch (current={scaling.get('mode')!r} "
-            f"baseline={baseline_scaling.get('mode')!r}), comparison skipped"
-        )
-        return warnings
-
-    def by_size(report: dict) -> dict[int, dict]:
-        return {c["haus"]: c for c in report.get("cells", [])}
-
-    cur, base = by_size(scaling), by_size(baseline_scaling)
-    for haus in sorted(base):
-        b, c = base[haus], cur.get(haus)
-        if c is None:
-            warnings.append(f"scaling: {haus} HAUs missing from current report (warn-only)")
-            continue
-        if b.get("events_popped") != c.get("events_popped"):
-            warnings.append(
-                f"scaling: {haus} HAUs events_popped "
-                f"{c.get('events_popped')} vs baseline {b.get('events_popped')} "
-                "(warn-only: the synthetic chain is not digest-pinned)"
-            )
-        b_rate, c_rate = b.get("tuples_per_sec"), c.get("tuples_per_sec")
-        if b_rate and c_rate is not None:
-            delta = c_rate / b_rate - 1.0
-            if delta < -wall_tolerance:
-                warnings.append(
-                    f"scaling: {haus} HAUs tuples_per_sec "
-                    f"{c_rate:,.0f} vs baseline {b_rate:,.0f} ({delta:+.1%}), "
-                    f"beyond --wall-tolerance {wall_tolerance:.0%} (warn-only)"
-                )
-        if all(cell.get("build_seconds") and cell.get("wall_seconds") for cell in (b, c)):
-            b_ratio = b["build_seconds"] / b["wall_seconds"]
-            c_ratio = c["build_seconds"] / c["wall_seconds"]
-            growth = c_ratio / b_ratio - 1.0
-            if growth > build_tolerance:
-                warnings.append(
-                    f"scaling: {haus} HAUs build:run ratio "
-                    f"{c_ratio:.2f} vs baseline {b_ratio:.2f} ({growth:+.1%}), "
-                    f"beyond --build-tolerance {build_tolerance:.0%} (warn-only)"
-                )
-    return warnings
-
-
-def compare_alerts(
-    alerts: dict,
-    baseline_alerts: dict,
-) -> list[str]:
-    """Warn-only verdicts for the monitored headline run's alert counts.
-
-    Everything compared here is deterministic for a fixed config, but an
-    intentional SLO/bound change legitimately moves all of it — nothing
-    in this gate can change the exit status.
-    """
-    warnings: list[str] = []
-    if alerts.get("mode") != baseline_alerts.get("mode"):
-        warnings.append(
-            f"alerts: mode mismatch (current={alerts.get('mode')!r} "
-            f"baseline={baseline_alerts.get('mode')!r}), comparison skipped"
-        )
-        return warnings
-    b_sum = baseline_alerts.get("summary") or {}
-    c_sum = alerts.get("summary") or {}
-    for field_name in ("fired", "resolved", "active"):
-        b, c = b_sum.get(field_name), c_sum.get(field_name)
-        if b is not None and c is not None and b != c:
-            warnings.append(
-                f"alerts: {field_name} {c} vs baseline {b} (warn-only: "
-                "deterministic, so this is a behaviour or SLO-bound change)"
-            )
-    b_by = b_sum.get("by_slo") or {}
-    c_by = c_sum.get("by_slo") or {}
-    for slo in sorted(set(b_by) | set(c_by)):
-        if b_by.get(slo) != c_by.get(slo):
-            warnings.append(
-                f"alerts: {slo} {c_by.get(slo)} vs baseline {b_by.get(slo)} (warn-only)"
-            )
-    for field_name in ("ticks", "log_length", "health_transitions"):
-        b, c = baseline_alerts.get(field_name), alerts.get(field_name)
-        if b is not None and c is not None and b != c:
-            warnings.append(f"alerts: {field_name} {c} vs baseline {b} (warn-only)")
-    return warnings
+def kernel_drift(kernel: dict, baseline_kernel: dict) -> str | None:
+    """``events_popped`` is part of the determinism contract: any
+    difference is a hard failure (None: equal, or one side lacks it)."""
+    b, c = baseline_kernel.get("events_popped"), kernel.get("events_popped")
+    if None in (b, c) or b == c:
+        return None
+    return (
+        f"kernel: events_popped {c} vs baseline {b} — the engine's work "
+        "changed for an identical config (event-order drift)"
+    )
 
 
 def _inspect_modules():
@@ -409,13 +218,7 @@ def _inspect_modules():
     return diff_reports, diff_bundles, read_bundle, explain_diff
 
 
-def explain_trip(
-    current: dict,
-    baseline: dict,
-    bundle: str | None,
-    baseline_bundle: str | None,
-    limit: int = 5,
-) -> list[str]:
+def explain_trip(current: dict, baseline: dict, bundle: str, baseline_bundle: str) -> list[str]:
     """Attributed explanation lines for a tripped gate (best effort).
 
     Always tries the report-level diff (cell x metric top movers); when
@@ -430,14 +233,14 @@ def explain_trip(
     diff_reports, diff_bundles, read_bundle, explain_diff = mods
     lines: list[str] = []
     try:
-        lines.extend(explain_diff(diff_reports(baseline, current), limit=limit))
+        lines.extend(explain_diff(diff_reports(baseline, current)))
     except Exception as exc:  # noqa: BLE001 — explainer must never flip the gate
         lines.append(f"(report attribution failed: {exc})")
-    if bundle and baseline_bundle and Path(bundle).is_dir() and Path(baseline_bundle).is_dir():
+    if Path(bundle).is_dir() and Path(baseline_bundle).is_dir():
         try:
             diff = diff_bundles(read_bundle(baseline_bundle), read_bundle(bundle))
             lines.append(f"bundle attribution ({baseline_bundle} -> {bundle}):")
-            lines.extend("  " + line for line in explain_diff(diff, limit=limit))
+            lines.extend("  " + line for line in explain_diff(diff))
         except Exception as exc:  # noqa: BLE001
             lines.append(f"(bundle attribution failed: {exc})")
     return lines
@@ -452,31 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--latency-tolerance", type=float, default=0.15,
                         help="max allowed fractional latency increase (default 0.15)")
     parser.add_argument("--kernel", default=None,
-                        help="BENCH_kernel.json to check (default: sibling of current)")
-    parser.add_argument("--wall-tolerance", type=float, default=0.5,
-                        help="warn-only threshold for kernel wall-clock growth / "
-                             "events-per-second drop (default 0.5)")
-    parser.add_argument("--critical-path-tolerance", type=float, default=0.25,
-                        help="warn-only threshold for per-cell checkpoint "
-                             "critical-path growth (default 0.25)")
-    parser.add_argument("--scaling", default=None,
-                        help="BENCH_kernel_scaling.json to check "
-                             "(default: sibling of current)")
-    parser.add_argument("--scaling-baseline",
-                        default=str(DEFAULT_BASELINE.parent / "BENCH_scaling_baseline.json"),
-                        help="committed scaling baseline "
-                             "(default: benchmarks/BENCH_scaling_baseline.json)")
-    parser.add_argument("--build-tolerance", type=float, default=0.5,
-                        help="warn-only threshold for per-cell growth of the "
-                             "scaling bench's build_seconds / wall_seconds "
-                             "ratio (default 0.5)")
-    parser.add_argument("--alerts", default=None,
-                        help="ALERTS_headline.json to check (default: sibling "
-                             "of current)")
-    parser.add_argument("--alerts-baseline",
-                        default=str(DEFAULT_BASELINE.parent / "ALERTS_baseline.json"),
-                        help="committed alert-count baseline "
-                             "(default: benchmarks/ALERTS_baseline.json)")
+                        help="BENCH_kernel.json whose events_popped must equal the "
+                             "baseline's (default: sibling of current)")
     parser.add_argument("--bundle", default=None,
                         help="candidate RunBundle directory for attributed "
                              "explanations (default: BUNDLE_headline next to current)")
@@ -503,11 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     regressions, lat_regressions, notes = compare(
         current, baseline, args.tolerance, args.latency_tolerance
     )
-    notes.extend(
-        compare_critical_path(current, baseline, args.critical_path_tolerance)
-    )
-
-    # kernel microbenchmark (wall-clock warn-only; events_popped hard)
+    # kernel microbenchmark: events_popped, exact
     kernel_path = args.kernel or str(Path(args.current).parent / "BENCH_kernel.json")
     baseline_kernel = baseline.get("kernel")
     if baseline_kernel and Path(kernel_path).is_file():
@@ -517,48 +293,17 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INVOCATION
-        kernel_failures, kernel_warnings = compare_kernel(
-            kernel, baseline_kernel, args.wall_tolerance
-        )
-        regressions.extend(kernel_failures)
-        notes.extend(kernel_warnings)
+        if kernel.get("mode") != baseline_kernel.get("mode"):
+            notes.append(
+                f"kernel: mode mismatch (current={kernel.get('mode')!r} "
+                f"baseline={baseline_kernel.get('mode')!r}), comparison skipped"
+            )
+        elif drift := kernel_drift(kernel, baseline_kernel):
+            regressions.append(drift)
     elif baseline_kernel:
         notes.append(f"kernel: no {kernel_path}, kernel gate skipped")
 
-    # kernel scaling benchmark (entirely warn-only; see module docstring)
-    scaling_path = args.scaling or str(
-        Path(args.current).parent / "BENCH_kernel_scaling.json"
-    )
-    if Path(args.scaling_baseline).is_file() and Path(scaling_path).is_file():
-        try:
-            with open(scaling_path, encoding="utf-8") as fh:
-                scaling = json.load(fh)
-            with open(args.scaling_baseline, encoding="utf-8") as fh:
-                baseline_scaling = json.load(fh)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INVOCATION
-        notes.extend(compare_scaling(
-            scaling, baseline_scaling, args.wall_tolerance, args.build_tolerance,
-        ))
-    elif Path(args.scaling_baseline).is_file():
-        notes.append(f"scaling: no {scaling_path}, scaling gate skipped")
-
-    # monitored headline run (entirely warn-only; see module docstring)
-    alerts_path = args.alerts or str(Path(args.current).parent / "ALERTS_headline.json")
-    if Path(args.alerts_baseline).is_file() and Path(alerts_path).is_file():
-        try:
-            with open(alerts_path, encoding="utf-8") as fh:
-                alerts = json.load(fh)
-            with open(args.alerts_baseline, encoding="utf-8") as fh:
-                baseline_alerts = json.load(fh)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INVOCATION
-        notes.extend(compare_alerts(alerts, baseline_alerts))
-    elif Path(args.alerts_baseline).is_file():
-        notes.append(f"alerts: no {alerts_path}, alert gate skipped")
-    print(f"regression check: {len(cell_throughput(baseline))} baseline cells, "
+    print(f"regression check: {len(baseline['cells'])} baseline cells, "
           f"throughput tolerance {args.tolerance:.0%}, "
           f"latency tolerance {args.latency_tolerance:.0%}")
     for line in notes:

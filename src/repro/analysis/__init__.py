@@ -16,7 +16,6 @@ accumulate state and report during a finalize phase.  See
 ``python -m repro.analysis --list-rules`` for the rule inventory.
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, write_baseline
 from repro.analysis.engine import AnalysisConfig, Project, run_analysis
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, all_rules, get_rule, register
@@ -24,22 +23,18 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 # Importing the rule modules registers their rules.
 from repro.analysis import (  # noqa: F401  (registration side effect)
     determinism,
-    flow,
     protocol,
     vocab,
 )
 
 __all__ = [
     "AnalysisConfig",
-    "Baseline",
     "Finding",
     "Project",
     "Rule",
     "Severity",
     "all_rules",
     "get_rule",
-    "load_baseline",
     "register",
     "run_analysis",
-    "write_baseline",
 ]

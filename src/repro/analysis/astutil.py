@@ -1,9 +1,8 @@
-"""Shared AST helpers for the analysis rules and the call-graph builder.
+"""Shared AST helpers for the analysis engine, its rules and the docs generator.
 
-Leaf module: imports nothing from the rest of ``repro.analysis`` so both
-:mod:`repro.analysis.engine` and :mod:`repro.analysis.callgraph` can use
-it without a cycle.  The engine re-exports the helpers under their
-historical names for rule modules and tests.
+Leaf module: imports nothing from the rest of ``repro.analysis``.  The
+engine re-exports the helpers under their historical names for rule
+modules and tests.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """The repro-lint command line.
 
 ``python -m repro.analysis [--strict] [--format json|text|github]
-[--baseline FILE] [--write-baseline FILE] [--include-dirs DIRS]
-[--call-graph FILE] [--list-rules] [--write-docs] [DIRS...]``
+[--include-dirs DIRS] [--list-rules] [--write-docs] [DIRS...]``
 
 Exit codes: 0 — clean (errors gate by default; ``--strict`` gates
-warnings too); 1 — at least one gating finding survived baseline and
-inline suppression; 2 — usage or internal error.
+warnings too); 1 — at least one gating finding survived inline
+suppression (``# repro-lint: disable=<RULE>``, the one suppression
+mechanism); 2 — usage or internal error.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import baseline_from_findings, load_baseline, write_baseline
 from repro.analysis.docs import write_docs
 from repro.analysis.engine import DEFAULT_DIRS, AnalysisConfig, run_analysis
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import all_rules
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2  # v2: the baseline keys and per-finding fingerprints are gone
 
 
 def list_rules_text() -> str:
@@ -46,13 +45,8 @@ def list_rules_text() -> str:
     return "\n\n".join(sections)
 
 
-def report_dict(
-    project,
-    findings: list[Finding],
-    suppressed: int,
-    strict: bool,
-    stale_baseline: list[dict] | None = None,
-) -> dict:
+def report_dict(project, strict: bool) -> dict:
+    findings = project.findings
     counts: dict[str, int] = {}
     for f in findings:
         counts[f.rule] = counts.get(f.rule, 0) + 1
@@ -65,9 +59,7 @@ def report_dict(
         "rules": [cls.id for cls in all_rules()],
         "findings": [f.as_dict() for f in findings],
         "counts": dict(sorted(counts.items())),
-        "suppressed_baseline": suppressed,
         "suppressed_inline": project.inline_suppressed,
-        "stale_baseline": stale_baseline or [],
     }
 
 
@@ -116,25 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         default="text",
         help="report format (github = Actions ::error/::warning annotations)",
     )
-    parser.add_argument("--baseline", default=None, help="baseline suppression file")
     parser.add_argument(
         "--include-dirs",
         default=None,
         metavar="DIRS",
         help="comma-separated extra top-level directories to lint (opt-in "
         "scope extension, e.g. tests; inventory-sync rules stay scoped)",
-    )
-    parser.add_argument(
-        "--call-graph",
-        default=None,
-        metavar="FILE",
-        help="export the resolved call graph (.dot = Graphviz, else JSON)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--output",
@@ -191,41 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if left else 0
 
     project = run_analysis(config)
-    all_findings = project.findings
-    findings = all_findings
-
-    if args.call_graph and project.callgraph is not None:
-        out = Path(args.call_graph)
-        text = (
-            project.callgraph.to_dot()
-            if out.suffix == ".dot"
-            else project.callgraph.to_json()
-        )
-        out.write_text(text, encoding="utf-8")
-
-    suppressed = 0
-    stale: list[dict] = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = baseline.apply(findings)
-        stale = baseline.stale_entries()
-
-    if args.write_baseline:
-        # Rebuild from the *full* finding set so fingerprints whose
-        # violation no longer exists are pruned, not carried forward.
-        write_baseline(baseline_from_findings(all_findings), args.write_baseline)
-        pruned = f", {len(stale)} stale fingerprint(s) pruned" if stale else ""
-        print(
-            f"baseline with {len(all_findings)} finding(s) written to "
-            f"{args.write_baseline}{pruned}"
-        )
-        return 0
-
-    doc = report_dict(project, findings, suppressed, args.strict, stale)
+    findings = project.findings
+    doc = report_dict(project, args.strict)
     if args.format == "json":
         rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
@@ -234,17 +180,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             lines = [f.render() for f in findings]
         gating = _gating(findings, args.strict)
-        for entry in stale:
-            lines.append(
-                "repro-lint: stale baseline entry "
-                f"{entry['fingerprint']} ({entry.get('rule', '?')} "
-                f"{entry.get('path', '?')}) — rerun --write-baseline to prune"
-            )
         lines.append(
             f"repro-lint: {project.files_scanned} files, "
             f"{len(findings)} finding(s) ({len(gating)} gating), "
-            f"{suppressed} baselined, {project.inline_suppressed} inline-suppressed"
-            + (f", {len(stale)} stale baseline entry(ies)" if stale else "")
+            f"{project.inline_suppressed} inline-suppressed"
         )
         rendered = "\n".join(lines) + "\n"
     sys.stdout.write(rendered)

@@ -1,11 +1,14 @@
-"""Determinism rules: no wall clock, no global RNG, ordered exports.
+"""Determinism rules: no wall clock, no global RNG, ordered exports, no
+salted ``hash()``.
 
 The byte-identical-artifact contract (DESIGN.md, "Determinism contract")
 holds only if every value that reaches a trace event, telemetry metric
 or bench artifact derives from simulation state.  These rules catch the
-three ways real code has historically broken that: reading the wall
-clock, drawing from process-global randomness, and serialising
-unordered collections.
+ways real code has historically broken that: reading the wall clock,
+drawing from process-global randomness, serialising unordered
+collections, and routing on a ``PYTHONHASHSEED``-salted ``hash()``.
+Each is per-file: a source is reported at the line it is written,
+whoever calls it.
 """
 
 from __future__ import annotations
@@ -246,11 +249,36 @@ class UnsortedFsEnumerationRule(Rule):
             )
 
 
+@register
+class SaltedHashRule(Rule):
+    """DET006 — model code never calls the builtin ``hash()``."""
+
+    id = "DET006"
+    title = "no builtin `hash()` call in `src/` (`str` / `bytes` hashes are `PYTHONHASHSEED`-salted)"
+    rationale = (
+        "a salted hash that picks a route, an order or a key differs between processes; "
+        "`python -m repro.sanitize` catches the drift at run time, this names the line"
+    )
+    suppress_hint = (
+        "use `zlib.crc32` of a stable encoding; a call on numerics only (unsalted in CPython) "
+        "takes `# repro-lint: disable=DET006`"
+    )
+    severity = Severity.ERROR
+    node_types = (ast.Call,)
+    dirs = ("src",)
+    extra_dirs_ok = False
+
+    def visit(self, ctx: ModuleContext, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+            ctx.report(self, node, "builtin `hash()` is salted per process for `str` / `bytes`")
+
+
 __all__ = [
     "WallClockRule",
     "GlobalRandomRule",
     "UnorderedExportRule",
     "UnsortedFsEnumerationRule",
+    "SaltedHashRule",
     "WALL_CLOCK_CALLS",
     "NUMPY_GLOBAL_RNG",
 ]

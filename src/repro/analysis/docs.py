@@ -60,6 +60,16 @@ def _ticked(names: Any) -> str:
     return ", ".join(f"`{n}`" for n in names)
 
 
+def _failure_kinds(cell: str, v: dict[str, Any]) -> str:
+    """``cell`` with the vocabulary's FAILURE_KINDS spelt where it asks:
+    ``{FAILURE_KINDS}`` backticked, ``{FAILURE_KINDS:<sep>}`` joined by ``<sep>``."""
+    if "{FAILURE_KINDS" not in cell:
+        return cell
+    kinds = v["FAILURE_KINDS"]
+    cell = cell.replace("{FAILURE_KINDS}", _ticked(kinds))
+    return re.sub(r"\{FAILURE_KINDS:([^}]+)\}", lambda m: m.group(1).join(kinds), cell)
+
+
 def _table(*head: str, rows: list[tuple[str, ...]]) -> str:
     lines = ["| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
     lines += ["| " + " | ".join(row) + " |" for row in rows]
@@ -74,7 +84,7 @@ def _trace_schema(v: dict[str, Any]) -> str:
         namespaces.setdefault(ns + ".", []).append(event)
     rows = []
     for ns, events in namespaces.items():
-        noted = [(e, notes.pop(ns + e, "")) for e in events]
+        noted = [(e, _failure_kinds(notes.pop(ns + e, ""), v)) for e in events]
         tail = notes.pop(ns, "")
         if not tail and len(events) == 1 and not noted[0][1]:
             tail = kinds[ns + events[0]]
@@ -89,7 +99,8 @@ def _trace_schema(v: dict[str, Any]) -> str:
 
 def _metric_schema(v: dict[str, Any]) -> str:
     rows = [
-        (_ticked(metrics), " / ".join(dict.fromkeys(metrics.values())), labels, emitter)
+        (_ticked(metrics), " / ".join(dict.fromkeys(metrics.values())),
+         _failure_kinds(labels, v), emitter)
         for metrics, labels, emitter in v["METRICS"]
     ]
     return _table("metric", "kind", "labels", "emitted by", rows=rows)
@@ -106,9 +117,8 @@ def _health_states(v: dict[str, Any]) -> str:
 
 
 def _scenario_fields(v: dict[str, Any]) -> str:
-    kinds = _ticked(v["FAILURE_KINDS"])
     rows = [
-        (f"`{field}`", shape, notes.replace("{FAILURE_KINDS}", kinds))
+        (f"`{field}`", shape, _failure_kinds(notes, v))
         for field, (shape, notes) in v["SCENARIO_FIELDS"].items()
     ]
     return _table("field", "shape", "notes", rows=rows)

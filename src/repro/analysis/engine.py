@@ -23,7 +23,6 @@ from repro.analysis.astutil import (  # noqa: F401  (re-exported for rules/tests
     parse_suppressions,
     receiver_tail,
 )
-from repro.analysis.callgraph import CallGraph, CallGraphBuilder
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.registry import Rule, all_rules
 
@@ -81,21 +80,12 @@ class Project:
         self.findings: list[Finding] = []
         self.inline_suppressed = 0
         self.files_scanned = 0
-        # The project-wide call graph (populated after the walk, before
-        # finalize) — the substrate of the interprocedural rules and the
-        # CLI's --call-graph export.
-        self.callgraph: CallGraph | None = None
         # relpath -> per-line suppression sets, so finalize-phase reports
         # honour inline disables at the recorded call sites too.
         self._suppressions: dict[str, dict[int, set[str]]] = {}
 
     def register_suppressions(self, relpath: str, supp: dict[int, set[str]]) -> None:
         self._suppressions[relpath] = supp
-
-    def suppressions_at(self, relpath: str) -> dict[int, set[str]]:
-        """Per-line inline-suppression sets for one scanned file (taint
-        seeds honour a disable at the *source* line, not only the sink)."""
-        return self._suppressions.get(relpath, {})
 
     def report(
         self,
@@ -158,7 +148,6 @@ def run_analysis(config: AnalysisConfig, rules: list[Rule] | None = None) -> Pro
 
     internal = _InternalErrors()
     root = Path(config.root)
-    builder = CallGraphBuilder()
     extra = tuple(d for d in config.extra_dirs if d not in config.dirs)
 
     for path in iter_python_files(root, config.dirs + extra):
@@ -174,7 +163,6 @@ def run_analysis(config: AnalysisConfig, rules: list[Rule] | None = None) -> Pro
         project.files_scanned += 1
         ctx = ModuleContext(project, relpath, tree, source)
         project.register_suppressions(relpath, ctx.suppressions)
-        builder.add_module(ctx)
 
         top = relpath.split("/", 1)[0]
         in_extra = top in extra
@@ -197,10 +185,6 @@ def run_analysis(config: AnalysisConfig, rules: list[Rule] | None = None) -> Pro
                     rule.visit(ctx, node)
         for rule in active:
             rule.end_module(ctx)
-
-    # Finish the call graph before finalize so the interprocedural rules
-    # (and the CLI export) see resolved edges.
-    project.callgraph = builder.finish()
 
     for rule in rules:
         rule.finalize(project)

@@ -1,8 +1,7 @@
-"""Finding records and their baseline fingerprints."""
+"""Finding records and their canonical report order."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,8 +23,8 @@ class Severity:
 class Finding:
     """One rule violation at one location.
 
-    ``path`` is POSIX-relative to the analysis root so findings (and
-    their fingerprints) are machine-independent.
+    ``path`` is POSIX-relative to the analysis root so findings are
+    machine-independent.
     """
 
     rule: str
@@ -35,14 +34,6 @@ class Finding:
     col: int
     message: str
 
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline suppression
-        file: a finding keeps its fingerprint when unrelated edits shift
-        it to a different line, but changes when it moves files or its
-        message (which embeds the offending symbol) changes."""
-        raw = f"{self.rule}|{self.path}|{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
@@ -51,7 +42,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
 
     def render(self) -> str:

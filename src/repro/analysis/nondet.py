@@ -1,10 +1,7 @@
-"""The catalogue of nondeterminism sources, shared by every layer.
+"""The catalogue of nondeterminism sources the per-file determinism
+rules (DET001 / DET002 / DET005) match calls against.
 
-Leaf module (no intra-package imports): the per-file determinism rules
-(DET001/DET002/DET005), the interprocedural taint pass (DET004/PUR001)
-and the ``--list-rules`` docs all draw from the same frozen sets, so a
-source added here is picked up by the direct rules *and* the transitive
-flow analysis in one edit.
+Leaf module (no intra-package imports), plain frozen sets.
 """
 
 from __future__ import annotations
@@ -76,25 +73,9 @@ FS_ENUM_CALLS = frozenset(
 # non-path receiver in this codebase is still an enumeration.
 FS_ENUM_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
-# Builtins whose value depends on the process (CPython heap addresses,
-# PYTHONHASHSEED).  Harmless as in-process dict keys; nondeterministic
-# the moment the value (or an order derived from it) reaches an artifact.
-PROCESS_SENSITIVE_BUILTINS = frozenset({"id", "hash"})
-
-# Human-readable labels for the taint kinds the flow analysis reports.
-TAINT_KINDS = {
-    "wall-clock": "wall-clock read",
-    "global-rng": "process-global RNG draw",
-    "environ": "environment-variable read",
-    "fs-order": "unsorted filesystem enumeration",
-    "process-id": "process-sensitive builtin (id()/hash())",
-}
-
 __all__ = [
     "FS_ENUM_CALLS",
     "FS_ENUM_METHODS",
     "NUMPY_GLOBAL_RNG",
-    "PROCESS_SENSITIVE_BUILTINS",
-    "TAINT_KINDS",
     "WALL_CLOCK_CALLS",
 ]

@@ -27,7 +27,7 @@ class Rule:
     #: why violating the invariant corrupts determinism / the protocol
     rationale: str = ""
     #: how to silence a deliberate violation
-    suppress_hint: str = "add `# repro-lint: disable=<RULE>` on the line, or record it in the baseline file"
+    suppress_hint: str = "add `# repro-lint: disable=<RULE>` on the line"
     severity: str = Severity.ERROR
 
     #: AST node classes the shared visitor dispatches to :meth:`visit`

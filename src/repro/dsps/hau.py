@@ -59,14 +59,14 @@ def stable_route_hash(key: Any) -> int:
     """
     if isinstance(key, (int, float)):
         # unsalted and process-stable for numerics
-        return hash(key)  # repro-lint: disable=DET004,PUR001
+        return hash(key)  # repro-lint: disable=DET006
     if isinstance(key, str):
         return zlib.crc32(key.encode("utf-8"))
     if isinstance(key, bytes):
         return zlib.crc32(key)
     if isinstance(key, tuple):
         # element hashes stabilised first, then CPython's tuple combiner
-        return hash(tuple(stable_route_hash(e) for e in key))  # repro-lint: disable=DET004,PUR001
+        return hash(tuple(stable_route_hash(e) for e in key))  # repro-lint: disable=DET006
     return zlib.crc32(repr(key).encode("utf-8"))
 
 

@@ -84,10 +84,6 @@ class FailurePlan:
     def single_count(self) -> int:
         return sum(1 for e in self.events if e.kind == "node")
 
-    @property
-    def degradation_count(self) -> int:
-        return sum(1 for e in self.events if e.kind in ("partition", "straggler"))
-
 
 def sample_plan(
     rng: np.random.Generator,

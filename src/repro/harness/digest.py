@@ -21,7 +21,8 @@ JSON (``sort_keys`` + shortest-repr floats) is byte-stable across runs
 of the same build.  Floating-point results can legitimately differ
 across numpy/BLAS builds, so the baseline records the environment it was
 produced under and the CLI refuses to compare across mismatched
-environments instead of reporting a false failure.
+environments instead of reporting a false failure — and exits
+``EXIT_SKIPPED`` (77), not 0: a check that did not run says so.
 """
 
 from __future__ import annotations
@@ -179,6 +180,23 @@ def environment_fingerprint() -> dict[str, str]:
     }
 
 
+# The conventional "skipped" exit status (automake, pytest-ish): what
+# the digest and goldens CLIs return when nothing could be compared.
+EXIT_SKIPPED = 77
+
+
+def environment_mismatch(recorded: dict[str, str] | None) -> str | None:
+    """None when digests recorded under ``recorded`` can be compared
+    here; otherwise why not, as the line a skipped check prints."""
+    current = environment_fingerprint()
+    if recorded == current:
+        return None
+    return (
+        f"environment mismatch (recorded {recorded}, current {current}) — "
+        "float results are only comparable on the recorded build"
+    )
+
+
 def compute_baseline(cases: list[str] | None = None) -> dict[str, Any]:
     """Run every canonical case (or the named subset) and collect digests."""
     selected = canonical_cases()
@@ -198,7 +216,8 @@ def compute_baseline(cases: list[str] | None = None) -> dict[str, Any]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: ``check`` (default) compares against the committed baseline;
+    """CLI: ``check`` (default) compares against the committed baseline
+    (exit 0 ok / 1 mismatch / 77 skipped: recorded on another build);
     ``--write <path>`` regenerates it (after an intentional model change);
     ``--json`` prints the current digests without comparing (the
     iteration-order canary diffs this output across PYTHONHASHSEED)."""
@@ -243,13 +262,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with open(args.baseline, encoding="utf-8") as fh:
         baseline = json.load(fh)
-    if baseline.get("environment") != current["environment"]:
-        print(
-            "digest check skipped: environment mismatch "
-            f"(baseline {baseline.get('environment')}, current {current['environment']}) — "
-            "float results are only comparable on the recorded build"
-        )
-        return 0
+    skipped = environment_mismatch(baseline.get("environment"))
+    if skipped:
+        print(f"digest check skipped: {skipped}")
+        return EXIT_SKIPPED
     failures = 0
     compare = sorted(baseline["digests"])
     if case_filter is not None:

@@ -290,6 +290,16 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
     return json.loads(canonical_json(reduce_result(run_spec(spec), spec)))
 
 
+def run_cell_or_error(spec: CellSpec) -> dict[str, Any]:
+    """:func:`run_cell`, with a cell that raises reduced to ``{"error":
+    "<ExceptionType>: <message>"}`` — deterministic text (the kernel's
+    message carries the process label and ``t=``)."""
+    try:
+        return run_cell(spec)
+    except Exception as exc:  # noqa: BLE001 — whatever the cell raised is its result
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 @dataclass
 class SweepStats:
     """What the runner did: worker fan-out and cache traffic."""
@@ -320,6 +330,7 @@ def run_cells(
     use_cache: bool = True,
     stats: SweepStats | None = None,
     bundle_dir: Path | None = None,
+    keep_going: bool = False,
 ) -> list[dict[str, Any]]:
     """Run every cell — cached, then parallel — and merge in input order.
 
@@ -331,6 +342,11 @@ def run_cells(
     :mod:`repro.inspect.bundle` RunBundle per cell — the comparable,
     content-addressed artifact ``python -m repro.inspect diff`` consumes
     — next to (but independent of) the payload cache.
+
+    A cell that raises ends the sweep (a figure with a hole in it is
+    wrong) unless ``keep_going``: then its payload is ``{"error": ...}``
+    (see :func:`run_cell_or_error`), never cached and never bundled, and
+    every other cell still runs — the campaign's mode.
     """
     jobs = jobs if jobs is not None else default_jobs()
     if stats is None:
@@ -358,14 +374,15 @@ def run_cells(
 
     if pending:
         stats.executed += len(pending)
+        cell_fn = run_cell_or_error if keep_going else run_cell
         if jobs > 1 and len(pending) > 1:
             with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                fresh = list(pool.map(run_cell, [spec for (_i, spec, _p) in pending]))
+                fresh = list(pool.map(cell_fn, [spec for (_i, spec, _p) in pending]))
         else:
-            fresh = [run_cell(spec) for (_i, spec, _p) in pending]
+            fresh = [cell_fn(spec) for (_i, spec, _p) in pending]
         for (i, _spec, path), payload in zip(pending, fresh):
             payloads[i] = payload
-            if path is not None:
+            if path is not None and "error" not in payload:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_suffix(".tmp")
                 with open(tmp, "w", encoding="utf-8") as fh:
@@ -378,7 +395,8 @@ def run_cells(
         from repro.inspect.bundle import build_bundle, write_bundle
 
         for payload in payloads:
-            write_bundle(build_bundle(payload), bdir)
+            if "error" not in payload:
+                write_bundle(build_bundle(payload), bdir)
     return payloads  # type: ignore[return-value]
 
 

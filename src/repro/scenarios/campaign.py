@@ -11,11 +11,9 @@ checks:
 * **expectations** — the document's ``expect`` block (min rounds,
   recovery happened, throughput floor).
 
-The report additionally carries an **analytics** block: per-scheme x
-per-failure-kind aggregates (counts, failure/recovery tallies, metric
-means) with deterministic outlier flagging (median/MAD within per-app
-subgroups) — the campaign-level view the scheme arena and adaptive
-controller consume.
+A scenario whose run raises is a failed row carrying the exception text
+(``error``), not the end of the campaign: every other scenario is still
+evaluated, and the failed cell is never cached.
 
 The report is canonical JSON and intentionally excludes anything
 machine- or cache-dependent (worker counts, hit/miss stats, wall
@@ -24,8 +22,8 @@ reports on hot and cold caches — CI diffs two back-to-back runs to
 enforce exactly that.
 
 Exit codes: 0 = all scenarios passed (always, under ``--warn-only``);
-1 = an expectation failed or a golden mismatched; 2 = bad invocation
-(unreadable/invalid checked-in scenario).
+1 = an expectation failed, a golden mismatched or a run raised;
+2 = bad invocation (unreadable/invalid checked-in scenario).
 """
 
 from __future__ import annotations
@@ -43,9 +41,11 @@ from repro.scenarios.goldens import golden_status, load_goldens
 from repro.scenarios.loader import ScenarioParseError, load_path, scenario_paths
 from repro.scenarios.schema import ScenarioValidationError
 
-# v2: rows carry failure_kinds; the report carries the per-scheme x
-#     per-failure-kind analytics block with deterministic outlier flags.
-REPORT_VERSION = 2
+# v2: rows carry failure_kinds.
+# v3: the per-scheme x per-failure-kind aggregate block (it had no
+#     reader) is gone; a scenario whose run raised is a FAIL row with an
+#     ``error`` field.
+REPORT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -65,15 +65,24 @@ def load_examples(directory: Path) -> list[CompiledScenario]:
     return compiled
 
 
+# What a row reads from a payload; a cell whose run raised measured none.
+_MEASURED = ("digest", "throughput", "latency", "rounds_completed", "recovery")
+
+
 def evaluate(scn: CompiledScenario, payload: dict[str, Any], source: str,
              goldens: dict[str, Any]) -> dict[str, Any]:
-    """One deterministic report row for a completed scenario."""
-    expect_failures = check_expectations(scn.doc, payload)
+    """One deterministic report row for a scenario that ran — or, when
+    its run raised (``payload`` is ``{"error": ...}``), a FAIL row with
+    the message and nothing measured."""
+    error = payload.get("error")
+    if error:
+        payload = dict.fromkeys(_MEASURED)
+    expect_failures = [] if error else check_expectations(scn.doc, payload)
     golden = golden_status(goldens, scn.scenario_id, payload["digest"]) \
-        if source == "example" else None
-    ok = not expect_failures and golden not in ("MISMATCH", "new")
+        if source == "example" and not error else None
+    ok = not error and not expect_failures and golden not in ("MISMATCH", "new")
     cp = payload.get("critical_path")
-    return {
+    row = {
         "id": scn.scenario_id,
         "source": source,
         "app": scn.spec.config.app,
@@ -90,89 +99,9 @@ def evaluate(scn: CompiledScenario, payload: dict[str, Any], source: str,
         "expect_failures": expect_failures,
         "status": "pass" if ok else "FAIL",
     }
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
-
-
-def _group_outliers(group_rows: list[dict[str, Any]], metric: str) -> list[dict[str, Any]]:
-    """Deterministic outlier flags for one scheme x failure-kind group.
-
-    Compared within per-app subgroups (throughput scales differ wildly
-    across apps) of at least 3 rows; a row is flagged when it sits more
-    than ``max(3 x MAD, 20% of |median|)`` from its subgroup median.
-    Pure arithmetic on the rows — same rows, same flags, every time.
-    """
-    flagged: list[dict[str, Any]] = []
-    by_app: dict[str, list[dict[str, Any]]] = {}
-    for row in group_rows:
-        if isinstance(row.get(metric), (int, float)):
-            by_app.setdefault(row["app"], []).append(row)
-    for app in sorted(by_app):
-        rows = by_app[app]
-        if len(rows) < 3:
-            continue
-        values = [float(r[metric]) for r in rows]
-        median = _median(values)
-        mad = _median([abs(v - median) for v in values])
-        threshold = max(3.0 * mad, 0.2 * abs(median))
-        for row, value in zip(rows, values):
-            if abs(value - median) > threshold:
-                flagged.append(
-                    {
-                        "id": row["id"],
-                        "app": app,
-                        "metric": metric,
-                        "value": value,
-                        "median": median,
-                    }
-                )
-    flagged.sort(key=lambda f: (f["app"], f["metric"], f["id"]))
-    return flagged
-
-
-def analytics(rows: list[dict[str, Any]]) -> dict[str, Any]:
-    """Per-scheme x per-failure-kind aggregates over the campaign rows.
-
-    A scenario with several failure kinds contributes to each kind's
-    group (its numbers reflect the whole scenario); failure-free
-    scenarios land in kind ``none``.  A pure function of the rows, so
-    the analytics block inherits the report's byte-determinism.
-    """
-    groups: dict[str, list[dict[str, Any]]] = {}
-    for row in rows:
-        for kind in row.get("failure_kinds") or ["none"]:
-            groups.setdefault(f"{row['scheme']}/{kind}", []).append(row)
-    out: dict[str, Any] = {}
-    for key in sorted(groups):
-        members = groups[key]
-        out[key] = {
-            "n": len(members),
-            "failed": sum(r["status"] == "FAIL" for r in members),
-            "recovered": sum(bool(r["recovered"]) for r in members),
-            "throughput_mean": _mean(
-                [float(r["throughput"]) for r in members
-                 if isinstance(r.get("throughput"), (int, float))]
-            ),
-            "latency_mean": _mean(
-                [float(r["latency"]) for r in members
-                 if isinstance(r.get("latency"), (int, float))]
-            ),
-            "rounds_mean": _mean([float(r["rounds_completed"]) for r in members]),
-            "outliers": _group_outliers(members, "throughput")
-            + _group_outliers(members, "latency"),
-        }
-    return out
+    if error:
+        row["error"] = error
+    return row
 
 
 def build_report(rows: list[dict[str, Any]], seed: int, count: int) -> dict[str, Any]:
@@ -184,7 +113,6 @@ def build_report(rows: list[dict[str, Any]], seed: int, count: int) -> dict[str,
             "examples": sorted(r["id"] for r in rows if r["source"] == "example"),
         },
         "scenarios": rows,
-        "analytics": analytics(rows),
         "summary": {
             "total": len(rows),
             "passed": sum(r["status"] == "pass" for r in rows),
@@ -241,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         use_cache=not args.no_cache,
         stats=stats,
+        keep_going=True,
     )
     goldens = load_goldens(args.goldens)
     rows = [evaluate(scn, payload, src, goldens)
@@ -254,15 +183,8 @@ def main(argv: list[str] | None = None) -> int:
               f" rounds={row['rounds_completed']}{golden}")
         for problem in row["expect_failures"]:
             print(f"         expect: {problem}")
-    print("analytics (scheme/failure-kind):")
-    for key, group in report["analytics"].items():
-        thr = f"{group['throughput_mean']:.1f}" if group["throughput_mean"] is not None else "-"
-        print(f"  {key}: n={group['n']} failed={group['failed']} "
-              f"recovered={group['recovered']} thr_mean={thr} "
-              f"rounds_mean={group['rounds_mean']:.2f}")
-        for o in group["outliers"]:
-            print(f"         outlier: {o['id']} {o['metric']}={o['value']:g} "
-                  f"(subgroup median {o['median']:g})")
+        if "error" in row:
+            print(f"         error: {row['error']}")
     s = report["summary"]
     print(f"campaign: {s['passed']}/{s['total']} passed, "
           f"{s['golden_mismatches']} golden mismatch(es), "

@@ -6,8 +6,9 @@
 * ``run <path>`` — compile and execute one scenario, print its outcome
   (digest, throughput, rounds, expectation results).
 * ``goldens [--write]`` — run every example scenario and compare its
-  digest against ``GOLDENS.json``; ``--write`` regenerates the file
-  after an intentional model change.
+  digest against ``GOLDENS.json`` (exit 0 ok / 1 out of date / 77
+  skipped: the goldens were recorded on another python/numpy build);
+  ``--write`` regenerates the file after an intentional model change.
 
 The fuzzing campaign lives one module down:
 ``python -m repro.scenarios.campaign`` (see :mod:`repro.scenarios.campaign`).
@@ -19,6 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.harness.digest import EXIT_SKIPPED, environment_mismatch
 from repro.scenarios.campaign import default_examples_dir
 from repro.scenarios.compiler import check_expectations, compile_scenario
 from repro.scenarios.goldens import (
@@ -102,6 +104,10 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
         if status in ("MISMATCH", "new"):
             failures += 1
         print(f"  {status}: {scenario_id} {digest}")
+    skipped = environment_mismatch(goldens.get("environment"))
+    if skipped:
+        print(f"goldens check skipped: {skipped}")
+        return EXIT_SKIPPED
     if failures:
         print(f"FAIL: {failures} golden(s) out of date — "
               "python -m repro.scenarios goldens --write after an intentional change")

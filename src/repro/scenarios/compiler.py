@@ -20,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.failures.injector import (
-    DEFAULT_PARTITION_FACTOR,
-    DEFAULT_STRAGGLER_FACTOR,
-    PlannedFailure,
-)
+from repro.failures import injector
+from repro.failures.injector import PlannedFailure
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.sweep import CellSpec
 from repro.scenarios.schema import check
+from repro.vocabulary import DEGRADATION_KINDS
 
 # One bounded degradation window by default: long enough to perturb the
 # measured window, short enough that every scenario also exercises the
@@ -38,9 +36,10 @@ DEFAULT_CLUSTER = {"workers": 8, "spares": 12, "racks": 2}
 DEFAULT_RUN = {"window": 40.0, "warmup": 10.0, "n_checkpoints": 2, "recovery": False}
 DEFAULT_SEED = 1
 
+# Every degradation kind the vocabulary names has an injector default,
+# `DEFAULT_<KIND>_FACTOR` (a kind without one fails this import).
 _DEFAULT_FACTORS = {
-    "partition": DEFAULT_PARTITION_FACTOR,
-    "straggler": DEFAULT_STRAGGLER_FACTOR,
+    kind: getattr(injector, f"DEFAULT_{kind.upper()}_FACTOR") for kind in DEGRADATION_KINDS
 }
 
 

@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.harness.digest import environment_fingerprint
+from repro.harness.digest import environment_fingerprint, environment_mismatch
 
 
 def default_goldens_path() -> Path:
@@ -53,7 +53,7 @@ def write_goldens(digests: dict[str, str], path: str | Path | None = None) -> Pa
 
 def golden_status(goldens: dict[str, Any], scenario_id: str, digest: str) -> str:
     """One of ``ok`` / ``MISMATCH`` / ``env-skip`` / ``new``."""
-    if goldens.get("environment") != environment_fingerprint():
+    if environment_mismatch(goldens.get("environment")):
         return "env-skip"
     want = goldens.get("digests", {}).get(scenario_id)
     if want is None:

@@ -68,7 +68,7 @@ TRACE_TABLE_NOTES = {
     "checkpoint.commit": "bytes, version",
     "checkpoint.abandon": "cause=rollback",
     "replay.": "post-recovery replay counts",
-    "failure.inject": "node/rack/partition/straggler, cause",
+    "failure.inject": "{FAILURE_KINDS:/}, cause",
     "failure.restore": "timed degradation healed",
     "failure.detected": "watcher sweep",
     "recovery.hau.start": "one HAU's reload begins",
@@ -118,7 +118,7 @@ METRICS = (
     ({"ms_storage_bytes_written_total": "counter", "ms_storage_bytes_read_total": "counter"},
      "`namespace`", "`storage/shared.py`"),
     ({"ms_failures_injected_total": "counter"},
-     "`kind=node\\|rack\\|partition\\|straggler`", "`failures/injector.py`"),
+     "`kind={FAILURE_KINDS:\\|}`", "`failures/injector.py`"),
     ({"ms_sweep_cache_hits_total": "counter", "ms_sweep_cache_misses_total": "counter"},
      "—", "sweep result-cache lookups (`harness/sweep.py`)"),
     ({"ms_alerts_fired_total": "counter", "ms_alerts_resolved_total": "counter"},
@@ -183,7 +183,9 @@ SCHEME_NAMES = ("none", "baseline", "ms-src", "ms-src+ap", "ms-src+ap+aa", "orac
 
 # -- scenarios (repro.scenarios) --------------------------------------------
 # Top-level field -> (shape, notes): DESIGN.md's scenario-schema table.
-# ``{FAILURE_KINDS}`` renders as the backticked list above.
+# ``{FAILURE_KINDS}`` renders as the backticked list above (and, here
+# and in the trace / metric cells, ``{FAILURE_KINDS:<sep>}`` as the
+# kinds joined by ``<sep>``) — the kinds are spelt once.
 SCENARIO_FIELDS = {
     "id": ("slug", "required; unique per library, matches [a-z0-9][a-z0-9-]*"),
     "version": (

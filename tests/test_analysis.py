@@ -1,10 +1,9 @@
-"""Tests for repro.analysis (repro-lint): rules, engine, baseline, CLI.
+"""Tests for repro.analysis (repro-lint): rules, engine, CLI.
 
 Each rule gets at least one seeded-violation fixture (must fire) and
 false-positive guards (must stay quiet).  The engine plumbing (inline
-suppression, alias resolution, syntax-error reporting), the baseline
-round-trip and the CLI exit-code / JSON-report contracts are covered
-separately.
+suppression, alias resolution, syntax-error reporting) and the CLI
+exit-code / JSON-report contracts are covered separately.
 """
 
 from __future__ import annotations
@@ -14,12 +13,6 @@ import textwrap
 
 import pytest
 
-from repro.analysis.baseline import (
-    Baseline,
-    baseline_from_findings,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cli import list_rules_text, main
 from repro.analysis.engine import (
     AnalysisConfig,
@@ -239,6 +232,215 @@ def test_det003_scoped_to_export_paths_only(tmp_path):
             """
         },
         rule_ids=["DET003"],
+    )
+    assert project.findings == []
+
+
+# ---------------------------------------------------------------------------
+# DET005 — unsorted filesystem enumeration
+# ---------------------------------------------------------------------------
+
+
+def test_det005_fires_on_bare_listdir(tmp_path):
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/m.py": """\
+            import os
+
+            def load_all(path):
+                return [open(path + "/" + n) for n in os.listdir(path)]
+            """
+        },
+        rule_ids=["DET005"],
+    )
+    assert rules_of(project) == ["DET005"]
+    assert "os.listdir" in project.findings[0].message
+
+
+def test_det005_quiet_when_sorted(tmp_path):
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/m.py": """\
+            import os
+            from pathlib import Path
+
+            def load_all(path):
+                names = sorted(os.listdir(path))
+                files = sorted(Path(path).glob("*.json"))
+                return names, files
+            """
+        },
+        rule_ids=["DET005"],
+    )
+    assert rules_of(project) == []
+
+
+def test_det005_suppression(tmp_path):
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/m.py": """\
+            import os
+
+            def load_all(path):
+                return os.listdir(path)  # repro-lint: disable=DET005
+            """
+        },
+        rule_ids=["DET005"],
+    )
+    assert rules_of(project) == []
+    assert project.inline_suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# DET006 — builtin hash()
+# ---------------------------------------------------------------------------
+
+
+def test_det006_flags_hash_in_src_and_honours_the_disable(tmp_path):
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/m.py": """\
+            def route(key, n):
+                return hash("x") % n
+
+            def numeric(key):
+                return hash(key)  # repro-lint: disable=DET006
+
+            class K:
+                def __hash__(self):
+                    return 7
+
+            def crc(key):
+                return key.hash()
+            """,
+            "benchmarks/b.py": "def f(k):\n    return hash(k)\n",
+        },
+        rule_ids=["DET006"],
+        dirs=("src", "benchmarks"),
+    )
+    assert [(f.rule, f.path, f.line) for f in project.findings] == [("DET006", "src/m.py", 2)]
+    assert project.inline_suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# a source is reported where it is written, whoever calls it
+# ---------------------------------------------------------------------------
+
+# The shapes the transitive walker (DET004 / PUR001, deleted) was written
+# for: a nondeterministic helper behind a serialiser, a scheme hook or an
+# operator snapshot.  The per-file rules scan every file of src/, so each
+# is a finding at the *source* line with no call graph.
+_PLANTS = {
+    "wall clock, helper behind a snapshot": (
+        """\
+        import time
+
+        def _stamp():
+            return time.time()
+
+        class Operator:
+            pass
+
+        class Windowed(Operator):
+            def snapshot(self):
+                return {"at": _stamp()}
+
+            def restore(self, blob):
+                pass
+        """,
+        ("DET001", 4),
+    ),
+    "wall clock, directly in a serialiser": (
+        """\
+        import time
+
+        def to_json(run):
+            return {"t": time.time(), "run": run}
+        """,
+        ("DET001", 4),
+    ),
+    # DET002 reports the `import random` the draw needs, not each call
+    "global RNG, helper behind a scheme hook": (
+        """\
+        import random
+
+        def _coin():
+            return random.random() < 0.5
+
+        class SchemeHooks:
+            pass
+
+        class MyScheme(SchemeHooks):
+            def on_control(self, hau, token):
+                if _coin():
+                    yield None
+        """,
+        ("DET002", 1),
+    ),
+    "global RNG, directly in a scheme hook": (
+        """\
+        import random
+
+        class SchemeHooks:
+            pass
+
+        class MyScheme(SchemeHooks):
+            def on_control(self, hau, token):
+                if random.random() < 0.5:
+                    yield None
+        """,
+        ("DET002", 1),
+    ),
+    "unsorted enumeration, helper behind a serialiser": (
+        """\
+        import os
+
+        def _names(path):
+            return os.listdir(path)
+
+        def to_json(path):
+            return {"names": _names(path)}
+        """,
+        ("DET005", 4),
+    ),
+    "salted hash, helper behind a serialiser": (
+        """\
+        def _bucket(key):
+            return hash("x" + key) % 8
+
+        def to_json(key):
+            return {"bucket": _bucket(key)}
+        """,
+        ("DET006", 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(_PLANTS))
+def test_planted_source_is_a_finding_at_its_own_line(tmp_path, plant):
+    source, expected = _PLANTS[plant]
+    project = run_fixture(tmp_path, {"src/pkg/m.py": source})
+    assert [(f.rule, f.line) for f in project.findings] == [expected]
+    assert project.findings[0].severity == Severity.ERROR
+
+
+def test_pure_scheme_hook_is_quiet(tmp_path):
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/pkg/scheme.py": """\
+            class SchemeHooks:
+                pass
+
+            class MyScheme(SchemeHooks):
+                def on_control(self, hau, token):
+                    yield None
+            """
+        },
     )
     assert project.findings == []
 
@@ -496,14 +698,10 @@ def test_parse_suppressions_and_import_aliases():
     assert aliases["os"] == "os"
 
 
-def test_findings_sort_and_fingerprint_line_independent():
+def test_findings_sort_by_location():
     a = Finding("DET001", Severity.ERROR, "src/a.py", 10, 1, "msg")
     b = Finding("DET001", Severity.ERROR, "src/a.py", 2, 1, "msg")
     assert sort_findings([a, b]) == [b, a]
-    # fingerprint ignores line/col: moving a violation keeps it baselined
-    assert a.fingerprint() == b.fingerprint()
-    c = Finding("DET002", Severity.ERROR, "src/a.py", 10, 1, "msg")
-    assert a.fingerprint() != c.fingerprint()
 
 
 def test_registry_rejects_duplicates_and_lists_sorted():
@@ -516,11 +714,6 @@ def test_registry_rejects_duplicates_and_lists_sorted():
             id = "DET001"
 
 
-# ---------------------------------------------------------------------------
-# baseline round-trip
-# ---------------------------------------------------------------------------
-
-
 def violation_files():
     return {
         "src/m.py": """\
@@ -530,49 +723,6 @@ def violation_files():
             return time.time()
         """
     }
-
-
-def test_baseline_round_trip_suppresses_recorded_findings(tmp_path):
-    project = run_fixture(tmp_path, violation_files(), rule_ids=["DET001"])
-    assert len(project.findings) == 1
-    baseline = baseline_from_findings(project.findings)
-    path = tmp_path / "baseline.json"
-    write_baseline(baseline, path)
-    loaded = load_baseline(path)
-    kept, suppressed = loaded.apply(project.findings)
-    assert kept == [] and suppressed == 1
-    # file is stable JSON with sorted keys
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 1
-    assert list(doc["suppressions"]) == sorted(doc["suppressions"])
-
-
-def test_baseline_is_count_aware():
-    f = Finding("DET001", Severity.ERROR, "src/a.py", 1, 1, "msg")
-    g = Finding("DET001", Severity.ERROR, "src/a.py", 9, 1, "msg")  # same fingerprint
-    baseline = baseline_from_findings([f])
-    kept, suppressed = baseline.apply([f, g])
-    assert suppressed == 1 and len(kept) == 1
-
-
-def test_load_baseline_missing_file_and_bad_version(tmp_path):
-    assert load_baseline(tmp_path / "nope.json").counts == {}
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"version": 99, "suppressions": {}}')
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-
-
-def test_load_baseline_accepts_bare_count_entries(tmp_path):
-    p = tmp_path / "b.json"
-    p.write_text('{"version": 1, "suppressions": {"abcd": 2}}')
-    assert load_baseline(p).counts == {"abcd": 2}
-
-
-def test_baseline_apply_empty_is_identity():
-    f = Finding("DET001", Severity.ERROR, "src/a.py", 1, 1, "msg")
-    kept, suppressed = Baseline().apply([f])
-    assert kept == [f] and suppressed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +764,8 @@ def test_cli_strict_gates_warnings(tmp_path, capsys):
     assert main(["--root", str(tmp_path), "--strict"]) == 1
 
 
-def test_cli_exit_two_on_bad_root_and_bad_baseline(tmp_path, capsys):
+def test_cli_exit_two_on_bad_root(tmp_path, capsys):
     assert main(["--root", str(tmp_path / "missing")]) == 2
-    write_repo(tmp_path, {"src/m.py": "x = 1\n"})
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["--root", str(tmp_path), "--baseline", str(bad)]) == 2
 
 
 def test_cli_json_report_schema(tmp_path, capsys):
@@ -635,9 +781,7 @@ def test_cli_json_report_schema(tmp_path, capsys):
         "rules",
         "findings",
         "counts",
-        "suppressed_baseline",
         "suppressed_inline",
-        "stale_baseline",
     }
     assert doc["counts"] == {"DET001": 1}
     (finding,) = doc["findings"]
@@ -648,7 +792,6 @@ def test_cli_json_report_schema(tmp_path, capsys):
         "line",
         "col",
         "message",
-        "fingerprint",
     }
     assert doc["rules"] == [cls.id for cls in all_rules()]
 
@@ -659,16 +802,6 @@ def test_cli_output_writes_json_regardless_of_format(tmp_path, capsys):
     assert main(["--root", str(tmp_path), "--output", str(report)]) == 1
     doc = json.loads(report.read_text())
     assert doc["counts"] == {"DET001": 1}
-
-
-def test_cli_write_baseline_then_suppress(tmp_path, capsys):
-    write_repo(tmp_path, violation_files())
-    baseline = tmp_path / "baseline.json"
-    assert main(["--root", str(tmp_path), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main(["--root", str(tmp_path), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
 
 
 def test_cli_rules_filter(tmp_path, capsys):
@@ -750,77 +883,13 @@ def test_cli_github_format(tmp_path, capsys):
     assert "title=DET001::" in out
 
 
-def test_cli_call_graph_export(tmp_path, capsys):
-    write_repo(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def helper():
-                return 1
-
-            def entry():
-                return helper()
-            """
-        },
-    )
-    graph_json = tmp_path / "graph.json"
-    assert main(["--root", str(tmp_path), "--call-graph", str(graph_json)]) == 0
-    doc = json.loads(graph_json.read_text())
-    assert doc["version"] == 1
-    assert {fn["qualname"] for fn in doc["functions"]} == {"m.helper", "m.entry"}
-    graph_dot = tmp_path / "graph.dot"
-    assert main(["--root", str(tmp_path), "--call-graph", str(graph_dot)]) == 0
-    assert graph_dot.read_text().startswith("digraph callgraph {")
-
-
-def test_cli_stale_baseline_lifecycle(tmp_path, capsys):
-    write_repo(tmp_path, violation_files())
-    baseline = tmp_path / "baseline.json"
-    assert main(["--root", str(tmp_path), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-    # fix the violation: the baselined fingerprint goes stale
-    write_repo(tmp_path, {"src/m.py": "def f():\n    return 1\n"})
-    assert main(["--root", str(tmp_path), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "stale baseline" in out
-
-    assert (
-        main(["--root", str(tmp_path), "--baseline", str(baseline), "--format", "json"])
-        == 0
-    )
-    doc = json.loads(capsys.readouterr().out)
-    (entry,) = doc["stale_baseline"]
-    assert entry["rule"] == "DET001"
-    assert entry["unused_count"] == 1
-
-    # rewriting the baseline prunes the stale fingerprint (the old
-    # baseline must be loaded for the prune count to be known)
-    assert (
-        main(
-            [
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-                str(baseline),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "1 stale fingerprint(s) pruned" in out
-    assert json.loads(baseline.read_text())["suppressions"] == {}
-
-
 # ---------------------------------------------------------------------------
 # the repo itself stays clean
 # ---------------------------------------------------------------------------
 
 
 def test_repo_is_clean_under_strict(capsys):
-    """The acceptance gate: the real tree passes --strict with no baseline."""
+    """The acceptance gate: the real tree passes --strict."""
     assert main(["--root", str(ROOT), "--strict"]) == 0
 
 
@@ -1153,10 +1222,16 @@ def test_scn001_field_drift_both_directions(tmp_path):
 
 
 def test_scn001_documented_kind_not_declared(tmp_path):
-    # the `failures` row's kind list is FAILURE_KINDS, not prose
+    # the failure kinds are spelt once: the `failures` row's kind list, the
+    # `failure.inject` payload note and the injector metric's label cell are
+    # all FAILURE_KINDS rendered, not prose
     root = docs_tree(tmp_path)
     plant(root, VOCABULARY_RELPATH, '"partition", "straggler")', '"partition", "straggler", "meteor")')
-    assert "`straggler`, `meteor` —" in stale(root, "scenario-fields")
+    problems = {message.split("`")[1]: message for _line, message in doc(root)}
+    assert sorted(problems) == ["metric-schema", "scenario-fields", "trace-schema"]
+    assert "`straggler`, `meteor` —" in problems["scenario-fields"]
+    assert "(node/rack/partition/straggler/meteor, cause)" in problems["trace-schema"]
+    assert "`kind=node\\|rack\\|partition\\|straggler\\|meteor`" in problems["metric-schema"]
 
 
 def test_ins001_documented_drift_both_directions(tmp_path):

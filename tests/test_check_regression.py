@@ -1,6 +1,7 @@
 """Unit tests for the CI regression gate (benchmarks/check_regression.py):
-throughput gate, the latency gate and its dedicated exit code, and
-backward compatibility with latency-less baselines."""
+throughput gate, the latency gate and its dedicated exit code, backward
+compatibility with latency-less baselines, the exact ``events_popped``
+count and malformed reports."""
 
 import importlib.util
 import json
@@ -137,13 +138,11 @@ def test_checked_in_baseline_has_latency_cells():
     assert lat, "BENCH_baseline.json should carry per-cell latency"
 
 
-# -- kernel microbenchmark gate (warn-only wall clock; hard events_popped) ----
+# -- kernel microbenchmark: events_popped, exact ------------------------------
 
-def _kernel(wall=2.0, eps=100_000.0, popped=272_490, mode="fast"):
+def _kernel(popped=272_490, mode="fast"):
     return {
         "mode": mode,
-        "wall_seconds": wall,
-        "events_per_sec": eps,
         "events_popped": popped,
         "pool_hits": 240_000,
         "pool_misses": 1_000,
@@ -158,20 +157,6 @@ def _with_kernel(tmp_path, base_kernel, cur_kernel):
     cur_path = _write(tmp_path, "cur.json", rep)
     (tmp_path / "BENCH_kernel.json").write_text(json.dumps(cur_kernel))
     return cur_path, base_path
-
-
-def test_kernel_wall_regression_is_warn_only(tmp_path, capsys):
-    cur, base = _with_kernel(tmp_path, _kernel(wall=1.0, eps=200_000.0), _kernel(wall=3.0, eps=50_000.0))
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    out = capsys.readouterr().out
-    assert "warn-only" in out
-    assert "wall_seconds" in out and "events_per_sec" in out
-
-
-def test_kernel_wall_within_tolerance_is_silent(tmp_path, capsys):
-    cur, base = _with_kernel(tmp_path, _kernel(wall=2.0), _kernel(wall=2.2))
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    assert "warn-only" not in capsys.readouterr().out
 
 
 def test_kernel_events_popped_drift_fails_hard(tmp_path):
@@ -198,67 +183,12 @@ def test_kernel_mode_mismatch_skips_comparison(tmp_path, capsys):
 
 
 def test_checked_in_baseline_has_kernel_fields():
-    report = check_regression.load_report(str(check_regression.DEFAULT_BASELINE))
-    kernel = report.get("kernel")
-    assert kernel, "BENCH_baseline.json should carry the kernel microbench fields"
-    for key in ("wall_seconds", "events_per_sec", "events_popped"):
-        assert key in kernel
-
-
-def test_critical_path_growth_is_warn_only(tmp_path, capsys):
-    base = _write(
-        tmp_path, "base.json", _report([_cell(critical_path_seconds=1.0)])
-    )
-    cur = _write(
-        tmp_path, "cur.json", _report([_cell(critical_path_seconds=2.0)])
-    )
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    out = capsys.readouterr().out
-    assert "critical path" in out and "warn-only" in out
-
-
-def test_critical_path_within_tolerance_is_silent(tmp_path, capsys):
-    base = _write(
-        tmp_path, "base.json", _report([_cell(critical_path_seconds=1.0)])
-    )
-    cur = _write(
-        tmp_path, "cur.json", _report([_cell(critical_path_seconds=1.1)])
-    )
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    assert "critical path" not in capsys.readouterr().out
-
-
-def test_critical_path_gate_skips_missing_and_zero_cells(tmp_path, capsys):
-    # baseline without the field, a zero baseline (no round completed),
-    # and a current report missing the field: all silently skipped
-    base = _write(
-        tmp_path,
-        "base.json",
-        _report([
-            _cell(scheme="ms-src"),
-            _cell(scheme="ms-src+ap", critical_path_seconds=0.0),
-            _cell(scheme="ms-src+ap+aa", critical_path_seconds=1.0),
-        ]),
-    )
-    cur = _write(
-        tmp_path,
-        "cur.json",
-        _report([
-            _cell(scheme="ms-src", critical_path_seconds=9.0),
-            _cell(scheme="ms-src+ap", critical_path_seconds=9.0),
-            _cell(scheme="ms-src+ap+aa"),
-        ]),
-    )
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    assert "critical path" not in capsys.readouterr().out
-
-
-def test_critical_path_tolerance_flag(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _report([_cell(critical_path_seconds=1.0)]))
-    cur = _write(tmp_path, "cur.json", _report([_cell(critical_path_seconds=1.4)]))
-    args = [cur, "--baseline", base, "--critical-path-tolerance", "0.1"]
-    assert check_regression.main(args) == check_regression.EXIT_OK
-    assert "critical path" in capsys.readouterr().out
+    """The committed baseline pins the kernel's event count and records no
+    host seconds anywhere: ``perf/`` is the one host-time instrument."""
+    text = check_regression.DEFAULT_BASELINE.read_text(encoding="utf-8")
+    assert json.loads(text)["kernel"]["events_popped"] > 0
+    for key in ("wall_seconds", "events_per_sec", "build_seconds", "tuples_per_sec"):
+        assert key not in text
 
 
 def test_checked_in_baseline_has_critical_path_cells():
@@ -326,49 +256,3 @@ def test_non_dict_cell_exits_4(tmp_path, capsys):
         == check_regression.EXIT_BAD_BASELINE
     )
     assert "cells[0] is not an object" in capsys.readouterr().err
-
-
-# -- kernel scaling gate: build:run ratio (warn-only) ---------------------------
-
-def _scaling(build, wall=2.0):
-    cells = [
-        {"haus": haus, "wall_seconds": wall,
-         "build_seconds": build, "events_popped": 1000, "tuples": 100,
-         "tuples_per_sec": 100 / wall}
-        for haus in (1_000, 10_000)
-    ]
-    return {"mode": "fast", "cells": cells}
-
-
-def _scaling_args(tmp_path, base_build, cur_build):
-    rep = _report([_cell()])
-    return [
-        _write(tmp_path, "cur.json", rep),
-        "--baseline", _write(tmp_path, "base.json", rep),
-        "--scaling", _write(tmp_path, "scaling.json", _scaling(cur_build)),
-        "--scaling-baseline", _write(tmp_path, "scaling_base.json", _scaling(base_build)),
-    ]
-
-
-def test_scaling_build_ratio_growth_is_warn_only(tmp_path, capsys):
-    args = _scaling_args(tmp_path, base_build=1.0, cur_build=2.0)  # 0.5 -> 1.0
-    assert check_regression.main(args) == check_regression.EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("build:run ratio 1.00 vs baseline 0.50 (+100.0%)") == 2
-    assert "--build-tolerance 50% (warn-only)" in out
-    # a looser tolerance absorbs it
-    assert check_regression.main(args + ["--build-tolerance", "1.5"]) == check_regression.EXIT_OK
-    assert "build:run" not in capsys.readouterr().out
-
-
-def test_scaling_build_ratio_within_tolerance_or_unrecorded_is_silent(tmp_path, capsys):
-    for cur_build in (1.4, 0.2, None):  # +40 %, a saving, a report without the field
-        args = _scaling_args(tmp_path, base_build=1.0, cur_build=cur_build)
-        assert check_regression.main(args) == check_regression.EXIT_OK
-        assert "build:run" not in capsys.readouterr().out
-
-
-def test_checked_in_scaling_baseline_records_build_seconds():
-    path = _MOD_PATH.parent / "BENCH_scaling_baseline.json"
-    cells = json.loads(path.read_text())["cells"]
-    assert cells and all(c["build_seconds"] > 0 and c["wall_seconds"] > 0 for c in cells)

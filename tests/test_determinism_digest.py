@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import digest as digest_mod
 from repro.harness.digest import (
+    EXIT_SKIPPED,
     canonical_cases,
     canonical_json,
     combined_digest,
@@ -96,6 +98,25 @@ def test_golden_digest_baseline():
         "the kernel changed the event order (or the model changed — if "
         "intentional, regenerate with `python -m repro.harness.digest --write`)"
     )
+
+
+def test_digest_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
+    """0 = compared and equal, 1 = compared and different, 77 = the
+    baseline was recorded on another build, so nothing was compared."""
+    baseline = tmp_path / "DIGEST.json"
+    args = ["--baseline", str(baseline), "--cases", "tmi/baseline@2"]
+    assert digest_mod.main(args + ["--write"]) == 0
+    assert digest_mod.main(args) == 0
+    doc = json.loads(baseline.read_text())
+    doc["digests"]["tmi/baseline@2"] = "0" * 64
+    baseline.write_text(json.dumps(doc))
+    assert digest_mod.main(args) == 1
+    capsys.readouterr()
+    foreign = dict(environment_fingerprint(), python="0.0.0")
+    monkeypatch.setattr(digest_mod, "environment_fingerprint", lambda: foreign)
+    assert digest_mod.main(args) == EXIT_SKIPPED == 77
+    out = capsys.readouterr().out
+    assert "digest check skipped: environment mismatch" in out and "MISMATCH:" not in out
 
 
 def test_combined_digest_is_order_sensitive():

@@ -28,6 +28,7 @@ from repro.scenarios import (
 from repro.scenarios.campaign import main as campaign_main
 from repro.scenarios.goldens import golden_status, load_goldens, write_goldens
 from repro.scenarios.loader import ScenarioParseError
+from repro.simulation.core import SimulationError
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples" / "scenarios"
@@ -287,6 +288,32 @@ def test_goldens_write_and_status_transitions(tmp_path):
     assert golden_status(load_goldens(tmp_path / "missing.json"), "a", "x") == "env-skip"
 
 
+def test_goldens_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
+    """0 = every golden compared and equal, 1 = one out of date, 77 = the
+    goldens were recorded on another build, so nothing was compared."""
+    from repro.harness import digest as digest_mod
+    from repro.scenarios import cli
+
+    examples = tmp_path / "scenarios"
+    examples.mkdir()
+    (examples / "tiny.json").write_text(json.dumps(tiny_synth_doc()), encoding="utf-8")
+    monkeypatch.setattr(cli, "default_examples_dir", lambda: examples)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    goldens = tmp_path / "GOLDENS.json"
+    args = ["goldens", "--goldens", str(goldens)]
+    assert cli.main(args + ["--write"]) == 0
+    assert cli.main(args) == 0
+    write_goldens({"unit-tiny-synth": "cafe"}, goldens)
+    assert cli.main(args) == 1
+    capsys.readouterr()
+    foreign = dict(digest_mod.environment_fingerprint(), numpy="0.0.0")
+    monkeypatch.setattr(digest_mod, "environment_fingerprint", lambda: foreign)
+    assert cli.main(args) == digest_mod.EXIT_SKIPPED == 77
+    out = capsys.readouterr().out
+    assert "env-skip: unit-tiny-synth" in out
+    assert "goldens check skipped: environment mismatch" in out
+
+
 # ---------------------------------------------------------------------------
 # fuzzer: valid by construction, deterministic in the seed
 # ---------------------------------------------------------------------------
@@ -329,6 +356,8 @@ def test_campaign_same_seed_byte_deterministic(tmp_path, capsys):
     report = json.loads(r1)
     assert report["summary"]["total"] == 2
     assert {r["source"] for r in report["scenarios"]} == {"fuzz"}
+    assert report["report_version"] == 3 and "analytics" not in report
+    assert all("error" not in r for r in report["scenarios"])
 
 
 def test_campaign_expectation_failure_gates(tmp_path, capsys):
@@ -345,6 +374,42 @@ def test_campaign_expectation_failure_gates(tmp_path, capsys):
     assert "expect: expected throughput >= 1000000000" in out
     # the same failure is warn-only under --warn-only (the nightly mode)
     assert campaign_main(args + ["--warn-only"]) == 0
+
+
+def test_campaign_cell_that_raises_is_a_failed_row(tmp_path, capsys):
+    """Killing the shared-storage node (a target the schema documents)
+    fails a writer mid-run; the kernel raises out of that cell — which is
+    one FAIL row with the message, not the end of the campaign."""
+    examples = tmp_path / "scenarios"
+    examples.mkdir()
+    (examples / "a-tiny.json").write_text(json.dumps(tiny_synth_doc()), encoding="utf-8")
+    doomed = (EXAMPLES / "single-node-kill.yaml").read_text(encoding="utf-8")
+    assert "target: w3" in doomed
+    (examples / "b-storage-kill.yaml").write_text(
+        doomed.replace("target: w3", "target: storage"), encoding="utf-8")
+    cache = tmp_path / "cache"
+    args = ["--count", "0", "--examples-dir", str(examples),
+            "--goldens", str(examples / "GOLDENS.json"), "--cache-dir", str(cache)]
+    assert campaign_main(args + ["--output", str(tmp_path / "r1.json")]) == 1
+    out = capsys.readouterr().out
+    assert "error: SimulationError: process " in out and "1/2 passed" in out
+    ok, failed = json.loads((tmp_path / "r1.json").read_text())["scenarios"]
+    assert (ok["id"], ok["status"]) == ("unit-tiny-synth", "pass") and "error" not in ok
+    assert (failed["id"], failed["status"]) == ("single-node-kill", "FAIL")
+    assert failed["error"].startswith("SimulationError: process '")
+    assert " failed at t=30." in failed["error"]
+    assert failed["error"].endswith("StorageError('storage node down')")
+    assert failed["digest"] is None and failed["expect_failures"] == []
+    # only the cell that ran is cached; the failed one runs (and fails) again,
+    # to the same bytes
+    assert len(sorted(cache.glob("*.json"))) == 1
+    assert campaign_main(args + ["--output", str(tmp_path / "r2.json")]) == 1
+    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+    assert len(sorted(cache.glob("*.json"))) == 1
+    # a figure with a hole in it is wrong: run_cells' default still raises
+    scn = compile_scenario(load_path(examples / "b-storage-kill.yaml"))
+    with pytest.raises(SimulationError, match="storage node down"):
+        run_cells([scn.spec], jobs=1, use_cache=False)
 
 
 def test_campaign_rejects_invalid_checked_in_scenario(tmp_path, capsys):
