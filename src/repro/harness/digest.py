@@ -167,6 +167,20 @@ def canonical_cases() -> dict[str, tuple[ExperimentConfig, dict[str, Any]]]:
             ),
             {"failure_at": 35.0},
         ),
+        "tmi/oracle@2": (
+            ExperimentConfig(
+                app="tmi", scheme="oracle", n_checkpoints=2, oracle_times=[18.0, 37.0],
+                app_params={"n_minutes": 0.25}, **common,
+            ),
+            {},
+        ),
+        "tmi/baseline@2+failure": (
+            ExperimentConfig(
+                app="tmi", scheme="baseline", n_checkpoints=2,
+                enable_recovery=True, app_params={"n_minutes": 0.25}, **common,
+            ),
+            {"failure_at": 35.0, "failure_targets": ["w2"]},
+        ),
     }
     return cases
 

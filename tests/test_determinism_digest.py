@@ -90,7 +90,7 @@ def test_golden_digest_baseline():
     if baseline["environment"] != environment_fingerprint():
         pytest.skip("digest baseline was recorded under a different environment")
     cases = canonical_cases()
-    name = "tmi/baseline@2"  # one case keeps the test cheap; CI runs all four
+    name = "tmi/baseline@2"  # one case keeps the test cheap; CI runs all six
     cfg, kwargs = cases[name]
     got = result_digest(run_experiment(cfg, **kwargs))
     assert got == baseline["digests"][name], (

@@ -3,7 +3,7 @@
 The run record (``repro.metrics.breakdown.RunRecord``) is written by one
 function, ``RunRecord.apply``, which has two callers: a live scheme's
 ``transition()`` and ``build_timeline``'s fold over the trace.  So on
-every pinned cell — the four canonical digest cases and the seven example
+every pinned cell — the six canonical digest cases and the seven example
 scenarios — every field of every ``CheckpointLog`` / ``RecoveryBreakdown``
 the scheme holds must equal the one the trace folds to, from the live
 tracer and from the JSONL file alike.  A scheme that stamps a transition
