@@ -32,6 +32,7 @@ GENERATOR_HOOKS = frozenset(
         "on_control",
         "initiate_round",
         "write_checkpoint",
+        "recover",
     }
 )
 
@@ -39,17 +40,16 @@ GENERATOR_HOOKS = frozenset(
 # call into a never-driven generator and the hook body would never run.
 PLAIN_HOOKS = frozenset(
     {
-        "on_hau_started",
         "on_token_arrival",
         "processing_overhead",
-        "on_channel_broken",
         "on_recovery_reset",
+        "oldest_kept_version",
         "attach",
         "start",
     }
 )
 
-SCHEME_ROOTS = frozenset({"SchemeHooks", "CheckpointScheme", "MeteorShowerBase"})
+SCHEME_ROOTS = frozenset({"CheckpointScheme", "MeteorShowerBase"})
 
 
 def _is_generator_fn(fn: ast.FunctionDef) -> bool:
@@ -82,7 +82,7 @@ def _collect_bad_yields(fn: ast.FunctionDef) -> list[tuple[int, int, str]]:
     Flags ``yield`` of a literal (constant, tuple/list/dict/set display,
     f-string) and value-less ``yield`` — except the ``return`` / ``raise``
     followed by an unreachable ``yield`` idiom that turns a default hook
-    into a generator (see SchemeHooks), which is deliberate and harmless.
+    into a generator (see CheckpointScheme), which is deliberate and harmless.
     """
     bad: list[tuple[int, int, str]] = []
 
@@ -211,8 +211,8 @@ class SchemeProtocolRule(Rule):
 
     id = "PROTO001"
     title = (
-        "scheme subclasses respect the hook protocol: generator hooks stay generators, plain hooks "
-        "contain no yield, concrete MS variants implement `initiate_round`, operator "
+        "`CheckpointScheme` subclasses respect the hook protocol: generator hooks stay generators, "
+        "plain hooks contain no yield, concrete MS variants implement `initiate_round`, operator "
         "`snapshot`/`restore` stay paired"
     )
     rationale = (

@@ -19,7 +19,8 @@ Four schemes, one interface:
 
 All Meteor Shower variants share global rollback recovery
 (:mod:`repro.core.recovery`) and source preservation
-(:mod:`repro.core.preservation`).
+(:mod:`repro.core.preservation`).  :data:`SCHEMES` maps every scheme name
+to its class; ``SCHEMES[name].from_config(cfg)`` builds one for a run.
 """
 
 from repro.core.costs import CostModel
@@ -31,8 +32,20 @@ from repro.core.ms_aa import MSSrcAPAA
 from repro.core.recovery import GlobalRecovery
 from repro.core.replication import ReplicationEstimator
 from repro.core.delta import DeltaPolicy, DeltaTracker
+from repro.dsps.runtime import CheckpointScheme
+from repro.vocabulary import SCHEME_NAMES
+
+SCHEMES: dict[str, type[CheckpointScheme]] = {
+    cls.name: cls
+    for cls in (CheckpointScheme, BaselineScheme, MSSrc, MSSrcAP, MSSrcAPAA, OracleScheme)
+}
+if set(SCHEMES) != set(SCHEME_NAMES):
+    raise ImportError(
+        f"scheme registry {sorted(SCHEMES)} != vocabulary.SCHEME_NAMES {sorted(SCHEME_NAMES)}"
+    )
 
 __all__ = [
+    "SCHEMES",
     "CostModel",
     "MeteorShowerBase",
     "BaselineScheme",

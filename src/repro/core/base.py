@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 from repro.core.costs import CostModel
 from repro.core.preservation import SourcePreserver
-from repro.core.recovery import GlobalRecovery
+from repro.core.recovery import GlobalRecovery, failure_watcher
 from repro.dsps.hau import HAURuntime
 from repro.dsps.runtime import CKPT_NS, CheckpointScheme
 from repro.dsps.tuples import DataTuple
-from repro.metrics.breakdown import CheckpointLog, RecoveryBreakdown
+from repro.metrics.breakdown import CheckpointLog
 from repro.simulation.core import Interrupt
 
 
@@ -61,7 +61,14 @@ class MeteorShowerBase(CheckpointScheme):
         self.source_markers: dict[tuple[int, str], int] = {}  # (round, src) -> emitted_count
         self.recovery: GlobalRecovery | None = None
         self._round_counter = 0
-        self._recovering = False
+
+    @classmethod
+    def from_config(cls, cfg) -> MeteorShowerBase:
+        return cls(
+            checkpoint_times=cfg.checkpoint_times(),
+            costs=cfg.costs,
+            enable_recovery=cfg.enable_recovery,
+        )
 
     # -- lifecycle ------------------------------------------------------------------
     def attach(self, runtime) -> None:
@@ -74,7 +81,7 @@ class MeteorShowerBase(CheckpointScheme):
         if self.checkpoint_times:
             rt.dc.storage_node.spawn(self._coordinator(), label=f"{self.name}.coord")
         if self.enable_recovery:
-            rt.dc.storage_node.spawn(self._failure_watcher(), label=f"{self.name}.watch")
+            rt.dc.storage_node.spawn(failure_watcher(self), label=f"{self.name}.watch")
 
     def _coordinator(self):
         """Fire one checkpoint round at each scheduled instant."""
@@ -158,50 +165,28 @@ class MeteorShowerBase(CheckpointScheme):
             return None
         return max(complete, key=lambda rv: rv[0])
 
+    def oldest_kept_version(self, hau_id: str, version: int) -> int | None:
+        """The oldest checkpoint version of ``hau_id`` the garbage collector
+        keeps once ``version`` is in a complete round (None: keep all)."""
+        return version
+
     def _garbage_collect(self, completed_round: int) -> None:
         """Drop checkpoint versions and preserved tuples superseded by the
         newly completed application checkpoint."""
-        versions = self.completed_rounds[completed_round]
         storage = self.runtime.storage
-        for hau_id, version in versions.items():
-            storage.drop_versions_before(CKPT_NS, hau_id, version)
+        for hau_id, version in self.completed_rounds[completed_round].items():
+            oldest = self.oldest_kept_version(hau_id, version)
+            if oldest is not None:
+                storage.drop_versions_before(CKPT_NS, hau_id, oldest)
         for src in self.runtime.app.graph.sources():
             marker = self.source_markers.get((completed_round, src))
             if marker is not None:
                 self.preserver.discard_through(src, marker)
 
-    # -- failure detection / recovery ----------------------------------------------------
-    def _failure_watcher(self):
-        """Controller-side detector: ping nodes; trigger global recovery.
-
-        The paper's controller pings source nodes; other nodes are
-        monitored by their upstream neighbours, whose channel breaks feed
-        :meth:`on_channel_broken`.  Both paths funnel here.
-        """
-        env = self.runtime.env
-        try:
-            while True:
-                yield env.timeout(self.costs.ping_interval)
-                dead = [
-                    hau_id
-                    for hau_id, hau in self.runtime.haus.items()
-                    if not hau.node.alive
-                ]
-                if dead and not self._recovering:
-                    self._recovering = True
-                    self.transition("failure.detected", self.name, dead=",".join(sorted(dead)))
-                    try:
-                        yield from self.recovery.run(dead)
-                    finally:
-                        self._recovering = False
-        except Interrupt:
-            return
-
-    def on_channel_broken(self, hau: HAURuntime, edge_idx: int) -> None:
-        # Upstream-neighbour monitoring: the break itself is the signal;
-        # the watcher confirms on its next ping. Nothing to do here beyond
-        # the paper's "notifies its upstream neighbour" bookkeeping.
-        pass
+    # -- recovery ------------------------------------------------------------------------
+    def recover(self, dead: list[str]):
+        """Global rollback of the whole application to the MRC."""
+        yield from self.recovery.run(dead)
 
     def on_recovery_reset(self) -> None:
         """Drop transient per-round state at the rollback instant.
@@ -228,8 +213,3 @@ class MeteorShowerBase(CheckpointScheme):
     def checkpoint_logs(self) -> list[CheckpointLog]:
         return [self.logs[r] for r in sorted(self.logs)]
 
-    @property
-    def recoveries(self) -> list[RecoveryBreakdown]:
-        """The global rollbacks that ran to their end (one cut short is
-        only in ``self.record.recoveries``)."""
-        return [rec for rec in self.record.recoveries if rec.complete]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.core.costs import CostModel
 from repro.core.preservation import InputPreserver
+from repro.core.recovery import failure_watcher
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import HAURuntime
 from repro.dsps.runtime import CKPT_NS, CheckpointScheme
@@ -54,7 +55,15 @@ class BaselineScheme(CheckpointScheme):
         # tuples enter the new channel strictly before any new emission.
         self._pending_replays: dict[str, list] = {}
         self.checkpoint_versions: dict[str, int] = {}  # hau -> latest version
-        self._recovering = False
+
+    @classmethod
+    def from_config(cls, cfg) -> BaselineScheme:
+        return cls(
+            checkpoint_period=cfg.window / cfg.n_checkpoints if cfg.n_checkpoints else None,
+            costs=cfg.costs,
+            enable_recovery=cfg.enable_recovery,
+            start_after=cfg.warmup,
+        )
 
     @property
     def recovered(self) -> list[tuple[float, str]]:
@@ -75,7 +84,7 @@ class BaselineScheme(CheckpointScheme):
                     self._timer(hau_id), label=f"baseline.timer.{hau_id}"
                 )
         if self.enable_recovery:
-            rt.dc.storage_node.spawn(self._watcher(), label="baseline.watch")
+            rt.dc.storage_node.spawn(failure_watcher(self), label=f"{self.name}.watch")
 
     def _timer(self, hau_id: str):
         """Random first phase, then strictly periodic requests."""
@@ -159,37 +168,19 @@ class BaselineScheme(CheckpointScheme):
                 self.preserver.ack(edge.src, seq)
 
     # -- recovery (1-safe) -----------------------------------------------------------------
-    def _watcher(self):
-        env = self.runtime.env
-        try:
-            while True:
-                yield env.timeout(self.costs.ping_interval)
-                dead = sorted(
-                    hau_id
-                    for hau_id, hau in self.runtime.haus.items()
-                    if not hau.node.alive
-                )
-                if dead and not self._recovering:
-                    self._recovering = True
-                    self.transition("failure.detected", self.name, dead=",".join(dead))
-                    # Classify the whole sweep first: a victim whose upstream
-                    # is also in the sweep has lost that upstream's retained
-                    # buffer no matter the recovery order.
-                    dead_set = set(dead)
-                    recoverable = []
-                    for hau_id in dead:
-                        ups = self.runtime.app.graph.upstream(hau_id)
-                        if any(u in dead_set for u in ups):
-                            self.transition(
-                                "baseline.unrecoverable", hau_id, cause="upstream-dead"
-                            )
-                        else:
-                            recoverable.append(hau_id)
-                    for hau_id in recoverable:
-                        yield from self._recover_single(hau_id)
-                    self._recovering = False
-        except Interrupt:
-            return
+    def recover(self, dead: list[str]):
+        """Classify the whole sweep first — a victim whose upstream is also
+        in it has lost that upstream's retained buffer no matter the
+        recovery order — then restart the others one by one."""
+        dead_set = set(dead)
+        recoverable = []
+        for hau_id in dead:
+            if any(u in dead_set for u in self.runtime.app.graph.upstream(hau_id)):
+                self.transition("baseline.unrecoverable", hau_id, cause="upstream-dead")
+            else:
+                recoverable.append(hau_id)
+        for hau_id in recoverable:
+            yield from self._recover_single(hau_id)
 
     def _recover_single(self, hau_id: str):
         """Restart one failed HAU from its MRC; upstreams replay.
@@ -204,10 +195,7 @@ class BaselineScheme(CheckpointScheme):
         graph = rt.app.graph
         self.transition("baseline.recover.start", hau_id)
         for up in graph.upstream(hau_id):
-            up_store = self.preserver._stores.get(up)
-            up_node_dead = not rt.haus[up].node.alive
-            store_lost = up_store is not None and not up_store.node.alive
-            if up_node_dead or store_lost:
+            if not rt.haus[up].node.alive or self.preserver.buffer_lost(up):
                 self.transition(
                     "baseline.unrecoverable", hau_id, cause="retained-buffer-lost"
                 )

@@ -95,6 +95,13 @@ class DeltaTracker:
             st.rounds_since_full += 1
         st.last_size = full_size
 
+    def restart_chains(self) -> None:
+        """Every HAU's state was rolled back: its next round is a full
+        checkpoint (chains written before the failure may carry rounds the
+        rollback discarded)."""
+        for st in self._hau.values():
+            st.rounds_since_full = -1
+
     def read_chain(self, hau_id: str, through_round: int) -> list[tuple[int, int, int]]:
         """The (round, version, billed) objects a recovery must read to
         reconstruct the state as of ``through_round``."""

@@ -29,6 +29,11 @@ from repro.state.turning import TurningPointDetector
 
 DEFAULT_SAMPLE_INTERVAL = 1.0
 HALF_DROP = 0.5
+# Profiling (StateProfile): a HAU whose average state is below this is not
+# worth optimising, and the first quarter of the profiling window (the
+# cold-start ramp) is not classified.
+MIN_DYNAMIC_BYTES = 1_000_000.0
+PROFILE_STARTUP_SKIP = 0.25
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,6 @@ class MSSrcAPAA(MSSrcAP):
         profile_duration: float = 60.0,
         sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
         max_rounds: int | None = None,
-        min_dynamic_bytes: float = 1_000_000.0,
-        profile_startup_skip: float = 0.25,
         **kwargs,
     ):
         super().__init__(checkpoint_times=None, **kwargs)
@@ -60,8 +63,6 @@ class MSSrcAPAA(MSSrcAP):
         self.profile_duration = float(profile_duration)
         self.sample_interval = float(sample_interval)
         self.max_rounds = max_rounds
-        self.min_dynamic_bytes = float(min_dynamic_bytes)
-        self.profile_startup_skip = float(profile_startup_skip)
         self.profile_result: ProfileResult | None = None
         self.dynamic_haus: list[str] = []
         self._reports: Store | None = None
@@ -72,6 +73,18 @@ class MSSrcAPAA(MSSrcAP):
         # paper's piecewise-linear reconstruction from turning points.
         self._last_size: dict[str, tuple[float, float]] = {}
         self.decisions: list[tuple[float, str]] = []  # (time, reason) per round
+
+    @classmethod
+    def from_config(cls, cfg) -> MSSrcAPAA:
+        period = cfg.window / max(1, cfg.n_checkpoints)
+        return cls(
+            checkpoint_period=period,
+            profile_duration=cfg.warmup * 0.8,
+            sample_interval=max(0.5, period / 40.0),
+            max_rounds=cfg.n_checkpoints or None,
+            costs=cfg.costs,
+            enable_recovery=cfg.enable_recovery,
+        )
 
     # -- lifecycle ---------------------------------------------------------------------
     def start(self) -> None:
@@ -112,8 +125,8 @@ class MSSrcAPAA(MSSrcAP):
             # ---- profiling phase -------------------------------------------------
             profile = StateProfile(
                 checkpoint_period=self.checkpoint_period,
-                min_dynamic_bytes=self.min_dynamic_bytes,
-                startup_skip=self.profile_startup_skip,
+                min_dynamic_bytes=MIN_DYNAMIC_BYTES,
+                startup_skip=PROFILE_STARTUP_SKIP,
             )
             t_end = env.now + self.profile_duration
             while env.now < t_end:
@@ -130,14 +143,11 @@ class MSSrcAPAA(MSSrcAP):
                 env.telemetry.gauge("ms_aa_dynamic_haus").set(
                     float(len(self.dynamic_haus))
                 )
-            if env.trace.enabled:
-                env.trace.emit(
-                    "aa.profile",
-                    t=env.now,
-                    subject=self.name,
-                    dynamic=",".join(sorted(self.dynamic_haus)),
-                    smax=float(self.profile_result.smax),
-                )
+            self.transition(
+                "aa.profile", self.name,
+                dynamic=",".join(sorted(self.dynamic_haus)),
+                smax=float(self.profile_result.smax),
+            )
             for hau_id in self.dynamic_haus:
                 hau = self.runtime.haus.get(hau_id)
                 if hau is not None and hau.node.alive:
@@ -163,14 +173,10 @@ class MSSrcAPAA(MSSrcAP):
         if self.dynamic_haus and smax > 0:
             total = yield from self._query_total_size()
             alert = total < smax
-            if alert and env.trace.enabled:
-                env.trace.emit(
-                    "aa.alert.enter",
-                    t=env.now,
-                    subject=self.name,
-                    total=float(total),
-                    smax=float(smax),
-                    via="query",
+            if alert:
+                self.transition(
+                    "aa.alert.enter", self.name,
+                    total=float(total), smax=float(smax), via="query",
                 )
         while env.now < deadline:
             if not self.dynamic_haus or smax <= 0:
@@ -185,16 +191,10 @@ class MSSrcAPAA(MSSrcAP):
                 env.telemetry.counter(
                     "ms_aa_turning_points_total", hau=report.hau_id
                 ).inc()
-            if env.trace.enabled:
-                env.trace.emit(
-                    "aa.turning_point",
-                    t=env.now,
-                    subject=report.hau_id,
-                    at=report.time,
-                    size=float(report.size),
-                    icr=float(report.icr),
-                    turn=report.kind,
-                )
+            self.transition(
+                "aa.turning_point", report.hau_id,
+                at=report.time, size=float(report.size), icr=float(report.icr), turn=report.kind,
+            )
             if not alert:
                 # A more-than-half drop at a turning point triggers the
                 # controller to check the total state size *at that point*
@@ -203,15 +203,12 @@ class MSSrcAPAA(MSSrcAP):
                 if report.kind == "max":
                     self._last_max[report.hau_id] = report.size
                 elif prev_max > 0 and report.size < HALF_DROP * prev_max:
-                    alert = self._known_total() < smax
-                    if alert and env.trace.enabled:
-                        env.trace.emit(
-                            "aa.alert.enter",
-                            t=env.now,
-                            subject=self.name,
-                            total=float(self._known_total()),
-                            smax=float(smax),
-                            via="half-drop",
+                    total = self._known_total()
+                    alert = total < smax
+                    if alert:
+                        self.transition(
+                            "aa.alert.enter", self.name,
+                            total=float(total), smax=float(smax), via="half-drop",
                         )
             if alert:
                 aggregate = sum(self._last_icr.get(h, 0.0) for h in self.dynamic_haus)
@@ -223,14 +220,9 @@ class MSSrcAPAA(MSSrcAP):
                         env.telemetry.counter(
                             "ms_aa_decisions_total", reason="icr"
                         ).inc()
-                    if env.trace.enabled:
-                        env.trace.emit(
-                            "aa.decision",
-                            t=env.now,
-                            subject=self.name,
-                            reason="icr",
-                            aggregate_icr=float(aggregate),
-                        )
+                    self.transition(
+                        "aa.decision", self.name, reason="icr", aggregate_icr=float(aggregate)
+                    )
                     yield from self.initiate_round()
                     return
         # "In the rare case where the total state size is never below smax
@@ -240,10 +232,7 @@ class MSSrcAPAA(MSSrcAP):
         self.decisions.append((env.now, "deadline"))
         if env.telemetry.enabled:
             env.telemetry.counter("ms_aa_decisions_total", reason="deadline").inc()
-        if env.trace.enabled:
-            env.trace.emit(
-                "aa.decision", t=env.now, subject=self.name, reason="deadline"
-            )
+        self.transition("aa.decision", self.name, reason="deadline")
         yield from self.initiate_round()
 
     def _next_report(self, deadline: float):

@@ -26,7 +26,6 @@ from repro.core.base import MeteorShowerBase, RoundState
 from repro.core.delta import DeltaPolicy, DeltaTracker
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import HAURuntime
-from repro.dsps.runtime import CKPT_NS
 from repro.dsps.tuples import DataTuple, Token
 from repro.simulation.core import Interrupt
 
@@ -118,19 +117,13 @@ class MSSrcAP(MeteorShowerBase):
             ).inc()
         yield env.timeout(fork)
         payload = hau.build_checkpoint_payload(st.round_id, extra_out=st.out_copies)
-        # Tokens in the input buffers "are erased immediately" and held-back
-        # tuples flow again; the parent has returned to normal execution.
-        drained = hau.unblock_all_edges()
-        if drained and env.telemetry.enabled:
-            env.telemetry.counter(
-                "ms_holdback_drained_total", hau=hau.hau_id
-            ).inc(len(drained))
         self._cow_active[hau.hau_id] = self._cow_active.get(hau.hau_id, 0) + 1
         hau.node.spawn(
             self._child_writer(hau, payload, bd), label=f"{hau.hau_id}.ckpt{st.round_id}"
         )
-        for e, item in drained:
-            yield from hau._process_tuple(e, item)
+        # Tokens in the input buffers "are erased immediately" and held-back
+        # tuples flow again; the parent has returned to normal execution.
+        yield from hau.release_holdback()
 
     def _child_writer(self, hau: HAURuntime, payload: dict, bd):
         """The forked child: serialise and save state off the critical path."""
@@ -164,11 +157,7 @@ class MSSrcAP(MeteorShowerBase):
         super().on_recovery_reset()
         self._cow_active.clear()
         if self.delta is not None:
-            # every HAU's state was rolled back: the next round must be a
-            # full checkpoint (chains written before the failure may carry
-            # rounds the rollback discarded)
-            for st in self.delta._hau.values():
-                st.rounds_since_full = -1
+            self.delta.restart_chains()
 
     # -- delta-checkpointing hooks (repro.core.delta) --------------------------------
     def recovery_read_plan(self, hau_id: str, cut_round: int, cut_version: int) -> list[int]:
@@ -179,21 +168,13 @@ class MSSrcAP(MeteorShowerBase):
                 return versions
         return [cut_version]
 
-    def _garbage_collect(self, completed_round: int) -> None:
+    def oldest_kept_version(self, hau_id: str, version: int) -> int | None:
         if self.delta is None:
-            super()._garbage_collect(completed_round)
-            return
-        # keep every version in each HAU's live chain (the full checkpoint
+            return version
+        # keep every version in the HAU's live chain (the full checkpoint
         # plus its deltas); everything older is superseded
-        storage = self.runtime.storage
-        for hau_id in self.completed_rounds[completed_round]:
-            protected = self.delta.protected_versions(hau_id)
-            if protected:
-                storage.drop_versions_before(CKPT_NS, hau_id, min(protected))
-        for src in self.runtime.app.graph.sources():
-            marker = self.source_markers.get((completed_round, src))
-            if marker is not None:
-                self.preserver.discard_through(src, marker)
+        protected = self.delta.protected_versions(hau_id)
+        return min(protected) if protected else None
 
 
 class OracleScheme(MSSrcAP):
@@ -201,8 +182,17 @@ class OracleScheme(MSSrcAP):
 
     The paper's Oracle: "the checkpoint is performed exactly at the moment
     of the minimal state ... obtained from observing prior runs".  The
-    harness measures a prior run, computes the per-period minima instants,
-    and passes them as ``checkpoint_times``.
+    harness measures a prior run and computes the per-period minima
+    instants (``find_oracle_times``); :meth:`from_config` checkpoints at
+    ``cfg.oracle_times``, or at the evenly spaced instants without them.
     """
 
     name = "oracle"
+
+    @classmethod
+    def from_config(cls, cfg) -> OracleScheme:
+        return cls(
+            checkpoint_times=list(cfg.oracle_times or cfg.checkpoint_times()),
+            costs=cfg.costs,
+            enable_recovery=cfg.enable_recovery,
+        )

@@ -66,13 +66,7 @@ class MSSrc(MeteorShowerBase):
                 round=token.round_id, edges=len(st.processed),
             )
             yield from self._sync_checkpoint(hau, token.round_id)
-            drained = hau.unblock_all_edges()
-            if drained and self.runtime.env.telemetry.enabled:
-                self.runtime.env.telemetry.counter(
-                    "ms_holdback_drained_total", hau=hau.hau_id
-                ).inc(len(drained))
-            for e, item in drained:
-                yield from hau._process_tuple(e, item)
+            yield from hau.release_holdback()
 
     def on_recovery_reset(self) -> None:
         super().on_recovery_reset()

@@ -52,6 +52,10 @@ class SourcePreserver:
     def replay_bytes(self, hau_id: str, after_seq: int) -> int:
         return sum(t.size for t in self.replay_tuples(hau_id, after_seq))
 
+    def retained_bytes(self, hau_id: str) -> int:
+        """Bytes of the HAU's preserved tuples on shared storage."""
+        return sum(obj.size for obj in self.storage._objects.get((PRESERVE_NS, hau_id), ()))
+
     def discard_through(self, hau_id: str, seq: int) -> None:
         """Garbage-collect preserved tuples covered by a completed round."""
         pair = (PRESERVE_NS, hau_id)
@@ -101,5 +105,15 @@ class InputPreserver:
         items = yield from store.replay_after(after_seq)
         return [tup for (_s, (eid, tup), _z) in items if eid == edge_id]
 
+    def retained_bytes(self, hau_id: str) -> int:
+        """Bytes in the HAU's retention buffer, memory plus spilled disk."""
+        store = self._stores.get(hau_id)
+        return 0 if store is None else store.mem_bytes + store.disk_bytes
+
     def total_retained_bytes(self) -> int:
-        return sum(s.mem_bytes + s.disk_bytes for s in self._stores.values())
+        return sum(self.retained_bytes(hau_id) for hau_id in self._stores)
+
+    def buffer_lost(self, hau_id: str) -> bool:
+        """True when the node holding the HAU's retention buffer died."""
+        store = self._stores.get(hau_id)
+        return store is not None and not store.node.alive

@@ -14,8 +14,28 @@ from __future__ import annotations
 
 from repro.core.costs import CostModel
 from repro.dsps.runtime import CKPT_NS
-from repro.simulation.core import AllOf
+from repro.simulation.core import AllOf, Interrupt
 from repro.storage.shared import StorageClient
+
+
+def failure_watcher(scheme):
+    """The controller's failure detector, one for every scheme: ping the
+    HAUs' nodes every ``costs.ping_interval``; when some are dead, report
+    ``failure.detected`` and run ``scheme.recover(dead)`` to its end.
+
+    The ping is the only detector: the paper's upstream neighbours also
+    notice a broken channel, which is not modelled.
+    """
+    env = scheme.runtime.env
+    try:
+        while True:
+            yield env.timeout(scheme.costs.ping_interval)
+            dead = sorted(h for h, hau in scheme.runtime.haus.items() if not hau.node.alive)
+            if dead:
+                scheme.transition("failure.detected", scheme.name, dead=",".join(dead))
+                yield from scheme.recover(dead)
+    except Interrupt:
+        return
 
 
 class GlobalRecovery:

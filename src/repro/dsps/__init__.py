@@ -5,10 +5,10 @@ High Availability Units (HAUs), each managed by a Stream Process Engine
 (SPE) on a node; tuples flow along a directed acyclic *query network*.
 
 The checkpointing schemes in :mod:`repro.core` plug into
-:class:`HAURuntime` through a small hook interface
-(:class:`SchemeHooks`) — tokens, preservation and state snapshots are
-scheme concerns; the runtime provides the mechanics (port blocking,
-intake pausing, backlog snapshots, emission).
+:class:`HAURuntime` through the hooks of :class:`CheckpointScheme` —
+tokens, preservation and state snapshots are scheme concerns; the
+runtime provides the mechanics (port blocking, intake pausing, backlog
+snapshots, emission).
 """
 
 from repro.dsps.tuples import DataTuple, Token, StreamItem, TOKEN_SIZE
@@ -20,7 +20,7 @@ from repro.dsps.operator import (
     OperatorContext,
 )
 from repro.dsps.graph import QueryGraph, HAUSpec, EdgeSpec, GraphError
-from repro.dsps.hau import HAURuntime, SchemeHooks
+from repro.dsps.hau import HAURuntime
 from repro.dsps.application import StreamApplication
 from repro.dsps.runtime import CheckpointScheme, DSPSRuntime, RuntimeConfig
 
@@ -46,7 +46,6 @@ __all__ = [
     "EdgeSpec",
     "GraphError",
     "HAURuntime",
-    "SchemeHooks",
     "CheckpointScheme",
     "StreamApplication",
     "DSPSRuntime",

@@ -20,7 +20,8 @@ This is where the paper's execution semantics live:
   part of the individual checkpoint, so that on recovery no pre-token
   tuple is lost (the upstream will not regenerate them).
 
-Scheme integration is through :class:`SchemeHooks`; the runtime itself is
+Scheme integration is through the hooks of
+:class:`~repro.dsps.runtime.CheckpointScheme`; the runtime itself is
 scheme-agnostic.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from repro.dsps.tuples import DataTuple, Token, is_token
 from repro.simulation.core import Environment, Event, Interrupt
 from repro.simulation.resources import Gate
 from repro.simulation.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dsps.runtime import CheckpointScheme
 
 DEFAULT_INBOX_CAPACITY = 128
 
@@ -96,56 +100,6 @@ class _Nudge:
 _NUDGE = _Nudge()
 
 
-class SchemeHooks:
-    """Hook surface a checkpoint scheme implements (all optional).
-
-    Generator-valued hooks are driven with ``yield from`` inside the HAU
-    process, so they can spend simulated time (preservation writes).
-    """
-
-    def on_hau_started(self, hau: "HAURuntime") -> None:
-        """HAU process came up (fresh start or post-recovery restart)."""
-
-    def on_source_emit(self, hau: "HAURuntime", tup: DataTuple):
-        """Before a source sends ``tup`` (source preservation). Generator."""
-        return
-        yield  # pragma: no cover
-
-    def on_emit(self, hau: "HAURuntime", edge: EdgeSpec, tup: DataTuple):
-        """After ``tup`` is queued on ``edge`` (input preservation). Generator."""
-        return
-        yield  # pragma: no cover
-
-    def on_token_arrival(self, hau: "HAURuntime", edge_idx: int, token: Token) -> None:
-        """Intake-level notification: a token reached the head of its edge
-        (it enters the inbox now, or as soon as a slot frees)."""
-
-    def handle_token(self, hau: "HAURuntime", edge_idx: int, token: Token):
-        """Main-loop token processing. Generator."""
-        return
-        yield  # pragma: no cover
-
-    def processing_overhead(self, hau: "HAURuntime") -> float:
-        """Multiplicative CPU tax (e.g. copy-on-write during async ckpt)."""
-        return 0.0
-
-    def maybe_checkpoint(self, hau: "HAURuntime"):
-        """Safe-point hook, called at every tuple boundary of the main and
-        source loops.  Schemes take snapshots here so that no tuple is ever
-        half-processed (state mutated, emissions unsent) inside a
-        checkpoint. Generator."""
-        return
-        yield  # pragma: no cover
-
-    def on_channel_broken(self, hau: "HAURuntime", edge_idx: int) -> None:
-        """An inbound channel broke (upstream neighbour failure signal)."""
-
-    def on_control(self, hau: "HAURuntime", message: Any):
-        """A control-plane message arrived from the controller. Generator."""
-        return
-        yield  # pragma: no cover
-
-
 class HAURuntime:
     """One HAU running on one node."""
 
@@ -156,7 +110,7 @@ class HAURuntime:
         node: Node,
         in_edges: list[EdgeSpec],
         out_edges: list[EdgeSpec],
-        scheme: SchemeHooks,
+        scheme: CheckpointScheme,
         rngs: RngRegistry,
         metrics=None,
         inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
@@ -204,10 +158,7 @@ class HAURuntime:
         # implementation skips the generator drive entirely.
         self._route_cache: dict[int, list[EdgeSpec]] = {}
         self._dst_ports: list[int] = [e.dst_port for e in self.in_edges]
-        on_emit = scheme.on_emit
-        self._hook_on_emit = (
-            None if getattr(on_emit, "__func__", None) is SchemeHooks.on_emit else on_emit
-        )
+        self._hook_on_emit = scheme.emit_hook
 
         # Bounded intake queue of (edge_idx, item).  An edge whose next
         # item finds it full (or finds others queued) keeps that item in
@@ -273,7 +224,6 @@ class HAURuntime:
             self._trace.emit(
                 "hau.start", t=self.env.now, subject=self.hau_id, node=self.node.node_id
             )
-        self.scheme.on_hau_started(self)
 
     # -- classification -----------------------------------------------------------
     @property
@@ -381,6 +331,17 @@ class HAURuntime:
         self.blocked_edges.clear()
         self.holdback.clear()
         return drained
+
+    def release_holdback(self):
+        """Unblock every edge and process what was held back behind the
+        tokens, in arrival order per edge (after an individual checkpoint
+        has begun). Generator."""
+        drained = self.unblock_all_edges()
+        telemetry = self.env.telemetry
+        if drained and telemetry.enabled:
+            telemetry.counter("ms_holdback_drained_total", hau=self.hau_id).inc(len(drained))
+        for edge_idx, item in drained:
+            yield from self._process_tuple(edge_idx, item)
 
     # -- emission -------------------------------------------------------------------------
     def route_edges(self, emit: Emit) -> list[EdgeSpec]:
@@ -564,8 +525,6 @@ class HAURuntime:
                 hands[edge_idx] = item
                 self._slot_waiters = [*self._slot_waiters, edge_idx]
                 return
-        if chan.closed:  # and drained
-            self.scheme.on_channel_broken(self, edge_idx)
 
     def _admit(self) -> None:
         """A slot has freed: the longest-waiting edge (or nudge) takes it."""

@@ -21,8 +21,9 @@ from repro.cluster.node import Node
 from repro.cluster.topology import ClusterSpec, DataCenter
 from repro.dsps.application import StreamApplication
 from repro.dsps.graph import EdgeSpec
-from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime, SchemeHooks
-from repro.metrics.breakdown import RunRecord
+from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime
+from repro.dsps.tuples import DataTuple, Token
+from repro.metrics.breakdown import RecoveryBreakdown, RunRecord
 from repro.metrics.collectors import MetricsHub
 from repro.simulation.core import Environment, Interrupt, Process, paused_gc
 from repro.simulation.rng import RngRegistry
@@ -43,14 +44,28 @@ class RuntimeConfig:
     inbox_capacity: int = DEFAULT_INBOX_CAPACITY
 
 
-class CheckpointScheme(SchemeHooks):
-    """Application-level scheme base: HAU hooks + lifecycle."""
+class CheckpointScheme:
+    """The checkpoint-scheme protocol — and, with every hook left at its
+    no-op, the ``none`` scheme.
+
+    A scheme is this class, an entry in :data:`repro.core.SCHEMES` (its
+    ``name``), a :meth:`from_config` when it derives parameters from the
+    experiment config, and the hooks it overrides.  Generator-valued hooks
+    are driven with ``yield from`` inside the HAU or controller process,
+    so they can spend simulated time; the others are plain calls.
+    """
 
     name = "none"
 
     def __init__(self):
         self.runtime: "DSPSRuntime" | None = None
         self.record = RunRecord()
+
+    @classmethod
+    def from_config(cls, cfg) -> CheckpointScheme:
+        """The scheme an experiment config asks for (``cfg`` is a
+        :class:`repro.harness.experiment.ExperimentConfig`)."""
+        return cls()
 
     def attach(self, runtime: "DSPSRuntime") -> None:
         self.runtime = runtime
@@ -90,6 +105,63 @@ class CheckpointScheme(SchemeHooks):
             round=round_id, bytes=size, version=version, scheme=self.name,
         )
         return version
+
+    @property
+    def recoveries(self) -> list[RecoveryBreakdown]:
+        """The global rollbacks that ran to their end (one cut short is
+        only in ``self.record.recoveries``)."""
+        return [rec for rec in self.record.recoveries if rec.complete]
+
+    # -- hooks driven by the HAU loop and the controller -----------------------
+    def on_source_emit(self, hau: HAURuntime, tup: DataTuple):
+        """Before a source sends ``tup`` (source preservation). Generator."""
+        return
+        yield  # pragma: no cover
+
+    def on_emit(self, hau: HAURuntime, edge: EdgeSpec, tup: DataTuple):
+        """After ``tup`` is queued on ``edge`` (input preservation). Generator."""
+        return
+        yield  # pragma: no cover
+
+    @property
+    def emit_hook(self):
+        """``on_emit``, or None when it is this no-op — the HAU then skips
+        the generator drive on every emission."""
+        on_emit = self.on_emit
+        return None if getattr(on_emit, "__func__", None) is CheckpointScheme.on_emit else on_emit
+
+    def on_token_arrival(self, hau: HAURuntime, edge_idx: int, token: Token) -> None:
+        """Intake-level notification: a token reached the head of its edge
+        (it enters the inbox now, or as soon as a slot frees)."""
+
+    def handle_token(self, hau: HAURuntime, edge_idx: int, token: Token):
+        """Main-loop token processing. Generator."""
+        return
+        yield  # pragma: no cover
+
+    def processing_overhead(self, hau: HAURuntime) -> float:
+        """Multiplicative CPU tax (e.g. copy-on-write during async ckpt)."""
+        return 0.0
+
+    def maybe_checkpoint(self, hau: HAURuntime):
+        """Safe-point hook, called at every tuple boundary of the main and
+        source loops.  Schemes take snapshots here so that no tuple is ever
+        half-processed (state mutated, emissions unsent) inside a
+        checkpoint. Generator."""
+        return
+        yield  # pragma: no cover
+
+    def on_control(self, hau: HAURuntime, message: Any):
+        """A control-plane message arrived from the controller. Generator."""
+        return
+        yield  # pragma: no cover
+
+    def recover(self, dead: list[str]):
+        """Recover from the failure of the HAUs ``dead`` (sorted), once the
+        failure watcher (:func:`repro.core.recovery.failure_watcher`) has
+        reported it. Generator."""
+        return
+        yield  # pragma: no cover
 
 
 class DSPSRuntime:

@@ -102,7 +102,7 @@ def result_fingerprint(result: ExperimentResult) -> dict[str, Any]:
             "bytes_read": rec.bytes_read,
             "haus_recovered": rec.haus_recovered,
         }
-        for rec in getattr(result.scheme, "recoveries", [])
+        for rec in result.scheme.recoveries
     ]
     return {
         "config": config_fingerprint(result.config),

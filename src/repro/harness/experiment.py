@@ -16,14 +16,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.apps import APPS
 from repro.cluster.topology import ClusterSpec
-from repro.core import (
-    BaselineScheme,
-    MSSrc,
-    MSSrcAP,
-    MSSrcAPAA,
-    OracleScheme,
-)
-from repro.core.costs import CostModel
+from repro.core import SCHEMES, CostModel
 from repro.dsps.runtime import CheckpointScheme, DSPSRuntime, RuntimeConfig
 from repro.failures.injector import FailureInjector, FailurePlan
 from repro.observability import Tracer, dumps_jsonl, render_summary, summarize, write_jsonl
@@ -233,39 +226,7 @@ class ExperimentResult:
 
 def make_scheme(cfg: ExperimentConfig) -> CheckpointScheme:
     """Instantiate the configured fault-tolerance scheme for one run."""
-    times = cfg.checkpoint_times()
-    costs = cfg.costs or CostModel()
-    if cfg.scheme == "none":
-        return CheckpointScheme()
-    if cfg.scheme == "baseline":
-        period = cfg.window / cfg.n_checkpoints if cfg.n_checkpoints else None
-        return BaselineScheme(
-            checkpoint_period=period,
-            costs=costs,
-            enable_recovery=cfg.enable_recovery,
-            start_after=cfg.warmup,
-        )
-    if cfg.scheme == "ms-src":
-        return MSSrc(checkpoint_times=times, costs=costs, enable_recovery=cfg.enable_recovery)
-    if cfg.scheme == "ms-src+ap":
-        return MSSrcAP(checkpoint_times=times, costs=costs, enable_recovery=cfg.enable_recovery)
-    if cfg.scheme == "ms-src+ap+aa":
-        period = cfg.window / max(1, cfg.n_checkpoints)
-        return MSSrcAPAA(
-            checkpoint_period=period,
-            profile_duration=cfg.warmup * 0.8,
-            sample_interval=max(0.5, period / 40.0),
-            max_rounds=cfg.n_checkpoints or None,
-            costs=costs,
-            enable_recovery=cfg.enable_recovery,
-        )
-    if cfg.scheme == "oracle":
-        return OracleScheme(
-            checkpoint_times=list(cfg.oracle_times or times),
-            costs=costs,
-            enable_recovery=cfg.enable_recovery,
-        )
-    raise AssertionError(cfg.scheme)
+    return SCHEMES[cfg.scheme].from_config(cfg)
 
 
 class StateTraceRecorder:

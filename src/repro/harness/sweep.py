@@ -175,7 +175,7 @@ def reduce_result(result: ExperimentResult, spec: CellSpec | None = None) -> dic
             "total": slowest.total,
         }
     recovery = None
-    recoveries = getattr(result.scheme, "recoveries", [])
+    recoveries = result.scheme.recoveries
     if recoveries:
         rec = recoveries[0]
         recovery = {

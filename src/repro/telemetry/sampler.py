@@ -25,10 +25,6 @@ from repro.vocabulary import SERIES_METRICS
 
 DEFAULT_INTERVAL = 1.0
 
-# Keep in sync with repro.core.preservation.PRESERVE_NS (imported lazily
-# to avoid a package-level import cycle through dsps/simulation).
-_PRESERVE_NS = "preserve"
-
 
 class Sampler:
     """Samples per-HAU gauges on a fixed cadence into time series."""
@@ -117,21 +113,8 @@ class Sampler:
         (memory + spilled disk).  Meteor Shower source preservation: the
         HAU's preserved tuples on shared storage (sources only).
         """
-        scheme = self.runtime.scheme
-        preserver = getattr(scheme, "preserver", None)
-        if preserver is None:
-            return 0.0
-        stores = getattr(preserver, "_stores", None)
-        if stores is not None:  # InputPreserver
-            store = stores.get(hau_id)
-            if store is None:
-                return 0.0
-            return float(store.mem_bytes + store.disk_bytes)
-        storage = getattr(preserver, "storage", None)
-        if storage is not None:  # SourcePreserver
-            objects = storage._objects.get((_PRESERVE_NS, hau_id), ())
-            return float(sum(obj.size for obj in objects))
-        return 0.0
+        preserver = getattr(self.runtime.scheme, "preserver", None)
+        return 0.0 if preserver is None else float(preserver.retained_bytes(hau_id))
 
     # -- export ------------------------------------------------------------
     def series_dict(self) -> dict[str, dict[str, list[list[float]]]]:

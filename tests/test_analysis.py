@@ -371,10 +371,10 @@ _PLANTS = {
         def _coin():
             return random.random() < 0.5
 
-        class SchemeHooks:
+        class CheckpointScheme:
             pass
 
-        class MyScheme(SchemeHooks):
+        class MyScheme(CheckpointScheme):
             def on_control(self, hau, token):
                 if _coin():
                     yield None
@@ -385,10 +385,10 @@ _PLANTS = {
         """\
         import random
 
-        class SchemeHooks:
+        class CheckpointScheme:
             pass
 
-        class MyScheme(SchemeHooks):
+        class MyScheme(CheckpointScheme):
             def on_control(self, hau, token):
                 if random.random() < 0.5:
                     yield None
@@ -433,10 +433,10 @@ def test_pure_scheme_hook_is_quiet(tmp_path):
         tmp_path,
         {
             "src/pkg/scheme.py": """\
-            class SchemeHooks:
+            class CheckpointScheme:
                 pass
 
-            class MyScheme(SchemeHooks):
+            class MyScheme(CheckpointScheme):
                 def on_control(self, hau, token):
                     yield None
             """
@@ -556,15 +556,15 @@ def test_proto001_flags_yield_in_plain_hook(tmp_path):
         tmp_path,
         {
             "src/m.py": """\
-            class BadScheme(SchemeHooks):
-                def on_hau_started(self, hau):
-                    yield hau
+            class BadScheme(CheckpointScheme):
+                def on_token_arrival(self, hau, edge_idx, token):
+                    yield token
             """
         },
         rule_ids=["PROTO001"],
     )
     assert rules_of(project) == ["PROTO001"]
-    assert "on_hau_started" in project.findings[0].message
+    assert "on_token_arrival" in project.findings[0].message
 
 
 def test_proto001_flags_missing_initiate_round(tmp_path):

@@ -32,13 +32,9 @@ class Announcements(CheckpointScheme):
     def __init__(self):
         super().__init__()
         self.tokens = []
-        self.broken = []
 
     def on_token_arrival(self, hau, edge_idx, token):
         self.tokens.append((hau.hau_id, edge_idx, token.round_id, len(hau.inbox)))
-
-    def on_channel_broken(self, hau, edge_idx):
-        self.broken.append((hau.hau_id, edge_idx, hau.env.now))
 
 
 def deploy(graph, scheme=None, **config):
@@ -140,6 +136,26 @@ def test_full_inbox_holds_one_item_per_edge_and_admits_them_in_arrival_order():
     assert scheme.tokens == [("join", 1, 9, 2)]  # once
 
 
+class CountsEmits(CheckpointScheme):
+    def __init__(self):
+        super().__init__()
+        self.emits = 0
+
+    def on_emit(self, hau, edge, tup):
+        self.emits += 1
+        return
+        yield  # pragma: no cover
+
+
+def test_on_emit_is_driven_only_when_a_scheme_overrides_it():
+    _, rt = deploy(two_stage(count=0))
+    assert all(hau._hook_on_emit is None for hau in rt.haus.values())
+    scheme = CountsEmits()
+    env, rt = deploy(two_stage(count=5), scheme)
+    env.run(until=1.0)
+    assert scheme.emits == 5 + 5  # src -> mid and mid -> sink
+
+
 def test_nudge_wakes_an_idle_loop():
     env, rt = deploy(two_stage(count=0))
     mid = rt.haus["mid"]
@@ -203,14 +219,15 @@ def test_no_process_per_channel_or_in_edge():
 # -- downstream dies while the upstream is blocked -----------------------------
 
 def test_upstream_blocked_behind_a_dead_neighbour_resumes_on_the_replacement_channel():
-    scheme = Announcements()
-    env, rt = deploy(two_stage(count=3000, interval=0.001), scheme,
+    env, rt = deploy(two_stage(count=3000, interval=0.001),
                      channel_capacity=4, inbox_capacity=4)
-    src, mid = rt.haus["src"], rt.haus["mid"]
+    src, mid, sink = rt.haus["src"], rt.haus["mid"], rt.haus["sink"]
     mid.pause_intake()
     env.run(until=1.0)
     assert src.source_operator.emitted_count == 4 + 1 + 4 + 1 + 4 + 1  # stuck
+    broken = sink.in_channels[0]
     mid.node.fail()
+    assert broken.closed  # the sink's upstream channel broke with the node
     env.run(until=2.0)
     # the failed send was skipped like any send on a broken edge, and the
     # source loop went on (emitting into the closed channel: dropped)
@@ -223,8 +240,8 @@ def test_upstream_blocked_behind_a_dead_neighbour_resumes_on_the_replacement_cha
     env.run(until=10.0)
     assert src.source_operator.emitted_count == 3000
     assert new_mid.tuples_processed == 3000 - dropped
-    # the sink saw its upstream channel break exactly once, at the failure
-    assert scheme.broken == [("sink", 0, 1.0)]
+    # ... and the sink takes them from the replacement channel
+    assert sink.in_channels[0] is not broken and not sink.in_channels[0].closed
 
 
 def test_rolled_back_hau_is_not_kept_alive_by_its_channels():

@@ -4,11 +4,26 @@ Every ``SCHEME_NAMES`` entry × ``n_checkpoints`` {0, 3} × ``enable_recovery``
 {False, True}, plus oracle with and without ``oracle_times``: the class and
 the derived attributes are pinned as literals (window 150 s, warm-up 30 s),
 so moving where a scheme's parameters are computed cannot change them.
+The registry itself (``repro.core.SCHEMES``) must name every scheme, or
+``repro.core`` does not import.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core import BaselineScheme, CostModel, MSSrc, MSSrcAP, MSSrcAPAA, OracleScheme
+from repro.core import (
+    SCHEMES,
+    BaselineScheme,
+    CostModel,
+    MSSrc,
+    MSSrcAP,
+    MSSrcAPAA,
+    OracleScheme,
+)
 from repro.dsps.runtime import CheckpointScheme
 from repro.harness.experiment import ExperimentConfig, make_scheme
 from repro.vocabulary import SCHEME_NAMES
@@ -67,3 +82,23 @@ def test_make_scheme_matches_the_pinned_parameters(scheme, n, recovery, oracle_t
 def test_default_costs_are_a_fresh_default_model():
     built = make_scheme(ExperimentConfig(app="tmi", scheme="ms-src", n_checkpoints=1))
     assert built.costs == CostModel()
+
+
+def test_registry_is_keyed_by_each_class_name():
+    assert sorted(SCHEMES) == sorted(SCHEME_NAMES)
+    assert all(cls.name == name for name, cls in SCHEMES.items())
+
+
+def test_a_name_missing_from_the_registry_fails_at_import():
+    code = (
+        "import repro.vocabulary as v\n"
+        "v.SCHEME_NAMES = v.SCHEME_NAMES + ('hybrid',)\n"
+        "import repro.core\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "ImportError: scheme registry" in proc.stderr and "'hybrid'" in proc.stderr
