@@ -43,6 +43,7 @@ PLAIN_HOOKS = frozenset(
         "on_token_arrival",
         "processing_overhead",
         "on_recovery_reset",
+        "recovery_read_plan",
         "oldest_kept_version",
         "attach",
         "start",
