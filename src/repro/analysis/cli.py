@@ -25,8 +25,9 @@ REPORT_VERSION = 2  # v2: the baseline keys and per-finding fingerprints are gon
 
 
 def list_rules_text() -> str:
-    """The rule inventory, rendered with the same table renderer as the
-    telemetry report CLI so tooling output stays visually consistent."""
+    """The rule inventory, rendered with the same table renderer as
+    ``python -m repro.inspect`` so tooling output stays visually
+    consistent."""
     from repro.harness.report import format_table
 
     rules = all_rules()

@@ -103,6 +103,7 @@ class ExperimentResult:
     latency_percentiles: dict[str, float] = field(default_factory=dict)
     monitor: "MonitorPlane | None" = None
     _timeline: Any = field(default=None, init=False, repr=False, compare=False)
+    _snapshot: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- monitoring plane access (cfg.monitor_period > 0) ------------------
     @property
@@ -134,23 +135,14 @@ class ExperimentResult:
         return write_jsonl(self.tracer, path)
 
     def trace_summary(self) -> dict:
-        """Checkpoint timelines + recovery breakdowns rendered from the
-        run's timeline."""
+        """Checkpoint timelines, recovery breakdowns, critical paths and
+        stragglers rendered from the run's timeline."""
         return summarize(self.timeline())
 
     def trace_report(self) -> str:
-        report = render_summary(self.trace_summary())
-        paths = self.critical_paths()
-        if paths:
-            lines = ["", "critical paths:"]
-            for p in paths:
-                chain = " > ".join(h.kind for h in p.hops)
-                lines.append(
-                    f"  round {p.round_id}: {p.seconds:.3f}s"
-                    f" gated by {p.gating_hau} [{chain}]"
-                )
-            report += "\n".join(lines)
-        return report
+        """The summary as text — what ``python -m repro.inspect show``
+        prints for the trace ``write_trace`` wrote."""
+        return render_summary(self.trace_summary())
 
     # -- causal timelines (repro.profiling) --------------------------------
     def timeline(self):
@@ -183,17 +175,23 @@ class ExperimentResult:
 
     # -- telemetry access (run_experiment(..., telemetry=True)) ------------
     def telemetry_snapshot(self) -> dict:
-        """Registry + sampler series as a JSON-ready (deterministic) dict."""
+        """Registry + sampler series as a JSON-ready (deterministic) dict —
+        built once: the file, the JSON text and the bundle all read this
+        one object, so callers must not mutate it."""
         if self.telemetry is None:
             raise RuntimeError(
                 "run_experiment(..., telemetry=True) to record telemetry"
             )
-        meta = {
-            "app": self.config.app,
-            "scheme": self.config.scheme,
-            "seed": self.config.seed,
-        }
-        return snapshot(self.telemetry, sampler=self.telemetry_sampler, meta=meta)
+        if self._snapshot is None:
+            meta = {
+                "app": self.config.app,
+                "scheme": self.config.scheme,
+                "seed": self.config.seed,
+            }
+            self._snapshot = snapshot(
+                self.telemetry, sampler=self.telemetry_sampler, meta=meta
+            )
+        return self._snapshot
 
     def telemetry_json(self) -> str:
         return dumps_snapshot(self.telemetry_snapshot())

@@ -15,8 +15,9 @@ which phase/HAU is responsible":
   individual HAUs, ranked as signed "top movers".
 * :mod:`repro.inspect.explain` — renders a diff as the attributed
   explanation ``benchmarks/check_regression.py`` prints on a gate trip.
-* ``python -m repro.inspect`` — ``show`` / ``diff`` / ``explain``
-  subcommands over bundle directories and report files.
+* ``python -m repro.inspect`` — ``diff`` / ``explain`` over bundle
+  directories and report files, and ``show``, the one reader of a
+  bundle, a trace JSONL or a telemetry snapshot (:mod:`repro.inspect.cli`).
 """
 
 from repro.inspect.bundle import (

@@ -44,10 +44,8 @@ from repro.harness.digest import canonical_json
 from repro.vocabulary import PHASES as PHASE_SPANS
 
 # v2: bundles carry alerts.json (SLO alert log + health timeline —
-# empty for unmonitored runs).  read_bundle still accepts v1 bundles,
-# defaulting the section.
+# empty for unmonitored runs).  read_bundle reads this version only.
 BUNDLE_VERSION = 2
-_READABLE_VERSIONS = frozenset({1, 2})
 
 MANIFEST_NAME = "MANIFEST.json"
 
@@ -62,10 +60,6 @@ _SECTION_FILES = (
     "alerts.json",
     "telemetry.json",
 )
-
-# What alerts.json holds when the run was unmonitored (and what a v1
-# bundle reads back as).
-EMPTY_ALERTS = {"alerts": {}, "health_timeline": []}
 
 
 class BundleError(ValueError):
@@ -183,10 +177,10 @@ def read_bundle(path: Path | str, verify: bool = True) -> dict[str, Any]:
     except ValueError as exc:
         raise BundleError(f"{manifest_path}: invalid JSON ({exc})") from exc
     version = manifest.get("bundle_version")
-    if version not in _READABLE_VERSIONS:
+    if version != BUNDLE_VERSION:
         raise BundleError(
             f"{directory}: bundle_version {version!r} "
-            f"(this build reads versions {sorted(_READABLE_VERSIONS)})"
+            f"(this build reads version {BUNDLE_VERSION})"
         )
     files: dict[str, Any] = {}
     for filename in _SECTION_FILES:
@@ -194,9 +188,6 @@ def read_bundle(path: Path | str, verify: bool = True) -> dict[str, Any]:
         try:
             raw = file_path.read_bytes()
         except OSError as exc:
-            if filename == "alerts.json" and version == 1:
-                files[filename] = {"alerts": {}, "health_timeline": []}
-                continue
             raise BundleError(f"{directory}: missing section {filename}") from exc
         if verify:
             want = manifest.get("files", {}).get(filename)

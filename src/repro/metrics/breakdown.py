@@ -204,18 +204,6 @@ class CheckpointLog:
         ends = [b.write_end_at for b in self.haus.values() if b.complete]
         return max(0.0, max(ends) - self.started_at) if ends else 0.0
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "round": self.round_id,
-            "scheme": self.scheme,
-            "started_at": self.started_at,
-            "completed_at": self.completed_at,
-            "duration": self.duration,
-            "complete": self.complete,
-            "incomplete_haus": self.stalled_haus(),
-            "haus": {h: self.haus[h].as_dict() for h in sorted(self.haus)},
-        }
-
 
 @dataclass
 class HAURecovery:
@@ -243,18 +231,6 @@ class HAURecovery:
             spans.append(Span(name, self.hau_id, t0, t0 + dur))
             t0 += dur
         return spans
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "hau": self.hau_id,
-            "node": self.node,
-            "start_at": self.start_at,
-            "end_at": self.end_at,
-            "reload": self.reload_seconds,
-            "disk_io": self.disk_io_seconds,
-            "deserialize": self.deserialize_seconds,
-            "bytes": self.bytes_read,
-        }
 
 
 @dataclass
@@ -297,20 +273,6 @@ class RecoveryBreakdown:
     @property
     def total(self) -> float | None:
         return _between(self.started_at, self.completed_at)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "detected_at": self.detected_at,
-            "started_at": self.started_at,
-            "reconnect_at": self.completed_at,
-            "reconnect_seconds": self.reconnect_seconds,
-            "done_at": self.done_at,
-            "dead": self.dead,
-            "cut_round": self.cut_round,
-            "total": self.total,
-            "haus": {h: self.haus[h].as_dict() for h in sorted(self.haus)},
-        }
 
 
 def _read_phases(entry: HAURecovery | RecoveryBreakdown, data: Mapping[str, Any]) -> None:

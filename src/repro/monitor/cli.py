@@ -1,8 +1,8 @@
 """``python -m repro.monitor`` — replay SLO monitoring over a trace file.
 
 The same :class:`~repro.monitor.plane.MonitorPlane` that rides live
-runs replays a recorded trace (the JSONL that ``--trace-out`` /
-``repro.observability.export`` writes) completely offline, producing
+runs replays a recorded trace (the JSONL that
+``ExperimentResult.write_trace`` writes) completely offline, producing
 the identical alert log and health timeline the live run produced for
 every trace-derived SLO::
 
@@ -29,23 +29,7 @@ from repro.harness.report import format_table
 from repro.monitor.plane import MonitorPlane
 from repro.monitor.slo import SLO_KINDS, default_slos
 from repro.observability.export import read_jsonl
-from repro.observability.tracer import TraceEvent
-
-
-def load_trace(path: str) -> list[TraceEvent]:
-    """Read a trace JSONL file back into :class:`TraceEvent` records."""
-    events = []
-    for row in read_jsonl(path):
-        events.append(
-            TraceEvent(
-                seq=int(row.get("seq", 0)),
-                t=float(row.get("t", 0.0)),
-                kind=str(row.get("kind", "")),
-                subject=str(row.get("subject", "")),
-                data=tuple(sorted((row.get("data") or {}).items())),
-            )
-        )
-    return events
+from repro.profiling.spans import normalize_events
 
 
 def _parse_bounds(pairs: list[str]) -> dict[str, float]:
@@ -73,7 +57,7 @@ def replay(
         period=period,
         slos=default_slos(bounds, fast_window=fast_window, slow_window=slow_window),
     )
-    plane.run_offline(load_trace(path))
+    plane.run_offline(normalize_events(read_jsonl(path)))
     return plane
 
 
@@ -129,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.monitor",
         description="Replay SLO burn-rate monitoring over a recorded trace file.",
     )
-    parser.add_argument("trace", help="trace JSONL file (see --trace-out / export.write_jsonl)")
+    parser.add_argument("trace", help="trace JSONL file (ExperimentResult.write_trace)")
     parser.add_argument("--period", type=float, default=1.0, help="tick period in sim seconds")
     parser.add_argument(
         "--bound",

@@ -36,6 +36,9 @@ from repro.observability.tracer import NULL_TRACER, TraceEvent
 from repro.telemetry.registry import NULL_REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Sequence
+
+    from repro.profiling.spans import Ev
     from repro.simulation.core import Environment
 
 # Trace kinds that open/close a recovery-time measurement.  MS schemes
@@ -117,7 +120,7 @@ class MonitorPlane:
             self._telem.counter("ms_monitor_ticks_total").inc()
 
     # -- trace ingestion -----------------------------------------------------
-    def _ingest(self, events: list[TraceEvent]) -> None:
+    def _ingest(self, events: "Sequence[TraceEvent | Ev]") -> None:
         for e in events:
             kind = e.kind
             if kind == "checkpoint.write.start":
@@ -250,8 +253,12 @@ class MonitorPlane:
         )
 
     # -- offline replay ------------------------------------------------------
-    def run_offline(self, events: list[TraceEvent], until: float | None = None) -> None:
-        """Drive the tick loop from a recorded trace (no environment).
+    def run_offline(
+        self, events: "Sequence[TraceEvent | Ev]", until: float | None = None
+    ) -> None:
+        """Drive the tick loop from a recorded trace (no environment):
+        live ``TraceEvent`` records, or the ``Ev`` rows
+        ``normalize_events`` reads back from a file.
 
         Ticks run at ``period, 2*period, ...`` through ``until``
         (default: the last event's timestamp — the live plane cannot

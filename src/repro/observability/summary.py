@@ -3,10 +3,13 @@
 Renders a trace's :class:`~repro.profiling.spans.Timeline` (rounds and
 recoveries are folded there, once) as the structures the paper's
 debugging workflow needs: per-round checkpoint timelines (start → write
-→ commit, per HAU) with each round's status, token-hop counts,
-failure/recovery timelines with the four recovery phases, alert-mode
-decisions, and replay volumes.  The result is a plain dict (JSON-ready)
-plus a text renderer for humans.
+→ commit, per HAU) with each round's status and stalled HAUs, token-hop
+counts, failure/recovery timelines with the four recovery phases,
+alert-mode decisions, replay volumes, each complete round's critical
+path and the straggler report.  The result is a plain dict (JSON-ready)
+plus :func:`render_summary`, the one text renderer of a timeline —
+``ExperimentResult.trace_report()`` and ``python -m repro.inspect show
+TRACE.jsonl`` both print it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.profiling.critical_path import critical_paths, straggler_report
 from repro.profiling.spans import build_timeline
 
 
@@ -54,6 +58,7 @@ def summarize(source: Any) -> dict[str, Any]:
             "started_at": log.started_at,
             "completed_at": log.completed_at,
             "status": log.status(),
+            "stalled_haus": log.stalled_haus(),
             "token_sends": tokens.get(("token.send", log.round_id), 0),
             "token_recvs": tokens.get(("token.recv", log.round_id), 0),
             "haus": {
@@ -86,6 +91,7 @@ def summarize(source: Any) -> dict[str, Any]:
             )
         recoveries.append(
             {
+                "detected_at": rec.detected_at,
                 "started_at": rec.started_at,
                 "dead": rec.dead,
                 "haus": {
@@ -115,6 +121,8 @@ def summarize(source: Any) -> dict[str, Any]:
         "baseline_recoveries": baseline_recoveries,
         "alerts": alerts,
         "replays": replays,
+        "critical_paths": [p.as_dict() for p in critical_paths(tl)],
+        "stragglers": [s.as_dict() for s in straggler_report(tl)],
     }
 
 
@@ -150,6 +158,8 @@ def render_summary(summary: dict[str, Any]) -> str:
                     f"start={start:.3f}s commit={ent['commit_at']:.3f}s "
                     f"bytes={ent['bytes']}"
                 )
+            if entry["stalled_haus"]:
+                lines.append(f"    stalled: {','.join(entry['stalled_haus'])}")
     if summary["failures"]:
         lines.append("failures:")
         for f in summary["failures"]:
@@ -182,6 +192,21 @@ def render_summary(summary: dict[str, Any]) -> str:
             f"out={replays['out']} backlog={replays['backlog']} "
             f"source={replays['source']}"
         )
+    if summary["critical_paths"]:
+        lines.append("critical paths:")
+        for p in summary["critical_paths"]:
+            chain = " > ".join(h["kind"] for h in p["hops"])
+            lines.append(
+                f"  round {p['round']}: {p['seconds']:.3f}s"
+                f" gated by {p['gating_hau']} [{chain}]"
+            )
+    if summary["stragglers"]:
+        lines.append("stragglers:")
+        for s in summary["stragglers"]:
+            lines.append(
+                f"  round {s['round']}: {s['hau']} {s['seconds']:.3f}s, "
+                f"{s['ratio']:.2f}x the round median {s['median_seconds']:.3f}s"
+            )
     return "\n".join(lines)
 
 

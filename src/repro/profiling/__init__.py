@@ -12,13 +12,13 @@ JSONL dicts) and reconstructs causal structure:
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — deterministic
   Chrome trace-event JSON for Perfetto / ``chrome://tracing``
   (:mod:`repro.profiling.chrome_trace`)
-* ``python -m repro.profiling`` — CLI over all of the above
-  (:mod:`repro.profiling.cli`)
+
+A timeline is rendered as text by :mod:`repro.observability.summary`
+alone; ``python -m repro.inspect show TRACE.jsonl`` prints it.
 """
 
 from repro.profiling.chrome_trace import (
     dumps_chrome_trace,
-    merge_chrome_traces,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "compute_critical_path",
     "critical_paths",
     "dumps_chrome_trace",
-    "merge_chrome_traces",
     "normalize_events",
     "straggler_report",
     "to_chrome_trace",

@@ -90,21 +90,12 @@ def _instant(
     return ev
 
 
-def to_chrome_trace(
-    source: Any,
-    include_critical_path: bool = True,
-    pid_base: int = 0,
-    label_prefix: str = "",
-) -> dict[str, Any]:
-    """Build the trace-event JSON object for one run's trace.
-
-    ``pid_base``/``label_prefix`` let a caller merge several runs (e.g.
-    one per scheme) into a single file without pid collisions.
-    """
+def to_chrome_trace(source: Any, include_critical_path: bool = True) -> dict[str, Any]:
+    """Build the trace-event JSON object for one run's trace."""
     tl = build_timeline(source)
     hau_ids = tl.hau_ids()
-    scheme_pid = pid_base
-    pid_of = {h: pid_base + i + 1 for i, h in enumerate(hau_ids)}
+    scheme_pid = 0
+    pid_of = {h: i + 1 for i, h in enumerate(hau_ids)}
     scheme_label = tl.scheme or "scheme"
 
     out: list[dict[str, Any]] = []
@@ -217,21 +208,19 @@ def to_chrome_trace(
 
     # -- metadata ----------------------------------------------------------
     meta: list[dict[str, Any]] = []
-    meta.append(
-        _meta(scheme_pid, 0, "process_name", f"{label_prefix}{scheme_label}")
-    )
+    meta.append(_meta(scheme_pid, 0, "process_name", scheme_label))
     meta.append(
         {
             "ph": "M",
             "pid": scheme_pid,
             "tid": 0,
             "name": "process_sort_index",
-            "args": {"sort_index": pid_base},
+            "args": {"sort_index": scheme_pid},
         }
     )
     for hau_id in hau_ids:
         pid = pid_of[hau_id]
-        meta.append(_meta(pid, 0, "process_name", f"{label_prefix}{hau_id}"))
+        meta.append(_meta(pid, 0, "process_name", hau_id))
         meta.append(
             {
                 "ph": "M",
@@ -282,12 +271,3 @@ def write_chrome_trace(source: Any, path_or_file: str | IO[str]) -> int:
         with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return len(trace["traceEvents"])
-
-
-def merge_chrome_traces(traces: list[dict[str, Any]]) -> dict[str, Any]:
-    """Concatenate several per-run trace objects (already pid-spaced via
-    ``pid_base``) into one loadable file."""
-    events: list[dict[str, Any]] = []
-    for tr in traces:
-        events.extend(tr["traceEvents"])
-    return {"displayTimeUnit": "ms", "traceEvents": events}

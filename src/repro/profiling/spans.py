@@ -89,15 +89,6 @@ class Timeline:
                 ids.add(e.subject)
         return sorted(ids)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "rounds": [w.as_dict() for w in self.rounds],
-            "recoveries": [r.as_dict() for r in self.recoveries],
-            "haus": self.hau_ids(),
-            "events": len(self.events),
-        }
-
 
 def build_timeline(source: Any) -> Timeline:
     """Fold a trace (tracer, events, or JSONL dicts) into a Timeline."""

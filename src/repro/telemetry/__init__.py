@@ -3,10 +3,8 @@
 Counterpart to :mod:`repro.observability` (structured *traces*): this
 package carries aggregated *metrics* — counters, gauges and exact
 percentile histograms — registered on ``env.telemetry`` and exported as
-a deterministic JSON snapshot or Prometheus text.
-
-``repro.telemetry.report`` (the CLI renderer) is intentionally not
-imported here: it needs the harness, which sits above this package.
+a deterministic JSON snapshot or Prometheus text.  A snapshot file is
+read back by ``python -m repro.inspect show snapshot.json``.
 """
 
 from repro.telemetry.export import (

@@ -68,7 +68,7 @@ def write_snapshot(snap: dict[str, Any], path: str) -> None:
 
 
 def read_snapshot(path: str) -> dict[str, Any]:
-    """Parse a snapshot file back (for the report CLI and tests)."""
+    """Parse a snapshot file back."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 

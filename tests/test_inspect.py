@@ -1,6 +1,6 @@
 """Tests for repro.inspect: RunBundle format, diff engine, explainer, CLI.
 
-The three contracts pinned here (and referenced from the package
+The four contracts pinned here (and referenced from the package
 docstrings):
 
 * **byte-determinism** — two same-seed runs produce byte-identical
@@ -10,7 +10,9 @@ docstrings):
   ``diff(a, b)``;
 * **attribution** — on a hand-built trace where one HAU's one phase is
   made slower, the diff's top mover names exactly that HAU and that
-  phase span.
+  phase span;
+* **one reader** — ``show`` renders a bundle, a trace (exactly the
+  run's ``trace_report()``) or a telemetry snapshot, and nothing else.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 
 import pytest
 
+from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import ExperimentConfig, run_experiment
 from repro.inspect import (
     PHASE_SPANS,
@@ -34,6 +37,8 @@ from repro.inspect import (
 )
 from repro.inspect.bundle import BundleError
 from repro.inspect.cli import main
+from repro.observability import read_jsonl
+from repro.profiling import build_timeline, write_chrome_trace
 
 
 def small_config(**kwargs):
@@ -409,3 +414,106 @@ def test_cli_rejects_mixed_operands(tmp_path, capsys):
 def test_cli_errors_on_missing_bundle(tmp_path, capsys):
     assert main(["show", str(tmp_path / "nope")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# show: one reader for a trace and a telemetry snapshot too
+# ---------------------------------------------------------------------------
+
+STRAGGLER_NODE = "w1"
+
+
+@pytest.fixture(scope="module")
+def observed(tmp_path_factory):
+    """A traced, telemetered run with both checkpoint rounds, a straggler
+    planted on one node through the first round, and a node kill after
+    the second; returns ``(result, trace path, snapshot path)``."""
+    plan = FailurePlan([
+        PlannedFailure(at=30.0, kind="straggler", target=STRAGGLER_NODE,
+                       duration=20.0, factor=50.0),
+    ])
+    res = run_experiment(
+        small_config(enable_recovery=True), trace=True, telemetry=True,
+        failure_plan=plan, failure_at=70.0, failure_targets=["w5"],
+    )
+    root = tmp_path_factory.mktemp("show")
+    res.write_trace(str(root / "run.trace.jsonl"))
+    res.write_telemetry(str(root / "run.telemetry.json"))
+    return res, str(root / "run.trace.jsonl"), str(root / "run.telemetry.json")
+
+
+def test_show_trace_prints_exactly_trace_report(observed, capsys):
+    res, trace, _ = observed
+    assert main(["show", trace]) == 0
+    out = capsys.readouterr().out
+    assert out == res.trace_report() + "\n"
+    for section in ("checkpoint rounds:", "recoveries (global rollback):",
+                    "critical paths:", "stragglers:"):
+        assert section in out
+    # the planted straggler is reported: an HAU on the slowed node
+    slowed = {e.subject for e in res.tracer.select(kind="hau.start")
+              if e.get("node") == STRAGGLER_NODE}
+    flagged = {(s["round"], s["hau"]) for s in res.trace_summary()["stragglers"]}
+    assert {(1, hau) for hau in slowed} & flagged
+    assert any(f"round 1: {hau} " in out for hau in slowed)
+
+
+def test_show_trace_json_is_the_summary_and_paths_tile_each_round(observed, capsys):
+    res, trace, _ = observed
+    assert main(["show", trace, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == json.loads(json.dumps(res.trace_summary()))
+    complete = [r["round_id"] for r in payload["rounds"] if r["status"] == "complete"]
+    assert complete and [p["round"] for p in payload["critical_paths"]] == complete
+    for p in payload["critical_paths"]:
+        assert p["seconds"] == pytest.approx(
+            sum(h["duration"] for h in p["hops"]), abs=1e-9
+        )
+    assert payload["stragglers"] and payload["recoveries"]
+
+
+def test_show_trace_chrome_trace_is_write_chrome_trace(observed, tmp_path, capsys):
+    res, trace, _ = observed
+    out = tmp_path / "show.perfetto.json"
+    assert main(["show", trace, "--chrome-trace", str(out)]) == 0
+    assert capsys.readouterr().out == res.trace_report() + "\n"
+    ref = tmp_path / "ref.perfetto.json"
+    write_chrome_trace(build_timeline(read_jsonl(trace)), str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+    live = tmp_path / "live.perfetto.json"
+    res.write_chrome_trace(str(live))
+    assert out.read_bytes() == live.read_bytes()
+
+
+def test_show_snapshot_renders_counters_distributions_and_series(observed, tmp_path, capsys):
+    res, _, snapshot = observed
+    assert main(["show", snapshot]) == 0
+    out = capsys.readouterr().out
+    assert "telemetry snapshot: app=tmi  scheme=ms-src+ap  seed=3" in out
+    for title in ("Counters and gauges", "Distributions", "Series: ms_hau_inbox_depth"):
+        assert title in out
+    assert main(["show", snapshot, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(res.telemetry_json())
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"meta": {}, "metrics": [], "series": {}}))
+    assert main(["show", str(empty)]) == 0
+    assert capsys.readouterr().out == "telemetry snapshot: empty\n"
+
+
+def test_show_exits_two_on_what_it_cannot_read(observed, tmp_path, capsys):
+    _, trace, snapshot = observed
+    missing = tmp_path / "nope.jsonl"
+    assert main(["show", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    for name, text in (("notes.txt", "hello\n"), ("report.json", '{"cells": []}\n'),
+                       ("empty.jsonl", "")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["show", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not a bundle directory" in err
+    da, _ = write_pair(tmp_path)
+    for path in (da, snapshot):
+        assert main(["show", str(path), "--chrome-trace", str(tmp_path / "x.json")]) == 2
+        assert "--chrome-trace needs a trace" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

@@ -10,7 +10,7 @@ Covers the monitoring acceptance criteria:
 * offline trace replay (and the ``python -m repro.monitor`` CLI)
   reproduces the live plane's verdicts;
 * scenario ``monitor:`` / ``expect.alerts`` schema + checking;
-* ``alerts.json`` bundle round-trip and v1-bundle tolerance.
+* ``alerts.json`` bundle round-trip, and a v1 bundle refused by name.
 """
 
 import json
@@ -344,14 +344,16 @@ def test_example_alert_scenario_is_committed_and_asserts_a_cycle():
 # -- bundles -------------------------------------------------------------------
 
 
-def test_bundle_carries_alerts_and_tolerates_v1(tmp_path, monitored):
+def test_bundle_carries_alerts_and_rejects_v1(tmp_path, monitored, capsys):
     from repro.harness.sweep import reduce_result
     from repro.inspect.bundle import (
+        BundleError,
         build_bundle,
         bundle_id,
         read_bundle,
         write_bundle,
     )
+    from repro.inspect.cli import main
 
     payload = reduce_result(monitored)
     assert payload["alerts"]["summary"]["fired"] > 0
@@ -362,15 +364,17 @@ def test_bundle_carries_alerts_and_tolerates_v1(tmp_path, monitored):
     assert back["files"]["alerts.json"]["health_timeline"] == (
         payload["health_timeline"]
     )
-    # a v1 bundle (pre-monitoring) has no alerts.json: reads as empty
+    # a v1 bundle (pre-monitoring, no alerts.json) is refused by name
     manifest = json.loads((directory / "MANIFEST.json").read_text())
     manifest["bundle_version"] = 1
     del manifest["files"]["alerts.json"]
     manifest["bundle_id"] = bundle_id(manifest["files"])
     (directory / "MANIFEST.json").write_text(json.dumps(manifest))
     (directory / "alerts.json").unlink()
-    old = read_bundle(directory)
-    assert old["files"]["alerts.json"] == {"alerts": {}, "health_timeline": []}
+    with pytest.raises(BundleError, match="bundle_version 1"):
+        read_bundle(directory)
+    assert main(["show", str(directory)]) == 2
+    assert "bundle_version 1" in capsys.readouterr().err
 
 
 def test_bundle_diff_attributes_alert_deltas(tmp_path, monitored):

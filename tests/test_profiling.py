@@ -1,5 +1,6 @@
 """Tests for repro.profiling: timeline reconstruction, critical paths,
-straggler attribution, Chrome-trace (Perfetto) export, and the CLI.
+straggler attribution and Chrome-trace (Perfetto) export (the trace
+reader, ``python -m repro.inspect show``, is tested in test_inspect.py).
 
 The acceptance invariant: a round's critical-path hops are contiguous
 and tile ``[round.start, round.complete]`` exactly, so the reported
@@ -16,7 +17,6 @@ from repro.core import MSSrc, MSSrcAP
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph, make_diamond_graph
 from repro.metrics.breakdown import PHASES, CheckpointBreakdown, CheckpointLog
-from repro.observability import write_jsonl
 from repro.profiling import (
     Timeline,
     build_timeline,
@@ -27,7 +27,6 @@ from repro.profiling import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.profiling.cli import main
 from repro.simulation import Environment
 
 
@@ -440,58 +439,3 @@ def test_chrome_trace_byte_identical_across_same_seed_runs(tmp_path):
     assert n > 0
     assert path.read_text(encoding="utf-8") == a
     json.loads(a)  # parses cleanly
-
-
-# -- CLI ------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def trace_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("profiling") / "run.trace.jsonl"
-    write_jsonl(run_chain_trace(), str(path))
-    return str(path)
-
-
-def test_cli_table_output(trace_file, capsys):
-    assert main([trace_file, "--critical-path"]) == 0
-    out = capsys.readouterr().out
-    assert "Checkpoint rounds" in out
-    assert "Critical path: round 1" in out
-    assert "Recoveries" in out
-
-
-def test_cli_round_filter(trace_file, capsys):
-    assert main([trace_file, "--round", "1", "--critical-path"]) == 0
-    out = capsys.readouterr().out
-    assert "Critical path: round 1" in out
-    assert "Critical path: round 2" not in out
-
-
-def test_cli_json_output(trace_file, capsys):
-    assert main([trace_file, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    body = payload["trace"]
-    assert {"timeline", "critical_paths", "stragglers"} <= set(body)
-    assert [p["round"] for p in body["critical_paths"]] == [1, 2]
-    for p in body["critical_paths"]:
-        assert p["seconds"] == pytest.approx(
-            sum(h["duration"] for h in p["hops"]), abs=1e-9
-        )
-    assert body["timeline"]["recoveries"]
-
-
-def test_cli_chrome_trace_output(trace_file, tmp_path, capsys):
-    out_path = tmp_path / "cli.perfetto.json"
-    assert main([trace_file, "--format", "chrome-trace", "-o", str(out_path)]) == 0
-    trace = json.loads(out_path.read_text(encoding="utf-8"))
-    assert trace["traceEvents"]
-
-
-def test_cli_missing_trace_file_exits_two(tmp_path, capsys):
-    assert main([str(tmp_path / "nope.jsonl")]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_cli_unknown_scheme_exits_two(capsys):
-    assert main(["--schemes", "warp-drive"]) == 2
-    assert "error:" in capsys.readouterr().err
