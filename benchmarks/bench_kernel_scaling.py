@@ -6,15 +6,19 @@ drains its whole workload, identical runs pop identical event counts,
 and a tuple hop stays within its kernel-event budget.  The artifact
 records those counts (HAUs, events popped, tuples) and nothing else.
 
-Build and run seconds (the rates time the ``env.run`` phase only) and
-the derived events/sec + tuples/sec are printed for the reader; they
-are recorded and compared nowhere — ``perf/``'s ``synth_chain_4k``
-workload is where host time at scale is measured, with a protocol.
+Build and run seconds (the rates time the ``env.run`` phase only), the
+derived events/sec + tuples/sec, and the bytes set-up leaves allocated
+per HAU (tracemalloc over app build + ``start()``, in an untimed build of
+its own) are printed for the reader; they are recorded and compared
+nowhere — ``perf/``'s ``synth_chain_4k`` workload is where host time and
+peak memory at scale are measured, with a protocol, and
+``tests/test_construction_cost.py`` holds the bytes-per-HAU budget.
 """
 
 import gc
 import os
 import time
+import tracemalloc
 
 from repro.apps.synth import build
 from repro.cluster.topology import ClusterSpec
@@ -47,8 +51,40 @@ def _topology(replicas: int) -> dict:
     }
 
 
-def _run_cell(haus: int) -> dict:
+def _deploy(haus: int) -> tuple[Environment, DSPSRuntime]:
+    """Build and start the chain at ``haus`` HAUs."""
     replicas = haus // 4
+    env = Environment()
+    rt = DSPSRuntime(
+        env,
+        build(seed=1, topology=_topology(replicas)),
+        CheckpointScheme(),
+        RuntimeConfig(
+            seed=1,
+            cluster=ClusterSpec(workers=max(4, replicas // 4), spares=2, racks=4),
+            channel_capacity=16,
+            inbox_capacity=32,
+        ),
+    )
+    rt.start()
+    return env, rt
+
+
+def _setup_bytes_per_hau(haus: int) -> float:
+    """Bytes still allocated after :func:`_deploy`, per HAU (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _env, rt = _deploy(haus)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / len(rt.haus)
+
+
+def _run_cell(haus: int) -> dict:
     best_wall = float("inf")
     popped = set()
     tuples = 0
@@ -58,20 +94,7 @@ def _run_cell(haus: int) -> dict:
         # build: it is cyclic garbage only a full collection reclaims
         gc.collect()
         t0 = time.perf_counter()  # repro-lint: disable=DET001 (host timing, not simulated)
-        env = Environment()
-        app = build(seed=1, topology=_topology(replicas))
-        rt = DSPSRuntime(
-            env,
-            app,
-            CheckpointScheme(),
-            RuntimeConfig(
-                seed=1,
-                cluster=ClusterSpec(workers=max(4, replicas // 4), spares=2, racks=4),
-                channel_capacity=16,
-                inbox_capacity=32,
-            ),
-        )
-        rt.start()
+        env, rt = _deploy(haus)
         # the timed region measures the kernel, not the allocator: collect
         # construction garbage now and keep the collector out of the loop
         gc.collect()
@@ -87,13 +110,14 @@ def _run_cell(haus: int) -> dict:
         if wall < best_wall:
             best_wall = wall
             build_wall = t1 - t0
-        del env, app, rt
+        del env, rt
     assert len(popped) == 1, f"events_popped varied across identical runs: {popped}"
     n_popped = popped.pop()
     return {
         "haus": haus,
         "wall_seconds": best_wall,
         "build_seconds": build_wall,
+        "setup_bytes_per_hau": _setup_bytes_per_hau(haus),
         "events_popped": n_popped,
         "tuples": tuples,
         "events_per_sec": n_popped / best_wall,
@@ -109,14 +133,14 @@ def test_kernel_scaling(write_artifact):
         assert c["events_popped"] <= EVENTS_PER_TUPLE_BUDGET * c["tuples"]
 
     header = (
-        f"{'haus':>6} {'build':>7} {'run':>7} {'b:r':>5} "
+        f"{'haus':>6} {'build':>7} {'B/HAU':>6} {'run':>7} {'b:r':>5} "
         f"{'popped':>9} {'ev/tuple':>8} {'ev/s':>10} {'tup/s':>9}"
     )
     lines = [header]
     for c in cells:
         lines.append(
             f"{c['haus']:>6} "
-            f"{c['build_seconds']:>6.2f}s {c['wall_seconds']:>6.2f}s "
+            f"{c['build_seconds']:>6.2f}s {c['setup_bytes_per_hau']:>6.0f} {c['wall_seconds']:>6.2f}s "
             f"{c['build_seconds'] / c['wall_seconds']:>5.2f} {c['events_popped']:>9} "
             f"{c['events_popped'] / c['tuples']:>8.2f} "
             f"{c['events_per_sec']:>10,.0f} {c['tuples_per_sec']:>9,.0f}"

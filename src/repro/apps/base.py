@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass
+@dataclass(slots=True)
 class SizedPayload:
     """A payload with an explicit nominal size (DESIGN.md convention).
 

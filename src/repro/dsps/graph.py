@@ -11,7 +11,7 @@ optional routing mode for fan-out groups (broadcast vs key-hash, e.g.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.dsps.operator import Operator
 
@@ -20,7 +20,7 @@ class GraphError(Exception):
     """Malformed query network."""
 
 
-@dataclass
+@dataclass(slots=True)
 class HAUSpec:
     """Blueprint for one High Availability Unit.
 
@@ -34,7 +34,7 @@ class HAUSpec:
     is_sink: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeSpec:
     """A stream between two HAUs."""
 
@@ -43,6 +43,8 @@ class EdgeSpec:
     src_port: int = 0
     dst_port: int = 0
     routing: str = "broadcast"  # "broadcast" | "hash" — for fan-out groups
+    # Derived, so outside the constructor, repr and equality.
+    edge_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Precomputed: edge_id is read on every emission (per-edge output

@@ -28,7 +28,6 @@ scheme-agnostic.
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -103,6 +102,23 @@ _NUDGE = _Nudge()
 class HAURuntime:
     """One HAU running on one node."""
 
+    # Slotted: one instance per HAU, and with more than 30 attributes a
+    # plain instance would carry a private combined dict (CPython shares
+    # keys only up to 30), ~1.6 KB a HAU and slower attribute lookups.
+    # __weakref__ lets tests prove a rolled-back HAU is not kept alive.
+    __slots__ = (
+        "env", "spec", "hau_id", "node", "scheme", "metrics",
+        "_trace", "_telem", "_m_tuples", "_m_busy", "_m_latency",
+        "_m_tokens_sent", "_m_tokens_recv",
+        "operators", "ctx", "in_edges", "out_edges", "in_channels",
+        "out_channels", "_out_seq", "_route_cache", "_dst_ports",
+        "_hook_on_emit", "inbox", "inbox_capacity", "_hands",
+        "_slot_waiters", "_wake", "intake_gate", "blocked_edges",
+        "holdback", "_in_seq", "_replay_backlog", "_replay_out",
+        "_replay_source", "tuples_processed", "busy_time", "_procs",
+        "torn_down", "__weakref__",
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -158,21 +174,24 @@ class HAURuntime:
         # implementation skips the generator drive entirely.
         self._route_cache: dict[int, list[EdgeSpec]] = {}
         self._dst_ports: list[int] = [e.dst_port for e in self.in_edges]
-        self._hook_on_emit = scheme.emit_hook
+        self._hook_on_emit = scheme.active_hook("on_emit")
 
         # Bounded intake queue of (edge_idx, item).  An edge whose next
         # item finds it full (or finds others queued) keeps that item in
         # its hand and joins _slot_waiters — as do nudges, edge -1 — and
         # each pop admits the longest waiter.  Both are allocated by the
         # first item that has to wait (the shared-empty-tuple idiom).
-        self.inbox: deque[tuple[int, Any]] = deque()
+        # A list, not a deque: it never holds more than inbox_capacity
+        # items (128 by default), so pop(0) moves at most that many
+        # pointers, and an empty deque would cost a 760-byte block.
+        self.inbox: list[tuple[int, Any]] = []
         self.inbox_capacity = inbox_capacity
         self._hands: list[Any] | None = None  # per in-edge; None = empty
         self._slot_waiters: list[int] | tuple[()] = ()
         self._wake: Event | None = None  # set while the main loop is idle
         self.intake_gate = Gate(env, opened=True)
         self.blocked_edges: set[int] = set()
-        self.holdback: dict[int, deque] = {}
+        self.holdback: dict[int, list[DataTuple]] = {}  # appended, then drained whole
         # last processed sequence per in-edge: duplicate suppression after
         # recovery (a replayed/resent tuple with seq <= this is dropped)
         self._in_seq: dict[int, int] = {i: 0 for i in range(len(self.in_edges))}
@@ -319,15 +338,13 @@ class HAURuntime:
 
     def block_edge(self, edge_idx: int) -> None:
         self.blocked_edges.add(edge_idx)
-        self.holdback.setdefault(edge_idx, deque())
+        self.holdback.setdefault(edge_idx, [])
 
     def unblock_all_edges(self) -> list[tuple[int, DataTuple]]:
         """Clear blocks; returns held-back items in arrival order per edge."""
         drained: list[tuple[int, DataTuple]] = []
         for edge_idx in sorted(self.holdback):
-            q = self.holdback[edge_idx]
-            while q:
-                drained.append((edge_idx, q.popleft()))
+            drained.extend((edge_idx, item) for item in self.holdback[edge_idx])
         self.blocked_edges.clear()
         self.holdback.clear()
         return drained
@@ -617,7 +634,7 @@ class HAURuntime:
             # unblocked edge) is dispatched first.  DataTuple, Token and
             # _Nudge have no subclasses, so exact-class checks are
             # equivalent to the original isinstance/identity dispatch.
-            maybe_checkpoint = self.scheme.maybe_checkpoint
+            maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
             handle_token = self.scheme.handle_token
             gate = self.intake_gate
             inbox = self.inbox
@@ -626,14 +643,15 @@ class HAURuntime:
             holdback = self.holdback
             process_tuple = self._process_tuple
             while True:
-                yield from maybe_checkpoint(self)
+                if maybe_checkpoint is not None:
+                    yield from maybe_checkpoint(self)
                 if not gate._opened:
                     yield gate.wait()
                 if not inbox:
                     # Idle: park until enqueue() has put something there.
                     self._wake = new_event()
                     yield self._wake
-                edge_idx, item = inbox.popleft()
+                edge_idx, item = inbox.pop(0)
                 if self._slot_waiters:
                     self._admit()
                 if item.__class__ is DataTuple:
@@ -698,8 +716,8 @@ class HAURuntime:
             sched = 0.0
             env = self.env
             timeout = env.timeout
-            maybe_checkpoint = self.scheme.maybe_checkpoint
-            on_source_emit = self.scheme.on_source_emit
+            maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
+            on_source_emit = self.scheme.active_hook("on_source_emit")
             gate = self.intake_gate
             hau_id = self.hau_id
             do_emit = self.emit
@@ -715,9 +733,10 @@ class HAURuntime:
                     chunk = min(remaining, SOURCE_DELAY_CHUNK)
                     yield timeout(chunk)
                     remaining -= chunk
-                    if remaining > 0:
+                    if remaining > 0 and maybe_checkpoint is not None:
                         yield from maybe_checkpoint(self)
-                yield from maybe_checkpoint(self)
+                if maybe_checkpoint is not None:
+                    yield from maybe_checkpoint(self)
                 now = env.now
                 tup = DataTuple(
                     payload=emit_spec.payload,
@@ -729,7 +748,8 @@ class HAURuntime:
                 )
                 if not gate._opened:
                     yield gate.wait()
-                yield from on_source_emit(self, tup)
+                if on_source_emit is not None:
+                    yield from on_source_emit(self, tup)
                 op.emitted_count += 1
                 produced += 1
                 yield from do_emit(
@@ -740,7 +760,8 @@ class HAURuntime:
             # Generator exhausted (finite workload): stay alive at safe
             # points so checkpoint rounds can still complete.
             while True:
-                yield from maybe_checkpoint(self)
+                if maybe_checkpoint is not None:
+                    yield from maybe_checkpoint(self)
                 yield timeout(IDLE_SOURCE_POLL)
         except Interrupt:
             return

@@ -51,7 +51,7 @@ class Emit:
     key: Any | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class OperatorContext:
     """What an operator can see of its host at setup time."""
 

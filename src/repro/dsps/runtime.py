@@ -123,12 +123,14 @@ class CheckpointScheme:
         return
         yield  # pragma: no cover
 
-    @property
-    def emit_hook(self):
-        """``on_emit``, or None when it is this no-op — the HAU then skips
-        the generator drive on every emission."""
-        on_emit = self.on_emit
-        return None if getattr(on_emit, "__func__", None) is CheckpointScheme.on_emit else on_emit
+    def active_hook(self, name: str):
+        """The bound hook ``name``, or None when it is this class's no-op —
+        the HAU then skips driving an empty generator on every emission
+        (``on_emit``), source tuple (``on_source_emit``) or safe-point
+        (``maybe_checkpoint``)."""
+        hook = getattr(self, name)
+        base = getattr(CheckpointScheme, name)
+        return None if getattr(hook, "__func__", None) is base else hook
 
     def on_token_arrival(self, hau: HAURuntime, edge_idx: int, token: Token) -> None:
         """Intake-level notification: a token reached the head of its edge

@@ -225,6 +225,8 @@ class Gate:
     Used to pause an HAU's intake during synchronous checkpoints.
     """
 
+    __slots__ = ("env", "_opened", "_waiters")  # one per HAU
+
     def __init__(self, env: Environment, opened: bool = True):
         self.env = env
         self._opened = opened

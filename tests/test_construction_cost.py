@@ -3,30 +3,45 @@
 Topology and runtime construction must stay linear in HAUs + edges and
 lean in what it allocates (DESIGN.md, "Construction cost").  Host time is
 too noisy for tier-1, so this pins what *causes* the time: gc-tracked
-objects per HAU, whole-edge-list scans, ``EdgeSpec`` comparisons, and
-the collector pause restoring the state it found.
+objects and bytes per HAU, slotted per-HAU classes, whole-edge-list
+scans, ``EdgeSpec`` comparisons, and the collector pause restoring the
+state it found.
 """
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.apps import synth
+from repro.apps.base import SizedPayload
 from repro.cluster import ClusterSpec
+from repro.cluster.channel import Message
 from repro.dsps import DSPSRuntime, RuntimeConfig
 from repro.dsps.graph import EdgeSpec, QueryGraph
 from repro.dsps.hau import HAURuntime
 from repro.dsps.runtime import CheckpointScheme
+from repro.dsps.tuples import DataTuple
 from repro.simulation import Environment
 from repro.simulation.core import paused_gc
 
 #: gc-tracked objects ``build()`` + ``start()`` may create per HAU of the
-#: aligned chain: what this tree achieves (26.3) + 10 %.  It was 96 before
-#: the object diet, 66 while every HAU got an eager control star and RNG
-#: stream, and 35.8 while every channel had a pump process and every
-#: in-edge a receiver.  Spend it knowingly — see DESIGN.md for the ledger.
-OBJECTS_PER_HAU_BUDGET = 29
+#: aligned chain: what this tree achieves (25.25; 26.25 under
+#: ``REPRO_SAN=1``, whose trampoline wraps each HAU's loop) + 10 %.  It
+#: was 96 before the object diet, 66 while every HAU got an eager control
+#: star and RNG stream, 35.8 while every channel had a pump process and
+#: every in-edge a receiver, and 26.25 while ``HAURuntime`` had an
+#: instance dict.  Spend it knowingly — see DESIGN.md for the ledger.
+OBJECTS_PER_HAU_BUDGET = 27.8
+
+#: tracemalloc bytes still held per HAU after the aligned chain's app
+#: build + ``build()`` + ``start()``: what this tree achieves (4 400 at
+#: 200 replicas; 4 552 under ``REPRO_SAN=1``) + 10 %.  It was 7 652
+#: while ``HAURuntime`` carried a combined instance dict and every HAU
+#: inbox and channel buffer was a deque.  Bytes are interpreter-specific,
+#: so the budget is stated for the CPython 3.11 the benchmark runs on.
+BYTES_PER_HAU_BUDGET = 4840
 
 
 def chain_topology(replicas):
@@ -46,6 +61,16 @@ def chain_topology(replicas):
     }
 
 
+def chain_runtime(replicas):
+    """The chain's runtime under scheme ``none``, not yet built."""
+    return DSPSRuntime(
+        Environment(),
+        synth.build(seed=1, topology=chain_topology(replicas)),
+        CheckpointScheme(),
+        RuntimeConfig(cluster=ClusterSpec(workers=replicas // 4, spares=2, racks=4)),
+    )
+
+
 def deploy(replicas):
     """Build and start the chain; returns (runtime, objects created per HAU).
 
@@ -54,13 +79,7 @@ def deploy(replicas):
     death during this build would read as objects the build never made
     (≈ 2 per HAU — invisible at 66, over the 5 % slack at 36).
     """
-    app = synth.build(seed=1, topology=chain_topology(replicas))
-    runtime = DSPSRuntime(
-        Environment(),
-        app,
-        CheckpointScheme(),
-        RuntimeConfig(cluster=ClusterSpec(workers=replicas // 4, spares=2, racks=4)),
-    )
+    runtime = chain_runtime(replicas)
     while gc.collect():
         pass
     before = len(gc.get_objects())
@@ -68,7 +87,25 @@ def deploy(replicas):
     runtime.start()
     gc.collect()
     created = len(gc.get_objects()) - before
-    return runtime, created / len(app.graph)
+    return runtime, created / len(runtime.app.graph)
+
+
+def setup_bytes_per_hau(replicas):
+    """Bytes the chain's app build + ``build()`` + ``start()`` leave
+    allocated, per HAU, as tracemalloc counts them."""
+    while gc.collect():
+        pass
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runtime = chain_runtime(replicas)
+        runtime.build()
+        runtime.start()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / len(runtime.app.graph)
 
 
 def test_objects_per_hau_within_budget_and_flat_across_sizes():
@@ -80,6 +117,36 @@ def test_objects_per_hau_within_budget_and_flat_across_sizes():
     if sys.version_info >= (3, 11):
         assert small <= OBJECTS_PER_HAU_BUDGET, small
         assert large <= OBJECTS_PER_HAU_BUDGET, large
+
+
+def test_bytes_per_hau_within_budget_and_flat_across_sizes():
+    small = setup_bytes_per_hau(200)
+    large = setup_bytes_per_hau(400)
+    assert abs(large - small) <= 0.05 * small, (small, large)
+    if sys.version_info[:2] == (3, 11):
+        assert small <= BYTES_PER_HAU_BUDGET, small
+        assert large <= BYTES_PER_HAU_BUDGET, large
+
+
+def test_per_hau_objects_have_no_instance_dict():
+    """Everything built per HAU, edge or tuple is slotted: a class past
+    CPython's 30-key limit for shared-key instance dicts carries a
+    private dict (~1.6 KB for the HAU runtime's 39 attributes)."""
+    runtime, _ = deploy(8)
+    hau = runtime.haus[runtime.app.graph.sinks()[0]]
+    per_hau = [
+        hau,
+        hau.in_channels[0],
+        hau.intake_gate,
+        hau.spec,
+        hau.in_edges[0],
+        hau.ctx,
+        SizedPayload(b"", 1),
+        DataTuple(payload=None, size=1),
+        Message(None, 1),
+    ]
+    with_dict = [type(obj).__name__ for obj in per_hau if hasattr(obj, "__dict__")]
+    assert not with_dict
 
 
 class _CountingEdges(list):
