@@ -9,52 +9,31 @@ This bench kills one whole rack (~14 of 55 worker nodes) under both the
 baseline and MS-src+ap and reports the outcome.
 """
 
+from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import format_table
-from repro.harness.experiment import (
-    DEFAULT_WARMUP,
-    DEFAULT_WINDOW,
-    ExperimentConfig,
-)
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import default_app_params
 
 
-def run_burst(scheme: str):
+def run_burst(scheme: str, scale):
     cfg = ExperimentConfig(
         app="bcp", scheme=scheme, n_checkpoints=2,
-        app_params=default_app_params("bcp", DEFAULT_WINDOW),
+        window=scale.window, warmup=scale.warmup,
+        app_params=default_app_params("bcp", scale.window),
         enable_recovery=True,
     )
     # victims: every worker in rack 1 (cluster is racks=4, round-robin)
-    fail_at = DEFAULT_WARMUP + 0.55 * DEFAULT_WINDOW
-    from repro.apps import APPS
-    from repro.cluster.topology import ClusterSpec
-    from repro.dsps.runtime import DSPSRuntime, RuntimeConfig
-    from repro.harness.experiment import make_scheme
-    from repro.simulation import Environment
-
-    env = Environment()
-    app = APPS[cfg.app].build(seed=cfg.seed, **cfg.app_params)
-    rt = DSPSRuntime(
-        env, app, make_scheme(cfg),
-        RuntimeConfig(seed=cfg.seed, cluster=ClusterSpec(workers=55, spares=60, racks=4),
-                      channel_capacity=16, inbox_capacity=32),
-    )
-    rt.start()
-
-    def killer():
-        yield env.timeout(fail_at)
-        rt.dc.racks[1].fail_all("rack-burst")
-
-    env.process(killer(), label="rack-killer")
-    env.run(until=cfg.end)
-    probe = app.params.get("probe_prefix", "")
-    post_thpt = rt.metrics.stage_throughput(probe, fail_at + 20.0, cfg.end)
-    return rt, rt.scheme, post_thpt, fail_at
+    fail_at = scale.warmup + 0.55 * scale.window
+    burst = FailurePlan([PlannedFailure(fail_at, "rack", "rack1", cause="rack-burst")])
+    res = run_experiment(cfg, failure_plan=burst)
+    probe = res.runtime.app.params.get("probe_prefix", "")
+    post_thpt = res.runtime.metrics.stage_throughput(probe, fail_at + 20.0, cfg.end)
+    return res.runtime, res.scheme, post_thpt, fail_at
 
 
-def test_ablation_rack_burst(benchmark):
+def test_ablation_rack_burst(benchmark, scale):
     def both():
-        return {s: run_burst(s) for s in ("baseline", "ms-src+ap")}
+        return {s: run_burst(s, scale) for s in ("baseline", "ms-src+ap")}
 
     results = benchmark.pedantic(both, rounds=1, iterations=1)
     rows = []

@@ -9,23 +9,20 @@ applied jointly."  This bench quantifies the composition on BCP:
 """
 
 from repro.core import DeltaPolicy
+from repro.failures.injector import FailureInjector, FailurePlan, PlannedFailure
 from repro.harness import format_table
-from repro.harness.experiment import (
-    DEFAULT_WARMUP,
-    DEFAULT_WINDOW,
-)
 from repro.harness.figures import default_app_params
 
 
-def run_variant(delta: bool):
+def run_variant(delta: bool, scale):
     from repro.apps import APPS
     from repro.cluster.topology import ClusterSpec
     from repro.core import MSSrcAP
     from repro.dsps.runtime import DSPSRuntime, RuntimeConfig
     from repro.simulation import Environment
 
-    params = default_app_params("bcp", DEFAULT_WINDOW)
-    times = [DEFAULT_WARMUP + (k + 0.5) * DEFAULT_WINDOW / 4 for k in range(4)]
+    params = default_app_params("bcp", scale.window)
+    times = [scale.warmup + (k + 0.5) * scale.window / 4 for k in range(4)]
     scheme = MSSrcAP(
         checkpoint_times=times,
         delta=DeltaPolicy(full_every=4) if delta else None,
@@ -40,17 +37,12 @@ def run_variant(delta: bool):
     )
     rt.start()
 
-    fail_at = DEFAULT_WARMUP + 0.95 * DEFAULT_WINDOW  # after several rounds
-
-    def killer():
-        yield env.timeout(fail_at)
-        for node_id in sorted({h.node.node_id for h in rt.haus.values()}):
-            node = rt.dc.node(node_id)
-            if node.alive:
-                node.fail("ablation")
-
-    env.process(killer())
-    env.run(until=DEFAULT_WARMUP + DEFAULT_WINDOW + 40.0)
+    fail_at = scale.warmup + 0.95 * scale.window  # after several rounds
+    # every node hosting an HAU fails at once (the paper's worst case)
+    hosts = sorted({h.node.node_id for h in rt.haus.values()})
+    kills = [PlannedFailure(fail_at, "node", node_id, cause="ablation") for node_id in hosts]
+    FailureInjector(env, rt.dc, FailurePlan(kills)).start()
+    env.run(until=scale.warmup + scale.window + 40.0)
 
     per_round_bytes = [
         sum(bd.state_bytes for bd in log.haus.values())
@@ -61,9 +53,9 @@ def run_variant(delta: bool):
     return per_round_bytes, rec
 
 
-def test_ablation_delta(benchmark):
+def test_ablation_delta(benchmark, scale):
     def both():
-        return {"full": run_variant(False), "delta": run_variant(True)}
+        return {"full": run_variant(False, scale), "delta": run_variant(True, scale)}
 
     results = benchmark.pedantic(both, rounds=1, iterations=1)
     rows = []

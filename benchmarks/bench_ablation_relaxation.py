@@ -12,11 +12,7 @@ misses minima (falls back to period-end checkpoints), too loose a bound
 fires early at larger states.
 """
 
-from repro.harness.experiment import (
-    DEFAULT_WINDOW,
-    ExperimentConfig,
-    run_experiment,
-)
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness import format_table
 from repro.harness.figures import default_app_params
 from repro.state import StateProfile
@@ -24,21 +20,22 @@ from repro.state import StateProfile
 ALPHAS = (0.0, 0.1, 0.2, 0.4, 0.8)
 
 
-def trace_once():
+def trace_once(scale):
+    """Per-HAU state-size samples: hau_id -> [(t, bytes), ...]."""
     cfg = ExperimentConfig(
-        app="bcp", scheme="none",
-        app_params=default_app_params("bcp", DEFAULT_WINDOW),
+        app="bcp", scheme="none", window=scale.window, warmup=scale.warmup,
+        app_params=default_app_params("bcp", scale.window),
     )
     res = run_experiment(cfg, trace_state=True)
-    return res.state_trace
+    return res.telemetry_sampler.series["ms_hau_state_bytes"]
 
 
-def analyze(trace, alpha: float, period: float):
+def analyze(samples_by_hau, alpha: float, period: float):
     profile = StateProfile(checkpoint_period=period, min_relaxation=alpha,
                            min_dynamic_bytes=1e6, startup_skip=0.25)
-    for hau_id, samples in trace.samples.items():
+    for hau_id, samples in samples_by_hau.items():
         for t, s in samples:
-            profile.observe(hau_id, t, float(s))
+            profile.observe(hau_id, t, s)
     result = profile.result()
     agg = profile.aggregate_series(result.dynamic_haus)
     below = sum(1 for (_t, s) in agg if s < result.smax)
@@ -65,9 +62,9 @@ def analyze(trace, alpha: float, period: float):
     return result.smax, frac_below, mean_size
 
 
-def test_ablation_relaxation(benchmark):
-    trace = benchmark.pedantic(trace_once, rounds=1, iterations=1)
-    period = DEFAULT_WINDOW / 3.0
+def test_ablation_relaxation(benchmark, scale):
+    trace = benchmark.pedantic(trace_once, args=(scale,), rounds=1, iterations=1)
+    period = scale.window / 3.0
     rows = []
     results = {}
     for alpha in ALPHAS:

@@ -5,31 +5,27 @@ the §III-C2 profiling machinery and reports the derived alert threshold
 (smax), smin, the bounded relaxation factor and the dynamic-HAU set.
 """
 
-from repro.harness.experiment import (
-    DEFAULT_WINDOW,
-    ExperimentConfig,
-    run_experiment,
-)
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import default_app_params
 from repro.state import MIN_RELAXATION, StateProfile
 
 
-def profile_bcp():
+def profile_bcp(scale):
     cfg = ExperimentConfig(
-        app="bcp", scheme="none",
-        app_params=default_app_params("bcp", DEFAULT_WINDOW),
+        app="bcp", scheme="none", window=scale.window, warmup=scale.warmup,
+        app_params=default_app_params("bcp", scale.window),
     )
     res = run_experiment(cfg, trace_state=True)
-    period = DEFAULT_WINDOW / 3.0
+    period = scale.window / 3.0
     profile = StateProfile(checkpoint_period=period, min_dynamic_bytes=1e6, startup_skip=0.25)
-    for hau_id, samples in res.state_trace.samples.items():
+    for hau_id, samples in res.telemetry_sampler.series["ms_hau_state_bytes"].items():
         for t, s in samples:
-            profile.observe(hau_id, t, float(s))
+            profile.observe(hau_id, t, s)
     return profile.result(), period
 
 
-def test_fig10_profiling(benchmark):
-    result, period = benchmark.pedantic(profile_bcp, rounds=1, iterations=1)
+def test_fig10_profiling(benchmark, scale):
+    result, period = benchmark.pedantic(profile_bcp, args=(scale,), rounds=1, iterations=1)
     print(f"\nFig. 10 — profiling (BCP, checkpoint period {period:.0f}s)")
     print(f"  dynamic HAUs: {result.dynamic_haus}")
     print(f"  smin = {result.smin / 1e6:.1f} MB   smax = {result.smax / 1e6:.1f} MB")

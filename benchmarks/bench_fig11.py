@@ -8,26 +8,21 @@ application-aware checkpointing exists to minimise (§I: ~100% / 50% /
 80% reduction for TMI / BCP / SignalGuru).
 """
 
-from repro.harness.experiment import (
-    DEFAULT_WINDOW,
-    ExperimentConfig,
-    run_experiment,
-)
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import default_app_params
 
 
-def run_aa():
+def run_aa(scale):
     cfg = ExperimentConfig(
         app="bcp", scheme="ms-src+ap+aa", n_checkpoints=3,
-        warmup=ExperimentConfig().warmup + DEFAULT_WINDOW / 3.0,
-        app_params=default_app_params("bcp", DEFAULT_WINDOW),
+        window=scale.window, warmup=scale.warmup + scale.window / 3.0,
+        app_params=default_app_params("bcp", scale.window),
     )
-    res = run_experiment(cfg, trace_state=True)
-    return res
+    return run_experiment(cfg, trace_state=True)
 
 
-def test_fig11_alert_mode_decisions(benchmark):
-    res = benchmark.pedantic(run_aa, rounds=1, iterations=1)
+def test_fig11_alert_mode_decisions(benchmark, scale):
+    res = benchmark.pedantic(run_aa, args=(scale,), rounds=1, iterations=1)
     scheme = res.scheme
     print("\nFig. 11 — application-aware checkpoint timing (BCP)")
     print(f"  profiled smax = {scheme.profile_result.smax / 1e6:.1f} MB; "
@@ -36,7 +31,7 @@ def test_fig11_alert_mode_decisions(benchmark):
         print(f"  round initiated at t={t:8.1f}s  reason={reason}")
 
     # dynamic-state average vs what the aa rounds checkpointed
-    dyn_series = res.state_trace.series("H")
+    dyn_series = res.state_series("H")
     avg_dynamic = sum(s for (_t, s) in dyn_series) / max(1, len(dyn_series))
     ckpt_sizes = []
     for log in res.checkpoint_logs:

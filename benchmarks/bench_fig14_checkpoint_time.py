@@ -14,8 +14,12 @@ from repro.harness import breakdown_row, format_table
 from repro.harness.figures import fig14_checkpoint_time
 
 
-def test_fig14_checkpoint_time(benchmark):
-    data = benchmark.pedantic(fig14_checkpoint_time, rounds=1, iterations=1)
+def test_fig14_checkpoint_time(benchmark, scale):
+    data = benchmark.pedantic(
+        fig14_checkpoint_time,
+        kwargs={"window": scale.window, "warmup": scale.warmup},
+        rounds=1, iterations=1,
+    )
     for app, per_scheme in data.items():
         columns = [("token_collection", ".2f"), ("disk_io", ".2f"), ("other", ".2f"), ("total", ".2f")]
         rows = [

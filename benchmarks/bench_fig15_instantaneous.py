@@ -19,9 +19,11 @@ def _steady_and_peak(series):
     return steady, max(values)
 
 
-def test_fig15_instantaneous_latency(benchmark):
+def test_fig15_instantaneous_latency(benchmark, scale):
     data = benchmark.pedantic(
-        fig15_instantaneous_latency, kwargs={"app": "bcp"}, rounds=1, iterations=1
+        fig15_instantaneous_latency,
+        kwargs={"app": "bcp", "window": scale.window, "warmup": scale.warmup},
+        rounds=1, iterations=1,
     )
     print("\nFig. 15 — instantaneous latency during a checkpoint (BCP)")
     spikes = {}

@@ -7,7 +7,6 @@ window (state_scale = window/600); the assertions below check the
 ordering of the three workloads (low / medium / high).
 """
 
-from repro.harness.experiment import DEFAULT_WINDOW
 from repro.harness.figures import fig5_state_traces
 
 
@@ -18,12 +17,14 @@ def _stats(series):
     return min(values), max(values), sum(values) / len(values)
 
 
-def test_fig5_state_fluctuation(benchmark):
-    scale = min(1.0, DEFAULT_WINDOW / 600.0)
+def test_fig5_state_fluctuation(benchmark, scale):
     traces = benchmark.pedantic(
-        fig5_state_traces, kwargs={"tmi_windows": (1.0, 5.0, 10.0)}, rounds=1, iterations=1
+        fig5_state_traces,
+        kwargs={"window": scale.window, "warmup": scale.warmup, "tmi_windows": (1.0, 5.0, 10.0)},
+        rounds=1, iterations=1,
     )
-    print(f"\nFig. 5 — state size fluctuation (state_scale={scale:.2f}; MB)")
+    state_scale = min(1.0, scale.window / 600.0)
+    print(f"\nFig. 5 — state size fluctuation (state_scale={state_scale:.2f}; MB)")
     stats = {}
     for name, series in traces.items():
         lo, hi, avg = _stats(series)

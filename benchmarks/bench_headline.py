@@ -30,7 +30,7 @@ PAPER = {
 }
 
 
-def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact):
+def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact, scale):
     numbers = benchmark.pedantic(lambda: headline_numbers(get_sweep()), rounds=1, iterations=1)
     rows = [
         [key, f"{value:+.1%}", f"{PAPER[key]:+.1%}"]
@@ -44,7 +44,7 @@ def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact):
     # benchmarks/check_regression.py); no-op unless REPRO_ARTIFACT_DIR is set
     sweep = get_sweep()
     write_artifact("BENCH_headline.json", {
-        "mode": "full" if os.environ.get("REPRO_FULL") else "fast",
+        "mode": scale.mode,
         "headline": numbers,
         "sweep_stats": {
             "jobs": sweep_stats.jobs,
@@ -80,7 +80,7 @@ def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact):
     assert numbers["total_lat_gain_3ckpt"] > 0.0
 
 
-def test_kernel_microbench(write_artifact):
+def test_kernel_microbench(write_artifact, scale):
     """Kernel fast-path smoke on one headline cell: identical runs pop
     identical event counts and the free lists absorb the churn (both
     hard); ``check_regression.py`` holds ``events_popped`` to the
@@ -118,7 +118,7 @@ def test_kernel_microbench(write_artifact):
     # the free lists must actually absorb the steady-state churn
     assert hit_rate > 0.90, f"pool hit-rate collapsed: {hit_rate:.2%}"
     write_artifact("BENCH_kernel.json", {
-        "mode": "full" if os.environ.get("REPRO_FULL") else "fast",
+        "mode": scale.mode,
         "events_popped": stats["events_popped"],
         "pool_hits": stats["pool_hits"],
         "pool_misses": stats["pool_misses"],
@@ -157,7 +157,7 @@ def test_trace_artifact(write_artifact):
         res.write_run_bundle(art_dir, name="BUNDLE_headline")
 
 
-def test_monitor_artifact(write_artifact):
+def test_monitor_artifact(write_artifact, scale):
     """A monitored headline run: the live plane watches the same cell with
     a deliberately tight checkpoint-staleness SLO, so every CI run ships a
     fired-and-resolved alert log plus the per-HAU health timeline.  The
@@ -181,7 +181,7 @@ def test_monitor_artifact(write_artifact):
     timeline = res.health_timeline
     assert timeline, "monitored run should record health transitions"
     write_artifact("ALERTS_headline.json", {
-        "mode": "full" if os.environ.get("REPRO_FULL") else "fast",
+        "mode": scale.mode,
         "period": alerts["period"],
         "ticks": alerts["ticks"],
         "summary": alerts["summary"],

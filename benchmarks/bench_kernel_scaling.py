@@ -16,7 +16,6 @@ peak memory at scale are measured, with a protocol, and
 """
 
 import gc
-import os
 import time
 import tracemalloc
 
@@ -125,7 +124,7 @@ def _run_cell(haus: int) -> dict:
     }
 
 
-def test_kernel_scaling(write_artifact):
+def test_kernel_scaling(write_artifact, scale):
     cells = [_run_cell(haus) for haus in SIZES]
     for c in cells:
         # the drained workload is a model fact: W + A + K, full drain
@@ -148,7 +147,7 @@ def test_kernel_scaling(write_artifact):
     print("\n" + "\n".join(lines))
 
     write_artifact("BENCH_kernel_scaling.json", {
-        "mode": "full" if os.environ.get("REPRO_FULL") else "fast",
+        "mode": scale.mode,
         "window_seconds": WINDOW,
         "cells": [
             {key: c[key] for key in ("haus", "events_popped", "tuples")} for c in cells

@@ -4,9 +4,15 @@ The Fig. 12 / Fig. 13 / headline benches all consume the same
 (expensive) scheme x checkpoint-count sweep; it is computed once per
 session through the session-scoped ``get_sweep`` fixture (no module
 globals, so ``pytest -p no:cacheprovider`` reruns and parallel sessions
-stay independent).  Set ``REPRO_FULL=1`` for paper-scale windows
-(600 s); the default fast mode uses 150 s windows with state sizes
-scaled accordingly (see DESIGN.md).
+stay independent).
+
+Scale is an argument, not a mode: every bench takes the session
+``scale`` fixture and passes its window and warm-up to what it runs,
+and writes its ``mode`` into its artifact.  ``REPRO_FULL=1`` picks
+:data:`FULL` (paper-scale 600 s windows) as that fixture's value; the
+default is :data:`FAST` (150 s windows with state sizes scaled
+accordingly — see DESIGN.md).  This file is the one reader of the
+variable; ``ExperimentConfig()`` does not depend on the environment.
 
 Set ``REPRO_ARTIFACT_DIR`` to a directory to make benches write their
 machine-readable results (``BENCH_*.json``) and trace artifacts there —
@@ -23,6 +29,7 @@ depend on cache state; the per-session cache traffic is recorded in the
 
 import json
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -31,6 +38,29 @@ from repro.harness.sweep import SweepStats
 
 SWEEP_COUNTS = [0, 1, 3, 5, 8]
 SWEEP_APPS = ["tmi", "bcp", "signalguru"]
+
+
+@dataclass(frozen=True)
+class Scale:
+    """A measurement scale: its artifact label, window and warm-up (s)."""
+
+    mode: str
+    window: float
+    warmup: float
+
+
+FAST = Scale("fast", 150.0, 30.0)
+FULL = Scale("full", 600.0, 60.0)
+
+
+def scale_from_env() -> Scale:
+    return FULL if os.environ.get("REPRO_FULL", "0") not in ("", "0") else FAST
+
+
+@pytest.fixture(scope="session")
+def scale():
+    """The session's scale: :data:`FULL` under ``REPRO_FULL=1``, else :data:`FAST`."""
+    return scale_from_env()
 
 
 @pytest.fixture(scope="session")
@@ -46,14 +76,15 @@ def sweep_stats():
 
 
 @pytest.fixture(scope="session")
-def get_sweep(sweep_cache, sweep_stats):
+def get_sweep(sweep_cache, sweep_stats, scale):
     """A compute-or-cached thunk, so the first bench to call it still
     times the real computation under ``benchmark.pedantic``."""
 
     def _get():
         if "sweep" not in sweep_cache:
             sweep_cache["sweep"] = fig12_fig13_sweep(
-                apps=SWEEP_APPS, checkpoint_counts=SWEEP_COUNTS, stats=sweep_stats
+                apps=SWEEP_APPS, checkpoint_counts=SWEEP_COUNTS,
+                window=scale.window, warmup=scale.warmup, stats=sweep_stats,
             )
         return sweep_cache["sweep"]
 
@@ -92,5 +123,5 @@ def write_artifact(artifact_dir):
 
 
 def pytest_configure(config):
-    mode = "FULL (600s windows)" if os.environ.get("REPRO_FULL") else "fast (150s windows)"
-    print(f"\n[repro benchmarks] measurement mode: {mode}")
+    scale = scale_from_env()
+    print(f"\n[repro benchmarks] measurement mode: {scale.mode} ({scale.window:g}s windows)")

@@ -66,7 +66,7 @@ def main() -> None:
     print(f"  checkpointed motion-filter state per round: "
           f"{[f'{s:.0f}MB' for s in aa_sizes]}")
 
-    series = aa.state_trace.series("M")
+    series = aa.state_series("M")
     values = [s for (_t, s) in series]
     avg = sum(values) / len(values) / 1e6
     peak = max(values) / 1e6

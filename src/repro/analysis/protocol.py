@@ -71,12 +71,6 @@ def _walk_own(fn: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
-@dataclass
-class _FnInfo:
-    name: str
-    bad_yields: list[tuple[int, int, str]] = field(default_factory=list)
-
-
 def _collect_bad_yields(fn: ast.FunctionDef) -> list[tuple[int, int, str]]:
     """Locations of yields that cannot be engine events.
 

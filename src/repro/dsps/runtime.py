@@ -298,9 +298,6 @@ class DSPSRuntime:
         self.env.run(until=until)
 
     # -- services ---------------------------------------------------------------------
-    def storage_client(self, node: Node) -> StorageClient:
-        return StorageClient(node, self.storage)
-
     def send_control(self, hau_id: str, message: Any) -> None:
         """Controller -> HAU, fire and forget."""
         chan = self.control_down.get(hau_id) or self._bind_control(hau_id)
@@ -410,8 +407,5 @@ class DSPSRuntime:
         return hau, deferred
 
     # -- introspection -----------------------------------------------------------------
-    def alive_haus(self) -> list[str]:
-        return sorted(h for h, hau in self.haus.items() if hau.node.alive)
-
     def total_state_bytes(self) -> int:
         return sum(h.state_size() for h in self.haus.values())

@@ -6,7 +6,6 @@ from repro.harness.experiment import (
     run_experiment,
     make_scheme,
     find_oracle_times,
-    StateTraceRecorder,
 )
 from repro.harness.figures import (
     SweepCell,
@@ -47,7 +46,6 @@ __all__ = [
     "run_experiment",
     "make_scheme",
     "find_oracle_times",
-    "StateTraceRecorder",
     "SweepCell",
     "SweepResult",
     "fig5_state_traces",

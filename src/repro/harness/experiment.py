@@ -1,8 +1,8 @@
 """One experiment = one app + one scheme + one schedule on one cluster.
 
 Mirrors the paper's measurement protocol (§IV): a warm-up, then a
-measured time window (10 minutes on EC2; scaled down by default here —
-set ``REPRO_FULL=1`` for paper-scale windows), with 0-8 application
+measured time window (10 minutes on EC2; 150 s by default here — pass
+``window=600.0, warmup=60.0`` for paper scale), with 0-8 application
 checkpoints arranged within the window.  Throughput and latency are
 measured at the app's probe stage (see
 :meth:`repro.metrics.collectors.MetricsHub.stage_throughput`).
@@ -10,7 +10,6 @@ measured at the app's probe stage (see
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -18,9 +17,9 @@ from repro.apps import APPS
 from repro.cluster.topology import ClusterSpec
 from repro.core import SCHEMES, CostModel
 from repro.dsps.runtime import CheckpointScheme, DSPSRuntime, RuntimeConfig
-from repro.failures.injector import FailureInjector, FailurePlan
+from repro.failures.injector import FailureInjector, FailurePlan, PlannedFailure
 from repro.observability import Tracer, dumps_jsonl, render_summary, summarize, write_jsonl
-from repro.simulation.core import Environment, Interrupt
+from repro.simulation.core import Environment
 from repro.telemetry import (
     MetricRegistry,
     Sampler,
@@ -33,18 +32,14 @@ from repro.vocabulary import SCHEME_NAMES
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.plane import MonitorPlane
 
-FULL_SCALE = bool(int(os.environ.get("REPRO_FULL", "0")))
-DEFAULT_WINDOW = 600.0 if FULL_SCALE else 150.0
-DEFAULT_WARMUP = 60.0 if FULL_SCALE else 30.0
-
 
 @dataclass
 class ExperimentConfig:
     app: str = "tmi"
     scheme: str = "none"
     n_checkpoints: int = 0
-    window: float = DEFAULT_WINDOW
-    warmup: float = DEFAULT_WARMUP
+    window: float = 150.0
+    warmup: float = 30.0
     seed: int = 1
     workers: int = 55
     spares: int = 60  # enough for the worst-case (whole-app) restart
@@ -89,14 +84,13 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     """Outcome of one run: probe-stage metrics plus live handles for
-    deeper inspection (scheme logs, runtime, optional state trace)."""
+    deeper inspection (scheme logs, runtime, optional per-HAU samples)."""
 
     config: ExperimentConfig
     throughput: int
     latency: float
     scheme: CheckpointScheme
     runtime: DSPSRuntime
-    state_trace: "StateTraceRecorder" | None = None
     tracer: Tracer | None = None
     telemetry: MetricRegistry | None = None
     telemetry_sampler: Sampler | None = None
@@ -169,6 +163,19 @@ class ExperimentResult:
 
         return write_chrome_trace(self.timeline(), path)
 
+    def state_series(self, hau_prefix: str = "") -> list[tuple[float, float]]:
+        """Summed ``state_size()`` of the HAUs whose id starts with
+        ``hau_prefix``, one point per sampling instant (Fig. 5's series,
+        the Oracle's minima search)."""
+        if self.telemetry_sampler is None:
+            raise RuntimeError("run_experiment(..., trace_state=True) to sample state")
+        by_time: dict[float, float] = {}
+        for hau_id, points in self.telemetry_sampler.series["ms_hau_state_bytes"].items():
+            if hau_id.startswith(hau_prefix):
+                for t, s in points:
+                    by_time[t] = by_time.get(t, 0.0) + s
+        return sorted(by_time.items())
+
     def binned_latency(self, start: float, end: float, bin_width: float = 2.0):
         probe = self.runtime.app.params.get("probe_prefix", "")
         return self.runtime.metrics.stage_binned_latency(probe, start, end, bin_width)
@@ -227,58 +234,6 @@ def make_scheme(cfg: ExperimentConfig) -> CheckpointScheme:
     return SCHEMES[cfg.scheme].from_config(cfg)
 
 
-class StateTraceRecorder:
-    """Samples every HAU's state size over time (costless observation).
-
-    Feeds Fig. 5 (state-size fluctuation), Fig. 10/11 (profiling and
-    alert-mode demonstrations) and the Oracle's minima search.
-    """
-
-    def __init__(self, runtime: DSPSRuntime, interval: float = 1.0):
-        self.runtime = runtime
-        self.interval = interval
-        self.samples: dict[str, list[tuple[float, int]]] = {}
-        runtime.env.process(self._run(), label="state-trace")
-
-    def _run(self):
-        env = self.runtime.env
-        try:
-            while True:
-                yield env.timeout(self.interval)
-                for hau_id, hau in self.runtime.haus.items():
-                    if hau.node.alive:
-                        self.samples.setdefault(hau_id, []).append(
-                            (env.now, hau.state_size())
-                        )
-        except Interrupt:
-            return
-
-    def series(self, hau_prefix: str = "") -> list[tuple[float, int]]:
-        """Aggregate (summed) state-size series for HAUs matching prefix."""
-        by_time: dict[float, int] = {}
-        for hau_id, samples in self.samples.items():
-            if hau_id.startswith(hau_prefix):
-                for t, s in samples:
-                    by_time[t] = by_time.get(t, 0) + s
-        return sorted(by_time.items())
-
-    def total_series(self) -> list[tuple[float, int]]:
-        return self.series("")
-
-    def minima_per_period(
-        self, start: float, period: float, end: float, hau_prefix: str = ""
-    ) -> list[tuple[float, int]]:
-        series = [(t, s) for (t, s) in self.series(hau_prefix) if start <= t < end]
-        out = []
-        p = start
-        while p < end:
-            window = [(t, s) for (t, s) in series if p <= t < p + period]
-            if window:
-                out.append(min(window, key=lambda ts: ts[1]))
-            p += period
-        return out
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     trace_state: bool = False,
@@ -294,9 +249,12 @@ def run_experiment(
     ``failure_plan`` drives a whole trace of scheduled failures
     (single-node, rack bursts, partitions, stragglers — see
     :class:`~repro.failures.injector.FailurePlan`) through a
-    :class:`~repro.failures.injector.FailureInjector`; ``failure_at`` /
-    ``failure_targets`` remain the simple one-shot kill used by the
-    paper's worst-case experiments.
+    :class:`~repro.failures.injector.FailureInjector`.  ``failure_at`` is
+    the paper's worst case (§IV-C) in one argument: at that instant the
+    nodes in ``failure_targets`` — by default every node hosting an HAU
+    once the runtime has started — fail, in id order, as ``node`` rows
+    with cause ``"experiment"`` run by an injector of their own.  An id
+    the cluster does not have raises :class:`KeyError` before the run.
 
     ``trace=True`` attaches a structured :class:`Tracer` to the
     environment before the runtime is built (so every layer emits through
@@ -305,9 +263,12 @@ def run_experiment(
 
     ``telemetry=True`` likewise attaches a
     :class:`~repro.telemetry.registry.MetricRegistry` before construction
-    (instrumented layers cache the handle) plus a per-HAU
-    :class:`~repro.telemetry.sampler.Sampler`; the result's
+    (instrumented layers cache the handle); the result's
     ``telemetry_snapshot()`` / ``write_telemetry()`` expose the metrics.
+    It, or ``trace_state=True`` alone (which leaves the registry off),
+    starts the per-HAU :class:`~repro.telemetry.sampler.Sampler` every
+    ``telemetry_interval`` seconds: ``result.telemetry_sampler`` holds its
+    series and ``result.state_series()`` sums their state sizes.
     """
     monitor_on = cfg.monitor_period > 0.0
     env = Environment()
@@ -345,39 +306,18 @@ def run_experiment(
         ).attach(env)
     if failure_plan is not None and failure_plan.events:
         FailureInjector(env, runtime.dc, failure_plan).start()
-    state_trace = StateTraceRecorder(runtime) if trace_state else None
     sampler = (
         Sampler(runtime, registry=registry, interval=telemetry_interval)
-        if telemetry
+        if (trace_state or telemetry)
         else None
     )
-
     if failure_at is not None:
-
-        def killer():
-            yield env.timeout(failure_at)
-            targets = failure_targets
-            if targets is None:
-                # worst case: every node hosting an HAU fails (§IV-C)
-                targets = sorted({h.node.node_id for h in runtime.haus.values()})
-            for node_id in targets:
-                node = runtime.dc.node(node_id)
-                if node.alive:
-                    node.fail("experiment")
-                    if env.telemetry.enabled:
-                        env.telemetry.counter(
-                            "ms_failures_injected_total", kind="node"
-                        ).inc()
-                    if env.trace.enabled:
-                        env.trace.emit(
-                            "failure.inject",
-                            t=env.now,
-                            subject=node_id,
-                            kind="node",
-                            cause="experiment",
-                        )
-
-        env.process(killer(), label="experiment-killer")
+        if failure_targets is None:
+            failure_targets = sorted({h.node.node_id for h in runtime.haus.values()})
+        for node_id in failure_targets:
+            runtime.dc.node(node_id)  # an unknown id raises here, not mid-run
+        kills = [PlannedFailure(failure_at, "node", n, cause="experiment") for n in failure_targets]
+        FailureInjector(env, runtime.dc, FailurePlan(kills)).start()
 
     env.run(until=cfg.end)
 
@@ -391,7 +331,6 @@ def run_experiment(
         latency=latency,
         scheme=runtime.scheme,
         runtime=runtime,
-        state_trace=state_trace,
         tracer=tracer,
         telemetry=registry,
         telemetry_sampler=sampler,
@@ -418,8 +357,17 @@ def find_oracle_times(cfg: ExperimentConfig) -> list[float]:
         racks=cfg.racks,
         app_params=dict(cfg.app_params),
     )
-    result = run_experiment(observe, trace_state=True)
-    n = max(1, cfg.n_checkpoints)
-    period = cfg.window / n
-    minima = result.state_trace.minima_per_period(cfg.warmup, period, cfg.end)
-    return [t for (t, _s) in minima]
+    series = [
+        (t, s)
+        for (t, s) in run_experiment(observe, trace_state=True).state_series()
+        if cfg.warmup <= t < cfg.end
+    ]
+    period = cfg.window / max(1, cfg.n_checkpoints)
+    times = []
+    start = cfg.warmup
+    while start < cfg.end:
+        window = [(t, s) for (t, s) in series if start <= t < start + period]
+        if window:
+            times.append(min(window, key=lambda ts: ts[1])[0])
+        start += period
+    return times

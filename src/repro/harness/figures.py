@@ -13,12 +13,7 @@ from typing import Any
 import numpy as np
 
 from repro.failures.model import ABE_CLUSTER, GOOGLE_DC, ClusterFailureModel
-from repro.harness.experiment import (
-    DEFAULT_WARMUP,
-    DEFAULT_WINDOW,
-    ExperimentConfig,
-    run_experiment,
-)
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweep import CellSpec, SweepStats, cached_oracle_times, run_cells
 
 MS_SCHEMES = ("baseline", "ms-src", "ms-src+ap", "ms-src+ap+aa")
@@ -58,8 +53,8 @@ def table1_failure_model(seed: int = 0, samples: int = 5) -> dict[str, Any]:
 
 def fig5_state_traces(
     apps: list[str] | None = None,
-    window: float = DEFAULT_WINDOW,
-    warmup: float = DEFAULT_WARMUP,
+    window: float = ExperimentConfig.window,
+    warmup: float = ExperimentConfig.warmup,
     seed: int = 1,
     tmi_windows: tuple[float, ...] = (1.0, 5.0, 10.0),
 ) -> dict[str, list[tuple[float, float]]]:
@@ -78,8 +73,7 @@ def fig5_state_traces(
                     app=app, scheme="none", window=window, warmup=warmup, seed=seed,
                     app_params={"n_minutes": max(scaled_n, 0.25)},
                 )
-                res = run_experiment(cfg, trace_state=True)
-                series = res.state_trace.series("A")
+                series = run_experiment(cfg, trace_state=True).state_series("A")
                 traces[f"tmi(N={n:g})"] = [(t, s / 1e6) for (t, s) in series]
         else:
             prefix = {"bcp": "H", "signalguru": "M"}[app]
@@ -87,8 +81,8 @@ def fig5_state_traces(
                 app=app, scheme="none", window=window, warmup=warmup, seed=seed,
                 app_params=default_app_params(app, window),
             )
-            res = run_experiment(cfg, trace_state=True)
-            traces[app] = [(t, s / 1e6) for (t, s) in res.state_trace.series(prefix)]
+            series = run_experiment(cfg, trace_state=True).state_series(prefix)
+            traces[app] = [(t, s / 1e6) for (t, s) in series]
     return traces
 
 
@@ -161,8 +155,8 @@ def fig12_fig13_sweep(
     apps: list[str] | None = None,
     checkpoint_counts: list[int] | None = None,
     schemes: list[str] | None = None,
-    window: float = DEFAULT_WINDOW,
-    warmup: float = DEFAULT_WARMUP,
+    window: float = ExperimentConfig.window,
+    warmup: float = ExperimentConfig.warmup,
     seed: int = 1,
     jobs: int | None = None,
     use_cache: bool = True,
@@ -274,8 +268,8 @@ def headline_numbers(sweep: SweepResult, apps: list[str] | None = None) -> dict[
 
 def fig14_checkpoint_time(
     apps: list[str] | None = None,
-    window: float = DEFAULT_WINDOW,
-    warmup: float = DEFAULT_WARMUP,
+    window: float = ExperimentConfig.window,
+    warmup: float = ExperimentConfig.warmup,
     seed: int = 1,
     n_checkpoints: int = 2,
     jobs: int | None = None,
@@ -339,8 +333,8 @@ def fig14_checkpoint_time(
 
 def fig15_instantaneous_latency(
     app: str = "tmi",
-    window: float = DEFAULT_WINDOW,
-    warmup: float = DEFAULT_WARMUP,
+    window: float = ExperimentConfig.window,
+    warmup: float = ExperimentConfig.warmup,
     seed: int = 1,
     bin_width: float = 3.0,
     jobs: int | None = None,
@@ -369,8 +363,8 @@ def fig15_instantaneous_latency(
 
 def fig16_recovery_time(
     apps: list[str] | None = None,
-    window: float = DEFAULT_WINDOW,
-    warmup: float = DEFAULT_WARMUP,
+    window: float = ExperimentConfig.window,
+    warmup: float = ExperimentConfig.warmup,
     seed: int = 1,
     jobs: int | None = None,
     use_cache: bool = True,

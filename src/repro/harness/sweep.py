@@ -317,6 +317,16 @@ class SweepStats:
         registry.counter("ms_sweep_cache_misses_total").inc(self.cache_misses)
 
 
+def _write_cached(path: Path, value: Any) -> None:
+    """Write ``value``'s canonical JSON to ``path`` atomically: concurrent
+    sweeps never see a partial write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(value))
+    os.replace(tmp, path)
+
+
 def default_bundle_dir() -> Path | None:
     """``$REPRO_BUNDLE_DIR`` if set, else no bundles are written."""
     configured = os.environ.get("REPRO_BUNDLE_DIR", "")
@@ -383,11 +393,7 @@ def run_cells(
         for (i, _spec, path), payload in zip(pending, fresh):
             payloads[i] = payload
             if path is not None and "error" not in payload:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".tmp")
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(payload))
-                os.replace(tmp, path)  # atomic: concurrent sweeps never see partial writes
+                _write_cached(path, payload)
 
     bdir = bundle_dir if bundle_dir is not None else default_bundle_dir()
     if bdir is not None:
@@ -426,11 +432,7 @@ def cached_oracle_times(
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     times = find_oracle_times(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(times))
-    os.replace(tmp, path)
+    _write_cached(path, times)
     return times
 
 

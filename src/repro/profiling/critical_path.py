@@ -82,9 +82,6 @@ class CriticalPath:
     def hop_sum(self) -> float:
         return sum(h.duration for h in self.hops)
 
-    def hop_names(self) -> list[str]:
-        return [f"{h.kind}:{h.subject}" for h in self.hops]
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "round": self.round_id,

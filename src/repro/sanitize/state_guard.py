@@ -51,11 +51,6 @@ _hau_stack: list[str] = []
 _WRAPPED_LOOPS = ("_main_loop", "_source_loop")
 
 
-def current_hau() -> str | None:
-    """The hau_id whose loop is executing right now, or None."""
-    return _hau_stack[-1] if _hau_stack else None
-
-
 class _HauTrampoline:
     """Generator proxy tracking which HAU's code is on the stack.
 

@@ -232,10 +232,6 @@ class Gate:
         self._opened = opened
         self._waiters: list[Event] = []
 
-    @property
-    def is_open(self) -> bool:
-        return self._opened
-
     def wait(self) -> Event:
         ev = self.env.event(name="gate")
         if self._opened:

@@ -49,10 +49,6 @@ class ProfileResult:
     period_minima: list[tuple[float, float]]  # (time, aggregate size) per period
     dynamic_haus: list[str]
 
-    @property
-    def alert_threshold(self) -> float:
-        return self.smax
-
 
 @dataclass
 class StateProfile:

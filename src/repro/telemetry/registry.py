@@ -245,6 +245,9 @@ class NullRegistry:
     def metrics(self) -> list[Metric]:
         return []
 
+    def get(self, name: str, **labels: str) -> None:
+        return None
+
     def __iter__(self) -> Iterator[Metric]:
         return iter(())
 

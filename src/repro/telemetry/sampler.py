@@ -10,10 +10,12 @@ tuples behind checkpoint tokens, and the last checkpoint write duration
 export) and an in-memory time series (for the JSON snapshot and the
 report's per-HAU tables).
 
-Sampling is a costless observation (like
-:class:`~repro.harness.experiment.StateTraceRecorder`): it spends no
-simulated resources, so a sampled run measures identically to an
-unsampled one.
+It is the run's one periodic state sampler: its ``ms_hau_state_bytes``
+series is also what Fig. 5, Figs. 10/11 and the Oracle's minima search
+read (``run_experiment(..., trace_state=True)`` starts it without a
+registry — the gauges then go to the no-op registry).  Sampling is a
+costless observation: it spends no simulated resources, so a sampled run
+measures identically to an unsampled one.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import (
     ExperimentConfig,
     find_oracle_times,
@@ -9,7 +10,9 @@ from repro.harness import (
     format_table,
     run_experiment,
 )
+from repro.harness.digest import result_digest
 from repro.harness.figures import default_app_params
+from repro.telemetry.registry import NULL_REGISTRY, NullRegistry
 
 
 def small(**kw):
@@ -42,6 +45,8 @@ def test_run_experiment_measures_probe():
     res = run_experiment(small())
     assert res.throughput > 0
     assert res.latency > 0
+    with pytest.raises(RuntimeError, match="trace_state=True"):
+        res.state_series()  # no sampler ran
 
 
 def test_run_experiment_deterministic():
@@ -60,10 +65,23 @@ def test_every_scheme_runs():
 
 def test_state_trace_records_all_haus():
     res = run_experiment(small(), trace_state=True)
-    assert res.state_trace is not None
-    assert set(res.state_trace.samples) == set(res.runtime.app.graph.haus)
-    total = res.state_trace.total_series()
+    assert res.telemetry_sampler is not None
+    per_hau = res.telemetry_sampler.series["ms_hau_state_bytes"]
+    assert set(per_hau) == set(res.runtime.app.graph.haus)
+    total = res.state_series()
     assert total and total[-1][1] >= 0
+    # the summed series is the per-HAU samples added up, instant by instant
+    t, value = total[-1]
+    assert value == sum(s for points in per_hau.values() for (u, s) in points if u == t)
+    assert res.state_series("no-such-prefix") == []
+
+
+def test_trace_state_without_telemetry_leaves_the_registry_off():
+    res = run_experiment(small(), trace_state=True)
+    assert res.telemetry is None
+    assert not res.runtime.env.telemetry.enabled
+    assert res.telemetry_sampler.registry is NULL_REGISTRY
+    assert NullRegistry().get("ms_hau_ckpt_write_seconds", hau="A0") is None
 
 
 def test_find_oracle_times_within_window():
@@ -75,10 +93,31 @@ def test_find_oracle_times_within_window():
 
 def test_failure_injection_kills_targets():
     cfg = small(scheme="ms-src", n_checkpoints=1, enable_recovery=True)
-    res = run_experiment(cfg, failure_at=20.0, failure_targets=None)
-    # worst case: all HAU nodes failed, then recovered onto spares
+    res = run_experiment(cfg, failure_at=20.0, failure_targets=None, trace=True)
+    # worst case: every node hosting an HAU failed at 20 s, in id order,
+    # then all recovered onto spares
+    injected = res.tracer.select(kind="failure.inject")
+    assert [e.subject for e in injected] == sorted({f"w{i}" for i in range(cfg.workers)})
+    assert {(e.t, e.get("kind"), e.get("cause")) for e in injected} == {(20.0, "node", "experiment")}
     assert res.scheme.recoveries
     assert all(h.node.alive for h in res.runtime.haus.values())
+
+
+def test_failure_at_is_a_node_row_of_a_failure_plan():
+    cfg = small(scheme="ms-src+ap", n_checkpoints=2, enable_recovery=True)
+    one_shot = run_experiment(cfg, failure_at=25.0, failure_targets=["w3"], trace=True)
+    plan = FailurePlan([PlannedFailure(25.0, "node", "w3", cause="experiment")])
+    planned = run_experiment(cfg, failure_plan=plan, trace=True)
+    assert result_digest(one_shot) == result_digest(planned)
+    assert one_shot.trace_jsonl() == planned.trace_jsonl()
+    assert one_shot.scheme.recoveries
+
+
+def test_unknown_failure_target_raises_before_the_run():
+    # the kill would fire long after the run ends: only a check made
+    # before the run can see the bad id
+    with pytest.raises(KeyError, match="w999"):
+        run_experiment(small(), failure_at=1e9, failure_targets=["w999"])
 
 
 def test_default_app_params_scales_state():
