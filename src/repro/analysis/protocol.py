@@ -7,9 +7,11 @@ runtime*, typically minutes into a sweep; the static pass catches it at
 review time.  PROTO001 guards the checkpoint-protocol hook surface
 (Khaos-style discipline): scheme subclasses must implement the hooks the
 HAU run loop drives, generator-valued hooks must actually be generators
-(``yield from`` of a plain function raises mid-checkpoint), and custom
-operator serialisation must come in save/restore pairs or recovery
-silently diverges from the MRC state.
+(``yield from`` of a plain function raises mid-checkpoint), a plain
+work-or-None hook must hand back the generator it makes rather than drop
+it (a dropped one never runs), and custom operator serialisation must
+come in save/restore pairs or recovery silently diverges from the MRC
+state.
 """
 
 from __future__ import annotations
@@ -25,16 +27,19 @@ from repro.analysis.registry import Rule, register
 # override must be a generator function (contain yield / yield from).
 GENERATOR_HOOKS = frozenset(
     {
-        "on_source_emit",
-        "on_emit",
         "handle_token",
-        "maybe_checkpoint",
         "on_control",
         "initiate_round",
         "write_checkpoint",
         "recover",
     }
 )
+
+# Per-tuple hooks that return work or None: the generator to drive, or
+# None when there is nothing to do.  A generator function qualifies; a
+# plain override must not call a generator method of its scheme as a
+# bare statement — that generator is made, dropped and never run.
+WORK_HOOKS = frozenset({"on_source_emit", "on_emit", "maybe_checkpoint"})
 
 # Scheme hooks called as plain functions — a yield here would turn the
 # call into a never-driven generator and the hook body would never run.
@@ -58,6 +63,21 @@ def _is_generator_fn(fn: ast.FunctionDef) -> bool:
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
     return False
+
+
+def _dropped_self_calls(fn: ast.FunctionDef) -> list[tuple[str, int]]:
+    """``self.<name>(...)`` calls made as bare statements, with lines."""
+    out: list[tuple[str, int]] = []
+    for node in _walk_own(fn):
+        if (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and isinstance(node.value.func.value, ast.Name)
+            and node.value.func.value.id == "self"
+        ):
+            out.append((node.value.func.attr, node.lineno))
+    return out
 
 
 def _walk_own(fn: ast.AST):
@@ -198,6 +218,8 @@ class _ClassInfo:
     bases: tuple[str, ...]
     methods: dict[str, bool] = field(default_factory=dict)  # name -> is_generator
     method_lines: dict[str, int] = field(default_factory=dict)
+    # plain work-or-None hook -> its bare `self.<name>(...)` calls
+    dropped_calls: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
 
 
 @register
@@ -207,8 +229,9 @@ class SchemeProtocolRule(Rule):
     id = "PROTO001"
     title = (
         "`CheckpointScheme` subclasses respect the hook protocol: generator hooks stay generators, "
-        "plain hooks contain no yield, concrete MS variants implement `initiate_round`, operator "
-        "`snapshot`/`restore` stay paired"
+        "plain hooks contain no yield, work-or-None hooks return the generator they make, "
+        "concrete MS variants implement `initiate_round`, operator `snapshot`/`restore` stay "
+        "paired"
     )
     rationale = (
         "a broken hook fails mid-checkpoint or silently never runs; unpaired serialisation "
@@ -225,8 +248,11 @@ class SchemeProtocolRule(Rule):
         info = _ClassInfo(name=node.name, relpath=ctx.relpath, lineno=node.lineno, bases=bases)
         for stmt in node.body:
             if isinstance(stmt, ast.FunctionDef):
-                info.methods[stmt.name] = _is_generator_fn(stmt)
+                is_gen = _is_generator_fn(stmt)
+                info.methods[stmt.name] = is_gen
                 info.method_lines[stmt.name] = stmt.lineno
+                if stmt.name in WORK_HOOKS and not is_gen:
+                    info.dropped_calls[stmt.name] = _dropped_self_calls(stmt)
         # first definition wins so fixture shadowing cannot hide a class
         self._classes.setdefault(node.name, info)
 
@@ -284,6 +310,20 @@ class SchemeProtocolRule(Rule):
                         "contains yield — its body would never execute"
                     ),
                 )
+        for meth, calls in sorted(info.dropped_calls.items()):
+            for callee, line in calls:
+                if self._is_generator_method(info.name, callee):
+                    project.report(
+                        self,
+                        path=info.relpath,
+                        line=line,
+                        col=1,
+                        message=(
+                            f"`{info.name}.{meth}` calls generator `self.{callee}(...)` "
+                            "and drops it — a work-or-None hook returns the generator "
+                            "to drive (or None); a dropped one never runs"
+                        ),
+                    )
         # Concrete MS variants must provide initiate_round somewhere
         # strictly below MeteorShowerBase (whose stub raises).
         if "MeteorShowerBase" in ancestors:
@@ -324,6 +364,14 @@ class SchemeProtocolRule(Rule):
         walk(name)
         return out
 
+    def _is_generator_method(self, name: str, method: str) -> bool:
+        """Whether ``method``, as ``name`` resolves it, is a generator."""
+        for cls in (name, *self._mro_chain(name)):
+            info = self._classes.get(cls)
+            if info is not None and method in info.methods:
+                return info.methods[method]
+        return False
+
     def _has_subclass(self, name: str) -> bool:
         return any(
             name in self._ancestors(other) for other in self._classes if other != name
@@ -347,4 +395,6 @@ class SchemeProtocolRule(Rule):
             )
 
 
-__all__ = ["ProcessYieldRule", "SchemeProtocolRule", "GENERATOR_HOOKS", "PLAIN_HOOKS"]
+__all__ = [
+    "ProcessYieldRule", "SchemeProtocolRule", "GENERATOR_HOOKS", "PLAIN_HOOKS", "WORK_HOOKS",
+]

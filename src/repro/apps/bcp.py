@@ -17,10 +17,12 @@ crowdedness predictors P0-1, sink K.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.apps.base import AppProfile, SizedPayload
-from repro.apps.kernels.svm import LinearSVM
+from repro.apps.kernels.svm import MODEL_CACHE_SIZE, LinearSVM
 from repro.apps.kernels.vision import count_people, make_frame
 from repro.dsps.graph import QueryGraph
 from repro.dsps.operator import Emit, Operator, SinkOperator, SourceOperator
@@ -305,6 +307,16 @@ class ArrivalPredictor(Operator):
         return COST_SENSOR_PATH * tup.size
 
 
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def alighting_model(seed: int) -> LinearSVM:
+    """The alighting predictor's model for ``seed``, fitted once per
+    process and shared read-only."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(100, 2))
+    y = np.where(0.6 * X[:, 0] - 0.2 * X[:, 1] > 0, 1, -1)
+    return LinearSVM(dim=2).fit(X, y).frozen()
+
+
 class AlightingPredictor(Operator):
     """Predicts alighting passengers with a small linear model."""
 
@@ -313,10 +325,7 @@ class AlightingPredictor(Operator):
     def __init__(self, idx: int, seed: int):
         super().__init__(name=f"L{idx}")
         self.history: list = []
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(100, 2))
-        y = np.where(0.6 * X[:, 0] - 0.2 * X[:, 1] > 0, 1, -1)
-        self.model = LinearSVM(dim=2).fit(X, y)  # rebuilt at setup: not state
+        self.model = alighting_model(seed)  # a function of the seed: not state
 
     def on_tuple(self, port, tup):
         d = tup.payload.data

@@ -1,14 +1,21 @@
 """A tiny linear SVM (primal, sub-gradient trained) — SignalGuru's and
 BCP's prediction-model kernel.
 
-Trained deterministically at operator setup on synthetic data drawn from
-the same distribution the stream generators use, so predictions are a
-pure function of the input features (required for recovery determinism).
+Trained deterministically on synthetic data drawn from the same
+distribution the stream generators use, so predictions are a pure
+function of the input features (required for recovery determinism).
+The training data is a pure function of a seed too, so each app fits a
+model once per seed and process and shares it, frozen, between its
+operators and runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Per app, how many seeds' fitted models a process keeps (the apps cache
+# them with functools.lru_cache: a model is a pure function of its seed).
+MODEL_CACHE_SIZE = 64
 
 
 class LinearSVM:
@@ -24,7 +31,10 @@ class LinearSVM:
     def fit(self, X: np.ndarray, y: np.ndarray, epochs: int = 50, lr: float = 0.1) -> "LinearSVM":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        if set(np.unique(y)) - {-1.0, 1.0}:
+        # Elementwise: numpy's unique() imports the masked-array module,
+        # which nothing else on the run path needs (CI greps for it).
+        # NaN fails both comparisons.
+        if np.any((y != 1.0) & (y != -1.0)):
             raise ValueError("labels must be in {-1, +1}")
         for _ in range(epochs):
             margins = y * (X @ self.w + self.b)
@@ -34,6 +44,12 @@ class LinearSVM:
             self.w -= lr * grad_w
             self.b -= lr * grad_b
         self.trained = True
+        return self
+
+    def frozen(self) -> "LinearSVM":
+        """Make the fitted weights read-only (for a model shared between
+        operators and runs); returns ``self``."""
+        self.w.flags.writeable = False
         return self
 
     def decision(self, X: np.ndarray) -> np.ndarray:

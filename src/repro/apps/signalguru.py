@@ -15,10 +15,12 @@ groups G0-3, 2 SVM predictors P0-1, sink K.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.apps.base import AppProfile, SizedPayload
-from repro.apps.kernels.svm import LinearSVM
+from repro.apps.kernels.svm import MODEL_CACHE_SIZE, LinearSVM
 from repro.apps.kernels.vision import color_filter, make_frame, shape_filter
 from repro.dsps.graph import QueryGraph
 from repro.dsps.operator import Emit, Operator, SinkOperator, SourceOperator
@@ -244,6 +246,16 @@ class GroupOperator(Operator):
         return COST_GROUP * tup.size
 
 
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def flip_model(seed: int) -> LinearSVM:
+    """The SVM predictor's model for ``seed``, fitted once per process and
+    shared read-only."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(120, 2))
+    y = np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1, -1)
+    return LinearSVM(dim=2).fit(X, y).frozen()
+
+
 class SVMPredictor(Operator):
     """Predicts whether the light flips within the advisory horizon."""
 
@@ -252,10 +264,7 @@ class SVMPredictor(Operator):
     def __init__(self, idx: int, seed: int):
         super().__init__(name=f"P{idx}")
         self.predictions = 0
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(120, 2))
-        y = np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1, -1)
-        self.model = LinearSVM(dim=2).fit(X, y)
+        self.model = flip_model(seed)
 
     def on_tuple(self, port, tup):
         d = tup.payload.data

@@ -1,8 +1,11 @@
-"""Compute nodes: CPU, NIC and local-disk models plus fail-stop semantics.
+"""Compute nodes: NIC and local-disk models plus fail-stop semantics.
 
 A :class:`Node` is the unit of failure.  Killing a node interrupts every
 simulation process registered on it (fail-stop: no spurious output after
-the failure instant) and breaks every channel touching it.
+the failure instant) and breaks every channel touching it.  A node has
+no CPU model: an operator's processing cost is a timeout in its HAU's
+loop (``HAURuntime._process_tuple``), so HAUs sharing a node do not
+contend for cores.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from typing import Any
 from repro.simulation.core import Environment, Process
 from repro.simulation.resources import Resource
 
-# Defaults mirror the paper's EC2 setup: two 2.3 GHz cores, 1 Gbps NIC.
-DEFAULT_CORES = 2
+# Defaults mirror the paper's EC2 setup: 1 Gbps NIC.
 GBPS = 125_000_000  # 1 Gbps in bytes/second
 DEFAULT_NIC_BW = GBPS
 DEFAULT_DISK_BW = 100_000_000  # ~100 MB/s sequential commodity disk
@@ -144,9 +146,6 @@ class Node:
 
     Attributes
     ----------
-    cpu:
-        A :class:`Resource` with one slot per core; operators acquire a
-        core for the duration of each tuple's processing cost.
     nic_out:
         Egress bandwidth pipe shared by all channels sending from here.
     disk:
@@ -159,7 +158,6 @@ class Node:
         env: Environment,
         node_id: str,
         rack: str | None = None,
-        cores: int = DEFAULT_CORES,
         nic_bw: float = DEFAULT_NIC_BW,
         disk_bw: float = DEFAULT_DISK_BW,
         disk_seek: float = DEFAULT_DISK_SEEK,
@@ -167,7 +165,6 @@ class Node:
         self.env = env
         self.node_id = node_id
         self.rack = rack
-        self.cpu = Resource(env, capacity=cores)
         self.nic_out = BandwidthPipe(env, nic_bw, name=f"{node_id}.nic")
         self.disk = BandwidthPipe(env, disk_bw, per_op_latency=disk_seek, name=f"{node_id}.disk")
         self.alive = True
@@ -211,17 +208,6 @@ class Node:
     def check_alive(self) -> None:
         if not self.alive:
             raise NodeDownError(self.node_id)
-
-    # -- CPU helper ------------------------------------------------------------
-    def compute(self, seconds: float):
-        """Process generator: hold one core for ``seconds`` of work."""
-        self.check_alive()
-        req = self.cpu.request()
-        try:
-            yield req
-            yield self.env.timeout(seconds)
-        finally:
-            req.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "up" if self.alive else "DOWN"

@@ -14,11 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.cluster.channel import Channel, DEFAULT_LATENCY
-from repro.cluster.node import (
-    DEFAULT_CORES,
-    DEFAULT_NIC_BW,
-    Node,
-)
+from repro.cluster.node import DEFAULT_NIC_BW, Node
 from repro.simulation.core import Environment, SimulationError
 
 
@@ -29,7 +25,6 @@ class ClusterSpec:
     workers: int = 55
     spares: int = 8
     racks: int = 4
-    cores_per_node: int = DEFAULT_CORES
     nic_bw: float = DEFAULT_NIC_BW
     # 2012 EC2 m1-class instance storage / EBS: the paper's Fig. 14/16
     # checkpoint and recovery times imply ~40 MB/s effective at the shared
@@ -85,7 +80,6 @@ class DataCenter:
                 env,
                 node_id,
                 rack=rack.rack_id,
-                cores=self.spec.cores_per_node,
                 nic_bw=self.spec.nic_bw,
                 disk_bw=disk_bw,
             )

@@ -123,7 +123,7 @@ class MeteorShowerBase(CheckpointScheme):
 
     # -- source preservation -------------------------------------------------------
     def on_source_emit(self, hau: HAURuntime, tup: DataTuple):
-        yield from self.preserver.preserve(hau, tup)
+        return self.preserver.preserve(hau, tup)
 
     # -- checkpoint write -------------------------------------------------------------
     def write_checkpoint(self, hau: HAURuntime, payload: dict, billed_size: int | None = None):

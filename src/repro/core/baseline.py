@@ -126,13 +126,17 @@ class BaselineScheme(CheckpointScheme):
         # new emission can overtake the replayed (lower-seq) tuples.
         jobs = self._pending_replays.pop(hau.hau_id, None)
         if jobs:
-            for edge, chan, after_seq in jobs:
-                tuples = yield from self.preserver.replay(
-                    hau.hau_id, edge.edge_id, after_seq
-                )
-                for tup in tuples:
-                    yield chan.send(tup, size=tup.size)
-                hau.attach_out_channel(edge, chan)
+            return self._replay_then_checkpoint(hau, jobs)
+        counter = self._pending.pop(hau.hau_id, None)
+        return None if counter is None else self._sync_checkpoint(hau, counter)
+
+    def _replay_then_checkpoint(self, hau: HAURuntime, jobs: list):
+        for edge, chan, after_seq in jobs:
+            tuples = yield from self.preserver.replay(hau.hau_id, edge.edge_id, after_seq)
+            for tup in tuples:
+                yield chan.send(tup, size=tup.size)
+            hau.attach_out_channel(edge, chan)
+        # a checkpoint requested while the replay ran is taken here too
         counter = self._pending.pop(hau.hau_id, None)
         if counter is not None:
             yield from self._sync_checkpoint(hau, counter)

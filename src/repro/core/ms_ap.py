@@ -87,13 +87,13 @@ class MSSrcAP(MeteorShowerBase):
         st = self.active_state(hau.hau_id)
         if st is not None and st.recording:
             st.out_copies.append((edge.edge_id, tup))
-        return
-        yield  # pragma: no cover
+        return None  # bookkeeping only: no simulated time
 
     def maybe_checkpoint(self, hau: HAURuntime):
         st = self.active_state(hau.hau_id)
         if st is not None and st.ready and not st.snapshot_done:
-            yield from self._begin_async_checkpoint(hau, st)
+            return self._begin_async_checkpoint(hau, st)
+        return None
 
     # -- the asynchronous individual checkpoint ------------------------------------------------
     def _begin_async_checkpoint(self, hau: HAURuntime, st: RoundState):

@@ -50,8 +50,7 @@ class MSSrc(MeteorShowerBase):
     # -- safe-point hook: source checkpoints happen here ------------------------------
     def maybe_checkpoint(self, hau: HAURuntime):
         round_id = self._pending_source.pop(hau.hau_id, None)
-        if round_id is not None:
-            yield from self._sync_checkpoint(hau, round_id)
+        return None if round_id is None else self._sync_checkpoint(hau, round_id)
 
     # -- in-band token handling ---------------------------------------------------------
     def handle_token(self, hau: HAURuntime, edge_idx: int, token: Token):

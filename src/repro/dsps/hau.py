@@ -171,7 +171,7 @@ class HAURuntime:
         # runtime's lifetime (rewires swap channels, not edges), so the
         # per-port routing groups and per-edge input ports are computed
         # once.  A scheme that leaves the on_emit hook at the no-op base
-        # implementation skips the generator drive entirely.
+        # implementation is not called at all.
         self._route_cache: dict[int, list[EdgeSpec]] = {}
         self._dst_ports: list[int] = [e.dst_port for e in self.in_edges]
         self._hook_on_emit = scheme.active_hook("on_emit")
@@ -357,8 +357,9 @@ class HAURuntime:
         telemetry = self.env.telemetry
         if drained and telemetry.enabled:
             telemetry.counter("ms_holdback_drained_total", hau=self.hau_id).inc(len(drained))
+        overhead, record = self._tuple_hooks()
         for edge_idx, item in drained:
-            yield from self._process_tuple(edge_idx, item)
+            yield from self._process_tuple(edge_idx, item, overhead, record)
 
     # -- emission -------------------------------------------------------------------------
     def route_edges(self, emit: Emit) -> list[EdgeSpec]:
@@ -396,8 +397,8 @@ class HAURuntime:
                 seq=seq,
                 source=source,
             )
-            if hook is not None:
-                yield from hook(self, edge, tup)
+            if hook is not None and (work := hook(self, edge, tup)) is not None:
+                yield from work
             chan = out_channels.get(eid)
             if chan is None or chan.closed:
                 continue
@@ -555,8 +556,21 @@ class HAURuntime:
         self._pull(edge_idx)
 
     # -- processes -------------------------------------------------------------------------
-    def _process_tuple(self, edge_idx: int, tup: DataTuple):
-        """Run the operator chain over one tuple; emit the results."""
+    def _tuple_hooks(self):
+        """What :meth:`_process_tuple` calls per tuple, resolved once by
+        each loop that drives it: the scheme's processing tax (None when
+        it is the no-op) and the stage-sample appender (None without a
+        metrics hub)."""
+        metrics = self.metrics
+        return (
+            self.scheme.active_hook("processing_overhead"),
+            None if metrics is None else metrics.stage_samples.append,
+        )
+
+    def _process_tuple(self, edge_idx: int, tup: DataTuple, overhead, record):
+        """Run the operator chain over one tuple; emit the results.
+
+        ``overhead`` and ``record`` come from :meth:`_tuple_hooks`."""
         if tup.seq:
             in_seq = self._in_seq
             if tup.seq <= in_seq.get(edge_idx, 0):
@@ -591,7 +605,8 @@ class HAURuntime:
                 current = nxt
                 if depth == len(ops) - 1:
                     break
-        cost *= 1.0 + self.scheme.processing_overhead(self)
+        if overhead is not None:
+            cost *= 1.0 + overhead(self)
         if cost > 0:
             yield self.env.timeout(cost)
         self.busy_time += cost
@@ -600,8 +615,8 @@ class HAURuntime:
             self._m_tuples.inc()
             self._m_busy.inc(cost)
             self._m_latency.observe(self.env.now - tup.created_at)
-        if self.metrics is not None:
-            self.metrics.record_stage(self.hau_id, tup.created_at, self.env.now)
+        if record is not None:
+            record((self.hau_id, tup.created_at, self.env.now))
         for emit_spec in emissions:
             yield from self.emit(emit_spec, created_at=tup.created_at, source=tup.source)
 
@@ -627,13 +642,16 @@ class HAURuntime:
                     subject=self.hau_id,
                     count=len(backlog),
                 )
+            overhead, record = self._tuple_hooks()
             for edge_idx, tup in backlog:
-                yield from self._process_tuple(edge_idx, tup)
+                yield from self._process_tuple(edge_idx, tup, overhead, record)
             # Steady-state loop: bound methods and collections are hoisted,
             # and the overwhelmingly-common case (a data tuple on an
             # unblocked edge) is dispatched first.  DataTuple, Token and
             # _Nudge have no subclasses, so exact-class checks are
             # equivalent to the original isinstance/identity dispatch.
+            # The scheme's hooks are locals, not slots: a slot is paid by
+            # every HAU, a local only by a running loop.
             maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
             handle_token = self.scheme.handle_token
             gate = self.intake_gate
@@ -643,8 +661,8 @@ class HAURuntime:
             holdback = self.holdback
             process_tuple = self._process_tuple
             while True:
-                if maybe_checkpoint is not None:
-                    yield from maybe_checkpoint(self)
+                if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
+                    yield from work
                 if not gate._opened:
                     yield gate.wait()
                 if not inbox:
@@ -658,7 +676,7 @@ class HAURuntime:
                     if edge_idx in blocked:
                         holdback[edge_idx].append(item)
                     else:
-                        yield from process_tuple(edge_idx, item)
+                        yield from process_tuple(edge_idx, item, overhead, record)
                 elif item is _NUDGE:
                     continue  # safe-point wake-up: hook runs at loop top
                 else:
@@ -733,10 +751,13 @@ class HAURuntime:
                     chunk = min(remaining, SOURCE_DELAY_CHUNK)
                     yield timeout(chunk)
                     remaining -= chunk
-                    if remaining > 0 and maybe_checkpoint is not None:
-                        yield from maybe_checkpoint(self)
-                if maybe_checkpoint is not None:
-                    yield from maybe_checkpoint(self)
+                    if (
+                        remaining > 0 and maybe_checkpoint is not None
+                        and (work := maybe_checkpoint(self)) is not None
+                    ):
+                        yield from work
+                if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
+                    yield from work
                 now = env.now
                 tup = DataTuple(
                     payload=emit_spec.payload,
@@ -748,8 +769,8 @@ class HAURuntime:
                 )
                 if not gate._opened:
                     yield gate.wait()
-                if on_source_emit is not None:
-                    yield from on_source_emit(self, tup)
+                if on_source_emit is not None and (work := on_source_emit(self, tup)) is not None:
+                    yield from work
                 op.emitted_count += 1
                 produced += 1
                 yield from do_emit(
@@ -760,8 +781,8 @@ class HAURuntime:
             # Generator exhausted (finite workload): stay alive at safe
             # points so checkpoint rounds can still complete.
             while True:
-                if maybe_checkpoint is not None:
-                    yield from maybe_checkpoint(self)
+                if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
+                    yield from work
                 yield timeout(IDLE_SOURCE_POLL)
         except Interrupt:
             return

@@ -52,7 +52,11 @@ class CheckpointScheme:
     ``name``), a :meth:`from_config` when it derives parameters from the
     experiment config, and the hooks it overrides.  Generator-valued hooks
     are driven with ``yield from`` inside the HAU or controller process,
-    so they can spend simulated time; the others are plain calls.
+    so they can spend simulated time; the others are plain calls.  The
+    three per-tuple hooks (``on_source_emit``, ``on_emit``,
+    ``maybe_checkpoint``) return *work or None*: the generator to drive,
+    or None when there is nothing to do, so a tuple boundary with nothing
+    to do allocates nothing.  A generator function satisfies that too.
     """
 
     name = "none"
@@ -114,20 +118,19 @@ class CheckpointScheme:
 
     # -- hooks driven by the HAU loop and the controller -----------------------
     def on_source_emit(self, hau: HAURuntime, tup: DataTuple):
-        """Before a source sends ``tup`` (source preservation). Generator."""
-        return
-        yield  # pragma: no cover
+        """Before a source sends ``tup`` (source preservation). Work or None."""
+        return None
 
     def on_emit(self, hau: HAURuntime, edge: EdgeSpec, tup: DataTuple):
-        """After ``tup`` is queued on ``edge`` (input preservation). Generator."""
-        return
-        yield  # pragma: no cover
+        """Before ``tup`` is sent on ``edge`` (input preservation). Work or None."""
+        return None
 
     def active_hook(self, name: str):
         """The bound hook ``name``, or None when it is this class's no-op —
-        the HAU then skips driving an empty generator on every emission
-        (``on_emit``), source tuple (``on_source_emit``) or safe-point
-        (``maybe_checkpoint``)."""
+        the HAU then skips calling it on every emission (``on_emit``),
+        source tuple (``on_source_emit``), safe-point
+        (``maybe_checkpoint``) or processed tuple
+        (``processing_overhead``)."""
         hook = getattr(self, name)
         base = getattr(CheckpointScheme, name)
         return None if getattr(hook, "__func__", None) is base else hook
@@ -149,9 +152,8 @@ class CheckpointScheme:
         """Safe-point hook, called at every tuple boundary of the main and
         source loops.  Schemes take snapshots here so that no tuple is ever
         half-processed (state mutated, emissions unsent) inside a
-        checkpoint. Generator."""
-        return
-        yield  # pragma: no cover
+        checkpoint. Work or None."""
+        return None
 
     def on_control(self, hau: HAURuntime, message: Any):
         """A control-plane message arrived from the controller. Generator."""

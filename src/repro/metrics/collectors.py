@@ -31,7 +31,8 @@ class MetricsHub:
     metrics from them, at a probe stage or at the sinks."""
 
     def __init__(self):
-        # per-stage processing records: (hau_id, created_at, processed_at).
+        # per-stage processing records: (hau_id, created_at, processed_at),
+        # appended by each HAU loop through the list's bound append.
         # Windowed applications (TMI's k-means, SignalGuru's episodes)
         # deliver to the sink only once per window, so per-tuple throughput
         # and latency are measured at a *probe stage* instead (§IV-A's
@@ -39,10 +40,6 @@ class MetricsHub:
         self.stage_samples: list[tuple[str, float, float]] = []
         # The application's sink HAUs; the runtime names them once.
         self.sinks: frozenset[str] = frozenset()
-
-    # -- recording ----------------------------------------------------------------
-    def record_stage(self, hau_id: str, created_at: float, processed_at: float) -> None:
-        self.stage_samples.append((hau_id, created_at, processed_at))
 
     # -- probe-stage metrics ---------------------------------------------------------
     def _probe(self, probe: Probe, start: float, end: float | None):

@@ -1,10 +1,11 @@
 """Shared-resource primitives: capacity-limited resources and FIFO stores.
 
-These model contention in the cluster: a node's CPU cores, a disk's
-request queue, a NIC.  Both follow the SimPy request/release idiom but
-are deliberately small: requests are events, granted strictly FIFO
-(deterministic), and cancellable (a process killed while queued must not
-later wake up and hold the resource).
+These model contention in the cluster: a ``Resource`` is the request
+queue of a NIC or disk pipe (``repro.cluster.node.BandwidthPipe``), a
+``Store`` a FIFO hand-off between processes.  Both follow the SimPy
+request/release idiom but are deliberately small: requests are events,
+granted strictly FIFO (deterministic), and cancellable (a process killed
+while queued must not later wake up and hold the resource).
 """
 
 from __future__ import annotations

@@ -540,15 +540,70 @@ def test_proto001_flags_generator_hook_overridden_as_plain(tmp_path):
         {
             "src/m.py": """\
             class BadScheme(CheckpointScheme):
-                def on_emit(self, hau, tup):
-                    return tup
+                def handle_token(self, hau, edge_idx, token):
+                    return token
             """
         },
         rule_ids=["PROTO001"],
     )
     assert rules_of(project) == ["PROTO001"]
-    assert "on_emit" in project.findings[0].message
+    assert "handle_token" in project.findings[0].message
     assert "yield from" in project.findings[0].message
+
+
+def test_proto001_flags_work_hook_that_drops_its_generator(tmp_path):
+    # the planted violation of a work-or-None hook: the generator is made
+    # by a bare call and never returned, so its checkpoint never runs
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/m.py": """\
+            class Parent(CheckpointScheme):
+                def _sync_checkpoint(self, hau):
+                    yield from ()
+
+            class BadScheme(Parent):
+                def maybe_checkpoint(self, hau):
+                    if hau.pending:
+                        self._sync_checkpoint(hau)
+            """
+        },
+        rule_ids=["PROTO001"],
+    )
+    assert rules_of(project) == ["PROTO001"]
+    assert "BadScheme.maybe_checkpoint" in project.findings[0].message
+    assert "self._sync_checkpoint" in project.findings[0].message
+    assert project.findings[0].line == 8
+
+
+def test_proto001_work_hooks_return_work_or_none(tmp_path):
+    # a plain function returning a generator or None, a generator function,
+    # and a bare call of a plain helper are all fine
+    project = run_fixture(
+        tmp_path,
+        {
+            "src/m.py": """\
+            class GoodScheme(CheckpointScheme):
+                def _write(self, hau, tup):
+                    yield from ()
+
+                def _note(self, tup):
+                    return tup
+
+                def on_source_emit(self, hau, tup):
+                    return self._write(hau, tup)
+
+                def on_emit(self, hau, edge, tup):
+                    self._note(tup)
+                    return None
+
+                def maybe_checkpoint(self, hau):
+                    yield from self._write(hau, None)
+            """
+        },
+        rule_ids=["PROTO001"],
+    )
+    assert project.findings == []
 
 
 def test_proto001_flags_yield_in_plain_hook(tmp_path):
@@ -606,7 +661,7 @@ def test_proto001_return_yield_idiom_is_a_generator(tmp_path):
         {
             "src/m.py": """\
             class GoodScheme(CheckpointScheme):
-                def on_emit(self, hau, tup):
+                def on_control(self, hau, message):
                     return
                     yield
             """

@@ -1,5 +1,11 @@
 """Integration tests for the three paper applications."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.apps import APPS, bcp, signalguru, tmi
@@ -142,3 +148,52 @@ def test_state_scale_scales_state_not_wire():
     assert state_b > 2.0 * state_s  # retained state scales
     # but the streamed tuple counts match (wire size unchanged)
     assert rt_b.metrics.stage_throughput("M") == rt_s.metrics.stage_throughput("M")
+
+
+# -- the SVM models: fitted once per seed, shared read-only -------------------------
+
+MODELS = [(bcp, bcp.alighting_model, 4), (signalguru, signalguru.flip_model, 2)]
+
+
+@pytest.mark.parametrize("module, model, per_build", MODELS)
+def test_app_models_are_fitted_once_per_seed(module, model, per_build):
+    model.cache_clear()
+    deploy(module.build(seed=77))
+    deploy(module.build(seed=77))  # every operator of the second run reuses a fit
+    info = model.cache_info()
+    assert (info.misses, info.hits) == (per_build, per_build)
+    deploy(module.build(seed=78))
+    assert model.cache_info().misses == 2 * per_build
+
+
+@pytest.mark.parametrize("model", [model for _module, model, _n in MODELS])
+def test_cached_models_are_read_only_and_predict_as_a_fresh_fit(model):
+    cached = model(1234)
+    with pytest.raises(ValueError):
+        cached.w[0] = 1.0
+    with pytest.raises(ValueError):
+        cached.w -= 0.1
+    fresh = model.__wrapped__(1234)  # the uncached fit
+    assert fresh is not cached and fresh.w.flags.writeable is False
+    assert np.array_equal(cached.w, fresh.w) and cached.b == fresh.b
+    probe = np.random.default_rng(0).normal(scale=5.0, size=(500, 2))
+    assert np.array_equal(cached.predict(probe), fresh.predict(probe))
+
+
+def test_running_the_apps_never_imports_numpy_ma():
+    # numpy.ma is a cold import nothing on the run path needs; np.unique
+    # pulled it in from LinearSVM.fit until the label check went elementwise
+    code = (
+        "import sys\n"
+        "from repro.harness.experiment import ExperimentConfig, run_experiment\n"
+        "for app, params in (('tmi', {'n_minutes': 0.25}), ('bcp', {}), ('signalguru', {})):\n"
+        "    run_experiment(ExperimentConfig(app=app, scheme='ms-src+ap', n_checkpoints=1,\n"
+        "                                    window=2.0, warmup=1.0, app_params=params))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

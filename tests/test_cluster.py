@@ -63,36 +63,6 @@ def test_pipe_rejects_nonpositive_bandwidth():
 # --- Node ---------------------------------------------------------------------
 
 
-def test_node_compute_uses_core():
-    env = Environment()
-    node = Node(env, "n0", cores=1)
-    done = []
-
-    def proc(name):
-        yield from node.compute(1.0)
-        done.append((env.now, name))
-
-    env.process(proc("a"))
-    env.process(proc("b"))
-    env.run()
-    assert done == [(1.0, "a"), (2.0, "b")]
-
-
-def test_node_two_cores_run_parallel():
-    env = Environment()
-    node = Node(env, "n0", cores=2)
-    done = []
-
-    def proc(name):
-        yield from node.compute(1.0)
-        done.append((env.now, name))
-
-    env.process(proc("a"))
-    env.process(proc("b"))
-    env.run()
-    assert done == [(1.0, "a"), (1.0, "b")]
-
-
 def test_node_fail_interrupts_spawned_processes():
     env = Environment()
     node = Node(env, "n0")

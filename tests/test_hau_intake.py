@@ -156,6 +156,44 @@ def test_on_emit_is_driven_only_when_a_scheme_overrides_it():
     assert scheme.emits == 5 + 5  # src -> mid and mid -> sink
 
 
+class OneShot(CheckpointScheme):
+    """``maybe_checkpoint`` answers None until a HAU is armed, then work once."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = set()
+        self.boundaries = 0
+        self.ran = []
+
+    def maybe_checkpoint(self, hau):
+        self.boundaries += 1
+        if hau.hau_id not in self.armed:
+            return None
+        self.armed.discard(hau.hau_id)
+        return self._work(hau)
+
+    def _work(self, hau):
+        self.ran.append((hau.hau_id, hau.env.now, hau.tuples_processed))
+        yield hau.env.timeout(0.002)
+        self.ran.append((hau.hau_id, hau.env.now, "done"))
+
+
+def test_maybe_checkpoint_work_runs_once_at_the_next_tuple_boundary():
+    scheme = OneShot()
+    env, rt = deploy(two_stage(count=100, interval=0.01), scheme)
+    env.run(until=0.505)  # between two arrivals at mid
+    mid = rt.haus["mid"]
+    assert mid._wake is not None  # parked: its next boundary is the nudge's
+    before, processed = scheme.boundaries, mid.tuples_processed
+    scheme.armed.add("mid")
+    mid.request_safepoint()
+    env.run(until=5.0)
+    assert scheme.ran == [("mid", 0.505, processed), ("mid", 0.507, "done")]
+    assert scheme.boundaries > before + 2 * 49  # None at every other boundary
+    assert mid.tuples_processed == 100
+    assert rt.haus["sink"].operators[0].received_count == 100
+
+
 def test_nudge_wakes_an_idle_loop():
     env, rt = deploy(two_stage(count=0))
     mid = rt.haus["mid"]

@@ -126,6 +126,12 @@ def test_svm_rejects_bad_labels():
         LinearSVM(dim=1).fit(np.zeros((2, 1)), np.array([0, 2]))
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_svm_rejects_a_zero_or_nan_label(bad):
+    with pytest.raises(ValueError):
+        LinearSVM(dim=1).fit(np.zeros((3, 1)), np.array([1.0, bad, -1.0]))
+
+
 # --- rewritten kernels vs the loops they replaced ----------------------------------
 #
 # The four functions below are verbatim copies of the interpreter loops

@@ -16,16 +16,16 @@ def sink_hub(*sinks):
 def test_throughput_counts_window():
     hub = sink_hub("k")
     for t in (1.0, 2.0, 3.0, 10.0):
-        hub.record_stage("k", t - 0.5, t)
+        hub.stage_samples.append(("k", t - 0.5, t))
     assert hub.throughput() == 4
     assert hub.throughput(start=2.0, end=5.0) == 2
 
 
 def test_average_latency():
     hub = sink_hub("k")
-    hub.record_stage("k", 0.0, 2.0)
-    hub.record_stage("k", 1.0, 2.0)
-    hub.record_stage("k0", 0.0, 9.0)  # not a sink: a set of ids, not a prefix
+    hub.stage_samples.append(("k", 0.0, 2.0))
+    hub.stage_samples.append(("k", 1.0, 2.0))
+    hub.stage_samples.append(("k0", 0.0, 9.0))  # not a sink: a set of ids, not a prefix
     assert hub.average_latency() == pytest.approx(1.5)
     assert hub.average_latency(start=100.0) == 0.0
 
@@ -33,7 +33,7 @@ def test_average_latency():
 def test_latency_series_and_binned():
     hub = sink_hub("k")
     for i in range(10):
-        hub.record_stage("k", float(i), float(i) + (2.0 if i >= 5 else 0.5))
+        hub.stage_samples.append(("k", float(i), float(i) + (2.0 if i >= 5 else 0.5)))
     series = hub.latency_series()
     assert len(series) == 10
     binned = hub.binned_latency(0.0, 12.0, 6.0)
@@ -50,9 +50,9 @@ def test_binned_latency_validates_width():
 
 def test_stage_metrics_filter_by_prefix():
     hub = MetricsHub()
-    hub.record_stage("A0", 0.0, 1.0)
-    hub.record_stage("A1", 0.0, 3.0)
-    hub.record_stage("B0", 0.0, 10.0)
+    hub.stage_samples.append(("A0", 0.0, 1.0))
+    hub.stage_samples.append(("A1", 0.0, 3.0))
+    hub.stage_samples.append(("B0", 0.0, 10.0))
     assert hub.stage_throughput("A") == 2
     assert hub.stage_latency("A") == pytest.approx(2.0)
     assert hub.stage_throughput("B") == 1
@@ -63,8 +63,8 @@ def test_stage_metrics_filter_by_prefix():
 
 def test_stage_binned_latency():
     hub = MetricsHub()
-    hub.record_stage("A0", 0.0, 1.0)
-    hub.record_stage("A0", 8.0, 9.0)
+    hub.stage_samples.append(("A0", 0.0, 1.0))
+    hub.stage_samples.append(("A0", 8.0, 9.0))
     binned = hub.stage_binned_latency("A", 0.0, 10.0, 5.0)
     assert len(binned) == 2
     assert binned[0][1] == pytest.approx(1.0)
@@ -130,8 +130,8 @@ def test_phase_names_exist_once():
 def test_latency_percentiles_sink_and_stage():
     hub = sink_hub("s")
     for i in range(1, 101):
-        hub.record_stage("s", 0.0, float(i))
-        hub.record_stage("A0", 0.0, float(i))
+        hub.stage_samples.append(("s", 0.0, float(i)))
+        hub.stage_samples.append(("A0", 0.0, float(i)))
     pct = hub.latency_percentiles()
     assert set(pct) == {"p50", "p95", "p99"}
     assert pct["p50"] == pytest.approx(50.5)
@@ -152,7 +152,7 @@ def test_latency_percentiles_empty_window():
 def test_latency_percentiles_custom_fractions():
     hub = sink_hub("s")
     for i in range(1, 11):
-        hub.record_stage("s", 0.0, float(i))
+        hub.stage_samples.append(("s", 0.0, float(i)))
     pct = hub.latency_percentiles(percentiles=(0.1, 0.9))
     assert set(pct) == {"p10", "p90"}
 
