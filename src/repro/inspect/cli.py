@@ -72,7 +72,10 @@ def _load_artifact(path: str) -> tuple[str, Any]:
     with open(p, encoding="utf-8") as fh:
         head = _json_or_none(fh.readline())
     if isinstance(head, dict) and "seq" in head and "kind" in head:
-        return "trace", build_timeline(read_jsonl(path))
+        try:
+            return "trace", build_timeline(read_jsonl(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     doc = _json_or_none(p.read_text(encoding="utf-8"))
     if isinstance(doc, dict) and "metrics" in doc and "series" in doc:
         return "snapshot", doc

@@ -1,11 +1,11 @@
 """repro.monitor — the live monitoring plane.
 
-Deterministic in-simulation observability: windowed telemetry readers,
+Deterministic in-simulation observability: a per-tick counter window,
 declarative SLOs with Google-SRE multi-window burn-rate alerting, and
 per-HAU / per-rack health timelines.  Runs inside the simulation at a
 priority below every workload event (so the determinism digest is
 bit-identical with monitoring on or off) and replays offline from a
-recorded trace (``python -m repro.monitor``).
+recorded trace (``python -m repro.monitor``) through the same tick.
 """
 
 from repro.monitor.health import HEALTH_STATES, HealthTracker
@@ -19,7 +19,7 @@ from repro.monitor.slo import (
     BurnEvaluator,
     default_slos,
 )
-from repro.monitor.windows import CounterWindow, SlidingWindow, WindowSpec
+from repro.monitor.windows import CounterWindow
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -32,7 +32,5 @@ __all__ = [
     "CounterWindow",
     "HealthTracker",
     "MonitorPlane",
-    "SlidingWindow",
-    "WindowSpec",
     "default_slos",
 ]

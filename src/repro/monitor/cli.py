@@ -127,13 +127,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="canonical JSON instead of tables")
     args = parser.parse_args(argv)
 
-    plane = replay(
-        args.trace,
-        period=args.period,
-        bounds=_parse_bounds(args.bound),
-        fast_window=args.fast_window,
-        slow_window=args.slow_window,
-    )
+    bounds = _parse_bounds(args.bound)
+    try:
+        plane = replay(
+            args.trace,
+            period=args.period,
+            bounds=bounds,
+            fast_window=args.fast_window,
+            slow_window=args.slow_window,
+        )
+    except (OSError, ValueError) as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(canonical_json(as_json(plane)))
     else:

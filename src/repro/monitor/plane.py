@@ -18,11 +18,11 @@ same instant — the plane observes each instant only once it has fully
 settled, and the workload's own event order (and therefore the
 determinism digest) is bit-identical with monitoring on or off.
 
-The same class replays offline: :meth:`run_offline` drives the tick
-loop from a recorded trace (``python -m repro.monitor trace.jsonl``),
-with the registry-backed SLOs inactive (a trace carries no registry)
-and everything trace-derived producing the identical alert log and
-health timeline the live run produced.
+The same class replays offline: :meth:`run_offline` drives the same
+:meth:`tick` from a recorded trace (``python -m repro.monitor
+trace.jsonl``), with the registry-backed SLOs inactive (a trace carries
+no registry) and everything trace-derived producing the identical alert
+log and health timeline the live run produced.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from typing import TYPE_CHECKING, Any
 from repro.monitor.health import HealthTracker
 from repro.monitor.slo import PER_HAU_KINDS, SLO, BurnEvaluator, default_slos
 from repro.monitor.windows import CounterWindow
-from repro.observability.tracer import NULL_TRACER, TraceEvent
+from repro.observability.tracer import NULL_TRACER
 from repro.telemetry.registry import NULL_REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
-    from repro.profiling.spans import Ev
+    from repro.observability.tracer import TraceEvent
     from repro.simulation.core import Environment
 
 # Trace kinds that open/close a recovery-time measurement.  MS schemes
@@ -101,17 +101,18 @@ class MonitorPlane:
     def _on_tick(self, _event: Any) -> None:
         env = self._env
         assert env is not None
-        self.tick(env.now)
+        events = self._trace.events
+        since = events[self._cursor:]
+        self._cursor = len(events)
+        self.tick(env.now, since)
         self._schedule_tick()
 
     # -- the tick ------------------------------------------------------------
-    def tick(self, now: float) -> None:
-        """One window evaluation at sim-time ``now``."""
+    def tick(self, now: float, events: "Sequence[TraceEvent]" = ()) -> None:
+        """One window evaluation at sim-time ``now`` over the trace
+        ``events`` that arrived since the previous tick."""
         self.ticks += 1
-        if self._trace.enabled:
-            events = self._trace.events
-            self._ingest(events[self._cursor:])
-            self._cursor = len(events)
+        self._ingest(events)
         self._sample_registry(now)
         self._sample_staleness(now)
         self._evaluate(now)
@@ -120,7 +121,7 @@ class MonitorPlane:
             self._telem.counter("ms_monitor_ticks_total").inc()
 
     # -- trace ingestion -----------------------------------------------------
-    def _ingest(self, events: "Sequence[TraceEvent | Ev]") -> None:
+    def _ingest(self, events: "Sequence[TraceEvent]") -> None:
         for e in events:
             kind = e.kind
             if kind == "checkpoint.write.start":
@@ -253,20 +254,17 @@ class MonitorPlane:
         )
 
     # -- offline replay ------------------------------------------------------
-    def run_offline(
-        self, events: "Sequence[TraceEvent | Ev]", until: float | None = None
-    ) -> None:
-        """Drive the tick loop from a recorded trace (no environment):
-        live ``TraceEvent`` records, or the ``Ev`` rows
-        ``normalize_events`` reads back from a file.
+    def run_offline(self, events: "Sequence[TraceEvent]", until: float | None = None) -> None:
+        """Drive :meth:`tick` from a recorded trace (no environment).
 
         Ticks run at ``period, 2*period, ...`` through ``until``
         (default: the last event's timestamp — the live plane cannot
         tick past the end of the simulation, so neither does replay),
-        each fed the events that fall inside it — the same slicing the
-        live schedule produces.  Registry-backed SLOs are inactive (a
-        trace carries no registry); everything trace-derived reproduces
-        the live run exactly.
+        each fed the events due by its instant — the same slicing the
+        live schedule produces.  The plane's registry is the null one,
+        so registry-backed SLOs are inactive (a trace carries no
+        registry); everything trace-derived reproduces the live run
+        exactly.
         """
         if self._env is not None:
             raise RuntimeError("plane is attached to a live environment")
@@ -279,12 +277,8 @@ class MonitorPlane:
             upto = cursor
             while upto < len(events) and events[upto].t <= now:
                 upto += 1
-            self._ingest(events[cursor:upto])
+            self.tick(now, events[cursor:upto])
             cursor = upto
-            self.ticks += 1
-            self._sample_staleness(now)
-            self._evaluate(now)
-            self._append_series_row(now)
 
     # -- exports -------------------------------------------------------------
     def active_alerts(self) -> int:

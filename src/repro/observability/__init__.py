@@ -1,11 +1,12 @@
 """Structured tracing for checkpoint/recovery timelines.
 
-Zero-dependency observability spine: a :class:`Tracer` event bus carried
-on the simulation :class:`~repro.simulation.core.Environment`
-(``env.trace``; :data:`NULL_TRACER` by default so untraced runs pay one
-attribute check per emission site), a deterministic JSONL exporter keyed
-by sim time (same seed ⇒ byte-identical output), and a summary module
-that renders checkpoint timelines and recovery breakdowns.
+Zero-dependency observability spine: a :class:`Tracer` carried on the
+simulation :class:`~repro.simulation.core.Environment` (``env.trace``;
+:data:`NULL_TRACER` by default so untraced runs pay one attribute check
+per emission site) that records :class:`TraceEvent` — the one event
+type — a deterministic JSONL exporter keyed by sim time (same seed ⇒
+byte-identical output), and a summary module that renders checkpoint
+timelines and recovery breakdowns.
 
 Enable with::
 
@@ -19,7 +20,6 @@ or via the harness: ``run_experiment(cfg, trace=True)``.
 """
 
 from repro.observability.export import (
-    JsonlStreamWriter,
     dumps_jsonl,
     event_to_json,
     read_jsonl,
@@ -32,7 +32,6 @@ from repro.observability.tracer import (
     NullTracer,
     TraceEvent,
     Tracer,
-    events_of,
 )
 
 __all__ = [
@@ -41,10 +40,8 @@ __all__ = [
     "NullTracer",
     "TraceEvent",
     "Tracer",
-    "JsonlStreamWriter",
     "dumps_jsonl",
     "event_to_json",
-    "events_of",
     "read_jsonl",
     "render_summary",
     "summarize",

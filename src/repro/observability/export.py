@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 import json
-from typing import IO
 
-from repro.observability.tracer import TraceEvent, Tracer, events_of
+from repro.observability.tracer import TraceEvent, Tracer
 
 _JSON_KW = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -25,44 +24,24 @@ def event_to_json(event: TraceEvent) -> str:
 
 def dumps_jsonl(source: Tracer | Iterable[TraceEvent]) -> str:
     """The whole trace as JSONL text (trailing newline included)."""
-    lines = [event_to_json(e) for e in events_of(source)]
+    lines = [event_to_json(e) for e in getattr(source, "events", source)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_jsonl(source: Tracer | Iterable[TraceEvent], path: str) -> int:
     """Write the trace to ``path``; returns the number of events."""
-    events = events_of(source)
+    n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in events:
+        for e in getattr(source, "events", source):
             fh.write(event_to_json(e))
             fh.write("\n")
-    return len(events)
-
-
-class JsonlStreamWriter:
-    """A tracer subscriber that appends each event to an open file as it
-    is emitted — for long runs where buffering the trace is undesirable.
-
-    Usage::
-
-        tracer = env.enable_tracing()
-        with open(path, "w", encoding="utf-8", newline="\\n") as fh:
-            tracer.subscribe(JsonlStreamWriter(fh))
-            ...run...
-    """
-
-    def __init__(self, fh: IO[str]):
-        self._fh = fh
-        self.written = 0
-
-    def __call__(self, event: TraceEvent) -> None:
-        self._fh.write(event_to_json(event))
-        self._fh.write("\n")
-        self.written += 1
+            n += 1
+    return n
 
 
 def read_jsonl(path: str) -> list[dict]:
-    """Parse a trace file back into plain dicts (for tooling/tests)."""
+    """Parse a trace file back into plain dicts, one per line;
+    ``repro.profiling.normalize_events`` turns them into events."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:

@@ -1,4 +1,4 @@
-"""The trace event bus: typed, sim-time-keyed structured events.
+"""The trace recorder: typed, sim-time-keyed structured events.
 
 A :class:`Tracer` rides on the simulation
 :class:`~repro.simulation.core.Environment` (``env.trace``).  Every
@@ -18,7 +18,7 @@ JSONL form).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,23 +30,21 @@ KINDS = tuple(TRACE_KINDS)
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One structured trace record.
+    """One structured trace record — the only event type: a live
+    tracer stores it, and a trace file's rows are read back into it.
 
-    ``data`` is stored as a tuple of sorted ``(key, value)`` pairs so the
-    record is hashable and its serialised form is canonical.
+    ``data`` is a dict in sorted key order, so its serialised form is
+    canonical.
     """
 
     seq: int  # emission order: a total order within one run
     t: float  # simulated seconds
     kind: str  # dotted event type, e.g. "checkpoint.commit"
     subject: str  # primary entity: HAU id, node id, scheme name, ""
-    data: tuple[tuple[str, Any], ...] = ()
+    data: dict[str, Any]
 
     def get(self, key: str, default: Any = None) -> Any:
-        for k, v in self.data:
-            if k == key:
-                return v
-        return default
+        return self.data.get(key, default)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -71,16 +69,12 @@ class NullTracer:
     def emit(self, kind: str, /, t: float, subject: str = "", **data: Any) -> None:
         return None
 
-    def subscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        raise RuntimeError("cannot subscribe to the null tracer; enable tracing first")
-
 
 NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records and fans them out to
-    subscribers (e.g. a streaming exporter)."""
+    """Collects :class:`TraceEvent` records in emission order."""
 
     enabled = True
 
@@ -88,7 +82,6 @@ class Tracer:
         self.run_id = run_id
         self.events: list[TraceEvent] = []
         self._seq = 0
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
 
     # ``kind`` is positional-only so a data field may also be named "kind"
     # (e.g. failure.inject carries kind="node"|"rack").
@@ -99,15 +92,10 @@ class Tracer:
             t=t,
             kind=kind,
             subject=subject,
-            data=tuple(sorted(data.items())),
+            data=dict(sorted(data.items())),
         )
         self.events.append(ev)
-        for fn in self._subscribers:
-            fn(ev)
         return ev
-
-    def subscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        self._subscribers.append(fn)
 
     # -- queries -----------------------------------------------------------
     def select(
@@ -133,10 +121,6 @@ class Tracer:
             acc[e.kind] = acc.get(e.kind, 0) + 1
         return dict(sorted(acc.items()))
 
-    def clear(self) -> None:
-        self.events.clear()
-        self._seq = 0
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -145,10 +129,3 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tracer {len(self.events)} events>"
-
-
-def events_of(source: "Tracer | Iterable[TraceEvent]") -> list[TraceEvent]:
-    """Accept a tracer or a plain event iterable; return the event list."""
-    if isinstance(source, (Tracer, NullTracer)):
-        return list(source.events)
-    return list(source)

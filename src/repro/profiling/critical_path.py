@@ -35,10 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.metrics.breakdown import CheckpointLog
-from repro.profiling.spans import Ev, build_timeline
+from repro.profiling.spans import build_timeline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observability.tracer import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,10 @@ class _Index:
     """The trace-side lookups a path walk needs beside the timeline's
     per-(HAU, round) instants: token sends / arrivals and control sends."""
 
-    def __init__(self, events: list[Ev]):
-        self.recvs: dict[tuple[str, int], list[Ev]] = {}
-        self.sends: dict[tuple[str, int], list[Ev]] = {}
-        self.controls: dict[str, list[Ev]] = {}
+    def __init__(self, events: list[TraceEvent]):
+        self.recvs: dict[tuple[str, int], list[TraceEvent]] = {}
+        self.sends: dict[tuple[str, int], list[TraceEvent]] = {}
+        self.controls: dict[str, list[TraceEvent]] = {}
         for e in events:
             if e.kind == "token.recv":
                 self.recvs.setdefault((e.subject, int(e.get("round"))), []).append(e)
@@ -110,13 +113,13 @@ class _Index:
             elif e.kind == "control.send":
                 self.controls.setdefault(e.subject, []).append(e)
 
-    def matching_send(self, recv: Ev, round_id: int) -> Ev | None:
+    def matching_send(self, recv: TraceEvent, round_id: int) -> TraceEvent | None:
         """The ``token.send`` that produced ``recv``: same origin, same
         round, an edge whose destination is the receiver, latest at or
         before the arrival."""
         origin = str(recv.get("origin", ""))
         dst = recv.subject
-        best: Ev | None = None
+        best: TraceEvent | None = None
         for s in self.sends.get((origin, round_id), ()):
             edge = str(s.get("edge", ""))
             # edge ids look like "src[0]->dst[1]" (dsps.graph.EdgeSpec)
@@ -126,8 +129,8 @@ class _Index:
                 best = s
         return best
 
-    def last_control(self, hau_id: str, before: float) -> Ev | None:
-        best: Ev | None = None
+    def last_control(self, hau_id: str, before: float) -> TraceEvent | None:
+        best: TraceEvent | None = None
         for c in self.controls.get(hau_id, ()):
             if c.t <= before and (best is None or c.seq > best.seq):
                 best = c

@@ -19,46 +19,42 @@ Chrome-trace export (:mod:`repro.profiling.chrome_trace`) byte-stable.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.metrics.breakdown import CheckpointLog, RecoveryBreakdown, RunRecord
 
-
-@dataclass(frozen=True)
-class Ev:
-    """A normalised trace event: works for live :class:`TraceEvent`
-    objects and for dicts round-tripped through JSONL."""
-
-    seq: int
-    t: float
-    kind: str
-    subject: str
-    data: dict[str, Any]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.data.get(key, default)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observability.tracer import TraceEvent
 
 
-def normalize_events(source: Any) -> list[Ev]:
-    """Accept a Tracer, an iterable of TraceEvents, or JSONL dicts."""
-    out: list[Ev] = []
-    for e in getattr(source, "events", source):
-        if isinstance(e, Ev):
+def normalize_events(source: Any) -> list[TraceEvent]:
+    """A trace's events in ``seq`` order, from a Tracer, an iterable of
+    TraceEvents (passed through as the same objects) or JSONL rows
+    (converted here, once: a malformed row is a ``ValueError`` naming
+    the row and, when one is absent, the field)."""
+    # imported here: repro.observability's package imports this module
+    from repro.observability.tracer import TraceEvent
+
+    out: list[TraceEvent] = []
+    for i, e in enumerate(getattr(source, "events", source), 1):
+        if isinstance(e, TraceEvent):
             out.append(e)
-        elif isinstance(e, Mapping):
+            continue
+        try:
             out.append(
-                Ev(
+                TraceEvent(
                     int(e["seq"]),
                     float(e["t"]),
                     str(e["kind"]),
                     str(e.get("subject", "")),
-                    dict(e.get("data", {})),
+                    dict(sorted(e.get("data", {}).items())),
                 )
             )
-        else:  # a live TraceEvent
-            out.append(Ev(e.seq, e.t, e.kind, e.subject, dict(e.data)))
+        except KeyError as exc:
+            raise ValueError(f"trace row {i}: missing field {exc.args[0]!r}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"trace row {i}: {exc}") from None
     out.sort(key=lambda ev: ev.seq)
     return out
 
@@ -69,7 +65,7 @@ class Timeline:
 
     rounds: list[CheckpointLog] = field(default_factory=list)
     recoveries: list[RecoveryBreakdown] = field(default_factory=list)
-    events: list[Ev] = field(default_factory=list)
+    events: list[TraceEvent] = field(default_factory=list)
     scheme: str = ""
 
     def round(self, round_id: int) -> CheckpointLog | None:

@@ -1,17 +1,16 @@
-"""Runtime telemetry: metric registry, per-HAU sampling, exporters.
+"""Runtime telemetry: metric registry, per-HAU sampling, JSON snapshot.
 
 Counterpart to :mod:`repro.observability` (structured *traces*): this
 package carries aggregated *metrics* — counters, gauges and exact
 percentile histograms — registered on ``env.telemetry`` and exported as
-a deterministic JSON snapshot or Prometheus text.  A snapshot file is
-read back by ``python -m repro.inspect show snapshot.json``.
+a deterministic JSON snapshot, which ``python -m repro.inspect show
+snapshot.json`` reads back.
 """
 
 from repro.telemetry.export import (
     dumps_snapshot,
     read_snapshot,
     snapshot,
-    to_prometheus,
     write_snapshot,
 )
 from repro.telemetry.quantile import exact_percentile
@@ -43,6 +42,5 @@ __all__ = [
     "exact_percentile",
     "read_snapshot",
     "snapshot",
-    "to_prometheus",
     "write_snapshot",
 ]

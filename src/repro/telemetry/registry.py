@@ -16,7 +16,7 @@ shared with :mod:`repro.observability`).
 
 Naming convention (documented in DESIGN.md): ``ms_<subsystem>_<what>``
 with a ``_total`` suffix for counters and a ``_seconds`` / ``_bytes``
-unit suffix where applicable — directly exportable as Prometheus text.
+unit suffix where applicable.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ seconds it snapshots the per-HAU quantities the paper's own adaptive
 logic reasons about (§III-C) — input-queue depth, preservation-buffer
 bytes, ``state_size()``, in-flight tuples on the out-channels, held-back
 tuples behind checkpoint tokens, and the last checkpoint write duration
-— into both the registry's gauges (latest value, for the Prometheus
-export) and an in-memory time series (for the JSON snapshot and the
-report's per-HAU tables).
+— into both the registry's gauges (latest value) and an in-memory time
+series (for the JSON snapshot and the report's per-HAU tables).
 
 It is the run's one periodic state sampler: its ``ms_hau_state_bytes``
 series is also what Fig. 5, Figs. 10/11 and the Oracle's minima search

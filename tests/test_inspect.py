@@ -517,3 +517,15 @@ def test_show_exits_two_on_what_it_cannot_read(observed, tmp_path, capsys):
         assert main(["show", str(path), "--chrome-trace", str(tmp_path / "x.json")]) == 2
         assert "--chrome-trace needs a trace" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_show_exits_two_on_a_trace_row_without_t(tmp_path, capsys):
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_text(
+        '{"data":{},"kind":"hau.start","seq":1,"subject":"a","t":0.0}\n'
+        '{"data":{},"kind":"hau.start","seq":2,"subject":"b"}\n'
+    )
+    assert main(["show", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: trace row 2: missing field 't'\n"
+    )

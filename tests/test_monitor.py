@@ -31,8 +31,6 @@ from repro.monitor import (
     CounterWindow,
     HealthTracker,
     MonitorPlane,
-    SlidingWindow,
-    WindowSpec,
     default_slos,
 )
 
@@ -133,16 +131,8 @@ def test_counter_and_sliding_windows():
     cw = CounterWindow()
     assert cw.advance(1.0, 10.0) == 10.0
     assert cw.advance(2.0, 25.0) == 15.0
-    sw = SlidingWindow(10.0)
-    sw.observe(1.0, 4.0)
-    sw.observe(5.0, 2.0)
-    assert sw.maximum() == 4.0 and sw.total() == 6.0
-    sw.evict(12.0)  # t=1 aged out of the half-open (2, 12]
-    assert sw.count() == 1
-    assert sw.maximum() == sw.last() == 2.0
-    assert sw.mean() == 2.0
-    assert WindowSpec("w", length=5.0, slide=5.0).tumbling
-    assert not WindowSpec("w", length=5.0, slide=1.0).tumbling
+    assert cw.advance(3.0, 25.0) == 0.0
+    assert (cw.last_t, cw.last_value) == (3.0, 25.0)
 
 
 # -- health machine ------------------------------------------------------------
@@ -247,11 +237,22 @@ def test_unmonitored_run_has_empty_surfaces():
 # -- offline replay + CLI ------------------------------------------------------
 
 
-def test_offline_replay_reproduces_live_alert_log(monitored):
+def test_offline_replay_reproduces_live_alert_log(monitored, tmp_path):
+    from repro.monitor.cli import replay
+
     offline = MonitorPlane(1.0, slos=default_slos(MON["monitor_slos"]))
     offline.run_offline(monitored.tracer.events)
     assert offline.alerts == monitored.alerts["log"]
-    assert offline.summary()["by_slo"] == monitored.alerts["summary"]["by_slo"]
+    # the written file replays to the same alerts, per-HAU health and
+    # ticks (rack roll-ups need the topology, which a trace does not carry)
+    trace = tmp_path / "run.trace.jsonl"
+    monitored.write_trace(str(trace))
+    replayed = replay(str(trace), period=1.0, bounds=MON["monitor_slos"])
+    assert replayed.alerts == monitored.alerts["log"]
+    per_hau = [r for r in monitored.health_timeline if r["entity"].startswith("hau:")]
+    assert replayed.health.timeline == per_hau
+    assert replayed.ticks == monitored.alerts["ticks"]
+    assert replayed.summary() == monitored.alerts["summary"]
 
 
 def test_run_offline_refuses_attached_plane(monitored):
@@ -278,6 +279,18 @@ def test_cli_replay_json_and_tables(monitored, tmp_path, capsys):
     assert "monitor" in out and "checkpoint-staleness" in out
     with pytest.raises(SystemExit):
         main([str(trace), "--bound", "not-a-pair"])
+
+
+def test_cli_exits_two_on_a_bad_trace_file(tmp_path, capsys):
+    from repro.monitor.cli import main
+
+    missing = tmp_path / "nope.jsonl"
+    assert main([str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text('{"data":{},"kind":"hau.start","seq":1,"subject":"a"}\n')
+    assert main([str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: trace row 1: missing field 't'\n"
 
 
 # -- scenarios -----------------------------------------------------------------

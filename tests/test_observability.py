@@ -14,7 +14,6 @@ from repro.dsps.testing import make_chain_graph
 from repro.failures.injector import FailureInjector, FailurePlan, PlannedFailure
 from repro.observability import (
     NULL_TRACER,
-    JsonlStreamWriter,
     TraceEvent,
     Tracer,
     dumps_jsonl,
@@ -69,26 +68,15 @@ def test_tracer_emit_select_counts():
     assert tr.select(prefix="checkpoint.")[0].get("missing", 42) == 42
 
 
-def test_tracer_subscribe_streams_each_event():
-    tr = Tracer()
-    seen = []
-    tr.subscribe(seen.append)
-    tr.emit("hau.start", t=0.0, subject="a")
-    tr.emit("hau.start", t=0.0, subject="b")
-    assert [e.subject for e in seen] == ["a", "b"]
-
-
 def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
     assert NULL_TRACER.emit("anything", t=0.0) is None
     assert NULL_TRACER.events == ()
-    with pytest.raises(RuntimeError):
-        NULL_TRACER.subscribe(lambda e: None)
 
 
 def test_jsonl_is_canonical_and_round_trips(tmp_path):
     ev = TraceEvent(seq=1, t=2.5, kind="checkpoint.commit", subject="src",
-                    data=(("bytes", 10), ("round", 1)))
+                    data={"bytes": 10, "round": 1})
     line = event_to_json(ev)
     # canonical: sorted keys, compact separators
     assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
@@ -100,18 +88,6 @@ def test_jsonl_is_canonical_and_round_trips(tmp_path):
     back = read_jsonl(str(path))
     assert [r["kind"] for r in back] == ["a.b", "c.d"]
     assert back[1]["data"] == {"m": 2.5}
-    assert path.read_text() == dumps_jsonl(tr)
-
-
-def test_stream_writer_matches_batch_export(tmp_path):
-    tr = Tracer()
-    path = tmp_path / "stream.jsonl"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = JsonlStreamWriter(fh)
-        tr.subscribe(writer)
-        tr.emit("a.b", t=0.0, subject="x", n=1)
-        tr.emit("a.b", t=1.0, subject="y", n=2)
-    assert writer.written == 2
     assert path.read_text() == dumps_jsonl(tr)
 
 
@@ -295,16 +271,6 @@ def test_export_single_event_roundtrip(tmp_path):
     assert parsed["kind"] == "hau.start"
     assert parsed["t"] == 1.5
     assert parsed["data"] == {"node": "n3"}
-
-
-def test_jsonl_stream_writer_empty(tmp_path):
-    path = tmp_path / "stream.jsonl"
-    tr = Tracer()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = JsonlStreamWriter(fh)
-        tr.subscribe(writer)
-    assert writer.written == 0
-    assert path.read_text() == ""
 
 
 def test_summarize_empty_trace():

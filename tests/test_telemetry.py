@@ -1,7 +1,6 @@
 """Tests for the runtime telemetry subsystem (repro.telemetry):
 exact histograms, registry semantics, the no-op default, per-HAU
-sampling, deterministic JSON snapshots, Prometheus export, and reading
-a snapshot back with ``python -m repro.inspect show`` (which
+sampling, deterministic JSON snapshots, and reading a snapshot back with ``python -m repro.inspect show`` (which
 test_inspect.py covers in full)."""
 
 import hashlib
@@ -33,7 +32,6 @@ from repro.telemetry import (
     exact_percentile,
     read_snapshot,
     snapshot,
-    to_prometheus,
     write_snapshot,
 )
 from repro.telemetry.quantile import nearest_rank_percentile
@@ -403,26 +401,6 @@ def test_report_cli(tmp_path, capsys):
     assert inspect_main(["show", str(tmp_path / "missing.json")]) == 2
 
 
-def test_prometheus_export_format():
-    reg = MetricRegistry()
-    reg.counter("ms_t_total", scheme="ms-src").inc(4)
-    reg.gauge("ms_depth", hau='we"ird').set(2.5)
-    h = reg.histogram("ms_lat_seconds")
-    for x in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-        h.observe(x)
-    text = to_prometheus(reg)
-    lines = text.splitlines()
-    assert "# TYPE ms_t_total counter" in lines
-    assert 'ms_t_total{scheme="ms-src"} 4' in lines
-    assert 'ms_depth{hau="we\\"ird"} 2.5' in lines
-    assert "# TYPE ms_lat_seconds summary" in lines
-    assert any(l.startswith('ms_lat_seconds{quantile="0.5"}') for l in lines)
-    assert "ms_lat_seconds_count 6" in lines
-    assert any(l.startswith("ms_lat_seconds_sum") for l in lines)
-    assert text.endswith("\n")
-    assert to_prometheus(MetricRegistry()) == ""
-
-
 # -- harness integration -------------------------------------------------------
 
 
@@ -617,28 +595,22 @@ def test_histogram_small_sample_percentile_is_observed():
     assert h.percentile(0.5) == 4.0
 
 
-# -- exposition-format HELP/TYPE lines and escaping ------------------------------
+# -- one trace record ------------------------------------------------------------
 
 
-def test_prometheus_help_lines_precede_type():
-    from repro.telemetry.export import HELP_TEXT
+def test_a_trace_file_reads_back_to_the_live_events_and_timelines_share_them(
+    observed_run, tmp_path
+):
+    """``TraceEvent`` is the one event type: the JSONL file converts back
+    to events equal to the live tracer's, and a timeline of the live run
+    holds the tracer's own event objects, not copies."""
+    from repro.observability import read_jsonl
+    from repro.profiling import normalize_events
 
-    reg = MetricRegistry()
-    reg.counter("ms_alerts_fired_total", slo="latency-p99").inc()
-    reg.gauge("ms_alerts_active").set(1)
-    reg.counter("ms_t_total").inc()  # no HELP entry -> TYPE only
-    lines = to_prometheus(reg).splitlines()
-    for name in ("ms_alerts_fired_total", "ms_alerts_active"):
-        help_i = lines.index(f"# HELP {name} {HELP_TEXT[name]}")
-        assert lines[help_i + 1] == f"# TYPE {name} " + (
-            "counter" if name.endswith("_total") else "gauge"
-        )
-    assert "# TYPE ms_t_total counter" in lines
-    assert not any(line.startswith("# HELP ms_t_total") for line in lines)
-
-
-def test_prometheus_label_escaping_backslash_quote_newline():
-    reg = MetricRegistry()
-    reg.counter("ms_esc_total", path='a\\b"c\nd').inc(2)
-    text = to_prometheus(reg)
-    assert 'ms_esc_total{path="a\\\\b\\"c\\nd"} 2' in text.splitlines()
+    path = tmp_path / "run.trace.jsonl"
+    observed_run.write_trace(str(path))
+    live = observed_run.tracer.events
+    assert normalize_events(read_jsonl(str(path))) == live
+    events = observed_run.timeline().events
+    assert len(events) == len(live)
+    assert all(events[i] is live[i] for i in range(len(live)))
