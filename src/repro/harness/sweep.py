@@ -103,14 +103,29 @@ def code_fingerprint() -> str:
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        package_root = Path(__file__).resolve().parents[1]
-        h = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            h.update(path.relative_to(package_root).as_posix().encode("utf-8"))
-            h.update(b"\0")
-            h.update(path.read_bytes())
-        _CODE_FINGERPRINT = h.hexdigest()
+        package_root = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+        _CODE_FINGERPRINT = _tree_digest(package_root)
     return _CODE_FINGERPRINT
+
+
+def _tree_digest(root: str) -> str:
+    """SHA-256 over every ``*.py`` under ``root``: per file, in
+    ``sorted(Path(root).rglob("*.py"))`` order (component by component),
+    its root-relative posix name, ``b"\\0"`` and its bytes.  Walked with
+    plain strings: pathlib objects cost more than the reads."""
+    cut = len(root) + 1
+    rel_names = sorted(
+        (os.path.join(dirpath, name)[cut:].replace(os.sep, "/")
+         for dirpath, _dirs, names in os.walk(root)
+         for name in names if name.endswith(".py")),
+        key=lambda rel: rel.split("/"))
+    h = hashlib.sha256()
+    for rel in rel_names:
+        h.update(rel.encode("utf-8"))
+        h.update(b"\0")
+        with open(os.path.join(root, rel), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)

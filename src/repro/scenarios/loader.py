@@ -19,6 +19,11 @@ SCENARIO_SUFFIXES = (".yaml", ".yml", ".json")
 # Library-metadata files living next to the scenario documents.
 NON_SCENARIO_FILES = ("GOLDENS.json",)
 
+# libyaml's scanner and parser under PyYAML's own SafeConstructor and
+# resolver: the same documents as yaml.safe_load, parsed ~8x faster.  The
+# pure-Python parser only where PyYAML was built without libyaml.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class ScenarioParseError(ValueError):
     """The file/text is not parseable YAML/JSON at all."""
@@ -27,7 +32,7 @@ class ScenarioParseError(ValueError):
 def load_text(text: str, source: str = "<text>") -> Any:
     """Parse one scenario document from YAML (a superset of JSON)."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{source}: not valid YAML/JSON: {exc}") from exc
 

@@ -7,9 +7,11 @@ byte-determinism contract."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness.digest import result_digest, run_experiment
@@ -149,8 +151,37 @@ def test_check_raises_with_every_error():
 def test_load_text_yaml_and_parse_error():
     doc = load_text("id: x\nversion: 1\n")
     assert doc == {"id": "x", "version": 1}
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError, match=r"^bad\.yaml: not valid YAML/JSON"):
         load_text("id: [unclosed", source="bad.yaml")
+
+
+def test_malformed_file_error_names_the_file(tmp_path):
+    p = tmp_path / "broken.yaml"
+    p.write_text("id: x\nfailures: [{at: 1\n", encoding="utf-8")
+    with pytest.raises(ScenarioParseError, match=re.escape(str(p))):
+        load_path(p)
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.yaml")), ids=lambda p: p.stem)
+def test_example_loads_as_the_pure_python_parser_reads_it(path):
+    reference = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    assert load_path(path) == reference
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_load_text_parses_through_libyaml(monkeypatch):
+    constructed = []
+    real_init = yaml.SafeLoader.__init__
+
+    def recording_init(self, stream):
+        constructed.append(stream)
+        real_init(self, stream)
+
+    monkeypatch.setattr(yaml.SafeLoader, "__init__", recording_init)
+    assert load_text("id: x\nversion: 1\n") == {"id": "x", "version": 1}
+    for path in sorted(EXAMPLES.glob("*.yaml")):
+        load_path(path)
+    assert constructed == [], "a pure-Python SafeLoader parsed a scenario"
 
 
 def test_load_path_json(tmp_path):

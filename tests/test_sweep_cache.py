@@ -6,7 +6,9 @@ Every test points the runner at a ``tmp_path`` cache so the repo-root
 cache (and other test sessions) are never touched.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,32 @@ def test_code_fingerprint_invalidates_cache(tmp_path, monkeypatch):
     run_cells(specs_pair()[:1], jobs=1, cache_dir=tmp_path, stats=stats)
     assert stats.cache_misses == 1, "a code-version change must invalidate every entry"
     assert len(sorted(tmp_path.glob("*.json"))) == 2  # old entry + new entry
+
+
+def pathlib_tree_digest(root):
+    """The fingerprint's reference definition, written the pathlib way."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode("utf-8"))
+        h.update(b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_code_fingerprint_equals_the_pathlib_reference(monkeypatch):
+    # a walk that dropped, added or reordered a file would differ here
+    monkeypatch.setattr(sweep, "_CODE_FINGERPRINT", None)
+    package_root = Path(sweep.__file__).resolve().parents[1]
+    assert sweep.code_fingerprint() == pathlib_tree_digest(package_root)
+
+
+def test_tree_digest_orders_files_as_pathlib_does(tmp_path):
+    # "a.py" < "a/b.py" as strings ('.' < '/') but not as paths, which
+    # compare component by component; non-.py files are left out
+    for rel in ("a.py", "a/b.py", "a-b.py", "a/c/d.py", "ab.py", "a/notes.txt"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(f"# {rel}\n", encoding="utf-8")
+    assert sweep._tree_digest(str(tmp_path)) == pathlib_tree_digest(tmp_path)
 
 
 def test_use_cache_false_never_touches_disk(tmp_path):
