@@ -36,7 +36,9 @@ def make_frame(
 ) -> np.ndarray:
     """Render a synthetic frame with ``people`` 2x2 blobs and optionally a
     traffic light patch of the given colour."""
-    frame = rng.uniform(0.0, BACKGROUND_NOISE, size=shape)
+    # rng.uniform(0.0, h) draws 0.0 + h * u per cell: the same doubles
+    frame = rng.random(shape)
+    frame *= BACKGROUND_NOISE
     cells = _lattice(shape)
     order = rng.permutation(len(cells))
     for idx in order[: max(people, 0)].tolist():
@@ -49,32 +51,48 @@ def make_frame(
 
 
 def count_people(frame: np.ndarray, threshold: float = 150.0) -> int:
-    """Count connected bright blobs (4-connectivity flood fill)."""
-    # people blobs are 200 and a green light is 160 > threshold, so the
-    # second bound masks the traffic-light patch out explicitly
-    mask = (frame > threshold) & (frame >= PERSON_INTENSITY - 1.0)
+    """Count connected bright blobs (4-connectivity).
+
+    One raster scan over the bright cells: a cell joins the blob of its
+    left or upper neighbour, or starts one; a cell that touches two
+    blobs merges them (union-find).  Blobs are starts minus merges.
+    """
+    # people blobs are 200 and a green light is 160 > threshold, so a
+    # bright cell must also reach PERSON_INTENSITY - 1.  Of the two bounds
+    # (v > threshold, v >= floor) one implies the other: compare once,
+    # against the tighter (a NaN threshold keeps none, as before).
+    floor = PERSON_INTENSITY - 1.0
+    mask = frame > threshold if not threshold < floor else frame >= floor
     w = mask.shape[1]
-    # flood-fill over the set of bright cells (flat indices), removing
-    # each as it is reached; an off-grid neighbour is simply not in it
-    live = set(np.flatnonzero(mask).tolist())
-    count = 0
-    while live:
-        count += 1
-        stack = [live.pop()]
-        while stack:
-            p = stack.pop()
-            c = p % w
-            for q in (p + w, p - w, p + 1 if c + 1 < w else -1, p - 1 if c else -1):
-                if q in live:
-                    live.discard(q)
-                    stack.append(q)
-    return count
+    label: dict[int, int] = {}  # flat index of a bright cell -> its blob
+    parent: list[int] = []  # blob -> the blob it was merged into (or itself)
+    merges = 0
+    for p in mask.ravel().nonzero()[0].tolist():
+        up = label.get(p - w)  # an off-grid neighbour is never a key
+        left = label.get(p - 1) if p % w else None
+        if up is None:
+            if left is None:
+                left = len(parent)
+                parent.append(left)
+            label[p] = left
+            continue
+        label[p] = up
+        if left is None:
+            continue
+        while parent[up] != up:
+            up = parent[up]
+        while parent[left] != left:
+            left = parent[left]
+        if up != left:
+            parent[up] = left
+            merges += 1
+    return len(parent) - merges
 
 
 def color_filter(frame: np.ndarray) -> str | None:
     """Detect which traffic-light colour (if any) is present."""
     patch = frame[0:2, -3:-1]
-    mean = float(patch.mean())
+    mean = float(patch.sum() / patch.size)  # bit-equal to patch.mean()
     best, best_err = None, 15.0
     for colour, intensity in LIGHT_INTENSITY.items():
         err = abs(mean - intensity)
@@ -88,8 +106,10 @@ def shape_filter(frame: np.ndarray, colour: str | None) -> bool:
     if colour is None:
         return False
     intensity = LIGHT_INTENSITY[colour]
-    patch = frame[0:2, -3:-1]
-    return bool(np.all(np.abs(patch - intensity) < 10.0))
+    for v in frame[0:2, -3:-1].ravel().tolist():
+        if not abs(v - intensity) < 10.0:  # a NaN fails, as in numpy
+            return False
+    return True
 
 
 def frame_difference(a: np.ndarray, b: np.ndarray) -> float:

@@ -68,10 +68,12 @@ class PositionSource(SourceOperator):
         rng = np.random.default_rng(self.seed)
         for i in range(self.count):
             modes = rng.integers(0, 4, size=PHONES_PER_BATCH)
-            speeds = _MODE_SPEED_TABLE[modes]
-            speeds = speeds * rng.uniform(0.7, 1.3, size=PHONES_PER_BATCH)
+            speeds = _MODE_SPEED_TABLE[modes]  # a fresh array: scaled in place
+            speeds *= rng.uniform(0.7, 1.3, size=PHONES_PER_BATCH)
             phones = rng.integers(0, 10_000, size=PHONES_PER_BATCH)
-            positions = rng.uniform(0, 1000, size=(PHONES_PER_BATCH, 2))
+            # rng.uniform(0, 1000) draws 0.0 + 1000.0 * u: the same doubles
+            positions = rng.random((PHONES_PER_BATCH, 2))
+            positions *= 1000.0
             batch = SizedPayload(
                 data={
                     "station": self.station,
@@ -107,7 +109,10 @@ class PairOperator(Operator):
         prev = self.last_positions.get(batch["station"])
         self.last_positions[batch["station"]] = batch["positions"]
         if prev is not None and len(prev) == len(batch["positions"]):
-            displacement = np.linalg.norm(batch["positions"] - prev, axis=1)
+            # np.linalg.norm(d, axis=1) is exactly this for real ``d``,
+            # minus its dispatch
+            d = batch["positions"] - prev
+            displacement = np.sqrt(np.add.reduce(d * d, axis=1))
         else:
             displacement = np.zeros(len(batch["positions"]))
         speeds = SizedPayload(
@@ -139,15 +144,20 @@ class GoogleMapOperator(Operator):
     def on_tuple(self, port, tup):
         data = tup.payload.data
         groups = data["phones"] % N_GROUP
-        features = np.column_stack([data["speeds"], data["displacement"]])
+        # one stable sort puts each group's rows together in arrival
+        # order: the same rows, in the same order, as a mask per group
+        order = groups.argsort(kind="stable")
+        phones = data["phones"][order]
+        features = np.column_stack([data["speeds"], data["displacement"]])[order]
         out = []
-        for g in range(N_GROUP):
-            mask = groups == g
-            if not mask.any():
+        end = 0
+        for g, n in enumerate(np.bincount(groups, minlength=N_GROUP).tolist()):
+            if not n:
                 continue
+            start, end = end, end + n
             sub = SizedPayload(
-                data={"group": g, "phones": data["phones"][mask],
-                      "features": features[mask]},
+                data={"group": g, "phones": phones[start:end],
+                      "features": features[start:end]},
                 nominal_size=SUB_BATCH_SIZE,
             )
             out.append(Emit(payload=sub, size=SUB_BATCH_SIZE, key=g))

@@ -27,6 +27,7 @@ scheme-agnostic.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
@@ -46,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsps.runtime import CheckpointScheme
 
 DEFAULT_INBOX_CAPACITY = 128
+_NAN_HASH = sys.hash_info.nan  # 0: what hash() gave every NaN before 3.10
 
 
 def stable_route_hash(key: Any) -> int:
@@ -58,9 +60,14 @@ def stable_route_hash(key: Any) -> int:
     the already-stable element hashes, and numeric hashes are fixpoints
     of re-hashing) keep their historical routing and the pinned digests
     are unchanged; salted types reroute through crc32 of a stable
-    encoding.
+    encoding.  A NaN is the exception among numerics: since Python 3.10
+    ``hash(nan)`` is its object's identity, so every NaN (a float, a
+    numpy float, one inside a tuple) takes ``sys.hash_info.nan``, the
+    value ``hash`` gave all of them before.
     """
     if isinstance(key, (int, float)):
+        if key != key:
+            return _NAN_HASH
         # unsalted and process-stable for numerics
         return hash(key)  # repro-lint: disable=DET006
     if isinstance(key, str):
@@ -70,6 +77,8 @@ def stable_route_hash(key: Any) -> int:
     if isinstance(key, tuple):
         # element hashes stabilised first, then CPython's tuple combiner
         return hash(tuple(stable_route_hash(e) for e in key))  # repro-lint: disable=DET006
+    if isinstance(key, np.floating) and key != key:
+        return _NAN_HASH
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
@@ -172,7 +181,8 @@ class HAURuntime:
         # per-port routing groups and per-edge input ports are computed
         # once.  A scheme that leaves the on_emit hook at the no-op base
         # implementation is not called at all.
-        self._route_cache: dict[int, list[EdgeSpec]] = {}
+        # port -> (its edges, a hash group's one-edge tuples or None)
+        self._route_cache: dict[int, tuple[tuple[EdgeSpec, ...], tuple | None]] = {}
         self._dst_ports: list[int] = [e.dst_port for e in self.in_edges]
         self._hook_on_emit = scheme.active_hook("on_emit")
 
@@ -362,20 +372,38 @@ class HAURuntime:
             yield from self._process_tuple(edge_idx, item, overhead, record)
 
     # -- emission -------------------------------------------------------------------------
-    def route_edges(self, emit: Emit) -> list[EdgeSpec]:
+    def route_edges(self, emit: Emit) -> Sequence[EdgeSpec]:
         """Which out-edges receive this emission (port match + routing)."""
         port = emit.port
-        group = self._route_cache.get(port)
-        if group is None:
-            group = [e for e in self.out_edges if e.src_port == port]
-            self._route_cache[port] = group
-        if len(group) <= 1 or group[0].routing != "hash":
+        route = self._route_cache.get(port)
+        if route is None:
+            group = tuple(e for e in self.out_edges if e.src_port == port)
+            hashed = len(group) > 1 and group[0].routing == "hash"
+            route = (group, tuple((e,) for e in group) if hashed else None)
+            self._route_cache[port] = route
+        group, singles = route
+        if singles is None:
             return group  # broadcast (or empty / single edge)
-        idx = stable_route_hash(emit.key) % len(group) if emit.key is not None else 0
-        return [group[idx]]
+        key = emit.key
+        return singles[stable_route_hash(key) % len(singles) if key is not None else 0]
 
-    def emit(self, emit_spec: Emit, created_at: float, source: str):
-        """Process generator: route, hook, and send one emission.
+    def emit(
+        self,
+        emit_spec: Emit,
+        created_at: float,
+        source: str,
+        edges: Sequence[EdgeSpec] | None = None,
+        first: int = 0,
+        pending: DataTuple | None = None,
+    ):
+        """Route, hook, and send one emission.  Work or None.
+
+        None when the scheme's ``on_emit`` had no work and every routed
+        send was accepted at once: the emission is done.  Otherwise the
+        generator the caller must drive with ``yield from``: it finishes
+        the edge that had to wait, then re-enters this loop for the rest
+        (``edges`` / ``first`` / ``pending`` carry that resumption; a
+        caller passes only the first three arguments).
 
         The scheme hook (preservation) runs before the send and even when
         the channel is currently broken: a tuple emitted while the
@@ -383,28 +411,38 @@ class HAURuntime:
         replayed once the neighbour is restarted.  Only a send into a
         full outbox waits.
         """
+        if edges is None:
+            edges = self.route_edges(emit_spec)
         out_seq = self._out_seq
         out_channels = self.out_channels
         hook = self._hook_on_emit
-        for edge in self.route_edges(emit_spec):
-            eid = edge.edge_id
-            out_seq[eid] = seq = out_seq[eid] + 1
-            tup = DataTuple(
-                payload=emit_spec.payload,
-                size=emit_spec.size,
-                key=emit_spec.key,
-                created_at=created_at,
-                seq=seq,
-                source=source,
-            )
-            if hook is not None and (work := hook(self, edge, tup)) is not None:
-                yield from work
+        for i in range(first, len(edges)):
+            eid = edges[i].edge_id
+            if pending is not None:
+                tup, pending = pending, None  # the hook's work has run
+            else:
+                out_seq[eid] = seq = out_seq[eid] + 1
+                # positional: payload, size, key, created_at, seq, source
+                tup = DataTuple(
+                    emit_spec.payload, emit_spec.size, emit_spec.key, created_at, seq, source
+                )
+                if hook is not None and (work := hook(self, edges[i], tup)) is not None:
+                    return self._emit_after(work, emit_spec, created_at, source, edges, i, tup)
             chan = out_channels.get(eid)
             if chan is None or chan.closed:
                 continue
             accepted = chan.send(tup, tup.size)
             if not accepted._flushed:
-                yield from _until_accepted(accepted)
+                return self._emit_after(
+                    _until_accepted(accepted), emit_spec, created_at, source, edges, i + 1, None
+                )
+        return None
+
+    def _emit_after(self, work, emit_spec, created_at, source, edges, first, pending):
+        """Generator: drive ``work``, then the rest of :meth:`emit`."""
+        yield from work
+        if (rest := self.emit(emit_spec, created_at, source, edges, first, pending)) is not None:
+            yield from rest
 
     def emit_token(self, token: Token):
         """Process generator: send ``token`` down every out-edge, in order."""
@@ -617,8 +655,10 @@ class HAURuntime:
             self._m_latency.observe(self.env.now - tup.created_at)
         if record is not None:
             record((self.hau_id, tup.created_at, self.env.now))
+        emit = self.emit
         for emit_spec in emissions:
-            yield from self.emit(emit_spec, created_at=tup.created_at, source=tup.source)
+            if (work := emit(emit_spec, tup.created_at, tup.source)) is not None:
+                yield from work
 
     def _main_loop(self):
         try:
@@ -717,11 +757,9 @@ class HAURuntime:
                 # sources interleave (see resend).
                 yield self.intake_gate.wait()
                 op.emitted_count += 1
-                yield from self.emit(
-                    Emit(payload=tup.payload, size=tup.size, port=0, key=tup.key),
-                    created_at=tup.created_at,
-                    source=self.hau_id,
-                )
+                replayed = Emit(payload=tup.payload, size=tup.size, port=0, key=tup.key)
+                if (work := self.emit(replayed, tup.created_at, self.hau_id)) is not None:
+                    yield from work
             # Normal generation, resuming past the already-emitted prefix
             # (the generator is deterministic; see Operator docstring).
             # ``sched`` is the nominal sensor-capture instant: tuples are
@@ -758,26 +796,28 @@ class HAURuntime:
                         yield from work
                 if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
                     yield from work
+                # a source sends on port 0 whatever port its Emit names
+                if emit_spec.port:
+                    emit_spec = Emit(emit_spec.payload, emit_spec.size, 0, emit_spec.key)
                 now = env.now
-                tup = DataTuple(
-                    payload=emit_spec.payload,
-                    size=emit_spec.size,
-                    key=emit_spec.key,
-                    created_at=sched if sched < now else now,
-                    seq=op.emitted_count + 1,
-                    source=hau_id,
-                )
+                created_at = sched if sched < now else now
                 if not gate._opened:
                     yield gate.wait()
-                if on_source_emit is not None and (work := on_source_emit(self, tup)) is not None:
-                    yield from work
+                if on_source_emit is not None:
+                    tup = DataTuple(
+                        payload=emit_spec.payload,
+                        size=emit_spec.size,
+                        key=emit_spec.key,
+                        created_at=created_at,
+                        seq=op.emitted_count + 1,
+                        source=hau_id,
+                    )
+                    if (work := on_source_emit(self, tup)) is not None:
+                        yield from work
                 op.emitted_count += 1
                 produced += 1
-                yield from do_emit(
-                    Emit(payload=tup.payload, size=tup.size, port=0, key=tup.key),
-                    created_at=tup.created_at,
-                    source=hau_id,
-                )
+                if (work := do_emit(emit_spec, created_at, hau_id)) is not None:
+                    yield from work
             # Generator exhausted (finite workload): stay alive at safe
             # points so checkpoint rounds can still complete.
             while True:

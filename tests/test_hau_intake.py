@@ -10,6 +10,7 @@ are pinned here on the code that replaced them.
 
 from repro.apps import APPS, synth
 from repro.cluster import ClusterSpec
+from repro.cluster.channel import Channel
 from repro.dsps import (
     CheckpointScheme,
     DSPSRuntime,
@@ -18,6 +19,7 @@ from repro.dsps import (
     StreamApplication,
 )
 from repro.dsps.hau import _NUDGE
+from repro.dsps.operator import Emit
 from repro.dsps.testing import IntervalSource, PassThrough, VerifySink
 from repro.dsps.tuples import DataTuple, Token
 from repro.simulation import Environment
@@ -154,6 +156,147 @@ def test_on_emit_is_driven_only_when_a_scheme_overrides_it():
     env, rt = deploy(two_stage(count=5), scheme)
     env.run(until=1.0)
     assert scheme.emits == 5 + 5  # src -> mid and mid -> sink
+
+
+# -- emission: work or None ------------------------------------------------------
+
+def fan_out():
+    """``src`` broadcasts to ``a`` then ``b``; both are slow."""
+    g = QueryGraph()
+    g.add_hau("src", lambda: [IntervalSource(count=0)], is_source=True)
+    for name in ("a", "b"):
+        g.add_hau(name, lambda: [Slow()])
+        g.add_hau(f"{name}k", lambda: [VerifySink()], is_sink=True)
+        g.connect("src", name)
+        g.connect(name, f"{name}k")
+    return g
+
+
+def record_sends(monkeypatch, log):
+    """Log ``(now, "send", dst, seq)`` for every data send out of ``src``."""
+    send = Channel.send
+
+    def logged(chan, payload, size):
+        if chan.name.startswith("src["):
+            log.append((chan.env.now, "send", chan.name.split("->")[1], payload.seq))
+        return send(chan, payload, size)
+
+    monkeypatch.setattr(Channel, "send", logged)
+
+
+class SlowPreservation(CheckpointScheme):
+    """``src``'s ``on_emit`` returns work: 0.5 s, logged as it starts."""
+
+    def __init__(self, log, during=None):
+        super().__init__()
+        self.log = log
+        self.during = during  # called once, inside the first hook's work
+
+    def on_emit(self, hau, edge, tup):
+        return self._preserve(hau, edge, tup) if hau.hau_id == "src" else None
+
+    def _preserve(self, hau, edge, tup):
+        self.log.append((hau.env.now, "hook", edge.dst, tup.seq))
+        yield hau.env.timeout(0.5)
+        if self.during is not None:
+            self.during, during = None, self.during
+            during()
+
+
+def test_emit_with_room_and_no_hook_work_returns_none_and_the_tuple_is_on_the_wire(
+    monkeypatch,
+):
+    log = []
+    record_sends(monkeypatch, log)
+    env, rt = deploy(fan_out())
+    src = rt.haus["src"]
+    assert src.emit(Emit(payload="x", size=10, key=1), 0.0, "src") is None
+    assert log == [(0.0, "send", "a[0]", 1), (0.0, "send", "b[0]", 1)]
+    env.run(until=5.0)
+    assert rt.haus["ak"].operators[0].payload_log == ["x"]
+    assert rt.haus["bk"].operators[0].payload_log == ["x"]
+
+
+def test_emit_into_a_full_outbox_returns_work_that_sends_every_edge_in_order(monkeypatch):
+    log = []
+    record_sends(monkeypatch, log)
+    env, rt = deploy(fan_out(), channel_capacity=1)
+    src = rt.haus["src"]
+    # one message on each wire, one in each outbox: the third finds a's full
+    assert src.emit(Emit(payload=1, size=10), 0.0, "src") is None
+    assert src.emit(Emit(payload=2, size=10), 0.0, "src") is None
+    work = src.emit(Emit(payload=3, size=10), 0.0, "src")
+    assert work is not None
+    assert log[-1] == (0.0, "send", "a[0]", 3)  # queued; b is not reached yet
+    env.process(work)
+    env.run(until=10.0)
+    assert [entry[2:] for entry in log] == [
+        (edge, seq) for seq in (1, 2, 3) for edge in ("a[0]", "b[0]")
+    ]
+    assert log[-1][0] > 0.0  # b's send waited for a's slot
+    for sink in ("ak", "bk"):
+        assert rt.haus[sink].operators[0].payload_log == [1, 2, 3]
+
+
+def test_emit_runs_the_hooks_work_before_each_send(monkeypatch):
+    log = []
+    record_sends(monkeypatch, log)
+    env, rt = deploy(fan_out(), SlowPreservation(log))
+    src = rt.haus["src"]
+    work = src.emit(Emit(payload="x", size=10), 0.0, "src")
+    assert work is not None and log == []  # nothing is sent ahead of the hook's work
+    env.process(work)
+    env.run(until=5.0)
+    assert log == [
+        (0.0, "hook", "a", 1), (0.5, "send", "a[0]", 1),
+        (0.5, "hook", "b", 1), (1.0, "send", "b[0]", 1),
+    ]
+    assert src._out_seq == {"src[0]->a[0]": 1, "src[0]->b[0]": 1}
+
+
+def test_a_channel_that_closes_mid_emission_is_skipped(monkeypatch):
+    log = []
+    record_sends(monkeypatch, log)
+    chans = {}
+    scheme = SlowPreservation(log, during=lambda: chans["b"].close())
+    env, rt = deploy(fan_out(), scheme)
+    chans["b"] = rt.data_channels["src[0]->b[0]"]
+    src = rt.haus["src"]
+    env.process(src.emit(Emit(payload="x", size=10), 0.0, "src"))
+    env.run(until=5.0)
+    # b's tuple is still preserved (its hook ran) and numbered, but not sent
+    assert log == [
+        (0.0, "hook", "a", 1), (0.5, "send", "a[0]", 1), (0.5, "hook", "b", 1),
+    ]
+    assert src._out_seq == {"src[0]->a[0]": 1, "src[0]->b[0]": 1}
+    # a channel that closes while a send waits for its outbox: skipped too
+    log.clear()
+    env, rt = deploy(fan_out(), channel_capacity=1)
+    src = rt.haus["src"]
+    for n in (1, 2):
+        assert src.emit(Emit(payload=n, size=10), 0.0, "src") is None
+    work = src.emit(Emit(payload=3, size=10), 0.0, "src")
+    rt.data_channels["src[0]->a[0]"].close()
+    env.process(work)
+    env.run(until=10.0)
+    assert log[-2:] == [(0.0, "send", "a[0]", 3), (0.0, "send", "b[0]", 3)]
+    assert rt.haus["bk"].operators[0].payload_log == [1, 2, 3]
+
+
+class PortThreeSource(IntervalSource):
+    def generate(self):
+        for delay, emit in super().generate():
+            yield delay, Emit(emit.payload, emit.size, port=3, key=emit.key)
+
+
+def test_a_source_sends_on_port_zero_whatever_port_its_emit_names():
+    g = QueryGraph()
+    g.add_hau("src", lambda: [PortThreeSource(count=5, interval=0.01)], is_source=True)
+    g.add_hau("sink", lambda: [VerifySink()], is_sink=True)
+    g.connect("src", "sink")
+    env, rt = deploy(g)
+    env.run(until=1.0)
+    assert rt.haus["sink"].operators[0].payload_log == [0, 1, 2, 3, 4]
 
 
 class OneShot(CheckpointScheme):

@@ -280,3 +280,138 @@ def test_google_map_split_matches_the_loop():
             assert emit.payload.data["group"] == g
             _assert_same_array(emit.payload.data["phones"], phones)
             _assert_same_array(emit.payload.data["features"], features)
+
+
+# --- one-pass kernels vs the array code they replaced -------------------------------
+#
+# The apps' per-tuple kernels were rewritten to do less work per call:
+# a raster-scan union-find for the flood fill, Python-float comparisons
+# for the 2x2 light patch, ``sum / size`` for its mean, one stable sort
+# for the GoogleMap split (``_ref_gmap_split`` above), the body of
+# ``np.linalg.norm`` for the Pair displacement.  The array forms they
+# replaced are kept here as the references.
+
+
+def _ref_color_filter(frame):
+    patch = frame[0:2, -3:-1]
+    mean = float(patch.mean())
+    best, best_err = None, 15.0
+    for colour, intensity in vision.LIGHT_INTENSITY.items():
+        err = abs(mean - intensity)
+        if err < best_err:
+            best, best_err = colour, err
+    return best
+
+
+def _ref_shape_filter(frame, colour):
+    if colour is None:
+        return False
+    intensity = vision.LIGHT_INTENSITY[colour]
+    patch = frame[0:2, -3:-1]
+    return bool(np.all(np.abs(patch - intensity) < 10.0))
+
+
+def _ref_flood_count(frame, threshold=150.0):
+    """The set-based flood fill ``count_people`` ran before the scan."""
+    mask = (frame > threshold) & (frame >= vision.PERSON_INTENSITY - 1.0)
+    w = mask.shape[1]
+    live = set(np.flatnonzero(mask).tolist())
+    count = 0
+    while live:
+        count += 1
+        stack = [live.pop()]
+        while stack:
+            p = stack.pop()
+            c = p % w
+            for q in (p + w, p - w, p + 1 if c + 1 < w else -1, p - 1 if c else -1):
+                if q in live:
+                    live.discard(q)
+                    stack.append(q)
+    return count
+
+
+_COLOURS = (None, "red", "yellow", "green")
+
+
+def test_frame_kernels_match_their_references_on_generated_frames():
+    for seed in range(300):
+        new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(40):
+            people, light = (seed + i) % 12, _COLOURS[i % 4]
+            frame = make_frame(new_rng, people=people, light=light)
+            want = _ref_make_frame(ref_rng, people=people, light=light)
+            _assert_same_array(frame, want)
+            assert count_people(frame) == _ref_flood_count(want) == people
+            assert color_filter(frame) == _ref_color_filter(want) == light
+            for colour in _COLOURS:
+                assert shape_filter(frame, colour) == _ref_shape_filter(want, colour)
+        assert _rng_position(new_rng) == _rng_position(ref_rng)
+
+
+@pytest.mark.parametrize("threshold", [150.0, 198.9, 199.0, 199.5, 220.0, np.nan])
+def test_count_people_merges_touching_blobs_as_the_flood_fill_does(threshold):
+    rng = np.random.default_rng(int(np.nan_to_num(threshold) * 10))
+    levels = np.array([0.0, 199.0, 199.5, 200.0, 230.0])
+    for i in range(150):
+        shape = (1 + i % 13, 1 + i % 17) if i % 3 else vision.FRAME_SHAPE
+        density = 0.2 + 0.6 * rng.random()  # dense: blobs touch, fork and rejoin
+        frame = np.where(rng.random(shape) < density, rng.choice(levels[1:], size=shape), 0.0)
+        assert count_people(frame, threshold) == _ref_count_people(frame, threshold)
+    # shapes whose arms meet only at the bottom: one merge each, late
+    u = np.zeros((5, 7))
+    u[0:4, 0] = u[0:4, 6] = u[4, :] = 230.0
+    w = np.zeros((4, 9))
+    w[0:3, ::4] = w[3, :] = 230.0
+    stairs = np.zeros((6, 6))
+    stairs[np.arange(6), 5 - np.arange(6)] = 230.0  # diagonal: 4-connectivity splits it
+    stairs[np.arange(5), 4 - np.arange(5)] = 230.0  # ... and the second one rejoins it
+    for frame, blobs in ((u, 1), (w, 1), (stairs, 1), (np.eye(6) * 230.0, 6)):
+        want = _ref_count_people(frame, threshold)
+        assert count_people(frame, threshold) == want == (blobs if threshold == threshold else 0)
+
+
+def _light_frame(values):
+    frame = np.zeros(vision.FRAME_SHAPE)
+    frame[0:2, -3:-1] = np.asarray(values, dtype=float).reshape(2, 2)
+    return frame
+
+
+@pytest.mark.parametrize(
+    "values, colour, shape_ok",
+    [
+        ([80.0, 80.0, 80.0, 90.0], "red", False),  # |v - 80| exactly 10: rejected
+        ([80.0, 80.0, 70.0, 80.0], "red", False),
+        ([89.99, 70.01, 80.0, 80.0], "red", True),
+        ([95.0] * 4, None, None),  # mean exactly 15 from red: no colour
+        ([105.0] * 4, None, None),  # exactly 15 from yellow, 25 from red
+        ([95.0, 95.0, 95.0, 94.99], "red", False),  # just under 15 from red
+        ([65.0, 65.0, 65.0, 65.000001], "red", False),
+        ([100.0, 100.0, 100.0, 100.0], None, None),  # 20 from both neighbours
+        ([160.0, 160.0, 160.0, np.nan], None, None),
+        ([np.nan] * 4, None, None),
+    ],
+)
+def test_light_patch_kernels_at_their_boundaries(values, colour, shape_ok):
+    frame = _light_frame(values)
+    assert color_filter(frame) == _ref_color_filter(frame) == colour
+    for c in _COLOURS:
+        assert shape_filter(frame, c) == _ref_shape_filter(frame, c)
+    if colour is not None:
+        assert shape_filter(frame, colour) is shape_ok
+    nan_patch = _light_frame([np.nan] * 4)
+    assert not any(shape_filter(nan_patch, c) for c in _COLOURS)
+
+
+def test_pair_displacement_matches_linalg_norm():
+    op = tmi.PairOperator(0)
+    batches = list(_ref_position_batches(3, 50))
+    for i, batch in enumerate(batches):
+        data = {"station": 1, "batch_no": i, **batch}
+        tup = DataTuple(payload=SizedPayload(data, tmi.BATCH_SIZE), size=tmi.BATCH_SIZE)
+        (emit,) = op.on_tuple(0, tup)
+        got = emit.payload.data["displacement"]
+        if i == 0:
+            _assert_same_array(got, np.zeros(tmi.PHONES_PER_BATCH))
+        else:
+            want = np.linalg.norm(batch["positions"] - batches[i - 1]["positions"], axis=1)
+            _assert_same_array(got, want)
