@@ -18,7 +18,7 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.astutil import const_str
+from repro.analysis.engine import const_str
 from repro.analysis.registry import all_rules
 
 VOCABULARY_RELPATH = "src/repro/vocabulary.py"

@@ -18,7 +18,16 @@ from repro.cluster.topology import ClusterSpec
 from repro.core import SCHEMES, CostModel
 from repro.dsps.runtime import CheckpointScheme, DSPSRuntime, RuntimeConfig
 from repro.failures.injector import FailureInjector, FailurePlan, PlannedFailure
-from repro.observability import Tracer, dumps_jsonl, render_summary, summarize, write_jsonl
+from repro.observability import (
+    Tracer,
+    build_timeline,
+    critical_paths,
+    dumps_jsonl,
+    render_summary,
+    summarize,
+    write_chrome_trace,
+    write_jsonl,
+)
 from repro.simulation.core import Environment
 from repro.telemetry import (
     MetricRegistry,
@@ -138,7 +147,7 @@ class ExperimentResult:
         prints for the trace ``write_trace`` wrote."""
         return render_summary(self.trace_summary())
 
-    # -- causal timelines (repro.profiling) --------------------------------
+    # -- causal timelines (repro.observability) -----------------------------
     def timeline(self):
         """The run's trace folded into rounds and recoveries — once: the
         summary, critical paths, Chrome trace and sweep payload all read
@@ -146,21 +155,15 @@ class ExperimentResult:
         if self.tracer is None:
             raise RuntimeError("run_experiment(..., trace=True) to record a trace")
         if self._timeline is None:
-            from repro.profiling import build_timeline
-
             self._timeline = build_timeline(self.tracer)
         return self._timeline
 
     def critical_paths(self):
         """Per-round token-propagation critical paths (complete rounds)."""
-        from repro.profiling import critical_paths
-
         return critical_paths(self.timeline())
 
     def write_chrome_trace(self, path: str) -> int:
         """Export the run as Perfetto-loadable trace-event JSON."""
-        from repro.profiling import write_chrome_trace
-
         return write_chrome_trace(self.timeline(), path)
 
     def state_series(self, hau_prefix: str = "") -> list[tuple[float, float]]:

@@ -49,6 +49,7 @@ from repro.harness.experiment import (
     find_oracle_times,
     run_experiment,
 )
+from repro.observability import straggler_report
 from repro.telemetry.registry import MetricRegistry
 
 # Bump to invalidate every cached payload when the payload *shape*
@@ -231,8 +232,6 @@ def reduce_result(result: ExperimentResult, spec: CellSpec | None = None) -> dic
         # Per-phase span totals (token-wait/safepoint-wait/snapshot/
         # disk-io) summed over every HAU checkpoint of every round, plus
         # the per-HAU breakdown — the diff engine's attribution input.
-        from repro.profiling import straggler_report
-
         timeline = result.timeline()
         totals: dict[str, float] = {}
         per_hau: dict[str, dict[str, float]] = {}

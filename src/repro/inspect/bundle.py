@@ -24,10 +24,8 @@ Every file is canonical JSON (sorted keys, no whitespace drift) with a
 trailing newline.  ``bundle_id`` is the SHA-256 over the sorted
 ``{file: sha256}`` table — identical content, wherever it was produced,
 yields an identical id, which is what makes the diff engine's
-"identical bundles" short-circuit trustworthy.
-
-The phase vocabulary (:data:`PHASE_SPANS`) mirrors
-``repro.profiling.spans.PHASES``: both are ``repro.vocabulary.PHASES``.
+"identical bundles" short-circuit trustworthy.  The per-HAU phases a
+bundle attributes time to are ``repro.vocabulary.PHASES``.
 """
 
 from __future__ import annotations
@@ -39,9 +37,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.harness.digest import canonical_json
-
-# Per-HAU checkpoint phase spans a bundle attributes time to.
-from repro.vocabulary import PHASES as PHASE_SPANS
 
 # v2: bundles carry alerts.json (SLO alert log + health timeline —
 # empty for unmonitored runs).  read_bundle reads this version only.

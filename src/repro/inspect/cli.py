@@ -31,8 +31,13 @@ from repro.harness.report import format_table
 from repro.inspect.bundle import BundleError, read_bundle
 from repro.inspect.diff import DEFAULT_TOP, diff_bundles, diff_reports
 from repro.inspect.explain import explain_diff, render_diff_table
-from repro.observability import read_jsonl, render_summary, summarize
-from repro.profiling import build_timeline, write_chrome_trace
+from repro.observability import (
+    build_timeline,
+    read_jsonl,
+    render_summary,
+    summarize,
+    write_chrome_trace,
+)
 
 
 def _load_side(path: str) -> tuple[str, dict[str, Any]]:

@@ -12,7 +12,7 @@ A :class:`RunRecord` holds every round and recovery of one run, and
 ``checkpoint.*`` / ``recovery.*`` trace kind with its instant and payload
 moves one record forward.  It has two callers — a live scheme
 (``CheckpointScheme.transition``, which also emits the trace event) and
-the offline fold over a trace (``repro.profiling.build_timeline``) — so
+the offline fold over a trace (``repro.observability.build_timeline``) — so
 what a scheme holds and what its trace folds to are the same by
 construction.  An instant never reached is ``None``.
 """

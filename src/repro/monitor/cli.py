@@ -29,7 +29,6 @@ from repro.harness.report import format_table
 from repro.monitor.plane import MonitorPlane
 from repro.monitor.slo import SLO_KINDS, default_slos
 from repro.observability.export import read_jsonl
-from repro.profiling.spans import normalize_events
 
 
 def _parse_bounds(pairs: list[str]) -> dict[str, float]:
@@ -57,7 +56,7 @@ def replay(
         period=period,
         slos=default_slos(bounds, fast_window=fast_window, slow_window=slow_window),
     )
-    plane.run_offline(normalize_events(read_jsonl(path)))
+    plane.run_offline(read_jsonl(path))
     return plane
 
 

@@ -1,6 +1,6 @@
 """Chrome trace-event JSON export (Perfetto / ``chrome://tracing``).
 
-Renders a reconstructed :class:`~repro.profiling.spans.Timeline` in the
+Renders a reconstructed :class:`~repro.observability.timeline.Timeline` in the
 `trace-event format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_:
 
@@ -24,8 +24,8 @@ from __future__ import annotations
 import json
 from typing import IO, Any
 
-from repro.profiling.critical_path import critical_paths
-from repro.profiling.spans import build_timeline
+from repro.observability.critical_path import critical_paths
+from repro.observability.timeline import build_timeline
 
 _JSON_KW = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 

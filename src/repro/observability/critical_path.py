@@ -35,13 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import median
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.metrics.breakdown import CheckpointLog
-from repro.profiling.spans import build_timeline
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.tracer import TraceEvent
+from repro.observability.timeline import build_timeline
+from repro.observability.tracer import TraceEvent
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Trace summaries: per-run checkpoint timelines and recovery breakdowns.
 
-Renders a trace's :class:`~repro.profiling.spans.Timeline` (rounds and
+Renders a trace's :class:`~repro.observability.timeline.Timeline` (rounds and
 recoveries are folded there, once) as the structures the paper's
 debugging workflow needs: per-round checkpoint timelines (start → write
 → commit, per HAU) with each round's status and stalled HAUs, token-hop
@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.profiling.critical_path import critical_paths, straggler_report
-from repro.profiling.spans import build_timeline
+from repro.observability.critical_path import critical_paths, straggler_report
+from repro.observability.timeline import build_timeline
 
 
 def summarize(source: Any) -> dict[str, Any]:
-    """Render a trace (tracer, events, JSONL dicts or its ``Timeline``)
-    as a JSON-ready summary dict."""
+    """Render a trace (tracer, events or its ``Timeline``) as a
+    JSON-ready summary dict."""
     tl = build_timeline(source)
     events = tl.events
     counts: dict[str, int] = {}

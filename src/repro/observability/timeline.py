@@ -14,54 +14,21 @@ every event to the one transition table, ``RunRecord.apply``:
 
 Everything here is a pure function of the event stream: feed it the
 same trace twice and the spans are identical, which is what makes the
-Chrome-trace export (:mod:`repro.profiling.chrome_trace`) byte-stable.
+Chrome-trace export (:mod:`repro.observability.chrome_trace`) byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.metrics.breakdown import CheckpointLog, RecoveryBreakdown, RunRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.tracer import TraceEvent
-
-
-def normalize_events(source: Any) -> list[TraceEvent]:
-    """A trace's events in ``seq`` order, from a Tracer, an iterable of
-    TraceEvents (passed through as the same objects) or JSONL rows
-    (converted here, once: a malformed row is a ``ValueError`` naming
-    the row and, when one is absent, the field)."""
-    # imported here: repro.observability's package imports this module
-    from repro.observability.tracer import TraceEvent
-
-    out: list[TraceEvent] = []
-    for i, e in enumerate(getattr(source, "events", source), 1):
-        if isinstance(e, TraceEvent):
-            out.append(e)
-            continue
-        try:
-            out.append(
-                TraceEvent(
-                    int(e["seq"]),
-                    float(e["t"]),
-                    str(e["kind"]),
-                    str(e.get("subject", "")),
-                    dict(sorted(e.get("data", {}).items())),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"trace row {i}: missing field {exc.args[0]!r}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"trace row {i}: {exc}") from None
-    out.sort(key=lambda ev: ev.seq)
-    return out
+from repro.observability.tracer import TraceEvent
 
 
 @dataclass
 class Timeline:
-    """Everything the profiler reconstructed from one trace."""
+    """One trace folded: its rounds, recoveries, events and scheme."""
 
     rounds: list[CheckpointLog] = field(default_factory=list)
     recoveries: list[RecoveryBreakdown] = field(default_factory=list)
@@ -87,10 +54,12 @@ class Timeline:
 
 
 def build_timeline(source: Any) -> Timeline:
-    """Fold a trace (tracer, events, or JSONL dicts) into a Timeline."""
+    """Fold a trace (a Tracer or a list of ``TraceEvent``s in ``seq``
+    order, as ``read_jsonl`` returns them) into a Timeline; a Timeline
+    is returned as it is."""
     if isinstance(source, Timeline):
         return source
-    events = normalize_events(source)
+    events = list(getattr(source, "events", source))
     record = RunRecord()
     haus: set[str] = set()
     for e in events:

@@ -1165,7 +1165,7 @@ def test_repo_span_kinds_match_tracer_kinds():
     assert len({kind for kind, _ in rule._compared}) >= 25
     assert {kind for kind, _ in rule._compared} <= set(KINDS)
     files = {site[0].rsplit("/", 1)[-1] for _, site in rule._compared}
-    assert {"spans.py", "critical_path.py", "summary.py", "plane.py"} <= files
+    assert {"timeline.py", "critical_path.py", "summary.py", "plane.py"} <= files
 
 
 def test_mon001_non_literal_vocabulary_rejected(tmp_path):

@@ -25,7 +25,6 @@ import pytest
 from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import ExperimentConfig, run_experiment
 from repro.inspect import (
-    PHASE_SPANS,
     build_bundle,
     diff_bundles,
     diff_reports,
@@ -37,8 +36,8 @@ from repro.inspect import (
 )
 from repro.inspect.bundle import BundleError
 from repro.inspect.cli import main
-from repro.observability import read_jsonl
-from repro.profiling import build_timeline, write_chrome_trace
+from repro.observability import build_timeline, read_jsonl, write_chrome_trace
+from repro.vocabulary import PHASES
 
 
 def small_config(**kwargs):
@@ -277,7 +276,7 @@ def test_straggler_delta_attributed_to_correct_phase_and_hau():
     # phase attribution: disk-io grew by exactly the injected seconds ...
     assert diff["phases"]["disk-io"]["delta"] == pytest.approx(extra)
     # ... and the other three phases did not move
-    for phase in PHASE_SPANS:
+    for phase in PHASES:
         if phase != "disk-io":
             assert diff["phases"][phase]["delta"] == 0.0
 
@@ -528,4 +527,27 @@ def test_show_exits_two_on_a_trace_row_without_t(tmp_path, capsys):
     assert main(["show", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: trace row 2: missing field 't'\n"
+    )
+    # rows the writer cannot produce are refused too, each naming its row
+    row = '{"data":%s,"kind":"hau.start","seq":%s,"subject":"a","t":%s}\n'
+    first = row % ("{}", "1", "0.0")
+    for second, why in (
+        (row % ("{}", "2", "NaN"), "NaN is not valid JSON"),
+        (row % ("{}", "2", "Infinity"), "Infinity is not valid JSON"),
+        (row % ("{}", "2", "1e400"), "field 't' is not a finite number: inf"),
+        (row % ("{}", "2", '"1.0"'), "field 't' is not a finite number: '1.0'"),
+        (row % ('{"x":-Infinity}', "2", "1.0"), "-Infinity is not valid JSON"),
+        (row % ("{}", "1.7", "1.0"), "field 'seq' is not an integer: 1.7"),
+        (row % ("{}", "true", "1.0"), "field 'seq' is not an integer: True"),
+        (row % ("{}", '"2"', "1.0"), "field 'seq' is not an integer: '2'"),
+        (row % ("{}", "1", "1.0"), "seq 1 does not follow seq 1"),
+    ):
+        path.write_text(first + second)
+        assert main(["show", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: trace row 2: {why}\n"
+    # a file concatenated with itself is not two rounds of one run
+    path.write_text((first + row % ("{}", "2", "1.0")) * 2)
+    assert main(["show", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: trace row 3: seq 1 does not follow seq 2\n"
     )

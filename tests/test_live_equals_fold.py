@@ -27,8 +27,7 @@ from repro.dsps.testing import make_chain_graph
 from repro.harness.digest import canonical_cases
 from repro.harness.experiment import run_experiment
 from repro.harness.sweep import run_spec
-from repro.observability import read_jsonl, write_jsonl
-from repro.profiling import build_timeline
+from repro.observability import build_timeline, read_jsonl, write_jsonl
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.loader import load_path, scenario_paths
 from repro.simulation import Environment
@@ -50,7 +49,7 @@ def field_differences(what, live, folded):
 
 def differences(scheme, source):
     """Every disagreement between ``scheme.record`` and the fold of
-    ``source`` (a tracer, events, or JSONL dicts); [] when they agree."""
+    ``source`` (a tracer or events); [] when they agree."""
     record = scheme.record
     timeline = build_timeline(source)
     out = []

@@ -291,6 +291,19 @@ def test_cli_exits_two_on_a_bad_trace_file(tmp_path, capsys):
     bad.write_text('{"data":{},"kind":"hau.start","seq":1,"subject":"a"}\n')
     assert main([str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: trace row 1: missing field 't'\n"
+    row = '{"data":%s,"kind":"hau.start","seq":%s,"subject":"a","t":%s}\n'
+    good = row % ("{}", "1", "0.0") + row % ("{}", "2", "1.0")
+    for text, where in (
+        (row % ("{}", "1", "NaN"), "row 1: NaN"),
+        (row % ("{}", "1", "1e400"), "row 1: field 't'"),
+        (row % ('{"x":Infinity}', "1", "0.0"), "row 1: Infinity"),
+        (row % ("{}", "1.7", "0.0"), "row 1: field 'seq'"),
+        (row % ("{}", "false", "0.0"), "row 1: field 'seq'"),
+        (good * 2, "row 3: seq 1 does not follow seq 2"),
+    ):
+        bad.write_text(text)
+        assert main([str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: trace {where}")
 
 
 # -- scenarios -----------------------------------------------------------------

@@ -86,8 +86,9 @@ def test_jsonl_is_canonical_and_round_trips(tmp_path):
     path = tmp_path / "trace.jsonl"
     assert write_jsonl(tr, str(path)) == 2
     back = read_jsonl(str(path))
-    assert [r["kind"] for r in back] == ["a.b", "c.d"]
-    assert back[1]["data"] == {"m": 2.5}
+    assert back == tr.events
+    assert [e.kind for e in back] == ["a.b", "c.d"]
+    assert back[1].data == {"m": 2.5}
     assert path.read_text() == dumps_jsonl(tr)
 
 
@@ -267,10 +268,10 @@ def test_export_single_event_roundtrip(tmp_path):
     path = tmp_path / "one.jsonl"
     assert write_jsonl(tr, str(path)) == 1
     [parsed] = read_jsonl(str(path))
-    assert parsed == json.loads(text)
-    assert parsed["kind"] == "hau.start"
-    assert parsed["t"] == 1.5
-    assert parsed["data"] == {"node": "n3"}
+    assert parsed.as_dict() == json.loads(text)
+    assert parsed.kind == "hau.start"
+    assert parsed.t == 1.5
+    assert parsed.data == {"node": "n3"}
 
 
 def test_summarize_empty_trace():

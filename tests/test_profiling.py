@@ -1,6 +1,7 @@
-"""Tests for repro.profiling: timeline reconstruction, critical paths,
-straggler attribution and Chrome-trace (Perfetto) export (the trace
-reader, ``python -m repro.inspect show``, is tested in test_inspect.py).
+"""Tests for repro.observability's trace fold: timeline reconstruction,
+critical paths, straggler attribution and Chrome-trace (Perfetto) export
+(the trace reader, ``python -m repro.inspect show``, is tested in
+test_inspect.py).
 
 The acceptance invariant: a round's critical-path hops are contiguous
 and tile ``[round.start, round.complete]`` exactly, so the reported
@@ -16,9 +17,10 @@ from repro.cluster import ClusterSpec
 from repro.core import MSSrc, MSSrcAP
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph, make_diamond_graph
-from repro.metrics.breakdown import PHASES, CheckpointBreakdown, CheckpointLog
-from repro.profiling import (
+from repro.metrics.breakdown import CheckpointBreakdown, CheckpointLog
+from repro.observability import (
     Timeline,
+    TraceEvent,
     build_timeline,
     compute_critical_path,
     critical_paths,
@@ -28,6 +30,7 @@ from repro.profiling import (
     write_chrome_trace,
 )
 from repro.simulation import Environment
+from repro.vocabulary import PHASES
 
 
 def deploy(graph_fn, scheme, seed=7, workers=6, spares=6, **graph_kw):
@@ -63,23 +66,6 @@ def first(tracer, kind, subject=None, **match):
 
 
 # -- timeline reconstruction ----------------------------------------------------
-
-
-@pytest.mark.parametrize("first", ["repro.profiling", "repro.observability", "repro.metrics"])
-def test_observation_packages_import_in_any_order(first):
-    """observability.summary renders profiling's Timeline, which holds
-    metrics' record: whichever is imported first, nothing is circular."""
-    import subprocess
-    import sys
-
-    from repro.sanitize.canary import _child_env
-
-    code = f"import {first}; import repro.harness"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=_child_env(0), capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-
 
 
 def test_round_wave_reconstructs_every_hau_with_ordered_phases():
@@ -246,7 +232,7 @@ def test_critical_paths_covers_every_complete_round():
 
 
 def ev(seq, t, kind, subject, **data):
-    return {"seq": seq, "t": t, "kind": kind, "subject": subject, "data": data}
+    return TraceEvent(seq, t, kind, subject, dict(sorted(data.items())))
 
 
 def two_source_round(commit_a=1.05, commit_b=1.05, a="agg", b="agg2"):

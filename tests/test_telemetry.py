@@ -605,12 +605,11 @@ def test_a_trace_file_reads_back_to_the_live_events_and_timelines_share_them(
     to events equal to the live tracer's, and a timeline of the live run
     holds the tracer's own event objects, not copies."""
     from repro.observability import read_jsonl
-    from repro.profiling import normalize_events
 
     path = tmp_path / "run.trace.jsonl"
     observed_run.write_trace(str(path))
     live = observed_run.tracer.events
-    assert normalize_events(read_jsonl(str(path))) == live
+    assert read_jsonl(str(path)) == live
     events = observed_run.timeline().events
     assert len(events) == len(live)
     assert all(events[i] is live[i] for i in range(len(live)))
