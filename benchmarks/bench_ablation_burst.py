@@ -11,17 +11,12 @@ baseline and MS-src+ap and reports the outcome.
 
 from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import format_table
-from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import default_app_params
+from repro.harness.experiment import run_experiment
+from repro.harness.figures import figure_config
 
 
 def run_burst(scheme: str, scale):
-    cfg = ExperimentConfig(
-        app="bcp", scheme=scheme, n_checkpoints=2,
-        window=scale.window, warmup=scale.warmup,
-        app_params=default_app_params("bcp", scale.window),
-        enable_recovery=True,
-    )
+    cfg = figure_config("bcp", scheme, 2, scale.window, scale.warmup, enable_recovery=True)
     # victims: every worker in rack 1 (cluster is racks=4, round-robin)
     fail_at = scale.warmup + 0.55 * scale.window
     burst = FailurePlan([PlannedFailure(fail_at, "rack", "rack1", cause="rack-burst")])

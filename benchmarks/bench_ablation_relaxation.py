@@ -12,9 +12,9 @@ misses minima (falls back to period-end checkpoints), too loose a bound
 fires early at larger states.
 """
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.experiment import run_experiment
 from repro.harness import format_table
-from repro.harness.figures import default_app_params
+from repro.harness.figures import figure_config
 from repro.state import StateProfile
 
 ALPHAS = (0.0, 0.1, 0.2, 0.4, 0.8)
@@ -22,10 +22,7 @@ ALPHAS = (0.0, 0.1, 0.2, 0.4, 0.8)
 
 def trace_once(scale):
     """Per-HAU state-size samples: hau_id -> [(t, bytes), ...]."""
-    cfg = ExperimentConfig(
-        app="bcp", scheme="none", window=scale.window, warmup=scale.warmup,
-        app_params=default_app_params("bcp", scale.window),
-    )
+    cfg = figure_config("bcp", "none", 0, scale.window, scale.warmup)
     res = run_experiment(cfg, trace_state=True)
     return res.telemetry_sampler.series["ms_hau_state_bytes"]
 

@@ -5,16 +5,13 @@ the §III-C2 profiling machinery and reports the derived alert threshold
 (smax), smin, the bounded relaxation factor and the dynamic-HAU set.
 """
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import default_app_params
+from repro.harness.experiment import run_experiment
+from repro.harness.figures import figure_config
 from repro.state import MIN_RELAXATION, StateProfile
 
 
 def profile_bcp(scale):
-    cfg = ExperimentConfig(
-        app="bcp", scheme="none", window=scale.window, warmup=scale.warmup,
-        app_params=default_app_params("bcp", scale.window),
-    )
+    cfg = figure_config("bcp", "none", 0, scale.window, scale.warmup)
     res = run_experiment(cfg, trace_state=True)
     period = scale.window / 3.0
     profile = StateProfile(checkpoint_period=period, min_dynamic_bytes=1e6, startup_skip=0.25)

@@ -8,16 +8,12 @@ application-aware checkpointing exists to minimise (§I: ~100% / 50% /
 80% reduction for TMI / BCP / SignalGuru).
 """
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import default_app_params
+from repro.harness.experiment import run_experiment
+from repro.harness.figures import figure_config
 
 
 def run_aa(scale):
-    cfg = ExperimentConfig(
-        app="bcp", scheme="ms-src+ap+aa", n_checkpoints=3,
-        window=scale.window, warmup=scale.warmup + scale.window / 3.0,
-        app_params=default_app_params("bcp", scale.window),
-    )
+    cfg = figure_config("bcp", "ms-src+ap+aa", 3, scale.window, scale.warmup)
     return run_experiment(cfg, trace_state=True)
 
 

@@ -19,7 +19,7 @@ PAPER_NOTES = {
 def test_fig12_throughput(benchmark, get_sweep):
     sweep = benchmark.pedantic(get_sweep, rounds=1, iterations=1)
     for app in ("tmi", "bcp", "signalguru"):
-        series = sweep.normalized_throughput(app)
+        series = sweep.normalized(app, "throughput")
         counts = sorted({n for pts in series.values() for (n, _v) in pts})
         headers = ["scheme"] + [str(n) for n in counts]
         rows = []

@@ -18,7 +18,7 @@ PAPER_NOTES = {
 def test_fig13_latency(benchmark, get_sweep):
     sweep = benchmark.pedantic(get_sweep, rounds=1, iterations=1)
     for app in ("tmi", "bcp", "signalguru"):
-        series = sweep.normalized_latency(app)
+        series = sweep.normalized(app, "latency")
         counts = sorted({n for pts in series.values() for (n, _v) in pts})
         headers = ["scheme"] + [str(n) for n in counts]
         rows = []

@@ -15,6 +15,7 @@ EXPERIMENTS.md, the simulated baseline degrades less steeply than the
 paper's C++ system, so combined gains land lower but ordered the same.
 """
 
+import dataclasses
 import os
 
 from repro.harness import format_table
@@ -53,22 +54,7 @@ def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact, sca
             "cache_misses": sweep_stats.cache_misses,
             "executed": sweep_stats.executed,
         },
-        "cells": [
-            {
-                "app": c.app,
-                "scheme": c.scheme,
-                "n_checkpoints": c.n_checkpoints,
-                "throughput": c.throughput,
-                "latency": c.latency,
-                "latency_p50": c.latency_p50,
-                "latency_p95": c.latency_p95,
-                "latency_p99": c.latency_p99,
-                "rounds_completed": c.rounds_completed,
-                "critical_path_seconds": c.critical_path_seconds,
-                "phase_totals": c.phase_totals,
-            }
-            for c in sweep.cells
-        ],
+        "cells": [dataclasses.asdict(c) for c in sweep.cells],
     })
 
     # directions must all hold

@@ -15,8 +15,8 @@ dynamic state of both runs — the aa rounds should be much lighter.
 Run:  python examples/aware_checkpointing.py
 """
 
-from repro.harness import ExperimentConfig, run_experiment
-from repro.harness.figures import default_app_params
+from repro.harness import run_experiment
+from repro.harness.figures import figure_config
 
 WINDOW = 150.0
 WARMUP = 30.0
@@ -24,15 +24,8 @@ ROUNDS = 2
 
 
 def run(scheme_name: str):
-    extra = WINDOW / ROUNDS if scheme_name == "ms-src+ap+aa" else 0.0
-    cfg = ExperimentConfig(
-        app="signalguru",
-        scheme=scheme_name,
-        n_checkpoints=ROUNDS,
-        window=WINDOW,
-        warmup=WARMUP + extra,  # aa profiles through one extra period
-        app_params=default_app_params("signalguru", WINDOW),
-    )
+    # aa warms up one period longer, so its profile sees a full period
+    cfg = figure_config("signalguru", scheme_name, ROUNDS, WINDOW, WARMUP)
     return run_experiment(cfg, trace_state=True)
 
 

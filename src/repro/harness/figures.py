@@ -8,6 +8,7 @@ and returns plain data structures; the benchmarks print them via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any
 
 import numpy as np
@@ -27,6 +28,49 @@ def default_app_params(app: str, window: float) -> dict[str, Any]:
     if app == "tmi":
         return {"n_minutes": max(0.5, window / 4.0 / 60.0)}
     return {"state_scale": scale}
+
+
+def figure_config(
+    app: str, scheme: str, n: int, window: float, warmup: float, seed: int = 1,
+    **config_fields: Any,
+) -> ExperimentConfig:
+    """The §IV protocol for one figure run: ``n`` checkpoints inside
+    ``window`` after ``warmup``, on the app parameters scaled to the window.
+
+    aa needs its profiling pass to observe at least one full checkpoint
+    period of steady state before the measured window opens, so it alone
+    warms up one period longer.
+    """
+    if scheme == "ms-src+ap+aa" and n:
+        warmup += window / n
+    return ExperimentConfig(
+        app=app, scheme=scheme, n_checkpoints=n, window=window, warmup=warmup,
+        seed=seed, app_params=default_app_params(app, window), **config_fields,
+    )
+
+
+def figure_cell(
+    app: str, scheme: str, n: int, window: float, warmup: float, seed: int = 1,
+    fail_at: float | None = None, bin_width: float | None = None,
+    **config_fields: Any,
+) -> CellSpec:
+    """A :func:`figure_config` cell.  ``fail_at`` (a fraction of the
+    window) and Fig. 15's ``bin_width`` bins fall inside the cell's own
+    measured window."""
+    cfg = figure_config(app, scheme, n, window, warmup, seed, **config_fields)
+    return CellSpec(
+        config=cfg,
+        failure_at=None if fail_at is None else cfg.warmup + fail_at * window,
+        bins=None if bin_width is None else (cfg.warmup, cfg.end, bin_width),
+    )
+
+
+def _oracle_times(
+    app: str, n: int, window: float, warmup: float, seed: int, use_cache: bool,
+) -> list[float]:
+    """The Oracle's checkpoint instants for one app's figure cells."""
+    cfg = figure_config(app, "oracle", n, window, warmup, seed)
+    return cached_oracle_times(cfg, use_cache=use_cache)
 
 
 # --- Table I --------------------------------------------------------------------
@@ -77,10 +121,7 @@ def fig5_state_traces(
                 traces[f"tmi(N={n:g})"] = [(t, s / 1e6) for (t, s) in series]
         else:
             prefix = {"bcp": "H", "signalguru": "M"}[app]
-            cfg = ExperimentConfig(
-                app=app, scheme="none", window=window, warmup=warmup, seed=seed,
-                app_params=default_app_params(app, window),
-            )
+            cfg = figure_config(app, "none", 0, window, warmup, seed)
             series = run_experiment(cfg, trace_state=True).state_series(prefix)
             traces[app] = [(t, s / 1e6) for (t, s) in series]
     return traces
@@ -110,10 +151,26 @@ class SweepCell:
     # no round completed.
     phase_totals: dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, app: str, scheme: str, n: int, payload: dict[str, Any]) -> SweepCell:
+        """The cell a :func:`~repro.harness.sweep.run_cells` payload reads as."""
+        pct = payload["latency_percentiles"]
+        cp = payload.get("critical_path") or {}
+        phases = payload.get("phase_spans") or {}
+        return cls(
+            app, scheme, n, payload["throughput"], payload["latency"],
+            payload["rounds_completed"],
+            latency_p50=pct.get("p50", 0.0),
+            latency_p95=pct.get("p95", 0.0),
+            latency_p99=pct.get("p99", 0.0),
+            critical_path_seconds=cp.get("max_seconds", 0.0),
+            phase_totals=dict(phases.get("totals") or {}),
+        )
+
 
 @dataclass
 class SweepResult:
-    """All cells of the Fig. 12/13 sweep, with normalisation helpers."""
+    """All cells of the Fig. 12/13 sweep, with a normalisation helper."""
 
     cells: list[SweepCell] = field(default_factory=list)
 
@@ -124,29 +181,17 @@ class SweepResult:
                 return c
         return None
 
-    def normalized_throughput(self, app: str) -> dict[str, list[tuple[int, float]]]:
-        """Normalised to the baseline at zero checkpoints (Fig. 12)."""
+    def normalized(self, app: str, metric: str) -> dict[str, list[tuple[int, float]]]:
+        """``metric`` (``"throughput"`` for Fig. 12, ``"latency"`` for
+        Fig. 13) per scheme, normalised to the baseline at zero checkpoints."""
         base = self.cell(app, "baseline", 0)
-        if base is None or base.throughput == 0:
+        if base is None or getattr(base, metric) == 0:
             return {}
         out: dict[str, list[tuple[int, float]]] = {}
         for c in self.cells:
             if c.app == app:
                 out.setdefault(c.scheme, []).append(
-                    (c.n_checkpoints, c.throughput / base.throughput)
-                )
-        return {k: sorted(v) for k, v in out.items()}
-
-    def normalized_latency(self, app: str) -> dict[str, list[tuple[int, float]]]:
-        """Normalised to the baseline at zero checkpoints (Fig. 13)."""
-        base = self.cell(app, "baseline", 0)
-        if base is None or base.latency == 0:
-            return {}
-        out: dict[str, list[tuple[int, float]]] = {}
-        for c in self.cells:
-            if c.app == app:
-                out.setdefault(c.scheme, []).append(
-                    (c.n_checkpoints, c.latency / base.latency)
+                    (c.n_checkpoints, getattr(c, metric) / getattr(base, metric))
                 )
         return {k: sorted(v) for k, v in out.items()}
 
@@ -171,60 +216,18 @@ def fig12_fig13_sweep(
     apps = apps or ["tmi", "bcp", "signalguru"]
     checkpoint_counts = checkpoint_counts if checkpoint_counts is not None else [0, 1, 3, 5, 8]
     schemes = schemes or list(MS_SCHEMES)
-    # First pass: lay out every cell (None spec = the degenerate aa@0
-    # case, filled from the ms-src+ap@0 cell after the sweep runs).
-    entries: list[tuple[str, str, int, int | None]] = []
-    specs: list[CellSpec] = []
-    for app in apps:
-        params = default_app_params(app, window)
-        for scheme in schemes:
-            for n in checkpoint_counts:
-                if scheme == "ms-src+ap+aa" and n == 0:
-                    # aa with no checkpoints degenerates to ap with none
-                    entries.append((app, scheme, 0, None))
-                    continue
-                # aa needs its profiling pass to observe at least one full
-                # checkpoint period of steady state before the measured
-                # window opens.
-                wu = warmup + (window / n if scheme == "ms-src+ap+aa" and n else 0.0)
-                cfg = ExperimentConfig(
-                    app=app, scheme=scheme, n_checkpoints=n,
-                    window=window, warmup=wu, seed=seed, app_params=dict(params),
-                )
-                specs.append(CellSpec(config=cfg))
-                entries.append((app, scheme, n, len(specs) - 1))
-    payloads = run_cells(specs, jobs=jobs, use_cache=use_cache, stats=stats)
-    result = SweepResult()
-    for app, scheme, n, idx in entries:
-        if idx is None:
-            ref = result.cell(app, "ms-src+ap", 0)
-            if ref is not None:
-                result.cells.append(
-                    SweepCell(
-                        app, scheme, 0, ref.throughput, ref.latency, 0,
-                        latency_p50=ref.latency_p50,
-                        latency_p95=ref.latency_p95,
-                        latency_p99=ref.latency_p99,
-                        critical_path_seconds=ref.critical_path_seconds,
-                        phase_totals=dict(ref.phase_totals),
-                    )
-                )
-            continue
-        p = payloads[idx]
-        pct = p["latency_percentiles"]
-        cp = p.get("critical_path") or {}
-        phases = p.get("phase_spans") or {}
-        result.cells.append(
-            SweepCell(
-                app, scheme, n, p["throughput"], p["latency"], p["rounds_completed"],
-                latency_p50=pct.get("p50", 0.0),
-                latency_p95=pct.get("p95", 0.0),
-                latency_p99=pct.get("p99", 0.0),
-                critical_path_seconds=cp.get("max_seconds", 0.0),
-                phase_totals=dict(phases.get("totals") or {}),
-            )
-        )
-    return result
+    # Each laid-out cell names the run it reads; aa with no checkpoints
+    # degenerates to ap with none, so it reads that run, laid out once.
+    entries: list[tuple[str, str, int, tuple[str, str, int]]] = []
+    runs: dict[tuple[str, str, int], CellSpec] = {}
+    for app, scheme, n in product(apps, schemes, checkpoint_counts):
+        run = (app, "ms-src+ap" if scheme == "ms-src+ap+aa" and n == 0 else scheme, n)
+        if run not in runs:
+            runs[run] = figure_cell(*run, window, warmup, seed)
+        entries.append((app, scheme, n, run))
+    payloads = run_cells(list(runs.values()), jobs=jobs, use_cache=use_cache, stats=stats)
+    by_run = dict(zip(runs, payloads))
+    return SweepResult([SweepCell.of(app, s, n, by_run[run]) for app, s, n, run in entries])
 
 
 def headline_numbers(sweep: SweepResult, apps: list[str] | None = None) -> dict[str, float]:
@@ -288,44 +291,24 @@ def fig14_checkpoint_time(
     schemes = ("ms-src", "ms-src+ap", "ms-src+ap+aa", "oracle")
     specs: list[CellSpec] = []
     for app in apps:
-        params = default_app_params(app, window)
-        oracle_base = ExperimentConfig(
-            app=app, scheme="oracle", n_checkpoints=n_checkpoints,
-            window=window, warmup=warmup, seed=seed, app_params=dict(params),
-        )
-        oracle_times = cached_oracle_times(oracle_base, use_cache=use_cache)
-        for scheme in schemes:
-            wu = warmup + (window / n_checkpoints if scheme == "ms-src+ap+aa" else 0.0)
-            cfg = ExperimentConfig(
-                app=app, scheme=scheme, n_checkpoints=n_checkpoints,
-                window=window, warmup=wu, seed=seed, app_params=dict(params),
-                oracle_times=oracle_times,
-            )
-            specs.append(CellSpec(config=cfg))
-    payloads = run_cells(specs, jobs=jobs, use_cache=use_cache)
-    out: dict[str, dict[str, dict[str, float | str]]] = {}
-    it = iter(payloads)
-    for app in apps:
-        out[app] = {}
-        for scheme in schemes:
-            payload = next(it)
-            ckpt = payload["checkpoint"]
-            if ckpt is None:
-                done = payload["rounds_completed"]
-                why = "".join(f": {line}" for line in payload["incomplete_rounds"])
-                out[app][scheme] = {
-                    "reason": f"no complete round ({done} of {n_checkpoints}){why}"
-                }
-            elif scheme == "ms-src":
-                out[app][scheme] = {"total": ckpt["wall_clock"]}
-            else:
-                out[app][scheme] = {
-                    "token_collection": ckpt["token_collection"],
-                    "disk_io": ckpt["disk_io"],
-                    "other": ckpt["other"],
-                    "total": ckpt["total"],
-                }
-    return out
+        times = _oracle_times(app, n_checkpoints, window, warmup, seed, use_cache)
+        specs += [
+            figure_cell(app, scheme, n_checkpoints, window, warmup, seed, oracle_times=times)
+            for scheme in schemes
+        ]
+    payloads = iter(run_cells(specs, jobs=jobs, use_cache=use_cache))
+
+    def breakdown(scheme: str, payload: dict[str, Any]) -> dict[str, float | str]:
+        ckpt = payload["checkpoint"]
+        if ckpt is None:
+            done = payload["rounds_completed"]
+            why = "".join(f": {line}" for line in payload["incomplete_rounds"])
+            return {"reason": f"no complete round ({done} of {n_checkpoints}){why}"}
+        if scheme == "ms-src":
+            return {"total": ckpt["wall_clock"]}
+        return {k: ckpt[k] for k in ("token_collection", "disk_io", "other", "total")}
+
+    return {app: {s: breakdown(s, next(payloads)) for s in schemes} for app in apps}
 
 
 # --- Fig. 15 -----------------------------------------------------------------------
@@ -341,21 +324,10 @@ def fig15_instantaneous_latency(
     use_cache: bool = True,
 ) -> dict[str, list[tuple[float, float]]]:
     """Instantaneous (binned) latency around a single mid-window checkpoint."""
-    params = default_app_params(app, window)
     schemes = ("ms-src", "ms-src+ap", "ms-src+ap+aa")
-    specs: list[CellSpec] = []
-    for scheme in schemes:
-        wu = warmup + (window if scheme == "ms-src+ap+aa" else 0.0)
-        cfg = ExperimentConfig(
-            app=app, scheme=scheme, n_checkpoints=1,
-            window=window, warmup=wu, seed=seed, app_params=dict(params),
-        )
-        specs.append(CellSpec(config=cfg, bins=(wu, wu + window, bin_width)))
+    specs = [figure_cell(app, s, 1, window, warmup, seed, bin_width=bin_width) for s in schemes]
     payloads = run_cells(specs, jobs=jobs, use_cache=use_cache)
-    return {
-        scheme: [(t, v) for (t, v) in payload["binned_latency"]]
-        for scheme, payload in zip(schemes, payloads)
-    }
+    return {s: [(t, v) for (t, v) in p["binned_latency"]] for s, p in zip(schemes, payloads)}
 
 
 # --- Fig. 16 ------------------------------------------------------------------------
@@ -377,39 +349,26 @@ def fig16_recovery_time(
     carries ``{"reason": ...}`` instead of numbers.
     """
     apps = apps or ["tmi", "bcp", "signalguru"]
-    fail_at_frac = 0.6
     schemes = ("ms-src+ap", "ms-src+ap+aa", "oracle")
     specs: list[CellSpec] = []
     for app in apps:
-        params = default_app_params(app, window)
-        base = ExperimentConfig(
-            app=app, scheme="oracle", n_checkpoints=2,
-            window=window, warmup=warmup, seed=seed, app_params=dict(params),
-        )
-        oracle_times = cached_oracle_times(base, use_cache=use_cache)
-        for scheme in schemes:
-            wu = warmup + (window / 2 if scheme == "ms-src+ap+aa" else 0.0)
-            cfg = ExperimentConfig(
-                app=app, scheme=scheme, n_checkpoints=2,
-                window=window, warmup=wu, seed=seed, app_params=dict(params),
-                oracle_times=oracle_times, enable_recovery=True,
-            )
-            specs.append(CellSpec(config=cfg, failure_at=wu + fail_at_frac * window))
-    payloads = run_cells(specs, jobs=jobs, use_cache=use_cache)
-    out: dict[str, dict[str, dict[str, float | str]]] = {}
-    it = iter(payloads)
-    for app in apps:
-        out[app] = {}
-        for scheme in schemes:
-            rec = next(it)["recovery"]
-            if rec is None:
-                out[app][scheme] = {"reason": "no recovery recorded"}
-                continue
-            out[app][scheme] = {
-                "reconnection": rec["reconnect_seconds"],
-                "disk_io": rec["disk_io_seconds"],
-                "other": rec["other"],
-                "total": rec["total"],
-                "bytes_read_mb": rec["bytes_read"] / 1e6,
-            }
-    return out
+        times = _oracle_times(app, 2, window, warmup, seed, use_cache)
+        specs += [
+            figure_cell(app, scheme, 2, window, warmup, seed, fail_at=0.6, oracle_times=times,
+                        enable_recovery=True)
+            for scheme in schemes
+        ]
+    payloads = iter(run_cells(specs, jobs=jobs, use_cache=use_cache))
+
+    def breakdown(rec: dict[str, Any] | None) -> dict[str, float | str]:
+        if rec is None:
+            return {"reason": "no recovery recorded"}
+        return {
+            "reconnection": rec["reconnect_seconds"],
+            "disk_io": rec["disk_io_seconds"],
+            "other": rec["other"],
+            "total": rec["total"],
+            "bytes_read_mb": rec["bytes_read"] / 1e6,
+        }
+
+    return {app: {s: breakdown(next(payloads)["recovery"]) for s in schemes} for app in apps}

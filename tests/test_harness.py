@@ -186,3 +186,61 @@ def test_headline_over_no_comparable_cells_raises_instead_of_nan():
 
     with pytest.raises(ValueError, match="no app .* has throughput cells for both ms-src and baseline"):
         headline_numbers(SweepResult())
+
+
+# Every key a stubbed driver reads from a cell payload.
+_STUB_PAYLOAD = {
+    "throughput": 1, "latency": 1.0, "rounds_completed": 0, "latency_percentiles": {},
+    "checkpoint": None, "incomplete_rounds": [], "binned_latency": [], "recovery": None,
+}
+
+
+def test_aa_at_zero_checkpoints_is_the_ap_cell_in_either_scheme_order(monkeypatch):
+    """``ms-src+ap+aa@0`` is a relabelled ``ms-src+ap@0`` run, whether or
+    not ``ms-src+ap`` is swept and whichever scheme comes first."""
+    from repro.harness import figures
+
+    laid_out = []
+
+    def fake_run_cells(specs, **kw):
+        laid_out.append([(s.config.scheme, s.config.n_checkpoints) for s in specs])
+        return [dict(_STUB_PAYLOAD, throughput=7)] * len(specs)
+
+    monkeypatch.setattr(figures, "run_cells", fake_run_cells)
+    for schemes in (["ms-src+ap+aa"], ["ms-src+ap+aa", "ms-src+ap"], ["ms-src+ap", "ms-src+ap+aa"]):
+        res = figures.fig12_fig13_sweep(apps=["bcp"], schemes=schemes, checkpoint_counts=[0])
+        assert [(c.scheme, c.n_checkpoints) for c in res.cells] == [(s, 0) for s in schemes]
+        assert {c.throughput for c in res.cells} == {7}
+        assert laid_out.pop() == [("ms-src+ap", 0)]
+
+
+def test_figure_cell_layout_is_pinned(monkeypatch):
+    """Every figure cell's cache key material, oracle base config, failure
+    instant and latency bins at the fast and the paper scale, as one hash:
+    a change to any figure's protocol shows here as a re-pinned constant."""
+    import hashlib
+
+    from repro.harness import figures
+    from repro.harness.digest import canonical_json, config_fingerprint
+
+    records = []
+
+    def fake_run_cells(specs, **kw):
+        records.extend(canonical_json(s.key_material()) for s in specs)
+        return [dict(_STUB_PAYLOAD)] * len(specs)
+
+    def fake_oracle_times(cfg, **kw):
+        records.append("oracle:" + canonical_json(config_fingerprint(cfg)))
+        return [1.0, 2.0]
+
+    monkeypatch.setattr(figures, "run_cells", fake_run_cells)
+    monkeypatch.setattr(figures, "cached_oracle_times", fake_oracle_times)
+    for window, warmup in ((150.0, 30.0), (600.0, 60.0)):
+        scale = {"window": window, "warmup": warmup}
+        figures.fig12_fig13_sweep(checkpoint_counts=[0, 1, 3, 5, 8], **scale)
+        figures.fig14_checkpoint_time(**scale)
+        figures.fig15_instantaneous_latency(app="bcp", **scale)
+        figures.fig16_recovery_time(**scale)
+    assert len(records) == 174
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == "8653b61c0f41bfdd25007029b402afa8ffd82c989ae6a18372b33bde5cb96410"
