@@ -186,7 +186,6 @@ class DSPSRuntime:
         self.dc = DataCenter(env, self.config.cluster)
         self.storage = SharedStorage(env, self.dc.storage_node)
         self.metrics = MetricsHub()
-        self.metrics.sinks = frozenset(app.graph.sinks())
 
         self.placement: dict[str, Node] = {}
         self.haus: dict[str, HAURuntime] = {}

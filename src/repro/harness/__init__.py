@@ -18,7 +18,7 @@ from repro.harness.figures import (
     table1_failure_model,
     headline_numbers,
 )
-from repro.harness.digest import combined_digest, result_digest, result_fingerprint
+from repro.harness.digest import result_digest, result_fingerprint
 from repro.harness.report import breakdown_row, format_table, format_series
 from repro.harness.sweep import (
     CellSpec,
@@ -36,7 +36,6 @@ __all__ = [
     "cached_oracle_times",
     "clear_cache",
     "code_fingerprint",
-    "combined_digest",
     "default_jobs",
     "result_digest",
     "result_fingerprint",

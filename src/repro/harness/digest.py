@@ -7,21 +7,16 @@ counts, checkpoint-round timelines, recovery timelines, probe metrics),
 and a *digest* is the SHA-256 of its canonical serialisation.  Two runs
 agree on their digest iff they agreed on every recorded decision.
 
-Used three ways:
-
-* the committed baseline (``benchmarks/DIGEST_baseline.json``) proves the
-  kernel fast paths did not perturb the event order of the seed engine;
-* ``tests/test_determinism_digest.py`` proves run-twice and
-  serial-vs-parallel sweeps are bit-identical;
-* ``python -m repro.harness.digest`` recomputes the canonical configs and
-  compares them against the baseline (the CI determinism gate).
+The six :func:`canonical_cases` are half of the pinned cells; the pins
+themselves, and the one command that checks them
+(``python -m repro.scenarios goldens``), live in
+:mod:`repro.scenarios.goldens`.
 
 Fingerprints draw exclusively from simulation state, so the canonical
 JSON (``sort_keys`` + shortest-repr floats) is byte-stable across runs
 of the same build.  Floating-point results can legitimately differ
-across numpy/BLAS builds, so the baseline records the environment it was
-produced under and the CLI refuses to compare across mismatched
-environments instead of reporting a false failure — and exits
+across numpy/BLAS builds, so a pin file records the environment it was
+produced under, and a check on another build compares nothing and exits
 ``EXIT_SKIPPED`` (77), not 0: a check that did not run says so.
 """
 
@@ -31,12 +26,11 @@ import dataclasses
 import hashlib
 import json
 import platform
-import sys
 from typing import Any
 
 import numpy
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.harness.experiment import ExperimentConfig, ExperimentResult
 
 
 def canonical_json(obj: Any) -> str:
@@ -124,11 +118,6 @@ def result_digest(result: ExperimentResult) -> str:
     return fingerprint_digest(result_fingerprint(result))
 
 
-def combined_digest(digests: list[str]) -> str:
-    """Order-sensitive digest of a digest sequence (a whole sweep)."""
-    return hashlib.sha256("\n".join(digests).encode("ascii")).hexdigest()
-
-
 # -- canonical configs (the committed-baseline set) ---------------------------
 
 def canonical_cases() -> dict[str, tuple[ExperimentConfig, dict[str, Any]]]:
@@ -195,7 +184,7 @@ def environment_fingerprint() -> dict[str, str]:
 
 
 # The conventional "skipped" exit status (automake, pytest-ish): what
-# the digest and goldens CLIs return when nothing could be compared.
+# the pin gate returns when nothing could be compared.
 EXIT_SKIPPED = 77
 
 
@@ -209,94 +198,3 @@ def environment_mismatch(recorded: dict[str, str] | None) -> str | None:
         f"environment mismatch (recorded {recorded}, current {current}) — "
         "float results are only comparable on the recorded build"
     )
-
-
-def compute_baseline(cases: list[str] | None = None) -> dict[str, Any]:
-    """Run every canonical case (or the named subset) and collect digests."""
-    selected = canonical_cases()
-    if cases is not None:
-        unknown = sorted(set(cases) - set(selected))
-        if unknown:
-            raise KeyError(f"unknown canonical case(s): {', '.join(unknown)}")
-        selected = {k: v for k, v in selected.items() if k in set(cases)}
-    digests = {}
-    for name, (cfg, kwargs) in selected.items():
-        digests[name] = result_digest(run_experiment(cfg, **kwargs))
-    return {
-        "environment": environment_fingerprint(),
-        "digests": digests,
-        "combined": combined_digest([digests[k] for k in sorted(digests)]),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: ``check`` (default) compares against the committed baseline
-    (exit 0 ok / 1 mismatch / 77 skipped: recorded on another build);
-    ``--write <path>`` regenerates it (after an intentional model change);
-    ``--json`` prints the current digests without comparing (the
-    iteration-order canary diffs this output across PYTHONHASHSEED)."""
-    import argparse
-    from pathlib import Path
-
-    default_baseline = (
-        Path(__file__).resolve().parents[3] / "benchmarks" / "DIGEST_baseline.json"
-    )
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=str(default_baseline))
-    parser.add_argument(
-        "--write", action="store_true",
-        help="regenerate the baseline file instead of checking against it",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the freshly computed digests as JSON and exit (no "
-        "baseline comparison)",
-    )
-    parser.add_argument(
-        "--cases", default=None, metavar="NAMES",
-        help="comma-separated subset of canonical case names to run",
-    )
-    args = parser.parse_args(argv)
-
-    case_filter = [c for c in args.cases.split(",") if c] if args.cases else None
-    try:
-        current = compute_baseline(case_filter)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(current, indent=2, sort_keys=True))
-        return 0
-    if args.write:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(current, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {len(current['digests'])} digests to {args.baseline}")
-        return 0
-
-    with open(args.baseline, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    skipped = environment_mismatch(baseline.get("environment"))
-    if skipped:
-        print(f"digest check skipped: {skipped}")
-        return EXIT_SKIPPED
-    failures = 0
-    compare = sorted(baseline["digests"])
-    if case_filter is not None:
-        compare = [n for n in compare if n in set(case_filter)]
-    for name in compare:
-        want = baseline["digests"][name]
-        got = current["digests"].get(name)
-        status = "ok" if got == want else "MISMATCH"
-        if got != want:
-            failures += 1
-        print(f"  {status}: {name} {got}")
-    if failures:
-        print(f"FAIL: {failures} digest mismatch(es) — event order or model behaviour changed")
-        return 1
-    print(f"OK: {len(compare)} digests bit-identical to baseline")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,7 @@ analysis cannot prove at runtime:
   values with the live dataflow, so each snapshot is fingerprinted when
   taken and checked again when restored;
 * **iteration-order canary** (``python -m repro.sanitize``) — runs the
-  digest gate under two ``PYTHONHASHSEED`` values and requires
+  pin gate under two ``PYTHONHASHSEED`` values and requires
   bit-identical digests, catching hash-order dependence end to end.
 
 Zero-overhead contract: installation happens once at import time (the

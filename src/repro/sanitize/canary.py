@@ -2,15 +2,18 @@
 
 The in-process sanitizers catch reads of hash order only where the
 static rules or runtime guards look; the canary closes the loop end to
-end: it runs the determinism digest gate (``repro.harness.digest``) in
-two subprocesses with different ``PYTHONHASHSEED`` values and requires
-bit-identical digests.  Any surviving dependence on str/bytes hash
-order — dict insertion driven by hashing, a set iteration that leaks
-into an artifact, a salted ``hash()`` routing decision — flips at least
-one digest between the two processes.
+end: it runs the pin gate (``python -m repro.scenarios goldens --json
+--no-cache``) over the pinned cells in two subprocesses with different
+``PYTHONHASHSEED`` values and requires bit-identical digests.  Any
+surviving dependence on str/bytes hash order — dict insertion driven by
+hashing, a set iteration that leaks into an artifact, a salted
+``hash()`` routing decision — flips at least one digest between the two
+processes.
 
 Subprocesses are unavoidable: ``PYTHONHASHSEED`` is fixed at
-interpreter start and cannot be changed in-process.
+interpreter start and cannot be changed in-process.  Neither reads the
+sweep cache: a hit in the second would serve the first seed's payload,
+and the canary would compare a run with itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def _child_env(hashseed: int) -> dict[str, str]:
 
 
 def _digest_once(hashseed: int, cases: list[str] | None) -> dict[str, Any]:
-    cmd = [sys.executable, "-m", "repro.harness.digest", "--json"]
+    cmd = [sys.executable, "-m", "repro.scenarios", "goldens", "--json", "--no-cache"]
     if cases:
         cmd += ["--cases", ",".join(cases)]
     proc = subprocess.run(
@@ -55,7 +58,7 @@ def run_canary(
     cases: list[str] | None = None,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
 ) -> int:
-    """Run the digest gate under each hash seed; 0 iff all agree."""
+    """Run the pin gate under each hash seed; 0 iff all agree."""
     results = {seed: _digest_once(seed, cases) for seed in seeds}
     reference_seed = seeds[0]
     reference = results[reference_seed]["digests"]
@@ -93,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cases", default=None, metavar="NAMES",
-        help="comma-separated subset of canonical digest cases",
+        help="comma-separated subset of the pinned cell names",
     )
     parser.add_argument(
         "--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS),

@@ -37,8 +37,13 @@ from repro.harness.digest import canonical_json
 from repro.harness.sweep import SweepStats, run_cells
 from repro.scenarios.compiler import CompiledScenario, check_expectations, compile_scenario
 from repro.scenarios.fuzz import fuzz_documents
-from repro.scenarios.goldens import golden_status, load_goldens
-from repro.scenarios.loader import ScenarioParseError, load_path, scenario_paths
+from repro.scenarios.goldens import (
+    default_examples_dir,
+    golden_status,
+    load_examples,
+    load_goldens,
+)
+from repro.scenarios.loader import ScenarioParseError
 from repro.scenarios.schema import ScenarioValidationError
 
 # v2: rows carry failure_kinds.
@@ -50,19 +55,6 @@ REPORT_VERSION = 3
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INVOCATION = 2
-
-
-def default_examples_dir() -> Path:
-    return Path(__file__).resolve().parents[3] / "examples" / "scenarios"
-
-
-def load_examples(directory: Path) -> list[CompiledScenario]:
-    """Compile every checked-in scenario; parse/schema errors are fatal."""
-    compiled = []
-    for path in scenario_paths(directory):
-        doc = load_path(path)
-        compiled.append(compile_scenario(doc, source=str(path)))
-    return compiled
 
 
 # What a row reads from a payload; a cell whose run raised measured none.

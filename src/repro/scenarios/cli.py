@@ -5,10 +5,16 @@
   with their paths and exits 1 if any document is invalid.
 * ``run <path>`` — compile and execute one scenario, print its outcome
   (digest, throughput, rounds, expectation results).
-* ``goldens [--write]`` — run every example scenario and compare its
-  digest against ``GOLDENS.json`` (exit 0 ok / 1 out of date / 77
-  skipped: the goldens were recorded on another python/numpy build);
-  ``--write`` regenerates the file after an intentional model change.
+* ``goldens [--write | --json] [--cases NAMES] [--no-cache]`` — the one
+  pin gate: run the thirteen pinned cells
+  (:func:`repro.scenarios.goldens.pinned_cells`) in one ``run_cells``
+  call and compare each digest with the file that pins it.  Exits 0 ok,
+  1 a mismatch or a name with no pin, 2 bad input (an unknown name, a
+  pin file missing or unparseable), 77 skipped (a pin file was recorded
+  on another python/numpy build, so nothing it pins was compared).
+  ``--write`` rewrites each file with its own names after an intentional
+  model change; ``--json`` prints the digests and compares nothing (the
+  hash-seed canary diffs this output).
 
 The fuzzing campaign lives one module down:
 ``python -m repro.scenarios.campaign`` (see :mod:`repro.scenarios.campaign`).
@@ -17,16 +23,17 @@ The fuzzing campaign lives one module down:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from repro.harness.digest import EXIT_SKIPPED, environment_mismatch
-from repro.scenarios.campaign import default_examples_dir
+from repro.harness.digest import EXIT_SKIPPED, environment_fingerprint, environment_mismatch
 from repro.scenarios.compiler import check_expectations, compile_scenario
 from repro.scenarios.goldens import (
-    default_goldens_path,
+    default_examples_dir,
     golden_status,
-    load_goldens,
+    pin_files,
+    pinned_cells,
     write_goldens,
 )
 from repro.scenarios.loader import ScenarioParseError, load_path, scenario_paths
@@ -81,38 +88,59 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
     from repro.harness.sweep import run_cells
 
     try:
-        compiled = [compile_scenario(load_path(p), source=str(p))
-                    for p in scenario_paths(default_examples_dir())]
+        cells = pinned_cells()
     except (ScenarioParseError, ScenarioValidationError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    if not compiled:
-        print("no example scenarios found", file=sys.stderr)
-        return 2
-    payloads = run_cells([scn.spec for scn in compiled], use_cache=not args.no_cache)
-    digests = {scn.scenario_id: payload["digest"]
-               for scn, payload in zip(compiled, payloads)}
-    goldens_path = Path(args.goldens) if args.goldens else default_goldens_path()
-    if args.write:
-        path = write_goldens(digests, goldens_path)
-        print(f"wrote {len(digests)} golden digest(s) to {path}")
+    if args.cases:
+        wanted = {c for c in args.cases.split(",") if c}
+        unknown = sorted(wanted - set(cells))
+        if unknown:
+            print(f"error: unknown pinned cell(s): {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        cells = {name: spec for name, spec in cells.items() if name in wanted}
+    files = pin_files(list(cells))
+    pins = {}
+    if not (args.json or args.write):
+        # a pin file that is not there compared nothing, and says so
+        # with 2 rather than with env-skip's 77
+        for path in files:
+            try:
+                pins[path] = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                print(f"error: pin file {path}: {exc}", file=sys.stderr)
+                return 2
+            if not (isinstance(pins[path], dict)
+                    and isinstance(pins[path].get("digests"), dict)):
+                print(f"error: pin file {path}: no digests object", file=sys.stderr)
+                return 2
+    payloads = run_cells(list(cells.values()), use_cache=not args.no_cache)
+    digests = {name: payload["digest"] for name, payload in zip(cells, payloads)}
+    if args.json:
+        print(json.dumps({"environment": environment_fingerprint(), "digests": digests},
+                         indent=2, sort_keys=True))
         return 0
-    goldens = load_goldens(goldens_path)
-    failures = 0
-    for scenario_id, digest in sorted(digests.items()):
-        status = golden_status(goldens, scenario_id, digest)
-        if status in ("MISMATCH", "new"):
-            failures += 1
-        print(f"  {status}: {scenario_id} {digest}")
-    skipped = environment_mismatch(goldens.get("environment"))
-    if skipped:
-        print(f"goldens check skipped: {skipped}")
-        return EXIT_SKIPPED
+    if args.write:
+        for path, names in files.items():
+            write_goldens({name: digests[name] for name in names}, path)
+            print(f"wrote {len(names)} digest(s) to {path}")
+        return 0
+    statuses = []
+    for path, names in files.items():
+        for name in names:
+            statuses.append(golden_status(pins[path], name, digests[name]))
+            print(f"  {statuses[-1]}: {name} {digests[name]}")
+    failures = sum(status in ("MISMATCH", "new") for status in statuses)
     if failures:
-        print(f"FAIL: {failures} golden(s) out of date — "
+        print(f"FAIL: {failures} pin(s) out of date — "
               "python -m repro.scenarios goldens --write after an intentional change")
         return 1
-    print(f"OK: {len(digests)} scenario digest(s) checked")
+    for pinned in pins.values():
+        skipped = environment_mismatch(pinned.get("environment"))
+        if skipped:
+            print(f"goldens check skipped: {skipped}")
+            return EXIT_SKIPPED
+    print(f"OK: {len(digests)} pinned digest(s) bit-identical")
     return 0
 
 
@@ -130,9 +158,16 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--no-cache", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    p_goldens = sub.add_parser("goldens", help="check or regenerate digest goldens")
-    p_goldens.add_argument("--write", action="store_true")
-    p_goldens.add_argument("--goldens", default=None)
+    p_goldens = sub.add_parser("goldens", help="check or regenerate the pinned digests")
+    p_goldens.add_argument(
+        "--write", action="store_true",
+        help="rewrite each pin file with its names' fresh digests")
+    p_goldens.add_argument(
+        "--json", action="store_true",
+        help="print the fresh digests as JSON, comparing nothing")
+    p_goldens.add_argument(
+        "--cases", default=None, metavar="NAMES",
+        help="comma-separated subset of the pinned cell names")
     p_goldens.add_argument("--no-cache", action="store_true")
     p_goldens.set_defaults(func=_cmd_goldens)
 

@@ -1,19 +1,31 @@
-"""Per-scenario digest goldens: the campaign's regression memory.
+"""The pinned cells: thirteen names, two pin files, one gate.
 
-``examples/scenarios/GOLDENS.json`` commits the determinism digest of
-every checked-in scenario next to the environment fingerprint it was
-produced under.  The campaign runner compares each example scenario's
-fresh digest against its golden:
+A *pinned cell* is a run whose determinism digest is committed.  There
+are thirteen, in one fixed order (:func:`pinned_cells`):
 
-* ``ok`` — bit-identical: the scenario's entire event order reproduced;
+* the six :func:`~repro.harness.digest.canonical_cases`, pinned in
+  ``benchmarks/DIGEST_baseline.json``;
+* the seven example scenarios under ``examples/scenarios/``, compiled,
+  pinned in ``examples/scenarios/GOLDENS.json``.
+
+Thirteen names run twelve distinct cells: ``baseline-steady`` and
+``tmi/ms-src+ap@2`` compile to the same cell, so they pin the same
+digest.  Both files keep one shape — ``{"environment", "digests"}`` —
+and ``perf/`` reads both.
+
+``python -m repro.scenarios goldens`` is the one gate: it runs every
+pinned cell in one ``run_cells`` call and compares each name against the
+file that pins it (see :mod:`repro.scenarios.cli`).  Per name the
+verdict is :func:`golden_status`:
+
+* ``ok`` — bit-identical: the cell's entire event order reproduced;
 * ``MISMATCH`` — behaviour changed (a physics/model edit, or a real
   regression) — regenerate with ``python -m repro.scenarios goldens
   --write`` after an *intentional* change;
-* ``env-skip`` — the interpreter/numpy/arch differ from the recorded
-  environment, where float-level comparison is meaningless (same rule
-  as ``benchmarks/DIGEST_baseline.json``);
-* ``new`` — the scenario has no golden yet (fails the strict gate so
-  new examples cannot land ungated).
+* ``env-skip`` — the interpreter/numpy/arch differ from the environment
+  the file records, where float-level comparison is meaningless;
+* ``new`` — the name has no pin yet (fails the gate, so new examples
+  cannot land ungated).
 """
 
 from __future__ import annotations
@@ -22,11 +34,57 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.harness.digest import environment_fingerprint, environment_mismatch
+from repro.harness.digest import canonical_cases, environment_fingerprint, environment_mismatch
+from repro.harness.sweep import CellSpec
+from repro.scenarios.compiler import CompiledScenario, compile_scenario
+from repro.scenarios.loader import load_path, scenario_paths
+
+_REPO = Path(__file__).resolve().parents[3]
+
+
+def default_examples_dir() -> Path:
+    return _REPO / "examples" / "scenarios"
 
 
 def default_goldens_path() -> Path:
-    return Path(__file__).resolve().parents[3] / "examples" / "scenarios" / "GOLDENS.json"
+    return default_examples_dir() / "GOLDENS.json"
+
+
+def default_baseline_path() -> Path:
+    return _REPO / "benchmarks" / "DIGEST_baseline.json"
+
+
+def load_examples(directory: Path) -> list[CompiledScenario]:
+    """Compile every checked-in scenario; parse/schema errors are fatal."""
+    return [compile_scenario(load_path(path), source=str(path))
+            for path in scenario_paths(directory)]
+
+
+def pinned_cells() -> dict[str, CellSpec]:
+    """Every pinned cell by name: the canonical cases, then the examples."""
+    cells = {
+        name: CellSpec(
+            config=cfg,
+            failure_at=kwargs.get("failure_at"),
+            failure_targets=(
+                tuple(kwargs["failure_targets"]) if "failure_targets" in kwargs else None
+            ),
+        )
+        for name, (cfg, kwargs) in canonical_cases().items()
+    }
+    for scn in load_examples(default_examples_dir()):
+        cells[scn.scenario_id] = scn.spec
+    return cells
+
+
+def pin_files(names: list[str]) -> dict[Path, list[str]]:
+    """``{pin file: the names it pins}`` for ``names``, files without
+    one of them left out."""
+    canonical = canonical_cases()
+    files: dict[Path, list[str]] = {default_baseline_path(): [], default_goldens_path(): []}
+    for name in names:
+        files[default_baseline_path() if name in canonical else default_goldens_path()].append(name)
+    return {path: group for path, group in files.items() if group}
 
 
 def load_goldens(path: str | Path | None = None) -> dict[str, Any]:
@@ -38,7 +96,7 @@ def load_goldens(path: str | Path | None = None) -> dict[str, Any]:
 
 
 def write_goldens(digests: dict[str, str], path: str | Path | None = None) -> Path:
-    """Persist ``{scenario_id: digest}`` under the current environment."""
+    """Persist ``{name: digest}`` under the current environment."""
     p = Path(path) if path is not None else default_goldens_path()
     p.parent.mkdir(parents=True, exist_ok=True)
     payload = {

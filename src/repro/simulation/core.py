@@ -19,8 +19,8 @@ processes through pooled :class:`_Kick` markers instead of throwaway
 wait on an event in a slot and allocates the callback list only for
 later registrants, and settles events with inlined scheduling.  Every
 fast path preserves the ``(time, priority, seq)`` total order exactly,
-so same-seed runs remain bit-identical (checked by
-``benchmarks/DIGEST_baseline.json`` and ``python -m repro.harness.digest``;
+so same-seed runs remain bit-identical (checked by the pinned digests
+and their one gate, ``python -m repro.scenarios goldens``;
 ``REPRO_SAN=1`` re-derives the order on every pop).  Popping and firing
 an event is written once, in :meth:`Environment._drain`; ``run`` and
 ``step`` choose its bounds and the sanitizer wraps it.

@@ -7,8 +7,6 @@ byte-identity test pins that none of it moved a pinned run.
 """
 
 import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
@@ -16,10 +14,11 @@ from repro.cluster import ClusterSpec
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.runtime import CheckpointScheme
 from repro.dsps.testing import make_chain_graph
-from repro.harness.digest import canonical_cases, environment_fingerprint
+from repro.harness.digest import canonical_cases
 from repro.harness.experiment import run_experiment
 from repro.simulation import Environment
 from repro.simulation.rng import RngRegistry
+from tests.pins import on_recorded_build
 
 
 class Recording(CheckpointScheme):
@@ -172,9 +171,7 @@ EAGER_STAR_BUNDLE_ID = "0918a4bacc213fe5bb4a920d8a2aa91d798b8fad5a2b7d497bc14441
 
 
 def test_recovery_cell_trace_and_bundle_byte_identical_to_the_eager_star():
-    baseline = Path(__file__).resolve().parents[1] / "benchmarks" / "DIGEST_baseline.json"
-    recorded_env = json.loads(baseline.read_text(encoding="utf-8"))["environment"]
-    if recorded_env != environment_fingerprint():
+    if not on_recorded_build():
         pytest.skip("pins recorded under a different python/numpy build")
     cfg, kwargs = canonical_cases()["tmi/ms-src+ap@2+failure"]
     res = run_experiment(cfg, trace=True, telemetry=True, **kwargs)

@@ -1,14 +1,13 @@
-"""Determinism digests: run-twice, serial-vs-parallel, and the golden
-baseline that pins the kernel fast paths to the pre-optimisation engine.
+"""Determinism digests: run-twice, serial-vs-parallel, and the pin gate.
 
-These are the committed assertions behind the PR's "bit-identical"
-claim: the digest covers every per-HAU tuple count, checkpoint-round
-timeline and recovery breakdown, so any event-order perturbation in the
-kernel shows up as a digest mismatch here.
+The digest covers every per-HAU tuple count, checkpoint-round timeline
+and recovery breakdown, so any event-order perturbation in the kernel
+shows up as a digest mismatch.  Every pinned cell is compared with its
+pin in ``test_live_equals_fold.py``; here, one canonical case against
+its pin, and the gate's exit codes.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.harness.digest import (
     EXIT_SKIPPED,
     canonical_cases,
     canonical_json,
-    combined_digest,
     environment_fingerprint,
     fingerprint_digest,
     result_digest,
@@ -25,8 +23,8 @@ from repro.harness.digest import (
 )
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweep import CellSpec, run_cells
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "DIGEST_baseline.json"
+from repro.scenarios import cli
+from repro.scenarios import goldens as goldens_mod
 
 SMALL = dict(window=20.0, warmup=5.0, workers=6, spares=8, racks=2, seed=3)
 
@@ -79,48 +77,51 @@ def test_canonical_json_is_stable():
 
 
 def test_golden_digest_baseline():
-    """Recompute one canonical case against the committed pre-PR digests.
+    """Recompute one canonical case against its committed pin.
 
-    The baseline was produced by the *seed* (pre-fast-path) kernel, so
-    this test is the committed proof that the free lists, kick pooling
-    and store fast paths did not perturb the event order.  Skipped on
-    hosts whose float environment differs from the recorded one.
+    The pin was produced by the pre-fast-path kernel, so this is the
+    cheap standing proof that the kernel's fast paths did not perturb
+    the event order.  Skipped on hosts whose float environment differs
+    from the recorded one.
     """
-    baseline = json.loads(BASELINE_PATH.read_text())
-    if baseline["environment"] != environment_fingerprint():
+    baseline = goldens_mod.load_goldens(goldens_mod.default_baseline_path())
+    if digest_mod.environment_mismatch(baseline["environment"]):
         pytest.skip("digest baseline was recorded under a different environment")
-    cases = canonical_cases()
-    name = "tmi/baseline@2"  # one case keeps the test cheap; CI runs all six
-    cfg, kwargs = cases[name]
+    name = "tmi/baseline@2"  # one case keeps the test cheap; the gate runs all
+    cfg, kwargs = canonical_cases()[name]
     got = result_digest(run_experiment(cfg, **kwargs))
     assert got == baseline["digests"][name], (
-        f"digest for {name} drifted from the pre-fast-path baseline; "
-        "the kernel changed the event order (or the model changed — if "
-        "intentional, regenerate with `python -m repro.harness.digest --write`)"
+        f"digest for {name} drifted from its pin; the kernel changed the "
+        "event order (or the model changed — if intentional, regenerate "
+        "with `python -m repro.scenarios goldens --write`)"
     )
 
 
 def test_digest_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
-    """0 = compared and equal, 1 = compared and different, 77 = the
-    baseline was recorded on another build, so nothing was compared."""
+    """The pin gate: 0 = compared and equal, 1 = compared and different,
+    2 = a pin file is missing (nothing was compared, and that is an
+    error), 77 = the pins were recorded on another build, so nothing
+    was compared."""
     baseline = tmp_path / "DIGEST.json"
-    args = ["--baseline", str(baseline), "--cases", "tmi/baseline@2"]
-    assert digest_mod.main(args + ["--write"]) == 0
-    assert digest_mod.main(args) == 0
+    monkeypatch.setattr(goldens_mod, "default_baseline_path", lambda: baseline)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    args = ["goldens", "--cases", "tmi/baseline@2"]
+    assert cli.main(args) == 2
+    assert f"pin file {baseline}" in capsys.readouterr().err
+    assert cli.main(args + ["--write"]) == 0
+    assert cli.main(args) == 0
     doc = json.loads(baseline.read_text())
+    assert set(doc) == {"environment", "digests"} and set(doc["digests"]) == {"tmi/baseline@2"}
     doc["digests"]["tmi/baseline@2"] = "0" * 64
     baseline.write_text(json.dumps(doc))
-    assert digest_mod.main(args) == 1
     capsys.readouterr()
+    assert cli.main(args) == 1
+    assert "MISMATCH: tmi/baseline@2" in capsys.readouterr().out
     foreign = dict(environment_fingerprint(), python="0.0.0")
     monkeypatch.setattr(digest_mod, "environment_fingerprint", lambda: foreign)
-    assert digest_mod.main(args) == EXIT_SKIPPED == 77
+    assert cli.main(args) == EXIT_SKIPPED == 77
     out = capsys.readouterr().out
-    assert "digest check skipped: environment mismatch" in out and "MISMATCH:" not in out
-
-
-def test_combined_digest_is_order_sensitive():
-    assert combined_digest(["a", "b"]) != combined_digest(["b", "a"])
+    assert "goldens check skipped: environment mismatch" in out and "MISMATCH:" not in out
 
 
 def test_fingerprint_digest_round_trips_through_json():

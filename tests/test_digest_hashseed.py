@@ -1,7 +1,7 @@
 """Iteration-order canary: digests must not depend on PYTHONHASHSEED.
 
-Runs the digest harness in two subprocesses with different hash seeds
-and compares the per-case digests bit-for-bit.  Any dict/set iteration
+Runs the pin gate in two subprocesses with different hash seeds and
+compares the per-cell digests bit-for-bit.  Any dict/set iteration
 order leaking into routing, scheduling or serialisation shows up here
 before it shows up as an unexplainable baseline break on another
 machine.
@@ -22,6 +22,16 @@ def test_digests_identical_across_hashseeds(capsys):
     out = capsys.readouterr().out
     assert rc == 0, f"digest depends on PYTHONHASHSEED:\n{out}"
     assert "OK" in out
+
+
+def test_canary_reads_and_writes_no_cache(tmp_path, monkeypatch, capsys):
+    """A cache hit in the second subprocess would serve the first hash
+    seed's payload: the canary would compare a run with itself."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    assert run_canary(cases=[CASE]) == 0
+    assert sorted(cache.iterdir()) == []
 
 
 def test_digest_once_shape():

@@ -87,8 +87,8 @@ def test_sink_latency_recorded():
     env, rt = build_runtime(g)
     rt.start()
     env.run(until=30.0)
-    assert rt.metrics.throughput() == 5
-    lat = rt.metrics.average_latency()
+    assert rt.metrics.stage_throughput("sink") == 5
+    lat = rt.metrics.stage_latency("sink")
     assert lat > 0.0
     assert lat < 1.0  # small pipeline, small latency
 
@@ -198,7 +198,7 @@ def test_backpressure_blocks_source():
     # ~20 tuples at 0.5s each; without backpressure the source would have
     # emitted all 100 by t=1.  Source must still be mid-stream.
     src = rt.haus["src"].source_operator
-    assert rt.metrics.throughput() <= 21
+    assert rt.metrics.stage_throughput("sink") <= 21
     assert src.emitted_count < 100
 
 
@@ -210,8 +210,8 @@ def test_determinism_same_seed_same_result():
         env.run(until=30.0)
         return (
             holder["op"].payload_log,
-            rt.metrics.average_latency(),
-            rt.metrics.throughput(),
+            rt.metrics.stage_latency("sink"),
+            rt.metrics.stage_throughput("sink"),
         )
 
     assert run_once() == run_once()

@@ -3,10 +3,12 @@
 The run record (``repro.metrics.breakdown.RunRecord``) is written by one
 function, ``RunRecord.apply``, which has two callers: a live scheme's
 ``transition()`` and ``build_timeline``'s fold over the trace.  So on
-every pinned cell — the six canonical digest cases and the seven example
-scenarios — every field of every ``CheckpointLog`` / ``RecoveryBreakdown``
-the scheme holds must equal the one the trace folds to, from the live
-tracer and from the JSONL file alike.  A scheme that stamps a transition
+every pinned cell (``repro.scenarios.goldens.pinned_cells``: the six
+canonical digest cases and the seven example scenarios) every field of
+every ``CheckpointLog`` / ``RecoveryBreakdown`` the scheme holds must
+equal the one the trace folds to, from the live tracer and from the
+JSONL file alike.  On the recorded build each cell's digest must also
+equal its pin: this is the tier-1 run of the pin gate.  A scheme that stamps a transition
 without emitting it, or emits one without stamping it, breaks exactly
 this; two planted ones prove the check bites.
 
@@ -16,7 +18,6 @@ the scheme object that produced it.
 """
 
 import dataclasses
-from pathlib import Path
 
 import pytest
 
@@ -24,15 +25,16 @@ from repro.cluster import ClusterSpec
 from repro.core import MSSrc
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
-from repro.harness.digest import canonical_cases
+from repro.harness.digest import canonical_cases, result_digest
 from repro.harness.experiment import run_experiment
 from repro.harness.sweep import run_spec
 from repro.observability import build_timeline, read_jsonl, write_jsonl
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.loader import load_path, scenario_paths
+from repro.scenarios.goldens import load_goldens, pin_files, pinned_cells
 from repro.simulation import Environment
+from tests.pins import on_recorded_build
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+PINNED = pinned_cells()
+PIN_FILE = {name: path for path, names in pin_files(list(PINNED)).items() for name in names}
 
 
 def field_differences(what, live, folded):
@@ -85,17 +87,9 @@ def differences(scheme, source):
     return out
 
 
-def pinned_cells():
-    for name, (cfg, kwargs) in canonical_cases().items():
-        yield pytest.param(lambda c=cfg, k=kwargs: run_experiment(c, trace=True, **k), id=name)
-    for path in scenario_paths(EXAMPLES):
-        spec = compile_scenario(load_path(path), source=str(path)).spec
-        yield pytest.param(lambda s=spec: run_spec(s), id=path.stem)
-
-
-@pytest.mark.parametrize("run", pinned_cells())
-def test_live_record_equals_trace_fold(run, tmp_path):
-    result = run()
+@pytest.mark.parametrize("name", list(PINNED))
+def test_live_record_equals_trace_fold(name, tmp_path):
+    result = run_spec(PINNED[name])
     assert differences(result.scheme, result.tracer) == []
     # ... and the trace file is as good a witness as the live tracer
     path = tmp_path / "run.trace.jsonl"
@@ -107,6 +101,11 @@ def test_live_record_equals_trace_fold(run, tmp_path):
         assert record.logs
     if result.config.enable_recovery and result.config.scheme != "baseline":
         assert any(rec.complete for rec in record.recoveries)
+    if on_recorded_build():
+        assert result_digest(result) == load_goldens(PIN_FILE[name])["digests"][name], (
+            f"{name} drifted from its pin in {PIN_FILE[name].name}: the event order or "
+            "the model changed (if intentional: python -m repro.scenarios goldens --write)"
+        )
 
 
 def test_source_command_is_the_control_arrival():

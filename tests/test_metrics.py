@@ -6,46 +6,37 @@ from repro.metrics import CheckpointBreakdown, CheckpointLog, MetricsHub, Recove
 from repro.metrics.breakdown import PHASES, RunRecord
 
 
-def sink_hub(*sinks):
-    """A hub that has been told its sinks, as the runtime tells it."""
-    hub = MetricsHub()
-    hub.sinks = frozenset(sinks)
-    return hub
-
-
 def test_throughput_counts_window():
-    hub = sink_hub("k")
+    hub = MetricsHub()
     for t in (1.0, 2.0, 3.0, 10.0):
         hub.stage_samples.append(("k", t - 0.5, t))
-    assert hub.throughput() == 4
-    assert hub.throughput(start=2.0, end=5.0) == 2
+    assert hub.stage_throughput("k") == 4
+    assert hub.stage_throughput("k", start=2.0, end=5.0) == 2
 
 
 def test_average_latency():
-    hub = sink_hub("k")
+    hub = MetricsHub()
     hub.stage_samples.append(("k", 0.0, 2.0))
     hub.stage_samples.append(("k", 1.0, 2.0))
-    hub.stage_samples.append(("k0", 0.0, 9.0))  # not a sink: a set of ids, not a prefix
-    assert hub.average_latency() == pytest.approx(1.5)
-    assert hub.average_latency(start=100.0) == 0.0
+    hub.stage_samples.append(("j0", 0.0, 9.0))  # another HAU
+    assert hub.stage_latency("k") == pytest.approx(1.5)
+    assert hub.stage_latency("k", start=100.0) == 0.0
 
 
 def test_latency_series_and_binned():
-    hub = sink_hub("k")
+    hub = MetricsHub()
     for i in range(10):
         hub.stage_samples.append(("k", float(i), float(i) + (2.0 if i >= 5 else 0.5)))
-    series = hub.latency_series()
-    assert len(series) == 10
-    binned = hub.binned_latency(0.0, 12.0, 6.0)
+    binned = hub.stage_binned_latency("k", 0.0, 12.0, 6.0)
     assert len(binned) == 2
     assert binned[0][1] < binned[1][1]  # spike in the second half
-    assert hub.peak_binned_latency(0.0, 12.0, 6.0) == binned[1][1]
+    assert [t for t, _v in binned] == [3.0, 9.0]
 
 
 def test_binned_latency_validates_width():
     hub = MetricsHub()
     with pytest.raises(ValueError):
-        hub.binned_latency(0.0, 1.0, 0.0)
+        hub.stage_binned_latency("k", 0.0, 1.0, 0.0)
 
 
 def test_stage_metrics_filter_by_prefix():
@@ -57,8 +48,7 @@ def test_stage_metrics_filter_by_prefix():
     assert hub.stage_latency("A") == pytest.approx(2.0)
     assert hub.stage_throughput("B") == 1
     assert hub.stage_throughput("") == 3
-    series = hub.stage_latency_series("A")
-    assert series == [(1.0, 1.0), (3.0, 3.0)]
+    assert hub.stage_throughput("A1") == 1
 
 
 def test_stage_binned_latency():
@@ -128,11 +118,11 @@ def test_phase_names_exist_once():
 
 
 def test_latency_percentiles_sink_and_stage():
-    hub = sink_hub("s")
+    hub = MetricsHub()
     for i in range(1, 101):
         hub.stage_samples.append(("s", 0.0, float(i)))
         hub.stage_samples.append(("A0", 0.0, float(i)))
-    pct = hub.latency_percentiles()
+    pct = hub.stage_latency_percentiles("s")
     assert set(pct) == {"p50", "p95", "p99"}
     assert pct["p50"] == pytest.approx(50.5)
     assert pct["p95"] == pytest.approx(95.05)
@@ -140,20 +130,19 @@ def test_latency_percentiles_sink_and_stage():
     stage = hub.stage_latency_percentiles("A")
     assert stage == pytest.approx(pct)
     # windowing applies
-    assert hub.latency_percentiles(start=1000.0)["p50"] == 0.0
+    assert hub.stage_latency_percentiles("s", start=1000.0)["p50"] == 0.0
 
 
 def test_latency_percentiles_empty_window():
     hub = MetricsHub()
-    assert hub.latency_percentiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
     assert hub.stage_latency_percentiles("A") == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
 def test_latency_percentiles_custom_fractions():
-    hub = sink_hub("s")
+    hub = MetricsHub()
     for i in range(1, 11):
         hub.stage_samples.append(("s", 0.0, float(i)))
-    pct = hub.latency_percentiles(percentiles=(0.1, 0.9))
+    pct = hub.stage_latency_percentiles("s", percentiles=(0.1, 0.9))
     assert set(pct) == {"p10", "p90"}
 
 

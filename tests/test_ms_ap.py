@@ -77,7 +77,7 @@ def test_parent_keeps_processing_during_checkpoint():
     )
     ap_rt = ap_scheme.runtime
     # by the same wall-clock instant the async variant has processed more
-    assert ap_rt.metrics.throughput() >= sync_rt.metrics.throughput()
+    assert ap_rt.metrics.stage_throughput("sink") >= sync_rt.metrics.stage_throughput("sink")
 
 
 def test_cow_tax_applied_while_child_active():

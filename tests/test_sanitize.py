@@ -443,13 +443,15 @@ def test_trampoline_tracks_interleaved_generators(state_sanitizer):
 
 
 def test_digest_case_identical_under_sanitizers():
-    from repro.harness.digest import compute_baseline
+    from repro.harness.digest import canonical_cases, result_digest
+    from repro.harness.experiment import run_experiment
 
-    plain = compute_baseline(["tmi/baseline@2"])["digests"]
+    cfg, kwargs = canonical_cases()["tmi/baseline@2"]
+    plain = result_digest(run_experiment(cfg, **kwargs))
     san_kernel.install()
     state_guard.install()
     try:
-        sanitized = compute_baseline(["tmi/baseline@2"])["digests"]
+        sanitized = result_digest(run_experiment(cfg, **kwargs))
     finally:
         state_guard.uninstall()
         san_kernel.uninstall()

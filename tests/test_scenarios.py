@@ -14,8 +14,8 @@ import pytest
 import yaml
 
 from repro.failures.injector import FailurePlan, PlannedFailure
-from repro.harness.digest import result_digest, run_experiment
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.digest import result_digest
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweep import cell_key, run_cells
 from repro.scenarios import (
     ScenarioValidationError,
@@ -28,7 +28,14 @@ from repro.scenarios import (
     validate,
 )
 from repro.scenarios.campaign import main as campaign_main
-from repro.scenarios.goldens import golden_status, load_goldens, write_goldens
+from repro.scenarios import goldens as goldens_mod
+from repro.scenarios.goldens import (
+    golden_status,
+    load_goldens,
+    pin_files,
+    pinned_cells,
+    write_goldens,
+)
 from repro.scenarios.loader import ScenarioParseError
 from repro.simulation.core import SimulationError
 
@@ -293,9 +300,23 @@ def test_every_example_scenario_validates():
 
 
 def test_every_example_scenario_has_a_golden():
-    goldens = load_goldens()
+    """Every pinned name — the six canonical cases, then the examples —
+    is pinned by exactly one file, and each file pins nothing else.
+    baseline-steady and tmi/ms-src+ap@2 compile to one cell, so thirteen
+    names pin twelve digests."""
+    cells = pinned_cells()
     ids = {load_path(p)["id"] for p in scenario_paths(EXAMPLES)}
-    assert ids == set(goldens["digests"])
+    assert len(cells) == 13 and list(cells)[6:] == sorted(ids)
+    files = pin_files(list(cells))
+    assert [path.name for path in files] == ["DIGEST_baseline.json", "GOLDENS.json"]
+    pins = {}
+    for path, names in files.items():
+        doc = load_goldens(path)
+        assert set(doc) == {"environment", "digests"}
+        assert sorted(doc["digests"]) == sorted(names)
+        pins.update(doc["digests"])
+    assert len(set(pins.values())) == 12
+    assert pins["baseline-steady"] == pins["tmi/ms-src+ap@2"]
 
 
 def test_example_round_trip_reproduces_golden(tmp_path):
@@ -320,22 +341,33 @@ def test_goldens_write_and_status_transitions(tmp_path):
 
 
 def test_goldens_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
-    """0 = every golden compared and equal, 1 = one out of date, 77 = the
-    goldens were recorded on another build, so nothing was compared."""
+    """0 = every golden compared and equal, 1 = one out of date, 2 = the
+    goldens file is missing or unparseable, 77 = the goldens were
+    recorded on another build, so nothing was compared."""
     from repro.harness import digest as digest_mod
     from repro.scenarios import cli
 
     examples = tmp_path / "scenarios"
     examples.mkdir()
     (examples / "tiny.json").write_text(json.dumps(tiny_synth_doc()), encoding="utf-8")
-    monkeypatch.setattr(cli, "default_examples_dir", lambda: examples)
+    monkeypatch.setattr(goldens_mod, "default_examples_dir", lambda: examples)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    goldens = tmp_path / "GOLDENS.json"
-    args = ["goldens", "--goldens", str(goldens)]
+    goldens = examples / "GOLDENS.json"
+    args = ["goldens", "--cases", "unit-tiny-synth"]
+    assert cli.main(args) == 2
+    assert f"pin file {goldens}" in capsys.readouterr().err
     assert cli.main(args + ["--write"]) == 0
     assert cli.main(args) == 0
     write_goldens({"unit-tiny-synth": "cafe"}, goldens)
     assert cli.main(args) == 1
+    goldens.write_text("{broken", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert f"pin file {goldens}" in capsys.readouterr().err
+    goldens.write_text("{}", encoding="utf-8")  # no digests: not an env-skip
+    assert cli.main(args) == 2
+    write_goldens({"unit-tiny-synth": "cafe"}, goldens)
+    assert cli.main(["goldens", "--cases", "unit-tiny-synth,nope"]) == 2
     capsys.readouterr()
     foreign = dict(digest_mod.environment_fingerprint(), numpy="0.0.0")
     monkeypatch.setattr(digest_mod, "environment_fingerprint", lambda: foreign)

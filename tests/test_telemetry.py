@@ -36,6 +36,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.quantile import nearest_rank_percentile
 from repro.telemetry.registry import DEFAULT_PERCENTILES
+from tests.pins import on_recorded_build
 
 
 def deploy(scheme, seed=7, workers=4, spares=6, telemetry=True, **graph_kw):
@@ -470,10 +471,7 @@ STREAMING_PARENT_SNAPSHOT_SHA256 = (
 
 
 def test_snapshot_minus_percentiles_is_the_streaming_parents(observed_run):
-    from repro.harness.digest import environment_fingerprint
-
-    baseline = Path(__file__).resolve().parents[1] / "benchmarks" / "DIGEST_baseline.json"
-    if json.loads(baseline.read_text(encoding="utf-8"))["environment"] != environment_fingerprint():
+    if not on_recorded_build():
         pytest.skip("pin recorded under a different python/numpy build")
     snap = observed_run.telemetry_snapshot()
     metrics = [
@@ -495,8 +493,6 @@ OBSERVED_RUN_TELEMETRY_FILE_SHA256 = (
 
 
 def test_snapshot_is_built_once_and_every_export_reads_it(observed_run, tmp_path):
-    from repro.harness.digest import environment_fingerprint
-
     snap = observed_run.telemetry_snapshot()
     assert observed_run.telemetry_snapshot() is snap
     text = observed_run.telemetry_json()
@@ -506,8 +502,7 @@ def test_snapshot_is_built_once_and_every_export_reads_it(observed_run, tmp_path
     assert path.read_text(encoding="utf-8") == text
     bundled = observed_run.run_bundle()["files"]["telemetry.json"]
     assert bundled is snap
-    baseline = Path(__file__).resolve().parents[1] / "benchmarks" / "DIGEST_baseline.json"
-    if json.loads(baseline.read_text(encoding="utf-8"))["environment"] != environment_fingerprint():
+    if not on_recorded_build():
         pytest.skip("pin recorded under a different python/numpy build")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OBSERVED_RUN_TELEMETRY_FILE_SHA256
 
