@@ -41,8 +41,9 @@ def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact, sca
         ["claim", "measured", "paper"], rows, title="Headline claims (3-app averages)"
     ))
 
-    # machine-readable result for CI's regression gate (see
-    # benchmarks/check_regression.py); no-op unless REPRO_ARTIFACT_DIR is set
+    # half of the figure record that benchmarks/check_regression.py
+    # compares with BENCH_baseline.json exactly (sweep_stats, cache
+    # traffic, is left out of it); no-op unless REPRO_ARTIFACT_DIR is set
     sweep = get_sweep()
     write_artifact("BENCH_headline.json", {
         "mode": scale.mode,
@@ -69,9 +70,10 @@ def test_headline_numbers(benchmark, get_sweep, sweep_stats, write_artifact, sca
 def test_kernel_microbench(write_artifact, scale):
     """Kernel fast-path smoke on one headline cell: identical runs pop
     identical event counts and the free lists absorb the churn (both
-    hard); ``check_regression.py`` holds ``events_popped`` to the
-    baseline's.  The wall-clock and events/sec are printed for the
-    reader and recorded nowhere — host time is ``perf/``'s to judge.
+    hard).  ``BENCH_kernel.json`` is the record's ``kernel`` block:
+    ``check_regression.py`` holds all three counts to the baseline's
+    exactly.  The wall-clock and events/sec are printed for the reader
+    and recorded nowhere — host time is ``perf/``'s to judge.
     """
     import time
 

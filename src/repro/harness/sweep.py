@@ -36,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -333,10 +334,11 @@ class SweepStats:
 
 def _write_cached(path: Path, value: Any) -> None:
     """Write ``value``'s canonical JSON to ``path`` atomically: concurrent
-    sweeps never see a partial write."""
+    sweeps never see a partial write, and two writing the same key each
+    write their own temporary file, so neither can lose it to the other."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    with open(fd, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(value))
     os.replace(tmp, path)
 

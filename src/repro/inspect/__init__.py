@@ -14,7 +14,9 @@ which phase/HAU is responsible":
   checkpoint-time / latency / critical-path deltas to phase spans and
   individual HAUs, ranked as signed "top movers".
 * :mod:`repro.inspect.explain` — renders a diff as the attributed
-  explanation ``benchmarks/check_regression.py`` prints on a gate trip.
+  explanation CI prints on every PR for the figure record
+  (``python -m repro.inspect explain benchmarks/BENCH_baseline.json
+  artifacts/BENCH_headline.json``) and the headline bundle.
 * ``python -m repro.inspect`` — ``diff`` / ``explain`` over bundle
   directories and report files, and ``show``, the one reader of a
   bundle, a trace JSONL or a telemetry snapshot (:mod:`repro.inspect.cli`).

@@ -2,11 +2,13 @@
 
 Two renderers over the structures produced by :mod:`repro.inspect.diff`:
 
-* :func:`explain_diff` — the short, gate-trip-sized story: which
-  metrics moved, and which phase spans / HAUs / hop kinds the movement
-  is attributed to.  ``benchmarks/check_regression.py`` prints these
-  lines when a gate trips, so CI logs say *"latency is up because
-  hau-3's disk-io grew 0.4s"* instead of bare numbers.
+* :func:`explain_diff` — the short story: which metrics moved, and
+  which phase spans / HAUs / hop kinds the movement is attributed to.
+  ``python -m repro.inspect explain`` prints these lines; CI runs it on
+  the figure record and the headline bundle for every PR, beside the
+  exact record check (``benchmarks/check_regression.py``), so its logs
+  say *"latency is up because hau-3's disk-io grew 0.4s"* instead of
+  bare numbers.
 * :func:`render_diff_table` — the full fixed-width table view used by
   ``python -m repro.inspect diff``.
 

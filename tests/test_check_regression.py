@@ -1,258 +1,160 @@
-"""Unit tests for the CI regression gate (benchmarks/check_regression.py):
-throughput gate, the latency gate and its dedicated exit code, backward
-compatibility with latency-less baselines, the exact ``events_popped``
-count and malformed reports."""
+"""Unit tests for the exact figure-record check (benchmarks/check_regression.py):
+the fresh ``{mode, cells, headline, kernel}`` record must equal the committed
+one, with one named line per difference; bad input exits 2, a baseline from
+another build 77, and ``--write`` re-records."""
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
-_MOD_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
-_spec = importlib.util.spec_from_file_location("check_regression", _MOD_PATH)
+import pytest
+
+from repro.harness.digest import EXIT_SKIPPED, environment_fingerprint
+
+_REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "check_regression", _REPO / "benchmarks" / "check_regression.py")
 check_regression = importlib.util.module_from_spec(_spec)
-sys.modules["check_regression"] = check_regression
 _spec.loader.exec_module(check_regression)
+COMMITTED = json.loads(check_regression.DEFAULT_BASELINE.read_text(encoding="utf-8"))
 
 
-def _report(cells, mode="fast"):
-    return {"mode": mode, "cells": cells}
+def _cell(scheme="ms-src", throughput=1000, latency=2.0, **extra):
+    return {"app": "tmi", "scheme": scheme, "n_checkpoints": 3, "throughput": throughput,
+            "latency": latency, "rounds_completed": 2, **extra}
 
 
-def _cell(app="tmi", scheme="ms-src", n=0, throughput=1000.0, latency=2.0, **extra):
-    cell = {
-        "app": app,
-        "scheme": scheme,
-        "n_checkpoints": n,
-        "throughput": throughput,
-        "latency": latency,
-    }
-    cell.update(extra)
-    return cell
+def _record(*cells, mode="fast", popped=74_166):
+    return {"mode": mode, "cells": list(cells) or [_cell(), _cell("baseline", 400, 5.0)],
+            "headline": {"src_thpt_gain_0ckpt": 0.22},
+            "kernel": {"mode": mode, "events_popped": popped, "pool_misses": 148}}
 
 
-def _write(tmp_path, name, report):
-    path = tmp_path / name
-    path.write_text(json.dumps(report))
-    return str(path)
+@pytest.fixture
+def gate(tmp_path, monkeypatch):
+    """``gate(current, baseline)``: commit one record, write one as the bench does, check."""
+    monkeypatch.setattr(check_regression, "DEFAULT_BASELINE", tmp_path / "BENCH_baseline.json")
+
+    def run(current, baseline=None, flags=()):
+        record = {"environment": environment_fingerprint(), **(baseline or _record())}
+        check_regression.DEFAULT_BASELINE.write_text(json.dumps(record))
+        headline = {k: v for k, v in current.items() if k != "kernel"}
+        headline["sweep_stats"] = {"cache_hits": 7}  # cache state: never compared
+        (tmp_path / "BENCH_headline.json").write_text(json.dumps(headline))
+        (tmp_path / "BENCH_kernel.json").write_text(json.dumps(current["kernel"]))
+        return check_regression.main([str(tmp_path), *flags])
+
+    return run
 
 
-def test_identical_reports_pass(tmp_path):
-    rep = _report([_cell(), _cell(scheme="baseline", throughput=400.0, latency=5.0)])
-    cur = _write(tmp_path, "cur.json", rep)
-    base = _write(tmp_path, "base.json", rep)
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
+def test_identical_reports_pass(gate, capsys):
+    assert gate(_record()) == 0
+    assert "OK: 2 cells" in capsys.readouterr().out
 
 
-def test_throughput_regression_exits_1(tmp_path):
-    base = _write(tmp_path, "base.json", _report([_cell(throughput=1000.0)]))
-    cur = _write(tmp_path, "cur.json", _report([_cell(throughput=800.0)]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_THROUGHPUT
-    )
-    # within tolerance passes
-    cur_ok = _write(tmp_path, "cur_ok.json", _report([_cell(throughput=900.0)]))
-    assert check_regression.main([cur_ok, "--baseline", base]) == check_regression.EXIT_OK
+def test_throughput_regression_exits_1(gate, capsys):
+    assert gate(_record(_cell(throughput=900), _cell("baseline", 400, 5.0))) == 1  # -10 %
+    assert "tmi/ms-src@3: throughput 1000 → 900" in capsys.readouterr().out
 
 
-def test_latency_only_regression_exits_3(tmp_path):
-    base = _write(tmp_path, "base.json", _report([_cell(latency=2.0)]))
-    cur = _write(tmp_path, "cur.json", _report([_cell(latency=2.5)]))  # +25%
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_LATENCY
-    )
-    # a custom latency tolerance can absorb it
-    assert (
-        check_regression.main(
-            [cur, "--baseline", base, "--latency-tolerance", "0.30"]
-        )
-        == check_regression.EXIT_OK
-    )
+def test_throughput_gain_and_rounds_completed_drift_exit_1(gate, capsys):
+    assert gate(_record(_cell(throughput=1500), _cell("baseline", 400, 5.0))) == 1  # +50 %
+    assert "tmi/ms-src@3: throughput 1000 → 1500" in capsys.readouterr().out
+    assert gate(_record(_cell(rounds_completed=0), _cell("baseline", 400, 5.0))) == 1
+    assert "tmi/ms-src@3: rounds_completed 2 → 0" in capsys.readouterr().out
 
 
-def test_throughput_regression_wins_over_latency(tmp_path):
-    base = _write(tmp_path, "base.json", _report([_cell(throughput=1000.0, latency=2.0)]))
-    cur = _write(tmp_path, "cur.json", _report([_cell(throughput=500.0, latency=9.0)]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_THROUGHPUT
-    )
+def test_current_missing_latency_is_a_latency_regression(gate, capsys):
+    cell = {k: v for k, v in _cell().items() if k != "latency"}
+    assert gate(_record(cell, _cell("baseline", 400, 5.0))) == 1
+    assert "tmi/ms-src@3: latency 2.0 → '<none>'" in capsys.readouterr().out
 
 
-def test_latency_improvement_passes(tmp_path):
-    base = _write(tmp_path, "base.json", _report([_cell(latency=2.0)]))
-    cur = _write(tmp_path, "cur.json", _report([_cell(latency=1.0)]))
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
+def test_latency_improvement_passes(gate, tmp_path):
+    """Only once re-recorded: ``--write`` stores the record under this build."""
+    faster = _record(_cell(latency=1.0), _cell("baseline", 400, 5.0))
+    assert gate(faster) == 1
+    assert gate(faster, flags=["--write"]) == 0
+    written = json.loads(check_regression.DEFAULT_BASELINE.read_text())
+    assert written == {"environment": environment_fingerprint(), **faster}
+    assert check_regression.main([str(tmp_path)]) == 0
 
 
-def test_baseline_without_latency_skips_gate(tmp_path, capsys):
-    base_cell = _cell()
-    del base_cell["latency"]
-    base = _write(tmp_path, "base.json", _report([base_cell]))
-    cur = _write(tmp_path, "cur.json", _report([_cell(latency=99.0)]))
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    assert "no latency, gate skipped" in capsys.readouterr().out
+def test_missing_cell_and_mode_mismatch_exit_1(gate, capsys):
+    assert gate(_record(_cell())) == 1
+    assert "tmi/baseline@3: missing cell" in capsys.readouterr().out
+    assert gate(_record(mode="full"), _record()) == 1
+    out = capsys.readouterr().out
+    assert "record: mode 'fast' → 'full'" in out and "kernel: mode 'fast' → 'full'" in out
 
 
-def test_current_missing_latency_is_a_latency_regression(tmp_path):
-    base = _write(tmp_path, "base.json", _report([_cell(latency=2.0)]))
-    cur_cell = _cell()
-    del cur_cell["latency"]
-    cur = _write(tmp_path, "cur.json", _report([cur_cell]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_LATENCY
-    )
+def test_new_cell_and_headline_drift_exit_1(gate, capsys):
+    assert gate(_record(), _record(_cell())) == 1
+    assert "tmi/baseline@3: new cell" in capsys.readouterr().out
+    current = _record()
+    current["headline"]["src_thpt_gain_0ckpt"] = 0.23
+    assert gate(current) == 1
+    assert "headline: src_thpt_gain_0ckpt 0.22 → 0.23" in capsys.readouterr().out
 
 
-def test_missing_cell_and_mode_mismatch_exit_1(tmp_path):
-    base = _write(tmp_path, "base.json", _report([_cell(), _cell(scheme="oracle")]))
-    cur = _write(tmp_path, "cur.json", _report([_cell()]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_THROUGHPUT
-    )
-    cur_full = _write(tmp_path, "cur_full.json", _report([_cell()], mode="full"))
-    assert (
-        check_regression.main([cur_full, "--baseline", base])
-        == check_regression.EXIT_THROUGHPUT
-    )
+def test_kernel_events_popped_drift_fails_hard(gate, capsys):
+    assert gate(_record(popped=74_167)) == 1
+    assert "kernel: events_popped 74166 → 74167" in capsys.readouterr().out
 
 
-def test_bad_invocation_exits_2(tmp_path):
-    missing = str(tmp_path / "nope.json")
-    assert check_regression.main([missing]) == check_regression.EXIT_BAD_INVOCATION
-    not_report = _write(tmp_path, "bad.json", {"hello": 1})
-    assert (
-        check_regression.main([not_report]) == check_regression.EXIT_BAD_INVOCATION
-    )
+def test_bad_invocation_exits_2(gate, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        check_regression.main([])
+    assert exc.value.code == 2
+    assert check_regression.main([str(tmp_path / "nope")]) == 2
+    assert gate({"hello": 1, "kernel": {}}) == 2
+    assert gate(_record(), {"hello": 1}) == 2
+    assert gate(_record(_cell(), _cell())) == 2  # one cell listed twice
+    assert gate(_record({"scheme": "ms-src", "n_checkpoints": 0})) == 2  # a cell without app
+
+
+def test_missing_kernel_report_exits_2(gate, tmp_path):
+    gate(_record())
+    (tmp_path / "BENCH_kernel.json").unlink()
+    assert check_regression.main([str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_number_exits_2(gate, value):
+    assert gate(_record(_cell(critical_path_seconds=value))) == 2
+    assert gate(_record(), _record(_cell(critical_path_seconds=value))) == 2
+
+
+def test_foreign_environment_exits_77(gate, capsys):
+    foreign = {**_record(), "environment": {**environment_fingerprint(), "python": "3.12.4"}}
+    assert gate(_record(popped=1), foreign) == EXIT_SKIPPED  # nothing compared
+    assert "environment mismatch" in capsys.readouterr().out
 
 
 def test_checked_in_baseline_has_latency_cells():
-    """The shipped baseline carries per-cell latency, so the new gate is
-    active (not silently skipped) in CI."""
-    report = check_regression.load_report(str(check_regression.DEFAULT_BASELINE))
-    lat = check_regression.cell_values(report, "latency")
-    assert lat, "BENCH_baseline.json should carry per-cell latency"
-
-
-# -- kernel microbenchmark: events_popped, exact ------------------------------
-
-def _kernel(popped=272_490, mode="fast"):
-    return {
-        "mode": mode,
-        "events_popped": popped,
-        "pool_hits": 240_000,
-        "pool_misses": 1_000,
-    }
-
-
-def _with_kernel(tmp_path, base_kernel, cur_kernel):
-    rep = _report([_cell()])
-    base = dict(rep)
-    base["kernel"] = base_kernel
-    base_path = _write(tmp_path, "base.json", base)
-    cur_path = _write(tmp_path, "cur.json", rep)
-    (tmp_path / "BENCH_kernel.json").write_text(json.dumps(cur_kernel))
-    return cur_path, base_path
-
-
-def test_kernel_events_popped_drift_fails_hard(tmp_path):
-    cur, base = _with_kernel(tmp_path, _kernel(popped=272_490), _kernel(popped=272_491))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_THROUGHPUT
-    )
-
-
-def test_kernel_gate_skipped_without_report(tmp_path, capsys):
-    base = dict(_report([_cell()]))
-    base["kernel"] = _kernel()
-    base_path = _write(tmp_path, "base.json", base)
-    cur_path = _write(tmp_path, "cur.json", _report([_cell()]))
-    assert check_regression.main([cur_path, "--baseline", base_path]) == check_regression.EXIT_OK
-    assert "kernel gate skipped" in capsys.readouterr().out
-
-
-def test_kernel_mode_mismatch_skips_comparison(tmp_path, capsys):
-    cur, base = _with_kernel(tmp_path, _kernel(mode="full"), _kernel(popped=1, mode="fast"))
-    assert check_regression.main([cur, "--baseline", base]) == check_regression.EXIT_OK
-    assert "mode mismatch" in capsys.readouterr().out
+    """Every committed cell names itself and carries latency and its tail."""
+    check_regression._cells({k: v for k, v in COMMITTED.items() if k != "environment"},
+                            check_regression.DEFAULT_BASELINE)
+    assert all({"latency", "latency_p99"} <= cell.keys() for cell in COMMITTED["cells"])
 
 
 def test_checked_in_baseline_has_kernel_fields():
-    """The committed baseline pins the kernel's event count and records no
-    host seconds anywhere: ``perf/`` is the one host-time instrument."""
-    text = check_regression.DEFAULT_BASELINE.read_text(encoding="utf-8")
-    assert json.loads(text)["kernel"]["events_popped"] > 0
+    """The committed baseline pins the kernel's counts and records no host
+    seconds anywhere: ``perf/`` is the one host-time instrument."""
+    assert COMMITTED["kernel"]["events_popped"] > 0
     for key in ("wall_seconds", "events_per_sec", "build_seconds", "tuples_per_sec"):
-        assert key not in text
+        assert key not in json.dumps(COMMITTED)
 
 
 def test_checked_in_baseline_has_critical_path_cells():
-    report = check_regression.load_report(str(check_regression.DEFAULT_BASELINE))
-    with_cp = [
-        c
-        for c in report["cells"]
-        if c.get("critical_path_seconds", 0.0) > 0.0
-    ]
-    assert with_cp, (
-        "BENCH_baseline.json should record critical_path_seconds for "
-        "cells whose rounds completed"
-    )
+    """Cells whose rounds completed record their critical path."""
+    assert any(c["critical_path_seconds"] > 0.0 for c in COMMITTED["cells"])
 
 
-# ---------------------------------------------------------------------------
-# malformed reports (exit 4): missing/mistyped gate fields fail loudly
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_cell_missing_gate_field_exits_4(tmp_path, capsys):
-    cur = _write(tmp_path, "cur.json", _report([_cell()]))
-    bad_cell = {"app": "tmi", "scheme": "ms-src", "n_checkpoints": 0}  # no throughput
-    base = _write(tmp_path, "base.json", _report([bad_cell]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_BAD_BASELINE
-    )
-    err = capsys.readouterr().err
-    assert "missing gate field(s) throughput" in err
-    assert "base.json" in err
-    assert "cells[0]" in err
-
-
-def test_current_cell_missing_gate_field_exits_4(tmp_path, capsys):
-    bad_cell = {"scheme": "ms-src", "n_checkpoints": 0, "throughput": 1.0}  # no app
-    cur = _write(tmp_path, "cur.json", _report([bad_cell]))
-    base = _write(tmp_path, "base.json", _report([_cell()]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_BAD_BASELINE
-    )
-    err = capsys.readouterr().err
-    assert "missing gate field(s) app" in err
-    assert "cur.json" in err
-
-
-def test_non_numeric_gate_field_exits_4(tmp_path, capsys):
-    cur = _write(tmp_path, "cur.json", _report([_cell()]))
-    base = _write(
-        tmp_path, "base.json", _report([_cell(throughput="not-a-number")])
-    )
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_BAD_BASELINE
-    )
-    assert "non-numeric gate field" in capsys.readouterr().err
-
-
-def test_non_dict_cell_exits_4(tmp_path, capsys):
-    cur = _write(tmp_path, "cur.json", _report([_cell()]))
-    base = _write(tmp_path, "base.json", _report(["oops"]))
-    assert (
-        check_regression.main([cur, "--baseline", base])
-        == check_regression.EXIT_BAD_BASELINE
-    )
-    assert "cells[0] is not an object" in capsys.readouterr().err
+def test_committed_records_share_one_environment():
+    """``tests/pins.py::on_recorded_build`` reads DIGEST_baseline.json's
+    environment; it means the same for the figure record and the goldens."""
+    pins = [_REPO / "benchmarks" / "DIGEST_baseline.json",
+            _REPO / "examples" / "scenarios" / "GOLDENS.json"]
+    environments = [json.loads(p.read_text(encoding="utf-8"))["environment"] for p in pins]
+    assert environments == [COMMITTED["environment"]] * 2

@@ -65,6 +65,26 @@ def test_cache_files_are_canonical_json(tmp_path):
     assert "digest" in payload and "kernel" in payload
 
 
+def test_two_writers_of_one_key_both_land(tmp_path, monkeypatch):
+    """A second sweep that writes the same key while the first is between
+    its write and its rename must not take the first's temporary file."""
+    path = tmp_path / "abc.json"
+    replace = sweep.os.replace
+    interleaved = []
+
+    def second_writer_first(src, dst):
+        if not interleaved:
+            interleaved.append(src)
+            sweep._write_cached(path, {"writer": 2})
+        replace(src, dst)
+
+    monkeypatch.setattr(sweep.os, "replace", second_writer_first)
+    sweep._write_cached(path, {"writer": 1})
+    assert interleaved
+    assert json.loads(path.read_text()) == {"writer": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.json"]
+
+
 def test_config_change_misses(tmp_path):
     run_cells([CellSpec(config=small_config(seed=3))], jobs=1, cache_dir=tmp_path)
     stats = SweepStats()
