@@ -6,13 +6,14 @@ invariants that ordinary linters do not know about: model code must
 never read the wall clock, every random draw must come from the seeded
 ``repro.simulation.rng`` streams, export paths must not iterate
 unordered collections, simulation processes must only yield engine
-events, checkpoint schemes must implement their hook protocol, and every
-metric / trace name is one ``repro/vocabulary.py`` (and so DESIGN.md) has.
+events, a work-or-None scheme hook must return the generator it makes,
+and every metric / trace name is one ``repro/vocabulary.py`` (and so
+DESIGN.md) has.
 
 ``python -m repro.analysis`` walks ``src/``, ``benchmarks/`` and
 ``examples/`` once with a shared visitor and dispatches each AST node to
-the registered rules; cross-file rules (vocabulary, protocol checks)
-accumulate state and report during a finalize phase.  See
+the registered rules; the cross-file rule (vocabulary) accumulates state
+and reports during a finalize phase.  See
 ``python -m repro.analysis --list-rules`` for the rule inventory.
 """
 

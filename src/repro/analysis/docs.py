@@ -124,6 +124,11 @@ def _scenario_fields(v: dict[str, Any]) -> str:
     return _table("field", "shape", "notes", rows=rows)
 
 
+def _scheme_hooks(v: dict[str, Any]) -> str:
+    rows = [(f"`{hook}`", kind, driven) for hook, (kind, driven) in v["SCHEME_HOOKS"].items()]
+    return _table("hook", "kind", "driven from", rows=rows)
+
+
 def _lint_rules(_: dict[str, Any]) -> str:
     rows = [(f"`{cls.id}`", cls.title, cls.rationale) for cls in all_rules()]
     return _table("rule", "invariant", "why it matters", rows=rows)
@@ -136,6 +141,7 @@ BLOCKS: dict[str, Callable[[dict[str, Any]], str]] = {
     "slo-kinds": _slo_kinds,
     "health-states": _health_states,
     "scenario-fields": _scenario_fields,
+    "scheme-hooks": _scheme_hooks,
     "phases": lambda v: _ticked(v["PHASES"]),
     "lint-rules": _lint_rules,
 }

@@ -10,6 +10,7 @@ a round is executed (token cascade vs broadcast; sync vs async) and
 
 from __future__ import annotations
 
+from abc import ABCMeta, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.core.costs import CostModel
@@ -36,8 +37,11 @@ class RoundState:
     out_copies: list = field(default_factory=list)  # (edge_id, DataTuple)
 
 
-class MeteorShowerBase(CheckpointScheme):
-    """Base for MS-src, MS-src+ap and MS-src+ap+aa."""
+class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
+    """Base for MS-src, MS-src+ap and MS-src+ap+aa.
+
+    Abstract: a variant that implements no ``initiate_round`` can be
+    defined (as an intermediate class) but not instantiated."""
 
     name = "ms-base"
 
@@ -94,9 +98,10 @@ class MeteorShowerBase(CheckpointScheme):
         except Interrupt:
             return
 
+    @abstractmethod
     def initiate_round(self):
         """Start one application checkpoint. Generator; scheme-specific."""
-        raise NotImplementedError
+        return
         yield  # pragma: no cover
 
     def next_round_id(self) -> int:

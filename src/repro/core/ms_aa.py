@@ -81,7 +81,7 @@ class MSSrcAPAA(MSSrcAP):
             checkpoint_period=period,
             profile_duration=cfg.warmup * 0.8,
             sample_interval=max(0.5, period / 40.0),
-            max_rounds=cfg.n_checkpoints or None,
+            max_rounds=cfg.n_checkpoints,
             costs=cfg.costs,
             enable_recovery=cfg.enable_recovery,
         )
@@ -89,6 +89,8 @@ class MSSrcAPAA(MSSrcAP):
     # -- lifecycle ---------------------------------------------------------------------
     def start(self) -> None:
         super().start()  # failure watcher (no coordinator: no checkpoint_times)
+        if self.max_rounds == 0:
+            return  # no rounds: nothing to profile for, as ms-src+ap with none
         rt = self.runtime
         self._reports = Store(rt.env)
         rt.dc.storage_node.spawn(self._aa_controller(), label="aa.controller")

@@ -82,13 +82,27 @@ class Operator:
 
     Subclasses define ``state_attrs`` (names of instance attributes that
     constitute operator state) and optionally ``state_hints`` for sampled
-    size estimation, then implement :meth:`on_tuple`.
+    size estimation, then implement :meth:`on_tuple`.  A subclass that
+    serialises its own state overrides :meth:`snapshot` and
+    :meth:`restore` together, or its definition raises ``TypeError``:
+    one without the other diverges recovery from the checkpointed state.
     """
 
     #: instance attribute names that make up the operator's state
     state_attrs: tuple[str, ...] = ()
     #: declarative size hints, keyed by attribute name
     state_hints: dict[str, StateHint] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if ("snapshot" in vars(cls)) != ("restore" in vars(cls)):
+            present, missing = (
+                ("snapshot", "restore") if "snapshot" in vars(cls) else ("restore", "snapshot")
+            )
+            raise TypeError(
+                f"operator {cls.__name__} overrides `{present}` without `{missing}`: "
+                "custom state serialisation must stay paired"
+            )
 
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__

@@ -14,6 +14,7 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import inspect
 from typing import Any
 
 from repro.cluster.channel import Channel, ChannelClosedError
@@ -28,6 +29,7 @@ from repro.metrics.collectors import MetricsHub
 from repro.simulation.core import Environment, Interrupt, Process, paused_gc
 from repro.simulation.rng import RngRegistry
 from repro.storage.shared import SharedStorage, StorageClient
+from repro.vocabulary import SCHEME_HOOKS
 
 CONTROL_MSG_SIZE = 512
 CKPT_NS = "ckpt"  # storage namespace of individual checkpoints
@@ -50,16 +52,35 @@ class CheckpointScheme:
 
     A scheme is this class, an entry in :data:`repro.core.SCHEMES` (its
     ``name``), a :meth:`from_config` when it derives parameters from the
-    experiment config, and the hooks it overrides.  Generator-valued hooks
-    are driven with ``yield from`` inside the HAU or controller process,
-    so they can spend simulated time; the others are plain calls.  The
-    three per-tuple hooks (``on_source_emit``, ``on_emit``,
-    ``maybe_checkpoint``) return *work or None*: the generator to drive,
-    or None when there is nothing to do, so a tuple boundary with nothing
-    to do allocates nothing.  A generator function satisfies that too.
+    experiment config, and the hooks it overrides.  Each hook's kind is
+    :data:`repro.vocabulary.SCHEME_HOOKS`: generator hooks are driven with
+    ``yield from`` inside the HAU or controller process, so they can spend
+    simulated time; plain hooks are plain calls.  The three per-tuple
+    (``work``) hooks return the generator to drive, or None when there is
+    nothing to do, so a tuple boundary with nothing to do allocates
+    nothing.  A generator function satisfies that too.  Every subclass
+    body is checked against the kinds when the class is created.
     """
 
     name = "none"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for hook, member in vars(cls).items():
+            kind = SCHEME_HOOKS.get(hook, ("",))[0]
+            if kind == "classmethod":
+                ok, need = isinstance(member, classmethod), "must be a classmethod"
+            elif kind in ("generator", "plain"):
+                ok = inspect.isgeneratorfunction(member) == (kind == "generator")
+                need = (
+                    "must be a generator function (it is driven with `yield from`)"
+                    if kind == "generator"
+                    else "must not be a generator function (a plain call never runs its body)"
+                )
+            else:
+                continue
+            if not ok:
+                raise TypeError(f"{cls.__name__}.{hook} is a {kind} hook: it {need}")
 
     def __init__(self):
         self.runtime: "DSPSRuntime" | None = None

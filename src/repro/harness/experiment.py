@@ -245,7 +245,6 @@ def run_experiment(
     failure_plan: "FailurePlan | None" = None,
     trace: bool = False,
     telemetry: bool = False,
-    telemetry_interval: float = 1.0,
 ) -> ExperimentResult:
     """Build, run and measure one experiment.
 
@@ -269,8 +268,8 @@ def run_experiment(
     (instrumented layers cache the handle); the result's
     ``telemetry_snapshot()`` / ``write_telemetry()`` expose the metrics.
     It, or ``trace_state=True`` alone (which leaves the registry off),
-    starts the per-HAU :class:`~repro.telemetry.sampler.Sampler` every
-    ``telemetry_interval`` seconds: ``result.telemetry_sampler`` holds its
+    starts the per-HAU :class:`~repro.telemetry.sampler.Sampler` (one
+    sample per simulated second): ``result.telemetry_sampler`` holds its
     series and ``result.state_series()`` sums their state sizes.
     """
     monitor_on = cfg.monitor_period > 0.0
@@ -309,11 +308,7 @@ def run_experiment(
         ).attach(env)
     if failure_plan is not None and failure_plan.events:
         FailureInjector(env, runtime.dc, failure_plan).start()
-    sampler = (
-        Sampler(runtime, registry=registry, interval=telemetry_interval)
-        if (trace_state or telemetry)
-        else None
-    )
+    sampler = Sampler(runtime, registry=registry) if (trace_state or telemetry) else None
     if failure_at is not None:
         if failure_targets is None:
             failure_targets = sorted({h.node.node_id for h in runtime.haus.values()})

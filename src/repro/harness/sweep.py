@@ -51,7 +51,6 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.observability import straggler_report
-from repro.telemetry.registry import MetricRegistry
 
 # Bump to invalidate every cached payload when the payload *shape*
 # changes (the code fingerprint already covers behaviour changes).
@@ -325,11 +324,6 @@ class SweepStats:
     cache_misses: int = 0
     executed: int = 0
     keys: list[str] = field(default_factory=list)
-
-    def publish(self, registry: MetricRegistry) -> None:
-        """Fold the cache counters into a telemetry registry."""
-        registry.counter("ms_sweep_cache_hits_total").inc(self.cache_hits)
-        registry.counter("ms_sweep_cache_misses_total").inc(self.cache_misses)
 
 
 def _write_cached(path: Path, value: Any) -> None:

@@ -1,9 +1,9 @@
 """Periodic per-HAU time-series sampling.
 
 A :class:`Sampler` rides on a live
-:class:`~repro.dsps.runtime.DSPSRuntime`: every ``interval`` simulated
-seconds it snapshots the per-HAU quantities the paper's own adaptive
-logic reasons about (§III-C) — input-queue depth, preservation-buffer
+:class:`~repro.dsps.runtime.DSPSRuntime`: every ``DEFAULT_INTERVAL``
+simulated seconds it snapshots the per-HAU quantities the paper's own
+adaptive logic reasons about (§III-C) — input-queue depth, preservation-buffer
 bytes, ``state_size()``, in-flight tuples on the out-channels, held-back
 tuples behind checkpoint tokens, and the last checkpoint write duration
 — into both the registry's gauges (latest value) and an in-memory time
@@ -30,19 +30,11 @@ DEFAULT_INTERVAL = 1.0
 class Sampler:
     """Samples per-HAU gauges on a fixed cadence into time series."""
 
-    def __init__(
-        self,
-        runtime,
-        registry: RegistryLike | None = None,
-        interval: float = DEFAULT_INTERVAL,
-    ):
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive, got {interval!r}")
+    def __init__(self, runtime, registry: RegistryLike | None = None):
         self.runtime = runtime
         self.registry = ensure_registry(
             registry if registry is not None else runtime.env.telemetry
         )
-        self.interval = float(interval)
         self.samples_taken = 0
         # metric name -> hau_id -> [(sim time, value), ...]
         self.series: dict[str, dict[str, list[tuple[float, float]]]] = {
@@ -60,7 +52,7 @@ class Sampler:
         env = self.runtime.env
         try:
             while True:
-                yield env.timeout(self.interval)
+                yield env.timeout(DEFAULT_INTERVAL)
                 self.sample_once()
         except Interrupt:
             return
@@ -129,4 +121,4 @@ class Sampler:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Sampler every {self.interval}s, {self.samples_taken} samples>"
+        return f"<Sampler every {DEFAULT_INTERVAL}s, {self.samples_taken} samples>"

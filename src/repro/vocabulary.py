@@ -1,8 +1,8 @@
 """The words this reproduction speaks in — one definition each.
 
 Trace kinds, metric names, checkpoint phases, SLO kinds, health states,
-failure kinds, scenario fields and scheme names: every other module
-imports these (``tracer.KINDS``, ``slo.SLO_KINDS``,
+failure kinds, scenario fields, scheme names and scheme hooks: every
+other module imports these (``tracer.KINDS``, ``slo.SLO_KINDS``,
 ``injector.FAILURE_KINDS``, ...), and the DESIGN.md tables that describe
 them are generated from this file by ``python -m repro.analysis
 --write-docs``.  Adding a kind, a metric or a field is one row here.
@@ -119,8 +119,6 @@ METRICS = (
      "`namespace`", "`storage/shared.py`"),
     ({"ms_failures_injected_total": "counter"},
      "`kind={FAILURE_KINDS:\\|}`", "`failures/injector.py`"),
-    ({"ms_sweep_cache_hits_total": "counter", "ms_sweep_cache_misses_total": "counter"},
-     "—", "sweep result-cache lookups (`harness/sweep.py`)"),
     ({"ms_alerts_fired_total": "counter", "ms_alerts_resolved_total": "counter"},
      "`slo`", "SLO burn-rate alerts fired / resolved (`monitor/plane.py`)"),
     ({"ms_alerts_active": "gauge"}, "—", "currently-firing SLO alerts"),
@@ -180,6 +178,37 @@ DEGRADATION_KINDS = ("partition", "straggler")
 
 # -- schemes (repro.harness) ------------------------------------------------
 SCHEME_NAMES = ("none", "baseline", "ms-src", "ms-src+ap", "ms-src+ap+aa", "oracle")
+
+# Checkpoint-scheme hook -> (kind, driven from): DESIGN.md's scheme-protocol
+# table.  ``generator`` hooks are driven with ``yield from`` and must be
+# generator functions; ``work`` hooks return the generator to drive or
+# None (a generator function also qualifies); ``plain`` hooks are plain
+# calls and must not be generator functions.  ``CheckpointScheme`` checks
+# every subclass body against these kinds when the class is created.
+SCHEME_HOOKS = {
+    "from_config": ("classmethod", "`make_scheme`"),
+    "attach": ("plain", "`DSPSRuntime.__init__`"),
+    "start": ("plain", "`DSPSRuntime.start`, after every HAU"),
+    "on_source_emit": ("work", "`HAURuntime._source_loop`, before each send"),
+    "on_emit": ("work", "`HAURuntime.emit`, per routed edge, before the send"),
+    "on_token_arrival": ("plain", "`HAURuntime._pull`: a token at the head of its edge"),
+    "handle_token": ("generator", "`HAURuntime._main_loop`: a token popped from the inbox"),
+    "maybe_checkpoint": (
+        "work",
+        "every tuple boundary of the main and source loops, and a finished source's idle poll",
+    ),
+    "processing_overhead": ("plain", "`HAURuntime._process_tuple`"),
+    "on_control": ("generator", "`DSPSRuntime._control_listener`"),
+    "write_checkpoint": (
+        "generator",
+        "a scheme's own checkpoint (`_sync_checkpoint`, `MSSrcAP._child_writer`)",
+    ),
+    "recover": ("generator", "`core.recovery.failure_watcher`"),
+    "initiate_round": ("generator", "`MeteorShowerBase._coordinator`, `MSSrcAPAA`'s controller"),
+    "on_recovery_reset": ("plain", "`GlobalRecovery.run`, at the rollback instant"),
+    "recovery_read_plan": ("plain", "`GlobalRecovery.run`"),
+    "oldest_kept_version": ("plain", "`MeteorShowerBase._garbage_collect`"),
+}
 
 # -- scenarios (repro.scenarios) --------------------------------------------
 # Top-level field -> (shape, notes): DESIGN.md's scenario-schema table.

@@ -530,25 +530,18 @@ def test_sim001_ignores_undriven_generators(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PROTO001 — scheme hook protocol / operator save-restore pairing
+# PROTO001 — a plain work-or-None hook returns the generator it makes
+# (the hook kinds are checked at class creation: test_scheme_protocol.py)
 # ---------------------------------------------------------------------------
 
-
-def test_proto001_flags_generator_hook_overridden_as_plain(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            class BadScheme(CheckpointScheme):
-                def handle_token(self, hau, edge_idx, token):
-                    return token
-            """
-        },
-        rule_ids=["PROTO001"],
-    )
-    assert rules_of(project) == ["PROTO001"]
-    assert "handle_token" in project.findings[0].message
-    assert "yield from" in project.findings[0].message
+# the rule reads the work hooks from the scanned tree's vocabulary
+WORK_HOOKS_VOCABULARY = """\
+SCHEME_HOOKS = {
+    "on_source_emit": ("work", ""),
+    "on_emit": ("work", ""),
+    "maybe_checkpoint": ("work", ""),
+}
+"""
 
 
 def test_proto001_flags_work_hook_that_drops_its_generator(tmp_path):
@@ -566,7 +559,8 @@ def test_proto001_flags_work_hook_that_drops_its_generator(tmp_path):
                 def maybe_checkpoint(self, hau):
                     if hau.pending:
                         self._sync_checkpoint(hau)
-            """
+            """,
+            VOCABULARY_RELPATH: WORK_HOOKS_VOCABULARY,
         },
         rule_ids=["PROTO001"],
     )
@@ -599,100 +593,12 @@ def test_proto001_work_hooks_return_work_or_none(tmp_path):
 
                 def maybe_checkpoint(self, hau):
                     yield from self._write(hau, None)
-            """
+            """,
+            VOCABULARY_RELPATH: WORK_HOOKS_VOCABULARY,
         },
         rule_ids=["PROTO001"],
     )
     assert project.findings == []
-
-
-def test_proto001_flags_yield_in_plain_hook(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            class BadScheme(CheckpointScheme):
-                def on_token_arrival(self, hau, edge_idx, token):
-                    yield token
-            """
-        },
-        rule_ids=["PROTO001"],
-    )
-    assert rules_of(project) == ["PROTO001"]
-    assert "on_token_arrival" in project.findings[0].message
-
-
-def test_proto001_flags_missing_initiate_round(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            class HalfVariant(MeteorShowerBase):
-                def write_checkpoint(self, hau, reason):
-                    yield from ()
-            """
-        },
-        rule_ids=["PROTO001"],
-    )
-    assert any("initiate_round" in f.message for f in project.findings)
-
-
-def test_proto001_abstract_intermediate_not_flagged(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            class AbstractVariant(MeteorShowerBase):
-                pass
-
-            class Concrete(AbstractVariant):
-                def initiate_round(self, reason):
-                    yield from ()
-            """
-        },
-        rule_ids=["PROTO001"],
-    )
-    assert project.findings == []
-
-
-def test_proto001_return_yield_idiom_is_a_generator(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            class GoodScheme(CheckpointScheme):
-                def on_control(self, hau, message):
-                    return
-                    yield
-            """
-        },
-        rule_ids=["PROTO001"],
-    )
-    assert project.findings == []
-
-
-def test_proto001_operator_snapshot_without_restore(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            class HalfOp(Operator):
-                def snapshot(self):
-                    return {}
-
-            class FullOp(Operator):
-                def snapshot(self):
-                    return {}
-
-                def restore(self, blob):
-                    pass
-            """
-        },
-        rule_ids=["PROTO001"],
-    )
-    assert rules_of(project) == ["PROTO001"]
-    assert "HalfOp" in project.findings[0].message
-    assert "restore" in project.findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -977,6 +883,7 @@ SLOS = {"p99": (1.0, "max")}
 HEALTH = {}
 FAILURE_KINDS = ("node",)
 SCENARIO_FIELDS = {}
+SCHEME_HOOKS = {}
 """
 
 MODULE = """\

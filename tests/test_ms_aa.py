@@ -5,6 +5,7 @@ from repro.cluster import ClusterSpec
 from repro.core import MSSrcAPAA
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
+from repro.harness import ExperimentConfig, run_experiment
 from repro.simulation import Environment
 
 # A pronounced sawtooth: 20 x 500 KB per window (5 s per cycle),
@@ -116,3 +117,19 @@ def test_exactly_once_with_aa_recovery():
     failed_log, scheme = run(fail=(13.0, ["agg", "mid"]))
     assert len(scheme.recoveries) == 1
     assert failed_log == clean_log
+
+
+def test_zero_checkpoints_starts_no_round():
+    """Bug: ``from_config`` turned ``n_checkpoints = 0`` into "unlimited",
+    so aa@0 checkpointed every period.  Zero means no rounds, as for every
+    other scheme: the run is ms-src+ap's with none."""
+    runs = {}
+    for scheme in ("ms-src+ap", "ms-src+ap+aa"):
+        cfg = ExperimentConfig(
+            app="bcp", scheme=scheme, n_checkpoints=0, window=40.0, warmup=10.0,
+            workers=8, spares=12, racks=2, seed=1,
+        )
+        res = run_experiment(cfg)
+        assert res.scheme.record.logs == {}
+        runs[scheme] = (res.throughput, res.latency, res.runtime.storage.bytes_written)
+    assert runs["ms-src+ap+aa"] == runs["ms-src+ap"]

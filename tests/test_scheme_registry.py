@@ -51,7 +51,7 @@ def expected(scheme, n, recovery, oracle_times=None):
         return MSSrcAPAA, {
             **common, "checkpoint_times": [], "checkpoint_period": 50.0 if n else 150.0,
             "profile_duration": 24.0, "sample_interval": 1.25 if n else 3.75,
-            "max_rounds": 3 if n else None,
+            "max_rounds": 3 if n else 0,
         }
     if scheme == "oracle":
         return OracleScheme, {**common, "checkpoint_times": oracle_times or times}

@@ -22,8 +22,6 @@ from repro.harness.sweep import (
     clear_cache,
     run_cells,
 )
-from repro.telemetry import MetricRegistry
-from repro.telemetry.export import snapshot
 
 SMALL = dict(window=20.0, warmup=5.0, workers=6, spares=8, racks=2, seed=3)
 
@@ -174,15 +172,6 @@ def test_partial_cache_mixes_hits_and_executions(tmp_path):
     assert (stats.cache_hits, stats.cache_misses) == (1, 1)
     assert payloads[0]["config"]["scheme"] == "baseline"
     assert payloads[1]["config"]["scheme"] == "ms-src"
-
-
-def test_sweep_stats_publish_metrics():
-    stats = SweepStats(cache_hits=3, cache_misses=1)
-    registry = MetricRegistry()
-    stats.publish(registry)
-    snap = {m["name"]: m for m in snapshot(registry)["metrics"]}
-    assert snap["ms_sweep_cache_hits_total"]["value"] == 3
-    assert snap["ms_sweep_cache_misses_total"]["value"] == 1
 
 
 def test_cached_oracle_times_memoises(tmp_path):

@@ -307,7 +307,7 @@ def test_runtime_without_telemetry_registers_nothing():
 
 def test_sampler_records_per_hau_series():
     env, rt, _ = deploy(MSSrcAP(checkpoint_times=[4.0]), source_count=80)
-    sampler = Sampler(rt, interval=1.0)
+    sampler = Sampler(rt)
     rt.run(until=10.0)
     assert sampler.samples_taken >= 9
     series = sampler.series_dict()
@@ -325,19 +325,13 @@ def test_sampler_records_per_hau_series():
     assert g is not None
 
 
-def test_sampler_rejects_bad_interval():
-    env, rt, _ = deploy(MSSrc(), source_count=5)
-    with pytest.raises(ValueError):
-        Sampler(rt, interval=0.0)
-
-
 # -- exporters -----------------------------------------------------------------
 
 
 def test_snapshot_deterministic_across_same_seed_runs():
     def one_run():
         env, rt, _ = deploy(MSSrcAP(checkpoint_times=[4.0]), seed=11, source_count=60)
-        sampler = Sampler(rt, interval=1.0)
+        sampler = Sampler(rt)
         rt.run(until=10.0)
         return dumps_snapshot(
             snapshot(env.telemetry, sampler=sampler, meta={"seed": 11})
@@ -348,7 +342,7 @@ def test_snapshot_deterministic_across_same_seed_runs():
 
 def test_snapshot_roundtrip(tmp_path):
     env, rt, _ = deploy(MSSrc(checkpoint_times=[3.0]), source_count=40)
-    sampler = Sampler(rt, interval=1.0)
+    sampler = Sampler(rt)
     rt.run(until=8.0)
     snap = snapshot(env.telemetry, sampler=sampler, meta={"app": "chain"})
     path = tmp_path / "snap.json"
@@ -358,7 +352,7 @@ def test_snapshot_roundtrip(tmp_path):
 
 def test_snapshot_text_is_one_row_per_line():
     env, rt, _ = deploy(MSSrcAP(checkpoint_times=[4.0]), source_count=60)
-    sampler = Sampler(rt, interval=1.0)
+    sampler = Sampler(rt)
     rt.run(until=10.0)
     snap = snapshot(env.telemetry, sampler=sampler, meta={"app": "chain", "seed": 7})
     text = dumps_snapshot(snap)
