@@ -6,7 +6,7 @@ simulated — see DESIGN.md "Simulation-time conventions".
 """
 
 from repro.cluster.node import Node, NodeDownError
-from repro.cluster.channel import Channel, ChannelClosedError, Message
+from repro.cluster.channel import Channel, ChannelClosedError
 from repro.cluster.topology import DataCenter, Rack, ClusterSpec
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "NodeDownError",
     "Channel",
     "ChannelClosedError",
-    "Message",
     "DataCenter",
     "Rack",
     "ClusterSpec",

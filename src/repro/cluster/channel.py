@@ -1,6 +1,7 @@
 """Reliable, in-order channels between nodes (the paper's TCP assumption).
 
-A :class:`Channel` is a unidirectional stream of :class:`Message`s.  While
+A :class:`Channel` is a unidirectional stream of items, each sent with
+its nominal size in bytes and queued as itself — no wrapper.  While
 both endpoints are alive, delivery is FIFO with no loss or duplication
 (matching the paper: "Network packets are delivered in-order and will not
 be lost silently").  A node failure closes the channel: pending sends
@@ -11,7 +12,7 @@ notifies its upstream neighbour").
 Transmission cost = per-message latency + size/bandwidth, serialised on
 the sender's NIC egress pipe so concurrent streams from one node contend.
 
-A message moves through three bounded stages — outbox (send buffer), the
+An item moves through three bounded stages — outbox (send buffer), the
 wire (one message: the link carries the next only once this one is in
 the inbox, i.e. one message per serialisation + latency), inbox (socket
 buffer) — and no process moves it.  Every step happens inside the call
@@ -37,31 +38,14 @@ class ChannelClosedError(Exception):
     """Send or receive on a channel whose endpoint has failed."""
 
 
-class Message:
-    """A sized payload travelling over a channel.
-
-    A plain slots class rather than a dataclass: one is built per wire
-    message, and the generated ``__init__`` of a frozen dataclass is
-    measurable on the tuple hot path.  Treat instances as immutable.
-    """
-
-    __slots__ = ("payload", "size")
-
-    def __init__(self, payload: Any, size: int):
-        self.payload = payload
-        self.size = size  # nominal bytes on the wire
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Message(size={self.size})"
-
-
 class Channel:
     """Unidirectional reliable FIFO pipe ``src -> dst``."""
 
     # One per query-network edge: slotted like the HAU runtime it feeds.
     __slots__ = (
         "env", "src", "dst", "_latency", "name", "capacity", "_outbox",
-        "_inbox", "_wire", "_sent_at", "_landed", "_arrival", "_arrival_cbs",
+        "_outbox_sizes", "_inbox", "_wire", "_wire_size", "_sent_at",
+        "_landed", "_arrival", "_arrival_cbs",
         "_nic_req", "_senders", "_getters", "_consumer", "_consumer_tag",
         "closed", "messages_delivered", "bytes_delivered", "_on_break",
     )
@@ -85,24 +69,28 @@ class Channel:
         # fills the inbox (socket buffer), the message on the wire cannot
         # land, the outbox (send buffer) fills, and send() hands back
         # events that stay pending.  Both buffers are lists: each holds at
-        # most `capacity` messages (a data channel's is 64 by default), so
+        # most `capacity` items (a data channel's is 64 by default), so
         # pop(0) moves few pointers, where an empty deque costs a 760-byte
         # block.  The one unbounded link is a controller's command link,
-        # which carries one message per checkpoint round.
+        # which carries one message per checkpoint round.  The outbox
+        # keeps each item's size beside it, index for index; what has
+        # left the wire needs none.
         self.capacity = capacity
-        self._outbox: list[Message] = []
-        self._inbox: list[Message] = []
-        self._wire: Message | None = None  # serialising, propagating or landed
-        self._sent_at = 0.0  # when the wire message is through the NIC
-        self._landed = False  # the wire message is waiting for an inbox slot
-        # Armed at the instant the wire message lands; allocated (with its
+        self._outbox: list[Any] = []
+        self._outbox_sizes: list[int] = []
+        self._inbox: list[Any] = []
+        self._wire: Any = None  # serialising, propagating or landed
+        self._wire_size = 0
+        self._sent_at = 0.0  # when the wire item is through the NIC
+        self._landed = False  # the wire item is waiting for an inbox slot
+        # Armed at the instant the wire item lands; allocated (with its
         # callback list) by the first transmission, re-armed ever after.
         self._arrival: Event | None = None
         self._arrival_cbs: list[Callable[[Event], None]] | None = None
         self._nic_req: Event | None = None  # queued for a contended NIC
         # Waiters are rare and short: the shared empty tuple until the
         # first one, a list from then on (the Store idiom).
-        self._senders: list[tuple[Event, Message]] | tuple[()] = ()
+        self._senders: list[tuple[Event, Any, int]] | tuple[()] = ()
         self._getters: list[Event] | tuple[()] = ()
         self._consumer: Callable[[Any], None] | None = None
         self._consumer_tag: Any = None
@@ -117,7 +105,7 @@ class Channel:
     @property
     def latency(self) -> float:
         """One-way propagation delay; the failure injector sets it live
-        to model partitions.  A message takes the value in force when it
+        to model partitions.  An item takes the value in force when it
         starts to propagate, so one still serialising on the NIC when the
         value changes is re-timed (its stale arrival is ignored)."""
         return self._latency
@@ -131,8 +119,10 @@ class Channel:
             self._propagate(self._sent_at)
 
     # -- sending --------------------------------------------------------------
-    def send(self, payload: Any, size: int) -> Event:
-        """Queue a message; the event fires once it is accepted.
+    def send(self, item: Any, size: int) -> Event:
+        """Queue ``item``, ``size`` nominal bytes on the wire; the event
+        fires once it is accepted.  ``None`` is not an item: it is what
+        :meth:`take` answers when nothing is there.
 
         With room (the usual case) it is accepted on return and the event
         is ``env.past``; with the outbox full the event stays pending
@@ -141,19 +131,20 @@ class Channel:
         """
         if self.closed:
             raise ChannelClosedError(self.name)
-        msg = Message(payload, int(size))
+        size = int(size)
         if self._wire is None:
-            self._transmit(msg)  # idle link: nothing is queued either
+            self._transmit(item, size)  # idle link: nothing is queued either
         elif len(self._outbox) < self.capacity and not self._senders:
-            self._outbox.append(msg)
+            self._outbox.append(item)
+            self._outbox_sizes.append(size)
         else:
             accepted = self.env.event()
-            self._senders = [*self._senders, (accepted, msg)]
+            self._senders = [*self._senders, (accepted, item, size)]
             return accepted
         return self.env.past
 
-    def send_front(self, payload: Any, size: int) -> None:
-        """Send ``payload`` ahead of everything queued (token insertion).
+    def send_front(self, item: Any, size: int) -> None:
+        """Send ``item`` ahead of everything queued (token insertion).
 
         Meteor Shower places 1-hop tokens "at the head of the queue" of
         the output buffers so they are not delayed behind backpressured
@@ -161,17 +152,18 @@ class Channel:
         """
         if self.closed:
             raise ChannelClosedError(self.name)
-        msg = Message(payload, int(size))
+        size = int(size)
         if self._wire is None:
-            self._transmit(msg)
+            self._transmit(item, size)
         else:
-            self._outbox.insert(0, msg)
+            self._outbox.insert(0, item)
+            self._outbox_sizes.insert(0, size)
 
     # -- receiving ------------------------------------------------------------
     def recv(self) -> Event:
-        """Event that fires with the next delivered :class:`Message`.
+        """Event that fires with the next delivered item.
 
-        After a close, any messages already delivered drain first; then the
+        After a close, any items already delivered drain first; then the
         receiver sees :class:`ChannelClosedError`.
         """
         ev = self.env.event()
@@ -183,19 +175,19 @@ class Channel:
             self._getters = [*self._getters, ev]
         return ev
 
-    def take(self) -> Message | None:
-        """The next delivered message, or ``None`` — ``recv`` without the
+    def take(self) -> Any:
+        """The next delivered item, or ``None`` — ``recv`` without the
         wait, for a consumer that :meth:`bind` tells when to look."""
         inbox = self._inbox
         if not inbox:
             return None
-        msg = inbox.pop(0)
+        item = inbox.pop(0)
         if self._landed:
             self._deliver()
-        return msg
+        return item
 
     def bind(self, consumer: Callable[[Any], None], tag: Any) -> None:
-        """Call ``consumer(tag)`` whenever a message is delivered, and once
+        """Call ``consumer(tag)`` whenever an item is delivered, and once
         when the channel closes; the consumer empties the inbox with
         :meth:`take`.  Replaces ``recv`` for this channel."""
         self._consumer = consumer
@@ -209,7 +201,7 @@ class Channel:
 
     @property
     def pending(self) -> int:
-        """Delivered but not yet consumed messages."""
+        """Delivered but not yet consumed items."""
         return len(self._inbox)
 
     # -- failure --------------------------------------------------------------
@@ -229,7 +221,7 @@ class Channel:
         # Wake everyone blocked on either end with an error.
         error = ChannelClosedError(self.name)
         senders, self._senders = self._senders, ()
-        for accepted, _msg in senders:
+        for accepted, _item, _size in senders:
             accepted.fail(error)
         getters, self._getters = self._getters, ()
         for getter in getters:
@@ -244,12 +236,13 @@ class Channel:
             cb(self)
 
     # -- internals --------------------------------------------------------------
-    def _transmit(self, msg: Message) -> None:
-        """Put ``msg`` on the wire: serialise on the sender NIC, propagate."""
-        self._wire = msg
+    def _transmit(self, item: Any, size: int) -> None:
+        """Put ``item`` on the wire: serialise on the sender NIC, propagate."""
+        self._wire = item
+        self._wire_size = size
         nic = self.src.nic_out
         if nic.idle:
-            self._propagate(nic.book(msg.size))
+            self._propagate(nic.book(size))
         else:
             # A transfer holds (or waits for) the pipe: queue like one.
             self._nic_req = req = nic._res.request()
@@ -260,12 +253,12 @@ class Channel:
             return  # close() gave the grant back
         self._nic_req = None
         nic = self.src.nic_out
-        sent_at = nic.book(self._wire.size)
+        sent_at = nic.book(self._wire_size)
         nic._res.release(req)
         self._propagate(sent_at)
 
     def _propagate(self, sent_at: float) -> None:
-        # Latency (like nic.bandwidth) is read per message, not cached:
+        # Latency (like nic.bandwidth) is read per item, not cached:
         # the failure injector mutates both live.
         self._sent_at = sent_at
         arrival = self._arrival
@@ -290,16 +283,17 @@ class Channel:
     def _deliver(self) -> None:
         """Wire -> inbox; the link then carries the outbox head, and the
         slot that frees admits the longest-blocked sender."""
-        msg = self._wire
+        self._inbox.append(self._wire)
         self._wire = None
         self._landed = False
-        self._inbox.append(msg)
         self.messages_delivered += 1
-        self.bytes_delivered += msg.size
+        self.bytes_delivered += self._wire_size
         outbox = self._outbox
         if outbox and not self.closed:
-            self._transmit(outbox.pop(0))
+            sizes = self._outbox_sizes
+            self._transmit(outbox.pop(0), sizes.pop(0))
             if self._senders and len(outbox) < self.capacity:
-                accepted, blocked = self._senders.pop(0)
+                accepted, blocked, size = self._senders.pop(0)
                 outbox.append(blocked)
+                sizes.append(size)
                 accepted.succeed()

@@ -4,7 +4,7 @@ A :class:`Node` is the unit of failure.  Killing a node interrupts every
 simulation process registered on it (fail-stop: no spurious output after
 the failure instant) and breaks every channel touching it.  A node has
 no CPU model: an operator's processing cost is a timeout in its HAU's
-loop (``HAURuntime._process_tuple``), so HAUs sharing a node do not
+loop (``HAURuntime._main_loop``), so HAUs sharing a node do not
 contend for cores.
 """
 

@@ -39,7 +39,7 @@ from repro.cluster.node import Node
 from repro.dsps.graph import EdgeSpec, HAUSpec
 from repro.dsps.operator import Emit, Operator, OperatorContext, SourceOperator
 from repro.dsps.tuples import DataTuple, Token, is_token
-from repro.simulation.core import Environment, Event, Interrupt
+from repro.simulation.core import Environment, Event, Interrupt, Process
 from repro.simulation.resources import Gate
 from repro.simulation.rng import RngRegistry
 
@@ -48,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 DEFAULT_INBOX_CAPACITY = 128
 _NAN_HASH = sys.hash_info.nan  # 0: what hash() gave every NaN before 3.10
+# keys that route by their numeric hash (np.float64 is a float already)
+_NUMBERS = (int, float, np.integer, np.floating, np.bool_)
 
 
 def stable_route_hash(key: Any) -> int:
@@ -60,12 +62,15 @@ def stable_route_hash(key: Any) -> int:
     the already-stable element hashes, and numeric hashes are fixpoints
     of re-hashing) keep their historical routing and the pinned digests
     are unchanged; salted types reroute through crc32 of a stable
-    encoding.  A NaN is the exception among numerics: since Python 3.10
+    encoding.  A NumPy integer, bool or float routes as the equal Python
+    number: NumPy defines its scalars' hashes to match, where their
+    ``repr`` (``np.int64(5)``) would send equal keys to different edges.
+    A NaN is the exception among numerics: since Python 3.10
     ``hash(nan)`` is its object's identity, so every NaN (a float, a
     numpy float, one inside a tuple) takes ``sys.hash_info.nan``, the
     value ``hash`` gave all of them before.
     """
-    if isinstance(key, (int, float)):
+    if isinstance(key, _NUMBERS):
         if key != key:
             return _NAN_HASH
         # unsalted and process-stable for numerics
@@ -77,8 +82,6 @@ def stable_route_hash(key: Any) -> int:
     if isinstance(key, tuple):
         # element hashes stabilised first, then CPython's tuple combiner
         return hash(tuple(stable_route_hash(e) for e in key))  # repro-lint: disable=DET006
-    if isinstance(key, np.floating) and key != key:
-        return _NAN_HASH
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
@@ -122,9 +125,9 @@ class HAURuntime:
         "operators", "ctx", "in_edges", "out_edges", "in_channels",
         "out_channels", "_out_seq", "_route_cache", "_dst_ports",
         "_hook_on_emit", "inbox", "inbox_capacity", "_hands",
-        "_slot_waiters", "_wake", "intake_gate", "blocked_edges",
+        "_slot_waiters", "_parked", "intake_gate", "blocked_edges",
         "holdback", "_in_seq", "_replay_backlog", "_replay_out",
-        "_replay_source", "tuples_processed", "busy_time", "_procs",
+        "_replay_source", "tuples_processed", "busy_time", "_proc",
         "torn_down", "__weakref__",
     )
 
@@ -198,7 +201,8 @@ class HAURuntime:
         self.inbox_capacity = inbox_capacity
         self._hands: list[Any] | None = None  # per in-edge; None = empty
         self._slot_waiters: list[int] | tuple[()] = ()
-        self._wake: Event | None = None  # set while the main loop is idle
+        # The main loop's process while it is parked (idle), else None.
+        self._parked: Process | None = None
         self.intake_gate = Gate(env, opened=True)
         self.blocked_edges: set[int] = set()
         self.holdback: dict[int, list[DataTuple]] = {}  # appended, then drained whole
@@ -213,7 +217,7 @@ class HAURuntime:
 
         self.tuples_processed = 0
         self.busy_time = 0.0
-        self._procs = []
+        self._proc: Process | None = None  # the main or source loop
         # Set by kill_local_processes: a rolled-back incarnation is never
         # restarted (rewire builds its successor), so the controller must
         # not bind a control link to it.
@@ -246,9 +250,9 @@ class HAURuntime:
             if chan is not None:
                 chan.bind(self._pull, idx)
         if self.is_source:
-            self._procs.append(self.node.spawn(self._source_loop(), label=f"{self.hau_id}.src"))
+            self._proc = self.node.spawn(self._source_loop(), label=f"{self.hau_id}.src")
         else:
-            self._procs.append(self.node.spawn(self._main_loop(), label=f"{self.hau_id}.main"))
+            self._proc = self.node.spawn(self._main_loop(), label=f"{self.hau_id}.main")
         if self._trace.enabled:
             self._trace.emit(
                 "hau.start", t=self.env.now, subject=self.hau_id, node=self.node.node_id
@@ -412,7 +416,11 @@ class HAURuntime:
         full outbox waits.
         """
         if edges is None:
-            edges = self.route_edges(emit_spec)
+            route = self._route_cache.get(emit_spec.port)
+            if route is not None and route[1] is None:
+                edges = route[0]  # not hashed: the port's whole group
+            else:
+                edges = self.route_edges(emit_spec)
         out_seq = self._out_seq
         out_channels = self.out_channels
         hook = self._hook_on_emit
@@ -499,9 +507,9 @@ class HAURuntime:
             chan = self.out_channels.get(edge.edge_id)
             if chan is None:
                 continue
-            for msg in chan._outbox:
-                if isinstance(msg.payload, DataTuple):
-                    out.append((edge.edge_id, msg.payload))
+            for item in chan._outbox:
+                if isinstance(item, DataTuple):
+                    out.append((edge.edge_id, item))
         return out
 
     def set_replay_source(self, tuples: list[DataTuple]) -> None:
@@ -529,19 +537,17 @@ class HAURuntime:
 
     # -- intake ----------------------------------------------------------------------------
     def enqueue(self, edge_idx: int, item: Any) -> bool:
-        """Put ``item`` in the inbox, waking the main loop if it is idle.
+        """Put ``item`` in the inbox, unparking the main loop if it is idle.
 
         False — and nothing done — if the inbox is full or others are
         already queued for a slot; the caller then joins that queue."""
         if self._slot_waiters or len(self.inbox) >= self.inbox_capacity:
             return False
         self.inbox.append((edge_idx, item))
-        wake = self._wake
-        if wake is not None:
-            # Dropped before it fires, so nothing but the schedule holds
-            # the event and the kernel can recycle it.
-            self._wake = None
-            wake.succeed()
+        parked = self._parked
+        if parked is not None:
+            self._parked = None
+            self.env.unpark(parked)
         return True
 
     def _pull(self, edge_idx: int) -> None:
@@ -559,8 +565,9 @@ class HAURuntime:
         if hands is not None and hands[edge_idx] is not None:
             return
         chan = self.in_channels[edge_idx]
-        while (msg := chan.take()) is not None:
-            item = msg.payload
+        delivered = chan._inbox  # take() pops it and lets a landed item in
+        while delivered:
+            item = chan.take()
             if item.__class__ is Token:
                 if self._trace.enabled:
                     self._trace.emit(
@@ -595,24 +602,27 @@ class HAURuntime:
 
     # -- processes -------------------------------------------------------------------------
     def _tuple_hooks(self):
-        """What :meth:`_process_tuple` calls per tuple, resolved once by
-        each loop that drives it: the scheme's processing tax (None when
-        it is the no-op) and the stage-sample appender (None without a
-        metrics hub)."""
+        """What processing a tuple calls per tuple, resolved once by each
+        loop that drives it: the scheme's processing tax (None when it is
+        the no-op) and the stage-sample appender (None without a metrics
+        hub)."""
         metrics = self.metrics
         return (
             self.scheme.active_hook("processing_overhead"),
             None if metrics is None else metrics.stage_samples.append,
         )
 
-    def _process_tuple(self, edge_idx: int, tup: DataTuple, overhead, record):
-        """Run the operator chain over one tuple; emit the results.
+    def _run_chain(self, edge_idx: int, tup: DataTuple, overhead):
+        """Dedupe ``tup`` and run the operator chain over it.
 
-        ``overhead`` and ``record`` come from :meth:`_tuple_hooks`."""
+        ``(cost, emissions)``: the simulated seconds it takes, scheme tax
+        included, and what the last operator emitted — or None for a
+        duplicate.  The first half of processing a tuple; the caller
+        waits out the cost, calls :meth:`_account`, then emits."""
         if tup.seq:
             in_seq = self._in_seq
             if tup.seq <= in_seq.get(edge_idx, 0):
-                return  # duplicate after recovery: already in restored state
+                return None  # duplicate after recovery: already in restored state
             in_seq[edge_idx] = tup.seq
         dst_ports = self._dst_ports
         port = dst_ports[edge_idx] if edge_idx < len(dst_ports) else 0
@@ -645,16 +655,32 @@ class HAURuntime:
                     break
         if overhead is not None:
             cost *= 1.0 + overhead(self)
-        if cost > 0:
-            yield self.env.timeout(cost)
+        return cost, emissions
+
+    def _account(self, tup: DataTuple, cost: float, record) -> None:
+        """Book one processed tuple, once its cost has elapsed."""
         self.busy_time += cost
         self.tuples_processed += 1
+        now = self.env._now
         if self._telem.enabled:
             self._m_tuples.inc()
             self._m_busy.inc(cost)
-            self._m_latency.observe(self.env.now - tup.created_at)
+            self._m_latency.observe(now - tup.created_at)
         if record is not None:
-            record((self.hau_id, tup.created_at, self.env.now))
+            record((self.hau_id, tup.created_at, now))
+
+    def _process_tuple(self, edge_idx: int, tup: DataTuple, overhead, record):
+        """Process one tuple and emit the results.  Generator.
+
+        The main loop drives the same two helpers inline; this is for the
+        backlog replay and :meth:`release_holdback`.  ``overhead`` and
+        ``record`` come from :meth:`_tuple_hooks`."""
+        if (run := self._run_chain(edge_idx, tup, overhead)) is None:
+            return
+        cost, emissions = run
+        if cost > 0:
+            yield self.env.timeout(cost)
+        self._account(tup, cost, record)
         emit = self.emit
         for emit_spec in emissions:
             if (work := emit(emit_spec, tup.created_at, tup.source)) is not None:
@@ -685,43 +711,55 @@ class HAURuntime:
             overhead, record = self._tuple_hooks()
             for edge_idx, tup in backlog:
                 yield from self._process_tuple(edge_idx, tup, overhead, record)
-            # Steady-state loop: bound methods and collections are hoisted,
-            # and the overwhelmingly-common case (a data tuple on an
-            # unblocked edge) is dispatched first.  DataTuple, Token and
-            # _Nudge have no subclasses, so exact-class checks are
-            # equivalent to the original isinstance/identity dispatch.
-            # The scheme's hooks are locals, not slots: a slot is paid by
-            # every HAU, a local only by a running loop.
+            # Steady-state loop: collections are hoisted, and the
+            # overwhelmingly-common case (a data tuple on an unblocked
+            # edge) is dispatched first and processed inline — the two
+            # helpers of _process_tuple, without a generator per tuple.
+            # DataTuple, Token and _Nudge have no subclasses, so
+            # exact-class checks are equivalent to the original
+            # isinstance/identity dispatch.  The scheme's hooks are
+            # locals, not slots: a slot is paid by every HAU, a local only
+            # by a running loop — but for the whole run, by a parked one.
             maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
             handle_token = self.scheme.handle_token
             gate = self.intake_gate
             inbox = self.inbox
-            new_event = self.env.event
+            env = self.env
+            parked = env.parked
+            me = self._proc  # None once torn down: the interrupt is on its way
             blocked = self.blocked_edges
             holdback = self.holdback
-            process_tuple = self._process_tuple
             while True:
                 if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
                     yield from work
                 if not gate._opened:
                     yield gate.wait()
                 if not inbox:
-                    # Idle: park until enqueue() has put something there.
-                    self._wake = new_event()
-                    yield self._wake
+                    # Idle: park until enqueue() has put something there,
+                    # holding nothing of the last item meanwhile.
+                    item = run = emissions = emit_spec = work = None
+                    self._parked = me
+                    yield parked
                 edge_idx, item = inbox.pop(0)
                 if self._slot_waiters:
                     self._admit()
                 if item.__class__ is DataTuple:
                     if edge_idx in blocked:
                         holdback[edge_idx].append(item)
-                    else:
-                        yield from process_tuple(edge_idx, item, overhead, record)
+                    elif (run := self._run_chain(edge_idx, item, overhead)) is not None:
+                        cost, emissions = run
+                        if cost > 0:
+                            yield env.timeout(cost)
+                        self._account(item, cost, record)
+                        for emit_spec in emissions:
+                            if (work := self.emit(emit_spec, item.created_at, item.source)) is not None:
+                                yield from work
                 elif item is _NUDGE:
                     continue  # safe-point wake-up: hook runs at loop top
                 else:
                     yield from handle_token(self, edge_idx, item)
         except Interrupt:
+            self._parked = None
             return
 
     def _source_loop(self):
@@ -828,11 +866,13 @@ class HAURuntime:
             return
 
     def kill_local_processes(self) -> None:
-        """Stop this HAU's processes without failing the node (rollback)."""
+        """Stop this HAU's process without failing the node (rollback);
+        the torn-down HAU keeps no reference to it."""
         self.torn_down = True
-        procs, self._procs = self._procs, []
-        for p in procs:
-            p.interrupt("rollback")
+        proc, self._proc = self._proc, None
+        self._parked = None
+        if proc is not None:
+            proc.interrupt("rollback")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HAURuntime {self.hau_id} on {self.node.node_id}>"

@@ -300,10 +300,10 @@ class DSPSRuntime:
         try:
             while True:
                 try:
-                    msg = yield chan.recv()
+                    message = yield chan.recv()
                 except ChannelClosedError:
                     return
-                yield from self.scheme.on_control(hau, msg.payload)
+                yield from self.scheme.on_control(hau, message)
         except Interrupt:
             return
 

@@ -9,13 +9,15 @@ probe stage's arrival-time series, binnable around any instant.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.telemetry.quantile import exact_percentile
 
 DEFAULT_LATENCY_PERCENTILES = (0.5, 0.95, 0.99)
 
 
 def _percentile_dict(
-    latencies: list[float], percentiles: tuple[float, ...]
+    latencies: Iterable[float], percentiles: tuple[float, ...]
 ) -> dict[str, float]:
     latencies = sorted(latencies)
     return {
@@ -36,25 +38,39 @@ class MetricsHub:
         # and latency are measured at a *probe stage* instead (§IV-A's
         # "tuples processed by the application").
         self.stage_samples: list[tuple[str, float, float]] = []
+        # The last _probe answer and what it was asked: a run reads
+        # throughput, latency and percentiles over one window back to back.
+        self._probed: tuple[str, float, float | None, int] | None = None
+        self._window: list[tuple[str, float, float]] = []
 
     # -- probe-stage metrics ---------------------------------------------------------
     def _probe(self, probe: str, start: float, end: float | None):
         """Samples of the HAUs whose id starts with ``probe``, processed
-        in [start, end)."""
-        for hau_id, created, done in self.stage_samples:
-            if hau_id.startswith(probe) and done >= start and (end is None or done < end):
-                yield created, done
+        in [start, end), in recording order.
+
+        Filtered once per (probe, window, sample count): the list is
+        kept for the next reducer asking the same, and holds the
+        samples themselves, so it costs a pointer per sample."""
+        asked = (probe, start, end, len(self.stage_samples))
+        if asked != self._probed:
+            self._window = [
+                sample for sample in self.stage_samples
+                if sample[0].startswith(probe) and sample[2] >= start
+                and (end is None or sample[2] < end)
+            ]
+            self._probed = asked
+        return self._window
 
     def stage_throughput(
         self, probe_prefix: str, start: float = 0.0, end: float | None = None
     ) -> int:
-        return sum(1 for _ in self._probe(probe_prefix, start, end))
+        return len(self._probe(probe_prefix, start, end))
 
     def stage_latency(
         self, probe_prefix: str, start: float = 0.0, end: float | None = None
     ) -> float:
-        lats = [done - created for created, done in self._probe(probe_prefix, start, end)]
-        return sum(lats) / len(lats) if lats else 0.0
+        window = self._probe(probe_prefix, start, end)
+        return sum(done - created for _h, created, done in window) / len(window) if window else 0.0
 
     def stage_latency_percentiles(
         self,
@@ -65,8 +81,8 @@ class MetricsHub:
     ) -> dict[str, float]:
         """Exact latency percentiles at the probe stage, e.g.
         ``{"p50": ..., "p95": ..., "p99": ...}`` (0.0 for empty windows)."""
-        lats = [done - created for created, done in self._probe(probe_prefix, start, end)]
-        return _percentile_dict(lats, percentiles)
+        window = self._probe(probe_prefix, start, end)
+        return _percentile_dict((done - created for _h, created, done in window), percentiles)
 
     def stage_binned_latency(
         self, probe_prefix: str, start: float, end: float, bin_width: float
@@ -74,7 +90,7 @@ class MetricsHub:
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
         bins: dict[int, list[float]] = {}
-        for created, done in self._probe(probe_prefix, start, end):
+        for _h, created, done in self._probe(probe_prefix, start, end):
             bins.setdefault(int((done - start) // bin_width), []).append(done - created)
         n_bins = int((end - start) / bin_width)
         return [

@@ -15,7 +15,9 @@ needs and tuned for determinism.
 Fast paths (see DESIGN.md, "Kernel performance"): the kernel recycles
 hot-path event objects through per-environment free lists, resumes
 processes through pooled :class:`_Kick` markers instead of throwaway
-``boot:``/``rewait:``/``interrupt:`` events, keeps the first process to
+``boot:``/``rewait:``/``interrupt:`` events (and an idle process that
+parks on :attr:`Environment.parked` through one more, its unpark,
+instead of a wake event of its own), keeps the first process to
 wait on an event in a slot and allocates the callback list only for
 later registrants, and settles events with inlined scheduling.  Every
 fast path preserves the ``(time, priority, seq)`` total order exactly,
@@ -300,8 +302,9 @@ class _Kick:
     """A pooled direct-resume marker in the current-instant FIFO.
 
     Replaces the throwaway ``boot:``/``rewait:``/``interrupt:`` kick
-    events and carries the outcome it delivers the way an event does:
-    ``_ok`` / ``_value`` are ``True, None`` for a boot, ``False,
+    events and the wake event an idle process used to wait on, and
+    carries the outcome it delivers the way an event does: ``_ok`` /
+    ``_value`` are ``True, None`` for a boot and an unpark, ``False,
     Interrupt(cause)`` for an interrupt and the flushed target's own
     outcome for a rewait.  When popped, :meth:`fire` hands itself to
     :meth:`Process._resume` — no Event allocation, no callback-list
@@ -309,6 +312,10 @@ class _Kick:
     takes the FIFO position the event it replaces would have taken and
     the total order is untouched.  Kicks are engine-internal and never
     escape to model code, so they recycle unconditionally after firing.
+
+    A pending unpark is what its process waits on, so an interrupt can
+    drop it (:meth:`Process.interrupt` clears ``process``); it is still
+    popped, as the wake event it replaces still fired with no waiter.
     """
 
     __slots__ = ("env", "process", "_ok", "_value")
@@ -320,8 +327,11 @@ class _Kick:
         self._value: Any = None
 
     def fire(self) -> None:
-        self.process._resume(self)
-        self.process = self._value = None
+        process = self.process
+        if process is not None:  # None: an unpark dropped by an interrupt
+            self.process = None
+            process._resume(self)
+        self._value = None
         pool = self.env._kick_pool
         if len(pool) < _POOL_LIMIT:
             pool.append(self)
@@ -422,7 +432,9 @@ class Process(Event):
         # does not resume us twice.
         waited = self._waiting_on
         if waited is not None:
-            if waited._waiter is self:
+            if waited.__class__ is _Kick:
+                waited.process = None  # a pending unpark: dropped
+            elif waited._waiter is self:
                 waited._waiter = None
             elif waited.callbacks and self._resume in waited.callbacks:
                 waited.callbacks.remove(self._resume)
@@ -466,8 +478,9 @@ class Process(Event):
             self.env._schedule_kick(self, target._ok, target._value)
         elif target.callbacks is None and target._waiter is None:
             target._waiter = self  # first registrant: resumed directly
-        else:
+        elif target is not self.env.parked:
             target.add_callback(self._resume)
+        # else parked: Environment.unpark resumes it
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"
@@ -476,6 +489,10 @@ class Process(Event):
 
 class Environment:
     """Holds the clock and the two-tier event list; runs the simulation.
+
+    A process that yields :attr:`parked` waits for :meth:`unpark`, which
+    resumes it through a kick — the wait of an idle loop that someone
+    else knows when to end, without an event of its own.
 
     ``_fifo`` holds bare events due at the current instant with NORMAL
     priority, in the order they were scheduled; ``_heap`` holds
@@ -495,6 +512,7 @@ class Environment:
         "_fifo",
         "_seq",
         "past",
+        "parked",
         "trace",
         "telemetry",
         "_pools",
@@ -515,6 +533,11 @@ class Environment:
         # callers that test ``_flushed`` first skip even that.
         self.past = past = Event(self, name="past")
         past._settled = past._ok = past._scheduled = past._flushed = True
+        # What a process yields to park: never settled, and it takes no
+        # registrant (callbacks is not None), so any number of processes
+        # can wait on it at no cost until unpark() kicks one of them.
+        self.parked = parked = Event(self, name="parked")
+        parked.callbacks = ()
         # Structured tracing (repro.observability): the no-op default means
         # instrumented hot paths pay one attribute check per emission site.
         self.trace = NULL_TRACER
@@ -677,9 +700,9 @@ class Environment:
         """Schedule a pooled direct-resume marker at the current instant.
 
         ``ok`` / ``value`` are the outcome it delivers (the default is a
-        boot).  Takes the same position (NORMAL priority, after
-        everything already scheduled for now) the old kick events took,
-        so resumption order is unchanged."""
+        boot or an unpark).  Takes the same position (NORMAL priority,
+        after everything already scheduled for now) the old kick events
+        took, so resumption order is unchanged."""
         pool = self._kick_pool
         if pool:
             kick = pool.pop()
@@ -689,6 +712,26 @@ class Environment:
         kick._ok = ok
         kick._value = value
         self._fifo.append(kick)
+
+    def unpark(self, process: Process) -> None:
+        """Resume ``process``, parked on :attr:`parked`, at the current instant.
+
+        Its kick takes the FIFO slot a ``succeed()`` of the event it
+        would otherwise have waited on takes: after everything already
+        due now, before whatever is scheduled later.  Until it fires the
+        process waits on the kick, so an interrupt drops it and resumes
+        the process once, with the :class:`Interrupt`.  A no-op for a
+        process that is not parked — running, waiting on anything else,
+        already unparked or finished.
+        """
+        if process._waiting_on is self.parked:
+            # _schedule_kick inlined: the one kick drawn per idle wake-up
+            pool = self._kick_pool
+            kick = pool.pop() if pool else _Kick(self)
+            kick.process = process
+            kick._ok = True  # a fired kick's _value is already None
+            self._fifo.append(kick)
+            process._waiting_on = kick
 
     def step(self) -> None:
         """Pop and fire the next event; advances the clock."""

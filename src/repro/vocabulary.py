@@ -197,7 +197,7 @@ SCHEME_HOOKS = {
         "work",
         "every tuple boundary of the main and source loops, and a finished source's idle poll",
     ),
-    "processing_overhead": ("plain", "`HAURuntime._process_tuple`"),
+    "processing_overhead": ("plain", "`HAURuntime._run_chain`"),
     "on_control": ("generator", "`DSPSRuntime._control_listener`"),
     "write_checkpoint": (
         "generator",

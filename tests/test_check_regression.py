@@ -1,7 +1,7 @@
 """Unit tests for the exact figure-record check (benchmarks/check_regression.py):
 the fresh ``{mode, cells, headline, kernel}`` record must equal the committed
 one, with one named line per difference; bad input exits 2, a baseline from
-another build 77, and ``--write`` re-records."""
+another build 77, and ``--write`` prints the differences, then re-records."""
 
 import importlib.util
 import json
@@ -78,6 +78,20 @@ def test_latency_improvement_passes(gate, tmp_path):
     written = json.loads(check_regression.DEFAULT_BASELINE.read_text())
     assert written == {"environment": environment_fingerprint(), **faster}
     assert check_regression.main([str(tmp_path)]) == 0
+
+
+def test_write_prints_what_it_moves_then_records(gate, capsys):
+    moved = _record(popped=74_000)
+    moved["kernel"]["pool_misses"] = 113
+    assert gate(moved, flags=["--write"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["  kernel: events_popped 74166 → 74000",
+                       "  kernel: pool_misses 148 → 113"]
+    assert out[2].startswith("wrote 2 cells to ")
+    assert json.loads(check_regression.DEFAULT_BASELINE.read_text())["kernel"] == moved["kernel"]
+    check_regression.DEFAULT_BASELINE.unlink()  # nothing committed: it still records
+    assert check_regression.main([str(check_regression.DEFAULT_BASELINE.parent), "--write"]) == 0
+    assert capsys.readouterr().out.startswith("no committed record to compare: ")
 
 
 def test_missing_cell_and_mode_mismatch_exit_1(gate, capsys):

@@ -136,8 +136,7 @@ def test_channel_delivers_in_order():
 
     def receiver():
         for _ in range(5):
-            msg = yield chan.recv()
-            got.append(msg.payload)
+            got.append((yield chan.recv()))
 
     env.process(sender())
     env.process(receiver())
@@ -155,8 +154,8 @@ def test_channel_latency_and_bandwidth():
     arrival = []
 
     def receiver():
-        msg = yield chan.recv()
-        arrival.append((env.now, msg.payload))
+        item = yield chan.recv()
+        arrival.append((env.now, item))
 
     chan.send("x", size=1000)  # 1s on NIC + 0.5 latency
     env.process(receiver())
@@ -231,8 +230,7 @@ def test_channel_drains_delivered_before_reporting_close():
     def receiver():
         yield env.timeout(2.0)  # message already delivered, channel closed
         try:
-            msg = yield chan.recv()
-            got.append(msg.payload)
+            got.append((yield chan.recv()))
             yield chan.recv()
         except ChannelClosedError:
             errs.append(env.now)

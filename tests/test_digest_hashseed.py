@@ -12,6 +12,9 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+import pytest
+
 from repro.sanitize.canary import DEFAULT_SEEDS, _digest_once, run_canary
 
 CASE = "tmi/baseline@2"
@@ -60,6 +63,26 @@ def test_every_nan_routing_key_takes_one_fixed_route():
     # non-NaN numerics keep their historical hash
     assert stable_route_hash(1.5) == hash(1.5)
     assert stable_route_hash(np.float64(2.0)) == stable_route_hash(2) == 2
+
+
+@pytest.mark.parametrize("np_key, key", [
+    pytest.param(np.int64(5), 5, id="int64"),
+    pytest.param(np.int8(-1), -1, id="int8"),
+    pytest.param(np.uint64(2**64 - 1), 2**64 - 1, id="uint64"),
+    pytest.param(np.bool_(True), True, id="bool-true"),
+    pytest.param(np.bool_(False), False, id="bool-false"),
+    pytest.param(np.float32(1.5), 1.5, id="float32"),
+    pytest.param(np.float16(0.25), 0.25, id="float16"),
+    pytest.param(np.longdouble(2.0), 2.0, id="longdouble"),
+    pytest.param((np.int32(7), "k"), (7, "k"), id="in-tuple"),
+])
+def test_a_numpy_number_routes_as_the_equal_python_number(np_key, key):
+    """Equal routing keys must route equally: a NumPy scalar used to go
+    through ``crc32(repr(key))``, and NumPy 2 prints ``np.int64(5)``."""
+    from repro.dsps.hau import stable_route_hash
+
+    assert np_key == key
+    assert stable_route_hash(np_key) == stable_route_hash(key)
 
 
 def test_a_nan_routing_key_routes_the_same_in_every_process():

@@ -326,7 +326,7 @@ def test_maybe_checkpoint_work_runs_once_at_the_next_tuple_boundary():
     env, rt = deploy(two_stage(count=100, interval=0.01), scheme)
     env.run(until=0.505)  # between two arrivals at mid
     mid = rt.haus["mid"]
-    assert mid._wake is not None  # parked: its next boundary is the nudge's
+    assert mid._parked is not None  # parked: its next boundary is the nudge's
     before, processed = scheme.boundaries, mid.tuples_processed
     scheme.armed.add("mid")
     mid.request_safepoint()
@@ -341,11 +341,11 @@ def test_nudge_wakes_an_idle_loop():
     env, rt = deploy(two_stage(count=0))
     mid = rt.haus["mid"]
     env.run(until=1.0)
-    assert mid._wake is not None  # parked
+    assert mid._parked is mid._proc  # parked
     mid.request_safepoint()
-    assert mid.inbox[0] == (-1, _NUDGE) and mid._wake is None
+    assert mid.inbox[0] == (-1, _NUDGE) and mid._parked is None
     env.run(until=2.0)
-    assert not mid.inbox and mid._wake is not None  # passed the safe-point, parked again
+    assert not mid.inbox and mid._parked is mid._proc  # passed the safe-point, parked again
 
 
 # -- the event budget ----------------------------------------------------------
@@ -366,11 +366,9 @@ def chain(replicas, count):
     }
 
 
-def test_a_tuple_hop_costs_at_most_four_kernel_events():
-    """Arrival, idle wake-up, processing cost — plus the source's own
-    timeouts.  It was 11-13 with a pump per channel and a receiver per
-    in-edge.  A count, so it cannot flake."""
-    env = Environment()
+def run_chain(env):
+    """The 8-replica aligned chain, 24 tuples a source, run until drained;
+    returns the tuples processed."""
     rt = DSPSRuntime(
         env,
         synth.build(seed=1, topology=chain(8, 24)),
@@ -382,7 +380,39 @@ def test_a_tuple_hop_costs_at_most_four_kernel_events():
     env.run(until=2.0)
     tuples = sum(h.tuples_processed for h in rt.haus.values())
     assert tuples == 3 * 24 * 8  # W + A + K, fully drained
+    return tuples
+
+
+def test_a_tuple_hop_costs_at_most_four_kernel_events():
+    """Arrival, idle wake-up, processing cost — plus the source's own
+    timeouts.  It was 11-13 with a pump per channel and a receiver per
+    in-edge.  A count, so it cannot flake."""
+    env = Environment()
+    tuples = run_chain(env)
     assert env.events_popped <= 4 * tuples, env.events_popped / tuples
+
+
+class TimeoutCounting(Environment):
+    __slots__ = ("timeouts",)
+
+    def __init__(self):
+        super().__init__()
+        self.timeouts = 0
+
+    def timeout(self, delay, value=None):
+        self.timeouts += 1
+        return super().timeout(delay, value)
+
+
+def test_a_tuple_hop_draws_no_pooled_event_but_its_timeouts():
+    """An item crosses a channel as itself, an idle loop is unparked by a
+    kick and a tuple is processed without a generator: the only events
+    the run draws from the free lists are the processing costs and the
+    sources' waits.  It drew a wake event per idle wake-up as well."""
+    env = TimeoutCounting()
+    run_chain(env)
+    assert env.timeouts > 0
+    assert env.pool_hits + env.pool_misses == env.timeouts
 
 
 def test_no_process_per_channel_or_in_edge():
@@ -413,7 +443,7 @@ def test_upstream_blocked_behind_a_dead_neighbour_resumes_on_the_replacement_cha
     # the failed send was skipped like any send on a broken edge, and the
     # source loop went on (emitting into the closed channel: dropped)
     dropped = src.source_operator.emitted_count
-    assert dropped > 900 and all(p.is_alive for p in src._procs)
+    assert dropped > 900 and src._proc.is_alive
     # 1-safe style restart of the dead HAU alone: the upstream's out-edge
     # is re-attached and carries what it emits from now on
     new_mid, _ = rt.rebuild_single_hau("mid", rt.dc.claim_spare(), restored=None)

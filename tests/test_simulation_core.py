@@ -337,6 +337,107 @@ def test_interrupted_process_does_not_wake_twice():
     assert env.now == 11.0
 
 
+def test_interrupted_process_does_not_wake_twice_with_an_unpark_pending():
+    """An interrupt drops the unpark it finds pending: the process
+    resumes once, with the Interrupt, and the dropped kick is still one
+    pop (as the wake event it replaces fired with no waiter)."""
+    env = Environment()
+    trace = []
+
+    def sleeper():
+        try:
+            yield env.parked
+            trace.append("unparked")
+        except Interrupt:
+            trace.append("intr")
+            yield env.timeout(10.0)
+            trace.append("after")
+
+    def killer(victim):
+        yield env.timeout(1.0)
+        env.unpark(victim)
+        victim.interrupt()
+
+    p = env.process(sleeper())
+    env.process(killer(p))
+    env.run()
+    assert trace == ["intr", "after"]
+    assert env.now == 11.0
+    # boots 2, the killer's timeout, unpark, interrupt, the 10 s timeout, two ends
+    assert env.events_popped == 8
+
+
+def _wake_order(park):
+    """One instant that wakes an idle process between two other
+    zero-delay events: by an unpark, or by a wake event's ``succeed()``."""
+    env = Environment()
+    order = []
+    wake = env.event()
+
+    def sleeper():
+        yield env.parked if park else wake
+        order.append("woken")
+
+    def noted(tag):
+        ev = env.event()
+        ev.add_callback(lambda _ev: order.append(tag))
+        return ev
+
+    p = env.process(sleeper())
+    env.run(until=1.0)
+    noted("before").succeed()
+    if park:
+        env.unpark(p)
+    else:
+        wake.succeed()
+    noted("after").succeed()
+    env.run()
+    return order, env.events_popped
+
+
+def test_a_parked_process_resumes_at_its_unparks_fifo_slot():
+    """After what the instant already scheduled, before what it schedules
+    later: exactly where ``succeed()`` puts a wake event, and one pop."""
+    assert _wake_order(park=True) == _wake_order(park=False) == (["before", "woken", "after"], 5)
+
+
+def test_parking_registers_nothing_on_the_marker():
+    env = Environment()
+
+    def idle():
+        yield env.parked
+
+    procs = [env.process(idle()) for _ in range(3)]
+    env.run()
+    assert env.parked._waiter is None and env.parked.callbacks == ()
+    assert all(p._waiting_on is env.parked for p in procs)
+
+
+def test_unparking_a_process_that_is_not_parked_is_a_no_op():
+    env = Environment()
+    woken = []
+
+    def sleeper():
+        yield env.timeout(1.0)
+        woken.append(env.now)
+        yield env.parked
+        woken.append(env.now)
+
+    p = env.process(sleeper())
+    env.unpark(p)  # not started yet
+    env.run(until=0.5)
+    env.unpark(p)  # waiting on a timeout
+    env.run(until=2.0)
+    assert woken == [1.0]
+    env.unpark(p)
+    env.unpark(p)  # already unparked: its kick is pending
+    env.run(until=3.0)
+    assert woken == [1.0, 2.0] and not p.is_alive
+    env.unpark(p)  # finished
+    env.run()
+    assert woken == [1.0, 2.0]
+
+
 def test_any_of_fires_on_first():
     env = Environment()
 

@@ -35,8 +35,7 @@ def test_send_front_overtakes_queued_data():
 
     def receiver():
         for _ in range(4):
-            msg = yield chan.recv()
-            got.append(msg.payload)
+            got.append((yield chan.recv()))
 
     for i in range(3):
         chan.send(f"d{i}", size=100_000)  # each takes 0.1s on the NIC
