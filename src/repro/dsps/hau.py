@@ -416,11 +416,7 @@ class HAURuntime:
         full outbox waits.
         """
         if edges is None:
-            route = self._route_cache.get(emit_spec.port)
-            if route is not None and route[1] is None:
-                edges = route[0]  # not hashed: the port's whole group
-            else:
-                edges = self.route_edges(emit_spec)
+            edges = self.route_edges(emit_spec)
         out_seq = self._out_seq
         out_channels = self.out_channels
         hook = self._hook_on_emit
@@ -687,6 +683,8 @@ class HAURuntime:
                 yield from work
 
     def _main_loop(self):
+        """The loop of a HAU with in-edges; runs only as ``self._proc``
+        (:meth:`start` spawns it), the process :meth:`enqueue` unparks."""
         try:
             # Post-recovery: first re-send saved in-flight outputs, then
             # re-process the saved pre-token backlog.
@@ -727,6 +725,7 @@ class HAURuntime:
             env = self.env
             parked = env.parked
             me = self._proc  # None once torn down: the interrupt is on its way
+            assert me is not None or self.torn_down, "_main_loop runs only as self._proc"
             blocked = self.blocked_edges
             holdback = self.holdback
             while True:

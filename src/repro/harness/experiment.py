@@ -5,7 +5,7 @@ measured time window (10 minutes on EC2; 150 s by default here — pass
 ``window=600.0, warmup=60.0`` for paper scale), with 0-8 application
 checkpoints arranged within the window.  Throughput and latency are
 measured at the app's probe stage (see
-:meth:`repro.metrics.collectors.MetricsHub.stage_throughput`).
+:meth:`repro.metrics.collectors.MetricsHub.stage_summary`).
 """
 
 from __future__ import annotations
@@ -320,9 +320,7 @@ def run_experiment(
     env.run(until=cfg.end)
 
     probe = app.params.get("probe_prefix", "")
-    throughput = runtime.metrics.stage_throughput(probe, cfg.warmup, cfg.end)
-    latency = runtime.metrics.stage_latency(probe, cfg.warmup, cfg.end)
-    percentiles = runtime.metrics.stage_latency_percentiles(probe, cfg.warmup, cfg.end)
+    throughput, latency, percentiles = runtime.metrics.stage_summary(probe, cfg.warmup, cfg.end)
     return ExperimentResult(
         config=cfg,
         throughput=throughput,

@@ -9,17 +9,21 @@ probe stage's arrival-time series, binnable around any instant.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.telemetry.quantile import exact_percentile
 
 DEFAULT_LATENCY_PERCENTILES = (0.5, 0.95, 0.99)
 
+Sample = tuple[str, float, float]  # (hau_id, created_at, processed_at)
 
-def _percentile_dict(
-    latencies: Iterable[float], percentiles: tuple[float, ...]
+
+def _mean_latency(window: list[Sample]) -> float:
+    return sum(done - created for _h, created, done in window) / len(window) if window else 0.0
+
+
+def _latency_percentiles(
+    window: list[Sample], percentiles: tuple[float, ...]
 ) -> dict[str, float]:
-    latencies = sorted(latencies)
+    latencies = sorted(done - created for _h, created, done in window)
     return {
         f"p{round(p * 100):d}": exact_percentile(latencies, p) for p in percentiles
     }
@@ -37,29 +41,29 @@ class MetricsHub:
         # deliver to the sink only once per window, so per-tuple throughput
         # and latency are measured at a *probe stage* instead (§IV-A's
         # "tuples processed by the application").
-        self.stage_samples: list[tuple[str, float, float]] = []
-        # The last _probe answer and what it was asked: a run reads
-        # throughput, latency and percentiles over one window back to back.
-        self._probed: tuple[str, float, float | None, int] | None = None
-        self._window: list[tuple[str, float, float]] = []
+        self.stage_samples: list[Sample] = []
 
     # -- probe-stage metrics ---------------------------------------------------------
-    def _probe(self, probe: str, start: float, end: float | None):
+    def _probe(self, probe: str, start: float, end: float | None) -> list[Sample]:
         """Samples of the HAUs whose id starts with ``probe``, processed
-        in [start, end), in recording order.
+        in [start, end), in recording order."""
+        return [
+            sample for sample in self.stage_samples
+            if sample[0].startswith(probe) and sample[2] >= start
+            and (end is None or sample[2] < end)
+        ]
 
-        Filtered once per (probe, window, sample count): the list is
-        kept for the next reducer asking the same, and holds the
-        samples themselves, so it costs a pointer per sample."""
-        asked = (probe, start, end, len(self.stage_samples))
-        if asked != self._probed:
-            self._window = [
-                sample for sample in self.stage_samples
-                if sample[0].startswith(probe) and sample[2] >= start
-                and (end is None or sample[2] < end)
-            ]
-            self._probed = asked
-        return self._window
+    def stage_summary(
+        self,
+        probe_prefix: str,
+        start: float = 0.0,
+        end: float | None = None,
+        percentiles: tuple[float, ...] = DEFAULT_LATENCY_PERCENTILES,
+    ) -> tuple[int, float, dict[str, float]]:
+        """Throughput, latency and latency percentiles over one window —
+        the three reducers below, from one pass over the samples."""
+        window = self._probe(probe_prefix, start, end)
+        return len(window), _mean_latency(window), _latency_percentiles(window, percentiles)
 
     def stage_throughput(
         self, probe_prefix: str, start: float = 0.0, end: float | None = None
@@ -69,8 +73,7 @@ class MetricsHub:
     def stage_latency(
         self, probe_prefix: str, start: float = 0.0, end: float | None = None
     ) -> float:
-        window = self._probe(probe_prefix, start, end)
-        return sum(done - created for _h, created, done in window) / len(window) if window else 0.0
+        return _mean_latency(self._probe(probe_prefix, start, end))
 
     def stage_latency_percentiles(
         self,
@@ -81,8 +84,7 @@ class MetricsHub:
     ) -> dict[str, float]:
         """Exact latency percentiles at the probe stage, e.g.
         ``{"p50": ..., "p95": ..., "p99": ...}`` (0.0 for empty windows)."""
-        window = self._probe(probe_prefix, start, end)
-        return _percentile_dict((done - created for _h, created, done in window), percentiles)
+        return _latency_percentiles(self._probe(probe_prefix, start, end), percentiles)
 
     def stage_binned_latency(
         self, probe_prefix: str, start: float, end: float, bin_width: float

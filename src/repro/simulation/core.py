@@ -298,6 +298,28 @@ def _awaited(event: "Event") -> None:
     reads the outcome, so a failed process is consumed, not unhandled."""
 
 
+class _Parked(Event):
+    """The one event a parked process yields (:attr:`Environment.parked`).
+
+    Never settled and never registered on: ``callbacks`` is ``()``, so
+    :meth:`Process._resume` records it as what the process waits on and
+    leaves the resume to :meth:`Environment.unpark`.  Settling it or
+    observing it (a condition, ``run(until=...)``) would break every
+    parked process at once, so those raise instead.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment"):
+        super().__init__(env, name="parked")
+        self.callbacks = ()
+
+    def _refuse(self, *_args: Any, **_kwargs: Any) -> Any:
+        raise SimulationError("env.parked is only yielded")
+
+    add_callback = succeed = fail = _refuse
+
+
 class _Kick:
     """A pooled direct-resume marker in the current-instant FIFO.
 
@@ -534,10 +556,9 @@ class Environment:
         self.past = past = Event(self, name="past")
         past._settled = past._ok = past._scheduled = past._flushed = True
         # What a process yields to park: never settled, and it takes no
-        # registrant (callbacks is not None), so any number of processes
-        # can wait on it at no cost until unpark() kicks one of them.
-        self.parked = parked = Event(self, name="parked")
-        parked.callbacks = ()
+        # registrant, so any number of processes can wait on it at no
+        # cost until unpark() kicks one of them.
+        self.parked = _Parked(self)
         # Structured tracing (repro.observability): the no-op default means
         # instrumented hot paths pay one attribute check per emission site.
         self.trace = NULL_TRACER
@@ -725,13 +746,8 @@ class Environment:
         already unparked or finished.
         """
         if process._waiting_on is self.parked:
-            # _schedule_kick inlined: the one kick drawn per idle wake-up
-            pool = self._kick_pool
-            kick = pool.pop() if pool else _Kick(self)
-            kick.process = process
-            kick._ok = True  # a fired kick's _value is already None
-            self._fifo.append(kick)
-            process._waiting_on = kick
+            self._schedule_kick(process)
+            process._waiting_on = self._fifo[-1]
 
     def step(self) -> None:
         """Pop and fire the next event; advances the clock."""

@@ -51,6 +51,18 @@ def test_stage_metrics_filter_by_prefix():
     assert hub.stage_throughput("A1") == 1
 
 
+def test_stage_summary_is_the_three_reducers():
+    hub = MetricsHub()
+    for i in range(20):
+        hub.stage_samples.append((f"A{i % 3}", float(i), float(i) + 0.1 * (i % 7)))
+    for probe, start, end in (("A", 0.0, None), ("A1", 3.0, 15.0), ("B", 0.0, None)):
+        assert hub.stage_summary(probe, start, end) == (
+            hub.stage_throughput(probe, start, end),
+            hub.stage_latency(probe, start, end),
+            hub.stage_latency_percentiles(probe, start, end),
+        )
+
+
 def test_stage_binned_latency():
     hub = MetricsHub()
     hub.stage_samples.append(("A0", 0.0, 1.0))

@@ -413,6 +413,22 @@ def test_parking_registers_nothing_on_the_marker():
     assert all(p._waiting_on is env.parked for p in procs)
 
 
+def test_the_park_marker_is_only_yielded():
+    """Settling or observing ``env.parked`` would release or strand every
+    parked process at once; each way in raises instead."""
+    env = Environment()
+    for touch in (
+        lambda: env.parked.succeed(),
+        lambda: env.parked.fail(RuntimeError("x")),
+        lambda: env.parked.add_callback(print),
+        lambda: AnyOf(env, [env.parked]),
+        lambda: env.run(until=env.parked),
+    ):
+        with pytest.raises(SimulationError, match="only yielded"):
+            touch()
+    assert not env.parked.triggered and env.parked.callbacks == ()
+
+
 def test_unparking_a_process_that_is_not_parked_is_a_no_op():
     env = Environment()
     woken = []
