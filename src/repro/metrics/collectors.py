@@ -54,16 +54,16 @@ class MetricsHub:
         ]
 
     def stage_summary(
-        self,
-        probe_prefix: str,
-        start: float = 0.0,
-        end: float | None = None,
-        percentiles: tuple[float, ...] = DEFAULT_LATENCY_PERCENTILES,
+        self, probe_prefix: str, start: float, end: float | None
     ) -> tuple[int, float, dict[str, float]]:
-        """Throughput, latency and latency percentiles over one window —
-        the three reducers below, from one pass over the samples."""
+        """Throughput, latency and the default latency percentiles over one
+        window — the three reducers below, from one pass over the samples."""
         window = self._probe(probe_prefix, start, end)
-        return len(window), _mean_latency(window), _latency_percentiles(window, percentiles)
+        return (
+            len(window),
+            _mean_latency(window),
+            _latency_percentiles(window, DEFAULT_LATENCY_PERCENTILES),
+        )
 
     def stage_throughput(
         self, probe_prefix: str, start: float = 0.0, end: float | None = None
