@@ -140,8 +140,8 @@ def test_trace_artifact(write_artifact):
         res.write_trace(os.path.join(art_dir, "TRACE_events.jsonl"))
         # Perfetto-loadable timeline (ui.perfetto.dev -> Open trace file)
         res.write_chrome_trace(os.path.join(art_dir, "TRACE_headline.perfetto.json"))
-        # the comparable RunBundle: CI diffs it against the committed
-        # benchmarks/BUNDLE_baseline via `python -m repro.inspect diff`
+        # the comparable RunBundle: check_regression.py compares its file
+        # hashes with the committed benchmarks/BUNDLE_baseline exactly
         res.write_run_bundle(art_dir, name="BUNDLE_headline")
 
 

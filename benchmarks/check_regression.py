@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Exact check of the fast Fig. 12/13 record against ``BENCH_baseline.json``.
+"""Exact check of the headline artifacts against the committed baselines.
 
 ``python benchmarks/check_regression.py ARTIFACT_DIR [--write]``: the record
 ``{mode, cells, headline, kernel}`` is the headline bench's ``BENCH_headline.json``
-less ``sweep_stats`` plus its ``BENCH_kernel.json``, and must ``==`` the committed
-one.  Exits as the pin gate: 0 equal; 1 a difference, one line each; 2 a
-missing or malformed file, NaN included; 77 recorded on another build.
-``--write`` prints the same difference lines against the committed record,
-then re-records it.
+less ``sweep_stats`` plus its ``BENCH_kernel.json``, and must ``==``
+``BENCH_baseline.json``; the bench's ``BUNDLE_headline`` must hash as
+``BUNDLE_baseline`` does, file for file.  Exits as the pin gate: 0 equal; 1 a
+difference, one line each; 2 a missing or malformed file, NaN or a corrupt
+bundle included; 77 recorded on another build.  ``--write`` prints the same
+difference lines against the committed baselines, then re-records both.
 """
 
 import argparse
@@ -16,8 +17,10 @@ import sys
 from pathlib import Path
 
 from repro.harness.digest import EXIT_SKIPPED, environment_fingerprint, environment_mismatch
+from repro.inspect.bundle import read_bundle, write_bundle
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_baseline.json"
+DEFAULT_BUNDLE = Path(__file__).resolve().parent / "BUNDLE_baseline"
 
 
 def _load(path: Path) -> dict:
@@ -63,6 +66,14 @@ def _differences(old: dict, was: dict, new: dict, now: dict) -> list[str]:
     return lines
 
 
+def _bundle_differences(old: dict, new: dict) -> list[str]:
+    """``bundle: FILE old → new`` per differing file hash, then per other manifest
+    key (``bundle_id`` is the hash of the hashes, which ``read_bundle`` checked)."""
+    was, now = ({k: v for k, v in side["manifest"].items() if k != "bundle_id"}
+                for side in (old, new))
+    return _changed("bundle", was.pop("files"), now.pop("files")) + _changed("bundle", was, now)
+
+
 def _committed() -> tuple[dict, dict, dict[str, dict]]:
     """The committed record: as loaded, less ``environment``, and by cell."""
     baseline = _load(DEFAULT_BASELINE)
@@ -74,13 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("artifact_dir", type=Path, help="REPRO_ARTIFACT_DIR of a headline bench run")
     parser.add_argument("--write", action="store_true",
-                        help="re-record the baseline, printing what it moves")
+                        help="re-record both baselines, printing what they move")
     args = parser.parse_args(argv)
     try:
         new = _load(args.artifact_dir / "BENCH_headline.json")
         new.pop("sweep_stats", None)
         new["kernel"] = _load(args.artifact_dir / "BENCH_kernel.json")
         now = _cells(new, args.artifact_dir)
+        bundle = read_bundle(args.artifact_dir / "BUNDLE_headline")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -90,23 +102,34 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"no committed record to compare: {exc}")
         else:
-            print("\n".join(f"  {line}" for line in _differences(old, was, new, now)))
+            for line in _differences(old, was, new, now):
+                print(f"  {line}")
+        try:
+            committed = read_bundle(DEFAULT_BUNDLE)
+        except (OSError, ValueError) as exc:
+            print(f"no committed bundle to compare: {exc}")
+        else:
+            for line in _bundle_differences(committed, bundle):
+                print(f"  {line}")
         record = {"environment": environment_fingerprint(), **new}
         DEFAULT_BASELINE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(now)} cells to {DEFAULT_BASELINE}")
+        write_bundle(bundle, DEFAULT_BUNDLE.parent, name=DEFAULT_BUNDLE.name)
+        print(f"wrote bundle {bundle['manifest']['bundle_id'][:16]} to {DEFAULT_BUNDLE}")
         return 0
     try:
         baseline, old, was = _committed()
+        committed = read_bundle(DEFAULT_BUNDLE)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if skipped := environment_mismatch(baseline.get("environment")):
         print(f"regression check skipped: {skipped}")
         return EXIT_SKIPPED
-    lines = _differences(old, was, new, now)
+    lines = _differences(old, was, new, now) + _bundle_differences(committed, bundle)
     print("\n".join([f"  {line}" for line in lines] + [
         f"FAIL: {len(lines)} difference(s); if intended, re-record with --write" if lines
-        else f"OK: {len(now)} cells, headline and kernel bit-identical"]))
+        else f"OK: {len(now)} cells, headline, kernel and bundle bit-identical"]))
     return 1 if lines else 0
 
 

@@ -448,24 +448,29 @@ class HAURuntime:
         if (rest := self.emit(emit_spec, created_at, source, edges, first, pending)) is not None:
             yield from rest
 
+    def _token_sent(self, token: Token, edge_id: str, front: bool) -> None:
+        """Record one send of ``token`` down ``edge_id``: the trace row
+        and the tokens-sent counter."""
+        if self._trace.enabled:
+            self._trace.emit(
+                "token.send",
+                t=self.env.now,
+                subject=self.hau_id,
+                round=token.round_id,
+                edge=edge_id,
+                token_kind=token.kind,
+                front=front,
+            )
+        if self._telem.enabled:
+            self._m_tokens_sent.inc()
+
     def emit_token(self, token: Token):
         """Process generator: send ``token`` down every out-edge, in order."""
         for edge in self.out_edges:
             chan = self.out_channels.get(edge.edge_id)
             if chan is None or chan.closed:
                 continue
-            if self._trace.enabled:
-                self._trace.emit(
-                    "token.send",
-                    t=self.env.now,
-                    subject=self.hau_id,
-                    round=token.round_id,
-                    edge=edge.edge_id,
-                    token_kind=token.kind,
-                    front=False,
-                )
-            if self._telem.enabled:
-                self._m_tokens_sent.inc()
+            self._token_sent(token, edge.edge_id, front=False)
             accepted = chan.send(token, token.size)
             if not accepted._flushed:
                 yield from _until_accepted(accepted)
@@ -478,18 +483,7 @@ class HAURuntime:
             chan = self.out_channels.get(edge.edge_id)
             if chan is None or chan.closed:
                 continue
-            if self._trace.enabled:
-                self._trace.emit(
-                    "token.send",
-                    t=self.env.now,
-                    subject=self.hau_id,
-                    round=token.round_id,
-                    edge=edge.edge_id,
-                    token_kind=token.kind,
-                    front=True,
-                )
-            if self._telem.enabled:
-                self._m_tokens_sent.inc()
+            self._token_sent(token, edge.edge_id, front=True)
             chan.send_front(token, size=token.size)
 
     def outbox_tuples(self) -> list[tuple[str, DataTuple]]:
@@ -530,6 +524,21 @@ class HAURuntime:
         if chan is None or chan.closed:
             return
         yield from _until_accepted(chan.send(tup, tup.size))
+
+    def _resend_replay_out(self):
+        """Generator: re-send the in-flight outputs a restored checkpoint
+        carried (the tuples "between the incoming tokens and the output
+        tokens"); the first thing either loop does after recovery."""
+        if self._replay_out and self._trace.enabled:
+            self._trace.emit(
+                "replay.out",
+                t=self.env.now,
+                subject=self.hau_id,
+                count=len(self._replay_out),
+            )
+        for edge_id, tup in self._replay_out:
+            yield from self.resend(edge_id, tup)
+        self._replay_out = ()
 
     # -- intake ----------------------------------------------------------------------------
     def enqueue(self, edge_idx: int, item: Any) -> bool:
@@ -688,16 +697,7 @@ class HAURuntime:
         try:
             # Post-recovery: first re-send saved in-flight outputs, then
             # re-process the saved pre-token backlog.
-            if self._replay_out and self._trace.enabled:
-                self._trace.emit(
-                    "replay.out",
-                    t=self.env.now,
-                    subject=self.hau_id,
-                    count=len(self._replay_out),
-                )
-            for edge_id, tup in self._replay_out:
-                yield from self.resend(edge_id, tup)
-            self._replay_out = ()
+            yield from self._resend_replay_out()
             backlog, self._replay_backlog = self._replay_backlog, ()
             if backlog and self._trace.enabled:
                 self._trace.emit(
@@ -764,19 +764,7 @@ class HAURuntime:
     def _source_loop(self):
         op = self.source_operator
         try:
-            # Post-recovery: first re-send the saved in-flight outputs (the
-            # tuples "between the incoming tokens and the output tokens"
-            # that the checkpoint carried), then replay preserved tuples.
-            if self._replay_out and self._trace.enabled:
-                self._trace.emit(
-                    "replay.out",
-                    t=self.env.now,
-                    subject=self.hau_id,
-                    count=len(self._replay_out),
-                )
-            for edge_id, tup in self._replay_out:
-                yield from self.resend(edge_id, tup)
-            self._replay_out = ()
+            yield from self._resend_replay_out()
             # Post-recovery: replay preserved tuples at full speed ("it can
             # process the replayed tuples faster than usual to catch up",
             # §III).  Replayed tuples keep their original creation time and

@@ -10,16 +10,19 @@ which phase/HAU is responsible":
   (config fingerprint, determinism digest, metrics, phase-span totals,
   per-round critical-path hops, timeline summary).
 * :mod:`repro.inspect.diff` — the **diff engine**: compares two bundles
-  (or two ``BENCH_headline`` / campaign reports) and attributes
-  checkpoint-time / latency / critical-path deltas to phase spans and
-  individual HAUs, ranked as signed "top movers".
+  and attributes checkpoint-time / latency / critical-path deltas to
+  phase spans and individual HAUs, ranked as signed "top movers".
 * :mod:`repro.inspect.explain` — renders a diff as the attributed
-  explanation CI prints on every PR for the figure record
-  (``python -m repro.inspect explain benchmarks/BENCH_baseline.json
-  artifacts/BENCH_headline.json``) and the headline bundle.
-* ``python -m repro.inspect`` — ``diff`` / ``explain`` over bundle
-  directories and report files, and ``show``, the one reader of a
-  bundle, a trace JSONL or a telemetry snapshot (:mod:`repro.inspect.cli`).
+  explanation CI prints on every PR for the headline bundle
+  (``python -m repro.inspect explain benchmarks/BUNDLE_baseline
+  artifacts/BUNDLE_headline``).
+* ``python -m repro.inspect`` — ``diff`` / ``explain`` over two bundle
+  directories, and ``show``, the one reader of a bundle, a trace JSONL
+  or a telemetry snapshot (:mod:`repro.inspect.cli`).
+
+Whether a committed baseline still holds is not decided here:
+``benchmarks/check_regression.py`` compares the figure record and the
+headline bundle exactly.
 """
 
 from repro.inspect.bundle import (
@@ -29,7 +32,7 @@ from repro.inspect.bundle import (
     read_bundle,
     write_bundle,
 )
-from repro.inspect.diff import diff_bundles, diff_reports, top_movers
+from repro.inspect.diff import diff_bundles, top_movers
 from repro.inspect.explain import explain_diff, render_diff_table
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
     "build_bundle",
     "bundle_id",
     "diff_bundles",
-    "diff_reports",
     "explain_diff",
     "read_bundle",
     "render_diff_table",

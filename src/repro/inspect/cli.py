@@ -4,16 +4,15 @@ Subcommands::
 
     show <path> [--json] [--chrome-trace OUT]
                                   a bundle, a trace or a telemetry snapshot
-    diff <a> <b> [--json]         full attributed diff (tables or JSON)
-    explain <a> <b> [--limit N]   the short gate-trip explanation
+    diff <a> <b> [--json]         full attributed diff of two bundles
+    explain <a> <b>               the short attributed explanation
 
 ``show`` renders whatever ``<path>`` is: a bundle *directory* (see
 ``repro.inspect.bundle``), a trace JSONL (first line has ``seq`` and
 ``kind``; printed exactly as ``ExperimentResult.trace_report()``, and
 ``--chrome-trace`` exports it for Perfetto) or a telemetry snapshot (a
 JSON object with ``metrics`` and ``series``).  ``<a>`` / ``<b>`` are
-either bundle directories or report *files* (``BENCH_headline.json`` or
-a campaign report) — both sides must be the same flavour.  All output
+bundle directories; anything else exits 2.  All output
 is byte-deterministic: canonical JSON under ``--json``, fixed-width
 tables otherwise, so CI can diff the diff.
 """
@@ -29,7 +28,7 @@ from typing import Any
 from repro.harness.digest import canonical_json
 from repro.harness.report import format_table
 from repro.inspect.bundle import BundleError, read_bundle
-from repro.inspect.diff import DEFAULT_TOP, diff_bundles, diff_reports
+from repro.inspect.diff import diff_bundles
 from repro.inspect.explain import explain_diff, render_diff_table
 from repro.observability import (
     build_timeline,
@@ -38,27 +37,6 @@ from repro.observability import (
     summarize,
     write_chrome_trace,
 )
-
-
-def _load_side(path: str) -> tuple[str, dict[str, Any]]:
-    """``("bundle"|"report", loaded)`` for one operand."""
-    p = Path(path)
-    if p.is_dir():
-        return "bundle", read_bundle(p)
-    with open(p, encoding="utf-8") as fh:
-        return "report", json.load(fh)
-
-
-def _diff_operands(a_path: str, b_path: str) -> dict[str, Any]:
-    a_kind, a = _load_side(a_path)
-    b_kind, b = _load_side(b_path)
-    if a_kind != b_kind:
-        raise ValueError(
-            f"cannot diff a {a_kind} ({a_path}) against a {b_kind} ({b_path})"
-        )
-    if a_kind == "bundle":
-        return diff_bundles(a, b)
-    return diff_reports(a, b)
 
 
 def _json_or_none(text: str) -> Any:
@@ -229,17 +207,13 @@ def _render_bundle(bundle: dict[str, Any]) -> str:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    diff = _diff_operands(args.a, args.b)
-    if args.json:
-        print(canonical_json(diff))
-    else:
-        print(render_diff_table(diff, limit=args.limit))
+    diff = diff_bundles(read_bundle(args.a), read_bundle(args.b))
+    print(canonical_json(diff) if args.json else render_diff_table(diff))
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    diff = _diff_operands(args.a, args.b)
-    for line in explain_diff(diff, limit=args.limit):
+    for line in explain_diff(diff_bundles(read_bundle(args.a), read_bundle(args.b))):
         print(line)
     return 0
 
@@ -258,19 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write a trace as Perfetto trace-event JSON")
     show.set_defaults(func=_cmd_show)
 
-    diff = sub.add_parser("diff", help="attributed diff of two bundles/reports")
-    diff.add_argument("a", help="baseline bundle directory or report file")
-    diff.add_argument("b", help="candidate bundle directory or report file")
+    diff = sub.add_parser("diff", help="attributed diff of two bundles")
+    diff.add_argument("a", help="baseline bundle directory")
+    diff.add_argument("b", help="candidate bundle directory")
     diff.add_argument("--json", action="store_true", help="canonical JSON output")
-    diff.add_argument("--limit", type=int, default=DEFAULT_TOP,
-                      help=f"max top movers shown (default {DEFAULT_TOP})")
     diff.set_defaults(func=_cmd_diff)
 
     explain = sub.add_parser("explain", help="short attributed explanation")
-    explain.add_argument("a", help="baseline bundle directory or report file")
-    explain.add_argument("b", help="candidate bundle directory or report file")
-    explain.add_argument("--limit", type=int, default=5,
-                         help="max attribution lines (default 5)")
+    explain.add_argument("a", help="baseline bundle directory")
+    explain.add_argument("b", help="candidate bundle directory")
     explain.set_defaults(func=_cmd_explain)
     return parser
 

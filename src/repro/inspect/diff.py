@@ -4,8 +4,8 @@
 difference lives: every checkpoint-time / latency / critical-path delta
 is broken down by phase span (token-wait, safepoint-wait, snapshot,
 disk-io), by individual HAU, and by critical-path hop kind, then ranked
-as signed **top movers**.  ``diff_reports(a, b)`` does the cell-level
-equivalent for two ``BENCH_headline`` or campaign reports.
+as signed **top movers**.  The figure record is compared by
+``benchmarks/check_regression.py``, not here.
 
 Conventions (the antisymmetry contract, tested in
 ``tests/test_inspect.py``):
@@ -148,9 +148,7 @@ def _meta(bundle: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def diff_bundles(
-    a: dict[str, Any], b: dict[str, Any], limit: int = DEFAULT_TOP
-) -> dict[str, Any]:
+def diff_bundles(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     """Compare two in-memory bundles (see :func:`~repro.inspect.bundle.read_bundle`)."""
     af, bf = a["files"], b["files"]
     a_meta, b_meta = _meta(a), _meta(b)
@@ -215,82 +213,5 @@ def diff_bundles(
             "disappeared": sorted(set(a_strag) - set(b_strag)),
         },
     }
-    diff["top_movers"] = top_movers(diff, limit=limit)
+    diff["top_movers"] = top_movers(diff)
     return diff
-
-
-# -- report-level diffs (BENCH_headline / campaign) ---------------------------
-
-# Per-cell quantities a headline-report diff compares (higher = slower
-# for all but throughput; the explainer knows the sign convention).
-CELL_METRICS = (
-    "throughput",
-    "latency",
-    "latency_p99",
-    "critical_path_seconds",
-    "rounds_completed",
-)
-
-SCENARIO_METRICS = ("throughput", "latency", "critical_path_max", "rounds_completed")
-
-
-def _report_rows(report: dict[str, Any]) -> tuple[str, dict[str, dict[str, Any]]]:
-    """``(kind, {row_key: row})`` for either supported report shape."""
-    if "cells" in report:
-        rows = {
-            f"{c['app']}/{c['scheme']}@{c['n_checkpoints']}": c
-            for c in report["cells"]
-        }
-        return "headline", rows
-    if "scenarios" in report:
-        return "campaign", {r["id"]: r for r in report["scenarios"]}
-    raise ValueError("not a BENCH_headline or campaign report (no 'cells'/'scenarios')")
-
-
-def diff_reports(
-    a: dict[str, Any], b: dict[str, Any], limit: int = DEFAULT_TOP
-) -> dict[str, Any]:
-    """Cell-by-cell (or scenario-by-scenario) report diff with ranked movers.
-
-    Mirrors the bundle-diff conventions: ``delta = b - a`` everywhere,
-    and ``diff_reports(b, a)`` is the sign-flipped mirror.
-    """
-    a_kind, a_rows = _report_rows(a)
-    b_kind, b_rows = _report_rows(b)
-    if a_kind != b_kind:
-        raise ValueError(f"cannot diff a {a_kind} report against a {b_kind} report")
-    metrics = CELL_METRICS if a_kind == "headline" else SCENARIO_METRICS
-    rows: dict[str, dict[str, Any]] = {}
-    for key in sorted(set(a_rows) | set(b_rows)):
-        ra, rb = a_rows.get(key), b_rows.get(key)
-        rows[key] = {
-            "in_a": ra is not None,
-            "in_b": rb is not None,
-            "metrics": {m: _entry(_num(ra, m), _num(rb, m)) for m in metrics},
-        }
-    movers: list[dict[str, Any]] = []
-    for key, row in rows.items():
-        for metric, entry in row["metrics"].items():
-            delta = entry.get("delta")
-            if not delta:
-                continue
-            # |relative| change against the larger side: comparable
-            # across metrics with very different scales, and symmetric
-            # in a/b (so the mirror contract extends to rankings).
-            base = max(abs(entry["a"]), abs(entry["b"]))
-            movers.append(
-                {
-                    "row": key,
-                    "metric": metric,
-                    "a": entry["a"],
-                    "b": entry["b"],
-                    "delta": delta,
-                    "magnitude": abs(delta) / base if base else abs(delta),
-                }
-            )
-    movers.sort(key=lambda r: (-r["magnitude"], r["row"], r["metric"]))
-    return {
-        "kind": f"{a_kind}-report-diff",
-        "rows": rows,
-        "top_movers": movers[:limit],
-    }

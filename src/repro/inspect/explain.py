@@ -1,14 +1,15 @@
-"""Turn a diff into an attributed explanation.
+"""Turn a bundle diff into an attributed explanation.
 
-Two renderers over the structures produced by :mod:`repro.inspect.diff`:
+Two renderers over the structure produced by
+:func:`repro.inspect.diff.diff_bundles`:
 
 * :func:`explain_diff` — the short story: which metrics moved, and
   which phase spans / HAUs / hop kinds the movement is attributed to.
   ``python -m repro.inspect explain`` prints these lines; CI runs it on
-  the figure record and the headline bundle for every PR, beside the
-  exact record check (``benchmarks/check_regression.py``), so its logs
-  say *"latency is up because hau-3's disk-io grew 0.4s"* instead of
-  bare numbers.
+  the headline bundle for every PR, after the exact check
+  (``benchmarks/check_regression.py``) has named the differing files,
+  so its logs say *"latency is up because hau-3's disk-io grew 0.4s"*
+  instead of bare hashes.
 * :func:`render_diff_table` — the full fixed-width table view used by
   ``python -m repro.inspect diff``.
 
@@ -22,6 +23,10 @@ from typing import Any
 
 from repro.harness.report import format_table
 
+# Attribution lines ``explain`` prints (the table shows all of
+# ``diff.DEFAULT_TOP``).
+EXPLAIN_TOP = 5
+
 # Metrics where a positive delta means the candidate got *worse*.
 # (throughput is the lone higher-is-better headline quantity.)
 HIGHER_IS_WORSE = frozenset(
@@ -32,7 +37,6 @@ HIGHER_IS_WORSE = frozenset(
         "latency_p99",
         "critical_path_max",
         "critical_path_mean",
-        "critical_path_seconds",
     }
 )
 
@@ -74,58 +78,50 @@ def _metric_lines(tables: dict[str, dict[str, Any]]) -> list[str]:
     return lines
 
 
-def explain_diff(diff: dict[str, Any], limit: int = 5) -> list[str]:
-    """The attributed short story of a diff, as printable lines.
+def _check_kind(diff: dict[str, Any]) -> None:
+    if diff.get("kind") != "bundle-diff":
+        raise ValueError(f"not a diff produced by repro.inspect: kind={diff.get('kind')!r}")
 
-    Accepts any diff produced by this package (``bundle-diff``,
-    ``headline-report-diff``, ``campaign-report-diff``).  Empty movement
-    yields a single "no difference" line rather than silence, so a gate
-    trip always prints *something* attributable.
+
+def explain_diff(diff: dict[str, Any]) -> list[str]:
+    """The attributed short story of a bundle diff, as printable lines.
+
+    Empty movement yields a single "no difference" line rather than
+    silence, so a gate trip always prints *something* attributable.
     """
-    kind = diff.get("kind", "")
+    _check_kind(diff)
+    if diff.get("identical"):
+        return ["bundles are identical (determinism digests and alert sections match)"]
     lines: list[str] = []
-    if kind == "bundle-diff":
-        if diff.get("identical"):
-            return ["bundles are identical (determinism digests and alert sections match)"]
-        if not diff.get("same_workload", True):
-            lines.append(
-                "note: bundles come from different workloads "
-                f"({_workload(diff['a'])} vs {_workload(diff['b'])}) — "
-                "deltas compare apples to oranges"
-            )
-        lines.extend(_metric_lines(diff.get("metrics", {})))
-        lines.extend(_metric_lines(diff.get("checkpoint", {})))
-        movers = diff.get("top_movers", [])[:limit]
-        if movers:
-            lines.append("attribution (delta = candidate - baseline):")
-            for m in movers:
-                lines.append(
-                    f"  {m['dimension']} {m['name']}: "
-                    f"{_g(m['a'])}s -> {_g(m['b'])}s ({_signed(m['delta'])}s)"
-                )
-        stragglers = diff.get("stragglers", {})
-        for label, key in (("appeared", "appeared"), ("disappeared", "disappeared")):
-            flagged = stragglers.get(key, [])
-            if flagged:
-                lines.append(f"stragglers {label}: {', '.join(flagged)}")
-        alert_lines = [
-            f"  {name}: {_g(entry['a'])} -> {_g(entry['b'])} ({_signed(entry['delta'])})"
-            for name, entry in diff.get("alerts", {}).items()
-            if entry.get("delta")
-        ]
-        if alert_lines:
-            lines.append("alert counts (slo:action):")
-            lines.extend(alert_lines)
-    elif kind.endswith("-report-diff"):
-        movers = diff.get("top_movers", [])[:limit]
+    if not diff.get("same_workload", True):
+        lines.append(
+            "note: bundles come from different workloads "
+            f"({_workload(diff['a'])} vs {_workload(diff['b'])}) — "
+            "deltas compare apples to oranges"
+        )
+    lines.extend(_metric_lines(diff.get("metrics", {})))
+    lines.extend(_metric_lines(diff.get("checkpoint", {})))
+    movers = diff.get("top_movers", [])[:EXPLAIN_TOP]
+    if movers:
+        lines.append("attribution (delta = candidate - baseline):")
         for m in movers:
             lines.append(
-                f"{m['row']} {m['metric']}: {_g(m['a'])} -> {_g(m['b'])} "
-                f"({_signed(m['delta'])}{_pct(m['delta'], m['a'])}, "
-                f"{_direction(m['metric'], m['delta'])})"
+                f"  {m['dimension']} {m['name']}: "
+                f"{_g(m['a'])}s -> {_g(m['b'])}s ({_signed(m['delta'])}s)"
             )
-    else:
-        raise ValueError(f"not a diff produced by repro.inspect: kind={kind!r}")
+    stragglers = diff.get("stragglers", {})
+    for label in ("appeared", "disappeared"):
+        flagged = stragglers.get(label, [])
+        if flagged:
+            lines.append(f"stragglers {label}: {', '.join(flagged)}")
+    alert_lines = [
+        f"  {name}: {_g(entry['a'])} -> {_g(entry['b'])} ({_signed(entry['delta'])})"
+        for name, entry in diff.get("alerts", {}).items()
+        if entry.get("delta")
+    ]
+    if alert_lines:
+        lines.append("alert counts (slo:action):")
+        lines.extend(alert_lines)
     if not lines:
         lines.append("no measurable difference between the two sides")
     return lines
@@ -145,17 +141,9 @@ def _entry_row(name: str, entry: dict[str, Any]) -> list[str]:
     ]
 
 
-def render_diff_table(diff: dict[str, Any], limit: int = 10) -> str:
-    """Full fixed-width rendering of a diff (the ``diff`` subcommand)."""
-    kind = diff.get("kind", "")
-    if kind == "bundle-diff":
-        return _render_bundle_diff(diff, limit)
-    if kind.endswith("-report-diff"):
-        return _render_report_diff(diff, limit)
-    raise ValueError(f"not a diff produced by repro.inspect: kind={kind!r}")
-
-
-def _render_bundle_diff(diff: dict[str, Any], limit: int) -> str:
+def render_diff_table(diff: dict[str, Any]) -> str:
+    """Full fixed-width rendering of a bundle diff (the ``diff`` subcommand)."""
+    _check_kind(diff)
     a, b = diff["a"], diff["b"]
     blocks = [
         "\n".join(
@@ -187,7 +175,7 @@ def _render_bundle_diff(diff: dict[str, Any], limit: int) -> str:
                 title="phase-span totals",
             )
         )
-    movers = diff.get("top_movers", [])[:limit]
+    movers = diff.get("top_movers", [])
     if movers:
         blocks.append(
             format_table(
@@ -220,47 +208,4 @@ def _render_bundle_diff(diff: dict[str, Any], limit: int) -> str:
     ]
     if straggler_lines:
         blocks.append("\n".join(straggler_lines))
-    return "\n\n".join(blocks)
-
-
-def _render_report_diff(diff: dict[str, Any], limit: int) -> str:
-    blocks = [f"{diff['kind']}: {len(diff.get('rows', {}))} row(s) compared"]
-    changed_rows = []
-    for key, row in diff.get("rows", {}).items():
-        if not row["in_a"] or not row["in_b"]:
-            side = "a" if row["in_a"] else "b"
-            changed_rows.append([key, f"only in {side}", "-", "-", "-"])
-            continue
-        for metric, entry in row["metrics"].items():
-            if entry.get("delta"):
-                changed_rows.append([key, *_entry_row(metric, entry)])
-    if changed_rows:
-        blocks.append(
-            format_table(
-                ["row", "metric", "a", "b", "delta"],
-                changed_rows,
-                title="changed cells",
-            )
-        )
-    else:
-        blocks.append("no per-row differences")
-    movers = diff.get("top_movers", [])[:limit]
-    if movers:
-        blocks.append(
-            format_table(
-                ["row", "metric", "a", "b", "delta", "|rel|"],
-                [
-                    [
-                        m["row"],
-                        m["metric"],
-                        _g(m["a"]),
-                        _g(m["b"]),
-                        _signed(m["delta"]),
-                        f"{m['magnitude']:.3f}",
-                    ]
-                    for m in movers
-                ],
-                title="top movers",
-            )
-        )
     return "\n\n".join(blocks)

@@ -49,7 +49,6 @@ class TurningPointDetector:
         self.tolerance = float(tolerance)
         self._prev: tuple[float, float] | None = None
         self._direction = 0  # -1 falling, +1 rising, 0 unknown/flat
-        self._candidate: tuple[float, float] | None = None
 
     def observe(self, time: float, size: float) -> TurningPoint | None:
         """Feed one sample; returns a turning point if one is revealed."""
@@ -74,40 +73,7 @@ class TurningPointDetector:
         self._prev = (time, size)
         return result
 
-    def current_slope(self) -> int:
-        return self._direction
-
     def reset(self) -> None:
         self._prev = None
         self._direction = 0
-        self._candidate = None
 
-
-def rebuild_series(
-    turning_points: list[tuple[float, float]], times: list[float]
-) -> list[float]:
-    """Linear interpolation between turning points (§III-C2, step two).
-
-    Dynamic HAUs report only turning points to keep network traffic low;
-    the controller "roughly recovers" intermediate sizes by linear
-    interpolation.  ``turning_points`` is a time-sorted list of (t, size).
-    Queries outside the covered range clamp to the nearest endpoint.
-    """
-    if not turning_points:
-        return [0.0 for _ in times]
-    pts = sorted(turning_points)
-    out: list[float] = []
-    for t in times:
-        if t <= pts[0][0]:
-            out.append(pts[0][1])
-            continue
-        if t >= pts[-1][0]:
-            out.append(pts[-1][1])
-            continue
-        # binary search would be overkill for the few points involved
-        for (t0, s0), (t1, s1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                out.append(s0 + frac * (s1 - s0))
-                break
-    return out

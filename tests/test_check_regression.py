@@ -1,15 +1,20 @@
-"""Unit tests for the exact figure-record check (benchmarks/check_regression.py):
-the fresh ``{mode, cells, headline, kernel}`` record must equal the committed
-one, with one named line per difference; bad input exits 2, a baseline from
-another build 77, and ``--write`` prints the differences, then re-records."""
+"""Unit tests for the exact check of the headline artifacts
+(benchmarks/check_regression.py): the fresh ``{mode, cells, headline, kernel}``
+record must equal the committed one and ``BUNDLE_headline`` must hash as
+``BUNDLE_baseline`` does, with one named line per difference; bad input exits
+2, a baseline from another build 77, and ``--write`` prints the differences,
+then re-records both."""
 
+import hashlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.harness.digest import EXIT_SKIPPED, environment_fingerprint
+from repro.harness.digest import EXIT_SKIPPED, canonical_json, environment_fingerprint
+from repro.inspect import bundle_id, read_bundle, write_bundle
 
 _REPO = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -30,10 +35,25 @@ def _record(*cells, mode="fast", popped=74_166):
             "kernel": {"mode": mode, "events_popped": popped, "pool_misses": 148}}
 
 
+def _with_throughput(directory, throughput):
+    """The bundle at ``directory`` with one file, metrics.json, changed."""
+    bundle = read_bundle(directory)
+    metrics = bundle["files"]["metrics.json"]
+    metrics["throughput"] = throughput
+    hashes = bundle["manifest"]["files"]
+    hashes["metrics.json"] = hashlib.sha256((canonical_json(metrics) + "\n").encode()).hexdigest()
+    bundle["manifest"]["bundle_id"] = bundle_id(hashes)
+    return bundle
+
+
 @pytest.fixture
 def gate(tmp_path, monkeypatch):
-    """``gate(current, baseline)``: commit one record, write one as the bench does, check."""
+    """``gate(current, baseline)``: commit one record, write one as the bench does, check.
+    The bench's bundle and the committed one are copies of ``BUNDLE_baseline``."""
     monkeypatch.setattr(check_regression, "DEFAULT_BASELINE", tmp_path / "BENCH_baseline.json")
+    monkeypatch.setattr(check_regression, "DEFAULT_BUNDLE", tmp_path / "BUNDLE_baseline")
+    for name in ("BUNDLE_headline", "BUNDLE_baseline"):
+        shutil.copytree(_REPO / "benchmarks" / "BUNDLE_baseline", tmp_path / name)
 
     def run(current, baseline=None, flags=()):
         record = {"environment": environment_fingerprint(), **(baseline or _record())}
@@ -49,7 +69,48 @@ def gate(tmp_path, monkeypatch):
 
 def test_identical_reports_pass(gate, capsys):
     assert gate(_record()) == 0
-    assert "OK: 2 cells" in capsys.readouterr().out
+    assert "OK: 2 cells, headline, kernel and bundle bit-identical" in capsys.readouterr().out
+
+
+def test_changed_bundle_file_exits_1_and_names_it(gate, tmp_path, capsys):
+    headline = tmp_path / "BUNDLE_headline"
+    old = read_bundle(headline)["manifest"]["files"]["metrics.json"]
+    changed = _with_throughput(headline, 1.0)
+    write_bundle(changed, tmp_path, name="BUNDLE_headline")
+    assert gate(_record()) == 1
+    new = changed["manifest"]["files"]["metrics.json"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"  bundle: metrics.json {old!r} → {new!r}",
+        "FAIL: 1 difference(s); if intended, re-record with --write"]
+
+
+def test_missing_or_corrupt_bundle_exits_2(gate, tmp_path, capsys):
+    headline = tmp_path / "BUNDLE_headline"
+    (headline / "metrics.json").write_text("{}\n")  # the manifest still hashes the old one
+    assert gate(_record()) == 2
+    assert "the bundle is corrupt" in capsys.readouterr().err
+    shutil.rmtree(headline)
+    assert gate(_record()) == 2
+    assert "BUNDLE_headline: not a bundle directory" in capsys.readouterr().err
+    shutil.rmtree(check_regression.DEFAULT_BUNDLE)  # nor may the committed one be missing
+    shutil.copytree(_REPO / "benchmarks" / "BUNDLE_baseline", headline)
+    assert gate(_record()) == 2
+
+
+def test_write_re_records_the_bundle(gate, tmp_path, capsys):
+    changed = _with_throughput(tmp_path / "BUNDLE_headline", 1.0)
+    write_bundle(changed, tmp_path, name="BUNDLE_headline")
+    assert gate(_record(), flags=["--write"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("  bundle: metrics.json ")
+    written = changed["manifest"]["bundle_id"][:16]
+    assert out[-1] == f"wrote bundle {written} to {tmp_path / 'BUNDLE_baseline'}"
+    assert read_bundle(tmp_path / "BUNDLE_baseline") == changed
+    assert check_regression.main([str(tmp_path)]) == 0
+    shutil.rmtree(tmp_path / "BUNDLE_baseline")  # nothing committed: it still records
+    assert check_regression.main([str(tmp_path), "--write"]) == 0
+    assert "no committed bundle to compare: " in capsys.readouterr().out
+    assert read_bundle(tmp_path / "BUNDLE_baseline") == changed
 
 
 def test_throughput_regression_exits_1(gate, capsys):

@@ -27,7 +27,6 @@ from repro.harness import ExperimentConfig, run_experiment
 from repro.inspect import (
     build_bundle,
     diff_bundles,
-    diff_reports,
     explain_diff,
     read_bundle,
     render_diff_table,
@@ -213,47 +212,6 @@ def test_diff_bundles_antisymmetry():
     ]
 
 
-def test_diff_reports_antisymmetry():
-    a = {"cells": [
-        {"app": "tmi", "scheme": "baseline", "n_checkpoints": 0,
-         "throughput": 100.0, "latency": 10.0, "latency_p99": 20.0,
-         "critical_path_seconds": 0.0, "rounds_completed": 0},
-        {"app": "tmi", "scheme": "ms", "n_checkpoints": 3,
-         "throughput": 300.0, "latency": 5.0, "latency_p99": 9.0,
-         "critical_path_seconds": 4.0, "rounds_completed": 3},
-    ]}
-    b = copy.deepcopy(a)
-    b["cells"][1]["throughput"] = 270.0
-    b["cells"][1]["latency"] = 6.0
-    fwd = diff_reports(a, b)
-    rev = diff_reports(b, a)
-    assert fwd["kind"] == rev["kind"] == "headline-report-diff"
-    for key, row in fwd["rows"].items():
-        assert rev["rows"][key]["metrics"] == {
-            m: mirror_entry(e) for m, e in row["metrics"].items()
-        }
-    assert [(m["row"], m["metric"], m["magnitude"]) for m in rev["top_movers"]] == [
-        (m["row"], m["metric"], m["magnitude"]) for m in fwd["top_movers"]
-    ]
-
-
-def test_diff_reports_tracks_missing_rows():
-    a = {"cells": [{"app": "tmi", "scheme": "ms", "n_checkpoints": 0,
-                    "throughput": 1.0, "latency": 1.0, "latency_p99": 1.0,
-                    "critical_path_seconds": 0.0, "rounds_completed": 0}]}
-    b = {"cells": []}
-    diff = diff_reports(a, b)
-    row = diff["rows"]["tmi/ms@0"]
-    assert row["in_a"] and not row["in_b"]
-    assert all(e["delta"] is None for e in row["metrics"].values())
-    assert diff["top_movers"] == []  # incomparable deltas never rank
-
-
-def test_diff_reports_rejects_mixed_kinds():
-    with pytest.raises(ValueError, match="headline report against a campaign"):
-        diff_reports({"cells": []}, {"scenarios": []})
-
-
 # ---------------------------------------------------------------------------
 # attribution: the injected-straggler acceptance scenario
 # ---------------------------------------------------------------------------
@@ -389,25 +347,16 @@ def test_cli_diff_and_explain(tmp_path, capsys):
     assert "attribution (delta = candidate - baseline):" in out
 
 
-def test_cli_diff_reports_from_files(tmp_path, capsys):
-    report = {"cells": [{"app": "tmi", "scheme": "ms", "n_checkpoints": 3,
-                         "throughput": 100.0, "latency": 10.0, "latency_p99": 15.0,
-                         "critical_path_seconds": 2.0, "rounds_completed": 3}]}
-    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    pa.write_text(json.dumps(report))
-    report["cells"][0]["throughput"] = 80.0
-    pb.write_text(json.dumps(report))
-    assert main(["diff", str(pa), str(pb)]) == 0
-    out = capsys.readouterr().out
-    assert "headline-report-diff" in out and "throughput" in out
-
-
 def test_cli_rejects_mixed_operands(tmp_path, capsys):
+    """``diff`` / ``explain`` take two bundles: a report file is an error
+    on either side (the figure record's comparer is check_regression.py)."""
     da, _ = write_pair(tmp_path)
     report = tmp_path / "r.json"
     report.write_text(json.dumps({"cells": []}))
-    assert main(["diff", str(da), str(report)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for command in ("diff", "explain"):
+        for operands in ([da, report], [report, da], [report, report]):
+            assert main([command, *map(str, operands)]) == 2
+            assert f"error: {report}: not a bundle directory" in capsys.readouterr().err
 
 
 def test_cli_errors_on_missing_bundle(tmp_path, capsys):

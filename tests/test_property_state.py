@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.state import StateHint, StateProfile, TurningPointDetector, estimate_state_size
-from repro.state.turning import rebuild_series
 
 
 @given(
@@ -46,28 +45,6 @@ def test_turning_points_are_local_extrema(sizes):
         else:
             if right is not None:
                 assert tp.size <= right
-
-
-@given(
-    points=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=1000.0),
-            st.floats(min_value=0.0, max_value=1e9),
-        ),
-        min_size=1,
-        max_size=20,
-        unique_by=lambda p: p[0],
-    ),
-    queries=st.lists(st.floats(min_value=-100.0, max_value=1100.0), max_size=20),
-)
-@settings(max_examples=50, deadline=None)
-def test_rebuild_series_within_envelope(points, queries):
-    """Interpolated values never leave [min, max] of the turning points."""
-    values = rebuild_series(points, queries)
-    lo = min(s for (_t, s) in points)
-    hi = max(s for (_t, s) in points)
-    for v in values:
-        assert lo - 1e-6 <= v <= hi + 1e-6
 
 
 @given(

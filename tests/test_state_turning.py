@@ -1,9 +1,8 @@
-"""Tests for turning-point detection, ICR, and series rebuild."""
+"""Tests for turning-point detection and ICR."""
 
 import pytest
 
 from repro.state import TurningPointDetector
-from repro.state.turning import rebuild_series
 
 
 def feed(detector, samples):
@@ -79,19 +78,5 @@ def test_reset_clears_history():
     det = TurningPointDetector()
     feed(det, [(0, 0), (1, 10)])
     det.reset()
-    assert det.current_slope() == 0
     assert feed(det, [(2, 100), (3, 50)]) == []  # one segment, no flip yet
 
-
-def test_rebuild_series_interpolates_linearly():
-    pts = [(0.0, 100.0), (10.0, 200.0)]
-    assert rebuild_series(pts, [0.0, 5.0, 10.0]) == [100.0, 150.0, 200.0]
-
-
-def test_rebuild_series_clamps_outside_range():
-    pts = [(5.0, 50.0), (10.0, 100.0)]
-    assert rebuild_series(pts, [0.0, 20.0]) == [50.0, 100.0]
-
-
-def test_rebuild_series_empty_points():
-    assert rebuild_series([], [1.0, 2.0]) == [0.0, 0.0]
