@@ -787,10 +787,10 @@ class HAURuntime:
                     yield from work
             # Normal generation, resuming past the already-emitted prefix
             # (the generator is deterministic; see Operator docstring).
-            # ``sched`` is the nominal sensor-capture instant: tuples are
-            # stamped with it (not the emission instant), so time spent
-            # blocked behind backpressure counts into end-to-end latency —
-            # the real sensor kept capturing while the pipeline stalled.
+            # Tuples are stamped with ``sched``, the nominal capture instant
+            # (the sum of the delays), so time blocked behind backpressure
+            # counts into end-to-end latency.  Each tuple still waits its
+            # full ``delay``: a blocked source never catches up.
             gen = op.generate()
             skip = op.emitted_count
             produced = 0

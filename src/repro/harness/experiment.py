@@ -10,6 +10,7 @@ measured at the app's probe stage (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -57,7 +58,7 @@ class ExperimentConfig:
     oracle_times: list[float] | None = None
     enable_recovery: bool = False
     costs: CostModel | None = None
-    # Live monitoring plane (repro.monitor): 0 = off, the digest-pinned
+    # Monitoring plane (repro.monitor): 0 = off, the digest-pinned
     # default.  ``monitor_slos`` maps SLO kind -> bound override.
     monitor_period: float = 0.0
     monitor_slos: dict[str, float] = field(default_factory=dict)
@@ -67,8 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown app {self.app!r}; choose from {sorted(APPS)}")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.monitor_period < 0:
-            raise ValueError(f"monitor_period must be >= 0, got {self.monitor_period!r}")
+        if not (self.monitor_period >= 0 and math.isfinite(self.monitor_period)):
+            raise ValueError(f"monitor_period must be finite, >= 0: {self.monitor_period!r}")
         if self.monitor_slos:
             from repro.monitor.slo import SLO_KINDS
 
@@ -107,6 +108,11 @@ class ExperimentResult:
     monitor: "MonitorPlane | None" = None
     _timeline: Any = field(default=None, init=False, repr=False, compare=False)
     _snapshot: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the monitoring plane ticks over what a finished run recorded
+        if self.monitor is not None:
+            self.monitor.finish(self.runtime.metrics.stage_samples, self.config.end)
 
     # -- monitoring plane access (cfg.monitor_period > 0) ------------------
     @property
@@ -274,8 +280,8 @@ def run_experiment(
     """
     monitor_on = cfg.monitor_period > 0.0
     env = Environment()
-    # The monitoring plane reads trace events and registry metrics, so a
-    # monitored run enables both (and exposes them on the result).
+    # The monitoring plane reads the trace and counts into the registry,
+    # so a monitored run enables both (and exposes them on the result).
     tracer = env.enable_tracing() if (trace or monitor_on) else None
     registry = env.enable_telemetry() if (telemetry or monitor_on) else None
     builder = APPS[cfg.app]

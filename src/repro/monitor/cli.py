@@ -1,21 +1,22 @@
 """``python -m repro.monitor`` — replay SLO monitoring over a trace file.
 
-The same :class:`~repro.monitor.plane.MonitorPlane` that rides live
-runs replays a recorded trace (the JSONL that
-``ExperimentResult.write_trace`` writes) completely offline, producing
-the identical alert log and health timeline the live run produced for
-every trace-derived SLO::
+The same :class:`~repro.monitor.plane.MonitorPlane` that ticks over a
+finished run replays a recorded trace (the JSONL that
+``ExperimentResult.write_trace`` writes) on its own, producing the
+identical alert log and health timeline the run produced for every
+trace-derived SLO::
 
     python -m repro.monitor TRACE.jsonl                    # tables
     python -m repro.monitor TRACE.jsonl --json             # canonical JSON
     python -m repro.monitor TRACE.jsonl --period 2 \\
         --bound checkpoint-staleness=20                    # tuned windows
 
-Registry-backed SLO kinds (``latency-p99``) need the live metric
-registry and are inactive in replay; everything else — checkpoint
-durations, recovery time, checkpoint staleness, alerts, health — comes
-straight from the trace.  Output is byte-deterministic, so two replays
-of the same file diff clean.
+The latency SLO (``latency-p99``) is read from a run's stage samples,
+which a trace does not carry, so it is inactive in replay; everything
+else — checkpoint durations, recovery time, checkpoint staleness,
+alerts, health — comes straight from the trace.  A replay ticks up to
+the file's last event, not to the run's end.  Output is
+byte-deterministic, so two replays of the same file diff clean.
 """
 
 from __future__ import annotations

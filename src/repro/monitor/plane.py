@@ -1,28 +1,30 @@
-"""The live monitoring plane: deterministic in-simulation observability.
+"""The monitoring plane: deterministic observability over a finished run.
 
 A :class:`MonitorPlane` evaluates windowed telemetry on a fixed
 sim-time period.  Each *tick* it
 
-1. folds the trace events emitted since the previous tick into SLO
-   samples (checkpoint durations, recovery times, commit recency) and
-   the health state machine,
-2. reads counter deltas and exact (nearest-rank) percentiles from the
-   :class:`~repro.telemetry.registry.MetricRegistry` (pure reads),
-3. advances every burn-rate evaluator and emits ``alert.fire`` /
-   ``alert.resolve`` trace events plus ``ms_alerts_*`` metrics, and
+1. folds the trace events due by its instant into SLO samples
+   (checkpoint durations, recovery times, commit recency) and the
+   health state machine,
+2. folds the stage samples processed by its instant (the
+   ``(hau, created_at, processed_at)`` records of
+   :attr:`~repro.metrics.collectors.MetricsHub.stage_samples`) into a
+   tuple count and a per-HAU exact (nearest-rank) p99 latency,
+3. advances every burn-rate evaluator, logs ``fire`` / ``resolve``
+   alerts and counts them in the ``ms_alerts_*`` metrics, and
 4. appends one row to the window series.
 
-Determinism contract: ticks are scheduled at :data:`~repro.simulation.
-core.MONITOR` priority, which sorts *after* every workload event at the
-same instant — the plane observes each instant only once it has fully
-settled, and the workload's own event order (and therefore the
-determinism digest) is bit-identical with monitoring on or off.
-
-The same class replays offline: :meth:`run_offline` drives the same
-:meth:`tick` from a recorded trace (``python -m repro.monitor
-trace.jsonl``), with the registry-backed SLOs inactive (a trace carries
-no registry) and everything trace-derived producing the identical alert
-log and health timeline the live run produced.
+The plane runs after the simulation, never inside it: nothing acts on
+an alert during a run, so ticking once the run is over sees exactly
+what a tick at the end of each instant would have seen, and the
+workload's event order (and therefore the determinism digest) cannot
+depend on monitoring.  :meth:`finish` ticks over a live run's trace and
+stage samples and splices the ``alert.fire`` / ``alert.resolve`` rows
+into the trace after the last event due by their tick;
+:meth:`run_offline` ticks over a recorded trace (``python -m
+repro.monitor trace.jsonl``), where the latency SLO is inactive (a
+trace carries no stage samples) and everything trace-derived produces
+the identical alert log and health timeline.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from typing import TYPE_CHECKING, Any
 
 from repro.monitor.health import HealthTracker
 from repro.monitor.slo import PER_HAU_KINDS, SLO, BurnEvaluator, default_slos
-from repro.monitor.windows import CounterWindow
-from repro.observability.tracer import NULL_TRACER
-from repro.telemetry.registry import NULL_REGISTRY
+from repro.observability.tracer import NULL_TRACER, Tracer
+from repro.telemetry.registry import NULL_REGISTRY, Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
+    from repro.metrics.collectors import Sample
     from repro.observability.tracer import TraceEvent
     from repro.simulation.core import Environment
 
@@ -65,58 +67,90 @@ class MonitorPlane:
         self.alerts: list[dict[str, Any]] = []
         self.series: list[dict[str, Any]] = []
         self.health = HealthTracker(racks=racks, nodes=nodes)
-        self._env: Environment | None = None
+        self._attached = False
         self._trace = NULL_TRACER
         self._telem = NULL_REGISTRY
-        self._cursor = 0  # index into the tracer's event list
         self._evaluators: dict[tuple[str, str], BurnEvaluator] = {}
         self._slo_by_kind = {s.kind: s for s in self.slos}
         # trace-derived bookkeeping
         self._write_start: dict[str, float] = {}  # hau -> checkpoint.write.start t
         self._last_commit: dict[str, float] = {}  # hau -> last checkpoint.commit t
         self._recovery_start: float | None = None
-        self._tuples_window = CounterWindow()
-        self._samples_folded = 0
+        self._latency: dict[str, Histogram] = {}  # hau -> its stage samples' latencies
 
-    # -- kernel wiring -------------------------------------------------------
+    # -- live runs -----------------------------------------------------------
     def attach(self, env: "Environment") -> "MonitorPlane":
-        """Ride on a live environment: read its tracer/registry and start
-        the tick schedule.  Call after ``enable_tracing``/``enable_telemetry``
-        (the plane reads whichever are enabled) and before ``env.run``."""
-        self._env = env
+        """Bind a live environment's tracer and registry, which
+        :meth:`finish` reads and writes once the run is over."""
+        self._attached = True
         self._trace = env.trace
         self._telem = env.telemetry
-        self._schedule_tick()
         return self
 
-    def _schedule_tick(self) -> None:
-        from repro.simulation.core import MONITOR, Event
+    def finish(self, samples: "Sequence[Sample]", until: float) -> None:
+        """Tick over a finished live run through ``until`` (its end).
 
-        env = self._env
-        assert env is not None
-        ev = Event(env, name="monitor-tick")
-        ev.add_callback(self._on_tick)
-        env._schedule(ev, delay=self.period, priority=MONITOR)
-
-    def _on_tick(self, _event: Any) -> None:
-        env = self._env
-        assert env is not None
-        events = self._trace.events
-        since = events[self._cursor:]
-        self._cursor = len(events)
-        self.tick(env.now, since)
-        self._schedule_tick()
+        Each tick is fed the trace events and the stage ``samples`` due
+        by its instant; the alert rows it logs are spliced into the trace
+        after the last event due by then, where a tick at the end of that
+        instant would have emitted them, and ``seq`` is renumbered.
+        """
+        at = self._run(self._trace.events, until, samples)
+        if not (at and self._trace.enabled):
+            return
+        tracer = Tracer()  # the rows alone; the splice renumbers them
+        for row in self.alerts:
+            data = {k: row[k] for k in ("subject", "slo", "burn_fast", "burn_slow")}
+            if row["action"] == "fire":
+                tracer.emit("alert.fire", t=row["t"], **data)
+            else:
+                tracer.emit("alert.resolve", t=row["t"], **data)
+        self._trace.splice(zip(at, tracer.events))
 
     # -- the tick ------------------------------------------------------------
-    def tick(self, now: float, events: "Sequence[TraceEvent]" = ()) -> None:
+    def _run(
+        self, events: "Sequence[TraceEvent]", until: float, samples: "Sequence[Sample]" = ()
+    ) -> list[int]:
+        """Tick at ``period, 2*period, ...`` through ``until``, each tick
+        fed the ``events`` (time-sorted) and ``samples`` (in
+        ``processed_at`` order) due by its instant.  Returns, per logged
+        alert, how many events were due by its tick."""
+        at: list[int] = []
+        cursor = fed = 0
+        now = 0.0
+        while now + self.period <= until:
+            now += self.period
+            upto, due = cursor, fed
+            while upto < len(events) and events[upto].t <= now:
+                upto += 1
+            while due < len(samples) and samples[due][2] <= now:
+                due += 1
+            logged = len(self.alerts)
+            self.tick(now, events[cursor:upto], samples[fed:due])
+            at += [upto] * (len(self.alerts) - logged)
+            cursor, fed = upto, due
+        return at
+
+    def tick(
+        self, now: float, events: "Sequence[TraceEvent]", samples: "Sequence[Sample]"
+    ) -> None:
         """One window evaluation at sim-time ``now`` over the trace
-        ``events`` that arrived since the previous tick."""
+        ``events`` and stage ``samples`` that arrived since the previous
+        tick."""
         self.ticks += 1
         self._ingest(events)
-        self._sample_registry(now)
+        latency = self._latency
+        for hau, created_at, processed_at in samples:
+            if hau not in latency:
+                latency[hau] = Histogram(hau, percentiles=(0.99,))
+            latency[hau].observe(processed_at - created_at)
+        # the worst HAU's nearest-rank p99 tuple latency so far
+        p99 = max((record.percentile(0.99) for record in latency.values()), default=None)
+        if p99 is not None:
+            self._observe(now, "latency-p99", "", p99)
         self._sample_staleness(now)
         self._evaluate(now)
-        self._append_series_row(now)
+        self._append_series_row(now, float(len(samples)), p99 or 0.0)
         if self._telem.enabled:
             self._telem.counter("ms_monitor_ticks_total").inc()
 
@@ -150,18 +184,7 @@ class MonitorPlane:
                         self.health.learn_placement(e.subject, node)
                 self.health.on_trace_event(e.t, kind, e.subject)
 
-    # -- registry + derived samples ------------------------------------------
-    def _sample_registry(self, now: float) -> None:
-        if not self._telem.enabled or "latency-p99" not in self._slo_by_kind:
-            return
-        worst = None
-        for metric in self._telem.select("ms_hau_tuple_latency_seconds"):
-            if getattr(metric, "count", 0) > 0:
-                p99 = metric.percentile(0.99)
-                worst = p99 if worst is None else max(worst, p99)
-        if worst is not None:
-            self._observe(now, "latency-p99", "", worst)
-
+    # -- derived samples -----------------------------------------------------
     def _sample_staleness(self, now: float) -> None:
         slo = self._slo_by_kind.get("checkpoint-staleness")
         if slo is None:
@@ -180,7 +203,6 @@ class MonitorPlane:
         if evaluator is None:
             evaluator = self._evaluators[key] = BurnEvaluator(slo, key[1])
         evaluator.observe(t, float(value) <= slo.bound)
-        self._samples_folded += 1
         if self._telem.enabled:
             self._telem.counter("ms_monitor_samples_total", slo=kind).inc()
 
@@ -202,51 +224,23 @@ class MonitorPlane:
             }
             self.alerts.append(row)
             self.health.on_alert(now, subject, kind, action)
-            if action == "fire":
-                if self._trace.enabled:
-                    self._trace.emit(
-                        "alert.fire",
-                        t=now,
-                        subject=subject,
-                        slo=kind,
-                        burn_fast=evaluator.burn_fast,
-                        burn_slow=evaluator.burn_slow,
-                    )
-                if self._telem.enabled:
+            if self._telem.enabled:
+                if action == "fire":
                     self._telem.counter("ms_alerts_fired_total", slo=kind).inc()
                     self._telem.gauge("ms_alerts_active").inc()
-            else:
-                if self._trace.enabled:
-                    self._trace.emit(
-                        "alert.resolve",
-                        t=now,
-                        subject=subject,
-                        slo=kind,
-                        burn_fast=evaluator.burn_fast,
-                        burn_slow=evaluator.burn_slow,
-                    )
-                if self._telem.enabled:
+                else:
                     self._telem.counter("ms_alerts_resolved_total", slo=kind).inc()
                     self._telem.gauge("ms_alerts_active").dec()
 
-    def _append_series_row(self, now: float) -> None:
-        tuples_total = 0.0
-        latency_p99 = 0.0
-        if self._telem.enabled:
-            for metric in self._telem.select("ms_hau_tuples_total"):
-                tuples_total += metric.value
-            for metric in self._telem.select("ms_hau_tuple_latency_seconds"):
-                if getattr(metric, "count", 0) > 0:
-                    latency_p99 = max(latency_p99, metric.percentile(0.99))
-        delta = self._tuples_window.advance(now, tuples_total)
+    def _append_series_row(self, now: float, tuples: float, latency_p99: float) -> None:
         staleness_max = 0.0
         if self._last_commit:
             staleness_max = max(now - t for t in self._last_commit.values())
         self.series.append(
             {
                 "t": now,
-                "tuples_delta": delta,
-                "tuples_rate": delta / self.period,
+                "tuples_delta": tuples,
+                "tuples_rate": tuples / self.period,
                 "latency_p99": latency_p99,
                 "staleness_max": staleness_max,
                 "alerts_active": self.active_alerts(),
@@ -255,30 +249,23 @@ class MonitorPlane:
 
     # -- offline replay ------------------------------------------------------
     def run_offline(self, events: "Sequence[TraceEvent]", until: float | None = None) -> None:
-        """Drive :meth:`tick` from a recorded trace (no environment).
+        """Tick over a recorded trace (no environment, no stage samples).
 
-        Ticks run at ``period, 2*period, ...`` through ``until``
-        (default: the last event's timestamp — the live plane cannot
-        tick past the end of the simulation, so neither does replay),
-        each fed the events due by its instant — the same slicing the
-        live schedule produces.  The plane's registry is the null one,
-        so registry-backed SLOs are inactive (a trace carries no
-        registry); everything trace-derived reproduces the live run
+        Ticks run at ``period, 2*period, ...`` through ``until``, each
+        fed the events due by its instant — the slicing :meth:`finish`
+        applies to a live run.  ``until`` defaults to the last event's
+        timestamp, so a replay of a trace file stops at its last event,
+        while the live run ticked through its end: a run whose last
+        event comes a period or more before its end ticks more often
+        than its replay.  Without stage samples the latency SLO is
+        inactive; everything trace-derived reproduces the live run
         exactly.
         """
-        if self._env is not None:
+        if self._attached:
             raise RuntimeError("plane is attached to a live environment")
         if until is None:
             until = events[-1].t if events else 0.0
-        cursor = 0
-        now = 0.0
-        while now + self.period <= until:
-            now += self.period
-            upto = cursor
-            while upto < len(events) and events[upto].t <= now:
-                upto += 1
-            self.tick(now, events[cursor:upto])
-            cursor = upto
+        self._run(events, until)
 
     # -- exports -------------------------------------------------------------
     def active_alerts(self) -> int:

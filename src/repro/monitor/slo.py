@@ -23,6 +23,7 @@ alert logs byte-deterministic and replayable from a trace file.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -35,11 +36,6 @@ SLO_KINDS = tuple(SLOS)
 # SLO kinds evaluated per HAU (alert subjects are HAU ids); the rest
 # aggregate over the whole run (subject "").
 PER_HAU_KINDS = frozenset({"checkpoint-staleness"})
-
-# Kinds that need the live MetricRegistry (snapshot reads); the others
-# are derived purely from trace events and stay active in offline
-# replay (``python -m repro.monitor`` over a trace file).
-REGISTRY_KINDS = frozenset({"latency-p99"})
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,8 @@ class SLO:
     def __post_init__(self) -> None:
         if self.kind not in SLO_KINDS:
             raise ValueError(f"unknown SLO kind {self.kind!r}; choose from {SLO_KINDS}")
+        if not (self.bound > 0.0 and math.isfinite(self.bound)):
+            raise ValueError(f"SLO bound must be finite and > 0, got {self.bound!r}")
         if not self.objective > 0.0:
             raise ValueError(f"SLO objective must be > 0, got {self.objective!r}")
         if not 0.0 < self.fast_window <= self.slow_window:

@@ -18,8 +18,8 @@ JSONL form).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.vocabulary import TRACE_KINDS
@@ -96,6 +96,19 @@ class Tracer:
         )
         self.events.append(ev)
         return ev
+
+    def splice(self, rows: Iterable[tuple[int, TraceEvent]]) -> None:
+        """Insert events recorded apart: each ``(index, event)`` goes in
+        before the event now at ``index`` (indices ascending), and
+        ``seq`` is renumbered to the new list order."""
+        out: list[TraceEvent] = []
+        start = 0
+        for index, event in rows:
+            out += [*self.events[start:index], event]
+            start = index
+        out += self.events[start:]
+        self.events[:] = [e if e.seq == n else replace(e, seq=n) for n, e in enumerate(out, 1)]
+        self._seq = len(out)
 
     # -- queries -----------------------------------------------------------
     def select(

@@ -10,8 +10,8 @@ analysis cannot prove at runtime:
   :class:`SanitizerError`, so a stale reference fails loudly at the use
   site instead of silently reading a recycled object;
 * **clock/heap-order assertions** (same module) — every pop checks the
-  simulation clock never moves backwards and that the ``(time,
-  priority, seq)`` total order the digest contract rests on holds;
+  simulation clock never moves backwards and that the ``(time, seq)``
+  total order the digest contract rests on holds;
 * **cross-HAU state isolation** (:mod:`repro.sanitize.state_guard`) —
   writes to an operator's declared ``state_attrs`` must come from the
   HAU that hosts it, tracked through a generator trampoline around the

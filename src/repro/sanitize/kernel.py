@@ -18,7 +18,7 @@ pop-and-fire body; no kernel code is repeated here:
   detonates at the offending line;
 * the current-instant FIFO is a :class:`_StampedFifo`: the kernel's FIFO
   carries no sequence numbers, so its appends draw from the heap's
-  counter and every entry has exactly the ``(time, priority, seq)`` key
+  counter and every entry has exactly the ``(time, seq)`` key
   a single heap would have given it — a sanitized run is a run-time
   proof that the two-tier order *is* the heap order;
 * ``_drain`` is wrapped to pop one event at a time: the heap's top is
@@ -106,7 +106,7 @@ class _StampedFifo(deque):
 
     ``append`` draws the next number from ``env._seq`` — the counter heap
     pushes draw from — and records it with the instant, so the entry
-    carries the ``(time, NORMAL, seq)`` it would have had on a single
+    carries the ``(time, seq)`` it would have had on a single
     heap; ``popleft`` checks the entry against that key before the
     kernel fires it.  Sequence numbers are not observable, so the run is
     unchanged.  The environment has ``__slots__``, so what the audit
@@ -119,7 +119,7 @@ class _StampedFifo(deque):
         super().__init__()
         self.env = env
         self.stamps: deque[tuple[float, int]] = deque()
-        self.last_key: tuple[float, int, int] | None = None
+        self.last_key: tuple[float, int] | None = None
         self.popped = False
 
     def append(self, event: Any) -> None:
@@ -131,11 +131,11 @@ class _StampedFifo(deque):
     def popleft(self) -> Any:
         event = super().popleft()
         when, seq = self.stamps.popleft()
-        self.last_key = self.check((when, _core.NORMAL, seq), event)
+        self.last_key = self.check((when, seq), event)
         self.popped = True
         return event
 
-    def check(self, key: tuple[float, int, int], event: Any) -> tuple[float, int, int]:
+    def check(self, key: tuple[float, int], event: Any) -> tuple[float, int]:
         """A scheduled entry, next to pop or not: not stale, not recycled,
         not sorting before what was popped last.  Returns ``key``."""
         now = self.env._now
@@ -151,7 +151,7 @@ class _StampedFifo(deque):
         if self.last_key is not None and key < self.last_key:
             raise SanitizerError(
                 f"heap total order violated: {key} scheduled behind {self.last_key}, "
-                "the last pop — the (time, priority, seq) ordering the "
+                "the last pop — the (time, seq) ordering the "
                 "determinism digests rest on no longer holds"
             )
         return key
@@ -184,7 +184,7 @@ def _san_drain(self, horizon: float, budget: int) -> None:
         if heap:
             # through the heap only: a local holding the event would be the
             # third reference that keeps the pop from recycling it
-            key = fifo.check(heap[0][:3], heap[0][3])
+            key = fifo.check(heap[0][:2], heap[0][2])
         fifo.popped = False
         before = self.events_popped
         drain(self, horizon, 1)

@@ -45,6 +45,7 @@ table is generated from.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -101,6 +102,10 @@ class ScenarioValidationError(ValueError):
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_positive(value: Any) -> bool:  # finite, so not NaN or infinity
+    return _is_number(value) and 0 < value < math.inf
 
 
 def _unknown_keys(mapping: dict, allowed: tuple, path: str, errors: list[SchemaError]) -> None:
@@ -243,8 +248,8 @@ def _validate_monitor(monitor: Any, errors: list[SchemaError]) -> None:
         errors.append(SchemaError("monitor", "must be a mapping {period, slos}"))
         return
     _unknown_keys(monitor, MONITOR_FIELDS, "monitor", errors)
-    if "period" in monitor and (not _is_number(monitor["period"]) or monitor["period"] <= 0):
-        errors.append(SchemaError("monitor.period", "must be a number > 0 (sim seconds)"))
+    if "period" in monitor and not _is_positive(monitor["period"]):
+        errors.append(SchemaError("monitor.period", "must be a finite number > 0 (sim seconds)"))
     slos = monitor.get("slos")
     if slos is None:
         return
@@ -256,8 +261,8 @@ def _validate_monitor(monitor: Any, errors: list[SchemaError]) -> None:
             errors.append(SchemaError(
                 f"monitor.slos.{kind}",
                 f"unknown SLO kind; choose from {', '.join(SLO_KINDS)}"))
-        elif not _is_number(slos[kind]) or slos[kind] <= 0:
-            errors.append(SchemaError(f"monitor.slos.{kind}", "must be a number > 0 (seconds)"))
+        elif not _is_positive(slos[kind]):
+            errors.append(SchemaError(f"monitor.slos.{kind}", "must be a finite number > 0 (s)"))
 
 
 def _validate_alert_expectations(alerts: Any, errors: list[SchemaError]) -> None:

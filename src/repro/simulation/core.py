@@ -2,13 +2,13 @@
 
 The engine is a classic event-list design.  An :class:`Event` has a
 value, a waiting process and a list of callbacks; events fire in
-``(time, priority, seq)`` order.  The event list has two tiers that
-together apply exactly that order: an entry due at the current instant
-with NORMAL priority is appended to a FIFO (it is next, after everything
-scheduled before it at this instant, and a queue already knows that);
-everything else is pushed as ``(time, priority, seq, event)`` onto a
-heap.  A :class:`Process` wraps a generator: every ``yield`` hands back
-an event (or condition), and the process resumes when that event fires.
+``(time, seq)`` order.  The event list has two tiers that together apply
+exactly that order: an entry due at the current instant is appended to a
+FIFO (it is next, after everything scheduled before it at this instant,
+and a queue already knows that); everything else is pushed as
+``(time, seq, event)`` onto a heap.  A :class:`Process` wraps a
+generator: every ``yield`` hands back an event (or condition), and the
+process resumes when that event fires.
 This mirrors the structure of SimPy, trimmed to what the reproduction
 needs and tuned for determinism.
 
@@ -20,7 +20,7 @@ parks on :attr:`Environment.parked` through one more, its unpark,
 instead of a wake event of its own), keeps the first process to
 wait on an event in a slot and allocates the callback list only for
 later registrants, and settles events with inlined scheduling.  Every
-fast path preserves the ``(time, priority, seq)`` total order exactly,
+fast path preserves the ``(time, seq)`` total order exactly,
 so same-seed runs remain bit-identical (checked by the pinned digests
 and their one gate, ``python -m repro.scenarios goldens``;
 ``REPRO_SAN=1`` re-derives the order on every pop).  Popping and firing
@@ -40,14 +40,6 @@ from typing import Any
 
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
-
-# Event scheduling priorities.  NORMAL is the lowest: nothing can sort
-# ahead of the current-instant FIFO.  MONITOR sorts *after* every
-# workload event at the same instant: the observability plane
-# (repro.monitor) evaluates its windows only once the instant has fully
-# settled, so monitoring can never perturb workload event order.
-NORMAL = 1
-MONITOR = 2
 
 _FOREVER = float("inf")  # the horizon of a run that has none
 
@@ -516,16 +508,14 @@ class Environment:
     resumes it through a kick — the wait of an idle loop that someone
     else knows when to end, without an event of its own.
 
-    ``_fifo`` holds bare events due at the current instant with NORMAL
-    priority, in the order they were scheduled; ``_heap`` holds
-    ``(time, priority, seq, event)`` for everything else.  Nothing is
-    ever pushed onto the heap due *now* with NORMAL priority, so a heap
-    entry that is due now with NORMAL priority was pushed before the
-    instant began and precedes the whole FIFO, a MONITOR entry due now
-    follows it, and the clock only advances once the FIFO is empty:
-    together the ``(time, priority, seq)`` order of a single heap,
-    without a sequence number, a tuple or a sift for the entries that
-    are simply next.
+    ``_fifo`` holds bare events due at the current instant, in the
+    order they were scheduled; ``_heap`` holds ``(time, seq, event)``
+    for everything else.  Nothing is ever pushed onto the heap due
+    *now*, so a heap entry that is due now was pushed before the instant
+    began and precedes the whole FIFO, and the clock only advances once
+    the FIFO is empty: together the ``(time, seq)`` order of a single
+    heap, without a sequence number, a tuple or a sift for the entries
+    that are simply next.
     """
 
     __slots__ = (
@@ -546,7 +536,7 @@ class Environment:
 
     def __init__(self):
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._fifo: deque[Event | _Kick] = deque()
         self._seq = 0
         # An event that has already fired: what a call returns when its
@@ -656,7 +646,7 @@ class Environment:
                 self._fifo.append(t)
             else:
                 self._seq = seq = self._seq + 1
-                heappush(self._heap, (when, NORMAL, seq, t))
+                heappush(self._heap, (when, seq, t))
             return t
         self.pool_misses += 1
         return Timeout(self, delay, value)
@@ -671,12 +661,9 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if not delay >= 0:  # also rejects NaN, which no comparison orders
             raise SimulationError(f"delay {delay!r} is not >= 0")
-        if priority < NORMAL:
-            # Nothing may sort ahead of the current-instant FIFO.
-            raise SimulationError(f"priority {priority!r} is below NORMAL")
         if event._scheduled:
             return
         event._scheduled = True
@@ -685,11 +672,11 @@ class Environment:
         # and on the heap it would overtake the FIFO.
         now = self._now
         when = now + delay
-        if when == now and priority == NORMAL:
+        if when == now:
             self._fifo.append(event)
         else:
             self._seq = seq = self._seq + 1
-            heappush(self._heap, (when, priority, seq, event))
+            heappush(self._heap, (when, seq, event))
 
     def schedule_at(self, event: Event, when: float) -> Event:
         """Arm a caller-owned ``event`` to fire at the absolute instant ``when``.
@@ -714,16 +701,16 @@ class Environment:
             self._fifo.append(event)
         else:
             self._seq = seq = self._seq + 1
-            heappush(self._heap, (when, NORMAL, seq, event))
+            heappush(self._heap, (when, seq, event))
         return event
 
     def _schedule_kick(self, process: Process, ok: bool = True, value: Any = None) -> None:
         """Schedule a pooled direct-resume marker at the current instant.
 
         ``ok`` / ``value`` are the outcome it delivers (the default is a
-        boot or an unpark).  Takes the same position (NORMAL priority,
-        after everything already scheduled for now) the old kick events
-        took, so resumption order is unchanged."""
+        boot or an unpark).  Takes the same position (after everything
+        already scheduled for now) the old kick events took, so
+        resumption order is unchanged."""
         pool = self._kick_pool
         if pool:
             kick = pool.pop()
@@ -800,11 +787,10 @@ class Environment:
         The kernel's one pop-and-fire body; :meth:`run` and :meth:`step`
         only choose its bounds (a negative ``budget`` is no bound).  The
         next event is the FIFO head, unless the heap's top is due now
-        with NORMAL priority (see the class docstring).  The event list,
-        free lists and counters are hoisted into locals, and so is that
-        heap test: nothing is pushed onto the heap due now with NORMAL
-        priority, so whether its top precedes the FIFO can only change
-        when the heap is popped.
+        (see the class docstring).  The event list, free lists and
+        counters are hoisted into locals, and so is that heap test:
+        nothing is pushed onto the heap due now, so whether its top
+        precedes the FIFO can only change when the heap is popped.
         """
         now = self._now
         fifo = self._fifo
@@ -812,23 +798,22 @@ class Environment:
         heap = self._heap
         pools_get = self._pools.get
         kick_cls = _Kick
-        normal = NORMAL
         limit = _POOL_LIMIT
         refcount = getrefcount
         pop = heappop
         popped = 0
-        heap_first = bool(heap) and heap[0][0] <= now and heap[0][1] == normal
+        heap_first = bool(heap) and heap[0][0] <= now
         try:
             while popped != budget:
                 if fifo and not heap_first:
                     event = popleft()
                 elif heap and heap[0][0] <= horizon:
-                    when, _prio, _seq, event = pop(heap)
+                    when, _seq, event = pop(heap)
                     if when > now:
                         self._now = now = when
                     elif when < now - 1e-12:
                         raise SimulationError("event scheduled in the past")
-                    heap_first = bool(heap) and heap[0][0] <= now and heap[0][1] == normal
+                    heap_first = bool(heap) and heap[0][0] <= now
                 else:
                     break
                 popped += 1

@@ -144,8 +144,8 @@ SERIES_METRICS = (
 SLOS = {
     "latency-p99": (
         1.0,
-        "max per-HAU p99 of `ms_hau_tuple_latency_seconds` at each tick"
-        " (registry-backed; live runs only)",
+        "max per-HAU p99 tuple latency of the stage samples processed by each"
+        " tick (a run's; inactive in trace replay)",
     ),
     "checkpoint-duration": (
         5.0,

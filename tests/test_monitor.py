@@ -1,9 +1,10 @@
-"""Live monitoring plane: burn-rate SLOs, health timelines, replay.
+"""Monitoring plane: burn-rate SLOs, health timelines, replay.
 
 Covers the monitoring acceptance criteria:
 
 * the plane is a pure observer — result digests are bit-identical with
-  monitoring on or off;
+  monitoring on or off, and its alert rows are all it adds to a trace;
+* its stage-sample reads agree with the per-HAU registry metrics;
 * monitor output (alert log + health timeline) is byte-deterministic
   across same-seed runs;
 * the multi-window burn-rate state machine against hand-computed burns;
@@ -28,7 +29,6 @@ from repro.monitor import (
     SLO,
     SLO_KINDS,
     BurnEvaluator,
-    CounterWindow,
     HealthTracker,
     MonitorPlane,
     default_slos,
@@ -115,6 +115,9 @@ def test_slo_validation_and_default_set():
         SLO(kind="latency-p99", bound=1.0, objective=0.0)
     with pytest.raises(ValueError):
         SLO(kind="latency-p99", bound=1.0, fast_window=20.0, slow_window=10.0)
+    for bound in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bound"):
+            SLO(kind="latency-p99", bound=bound)
     slos = default_slos({"checkpoint-staleness": 7.0})
     assert tuple(s.kind for s in slos) == SLO_KINDS  # deterministic order
     by_kind = {s.kind: s for s in slos}
@@ -122,17 +125,6 @@ def test_slo_validation_and_default_set():
     assert by_kind["latency-p99"].bound == DEFAULT_BOUNDS["latency-p99"]
     with pytest.raises(ValueError):
         default_slos({"bogus": 1.0})
-
-
-# -- windows -------------------------------------------------------------------
-
-
-def test_counter_and_sliding_windows():
-    cw = CounterWindow()
-    assert cw.advance(1.0, 10.0) == 10.0
-    assert cw.advance(2.0, 25.0) == 15.0
-    assert cw.advance(3.0, 25.0) == 0.0
-    assert (cw.last_t, cw.last_value) == (3.0, 25.0)
 
 
 # -- health machine ------------------------------------------------------------
@@ -165,8 +157,9 @@ def test_health_tracker_transitions_and_rack_rollup():
 
 
 def test_monitor_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(**CFG, monitor_period=-1.0)
+    for period in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="monitor_period"):
+            ExperimentConfig(**CFG, monitor_period=period)
     with pytest.raises(ValueError):
         ExperimentConfig(**CFG, monitor_period=1.0, monitor_slos={"bogus": 1.0})
 
@@ -232,6 +225,38 @@ def test_unmonitored_run_has_empty_surfaces():
     assert res.monitor is None
     assert res.alerts == {}
     assert res.health_timeline == []
+
+
+def test_alert_rows_are_the_only_trace_difference(monitored):
+    """The plane splices its alert rows into a finished trace: without
+    them (and renumbered) the trace is the unmonitored run's, row for row."""
+    plain = run_experiment(ExperimentConfig(**CFG), trace=True)
+    rest = [e.as_dict() for e in monitored.tracer.events if not e.kind.startswith("alert.")]
+    for seq, row in enumerate(rest, 1):
+        row["seq"] = seq
+    assert len(rest) < len(monitored.tracer.events)
+    assert [e.seq for e in monitored.tracer.events] == list(
+        range(1, len(monitored.tracer.events) + 1)
+    )
+    assert rest == [e.as_dict() for e in plain.tracer.events]
+
+
+def test_stage_samples_agree_with_the_registry_at_the_last_tick(monitored):
+    """The plane reads the stage samples the tuple accounting writes
+    beside the per-HAU registry metrics; the last tick is the run's end,
+    so it has seen every tuple those metrics counted."""
+    registry = monitored.telemetry
+    series = monitored.monitor.series
+    assert series[-1]["t"] == monitored.config.end
+    worst = max(
+        h.percentile(0.99)
+        for h in registry.select("ms_hau_tuple_latency_seconds")
+        if h.count
+    )
+    assert series[-1]["latency_p99"] == worst
+    counted = sum(m.value for m in registry.select("ms_hau_tuples_total"))
+    assert counted > 0
+    assert sum(row["tuples_delta"] for row in series) == counted
 
 
 # -- offline replay + CLI ------------------------------------------------------
@@ -322,6 +347,17 @@ def test_scenario_monitor_compiles_to_config_fields():
     del doc["monitor"]
     cfg = compile_scenario(doc).spec.config
     assert cfg.monitor_period == 0.0 and cfg.monitor_slos == {}
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, float("nan"), float("inf")])
+def test_scenario_monitor_rejects_a_bad_period_or_bound(value):
+    from repro.scenarios.schema import validate
+
+    base = {"id": "t", "version": 1, "app": {"name": "tmi"}, "scheme": "ms-src+ap"}
+    doc = dict(base, monitor={"period": value})
+    assert [e.path for e in validate(doc)] == ["monitor.period"]
+    doc = dict(base, monitor={"period": 1.0, "slos": {"latency-p99": value}})
+    assert [e.path for e in validate(doc)] == ["monitor.slos.latency-p99"]
 
 
 def test_expect_alerts_pass_and_fail():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import Environment, Interrupt, SimulationError, Store
-from repro.simulation.core import MONITOR, NORMAL, Event, _Kick
+from repro.simulation.core import _Kick
 from repro.simulation.resources import Resource
 
 
@@ -140,7 +140,7 @@ def test_rng_registry_streams_are_stable(seed):
 # -- the two-tier event list fires in single-heap order ------------------------
 #
 # The reference is the scheduler the FIFO replaced: one heap, every entry
-# keyed (time, priority, seq), smallest first.  It reuses the events and
+# keyed (time, seq), smallest first.  It reuses the events and
 # processes under test — the claim is about the *order* the event list
 # hands them out in — but none of the two-tier pop rule.
 
@@ -158,7 +158,7 @@ class _ToHeap:
     def append(self, event):
         env = self.env
         env._seq += 1
-        heappush(env._heap, (env._now, NORMAL, env._seq, event))
+        heappush(env._heap, (env._now, env._seq, event))
 
 
 class SingleHeapEnvironment(Environment):
@@ -167,7 +167,7 @@ class SingleHeapEnvironment(Environment):
         self._fifo = _ToHeap(self)
 
     def step(self):
-        when, _prio, _seq, event = heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
         assert when >= self._now
         self._now = when
         self.events_popped += 1
@@ -202,7 +202,6 @@ _STEP = st.one_of(
     st.tuples(st.just("any"), _EVENTS),
     st.tuples(st.just("all"), _EVENTS),
     st.tuples(st.just("observe"), _EVENT),
-    st.tuples(st.just("monitor"), _DELAYS),
     st.tuples(st.just("put"), st.integers(0, 9)),
     st.tuples(st.just("get")),
     st.tuples(st.just("interrupt"), st.integers(0, 5)),
@@ -213,7 +212,7 @@ _DRIVERS = ["horizon", "exhaust", "steps", "chunks", "until-event"]
 
 def _execute(env, program):
     """Run ``program`` (one step list per process) on ``env``; the log
-    holds every step completion, observer call and monitor tick, in the
+    holds every step completion and observer call, in the
     order the kernel produced them."""
     log = []
     events = [env.event() for _ in range(_N_EVENTS)]
@@ -246,10 +245,6 @@ def _execute(env, program):
                     note(pid, n, "cond", plain((yield cond([events[k] for k in args[0]]))))
                 elif op == "observe":
                     events[args[0]].add_callback(lambda _e, w=(pid, n): note(*w, "seen"))
-                elif op == "monitor":
-                    tick = Event(env)
-                    tick.add_callback(lambda _e, w=(pid, n): note(*w, "tick"))
-                    env._schedule(tick, delay=args[0], priority=MONITOR)
                 elif op == "put":
                     yield store.put(args[0])
                 elif op == "get":
@@ -292,9 +287,8 @@ _NAMED_CASES = [
      ("fail", 1, 1e-30), ("sleep", 0.0), ("succeed", 2, 0.5)],
     # p1: lands on the busy instant from the heap (scheduled at t=0.25)
     [("sleep", 0.25), ("sleep", 0.25), ("wait", 0), ("get",), ("wait", 1)],
-    # p2: a MONITOR tick due on the busy instant, and one due "now"
-    [("monitor", 0.5), ("sleep", 0.5), ("monitor", 0.0), ("any", [0, 2]),
-     ("all", [0, 2])],
+    # p2: conditions over the burst's settlements
+    [("sleep", 0.5), ("any", [0, 2]), ("all", [0, 2])],
     # p3: waits on an event that already fired -> parked in the FIFO
     [("sleep", 0.5), ("sleep", 0.0), ("sleep", 0.0), ("wait", 0), ("observe", 2)],
     # p4: interrupts p3 while it is parked there, and p1 while it waits

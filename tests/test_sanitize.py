@@ -176,7 +176,7 @@ def test_scheduling_a_poisoned_event_is_caught(kernel_sanitizer):
     env._seq += 1
     import heapq
 
-    heapq.heappush(env._heap, (env.now + 1.0, 1, env._seq, poisoned))
+    heapq.heappush(env._heap, (env.now + 1.0, env._seq, poisoned))
     with pytest.raises(SanitizerError, match="poisoned event popped"):
         drain(env)
 
@@ -227,7 +227,7 @@ def test_clock_backwards_is_caught(kernel_sanitizer):
     assert env.now == 5.0
     stale = Event(env)
     env._seq += 1
-    heapq.heappush(env._heap, (1.0, 1, env._seq, stale))
+    heapq.heappush(env._heap, (1.0, env._seq, stale))
     with pytest.raises(SanitizerError, match="clock moved backwards"):
         env.step()
 
@@ -254,7 +254,7 @@ def test_fifo_pops_carry_the_single_heap_key(kernel_sanitizer):
     while env.peek() < float("inf"):
         env.step()
         keys.append(env._fifo.last_key)
-    assert keys == [(0.0, 1, 2), (0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 4)]
+    assert keys == [(0.0, 2), (0.0, 3), (1.0, 1), (1.0, 4)]
 
 
 def test_schedule_at_entries_carry_the_single_heap_key_too(kernel_sanitizer):
@@ -268,7 +268,7 @@ def test_schedule_at_entries_carry_the_single_heap_key_too(kernel_sanitizer):
     while env.peek() < float("inf"):
         env.step()
         keys.append(env._fifo.last_key)
-    assert keys == [(0.0, 1, 3), (1.0, 1, 1), (1.0, 1, 2)]
+    assert keys == [(0.0, 3), (1.0, 1), (1.0, 2)]
     for bad in (float("nan"), 0.5):  # now is 1.0
         with pytest.raises(SimulationError):
             env.schedule_at(Event(env), bad)
@@ -284,9 +284,9 @@ def test_due_now_entry_on_the_heap_is_caught(kernel_sanitizer):
     env = Environment()
     env.timeout(1.0)
     env.step()
-    env.event().succeed()  # FIFO: (1.0, NORMAL, 2)
+    env.event().succeed()  # FIFO: (1.0, 2)
     env._seq += 1
-    heapq.heappush(env._heap, (1.0, 1, env._seq, Event(env)))  # (1.0, NORMAL, 3)
+    heapq.heappush(env._heap, (1.0, env._seq, Event(env)))  # (1.0, 3)
     env.step()  # the heap's top is due now: it goes first
     with pytest.raises(SanitizerError, match="total order violated"):
         env.step()  # seq 2 after seq 3
@@ -296,10 +296,10 @@ def test_heap_order_regression_is_caught(kernel_sanitizer):
     env = Environment()
     env.timeout(1.0)
     env.step()
-    # a pop whose (time, priority, seq) key sorts before the previous
+    # a pop whose (time, seq) key sorts before the previous
     # pop violates the total order even if the clock check passes
     with pytest.raises(SanitizerError, match="total order violated"):
-        env._fifo.check((1.0, 0, 0), Event(env))
+        env._fifo.check((1.0, 0), Event(env))
 
 
 def test_a_heap_entry_behind_the_previous_pop_is_caught(kernel_sanitizer):
@@ -313,10 +313,10 @@ def test_a_heap_entry_behind_the_previous_pop_is_caught(kernel_sanitizer):
     env.timeout(1.0)
     env.timeout(1.0)
     env.step()
-    env.step()  # popped (1.0, NORMAL, 2)
+    env.step()  # popped (1.0, 2)
     late = Event(env)
-    heapq.heappush(env._heap, (1.0, 1, 1, late))
-    with pytest.raises(SanitizerError, match=r"\(1.0, 1, 1\) scheduled behind \(1.0, 1, 2\)"):
+    heapq.heappush(env._heap, (1.0, 1, late))
+    with pytest.raises(SanitizerError, match=r"\(1.0, 1\) scheduled behind \(1.0, 2\)"):
         env.step()
     assert not late._flushed
 

@@ -12,7 +12,7 @@ from repro.simulation import (
     Interrupt,
     SimulationError,
 )
-from repro.simulation.core import MONITOR, NORMAL, Event, Timeout, frozen_heap
+from repro.simulation.core import Event, Timeout, frozen_heap
 
 
 def test_clock_starts_at_zero():
@@ -98,15 +98,6 @@ def test_nan_timeout_cannot_drop_the_pending_events():
         env.timeout(float("nan"))
     env.run(until=10.0)
     assert resumed == [1.0, 2.0, 3.0]
-
-
-def test_priority_below_normal_is_rejected():
-    """Nothing may sort ahead of the current-instant FIFO."""
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env._schedule(Event(env), priority=NORMAL - 1)
-    env._schedule(Event(env), priority=MONITOR)  # the one other class
-    assert env.peek() == 0.0
 
 
 def test_run_until_time_stops_exactly():
