@@ -94,15 +94,13 @@ class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
                 delay = when - self.runtime.env.now
                 if delay > 0:
                     yield self.runtime.env.timeout(delay)
-                yield from self.initiate_round()
+                self.initiate_round()
         except Interrupt:
             return
 
     @abstractmethod
-    def initiate_round(self):
-        """Start one application checkpoint. Generator; scheme-specific."""
-        return
-        yield  # pragma: no cover
+    def initiate_round(self) -> None:
+        """Start one application checkpoint; scheme-specific."""
 
     def next_round_id(self) -> int:
         self._round_counter += 1

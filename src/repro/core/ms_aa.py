@@ -225,7 +225,7 @@ class MSSrcAPAA(MSSrcAP):
                     self.transition(
                         "aa.decision", self.name, reason="icr", aggregate_icr=float(aggregate)
                     )
-                    yield from self.initiate_round()
+                    self.initiate_round()
                     return
         # "In the rare case where the total state size is never below smax
         # during a period, a checkpoint will be performed anyway."
@@ -235,7 +235,7 @@ class MSSrcAPAA(MSSrcAP):
         if env.telemetry.enabled:
             env.telemetry.counter("ms_aa_decisions_total", reason="deadline").inc()
         self.transition("aa.decision", self.name, reason="deadline")
-        yield from self.initiate_round()
+        self.initiate_round()
 
     def _next_report(self, deadline: float):
         """Next turning-point report, or None at the deadline."""

@@ -39,13 +39,11 @@ class MSSrcAP(MeteorShowerBase):
         self.delta = DeltaTracker(delta) if delta is not None else None
 
     # -- round initiation -----------------------------------------------------------
-    def initiate_round(self):
+    def initiate_round(self) -> None:
         round_id = self.next_round_id()
         self.runtime.broadcast_control(("token_cmd", round_id))
-        return
-        yield  # pragma: no cover
 
-    def on_control(self, hau: HAURuntime, message):
+    def on_control(self, hau: HAURuntime, message) -> None:
         if not (isinstance(message, tuple) and message[0] == "token_cmd"):
             return
         round_id = message[1]
@@ -60,8 +58,6 @@ class MSSrcAP(MeteorShowerBase):
             # Sources (no upstream neighbours) are immediately ready.
             st.ready = True
             self.transition("checkpoint.tokens.done", hau.hau_id, round=round_id, edges=0)
-        return
-        yield  # pragma: no cover
 
     # -- token plumbing -------------------------------------------------------------------
     def on_token_arrival(self, hau: HAURuntime, edge_idx: int, token: Token) -> None:

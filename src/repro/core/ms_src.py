@@ -33,19 +33,15 @@ class MSSrc(MeteorShowerBase):
         self._pending_source: dict[str, int] = {}  # hau_id -> round
 
     # -- round initiation ------------------------------------------------------------
-    def initiate_round(self):
+    def initiate_round(self) -> None:
         round_id = self.next_round_id()
         for src in self.runtime.app.graph.sources():
             self.runtime.send_control(src, ("ckpt", round_id))
-        return
-        yield  # pragma: no cover
 
-    def on_control(self, hau: HAURuntime, message):
+    def on_control(self, hau: HAURuntime, message) -> None:
         if isinstance(message, tuple) and message[0] == "ckpt" and hau.is_source:
             self._pending_source[hau.hau_id] = message[1]
             self.transition("checkpoint.command", hau.hau_id, round=message[1], via="control")
-        return
-        yield  # pragma: no cover
 
     # -- safe-point hook: source checkpoints happen here ------------------------------
     def maybe_checkpoint(self, hau: HAURuntime):

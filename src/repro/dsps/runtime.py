@@ -4,9 +4,10 @@ Builds the simulated deployment the paper evaluates: one HAU per worker
 node (more HAUs per node if the cluster is smaller than the graph), data
 channels along every query-network edge, and the shared storage service.
 The control plane — one channel from the controller (on the storage
-node) to a HAU, plus the listener that feeds ``on_control`` — is bound
-the first time the controller sends that HAU a command, so a scheme that
-never commands a HAU never pays for its link.  Also provides the
+node) to a HAU, consumed like a data edge: its delivery calls
+``on_control``, and no process listens — is bound the first time the
+controller sends that HAU a command, so a scheme that never commands a
+HAU never pays for its link.  Also provides the
 re-wiring primitive the recovery manager uses to restart HAUs on spare
 nodes.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import inspect
 from typing import Any
 
-from repro.cluster.channel import Channel, ChannelClosedError
+from repro.cluster.channel import Channel
 from repro.cluster.node import Node
 from repro.cluster.topology import ClusterSpec, DataCenter
 from repro.dsps.application import StreamApplication
@@ -26,7 +27,7 @@ from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime
 from repro.dsps.tuples import DataTuple, Token
 from repro.metrics.breakdown import RecoveryBreakdown, RunRecord
 from repro.metrics.collectors import MetricsHub
-from repro.simulation.core import Environment, Interrupt, Process, paused_gc
+from repro.simulation.core import Environment, paused_gc
 from repro.simulation.rng import RngRegistry
 from repro.storage.shared import SharedStorage, StorageClient
 from repro.vocabulary import SCHEME_HOOKS
@@ -176,10 +177,9 @@ class CheckpointScheme:
         checkpoint. Work or None."""
         return None
 
-    def on_control(self, hau: HAURuntime, message: Any):
-        """A control-plane message arrived from the controller. Generator."""
-        return
-        yield  # pragma: no cover
+    def on_control(self, hau: HAURuntime, message: Any) -> None:
+        """A control-plane message arrived from the controller; called
+        inside its delivery."""
 
     def recover(self, dead: list[str]):
         """Recover from the failure of the HAUs ``dead`` (sorted), once the
@@ -211,10 +211,9 @@ class DSPSRuntime:
         self.placement: dict[str, Node] = {}
         self.haus: dict[str, HAURuntime] = {}
         self.data_channels: dict[str, Channel] = {}  # edge_id -> channel
-        # Controller -> HAU links and their listeners, keyed by hau_id and
-        # bound by the first send_control to that HAU.
+        # Controller -> HAU links, keyed by hau_id and bound by the first
+        # send_control to that HAU.
         self.control_down: dict[str, Channel] = {}
-        self._control_procs: dict[str, Process] = {}
         self._built = False
         scheme.attach(self)
 
@@ -267,7 +266,7 @@ class DSPSRuntime:
             dst_hau.attach_in_channel(graph.in_edge_index(edge), chan)
 
     def _bind_control(self, hau_id: str) -> Channel | None:
-        """Create the controller -> HAU link and its listener.
+        """Create the controller -> HAU link and bind its consumer.
 
         None when there is nobody to deliver to — unknown id, HAU torn
         down for a rollback, or either end's node dead — so the message
@@ -280,32 +279,22 @@ class DSPSRuntime:
             return None
         chan = self.dc.connect(controller, hau.node, name=f"ctl->{hau_id}")
         self.control_down[hau_id] = chan
-        self._control_procs[hau_id] = hau.node.spawn(
-            self._control_listener(hau, chan), label=f"{hau_id}.ctl"
-        )
+        chan.bind(self._take_control, (hau, chan))
         return chan
 
-    def _unbind_control(self, hau_id: str) -> None:
-        """Close and forget a HAU's control link, so the next command
-        binds a listener to whichever ``HAURuntime`` then holds the id."""
-        chan = self.control_down.pop(hau_id, None)
-        if chan is None:
-            return
-        chan.close()
-        listener = self._control_procs.pop(hau_id)
-        if listener.is_alive:
-            listener.interrupt("teardown")
+    def _take_control(self, link: tuple[HAURuntime, Channel]) -> None:
+        """Hand every command the link has delivered to ``on_control``."""
+        hau, chan = link
+        while (message := chan.take()) is not None:
+            self.scheme.on_control(hau, message)
 
-    def _control_listener(self, hau: HAURuntime, chan: Channel):
-        try:
-            while True:
-                try:
-                    message = yield chan.recv()
-                except ChannelClosedError:
-                    return
-                yield from self.scheme.on_control(hau, message)
-        except Interrupt:
-            return
+    def _unbind_control(self, hau_id: str) -> None:
+        """Close and forget a HAU's control link (closing releases its
+        consumer), so the next command binds one to whichever
+        ``HAURuntime`` then holds the id."""
+        chan = self.control_down.pop(hau_id, None)
+        if chan is not None:
+            chan.close()
 
     # -- lifecycle -----------------------------------------------------------------
     @paused_gc()

@@ -32,6 +32,7 @@ given the RNG stream, so experiments can be replayed and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -67,6 +68,11 @@ class PlannedFailure:
             raise ValueError(
                 f"unknown failure kind {self.kind!r}; choose from {', '.join(FAILURE_KINDS)}"
             )
+        # Likewise a non-finite number: a NaN `at` would fire at t = 0.
+        for name in ("at", "duration", "factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"failure {name} must be finite: {value!r}")
 
 
 @dataclass

@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown app {self.app!r}; choose from {sorted(APPS)}")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not (self.window > 0 and math.isfinite(self.window)):
+            raise ValueError(f"window must be finite, > 0: {self.window!r}")
+        if not (self.warmup >= 0 and math.isfinite(self.warmup)):
+            raise ValueError(f"warmup must be finite, >= 0: {self.warmup!r}")
         if not (self.monitor_period >= 0 and math.isfinite(self.monitor_period)):
             raise ValueError(f"monitor_period must be finite, >= 0: {self.monitor_period!r}")
         if self.monitor_slos:

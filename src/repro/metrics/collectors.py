@@ -9,6 +9,8 @@ probe stage's arrival-time series, binnable around any instant.
 
 from __future__ import annotations
 
+import math
+
 from repro.telemetry.quantile import exact_percentile
 
 DEFAULT_LATENCY_PERCENTILES = (0.5, 0.95, 0.99)
@@ -89,12 +91,20 @@ class MetricsHub:
     def stage_binned_latency(
         self, probe_prefix: str, start: float, end: float, bin_width: float
     ) -> list[tuple[float, float]]:
-        if bin_width <= 0:
+        """Mean latency per ``bin_width`` bin of [start, end), one
+        ``(bin centre, mean)`` point per bin (0.0 for an empty bin).  The
+        bins must tile the window: one left over would drop its samples."""
+        if not bin_width > 0:
             raise ValueError("bin_width must be positive")
+        n_bins = round((end - start) / bin_width)
+        if n_bins < 1 or not math.isclose(n_bins * bin_width, end - start):
+            raise ValueError(f"bins of {bin_width!r} do not tile [{start!r}, {end!r})")
+        last = n_bins - 1
         bins: dict[int, list[float]] = {}
         for _h, created, done in self._probe(probe_prefix, start, end):
-            bins.setdefault(int((done - start) // bin_width), []).append(done - created)
-        n_bins = int((end - start) / bin_width)
+            # a sample a rounding error short of `end` is the last bin's
+            b = min(int((done - start) // bin_width), last)
+            bins.setdefault(b, []).append(done - created)
         return [
             (
                 start + (b + 0.5) * bin_width,

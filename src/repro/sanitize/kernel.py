@@ -164,11 +164,6 @@ def _san_init(self) -> None:
         self._pools[cls] = _PoisoningPool()
 
 
-def _san_register_pool(self, cls: type) -> None:
-    if cls not in self._pools:
-        self._pools[cls] = _PoisoningPool()
-
-
 def _san_drain(self, horizon: float, budget: int) -> None:
     """The kernel's ``_drain``, one audited pop per call of it.
 
@@ -196,7 +191,6 @@ def _san_drain(self, horizon: float, budget: int) -> None:
 
 _PATCHES = {
     "__init__": _san_init,
-    "register_pool": _san_register_pool,
     "_drain": _san_drain,
 }
 _originals: dict[str, Any] = {}

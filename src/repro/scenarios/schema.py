@@ -108,6 +108,10 @@ def _is_positive(value: Any) -> bool:  # finite, so not NaN or infinity
     return _is_number(value) and 0 < value < math.inf
 
 
+def _is_at_least(value: Any, floor: float) -> bool:  # finite, so not NaN or infinity
+    return _is_number(value) and floor <= value < math.inf
+
+
 def _unknown_keys(mapping: dict, allowed: tuple, path: str, errors: list[SchemaError]) -> None:
     for key in sorted(set(mapping) - set(allowed)):
         errors.append(SchemaError(f"{path}.{key}" if path else str(key),
@@ -165,8 +169,8 @@ def _validate_run(run: Any, errors: list[SchemaError]) -> None:
         return
     _unknown_keys(run, RUN_FIELDS, "run", errors)
     for key in ("window", "warmup"):
-        if key in run and (not _is_number(run[key]) or run[key] <= 0):
-            errors.append(SchemaError(f"run.{key}", "must be a number > 0 (seconds)"))
+        if key in run and not _is_positive(run[key]):
+            errors.append(SchemaError(f"run.{key}", "must be a finite number > 0 (seconds)"))
     if "n_checkpoints" in run:
         n = run["n_checkpoints"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -218,8 +222,8 @@ def _validate_failures(failures: Any, shape: dict[str, int],
             errors.append(SchemaError(path, "must be a mapping {at, kind, target, ...}"))
             continue
         _unknown_keys(event, FAILURE_FIELDS, path, errors)
-        if not _is_number(event.get("at")) or event.get("at", -1) < 0:
-            errors.append(SchemaError(f"{path}.at", "must be a number >= 0 (sim seconds)"))
+        if not _is_at_least(event.get("at"), 0):
+            errors.append(SchemaError(f"{path}.at", "must be a finite number >= 0 (sim seconds)"))
         kind = event.get("kind")
         if kind not in FAILURE_KINDS:
             errors.append(SchemaError(
@@ -228,8 +232,8 @@ def _validate_failures(failures: Any, shape: dict[str, int],
         _validate_target(kind, event.get("target"), shape, f"{path}.target", errors)
         if "cause" in event and not isinstance(event["cause"], str):
             errors.append(SchemaError(f"{path}.cause", "must be a short string label"))
-        for key, rule in (("duration", "a number >= 0 (0 = permanent)"),
-                          ("factor", "a number >= 1")):
+        for key, floor, rule in (("duration", 0, "a finite number >= 0 (0 = permanent)"),
+                                 ("factor", 1, "a finite number >= 1")):
             if key not in event:
                 continue
             if kind not in DEGRADATION_KINDS:
@@ -237,7 +241,7 @@ def _validate_failures(failures: Any, shape: dict[str, int],
                     f"{path}.{key}",
                     f"only valid for {' / '.join(DEGRADATION_KINDS)}; "
                     f"{kind!r} is a permanent kill"))
-            elif not _is_number(event[key]) or event[key] < (0 if key == "duration" else 1):
+            elif not _is_at_least(event[key], floor):
                 errors.append(SchemaError(f"{path}.{key}", f"must be {rule}"))
 
 

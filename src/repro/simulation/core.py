@@ -205,8 +205,9 @@ class Event:
         """Reset to pristine pre-settlement state before pooling.
 
         Called by :meth:`Environment._drain` only on provably-unreferenced
-        instances of registered pool classes; subclasses with extra
-        references override and chain up so the pool never pins objects.
+        instances of the pooled classes (:class:`Event`, :class:`Timeout`);
+        a subclass with extra references overrides and chains up so the
+        pool never pins objects.
         """
         self._value = None
         self._ok = None
@@ -555,8 +556,8 @@ class Environment:
         # Runtime telemetry (repro.telemetry): same contract as tracing —
         # the shared no-op registry keeps disabled instrumentation free.
         self.telemetry = NULL_REGISTRY
-        # Free lists (never shared across environments), keyed by exact
-        # class; subclasses join via register_pool().  Plus kernel counters.
+        # Free lists of the kernel's own two event classes (never shared
+        # across environments), keyed by exact class.  Plus kernel counters.
         self._pools: dict[type, list[Event]] = {Event: [], Timeout: []}
         self._kick_pool: list[_Kick] = []
         self.events_popped = 0
@@ -593,29 +594,6 @@ class Environment:
             "pool_hits": self.pool_hits,
             "pool_misses": self.pool_misses,
         }
-
-    # -- event pooling -------------------------------------------------------
-    def register_pool(self, cls: type) -> None:
-        """Opt an :class:`Event` subclass into pop-time recycling.
-
-        The class must define ``_recycle`` to clear every extra reference
-        it holds (see :meth:`Event._recycle`); instances come back via
-        :meth:`acquire`.  Only exact-type matches are pooled.
-        """
-        self._pools.setdefault(cls, [])
-
-    def acquire(self, cls: type) -> Event | None:
-        """A recycled, reset instance of a registered class, or None.
-
-        The caller re-initialises its own fields; the Event core is
-        already pristine (``_recycle`` ran at recycle time).
-        """
-        pool = self._pools.get(cls)
-        if pool:
-            self.pool_hits += 1
-            return pool.pop()
-        self.pool_misses += 1
-        return None
 
     # -- factories ----------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -775,8 +753,8 @@ class Environment:
                 raise until._value
             return until._value
         horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError("cannot run backwards in time")
+        if not horizon >= self._now:  # also rejects NaN
+            raise SimulationError(f"until {horizon!r} is not >= now ({self._now!r})")
         self._drain(horizon, -1)
         self._now = horizon
         return None
@@ -843,8 +821,8 @@ class Environment:
                 # means only this frame's local and getrefcount's argument
                 # hold the object, so no generator, condition, or model
                 # structure can ever observe it again — reuse is invisible.
-                # The exact-class pool lookup keeps unregistered subclasses
-                # (conditions, processes, resource requests) out.
+                # The exact-class pool lookup keeps every subclass
+                # (conditions, processes, store and resource requests) out.
                 if refcount(event) == 2:
                     pool = pools_get(cls)
                     if pool is not None and len(pool) < limit:

@@ -120,10 +120,6 @@ class _Get(Event):
         if not self.triggered:
             self.store._abandon_get(self)
 
-    def _recycle(self) -> None:
-        super()._recycle()
-        self.store = None
-
 
 class _Put(Event):
     __slots__ = ("store", "item")
@@ -136,11 +132,6 @@ class _Put(Event):
     def cancel(self) -> None:
         if not self.triggered:
             self.store._abandon_put(self)
-
-    def _recycle(self) -> None:
-        super()._recycle()
-        self.store = None
-        self.item = None
 
 
 class Store:
@@ -159,10 +150,6 @@ class Store:
         self.items: deque[Any] = deque()
         self._getters: deque[_Get] = deque()
         self._putters: deque[_Put] = deque()
-        # Get/put events are recycled through the environment's free
-        # lists (shared across stores per class).
-        env.register_pool(_Get)
-        env.register_pool(_Put)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -172,22 +159,13 @@ class Store:
         return tuple(self.items)
 
     def put(self, item: Any) -> _Put:
-        ev = self.env.acquire(_Put)
-        if ev is None:
-            ev = _Put(self.env, self, item)
-        else:
-            ev.store = self
-            ev.item = item
+        ev = _Put(self.env, self, item)
         self._putters.append(ev)
         self._drain()
         return ev
 
     def get(self) -> _Get:
-        ev = self.env.acquire(_Get)
-        if ev is None:
-            ev = _Get(self.env, self)
-        else:
-            ev.store = self
+        ev = _Get(self.env, self)
         self._getters.append(ev)
         self._drain()
         return ev

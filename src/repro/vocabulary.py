@@ -198,13 +198,13 @@ SCHEME_HOOKS = {
         "every tuple boundary of the main and source loops, and a finished source's idle poll",
     ),
     "processing_overhead": ("plain", "`HAURuntime._run_chain`"),
-    "on_control": ("generator", "`DSPSRuntime._control_listener`"),
+    "on_control": ("plain", "a control link's consumer (`DSPSRuntime._bind_control`)"),
     "write_checkpoint": (
         "generator",
         "a scheme's own checkpoint (`_sync_checkpoint`, `MSSrcAP._child_writer`)",
     ),
     "recover": ("generator", "`core.recovery.failure_watcher`"),
-    "initiate_round": ("generator", "`MeteorShowerBase._coordinator`, `MSSrcAPAA`'s controller"),
+    "initiate_round": ("plain", "`MeteorShowerBase._coordinator`, `MSSrcAPAA`'s controller"),
     "on_recovery_reset": ("plain", "`GlobalRecovery.run`, at the rollback instant"),
     "recovery_read_plan": ("plain", "`GlobalRecovery.run`"),
     "oldest_kept_version": ("plain", "`MeteorShowerBase._garbage_collect`"),

@@ -183,17 +183,18 @@ def test_build_scans_the_edge_list_a_constant_number_of_times(replicas, monkeypa
 
 def test_only_what_runs_is_built():
     """Scheme ``none`` never commands a HAU and no bundled operator draws
-    from ``ctx.rng``: no control link, no listener, no RNG stream.  The
-    first broadcast then binds exactly one link per HAU."""
+    from ``ctx.rng``: no control link, no RNG stream.  The first
+    broadcast then binds exactly one link per HAU, and no process."""
     runtime, _ = deploy(8)
     graph = runtime.app.graph
     assert len(list(runtime.dc.channels())) == len(graph.edges)
-    assert not runtime.control_down and not runtime._control_procs
+    assert not runtime.control_down
     assert not runtime.rngs._streams
+    n_processes = sum(len(n._processes) for n in runtime.dc.all_nodes)
 
     runtime.broadcast_control(("noop",))
     assert sorted(runtime.control_down) == sorted(runtime.haus)
-    assert sorted(runtime._control_procs) == sorted(runtime.haus)
+    assert sum(len(n._processes) for n in runtime.dc.all_nodes) == n_processes
     assert len(list(runtime.dc.channels())) == len(graph.edges) + len(runtime.haus)
     runtime.broadcast_control(("noop",))  # get-or-create: nothing new
     assert len(list(runtime.dc.channels())) == len(graph.edges) + len(runtime.haus)

@@ -1,7 +1,8 @@
 """The lazily bound control plane and the lazily resolved per-HAU RNG.
 
-A HAU's controller -> HAU link (channel + listener) is created by the
-first ``send_control`` to it and re-created, against the *new*
+A HAU's controller -> HAU link (a channel whose consumer calls
+``on_control`` inside each delivery; no process listens) is created by
+the first ``send_control`` to it and re-created, against the *new*
 ``HAURuntime``, after every rewire.  These pin the binding rules; the
 byte-identity test pins that none of it moved a pinned run.
 """
@@ -30,8 +31,6 @@ class Recording(CheckpointScheme):
 
     def on_control(self, hau, message):
         self.seen.append((hau, message))
-        return
-        yield  # pragma: no cover
 
 
 def deploy(seed=7):
@@ -51,8 +50,10 @@ def deploy(seed=7):
 def test_first_send_binds_the_link_and_delivers():
     env, rt, scheme = deploy()
     assert not rt.control_down
+    n_processes = sum(len(n._processes) for n in rt.dc.all_nodes)
     rt.send_control("agg", ("ping", 1))
-    assert list(rt.control_down) == ["agg"] == list(rt._control_procs)
+    assert list(rt.control_down) == ["agg"]
+    assert sum(len(n._processes) for n in rt.dc.all_nodes) == n_processes  # no listener
     env.run(until=0.1)
     assert scheme.seen == [(rt.haus["agg"], ("ping", 1))]
     chan = rt.control_down["agg"]
@@ -72,7 +73,7 @@ def test_dead_endpoints_drop_without_building_a_channel():
 
     rt.dc.storage_node.fail("test")
     rt.broadcast_control(("ping", 2))
-    assert not rt.control_down and not rt._control_procs
+    assert not rt.control_down
     assert len(list(rt.dc.channels())) == n_channels
     env.run(until=0.1)
     assert scheme.seen == []
@@ -82,35 +83,31 @@ def test_a_link_whose_hau_node_died_stays_closed_until_rebuilt():
     env, rt, scheme = deploy()
     rt.send_control("mid", ("ping", 1))
     env.run(until=0.1)
-    old_hau, old_chan, old_listener = (
-        rt.haus["mid"], rt.control_down["mid"], rt._control_procs["mid"]
-    )
+    old_hau, old_chan = rt.haus["mid"], rt.control_down["mid"]
     old_hau.node.fail("test")
     rt.send_control("mid", ("ping", 2))  # closed link: dropped, not rebound
     assert rt.control_down["mid"] is old_chan and old_chan.closed
+    assert old_chan._consumer is None  # the close let go of the old HAU
 
     new_hau, _ = rt.rebuild_single_hau("mid", rt.dc.claim_spare(), restored=None)
-    assert "mid" not in rt.control_down and "mid" not in rt._control_procs
-    env.run(until=0.2)
-    assert not old_listener.is_alive
+    assert "mid" not in rt.control_down
 
     rt.send_control("mid", ("ping", 3))
     env.run(until=0.3)
     assert scheme.seen == [(old_hau, ("ping", 1)), (new_hau, ("ping", 3))]
     assert rt.control_down["mid"].dst is new_hau.node
-    assert list(rt._control_procs) == ["mid"]  # one listener, not one per rebuild
+    assert list(rt.control_down) == ["mid"]  # one link, not one per rebuild
 
 
 def test_rebuild_on_a_live_node_closes_the_replaced_link():
-    """The replaced HAU's link was overwritten unclosed and its listener
+    """The replaced HAU's link was overwritten unclosed and its consumer
     kept for the life of the runtime."""
     env, rt, scheme = deploy()
     rt.send_control("mid", ("ping", 1))
     env.run(until=0.1)
-    old_chan, old_listener = rt.control_down["mid"], rt._control_procs["mid"]
+    old_chan = rt.control_down["mid"]
     new_hau, _ = rt.rebuild_single_hau("mid", rt.dc.claim_spare(), restored=None)
-    env.run(until=0.2)
-    assert old_chan.closed and not old_listener.is_alive
+    assert old_chan.closed and old_chan._consumer is None
     rt.send_control("mid", ("ping", 2))
     env.run(until=0.3)
     assert scheme.seen[-1] == (new_hau, ("ping", 2))
@@ -121,16 +118,16 @@ def test_teardown_drops_commands_until_rewire_then_rebinds_to_the_new_haus():
     rt.broadcast_control(("ping", 1))
     env.run(until=0.1)
     old = dict(rt.haus)
-    listeners = list(rt._control_procs.values())
+    links = list(rt.control_down.values())
     assert len(scheme.seen) == len(old)
 
     rt.teardown_application()
-    assert not rt.control_down and not rt._control_procs
+    assert not rt.control_down
+    assert all(chan.closed and chan._consumer is None for chan in links)
     # rolled back but not yet rewired: nobody is listening, nothing is built
     rt.broadcast_control(("ping", 2))
     assert not rt.control_down
     env.run(until=0.2)
-    assert not any(p.is_alive for p in listeners)
     assert len(scheme.seen) == len(old)
 
     rt.rewire(dict(rt.placement), restored={})

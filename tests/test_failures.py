@@ -172,6 +172,14 @@ def test_injector_unknown_node_ignored():
     env.run(until=1.0)  # must not raise
 
 
+@pytest.mark.parametrize("field", ["at", "duration", "factor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_failure_numbers_are_rejected_when_the_plan_is_built(field, value):
+    # a NaN `at` used to fire at t = 0
+    with pytest.raises(ValueError, match=f"failure {field} must be finite"):
+        PlannedFailure(**{"at": 1.0, "kind": "partition", "target": "rack0", field: value})
+
+
 def test_unknown_failure_kind_is_rejected_when_the_plan_is_built():
     """The injector is a process nobody waits on, and the kernel drops
     such a process's exception: a mistyped kind used to end the injector

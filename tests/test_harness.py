@@ -31,6 +31,18 @@ def test_config_validates_app_and_scheme():
         ExperimentConfig(scheme="nope")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("window", float("nan")), ("window", float("inf")), ("window", 0.0), ("window", -1.0),
+     ("warmup", float("nan")), ("warmup", float("inf")), ("warmup", -1.0)],
+)
+def test_config_rejects_a_bad_window_or_warmup(field, value):
+    # a NaN window used to "run": throughput 0 and the clock at NaN
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+    assert ExperimentConfig(warmup=0.0).end == 150.0  # no warm-up is fine
+
+
 def test_checkpoint_times_spacing():
     cfg = small(scheme="ms-src", n_checkpoints=4)
     times = cfg.checkpoint_times()

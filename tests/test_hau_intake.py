@@ -423,8 +423,8 @@ def test_no_process_per_channel_or_in_edge():
     labels = sorted(p.label for n in rt.dc.all_nodes for p in n._processes)
     assert len(labels) == 55
     assert all(label.endswith((".main", ".src")) for label in labels)
-    rt.send_control("A0", ("ping",))  # a control listener is bound on first use
-    assert sum(len(n._processes) for n in rt.dc.all_nodes) == 56
+    rt.send_control("A0", ("ping",))  # binding a control link spawns nothing either
+    assert sum(len(n._processes) for n in rt.dc.all_nodes) == 55
 
 
 # -- downstream dies while the upstream is blocked -----------------------------

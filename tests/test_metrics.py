@@ -1,5 +1,7 @@
 """Unit tests for metrics collectors and breakdown records."""
 
+import math
+
 import pytest
 
 from repro.metrics import CheckpointBreakdown, CheckpointLog, MetricsHub, RecoveryBreakdown
@@ -37,6 +39,24 @@ def test_binned_latency_validates_width():
     hub = MetricsHub()
     with pytest.raises(ValueError):
         hub.stage_binned_latency("k", 0.0, 1.0, 0.0)
+    # 7 s in 2 s bins leaves [6, 7) over: its samples used to be dropped
+    with pytest.raises(ValueError, match="do not tile"):
+        hub.stage_binned_latency("k", 0.0, 7.0, 2.0)
+
+
+def test_binned_latency_keeps_every_sample_of_the_window():
+    # (0.7 - 0.1) / 0.2 is 2.9999999999999996: truncated, it made 2 bins
+    # and the sample processed at 0.65 was lost
+    hub = MetricsHub()
+    hub.stage_samples.append(("k", 0.6, 0.65))
+    binned = hub.stage_binned_latency("k", 0.1, 0.7, 0.2)
+    assert [t for t, _v in binned] == pytest.approx([0.2, 0.4, 0.6])
+    assert binned[2][1] == pytest.approx(0.05)
+    # one ulp short of the end, (done - start) // width is the bin count
+    edge = math.nextafter(1.0, 0.0)
+    hub = MetricsHub()
+    hub.stage_samples.append(("k", edge - 0.25, edge))
+    assert hub.stage_binned_latency("k", 0.3, 1.0, 0.7)[0][1] == pytest.approx(0.25)
 
 
 def test_stage_metrics_filter_by_prefix():

@@ -110,26 +110,10 @@ def test_the_sanitizer_wraps_the_pop_and_nothing_else(kernel_sanitizer):
         for name, attr in vars(Environment).items()
         if getattr(attr, "__module__", None) == san_kernel.__name__
     }
-    assert patched == {"__init__", "register_pool", "_drain"}
+    assert patched == {"__init__", "_drain"}
     source = inspect.getsource(san_kernel)
     for kernel_body in ("heappop", "heappush", "getrefcount", "._recycle()", "._resume("):
         assert kernel_body not in source
-
-
-def test_registered_pools_poison_too(kernel_sanitizer):
-    from repro.simulation.resources import Store, _Get
-
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    store.get()
-    drain(env)
-    (pooled,) = env._pools[_Get]
-    assert type(pooled).__name__ == "_Poisoned_Get"
-    with pytest.raises(SanitizerError, match="use-after-recycle"):
-        pooled.cancel()
-    again = store.get()
-    assert again is pooled and type(again) is _Get
 
 
 # -- use-after-recycle poisoning ----------------------------------------------

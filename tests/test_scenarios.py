@@ -110,12 +110,24 @@ def test_bad_failure_rows_are_path_scoped():
         {"at": 5.0, "kind": "meteor", "target": "w0"},
         {"at": -1.0, "kind": "node", "target": "w99"},
         {"at": 5.0, "kind": "node", "target": "w0", "duration": 4.0},
+        {"at": float("nan"), "kind": "node", "target": "w0"},  # fired at t = 0
+        {"at": 5.0, "kind": "straggler", "target": "w0",
+         "duration": float("nan"), "factor": float("nan")},
     ])
     errors = {e.path: e.message for e in validate(doc)}
     assert "choose from node, rack, partition, straggler" in errors["failures[0].kind"]
     assert "failures[1].at" in errors
     assert "w0..w7" in errors["failures[1].target"]  # names the valid range
     assert "permanent kill" in errors["failures[2].duration"]
+    assert "finite" in errors["failures[3].at"]
+    assert "finite" in errors["failures[4].duration"] and "finite" in errors["failures[4].factor"]
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "0.0", "-3.0"])
+@pytest.mark.parametrize("key", ["window", "warmup"])
+def test_run_window_and_warmup_must_be_finite_and_positive(key, value):
+    doc = minimal_doc(**load_text(f"run: {{{key}: {value}}}\n"))
+    assert [e.path for e in validate(doc)] == [f"run.{key}"]
 
 
 def test_rack_targets_checked_against_cluster_shape():

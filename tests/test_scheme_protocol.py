@@ -85,11 +85,11 @@ def test_from_config_must_be_a_classmethod():
 
 def test_return_yield_idiom_counts_as_a_generator():
     class GoodScheme(CheckpointScheme):
-        def on_control(self, hau, message):
+        def handle_token(self, hau, edge_idx, token):
             return
             yield  # pragma: no cover
 
-    assert GoodScheme().on_control(None, None) is not None
+    assert GoodScheme().handle_token(None, 0, None) is not None
 
 
 def test_ms_variant_without_initiate_round_cannot_be_instantiated():
@@ -107,7 +107,7 @@ def test_abstract_intermediate_variant_is_accepted():
 
     class Concrete(AbstractVariant):
         def initiate_round(self):
-            yield from ()
+            pass
 
     assert isinstance(Concrete(), AbstractVariant)
     with pytest.raises(TypeError, match="AbstractVariant"):

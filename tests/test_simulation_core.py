@@ -100,6 +100,15 @@ def test_nan_timeout_cannot_drop_the_pending_events():
     assert resumed == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 4.0, float("-inf")])
+def test_run_until_a_horizon_that_is_not_ahead_is_rejected(bad):
+    env = Environment()
+    env.run(until=5.0)
+    with pytest.raises(SimulationError):
+        env.run(until=bad)
+    assert env.now == 5.0  # the clock did not move (NaN used to stick)
+
+
 def test_run_until_time_stops_exactly():
     env = Environment()
     seen = []
