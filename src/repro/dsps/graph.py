@@ -157,8 +157,8 @@ class QueryGraph:
         if not srcs:
             raise GraphError("no source HAUs")
         for hau_id, spec in self.haus.items():
-            ins = self.in_edges(hau_id)
-            outs = self.out_edges(hau_id)
+            ins = self._in.get(hau_id, ())
+            outs = self._out.get(hau_id, ())
             if spec.is_source and ins:
                 raise GraphError(f"source {hau_id} has inbound edges")
             if spec.is_source and not outs:
@@ -167,9 +167,11 @@ class QueryGraph:
                 raise GraphError(f"sink {hau_id} has outbound edges")
             if not spec.is_source and not ins:
                 raise GraphError(f"non-source {hau_id} has no inbound edges")
-            ports = sorted({e.dst_port for e in ins})
-            if ports and ports != list(range(len(ports))):
-                raise GraphError(f"{hau_id} input ports not contiguous: {ports}")
+            # ports 0..k-1: a lone in-edge on port 0 needs no set built
+            if len(ins) > 1 or ins and ins[0].dst_port:
+                ports = sorted({e.dst_port for e in ins})
+                if ports != list(range(len(ports))):
+                    raise GraphError(f"{hau_id} input ports not contiguous: {ports}")
         reachable = set(srcs)
         frontier = list(srcs)
         for hau_id in frontier:  # grows as new HAUs are reached

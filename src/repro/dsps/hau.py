@@ -40,7 +40,6 @@ from repro.dsps.graph import EdgeSpec, HAUSpec
 from repro.dsps.operator import Emit, Operator, OperatorContext, SourceOperator
 from repro.dsps.tuples import DataTuple, Token, is_token
 from repro.simulation.core import Environment, Event, Interrupt, Process
-from repro.simulation.resources import Gate
 from repro.simulation.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,7 +124,7 @@ class HAURuntime:
         "operators", "ctx", "in_edges", "out_edges", "in_channels",
         "out_channels", "_out_seq", "_route_cache", "_dst_ports",
         "_hook_on_emit", "inbox", "inbox_capacity", "_hands",
-        "_slot_waiters", "_parked", "intake_gate", "blocked_edges",
+        "_slot_waiters", "_parked", "intake_open", "_intake_waiters", "blocked_edges",
         "holdback", "_in_seq", "_replay_backlog", "_replay_out",
         "_replay_source", "tuples_processed", "busy_time", "_proc",
         "torn_down", "__weakref__",
@@ -152,33 +151,30 @@ class HAURuntime:
         self.metrics = metrics
         self._trace = env.trace  # cached: one attribute check per emission site
         # Telemetry handles are resolved once here (the registry is
-        # get-or-create, so caching is purely a hot-loop optimisation);
-        # with telemetry off these are the shared no-op metric.
-        self._telem = env.telemetry
-        self._m_tuples = self._telem.counter("ms_hau_tuples_total", hau=spec.hau_id)
-        self._m_busy = self._telem.counter("ms_hau_busy_seconds_total", hau=spec.hau_id)
-        self._m_latency = self._telem.histogram(
-            "ms_hau_tuple_latency_seconds", hau=spec.hau_id
-        )
-        self._m_tokens_sent = self._telem.counter(
-            "ms_hau_tokens_sent_total", hau=spec.hau_id
-        )
-        self._m_tokens_recv = self._telem.counter(
-            "ms_hau_tokens_received_total", hau=spec.hau_id
-        )
+        # get-or-create, so caching is purely a hot-loop optimisation),
+        # and only when telemetry is on: every use checks
+        # ``self._telem.enabled`` first, so with it off they stay unset.
+        self._telem = telem = env.telemetry
+        if telem.enabled:
+            hau_id = spec.hau_id
+            self._m_tuples = telem.counter("ms_hau_tuples_total", hau=hau_id)
+            self._m_busy = telem.counter("ms_hau_busy_seconds_total", hau=hau_id)
+            self._m_latency = telem.histogram("ms_hau_tuple_latency_seconds", hau=hau_id)
+            self._m_tokens_sent = telem.counter("ms_hau_tokens_sent_total", hau=hau_id)
+            self._m_tokens_recv = telem.counter("ms_hau_tokens_received_total", hau=hau_id)
 
         self.operators: list[Operator] = spec.make_operators()
         if not self.operators:
             raise ValueError(f"HAU {self.hau_id} has no operators")
-        self.ctx = OperatorContext(hau_id=self.hau_id, now=lambda: env.now, rngs=rngs)
+        self.ctx = ctx = OperatorContext(hau_id=self.hau_id, rngs=rngs)
         for op in self.operators:
-            op.setup(self.ctx)
+            op.setup(ctx)
 
-        self.in_edges = list(in_edges)
-        self.out_edges = list(out_edges)
-        self.in_channels: list[Channel | None] = [None] * len(self.in_edges)
+        self.in_edges = in_edges  # the caller's copies: kept, never mutated
+        self.out_edges = out_edges
+        self.in_channels: list[Channel | None] = [None] * len(in_edges)
         self.out_channels: dict[str, Channel] = {}  # edge_id -> channel
-        self._out_seq: dict[str, int] = {e.edge_id: 0 for e in self.out_edges}
+        self._out_seq: dict[str, int] = {e.edge_id: 0 for e in out_edges}
         # Hot-path caches.  Out-edges and in-edge ports are fixed for the
         # runtime's lifetime (rewires swap channels, not edges), so the
         # per-port routing groups and per-edge input ports are computed
@@ -186,7 +182,7 @@ class HAURuntime:
         # implementation is not called at all.
         # port -> (its edges, a hash group's one-edge tuples or None)
         self._route_cache: dict[int, tuple[tuple[EdgeSpec, ...], tuple | None]] = {}
-        self._dst_ports: list[int] = [e.dst_port for e in self.in_edges]
+        self._dst_ports: list[int] = [e.dst_port for e in in_edges]
         self._hook_on_emit = scheme.active_hook("on_emit")
 
         # Bounded intake queue of (edge_idx, item).  An edge whose next
@@ -203,12 +199,16 @@ class HAURuntime:
         self._slot_waiters: list[int] | tuple[()] = ()
         # The main loop's process while it is parked (idle), else None.
         self._parked: Process | None = None
-        self.intake_gate = Gate(env, opened=True)
+        # Intake pause (synchronous checkpoints): while closed, the loops
+        # wait on events released in FIFO order when it reopens; the
+        # waiter list is allocated by the first one (shared-() idiom).
+        self.intake_open = True
+        self._intake_waiters: list[Event] | tuple[()] = ()
         self.blocked_edges: set[int] = set()
         self.holdback: dict[int, list[DataTuple]] = {}  # appended, then drained whole
         # last processed sequence per in-edge: duplicate suppression after
         # recovery (a replayed/resent tuple with seq <= this is dropped)
-        self._in_seq: dict[int, int] = {i: 0 for i in range(len(self.in_edges))}
+        self._in_seq: dict[int, int] = dict.fromkeys(range(len(in_edges)), 0)
         # restart support: items to re-process / re-emit before normal work
         # (only ever rebound, never appended to, so empty is the shared ())
         self._replay_backlog: Sequence[tuple[int, DataTuple]] = ()
@@ -345,10 +345,25 @@ class HAURuntime:
 
     # -- intake control (used by schemes) ---------------------------------------------
     def pause_intake(self) -> None:
-        self.intake_gate.close()
+        self.intake_open = False
 
     def resume_intake(self) -> None:
-        self.intake_gate.open()
+        """Reopen the intake and release its waiters, first come first."""
+        self.intake_open = True
+        waiters, self._intake_waiters = self._intake_waiters, ()
+        for ev in waiters:
+            ev.succeed()
+
+    def intake(self) -> Event:
+        """An event that fires once the intake is open: already succeeded
+        when it is (a scheduler turn, nothing longer), else released by
+        :meth:`resume_intake`."""
+        ev = self.env.event(name="intake")
+        if self.intake_open:
+            ev.succeed()
+        else:
+            self._intake_waiters = [*self._intake_waiters, ev]
+        return ev
 
     def block_edge(self, edge_idx: int) -> None:
         self.blocked_edges.add(edge_idx)
@@ -720,7 +735,6 @@ class HAURuntime:
             # by a running loop — but for the whole run, by a parked one.
             maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
             handle_token = self.scheme.handle_token
-            gate = self.intake_gate
             inbox = self.inbox
             env = self.env
             parked = env.parked
@@ -731,8 +745,8 @@ class HAURuntime:
             while True:
                 if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
                     yield from work
-                if not gate._opened:
-                    yield gate.wait()
+                if not self.intake_open:
+                    yield self.intake()
                 if not inbox:
                     # Idle: park until enqueue() has put something there,
                     # holding nothing of the last item meanwhile.
@@ -778,9 +792,9 @@ class HAURuntime:
                     count=len(replay),
                 )
             for tup in replay:
-                # A scheduler turn per tuple, gate open or not: restarted
+                # A scheduler turn per tuple, intake open or not: restarted
                 # sources interleave (see resend).
-                yield self.intake_gate.wait()
+                yield self.intake()
                 op.emitted_count += 1
                 replayed = Emit(payload=tup.payload, size=tup.size, port=0, key=tup.key)
                 if (work := self.emit(replayed, tup.created_at, self.hau_id)) is not None:
@@ -799,7 +813,6 @@ class HAURuntime:
             timeout = env.timeout
             maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
             on_source_emit = self.scheme.active_hook("on_source_emit")
-            gate = self.intake_gate
             hau_id = self.hau_id
             do_emit = self.emit
             for delay, emit_spec in gen:
@@ -826,8 +839,8 @@ class HAURuntime:
                     emit_spec = Emit(emit_spec.payload, emit_spec.size, 0, emit_spec.key)
                 now = env.now
                 created_at = sched if sched < now else now
-                if not gate._opened:
-                    yield gate.wait()
+                if not self.intake_open:
+                    yield self.intake()
                 if on_source_emit is not None:
                     tup = DataTuple(
                         payload=emit_spec.payload,

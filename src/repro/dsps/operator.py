@@ -56,7 +56,6 @@ class OperatorContext:
     """What an operator can see of its host at setup time."""
 
     hau_id: str
-    now: Callable[[], float]
     rngs: RngRegistry
 
     @property

@@ -168,9 +168,10 @@ def _validate_run(run: Any, errors: list[SchemaError]) -> None:
         errors.append(SchemaError("run", "must be a mapping {window, warmup, n_checkpoints, recovery}"))
         return
     _unknown_keys(run, RUN_FIELDS, "run", errors)
-    for key in ("window", "warmup"):
-        if key in run and not _is_positive(run[key]):
-            errors.append(SchemaError(f"run.{key}", "must be a finite number > 0 (seconds)"))
+    if "window" in run and not _is_positive(run["window"]):
+        errors.append(SchemaError("run.window", "must be a finite number > 0 (seconds)"))
+    if "warmup" in run and not _is_at_least(run["warmup"], 0.0):
+        errors.append(SchemaError("run.warmup", "must be a finite number >= 0 (seconds)"))
     if "n_checkpoints" in run:
         n = run["n_checkpoints"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:

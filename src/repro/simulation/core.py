@@ -57,19 +57,49 @@ def paused_gc() -> Iterator[None]:
     """Pause the cyclic collector for one construction phase.
 
     Legitimate for topology/runtime construction and nowhere else: what
-    is built there lives until the run ends, so every collection
-    triggered while building re-traverses a growing heap and frees
-    nothing (eight full passes over a 4k-HAU build).  Restores the state
-    it found, so it nests, survives exceptions and leaves a collector the
-    caller had disabled disabled.  Also a decorator: ``@paused_gc()``.
+    is built there lives until the run ends, so a collection while
+    building (eight full passes over a 4k-HAU build), or a young one
+    after it, traverses it and frees nothing.  So the outermost exit
+    ages it: ``gc.freeze(); gc.unfreeze()`` splices every tracked object
+    into the oldest generation untraversed, and the pacing is put back
+    (:func:`_restore_pacing`).  A splice never counts towards CPython's
+    own trigger for a full pass, so one its counter says is due runs at
+    the entry instead, where the heap is smallest (else a sweep's dead
+    cells pile up).  Neither happens under a freeze someone holds (a
+    run's) or a collector the caller disabled.  Restores the state it
+    found, so it nests, survives exceptions and leaves a disabled
+    collector disabled.  Also a decorator: ``@paused_gc()``.
     """
     was_enabled = gc.isenabled()
+    ages = was_enabled and not gc.get_freeze_count()
+    if ages and gc.get_count()[2] > gc.get_threshold()[2]:
+        gc.collect()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if ages:
+                _allocations, middle, full = gc.get_count()
+                gc.freeze()
+                gc.unfreeze()
+                _restore_pacing(middle, full)
             gc.enable()
+
+
+def _restore_pacing(middle: int, full: int) -> None:
+    """Put back the middle and full pass counters ``gc.freeze()`` zeroed,
+    on top of any passes since, the only way ``gc`` allows: a pass over
+    generation *n* bumps the counter of *n + 1*.  Right after an
+    unfreeze the young generations hold next to nothing, so the first
+    pass is small and the rest are empty; past its threshold a counter
+    says "due" whatever its value, so that is as far as it goes."""
+    _t0, middle_due, full_due = (t + 1 for t in gc.get_threshold())
+    middle += gc.get_count()[1]  # collecting generation 1 zeroes it
+    for _ in range(min(full, full_due)):
+        gc.collect(1)
+    for _ in range(min(middle, middle_due)):
+        gc.collect(0)
 
 
 @contextmanager
@@ -86,17 +116,11 @@ def frozen_heap() -> Iterator[None]:
     not during it).  A heap the caller froze is left alone — both ways.
     Also a decorator: ``@frozen_heap()``.
 
-    Like :func:`paused_gc` it restores what it found, and that includes
-    the collector's pacing: ``freeze()`` zeroes the per-generation pass
-    counters, and if they stayed zeroed the full collection a process is
-    always a few young passes away from would never come — garbage older
-    than the run (the previous cell of a sweep) would be pinned by this
-    run and the next, without bound.  So the middle and full counters
-    read at entry are put back at exit, on top of what the run added,
-    the only way the ``gc`` module allows: a collection of generation
-    *n* bumps the counter of *n + 1*, and the young generations only
-    ever hold what the thresholds let pile up, so the first such pass is
-    small and the rest are empty.
+    Like :func:`paused_gc` it restores what it found, pacing included
+    (:func:`_restore_pacing`): left zeroed, the counters would never
+    call the full collection a process is always a few young passes
+    away from, and garbage older than the run (the previous cell of a
+    sweep) would be pinned by this run and the next, without bound.
     (The allocation counter of the youngest generation cannot be put
     back; a driver stepping ``run`` in calls that allocate less than one
     young pass's worth each leaves its cyclic garbage to the first
@@ -111,14 +135,7 @@ def frozen_heap() -> Iterator[None]:
         yield
     finally:
         gc.unfreeze()
-        # Past its threshold a counter says "due" whatever its value, so
-        # that is as far as it needs putting back.
-        _t0, middle_due, full_due = (t + 1 for t in gc.get_threshold())
-        middle += gc.get_count()[1]  # collecting generation 1 zeroes it
-        for _ in range(min(full, full_due)):
-            gc.collect(1)
-        for _ in range(min(middle, middle_due)):
-            gc.collect(0)
+        _restore_pacing(middle, full)
 
 
 class Interrupt(Exception):
@@ -733,15 +750,13 @@ class Environment:
         * ``until`` is a number → run until the clock reaches it.
         * ``until`` is an :class:`Event` → run until it fires; returns its
           value (raises if it failed).
-        * ``until`` is None → run until no events remain.
+        * ``until`` is None (or infinite) → run until no events remain;
+          the clock stays at the last event.
 
         Raises :class:`SimulationError` when a process fails and nothing
         consumes the failure (see :meth:`_drain`); being the ``until``
         of a run counts as consuming it.
         """
-        if until is None:
-            self._drain(_FOREVER, -1)
-            return None
         if isinstance(until, Event):
             if not until._flushed:
                 until.add_callback(_awaited)
@@ -752,11 +767,12 @@ class Environment:
             if not until._ok:
                 raise until._value
             return until._value
-        horizon = float(until)
+        horizon = _FOREVER if until is None else float(until)
         if not horizon >= self._now:  # also rejects NaN
             raise SimulationError(f"until {horizon!r} is not >= now ({self._now!r})")
         self._drain(horizon, -1)
-        self._now = horizon
+        if horizon < _FOREVER:  # a clock at inf would make every later event due at inf
+            self._now = horizon
         return None
 
     def _drain(self, horizon: float, budget: int) -> None:

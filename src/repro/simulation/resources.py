@@ -194,36 +194,3 @@ class Store:
     def _abandon_put(self, ev: _Put) -> None:
         if ev in self._putters:
             self._putters.remove(ev)
-
-
-class Gate:
-    """A reusable open/closed barrier.
-
-    Processes wait on :meth:`wait`; :meth:`open` releases all current
-    waiters and lets future waiters pass immediately until :meth:`close`.
-    Used to pause an HAU's intake during synchronous checkpoints.
-    """
-
-    __slots__ = ("env", "_opened", "_waiters")  # one per HAU
-
-    def __init__(self, env: Environment, opened: bool = True):
-        self.env = env
-        self._opened = opened
-        self._waiters: list[Event] = []
-
-    def wait(self) -> Event:
-        ev = self.env.event(name="gate")
-        if self._opened:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self) -> None:
-        self._opened = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def close(self) -> None:
-        self._opened = False

@@ -348,6 +348,97 @@ def test_nudge_wakes_an_idle_loop():
     assert not mid.inbox and mid._parked is mid._proc  # passed the safe-point, parked again
 
 
+
+# -- intake pause (synchronous checkpoints) ------------------------------------
+
+def idle_hau():
+    """A built HAU whose loop is not running: only the test's processes
+    wait on its intake."""
+    env = Environment()
+    rt = DSPSRuntime(
+        env,
+        StreamApplication(name="t", graph=two_stage()),
+        CheckpointScheme(),
+        RuntimeConfig(seed=1, cluster=ClusterSpec(workers=4, spares=2, racks=1)),
+    )
+    rt.build()
+    return env, rt.haus["mid"]
+
+
+def test_intake_open_passes_immediately():
+    env, hau = idle_hau()
+    times = []
+
+    def proc():
+        yield hau.intake()
+        times.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert times == [0.0]
+
+
+def test_closed_intake_blocks_until_resumed():
+    env, hau = idle_hau()
+    hau.pause_intake()
+    times = []
+
+    def proc():
+        yield hau.intake()
+        times.append(env.now)
+
+    def opener():
+        yield env.timeout(5.0)
+        hau.resume_intake()
+
+    env.process(proc())
+    env.process(opener())
+    env.run()
+    assert times == [5.0]
+
+
+def test_intake_reclose():
+    env, hau = idle_hau()
+    times = []
+
+    def proc():
+        yield hau.intake()
+        hau.pause_intake()
+        yield env.timeout(1.0)
+        # second wait blocks until reopened
+        yield hau.intake()
+        times.append(env.now)
+
+    def opener():
+        yield env.timeout(10.0)
+        hau.resume_intake()
+
+    env.process(proc())
+    env.process(opener())
+    env.run()
+    assert times == [10.0]
+
+
+def test_closed_intake_releases_its_waiters_first_come_first():
+    env, hau = idle_hau()
+    hau.pause_intake()
+    assert hau._intake_waiters == ()  # allocated by the first waiter
+    order = []
+
+    def waiter(name, delay):
+        yield env.timeout(delay)
+        yield hau.intake()
+        order.append(name)
+
+    for name, delay in (("b", 2.0), ("a", 1.0), ("c", 3.0)):
+        env.process(waiter(name, delay))
+    env.run(until=4.0)
+    assert order == [] and len(hau._intake_waiters) == 3
+    hau.resume_intake()
+    env.run()
+    assert order == ["a", "b", "c"] and hau._intake_waiters == ()
+
+
 # -- the event budget ----------------------------------------------------------
 
 def chain(replicas, count):

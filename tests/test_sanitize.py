@@ -340,9 +340,7 @@ def test_sanitized_run_freezes_the_heap_like_the_pristine_run(kernel_sanitizer):
 def _hosted(op, hau_id):
     from repro.dsps.operator import OperatorContext
 
-    op.setup(
-        OperatorContext(hau_id=hau_id, now=lambda: 0.0, rngs=RngRegistry(0))
-    )
+    op.setup(OperatorContext(hau_id=hau_id, rngs=RngRegistry(0)))
     return op
 
 

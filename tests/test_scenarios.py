@@ -123,11 +123,24 @@ def test_bad_failure_rows_are_path_scoped():
     assert "finite" in errors["failures[4].duration"] and "finite" in errors["failures[4].factor"]
 
 
-@pytest.mark.parametrize("value", [".nan", ".inf", "0.0", "-3.0"])
-@pytest.mark.parametrize("key", ["window", "warmup"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("window", v) for v in (".nan", ".inf", "0.0", "-3.0")]
+    + [("warmup", v) for v in (".nan", ".inf", "-3.0")],
+)
 def test_run_window_and_warmup_must_be_finite_and_positive(key, value):
+    """A window must be finite and > 0; a warmup finite and >= 0 (see
+    :func:`test_run_warmup_may_be_zero`)."""
     doc = minimal_doc(**load_text(f"run: {{{key}: {value}}}\n"))
     assert [e.path for e in validate(doc)] == [f"run.{key}"]
+
+
+def test_run_warmup_may_be_zero():
+    """``ExperimentConfig(warmup=0.0)`` is a valid run (the 4k-HAU chain
+    benchmark measures from t = 0), so a scenario may ask for it."""
+    doc = minimal_doc(**load_text("run: {window: 8.0, warmup: 0}\n"))
+    assert validate(doc) == []
+    assert compile_scenario(doc).spec.config.warmup == 0.0
 
 
 def test_rack_targets_checked_against_cluster_shape():

@@ -121,6 +121,17 @@ def test_run_until_event_with_no_schedule_raises():
         env.run(until=pending)
 
 
+def test_run_until_infinity_drains_and_leaves_the_clock_at_the_last_event():
+    env = Environment()
+    env.timeout(1.0)
+    env.run(until=float("inf"))
+    assert env.now == 1.0
+    env.timeout(2.0)
+    assert env.peek() == 3.0
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+
+
 def test_nested_interrupt_of_inner_process():
     """Interrupting an inner process fails the outer's wait cleanly."""
     env = Environment()

@@ -1,9 +1,9 @@
-"""Unit tests for Resource / Store / Gate."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
 from repro.simulation import Environment, SimulationError, Store
-from repro.simulation.resources import Gate, Resource
+from repro.simulation.resources import Resource
 
 
 def test_resource_capacity_validation():
@@ -161,59 +161,3 @@ def test_store_cancel_get():
     store.put("x")
     # the cancelled getter must not consume the item
     assert len(store) == 1
-
-
-def test_gate_open_passes_immediately():
-    env = Environment()
-    gate = Gate(env, opened=True)
-    times = []
-
-    def proc():
-        yield gate.wait()
-        times.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert times == [0.0]
-
-
-def test_gate_closed_blocks_until_open():
-    env = Environment()
-    gate = Gate(env, opened=False)
-    times = []
-
-    def proc():
-        yield gate.wait()
-        times.append(env.now)
-
-    def opener():
-        yield env.timeout(5.0)
-        gate.open()
-
-    env.process(proc())
-    env.process(opener())
-    env.run()
-    assert times == [5.0]
-
-
-def test_gate_reclose():
-    env = Environment()
-    gate = Gate(env, opened=True)
-    times = []
-
-    def proc():
-        yield gate.wait()
-        gate.close()
-        yield env.timeout(1.0)
-        # second wait blocks until reopened
-        yield gate.wait()
-        times.append(env.now)
-
-    def opener():
-        yield env.timeout(10.0)
-        gate.open()
-
-    env.process(proc())
-    env.process(opener())
-    env.run()
-    assert times == [10.0]
