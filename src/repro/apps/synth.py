@@ -40,6 +40,8 @@ groups, per-edge ``routing`` within a group).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.apps.base import AppProfile, SizedPayload
@@ -199,6 +201,34 @@ def _require(cond: bool, message: str) -> None:
         raise TopologyError(message)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+_INT_GE0 = (lambda v: _is_int(v) and v >= 0, "an int >= 0")
+_INT_GE1 = (lambda v: _is_int(v) and v >= 1, "an int >= 1")
+_FINITE_GT0 = (lambda v: _is_finite(v) and v > 0, "finite and > 0")
+_FINITE_GE0 = (lambda v: _is_finite(v) and v >= 0, "finite and >= 0")
+
+#: The numeric fields a stage kind reads, each checked when present
+#: (the defaults pass): field -> (predicate, what it must be).
+STAGE_FIELDS = {
+    "source": {
+        "count": _INT_GE0,
+        "interval": _FINITE_GT0,
+        "size": _INT_GE0,
+        "burst_len": _INT_GE1,
+        "burst_factor": _FINITE_GT0,
+        "keyspace": _INT_GE1,
+    },
+    "map": {"size": _INT_GE0, "cost_per_byte": _FINITE_GE0},
+}
+
+
 def _check_topology(topo: dict) -> tuple[list[dict], list[dict]]:
     _require(isinstance(topo, dict), "topology must be a mapping")
     stages = topo.get("stages")
@@ -228,6 +258,12 @@ def _check_topology(topo: dict) -> tuple[list[dict], list[dict]]:
             shape in SOURCE_SHAPES,
             f"topology.stages[{i}].shape {shape!r} is not one of {SOURCE_SHAPES}",
         )
+        for field, (ok, must_be) in STAGE_FIELDS.get(kind, {}).items():
+            if field in stage:
+                _require(
+                    ok(stage[field]),
+                    f"topology.stages[{i}].{field} must be {must_be}, not {stage[field]!r}",
+                )
         names.append(name)
     _require(len(set(names)) == len(names), "topology stage names must be unique")
     for a in names:

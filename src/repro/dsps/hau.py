@@ -84,7 +84,6 @@ def stable_route_hash(key: Any) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-IDLE_SOURCE_POLL = 0.05  # safe-point poll for sources with no pending data
 SOURCE_DELAY_CHUNK = 0.25  # max wait between source safe-points
 
 
@@ -197,7 +196,8 @@ class HAURuntime:
         self.inbox_capacity = inbox_capacity
         self._hands: list[Any] | None = None  # per in-edge; None = empty
         self._slot_waiters: list[int] | tuple[()] = ()
-        # The main loop's process while it is parked (idle), else None.
+        # The loop's process while it is parked (an idle main loop or a
+        # finished source), else None.
         self._parked: Process | None = None
         # Intake pause (synchronous checkpoints): while closed, the loops
         # wait on events released in FIFO order when it reopens; the
@@ -522,10 +522,16 @@ class HAURuntime:
         self._replay_source = list(tuples)
 
     def request_safepoint(self) -> None:
-        """Wake the main loop if it is idle so the scheme's safe-point hook
-        runs promptly (periodic baseline checkpoints, queued replays).
-        Sources poll their own safe-points; no nudge needed."""
-        if not self.is_source and not self.enqueue(-1, _NUDGE):
+        """Wake this HAU's loop if it is idle so the scheme's safe-point
+        hook runs promptly (periodic baseline checkpoints, queued replays,
+        a source's checkpoint command).  A finished source is unparked; one
+        still emitting passes a safe-point within ``SOURCE_DELAY_CHUNK`` on
+        its own.  A main loop is nudged through its inbox."""
+        if self.is_source:
+            if (parked := self._parked) is not None:
+                self._parked = None
+                self.env.unpark(parked)
+        elif not self.enqueue(-1, _NUDGE):
             self._slot_waiters = [*self._slot_waiters, -1]
 
     def resend(self, edge_id: str, tup: DataTuple):
@@ -776,6 +782,9 @@ class HAURuntime:
             return
 
     def _source_loop(self):
+        """The loop of a source HAU; runs only as ``self._proc`` (:meth:`start`
+        spawns it), the process :meth:`request_safepoint` unparks once its
+        generator is exhausted."""
         op = self.source_operator
         try:
             yield from self._resend_replay_out()
@@ -856,13 +865,20 @@ class HAURuntime:
                 produced += 1
                 if (work := do_emit(emit_spec, created_at, hau_id)) is not None:
                     yield from work
-            # Generator exhausted (finite workload): stay alive at safe
-            # points so checkpoint rounds can still complete.
+            # Generator exhausted (finite workload): park, as an idle main
+            # loop does, between safe-points.  A scheme with work for this
+            # source (a checkpoint command, a periodic checkpoint, a queued
+            # replay) wakes it through request_safepoint(); with none it
+            # stays parked and costs no event.
+            parked = env.parked
+            me = self._proc  # None once torn down: the interrupt is on its way
             while True:
                 if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
                     yield from work
-                yield timeout(IDLE_SOURCE_POLL)
+                self._parked = me
+                yield parked
         except Interrupt:
+            self._parked = None
             return
 
     def kill_local_processes(self) -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from repro.apps import synth
 from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness.digest import result_digest
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -165,6 +166,38 @@ def test_bad_synth_topology_reported_at_schema_time():
     errors = validate(doc)
     assert errors
     assert all(e.path == "app.params.topology" for e in errors)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("source", "count", -1),
+        ("source", "count", 2.5),
+        ("source", "interval", -0.5),
+        ("source", "interval", 0),
+        ("source", "interval", float("nan")),
+        ("source", "interval", float("inf")),
+        ("source", "interval", "0.5"),
+        ("source", "keyspace", 0),
+        ("source", "burst_len", 0),
+        ("source", "burst_factor", 0),
+        ("source", "size", -10),
+        ("source", "size", 1.5),
+        ("map", "cost_per_byte", -1e-9),
+        ("map", "cost_per_byte", float("nan")),
+        ("map", "size", -1),
+    ],
+)
+def test_synth_stage_fields_are_checked_at_build_time(kind, field, value):
+    """A bad number fails the build naming its field, instead of running
+    with every tuple at t = 0 or failing mid-run inside a source."""
+    doc = tiny_synth_doc()
+    topology = doc["app"]["params"]["topology"]
+    stage = next(s for s in topology["stages"] if s["kind"] == kind)
+    stage[field] = value
+    with pytest.raises(synth.TopologyError, match=rf"\.{field} must be "):
+        synth.build(seed=1, topology=topology)
+    assert [e.path for e in validate(doc)] == ["app.params.topology"]
 
 
 def test_check_raises_with_every_error():
