@@ -58,7 +58,7 @@ class MSSrcAP(MeteorShowerBase):
             # Sources (no upstream neighbours) are immediately ready.
             st.ready = True
             self.transition("checkpoint.tokens.done", hau.hau_id, round=round_id, edges=0)
-            hau.request_safepoint()  # a finished source forks now
+            hau.request_safepoint()  # a waiting or finished source forks now
 
     # -- token plumbing -------------------------------------------------------------------
     def on_token_arrival(self, hau: HAURuntime, edge_idx: int, token: Token) -> None:

@@ -14,9 +14,10 @@ Round execution:
 
 The round is initiated by the controller sending a checkpoint command to
 the source HAUs ("the tokens are generated by source operators or a
-controller"); each source performs its checkpoint at the next tuple
-boundary so a token never splits a half-emitted tuple — a finished
-source, which the command wakes, at the command's instant.
+controller"); each source performs its checkpoint at a tuple boundary
+so a token never splits a half-emitted tuple — one waiting between
+tuples or finished, which the command wakes, at the command's instant;
+one still emitting a tuple, when that emission completes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class MSSrc(MeteorShowerBase):
         if isinstance(message, tuple) and message[0] == "ckpt" and hau.is_source:
             self._pending_source[hau.hau_id] = message[1]
             self.transition("checkpoint.command", hau.hau_id, round=message[1], via="control")
-            hau.request_safepoint()  # a finished source checkpoints now
+            hau.request_safepoint()  # a waiting or finished source checkpoints now
 
     # -- safe-point hook: source checkpoints happen here ------------------------------
     def maybe_checkpoint(self, hau: HAURuntime):

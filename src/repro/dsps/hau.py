@@ -84,9 +84,6 @@ def stable_route_hash(key: Any) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-SOURCE_DELAY_CHUNK = 0.25  # max wait between source safe-points
-
-
 def _until_accepted(accepted: Event):
     """Process generator: wait for a full outbox to take a message.
 
@@ -524,9 +521,11 @@ class HAURuntime:
     def request_safepoint(self) -> None:
         """Wake this HAU's loop if it is idle so the scheme's safe-point
         hook runs promptly (periodic baseline checkpoints, queued replays,
-        a source's checkpoint command).  A finished source is unparked; one
-        still emitting passes a safe-point within ``SOURCE_DELAY_CHUNK`` on
-        its own.  A main loop is nudged through its inbox."""
+        a source's checkpoint command).  A source waiting out a tuple's
+        delay or finished is unparked; one still emitting a tuple
+        (preserving it, or blocked in its send) reaches its safe-point
+        when the emission completes.  A main loop is nudged through its
+        inbox."""
         if self.is_source:
             if (parked := self._parked) is not None:
                 self._parked = None
@@ -783,8 +782,8 @@ class HAURuntime:
 
     def _source_loop(self):
         """The loop of a source HAU; runs only as ``self._proc`` (:meth:`start`
-        spawns it), the process :meth:`request_safepoint` unparks once its
-        generator is exhausted."""
+        spawns it), the process :meth:`request_safepoint` unparks while it
+        waits between tuples and once its generator is exhausted."""
         op = self.source_operator
         try:
             yield from self._resend_replay_out()
@@ -820,6 +819,8 @@ class HAURuntime:
             sched = 0.0
             env = self.env
             timeout = env.timeout
+            parked = env.parked
+            me = self._proc  # None once torn down: the interrupt is on its way
             maybe_checkpoint = self.scheme.active_hook("maybe_checkpoint")
             on_source_emit = self.scheme.active_hook("on_source_emit")
             hau_id = self.hau_id
@@ -829,20 +830,20 @@ class HAURuntime:
                 if produced < skip:
                     produced += 1
                     continue
-                # Chunked inter-arrival wait so a slow source still reaches
-                # checkpoint safe-points promptly.
+                # The inter-arrival wait is one park with a deadline, which
+                # request_safepoint() cuts short: the safe-point runs at the
+                # command's instant, then the rest of the delay is waited out.
                 remaining = delay
-                while remaining > 0:
-                    chunk = min(remaining, SOURCE_DELAY_CHUNK)
-                    yield timeout(chunk)
-                    remaining -= chunk
-                    if (
-                        remaining > 0 and maybe_checkpoint is not None
-                        and (work := maybe_checkpoint(self)) is not None
-                    ):
+                while True:
+                    if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
                         yield from work
-                if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
-                    yield from work
+                    if remaining <= 0:
+                        break
+                    deadline = env._now + remaining
+                    self._parked = me
+                    yield timeout(remaining, parked)
+                    self._parked = None
+                    remaining = deadline - env._now  # 0.0 when the wait ran out
                 # a source sends on port 0 whatever port its Emit names
                 if emit_spec.port:
                     emit_spec = Emit(emit_spec.payload, emit_spec.size, 0, emit_spec.key)
@@ -870,8 +871,6 @@ class HAURuntime:
             # source (a checkpoint command, a periodic checkpoint, a queued
             # replay) wakes it through request_safepoint(); with none it
             # stays parked and costs no event.
-            parked = env.parked
-            me = self._proc  # None once torn down: the interrupt is on its way
             while True:
                 if maybe_checkpoint is not None and (work := maybe_checkpoint(self)) is not None:
                     yield from work

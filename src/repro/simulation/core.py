@@ -723,11 +723,20 @@ class Environment:
         would otherwise have waited on takes: after everything already
         due now, before whatever is scheduled later.  Until it fires the
         process waits on the kick, so an interrupt drops it and resumes
-        the process once, with the :class:`Interrupt`.  A no-op for a
-        process that is not parked — running, waiting on anything else,
-        already unparked or finished.
+        the process once, with the :class:`Interrupt`.
+
+        A park with a deadline is a yielded ``timeout(delay, env.parked)``:
+        it resumes at its deadline or here, whichever comes first.  An
+        early wake leaves the timeout on the schedule with no waiter, so
+        it still pops, at its deadline, and resumes nobody.  A no-op for
+        a process that is not parked — running, waiting on anything else
+        (a plain timeout included), already unparked or finished.
         """
-        if process._waiting_on is self.parked:
+        waited = process._waiting_on
+        if waited is self.parked or (
+            waited.__class__ is Timeout and waited._value is self.parked and waited._waiter is process
+        ):
+            waited._waiter = None
             self._schedule_kick(process)
             process._waiting_on = self._fifo[-1]
 

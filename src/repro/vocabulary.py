@@ -195,7 +195,8 @@ SCHEME_HOOKS = {
     "handle_token": ("generator", "`HAURuntime._main_loop`: a token popped from the inbox"),
     "maybe_checkpoint": (
         "work",
-        "every tuple boundary of the main and source loops, and when a finished source is woken",
+        "every tuple boundary of the main and source loops, and when a waiting or finished"
+        " source is woken",
     ),
     "processing_overhead": ("plain", "`HAURuntime._run_chain`"),
     "on_control": ("plain", "a control link's consumer (`DSPSRuntime._bind_control`)"),

@@ -162,9 +162,12 @@ def test_ctx_rng_is_the_named_stream_resolved_on_first_read():
 #: The trace hash was re-pinned once, when ``MetricsHub.record_event``
 #: went: the same events minus the two ``metrics.recovery-*`` rows that
 #: repeated ``recovery.start`` / ``recovery.done`` (cf5f4dfe6585bc16...
-#: with them; ``seq`` renumbered).
-EAGER_STAR_TRACE_SHA256 = "5e9aa1df53e82e41b8baccca98ca56c0482edfe60c46fe8706135b18a68cd5e7"
-EAGER_STAR_BUNDLE_ID = "0918a4bacc213fe5bb4a920d8a2aa91d798b8fad5a2b7d497bc14441f0677151"
+#: with them; ``seq`` renumbered).  Both were re-pinned with every pinned
+#: digest when a source's inter-arrival wait became one park with a
+#: deadline, so it checkpoints at its command's instant (5e9aa1df53e82e41...
+#: and 0918a4bacc213fe5... before).
+EAGER_STAR_TRACE_SHA256 = "b55453e0a2ac304b86de373a868d889d678cc4bfffc4da91a6c4ddf678477a1c"
+EAGER_STAR_BUNDLE_ID = "c6d51dc108334b97dab3bcc70a721aa8211012b7351bfcfb26212422a80918b9"
 
 
 def test_recovery_cell_trace_and_bundle_byte_identical_to_the_eager_star():

@@ -2,7 +2,10 @@
 
 It costs no event while parked (a run with no horizon ends with the
 stream), and a scheme with safe-point work for it — an MS checkpoint
-command, a baseline periodic checkpoint — wakes it at that instant."""
+command, a baseline periodic checkpoint — wakes it at that instant.
+A source waiting out a tuple's delay is parked too
+(``tests/test_source_wait.py``); rolling one back is checked here, beside
+the finished case."""
 
 import pytest
 
@@ -18,8 +21,8 @@ from repro.simulation import Environment
 FINITE = dict(source_count=10, interval=0.05, window=5)
 
 
-def deploy(scheme, graph_fn=make_chain_graph, seed=7):
-    g, holder = graph_fn(**FINITE)
+def deploy(scheme, graph_fn=make_chain_graph, seed=7, stream=FINITE):
+    g, holder = graph_fn(**stream)
     env = Environment()
     rt = DSPSRuntime(
         env,
@@ -96,18 +99,33 @@ def test_a_finished_source_takes_its_periodic_checkpoint_when_asked(monkeypatch)
     assert set(finished) <= set(starts)  # each at the instant it was asked for
 
 
-def test_rolling_back_a_parked_source_ends_its_process():
-    clean_env, _, clean = deploy(MSSrc(checkpoint_times=[1.0]))
-    clean_env.run(until=8.0)
+# 12 tuples 0.55 s apart: at t = 1.8 the source is waiting out a delay
+WAITING = dict(source_count=12, interval=0.55, window=5)
+
+
+def roll_back_a_parked_source(stream, until):
+    """Fail ``mid`` while the source is parked; the rollback must end the
+    source's process quietly and leave the sink's log exactly-once."""
+    clean_env, _, clean = deploy(MSSrc(checkpoint_times=[1.0]), stream=stream)
+    clean_env.run(until=until)
     scheme = MSSrc(checkpoint_times=[1.0], enable_recovery=True)
-    env, rt, holder = deploy(scheme)
+    env, rt, holder = deploy(scheme, stream=stream)
     env.run(until=1.8)
     old = rt.haus["src"]
     proc = old._proc
-    assert old._parked is proc  # finished and parked when the failure hits
+    assert old._parked is proc  # parked (finished, or mid-wait) when the failure hits
     rt.haus["mid"].node.fail("injected")
-    env.run(until=8.0)  # a SimulationError would surface here
+    env.run(until=until)  # a SimulationError would surface here
     assert len(scheme.recoveries) == 1
     assert proc.triggered and old._parked is None and old._proc is None
     assert rt.haus["src"] is not old
+    assert len(clean["sink"].payload_log) == stream["source_count"] // stream["window"]
     assert holder["sink"].payload_log == clean["sink"].payload_log
+
+
+def test_rolling_back_a_parked_source_ends_its_process():
+    roll_back_a_parked_source(FINITE, until=8.0)
+
+
+def test_rolling_back_a_waiting_source_ends_its_process():
+    roll_back_a_parked_source(WAITING, until=20.0)

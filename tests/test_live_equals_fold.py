@@ -109,10 +109,11 @@ def test_live_record_equals_trace_fold(name, tmp_path):
 
 
 def test_source_command_is_the_control_arrival():
-    """The disagreement this suite found: an ``ms-src`` source learned of
-    the round when the control message arrived, not at the safe point
-    where its checkpoint began (which reported 0 s of token collection
-    for a source that did wait)."""
+    """The disagreement this suite found: an ``ms-src`` source learns of
+    the round when the control message arrives, not at the safe point
+    where its checkpoint begins.  A source waiting between tuples is
+    woken by the command, so the two are now the same instant and its
+    token collection takes no time at all."""
     cfg, kwargs = canonical_cases()["bcp/ms-src@1"]
     result = run_experiment(cfg, trace=True, **kwargs)
     [log] = result.checkpoint_logs
@@ -123,8 +124,8 @@ def test_source_command_is_the_control_arrival():
             e.t for e in result.tracer.select(kind="checkpoint.command", subject=bd.hau_id)
         ]
         assert [bd.command_at] == command and bd.command_via == "control"
-        assert bd.command_at < bd.tokens_done_at == bd.start_at
-        assert bd.token_collection > 0.0
+        assert bd.command_at == bd.tokens_done_at == bd.start_at
+        assert bd.token_collection == 0.0
 
 
 # -- planted disagreements -----------------------------------------------------

@@ -141,8 +141,10 @@ def assert_tiles_round(cp, tracer, round_id):
 
 
 def test_ms_src_ap_critical_path_hand_verified_against_trace():
-    """MS-src+ap on a chain: the async source gates the round, and every
-    hop boundary is pinned to a specific raw trace event."""
+    """MS-src+ap on a chain: the source inserts its 1-hop token the
+    instant the command reaches it, so the HAU with the largest state
+    (``agg``, behind it) gates the round, and every hop boundary is
+    pinned to a specific raw trace event."""
     scheme = MSSrcAP(checkpoint_times=[1.0])
     env, rt, _ = deploy(make_chain_graph, scheme)
     env.run(until=10.0)
@@ -150,30 +152,41 @@ def test_ms_src_ap_critical_path_hand_verified_against_trace():
     cp = compute_critical_path(tr, 1)
     assert cp is not None
     assert_tiles_round(cp, tr, 1)
-    assert cp.gating_hau == "src"
-    assert [h.kind for h in cp.hops] == [
-        "round-start",
-        "control-hop",
-        "command-wait",
-        "safepoint-wait",
-        "snapshot",
-        "disk-io",
-        "round-complete",
+    assert cp.gating_hau == "agg"
+    assert [(h.kind, h.subject) for h in cp.hops] == [
+        ("round-start", "ms-src+ap"),
+        ("control-hop", "src"),
+        ("token-insert", "src"),
+        ("token-hop", "src->agg"),
+        ("token-wait", "agg"),
+        ("safepoint-wait", "agg"),
+        ("snapshot", "agg"),
+        ("disk-io", "agg"),
+        ("round-complete", "ms-src+ap"),
     ]
     # hand-verify each boundary against the trace events it came from
+    start = first(tr, "checkpoint.round.start", round=1)
     ctrl = first(tr, "control.send", subject="src")
     cmd = first(tr, "checkpoint.command", subject="src", round=1)
-    td = first(tr, "checkpoint.tokens.done", subject="src", round=1)
-    cs = first(tr, "checkpoint.start", subject="src", round=1)
-    ws = first(tr, "checkpoint.write.start", subject="src", round=1)
-    commit = first(tr, "checkpoint.commit", subject="src", round=1)
+    send = first(tr, "token.send", subject="src", round=1)
+    recv = first(tr, "token.recv", subject="agg", round=1, origin="src")
+    td = first(tr, "checkpoint.tokens.done", subject="agg", round=1)
+    cs = first(tr, "checkpoint.start", subject="agg", round=1)
+    ws = first(tr, "checkpoint.write.start", subject="agg", round=1)
+    commit = first(tr, "checkpoint.commit", subject="agg", round=1)
+    complete = first(tr, "checkpoint.round.complete", round=1)
+    # the source forks and sends its token at the command's instant
+    assert first(tr, "checkpoint.start", subject="src", round=1).t == cmd.t == send.t
     hop = {h.kind: h for h in cp.hops}
+    assert hop["round-start"].start == start.t and hop["round-start"].end == ctrl.t
     assert hop["control-hop"].start == ctrl.t and hop["control-hop"].end == cmd.t
-    assert hop["command-wait"].start == cmd.t and hop["command-wait"].end == td.t
+    assert hop["token-insert"].start == cmd.t and hop["token-insert"].end == send.t
+    assert hop["token-hop"].start == send.t and hop["token-hop"].end == recv.t
+    assert hop["token-wait"].start == recv.t and hop["token-wait"].end == td.t
     assert hop["safepoint-wait"].start == td.t and hop["safepoint-wait"].end == cs.t
     assert hop["snapshot"].start == cs.t and hop["snapshot"].end == ws.t
     assert hop["disk-io"].start == ws.t and hop["disk-io"].end == commit.t
-    assert hop["round-complete"].start == commit.t
+    assert hop["round-complete"].start == commit.t and hop["round-complete"].end == complete.t
 
 
 def test_ms_src_cascade_critical_path_walks_the_whole_chain():

@@ -454,6 +454,67 @@ def test_unparking_a_process_that_is_not_parked_is_a_no_op():
     assert woken == [1.0, 2.0]
 
 
+def test_a_park_with_a_deadline_resumes_at_the_deadline_or_its_unpark():
+    """``yield env.timeout(d, env.parked)`` resumes at the deadline unless
+    an unpark comes first; then it resumes at the unpark, and the stale
+    timeout still pops at its deadline and resumes nobody."""
+    env = Environment()
+    woken: dict[str, list[float]] = {"waits": [], "woken": []}
+
+    def waiter(tag):
+        yield env.timeout(2.0, env.parked)
+        woken[tag].append(env.now)
+        yield env.timeout(5.0)  # a plain wait: the stale deadline must not end it
+        woken[tag].append(env.now)
+
+    p_waits = env.process(waiter("waits"))
+    p_woken = env.process(waiter("woken"))
+    env.run(until=0.5)
+    env.unpark(p_woken)
+    env.run(until=1.0)
+    assert woken == {"waits": [], "woken": [0.5]}
+    popped = env.events_popped
+    env.run(until=2.0)
+    # both deadlines popped at 2.0; only the waiter nobody woke resumed
+    assert env.events_popped - popped == 2
+    assert woken == {"waits": [2.0], "woken": [0.5]}
+    env.run()
+    assert woken == {"waits": [2.0, 7.0], "woken": [0.5, 5.5]}
+    assert not p_waits.is_alive and not p_woken.is_alive
+
+
+def test_an_interrupt_during_a_park_with_a_deadline_is_delivered_once():
+    """An interrupt ends the wait once, with nothing left behind: the
+    stale deadline resumes nobody, and the next park is unparked as
+    usual (an unpark in the same instant as the interrupt is dropped)."""
+    env = Environment()
+    trace = []
+
+    def sleeper():
+        for _ in range(2):
+            try:
+                yield env.timeout(2.0, env.parked)
+                trace.append(("resumed", env.now))
+            except Interrupt as intr:
+                trace.append((intr.cause, env.now))
+        yield env.parked
+        trace.append(("unparked", env.now))
+
+    p = env.process(sleeper())
+    env.run(until=0.5)
+    env.unpark(p)
+    p.interrupt("first")
+    env.run(until=1.0)
+    assert trace == [("first", 0.5)]
+    env.unpark(p)  # the second deadline park, due at 2.5
+    env.run(until=3.0)  # the first deadline popped at 2.0 with no waiter
+    assert trace == [("first", 0.5), ("resumed", 1.0)]
+    env.unpark(p)
+    env.run()
+    assert trace == [("first", 0.5), ("resumed", 1.0), ("unparked", 3.0)]
+    assert not p.is_alive
+
+
 def test_any_of_fires_on_first():
     env = Environment()
 

@@ -459,8 +459,10 @@ def test_latency_histograms_agree_with_the_metrics_hub(observed_run):
 #: the last commit whose histograms were streaming P² estimators: exact
 #: histograms moved those three keys and nothing else — every count, sum,
 #: min, max, mean, counter, gauge and series point is the parent's.
+#: Re-pinned with every pinned digest when a source's inter-arrival wait
+#: became one park with a deadline (385e3937b17ae01a... before).
 STREAMING_PARENT_SNAPSHOT_SHA256 = (
-    "385e3937b17ae01aed707cf731c07c0a7ef0cec163e53413f7015e280c2261b5"
+    "350990dbb385be99dacd94aec7719011f298b33574631906a788b71e5b33da02"
 )
 
 
@@ -480,9 +482,11 @@ def test_snapshot_minus_percentiles_is_the_streaming_parents(observed_run):
 
 #: sha256 of ``write_telemetry``'s file for the run, recorded when every
 #: export rebuilt the snapshot on each call: built once and cached since,
-#: the file must not move by a byte.
+#: the file must not move by a byte.  Re-pinned with every pinned digest
+#: when a source's inter-arrival wait became one park with a deadline
+#: (c07fb65b4661279b... before).
 OBSERVED_RUN_TELEMETRY_FILE_SHA256 = (
-    "c07fb65b4661279b8359dbd1d5555eb63146d5c32870e7ba158be57315efc624"
+    "24c6204a72921f8a1be58597a0140dbfec2ae4df3e0baadbb9f2ab3302915673"
 )
 
 
