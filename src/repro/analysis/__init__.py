@@ -7,8 +7,9 @@ never read the wall clock, every random draw must come from the seeded
 ``repro.simulation.rng`` streams, export paths must not iterate
 unordered collections, simulation processes must only yield engine
 events, a work-or-None scheme hook must return the generator it makes,
-and every metric / trace name is one ``repro/vocabulary.py`` (and so
-DESIGN.md) has.
+every metric / trace name is one ``repro/vocabulary.py`` (and so
+DESIGN.md) has, and no twin that vocabulary's ``RETIRED`` table lists
+comes back.
 
 ``python -m repro.analysis`` walks ``src/``, ``benchmarks/`` and
 ``examples/`` once with a shared visitor and dispatches each AST node to
@@ -25,6 +26,7 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 from repro.analysis import (  # noqa: F401  (registration side effect)
     determinism,
     protocol,
+    retired,
     vocab,
 )
 

@@ -33,7 +33,7 @@ def list_rules_text() -> str:
     rules = all_rules()
     table = format_table(
         ["rule", "severity", "scope"],
-        [[cls.id, cls.severity, ",".join(cls.dirs)] for cls in rules],
+        [[cls.id, cls.severity, ",".join(cls.dirs) or "each row's own"] for cls in rules],
         title="repro-lint rules",
     )
     sections = [table]

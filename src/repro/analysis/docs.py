@@ -1,9 +1,10 @@
 """The vocabulary reader and the DESIGN.md generator.
 
-The DESIGN.md tables that restate ``src/repro/vocabulary.py`` (and the
-lint-rule table, which restates each rule's ``title``/``rationale``) sit
-between ``<!-- generated:NAME -->`` and ``<!-- /generated:NAME -->``
-markers and are written by ``python -m repro.analysis --write-docs``.
+The DESIGN.md tables that restate ``src/repro/vocabulary.py`` (the
+retired-code table among them; and the lint-rule table, which restates
+each rule's ``title``/``rationale``) sit between ``<!-- generated:NAME
+-->`` and ``<!-- /generated:NAME -->`` markers and are written by
+``python -m repro.analysis --write-docs``.
 The check (``VOC001``) is the same rendering compared with what the file
 holds, so a hand edit inside a block and a vocabulary row added without
 ``--write-docs`` are the same finding.
@@ -129,6 +130,23 @@ def _scheme_hooks(v: dict[str, Any]) -> str:
     return _table("hook", "kind", "driven from", rows=rows)
 
 
+def _retired(v: dict[str, Any]) -> str:
+    def code(text: str) -> str:
+        return "`" + text.replace("|", "\\|") + "`"
+
+    rows = [
+        (
+            str(row["pr"]),
+            code(row["pattern"]) if "pattern" in row else "(path)",
+            ", ".join(map(code, row.get("scope") or row["paths"])),
+            row.get("bound", "0") if "pattern" in row else "must not exist",
+            row["reason"],
+        )
+        for row in v["RETIRED"]
+    ]
+    return _table("PR", "pattern", "scope", "lines allowed", "what replaced it", rows=rows)
+
+
 def _lint_rules(_: dict[str, Any]) -> str:
     rows = [(f"`{cls.id}`", cls.title, cls.rationale) for cls in all_rules()]
     return _table("rule", "invariant", "why it matters", rows=rows)
@@ -143,6 +161,7 @@ BLOCKS: dict[str, Callable[[dict[str, Any]], str]] = {
     "scenario-fields": _scenario_fields,
     "scheme-hooks": _scheme_hooks,
     "phases": lambda v: _ticked(v["PHASES"]),
+    "retired": _retired,
     "lint-rules": _lint_rules,
 }
 

@@ -5,7 +5,8 @@ failure kinds, scenario fields, scheme names and scheme hooks: every
 other module imports these (``tracer.KINDS``, ``slo.SLO_KINDS``,
 ``injector.FAILURE_KINDS``, ...), and the DESIGN.md tables that describe
 them are generated from this file by ``python -m repro.analysis
---write-docs``.  Adding a kind, a metric or a field is one row here.
+--write-docs``.  Adding a kind, a metric or a field is one row here; so
+is deleting a twin for good (``RETIRED``, which ``RET001`` enforces).
 
 Leaf module: plain dict/tuple literals only, no imports, nothing
 computed — ``repro.analysis`` reads it with ``ast.literal_eval`` from
@@ -260,3 +261,292 @@ SCENARIO_FIELDS = {
         " alert counts from the monitored run's log",
     ),
 }
+
+# -- retired code (repro.analysis RET001) ----------------------------------
+# Names and files that were deleted and must stay deleted, one row each:
+# DESIGN.md's retired table.  A row's ``pattern`` (a Python regex) is
+# searched in every line of every file under its ``scope``: root-relative
+# paths, a ``!path`` entry excluding a file or directory; ``__pycache__``,
+# dot-directories and this file (whose rows spell the names) are never
+# read.  With no ``bound`` no line may match; ``"at most N"`` / ``"exactly
+# N"`` bound the matching lines over the whole scope.  ``example`` is a
+# line the pattern refuses (``tests/test_retired.py`` plants it inside and
+# beside the scope).  A row with ``paths`` instead says that none of those
+# paths may exist.  ``pr`` numbers the CHANGES.md entry that deleted the
+# name; ``reason`` is what replaced it.
+RETIRED = (
+    {
+        "pattern": r"CalendarQueue|REPRO_SCHED",
+        "scope": ("src/repro",),
+        "example": "class CalendarQueue:",
+        "pr": 13,
+        "reason": "the kernel has one scheduler, a heap beside a current-instant FIFO",
+    },
+    {
+        "pattern": r"run_sharded",
+        "scope": ("src/repro",),
+        "example": "def run_sharded(cfgs, jobs=2):",
+        "pr": 13,
+        "reason": "no in-run process fan-out: a run is one process, `run_cells` fans out cells",
+    },
+    {
+        "pattern": r"BatchEnvelope|batch_quantum|BATCH_QUANTUM",
+        "scope": ("src/repro", "benchmarks", "examples"),
+        "example": "cfg = ExperimentConfig(batch_quantum=0.01)",
+        "pr": 16,
+        "reason": "one data path: a channel carries each tuple itself, no batched twin",
+    },
+    {
+        "pattern": r"P2Quantile",
+        "scope": ("src/repro",),
+        "example": "class P2Quantile:",
+        "pr": 18,
+        "reason": "a `Histogram` keeps its observations; percentiles are exact, read when asked",
+    },
+    {
+        "pattern": r"waiter._resume\(event\)",
+        "scope": ("src/repro",),
+        "bound": "exactly 1",
+        "example": "                    waiter._resume(event)",
+        "pr": 20,
+        "reason": "the pop-and-fire body exists once, in `Environment._drain`",
+    },
+    {
+        "pattern": r"def _san_(event|timeout|acquire)",
+        "scope": ("src/repro/sanitize",),
+        "example": "def _san_timeout(self, delay, value=None):",
+        "pr": 20,
+        "reason": "the sanitizer wraps `_drain` and hands out containers; no factory copies",
+    },
+    {
+        "pattern": (
+            r"class (HAUCheckpoint|RoundWave|RecoveryHAU|RecoveryTimeline|SinkSample)\b"
+            r"|def record_event"
+        ),
+        "scope": ("src/repro",),
+        "example": "class RoundWave:",
+        "pr": 21,
+        "reason": "rounds and recoveries are `metrics/breakdown.py`'s types, written by"
+        " `RunRecord.apply` alone: no trace-side or sink-side copy, no untyped event channel",
+    },
+    {
+        "paths": (
+            "src/repro/analysis/callgraph.py",
+            "src/repro/analysis/flow.py",
+            "src/repro/analysis/baseline.py",
+        ),
+        "pr": 22,
+        "reason": "per-file rules report a source at its own line, and an inline disable is the"
+        " one suppression: no transitive taint walker, no baseline file",
+    },
+    {
+        "pattern": r"wall_tolerance|compare_scaling|compare_alerts",
+        "scope": ("benchmarks",),
+        "example": "def compare_scaling(old, new, wall_tolerance=0.15):",
+        "pr": 22,
+        "reason": "the regression gate's host-seconds comparisons could not fail; `perf/` is"
+        " the one host-time instrument",
+    },
+    {
+        "pattern": r"class SchemeHooks",
+        "scope": ("src/repro",),
+        "example": "class SchemeHooks:",
+        "pr": 23,
+        "reason": "`CheckpointScheme` is the one class that defines the scheme hooks",
+    },
+    {
+        "pattern": r"\b(BaselineScheme|MeteorShowerBase|MSSrc|MSSrcAP|MSSrcAPAA|OracleScheme)\b",
+        "scope": ("src/repro/harness",),
+        "example": "from repro.core import MSSrcAP",
+        "pr": 23,
+        "reason": "`make_scheme` is a lookup in `repro.core.SCHEMES`: the harness imports no"
+        " scheme class",
+    },
+    {
+        "pattern": r'"failure.detected"',
+        "scope": ("src/repro/core",),
+        "bound": "at most 1",
+        "example": '        scheme.transition("failure.detected", scheme.name)',
+        "pr": 23,
+        "reason": "`core/recovery.py`'s `failure_watcher` is the one place that reports a failure",
+    },
+    {
+        "paths": ("src/repro/telemetry/report.py",),
+        "pr": 24,
+        "reason": "`python -m repro.inspect show` renders a telemetry snapshot",
+    },
+    {
+        "pattern": r"def killer|class StateTraceRecorder|FULL_SCALE|DEFAULT_WINDOW",
+        "scope": ("src/repro",),
+        "example": "    def killer(env):",
+        "pr": 26,
+        "reason": "`run_experiment` has one run path: failures run through `FailureInjector`,"
+        " state samples through the one `Sampler`, scale is the figure drivers' arguments",
+    },
+    {
+        "pattern": r"REPRO_FULL",
+        "scope": ("src/repro", "benchmarks", "!benchmarks/conftest.py"),
+        "example": 'FULL = os.environ.get("REPRO_FULL") == "1"',
+        "pr": 26,
+        "reason": "only `benchmarks/conftest.py` reads it, into the session `scale` fixture every"
+        " bench takes",
+    },
+    {
+        "pattern": r"np\.unique|numpy\.ma|np\.ma\.",
+        "scope": ("src/repro/apps", "src/repro/dsps", "src/repro/core"),
+        "example": "    labels, counts = np.unique(stops, return_counts=True)",
+        "pr": 27,
+        "reason": "numpy's masked-array module is a cold import nothing the simulator runs needs",
+    },
+    {
+        "pattern": r"class Ev\b|def events_of",
+        "scope": ("src/repro",),
+        "example": "class Ev:",
+        "pr": 28,
+        "reason": "`TraceEvent` is the one trace event type; a file's rows are converted once",
+    },
+    {
+        "pattern": r"JsonlStreamWriter|def subscribe|def to_prometheus",
+        "scope": ("src/repro",),
+        "example": "def to_prometheus(snapshot):",
+        "pr": 28,
+        "reason": "the Prometheus exporter, tracer subscribers and the stream writer had no reader",
+    },
+    {
+        "pattern": r"class SlidingWindow|class WindowSpec",
+        "scope": ("src/repro",),
+        "example": "class SlidingWindow:",
+        "pr": 28,
+        "reason": "the monitor plane has one tick loop that a finished run and a trace file both"
+        " drive",
+    },
+    {
+        "pattern": r"(?<!def )_sample_staleness\(",
+        "scope": ("src/repro/monitor/plane.py",),
+        "bound": "at most 1",
+        "example": "        self._sample_staleness(now)",
+        "pr": 28,
+        "reason": "staleness is sampled from the one tick body, `MonitorPlane.tick`",
+    },
+    {
+        "pattern": r"yield from .*\b(do_)?emit\(",
+        "scope": ("src/repro",),
+        "example": "        yield from hau.emit(spec, created_at, source)",
+        "pr": 30,
+        "reason": "`HAURuntime.emit` is work or None: `yield from` on it fails on None",
+    },
+    {
+        "pattern": r"^\s*([A-Za-z_]+\.)?(do_)?emit\(",
+        "scope": ("src/repro/dsps",),
+        "example": "        self.emit(spec, created_at, source)",
+        "pr": 30,
+        "reason": "`HAURuntime.emit` is work or None: a bare call drops the work, and the tuple"
+        " is lost under backpressure",
+    },
+    {
+        "paths": ("src/repro/profiling",),
+        "pr": 31,
+        "reason": "the trace pipeline is one package, `repro.observability`",
+    },
+    {
+        "pattern": r"repro\.profiling|from repro import profiling",
+        "scope": ("src", "tests", "benchmarks", "examples"),
+        "example": "from repro.profiling import build_timeline",
+        "pr": 31,
+        "reason": "the trace pipeline is one package, `repro.observability`",
+    },
+    {
+        "pattern": r"(?i)warmup *\+=? *\(?[A-Za-z_.]*window\b *(/|if\b)",
+        "scope": ("src/repro/harness/figures.py",),
+        "bound": "at most 1",
+        "example": "        warmup += window / n",
+        "pr": 35,
+        "reason": "aa's one-period warm-up is added in `harness.figures.figure_config` alone",
+    },
+    {
+        "pattern": r"(?i)warmup *\+=? *\(?[A-Za-z_.]*window\b *(/|if\b)",
+        "scope": (
+            "src/repro/harness",
+            "!src/repro/harness/figures.py",
+            "benchmarks",
+            "examples",
+        ),
+        "example": "    cfg = ExperimentConfig(warmup=warmup + window / n)",
+        "pr": 35,
+        "reason": "every figure driver, bench and example builds its cell through"
+        " `harness.figures.figure_config`",
+    },
+    {
+        "pattern": r"tolerance",
+        "scope": ("benchmarks/check_regression.py",),
+        "example": '    parser.add_argument("--tolerance", type=float, default=0.15)',
+        "pr": 37,
+        "reason": "the figure record is compared with `==`: no tolerance gate",
+    },
+    {
+        "pattern": r"class Message\b",
+        "scope": ("src/repro",),
+        "example": "class Message:",
+        "pr": 39,
+        "reason": "a channel queues the item itself",
+    },
+    {
+        "pattern": r"def diff_reports|_render_report_diff",
+        "scope": ("src/repro",),
+        "example": "def diff_reports(a, b):",
+        "pr": 40,
+        "reason": "`repro.inspect diff` / `explain` read two bundle directories; "
+        "`benchmarks/check_regression.py` is the one exact comparer of reports",
+    },
+    {
+        "pattern": r"MONITOR|priority",
+        "scope": ("src/repro/simulation/core.py",),
+        "example": "    def _schedule(self, event, delay=0.0, priority=NORMAL):",
+        "pr": 41,
+        "reason": "the kernel has one event priority; the monitor plane ticks after the run",
+    },
+    {
+        "pattern": r"_schedule|\.process\(|\.timeout\(",
+        "scope": ("src/repro/monitor",),
+        "example": "        env.process(self._ticker(env))",
+        "pr": 41,
+        "reason": "the monitor plane schedules no event or process: it ticks after the run",
+    },
+    {
+        "pattern": r"_control_listener|_control_procs|\.recv\(\)",
+        "scope": ("src/repro",),
+        "example": "        msg = yield link.recv()",
+        "pr": 42,
+        "reason": "a control link is consumed like a data edge (`Channel.bind`): no listener"
+        " process, and nothing in `src/` waits in `recv()`",
+    },
+    {
+        "pattern": r"register_pool|\.acquire\(",
+        "scope": ("src/repro",),
+        "example": "        ev = env.acquire(Event)",
+        "pr": 42,
+        "reason": "the kernel's free lists hold its own `Event` and `Timeout` only",
+    },
+    {
+        "pattern": r"class Gate\b|intake_gate|now=lambda",
+        "scope": ("src/repro",),
+        "example": "class Gate:",
+        "pr": 43,
+        "reason": "a HAU's intake pause is its `intake_open` flag; an operator context carries"
+        " no clock closure",
+    },
+    {
+        "pattern": r"IDLE_SOURCE_POLL",
+        "scope": ("src/repro",),
+        "example": "IDLE_SOURCE_POLL = 1.0",
+        "pr": 44,
+        "reason": "a finished source parks until its scheme wakes it",
+    },
+    {
+        "pattern": r"SOURCE_DELAY_CHUNK",
+        "scope": ("src/repro",),
+        "example": "SOURCE_DELAY_CHUNK = 0.25",
+        "pr": 45,
+        "reason": "an emitting source waits out each delay in one park with a deadline",
+    },
+)

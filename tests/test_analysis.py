@@ -884,6 +884,7 @@ HEALTH = {}
 FAILURE_KINDS = ("node",)
 SCENARIO_FIELDS = {}
 SCHEME_HOOKS = {}
+RETIRED = ()
 """
 
 MODULE = """\
