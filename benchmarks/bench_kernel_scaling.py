@@ -61,8 +61,6 @@ def _deploy(haus: int) -> tuple[Environment, DSPSRuntime]:
         RuntimeConfig(
             seed=1,
             cluster=ClusterSpec(workers=max(4, replicas // 4), spares=2, racks=4),
-            channel_capacity=16,
-            inbox_capacity=32,
         ),
     )
     rt.start()

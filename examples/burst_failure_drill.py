@@ -31,8 +31,6 @@ def run(scheme_name: str):
         RuntimeConfig(
             seed=3,
             cluster=ClusterSpec(workers=55, spares=60, racks=4),
-            channel_capacity=16,
-            inbox_capacity=32,
         ),
     )
     runtime.start()

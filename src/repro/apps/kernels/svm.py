@@ -32,7 +32,7 @@ class LinearSVM:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         # Elementwise: numpy's unique() imports the masked-array module,
-        # which nothing else on the run path needs (CI greps for it).
+        # which nothing else on the run path needs (RET001 refuses it).
         # NaN fails both comparisons.
         if np.any((y != 1.0) & (y != -1.0)):
             raise ValueError("labels must be in {-1, +1}")

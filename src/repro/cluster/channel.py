@@ -69,12 +69,12 @@ class Channel:
         # fills the inbox (socket buffer), the message on the wire cannot
         # land, the outbox (send buffer) fills, and send() hands back
         # events that stay pending.  Both buffers are lists: each holds at
-        # most `capacity` items (a data channel's is 64 by default), so
-        # pop(0) moves few pointers, where an empty deque costs a 760-byte
-        # block.  The one unbounded link is a controller's command link,
-        # which carries one message per checkpoint round.  The outbox
-        # keeps each item's size beside it, index for index; what has
-        # left the wire needs none.
+        # most `capacity` items (a data channel's is `RuntimeConfig`'s 16),
+        # so pop(0) moves few pointers, where an empty deque costs a
+        # 760-byte block.  The one unbounded link is a controller's
+        # command link, which carries one message per checkpoint round.
+        # The outbox keeps each item's size beside it, index for index;
+        # what has left the wire needs none.
         self.capacity = capacity
         self._outbox: list[Any] = []
         self._outbox_sizes: list[int] = []

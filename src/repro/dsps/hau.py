@@ -45,7 +45,6 @@ from repro.simulation.rng import RngRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsps.runtime import CheckpointScheme
 
-DEFAULT_INBOX_CAPACITY = 128
 _NAN_HASH = sys.hash_info.nan  # 0: what hash() gave every NaN before 3.10
 # keys that route by their numeric hash (np.float64 is a float already)
 _NUMBERS = (int, float, np.integer, np.floating, np.bool_)
@@ -135,8 +134,8 @@ class HAURuntime:
         out_edges: list[EdgeSpec],
         scheme: CheckpointScheme,
         rngs: RngRegistry,
-        metrics=None,
-        inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
+        metrics,
+        inbox_capacity: int,
         restored: dict | None = None,
     ):
         self.env = env
@@ -187,7 +186,7 @@ class HAURuntime:
         # each pop admits the longest waiter.  Both are allocated by the
         # first item that has to wait (the shared-empty-tuple idiom).
         # A list, not a deque: it never holds more than inbox_capacity
-        # items (128 by default), so pop(0) moves at most that many
+        # items (`RuntimeConfig`'s 32), so pop(0) moves at most that many
         # pointers, and an empty deque would cost a 760-byte block.
         self.inbox: list[tuple[int, Any]] = []
         self.inbox_capacity = inbox_capacity
@@ -629,12 +628,10 @@ class HAURuntime:
     def _tuple_hooks(self):
         """What processing a tuple calls per tuple, resolved once by each
         loop that drives it: the scheme's processing tax (None when it is
-        the no-op) and the stage-sample appender (None without a metrics
-        hub)."""
-        metrics = self.metrics
+        the no-op) and the stage-sample appender."""
         return (
             self.scheme.active_hook("processing_overhead"),
-            None if metrics is None else metrics.stage_samples.append,
+            self.metrics.stage_samples.append,
         )
 
     def _run_chain(self, edge_idx: int, tup: DataTuple, overhead):
@@ -691,8 +688,7 @@ class HAURuntime:
             self._m_tuples.inc()
             self._m_busy.inc(cost)
             self._m_latency.observe(now - tup.created_at)
-        if record is not None:
-            record((self.hau_id, tup.created_at, now))
+        record((self.hau_id, tup.created_at, now))
 
     def _process_tuple(self, edge_idx: int, tup: DataTuple, overhead, record):
         """Process one tuple and emit the results.  Generator.

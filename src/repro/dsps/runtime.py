@@ -23,7 +23,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import ClusterSpec, DataCenter
 from repro.dsps.application import StreamApplication
 from repro.dsps.graph import EdgeSpec
-from repro.dsps.hau import DEFAULT_INBOX_CAPACITY, HAURuntime
+from repro.dsps.hau import HAURuntime
 from repro.dsps.tuples import DataTuple, Token
 from repro.metrics.breakdown import RecoveryBreakdown, RunRecord
 from repro.metrics.collectors import MetricsHub
@@ -34,7 +34,6 @@ from repro.vocabulary import SCHEME_HOOKS
 
 CONTROL_MSG_SIZE = 512
 CKPT_NS = "ckpt"  # storage namespace of individual checkpoints
-DEFAULT_CHANNEL_CAPACITY = 64
 
 
 @dataclass
@@ -43,8 +42,11 @@ class RuntimeConfig:
 
     seed: int = 0
     cluster: ClusterSpec | None = None
-    channel_capacity: int = DEFAULT_CHANNEL_CAPACITY
-    inbox_capacity: int = DEFAULT_INBOX_CAPACITY
+    # Modest buffers: enough to keep the pipeline busy, small enough that
+    # in-band token collection (queue drain at the saturated stage) stays
+    # well inside a checkpoint period.
+    channel_capacity: int = 16
+    inbox_capacity: int = 32
 
 
 class CheckpointScheme:
@@ -205,7 +207,7 @@ class DSPSRuntime:
         self.config = config or RuntimeConfig()
         self.rngs = RngRegistry(self.config.seed)
         self.dc = DataCenter(env, self.config.cluster)
-        self.storage = SharedStorage(env, self.dc.storage_node)
+        self.storage = SharedStorage(env, self.dc.storage_node, self.dc.spec.latency)
         self.metrics = MetricsHub()
 
         self.placement: dict[str, Node] = {}
@@ -250,18 +252,18 @@ class DSPSRuntime:
         self.haus[hau_id] = hau
         return hau
 
+    def _connect_edge(self, edge: EdgeSpec, src: Node, dst: Node) -> Channel:
+        """Create ``edge``'s data channel at the configured capacity."""
+        chan = self.dc.connect(src, dst, name=edge.edge_id, capacity=self.config.channel_capacity)
+        self.data_channels[edge.edge_id] = chan
+        return chan
+
     def _wire_data_channels(self) -> None:
         graph = self.app.graph
         for edge in graph.edges:
             src_hau = self.haus[edge.src]
             dst_hau = self.haus[edge.dst]
-            chan = self.dc.connect(
-                src_hau.node,
-                dst_hau.node,
-                name=edge.edge_id,
-                capacity=self.config.channel_capacity,
-            )
-            self.data_channels[edge.edge_id] = chan
+            chan = self._connect_edge(edge, src_hau.node, dst_hau.node)
             src_hau.attach_out_channel(edge, chan)
             dst_hau.attach_in_channel(graph.in_edge_index(edge), chan)
 
@@ -387,13 +389,7 @@ class DSPSRuntime:
         deferred: list[tuple[EdgeSpec, Channel]] = []
         for edge_idx, edge in enumerate(hau.in_edges):
             src_hau = self.haus[edge.src]
-            chan = self.dc.connect(
-                src_hau.node,
-                node,
-                name=edge.edge_id,
-                capacity=self.config.channel_capacity,
-            )
-            self.data_channels[edge.edge_id] = chan
+            chan = self._connect_edge(edge, src_hau.node, node)
             if attach_upstream:
                 src_hau.attach_out_channel(edge, chan)
             else:
@@ -405,13 +401,7 @@ class DSPSRuntime:
                 # The downstream neighbour is itself dead; its own recovery
                 # (or its unrecoverability) will deal with this edge.
                 continue
-            chan = self.dc.connect(
-                node,
-                dst_hau.node,
-                name=edge.edge_id,
-                capacity=self.config.channel_capacity,
-            )
-            self.data_channels[edge.edge_id] = chan
+            chan = self._connect_edge(edge, node, dst_hau.node)
             hau.attach_out_channel(edge, chan)
             dst_hau.replace_in_channel(graph.in_edge_index(edge), chan)
         self._unbind_control(hau_id)

@@ -297,11 +297,6 @@ def run_experiment(
         RuntimeConfig(
             seed=cfg.seed,
             cluster=ClusterSpec(workers=cfg.workers, spares=cfg.spares, racks=cfg.racks),
-            # Modest buffers: enough to keep the pipeline busy, small
-            # enough that in-band token collection (queue drain at the
-            # saturated stage) stays well inside a checkpoint period.
-            channel_capacity=16,
-            inbox_capacity=32,
         ),
     )
     runtime.start()

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.cluster.channel import DEFAULT_LATENCY
 from repro.cluster.node import Node
 from repro.simulation.core import Environment
 
@@ -43,7 +44,7 @@ class StoredObject:
 class SharedStorage:
     """The service side: keyed, versioned blobs on the storage node."""
 
-    def __init__(self, env: Environment, node: Node, latency: float = 0.0005):
+    def __init__(self, env: Environment, node: Node, latency: float = DEFAULT_LATENCY):
         self.env = env
         self.node = node
         self.latency = latency

@@ -549,4 +549,11 @@ RETIRED = (
         "pr": 45,
         "reason": "an emitting source waits out each delay in one park with a deadline",
     },
+    {
+        "pattern": r"channel_capacity\s*=\s*16\b|inbox_capacity\s*=\s*32\b",
+        "scope": ("src/repro", "benchmarks", "examples", "!src/repro/dsps/runtime.py"),
+        "example": "channel_capacity=16,",
+        "pr": 49,
+        "reason": "the capacity pair lives in `RuntimeConfig`",
+    },
 )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dsps.runtime import RuntimeConfig
 from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import (
     ExperimentConfig,
@@ -67,6 +68,17 @@ def test_run_experiment_deterministic():
     assert (a.throughput, a.latency) == (b.throughput, b.latency)
     c = run_experiment(small(seed=6))
     assert (a.throughput, a.latency) != (c.throughput, c.latency)
+
+
+def test_a_run_deploys_the_one_capacity_pair():
+    """`RuntimeConfig` owns the 16/32 buffers, and `run_experiment` restates
+    neither: every data channel and every HAU inbox is built at its value."""
+    pair = RuntimeConfig()
+    assert (pair.channel_capacity, pair.inbox_capacity) == (16, 32)
+    runtime = run_experiment(small(window=10.0, warmup=2.0)).runtime
+    assert runtime.data_channels and runtime.haus
+    assert {c.capacity for c in runtime.data_channels.values()} == {pair.channel_capacity}
+    assert {h.inbox_capacity for h in runtime.haus.values()} == {pair.inbox_capacity}
 
 
 def test_every_scheme_runs():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster import ClusterSpec, DataCenter
+from repro.dsps import CheckpointScheme, DSPSRuntime, QueryGraph, RuntimeConfig, StreamApplication
+from repro.dsps.testing import IntervalSource, VerifySink
 from repro.simulation import Environment
 from repro.storage import LocalStore, SharedStorage, StorageClient, StorageError
 
@@ -15,6 +17,20 @@ def make_dc():
 
 
 # --- SharedStorage -------------------------------------------------------------
+
+
+def test_a_runtime_storage_rpc_takes_the_cluster_latency():
+    g = QueryGraph()
+    g.add_hau("src", lambda: [IntervalSource(count=1, interval=0.1)], is_source=True)
+    g.add_hau("sink", lambda: [VerifySink()], is_sink=True)
+    g.connect("src", "sink")
+    rt = DSPSRuntime(
+        Environment(),
+        StreamApplication(name="t", graph=g),
+        CheckpointScheme(),
+        RuntimeConfig(cluster=ClusterSpec(workers=2, spares=1, racks=1, latency=0.002)),
+    )
+    assert rt.storage.latency == 0.002  # the channels' one-way latency, not the default
 
 
 def test_write_then_read_roundtrip():
