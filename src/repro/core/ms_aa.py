@@ -15,6 +15,10 @@ Adds checkpoint *timing* intelligence on top of MS-src+ap:
    turns positive the controller "foresees a state size increase" and
    initiates the checkpoint round immediately.  If alert mode never
    fires, the checkpoint happens at the period end anyway.
+
+A report is appended to a plain list and the controller, parked with the
+period's end as its deadline, is unparked; one it was not parked for
+(it was busy) waits in the list for its next look.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.ms_ap import MSSrcAP
-from repro.simulation.core import AnyOf, Interrupt
-from repro.simulation.resources import Store
+from repro.simulation.core import Interrupt, Process
 from repro.state.profile import ProfileResult, StateProfile
 from repro.state.turning import TurningPointDetector
 
@@ -65,7 +68,8 @@ class MSSrcAPAA(MSSrcAP):
         self.max_rounds = max_rounds
         self.profile_result: ProfileResult | None = None
         self.dynamic_haus: list[str] = []
-        self._reports: Store | None = None
+        self._reports: list[TurningReport] = []
+        self._controller: Process | None = None
         self._last_icr: dict[str, float] = {}
         self._last_max: dict[str, float] = {}
         # controller's view per HAU: (report time, size at that time).
@@ -91,9 +95,9 @@ class MSSrcAPAA(MSSrcAP):
         super().start()  # failure watcher (no coordinator: no checkpoint_times)
         if self.max_rounds == 0:
             return  # no rounds: nothing to profile for, as ms-src+ap with none
-        rt = self.runtime
-        self._reports = Store(rt.env)
-        rt.dc.storage_node.spawn(self._aa_controller(), label="aa.controller")
+        self._controller = self.runtime.dc.storage_node.spawn(
+            self._aa_controller(), label="aa.controller"
+        )
 
     # -- controller-side protocol ---------------------------------------------------------
     def _query_total_size(self):
@@ -238,16 +242,16 @@ class MSSrcAPAA(MSSrcAP):
         self.initiate_round()
 
     def _next_report(self, deadline: float):
-        """Next turning-point report, or None at the deadline."""
+        """Next turning-point report, or None at the deadline.  A deadline
+        with no report takes one more turn of its instant, so a report due
+        at that instant itself is taken before the fallback."""
         env = self.runtime.env
-        get_ev = self._reports.get()
-        timer = env.timeout(max(0.0, deadline - env.now))
-        yield AnyOf(env, [get_ev, timer])
-        if get_ev.triggered:
-            report = yield get_ev
-            return report
-        get_ev.cancel()
-        return None
+        reports = self._reports
+        if not reports:
+            yield env.timeout(deadline - env.now, env.parked)
+            if not reports:
+                yield env.timeout(0.0)
+        return reports.pop(0) if reports else None
 
     # -- HAU-side sampling -----------------------------------------------------------------
     def _sampler(self, hau_id: str):
@@ -261,15 +265,12 @@ class MSSrcAPAA(MSSrcAP):
                 if hau is None or not hau.node.alive:
                     return
                 tp = detector.observe(env.now, float(hau.state_size()))
-                if tp is not None and self._reports is not None:
-                    self._reports.put(
+                if tp is not None:
+                    self._reports.append(
                         TurningReport(
-                            hau_id=hau_id,
-                            time=tp.time,
-                            size=tp.size,
-                            icr=tp.icr,
-                            kind=tp.kind,
+                            hau_id=hau_id, time=tp.time, size=tp.size, icr=tp.icr, kind=tp.kind
                         )
                     )
+                    env.unpark(self._controller)
         except Interrupt:
             return

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.costs import CostModel
 from repro.dsps.runtime import CKPT_NS
-from repro.simulation.core import AllOf, Interrupt
+from repro.simulation.core import Interrupt
 from repro.storage.shared import StorageClient
 
 
@@ -126,7 +126,8 @@ class GlobalRecovery:
             env.process(recover_one(hau_id), label=f"recover:{hau_id}")
             for hau_id in sorted(rt.app.graph.haus)
         ]
-        yield AllOf(env, procs)
+        for proc in procs:  # join them all: the slowest decides
+            yield proc
 
         # Rebuild runtimes and channels from the restored payloads.
         rt.rewire(assignments, restored)

@@ -13,8 +13,8 @@ Design goals (see DESIGN.md):
 * **Zero wall-clock coupling** — simulated seconds only; suitable for
   modelling a 56-node cluster far faster than real time.
 * **Interruptible waits** — processes can be interrupted (used for
-  fail-stop node kills) and can wait on composite conditions
-  (:class:`AnyOf` / :class:`AllOf`).
+  fail-stop node kills); a process waits on one event at a time, or
+  parks until :meth:`Environment.unpark`.
 """
 
 from repro.simulation.core import (
@@ -24,8 +24,6 @@ from repro.simulation.core import (
     Timeout,
     Interrupt,
     SimulationError,
-    AnyOf,
-    AllOf,
 )
 from repro.simulation.resources import Resource, Store
 from repro.simulation.rng import RngRegistry
@@ -43,8 +41,6 @@ __all__ = [
     "Timeout",
     "Interrupt",
     "SimulationError",
-    "AnyOf",
-    "AllOf",
     "Resource",
     "Store",
     "RngRegistry",

@@ -7,8 +7,8 @@ exactly that order: an entry due at the current instant is appended to a
 FIFO (it is next, after everything scheduled before it at this instant,
 and a queue already knows that); everything else is pushed as
 ``(time, seq, event)`` onto a heap.  A :class:`Process` wraps a
-generator: every ``yield`` hands back an event (or condition), and the
-process resumes when that event fires.
+generator: every ``yield`` hands back an event, and the process resumes
+when that event fires.
 This mirrors the structure of SimPy, trimmed to what the reproduction
 needs and tuned for determinism.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import gc
 from collections import deque
-from collections.abc import Callable, Generator, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterator
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -157,11 +157,10 @@ class Event:
     """A one-shot occurrence in simulated time.
 
     An event starts *pending*; :meth:`succeed` or :meth:`fail` settles it
-    exactly once.  Callbacks registered before settlement run when the
-    environment pops the event off its schedule; callbacks registered
-    after settlement run immediately at the current simulated instant
-    (callers check ``_flushed`` first — see :class:`_Condition` /
-    :class:`Process`).
+    exactly once.  Callbacks registered before the environment pops the
+    event off its schedule run at that pop; one registered after it never
+    runs (the pop detached the list), so a caller checks ``_flushed``
+    first — :meth:`Process._resume` does, and resumes through a kick.
 
     A process that is the *first* registrant is kept in ``_waiter`` and
     resumed directly; ``callbacks`` is ``None`` until anyone else
@@ -314,7 +313,7 @@ class _Parked(Event):
     Never settled and never registered on: ``callbacks`` is ``()``, so
     :meth:`Process._resume` records it as what the process waits on and
     leaves the resume to :meth:`Environment.unpark`.  Settling it or
-    observing it (a condition, ``run(until=...)``) would break every
+    observing it (a callback, ``run(until=...)``) would break every
     parked process at once, so those raise instead.
     """
 
@@ -367,67 +366,6 @@ class _Kick:
         pool = self.env._kick_pool
         if len(pool) < _POOL_LIMIT:
             pool.append(self)
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite waits."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = tuple(events)
-        for ev in self.events:
-            if ev.env is not env:
-                raise SimulationError("condition mixes environments")
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for ev in self.events:
-            if ev._flushed:
-                # Fired in the past: observe right away.
-                self._observe(ev)
-            else:
-                # Pending, or settled but not yet fired (e.g. a Timeout whose
-                # delay has not elapsed): wait for its callback flush.
-                ev.add_callback(self._observe)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev.value for ev in self.events if ev._flushed and ev.ok}
-
-    def _observe(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires when any constituent event fires (or fails)."""
-
-    __slots__ = ()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())
 
 
 class Process(Event):
@@ -649,12 +587,6 @@ class Environment:
     def process(self, generator: Generator, label: str = "") -> Process:
         return Process(self, generator, label=label)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if not delay >= 0:  # also rejects NaN, which no comparison orders
@@ -844,10 +776,10 @@ class Environment:
                         cb(event)
                 # Recycle provably-unreferenced hot-path events: refcount 2
                 # means only this frame's local and getrefcount's argument
-                # hold the object, so no generator, condition, or model
-                # structure can ever observe it again — reuse is invisible.
-                # The exact-class pool lookup keeps every subclass
-                # (conditions, processes, store and resource requests) out.
+                # hold the object, so no generator or model structure can
+                # ever observe it again — reuse is invisible.  The
+                # exact-class pool lookup keeps every subclass (processes,
+                # store and resource requests) out.
                 if refcount(event) == 2:
                     pool = pools_get(cls)
                     if pool is not None and len(pool) < limit:

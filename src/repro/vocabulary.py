@@ -556,4 +556,11 @@ RETIRED = (
         "pr": 49,
         "reason": "the capacity pair lives in `RuntimeConfig`",
     },
+    {
+        "pattern": r"\b(AnyOf|AllOf|_Condition)\b|\b(any_of|all_of)\(",
+        "scope": ("src/repro", "tests", "benchmarks", "examples"),
+        "example": "yield env.any_of([report, timer])",
+        "pr": 50,
+        "reason": "one way to wait: park with a deadline, or join a process with `yield proc`",
+    },
 )

@@ -2,11 +2,12 @@
 
 
 from repro.cluster import ClusterSpec
-from repro.core import MSSrcAPAA
+from repro.core import MSSrcAPAA, ms_aa
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
 from repro.harness import ExperimentConfig, run_experiment
 from repro.simulation import Environment
+from repro.state.turning import TurningPoint
 
 # A pronounced sawtooth: 20 x 500 KB per window (5 s per cycle),
 # collapsing at the batch boundary — the profile application-aware
@@ -80,6 +81,26 @@ def test_deadline_fallback_when_state_never_low():
     assert len(scheme.decisions) == 1
     assert scheme.decisions[0][1] == "deadline"
     assert scheme.checkpoint_logs()[0].complete
+
+
+def test_a_report_due_at_the_deadline_is_taken_before_the_fallback(monkeypatch):
+    """The sampler's tick and the period's deadline share an instant: the
+    report is read (its latency delays the decision), not left behind."""
+    deadline = 16.0  # profiling ends at 8.0 (16 exact ticks of 0.5), plus one period
+
+    class TurnsAtTheDeadline:
+        def observe(self, time, size):
+            return TurningPoint(time, size, icr=-1.0, kind="min") if time == deadline else None
+
+    monkeypatch.setattr(ms_aa, "TurningPointDetector", TurnsAtTheDeadline)
+    scheme = MSSrcAPAA(
+        checkpoint_period=8.0, profile_duration=8.0, sample_interval=0.5, max_rounds=1
+    )
+    env, _, _ = deploy(scheme, **SAW)
+    env.run(until=30.0)
+    assert "agg" in scheme.dynamic_haus and scheme.profile_result.smax > 0
+    assert scheme._reports == []
+    assert scheme.decisions == [(deadline + scheme.costs.control_rtt / 2, "deadline")]
 
 
 def test_icr_trigger_records_reason():

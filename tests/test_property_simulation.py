@@ -193,14 +193,11 @@ _N_EVENTS = 4
 # left zero (0.5 + 1e-30 == 0.5) and a separate instant while it has not.
 _DELAYS = st.sampled_from([0.0, 1e-30, 0.25, 0.5, 1.0])
 _EVENT = st.integers(0, _N_EVENTS - 1)
-_EVENTS = st.lists(_EVENT, min_size=1, max_size=3)
 _STEP = st.one_of(
     st.tuples(st.just("sleep"), _DELAYS),
     st.tuples(st.just("succeed"), _EVENT, _DELAYS),
     st.tuples(st.just("fail"), _EVENT, _DELAYS),
     st.tuples(st.just("wait"), _EVENT),
-    st.tuples(st.just("any"), _EVENTS),
-    st.tuples(st.just("all"), _EVENTS),
     st.tuples(st.just("observe"), _EVENT),
     st.tuples(st.just("put"), st.integers(0, 9)),
     st.tuples(st.just("get")),
@@ -222,10 +219,6 @@ def _execute(env, program):
     def note(*what):
         log.append((env.now, *what))
 
-    def plain(value):
-        # a condition's value is keyed by events, which differ per kernel
-        return sorted(value.values()) if isinstance(value, dict) else value
-
     def proc(pid, steps):
         for n, (op, *args) in enumerate(steps):
             try:
@@ -239,16 +232,13 @@ def _execute(env, program):
                         else:
                             ev.fail(ValueError(pid, n), delay=args[1])
                 elif op == "wait":
-                    note(pid, n, "got", plain((yield events[args[0]])))
-                elif op in ("any", "all"):
-                    cond = env.any_of if op == "any" else env.all_of
-                    note(pid, n, "cond", plain((yield cond([events[k] for k in args[0]]))))
+                    note(pid, n, "got", (yield events[args[0]]))
                 elif op == "observe":
                     events[args[0]].add_callback(lambda _e, w=(pid, n): note(*w, "seen"))
                 elif op == "put":
                     yield store.put(args[0])
                 elif op == "get":
-                    note(pid, n, "item", plain((yield store.get())))
+                    note(pid, n, "item", (yield store.get()))
                 elif op == "interrupt" and args[0] < len(procs):
                     procs[args[0]].interrupt((pid, n))
             except Interrupt as intr:
@@ -287,8 +277,8 @@ _NAMED_CASES = [
      ("fail", 1, 1e-30), ("sleep", 0.0), ("succeed", 2, 0.5)],
     # p1: lands on the busy instant from the heap (scheduled at t=0.25)
     [("sleep", 0.25), ("sleep", 0.25), ("wait", 0), ("get",), ("wait", 1)],
-    # p2: conditions over the burst's settlements
-    [("sleep", 0.5), ("any", [0, 2]), ("all", [0, 2])],
+    # p2: waits on the burst's settlements
+    [("sleep", 0.5), ("wait", 0), ("wait", 2)],
     # p3: waits on an event that already fired -> parked in the FIFO
     [("sleep", 0.5), ("sleep", 0.0), ("sleep", 0.0), ("wait", 0), ("observe", 2)],
     # p4: interrupts p3 while it is parked there, and p1 while it waits

@@ -5,13 +5,7 @@ import weakref
 
 import pytest
 
-from repro.simulation import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.simulation import Environment, Interrupt, SimulationError
 from repro.simulation.core import Event, Timeout, frozen_heap
 
 
@@ -421,7 +415,6 @@ def test_the_park_marker_is_only_yielded():
         lambda: env.parked.succeed(),
         lambda: env.parked.fail(RuntimeError("x")),
         lambda: env.parked.add_callback(print),
-        lambda: AnyOf(env, [env.parked]),
         lambda: env.run(until=env.parked),
     ):
         with pytest.raises(SimulationError, match="only yielded"):
@@ -513,60 +506,6 @@ def test_an_interrupt_during_a_park_with_a_deadline_is_delivered_once():
     env.run()
     assert trace == [("first", 0.5), ("resumed", 1.0), ("unparked", 3.0)]
     assert not p.is_alive
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(2.0, value="b")
-        res = yield AnyOf(env, [t1, t2])
-        return (env.now, list(res.values()))
-
-    p = env.process(proc())
-    env.run(until=p)
-    assert p.value == (1.0, ["a"])
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(2.0, value="b")
-        res = yield AllOf(env, [t1, t2])
-        return (env.now, sorted(res.values()))
-
-    p = env.process(proc())
-    env.run(until=p)
-    assert p.value == (2.0, ["a", "b"])
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-
-    def proc():
-        yield AllOf(env, [])
-        return env.now
-
-    p = env.process(proc())
-    env.run(until=p)
-    assert p.value == 0.0
-
-
-def test_condition_with_pretriggered_events():
-    env = Environment()
-
-    def proc():
-        ev = env.event()
-        ev.succeed("x")
-        res = yield AllOf(env, [ev, env.timeout(1.0, value="y")])
-        return sorted(res.values())
-
-    p = env.process(proc())
-    env.run(until=p)
-    assert p.value == ["x", "y"]
 
 
 def test_step_on_empty_schedule_raises():

@@ -2,46 +2,7 @@
 
 import pytest
 
-from repro.simulation import AllOf, AnyOf, Environment, Interrupt, SimulationError
-
-
-def test_anyof_propagates_failure():
-    env = Environment()
-
-    def failer():
-        yield env.timeout(1.0)
-        raise ValueError("x")
-
-    def waiter():
-        bad = env.process(failer())
-        try:
-            yield AnyOf(env, [bad, env.timeout(5.0)])
-        except ValueError:
-            return "caught"
-        return "missed"
-
-    p = env.process(waiter())
-    env.run(until=p)
-    assert p.value == "caught"
-
-
-def test_allof_propagates_failure():
-    env = Environment()
-
-    def failer():
-        yield env.timeout(1.0)
-        raise KeyError("y")
-
-    def waiter():
-        bad = env.process(failer())
-        try:
-            yield AllOf(env, [bad, env.timeout(0.5)])
-        except KeyError:
-            return "caught"
-
-    p = env.process(waiter())
-    env.run(until=p)
-    assert p.value == "caught"
+from repro.simulation import Environment, Interrupt, SimulationError
 
 
 def test_interrupt_carries_cause_object():
