@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Exact check of the headline artifacts against the committed baselines.
 
-``python benchmarks/check_regression.py ARTIFACT_DIR [--write]``: the record
+``python benchmarks/check_regression.py ARTIFACT_DIR``: the record
 ``{mode, cells, headline, kernel}`` is the headline bench's ``BENCH_headline.json``
 less ``sweep_stats`` plus its ``BENCH_kernel.json``, and must ``==``
 ``BENCH_baseline.json``; the bench's ``BUNDLE_headline`` must hash as
 ``BUNDLE_baseline`` does, file for file.  Exits as the pin gate: 0 equal; 1 a
 difference, one line each; 2 a missing or malformed file, NaN or a corrupt
-bundle included; 77 recorded on another build.  ``--write`` prints the same
-difference lines against the committed baselines, then re-records both.
+bundle included; 77 recorded on another build.  It only checks:
+:func:`record`, which ``benchmarks/repin.py`` calls, re-records both.
 """
 
 import argparse
@@ -81,42 +81,48 @@ def _committed() -> tuple[dict, dict, dict[str, dict]]:
     return baseline, old, _cells(old, DEFAULT_BASELINE)
 
 
+def _artifacts(artifact_dir: Path) -> tuple[dict, dict[str, dict], dict]:
+    """The fresh record, by cell, and the bundle; OSError / ValueError when
+    one is missing or malformed."""
+    new = _load(artifact_dir / "BENCH_headline.json")
+    new.pop("sweep_stats", None)
+    new["kernel"] = _load(artifact_dir / "BENCH_kernel.json")
+    return new, _cells(new, artifact_dir), read_bundle(artifact_dir / "BUNDLE_headline")
+
+
+def record(artifact_dir: Path) -> list[str]:
+    """Re-record both baselines from ``artifact_dir`` under this build;
+    returns the difference lines against what was committed (one line
+    instead when nothing was)."""
+    new, now, bundle = _artifacts(artifact_dir)
+    lines = []
+    try:
+        _baseline, old, was = _committed()
+    except (OSError, ValueError) as exc:
+        lines.append(f"no committed record to compare: {exc}")
+    else:
+        lines += _differences(old, was, new, now)
+    try:
+        committed = read_bundle(DEFAULT_BUNDLE)
+    except (OSError, ValueError) as exc:
+        lines.append(f"no committed bundle to compare: {exc}")
+    else:
+        lines += _bundle_differences(committed, bundle)
+    baseline = {"environment": environment_fingerprint(), **new}
+    DEFAULT_BASELINE.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
+    write_bundle(bundle, DEFAULT_BUNDLE.parent, name=DEFAULT_BUNDLE.name)
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("artifact_dir", type=Path, help="REPRO_ARTIFACT_DIR of a headline bench run")
-    parser.add_argument("--write", action="store_true",
-                        help="re-record both baselines, printing what they move")
     args = parser.parse_args(argv)
     try:
-        new = _load(args.artifact_dir / "BENCH_headline.json")
-        new.pop("sweep_stats", None)
-        new["kernel"] = _load(args.artifact_dir / "BENCH_kernel.json")
-        now = _cells(new, args.artifact_dir)
-        bundle = read_bundle(args.artifact_dir / "BUNDLE_headline")
+        new, now, bundle = _artifacts(args.artifact_dir)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write:
-        try:
-            _baseline, old, was = _committed()
-        except (OSError, ValueError) as exc:
-            print(f"no committed record to compare: {exc}")
-        else:
-            for line in _differences(old, was, new, now):
-                print(f"  {line}")
-        try:
-            committed = read_bundle(DEFAULT_BUNDLE)
-        except (OSError, ValueError) as exc:
-            print(f"no committed bundle to compare: {exc}")
-        else:
-            for line in _bundle_differences(committed, bundle):
-                print(f"  {line}")
-        record = {"environment": environment_fingerprint(), **new}
-        DEFAULT_BASELINE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {len(now)} cells to {DEFAULT_BASELINE}")
-        write_bundle(bundle, DEFAULT_BUNDLE.parent, name=DEFAULT_BUNDLE.name)
-        print(f"wrote bundle {bundle['manifest']['bundle_id'][:16]} to {DEFAULT_BUNDLE}")
-        return 0
     try:
         baseline, old, was = _committed()
         committed = read_bundle(DEFAULT_BUNDLE)
@@ -128,8 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SKIPPED
     lines = _differences(old, was, new, now) + _bundle_differences(committed, bundle)
     print("\n".join([f"  {line}" for line in lines] + [
-        f"FAIL: {len(lines)} difference(s); if intended, re-record with --write" if lines
-        else f"OK: {len(now)} cells, headline, kernel and bundle bit-identical"]))
+        f"FAIL: {len(lines)} difference(s); if intended, re-pin with python benchmarks/repin.py"
+        if lines else f"OK: {len(now)} cells, headline, kernel and bundle bit-identical"]))
     return 1 if lines else 0
 
 

@@ -5,16 +5,16 @@
   with their paths and exits 1 if any document is invalid.
 * ``run <path>`` — compile and execute one scenario, print its outcome
   (digest, throughput, rounds, expectation results).
-* ``goldens [--write | --json] [--cases NAMES] [--no-cache]`` — the one
-  pin gate: run the thirteen pinned cells
+* ``goldens [--json] [--cases NAMES] [--no-cache]`` — the one pin gate:
+  run the thirteen pinned cells
   (:func:`repro.scenarios.goldens.pinned_cells`) in one ``run_cells``
   call and compare each digest with the file that pins it.  Exits 0 ok,
   1 a mismatch or a name with no pin, 2 bad input (an unknown name, a
   pin file missing or unparseable), 77 skipped (a pin file was recorded
   on another python/numpy build, so nothing it pins was compared).
-  ``--write`` rewrites each file with its own names after an intentional
-  model change; ``--json`` prints the digests and compares nothing (the
-  hash-seed canary diffs this output).
+  ``--json`` prints the digests and compares nothing (the hash-seed
+  canary diffs this output).  It only checks: after an intentional model
+  change, ``python benchmarks/repin.py`` rewrites every pin.
 
 The fuzzing campaign lives one module down:
 ``python -m repro.scenarios.campaign`` (see :mod:`repro.scenarios.campaign`).
@@ -29,13 +29,7 @@ from pathlib import Path
 
 from repro.harness.digest import EXIT_SKIPPED, environment_fingerprint, environment_mismatch
 from repro.scenarios.compiler import check_expectations, compile_scenario
-from repro.scenarios.goldens import (
-    default_examples_dir,
-    golden_status,
-    pin_files,
-    pinned_cells,
-    write_goldens,
-)
+from repro.scenarios.goldens import default_examples_dir, golden_status, pin_files, pinned_cells
 from repro.scenarios.loader import ScenarioParseError, load_path, scenario_paths
 from repro.scenarios.schema import ScenarioValidationError, validate
 
@@ -101,7 +95,7 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
         cells = {name: spec for name, spec in cells.items() if name in wanted}
     files = pin_files(list(cells))
     pins = {}
-    if not (args.json or args.write):
+    if not args.json:
         # a pin file that is not there compared nothing, and says so
         # with 2 rather than with env-skip's 77
         for path in files:
@@ -120,11 +114,6 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
         print(json.dumps({"environment": environment_fingerprint(), "digests": digests},
                          indent=2, sort_keys=True))
         return 0
-    if args.write:
-        for path, names in files.items():
-            write_goldens({name: digests[name] for name in names}, path)
-            print(f"wrote {len(names)} digest(s) to {path}")
-        return 0
     statuses = []
     for path, names in files.items():
         for name in names:
@@ -133,11 +122,10 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
     failures = sum(status in ("MISMATCH", "new") for status in statuses)
     if failures:
         print(f"FAIL: {failures} pin(s) out of date — "
-              "python -m repro.scenarios goldens --write after an intentional change")
+              "python benchmarks/repin.py after an intentional change")
         return 1
     for pinned in pins.values():
-        skipped = environment_mismatch(pinned.get("environment"))
-        if skipped:
+        if skipped := environment_mismatch(pinned.get("environment")):
             print(f"goldens check skipped: {skipped}")
             return EXIT_SKIPPED
     print(f"OK: {len(digests)} pinned digest(s) bit-identical")
@@ -158,10 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--no-cache", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    p_goldens = sub.add_parser("goldens", help="check or regenerate the pinned digests")
-    p_goldens.add_argument(
-        "--write", action="store_true",
-        help="rewrite each pin file with its names' fresh digests")
+    p_goldens = sub.add_parser("goldens", help="check the pinned digests")
     p_goldens.add_argument(
         "--json", action="store_true",
         help="print the fresh digests as JSON, comparing nothing")

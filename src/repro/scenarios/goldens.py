@@ -10,8 +10,8 @@ are thirteen, in one fixed order (:func:`pinned_cells`):
 
 Thirteen names run twelve distinct cells: ``baseline-steady`` and
 ``tmi/ms-src+ap@2`` compile to the same cell, so they pin the same
-digest.  Both files keep one shape — ``{"environment", "digests"}`` —
-and ``perf/`` reads both.
+digest.  Both files, and ``tests/PINS.json``, keep one shape —
+``{"environment", "digests"}``; ``perf/`` reads the two.
 
 ``python -m repro.scenarios goldens`` is the one gate: it runs every
 pinned cell in one ``run_cells`` call and compares each name against the
@@ -20,8 +20,8 @@ verdict is :func:`golden_status`:
 
 * ``ok`` — bit-identical: the cell's entire event order reproduced;
 * ``MISMATCH`` — behaviour changed (a physics/model edit, or a real
-  regression) — regenerate with ``python -m repro.scenarios goldens
-  --write`` after an *intentional* change;
+  regression) — after an *intentional* change, ``python
+  benchmarks/repin.py`` rewrites every pin and prints what moved;
 * ``env-skip`` — the interpreter/numpy/arch differ from the environment
   the file records, where float-level comparison is meaningless;
 * ``new`` — the name has no pin yet (fails the gate, so new examples

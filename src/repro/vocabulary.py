@@ -563,4 +563,18 @@ RETIRED = (
         "pr": 50,
         "reason": "one way to wait: park with a deadline, or join a process with `yield proc`",
     },
+    {
+        "pattern": r"\b[0-9a-f]{64}\b",
+        "scope": ("tests", "!tests/PINS.json"),
+        "example": 'PIN = "c6d51dc108334b97dab3bcc70a721aa8211012b7351bfcfb26212422a80918b9"',
+        "pr": 51,
+        "reason": "a test pins a value in `tests/PINS.json`, and `benchmarks/repin.py` writes it",
+    },
+    {
+        "pattern": r"--write\b(?!-)",
+        "scope": ("src/repro/scenarios/cli.py", "benchmarks/check_regression.py"),
+        "example": '    p_goldens.add_argument("--write", action="store_true")',
+        "pr": 51,
+        "reason": "the gates only check: `python benchmarks/repin.py` writes every pin",
+    },
 )

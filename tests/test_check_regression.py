@@ -2,11 +2,10 @@
 (benchmarks/check_regression.py): the fresh ``{mode, cells, headline, kernel}``
 record must equal the committed one and ``BUNDLE_headline`` must hash as
 ``BUNDLE_baseline`` does, with one named line per difference; bad input exits
-2, a baseline from another build 77, and ``--write`` prints the differences,
-then re-records both."""
+2, a baseline from another build 77, and ``record`` (the writer
+``benchmarks/repin.py`` calls) returns the differences and re-records both."""
 
 import hashlib
-import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -15,12 +14,10 @@ import pytest
 
 from repro.harness.digest import EXIT_SKIPPED, canonical_json, environment_fingerprint
 from repro.inspect import bundle_id, read_bundle, write_bundle
+from tests import pins
 
 _REPO = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "check_regression", _REPO / "benchmarks" / "check_regression.py")
-check_regression = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_regression)
+check_regression = pins.script("check_regression")
 COMMITTED = json.loads(check_regression.DEFAULT_BASELINE.read_text(encoding="utf-8"))
 
 
@@ -48,21 +45,24 @@ def _with_throughput(directory, throughput):
 
 @pytest.fixture
 def gate(tmp_path, monkeypatch):
-    """``gate(current, baseline)``: commit one record, write one as the bench does, check.
-    The bench's bundle and the committed one are copies of ``BUNDLE_baseline``."""
+    """``gate(current, baseline)``: commit one record, write one as the bench does, check
+    (or, with ``record=True``, re-record and return the difference lines).  The bench's
+    bundle and the committed one are copies of ``BUNDLE_baseline``."""
     monkeypatch.setattr(check_regression, "DEFAULT_BASELINE", tmp_path / "BENCH_baseline.json")
     monkeypatch.setattr(check_regression, "DEFAULT_BUNDLE", tmp_path / "BUNDLE_baseline")
     for name in ("BUNDLE_headline", "BUNDLE_baseline"):
         shutil.copytree(_REPO / "benchmarks" / "BUNDLE_baseline", tmp_path / name)
 
-    def run(current, baseline=None, flags=()):
-        record = {"environment": environment_fingerprint(), **(baseline or _record())}
-        check_regression.DEFAULT_BASELINE.write_text(json.dumps(record))
+    def run(current, baseline=None, record=False):
+        committed = {"environment": environment_fingerprint(), **(baseline or _record())}
+        check_regression.DEFAULT_BASELINE.write_text(json.dumps(committed))
         headline = {k: v for k, v in current.items() if k != "kernel"}
         headline["sweep_stats"] = {"cache_hits": 7}  # cache state: never compared
         (tmp_path / "BENCH_headline.json").write_text(json.dumps(headline))
         (tmp_path / "BENCH_kernel.json").write_text(json.dumps(current["kernel"]))
-        return check_regression.main([str(tmp_path), *flags])
+        if record:
+            return check_regression.record(tmp_path)
+        return check_regression.main([str(tmp_path)])
 
     return run
 
@@ -81,7 +81,7 @@ def test_changed_bundle_file_exits_1_and_names_it(gate, tmp_path, capsys):
     new = changed["manifest"]["files"]["metrics.json"]
     assert capsys.readouterr().out.splitlines() == [
         f"  bundle: metrics.json {old!r} → {new!r}",
-        "FAIL: 1 difference(s); if intended, re-record with --write"]
+        "FAIL: 1 difference(s); if intended, re-pin with python benchmarks/repin.py"]
 
 
 def test_missing_or_corrupt_bundle_exits_2(gate, tmp_path, capsys):
@@ -98,18 +98,17 @@ def test_missing_or_corrupt_bundle_exits_2(gate, tmp_path, capsys):
 
 
 def test_write_re_records_the_bundle(gate, tmp_path, capsys):
+    old = read_bundle(tmp_path / "BUNDLE_headline")["manifest"]["files"]["metrics.json"]
     changed = _with_throughput(tmp_path / "BUNDLE_headline", 1.0)
     write_bundle(changed, tmp_path, name="BUNDLE_headline")
-    assert gate(_record(), flags=["--write"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("  bundle: metrics.json ")
-    written = changed["manifest"]["bundle_id"][:16]
-    assert out[-1] == f"wrote bundle {written} to {tmp_path / 'BUNDLE_baseline'}"
+    new = changed["manifest"]["files"]["metrics.json"]
+    assert gate(_record(), record=True) == [f"bundle: metrics.json {old!r} → {new!r}"]
+    assert capsys.readouterr().out == ""  # repin.py prints the table
     assert read_bundle(tmp_path / "BUNDLE_baseline") == changed
     assert check_regression.main([str(tmp_path)]) == 0
     shutil.rmtree(tmp_path / "BUNDLE_baseline")  # nothing committed: it still records
-    assert check_regression.main([str(tmp_path), "--write"]) == 0
-    assert "no committed bundle to compare: " in capsys.readouterr().out
+    [line] = check_regression.record(tmp_path)
+    assert line.startswith("no committed bundle to compare: ")
     assert read_bundle(tmp_path / "BUNDLE_baseline") == changed
 
 
@@ -132,27 +131,26 @@ def test_current_missing_latency_is_a_latency_regression(gate, capsys):
 
 
 def test_latency_improvement_passes(gate, tmp_path):
-    """Only once re-recorded: ``--write`` stores the record under this build."""
+    """Only once re-recorded: ``record`` stores the record under this build."""
     faster = _record(_cell(latency=1.0), _cell("baseline", 400, 5.0))
     assert gate(faster) == 1
-    assert gate(faster, flags=["--write"]) == 0
+    assert gate(faster, record=True) == ["tmi/ms-src@3: latency 2.0 → 1.0"]
     written = json.loads(check_regression.DEFAULT_BASELINE.read_text())
     assert written == {"environment": environment_fingerprint(), **faster}
     assert check_regression.main([str(tmp_path)]) == 0
 
 
-def test_write_prints_what_it_moves_then_records(gate, capsys):
+def test_write_prints_what_it_moves_then_records(gate):
     moved = _record(popped=74_000)
     moved["kernel"]["pool_misses"] = 113
-    assert gate(moved, flags=["--write"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[:2] == ["  kernel: events_popped 74166 → 74000",
-                       "  kernel: pool_misses 148 → 113"]
-    assert out[2].startswith("wrote 2 cells to ")
-    assert json.loads(check_regression.DEFAULT_BASELINE.read_text())["kernel"] == moved["kernel"]
+    assert gate(moved, record=True) == ["kernel: events_popped 74166 → 74000",
+                                        "kernel: pool_misses 148 → 113"]
+    written = json.loads(check_regression.DEFAULT_BASELINE.read_text())
+    assert written == {"environment": environment_fingerprint(), **moved}
     check_regression.DEFAULT_BASELINE.unlink()  # nothing committed: it still records
-    assert check_regression.main([str(check_regression.DEFAULT_BASELINE.parent), "--write"]) == 0
-    assert capsys.readouterr().out.startswith("no committed record to compare: ")
+    [line] = check_regression.record(check_regression.DEFAULT_BASELINE.parent)
+    assert line.startswith("no committed record to compare: ")
+    assert json.loads(check_regression.DEFAULT_BASELINE.read_text()) == written
 
 
 def test_missing_cell_and_mode_mismatch_exit_1(gate, capsys):
@@ -227,9 +225,9 @@ def test_checked_in_baseline_has_critical_path_cells():
 
 
 def test_committed_records_share_one_environment():
-    """``tests/pins.py::on_recorded_build`` reads DIGEST_baseline.json's
-    environment; it means the same for the figure record and the goldens."""
+    """Every pin file and the figure record were recorded on one build, the one
+    ``benchmarks/repin.py`` last ran on."""
     pins = [_REPO / "benchmarks" / "DIGEST_baseline.json",
-            _REPO / "examples" / "scenarios" / "GOLDENS.json"]
+            _REPO / "examples" / "scenarios" / "GOLDENS.json", _REPO / "tests" / "PINS.json"]
     environments = [json.loads(p.read_text(encoding="utf-8"))["environment"] for p in pins]
-    assert environments == [COMMITTED["environment"]] * 2
+    assert environments == [COMMITTED["environment"]] * 3

@@ -7,19 +7,13 @@ the first ``send_control`` to it and re-created, against the *new*
 byte-identity test pins that none of it moved a pinned run.
 """
 
-import hashlib
-
-import pytest
-
 from repro.cluster import ClusterSpec
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.runtime import CheckpointScheme
 from repro.dsps.testing import make_chain_graph
-from repro.harness.digest import canonical_cases
-from repro.harness.experiment import run_experiment
 from repro.simulation import Environment
 from repro.simulation.rng import RngRegistry
-from tests.pins import on_recorded_build
+from tests import pins
 
 
 class Recording(CheckpointScheme):
@@ -153,29 +147,10 @@ def test_ctx_rng_is_the_named_stream_resolved_on_first_read():
     assert hau.rng.integers(1 << 30) == want.integers(1 << 30)
 
 
-#: sha256(trace JSONL) and run-bundle id of the canonical recovery cell
-#: (tmi/ms-src+ap@2, failure at 35 s: teardown, rewire, re-bound control
-#: links), recorded at the last commit with the eager control star.
-#: The bundle id was re-pinned once, when histograms became exact: of the
-#: bundle's files only ``telemetry.json`` changed, and in it only the
-#: p50/p95/p99 values (38431359bde1e346... with the P² estimates).
-#: The trace hash was re-pinned once, when ``MetricsHub.record_event``
-#: went: the same events minus the two ``metrics.recovery-*`` rows that
-#: repeated ``recovery.start`` / ``recovery.done`` (cf5f4dfe6585bc16...
-#: with them; ``seq`` renumbered).  Both were re-pinned with every pinned
-#: digest when a source's inter-arrival wait became one park with a
-#: deadline, so it checkpoints at its command's instant (5e9aa1df53e82e41...
-#: and 0918a4bacc213fe5... before).
-EAGER_STAR_TRACE_SHA256 = "b55453e0a2ac304b86de373a868d889d678cc4bfffc4da91a6c4ddf678477a1c"
-EAGER_STAR_BUNDLE_ID = "c6d51dc108334b97dab3bcc70a721aa8211012b7351bfcfb26212422a80918b9"
-
-
 def test_recovery_cell_trace_and_bundle_byte_identical_to_the_eager_star():
-    if not on_recorded_build():
-        pytest.skip("pins recorded under a different python/numpy build")
-    cfg, kwargs = canonical_cases()["tmi/ms-src+ap@2+failure"]
-    res = run_experiment(cfg, trace=True, telemetry=True, **kwargs)
+    res = pins.recovery_cell()
     assert res.scheme.recoveries  # the cell did go through teardown + rewire
-    trace = res.trace_jsonl().encode("utf-8")
-    assert hashlib.sha256(trace).hexdigest() == EAGER_STAR_TRACE_SHA256
-    assert res.run_bundle()["manifest"]["bundle_id"] == EAGER_STAR_BUNDLE_ID
+    # every event of the teardown, the rewire and the re-bound control links
+    pins.check("recovery-cell/trace", pins.recovery_cell_trace(res))
+    # every artifact of the run, each file hashed
+    pins.check("recovery-cell/bundle-id", pins.recovery_cell_bundle_id(res))

@@ -9,8 +9,6 @@ its pin, and the gate's exit codes.
 
 import json
 
-import pytest
-
 from repro.harness import digest as digest_mod
 from repro.harness.digest import (
     EXIT_SKIPPED,
@@ -25,8 +23,10 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweep import CellSpec, run_cells
 from repro.scenarios import cli
 from repro.scenarios import goldens as goldens_mod
+from tests import pins
 
 SMALL = dict(window=20.0, warmup=5.0, workers=6, spares=8, racks=2, seed=3)
+repin = pins.script("repin")
 
 
 def small_config(scheme="ms-src", n=1, **over):
@@ -77,24 +77,15 @@ def test_canonical_json_is_stable():
 
 
 def test_golden_digest_baseline():
-    """Recompute one canonical case against its committed pin.
-
-    The pin was produced by the pre-fast-path kernel, so this is the
-    cheap standing proof that the kernel's fast paths did not perturb
-    the event order.  Skipped on hosts whose float environment differs
-    from the recorded one.
+    """Recompute one canonical case against its committed pin: the cheap
+    standing proof that the kernel's fast paths did not perturb the event
+    order.  Skipped on hosts whose float environment differs from the
+    recorded one.
     """
-    baseline = goldens_mod.load_goldens(goldens_mod.default_baseline_path())
-    if digest_mod.environment_mismatch(baseline["environment"]):
-        pytest.skip("digest baseline was recorded under a different environment")
     name = "tmi/baseline@2"  # one case keeps the test cheap; the gate runs all
     cfg, kwargs = canonical_cases()[name]
     got = result_digest(run_experiment(cfg, **kwargs))
-    assert got == baseline["digests"][name], (
-        f"digest for {name} drifted from its pin; the kernel changed the "
-        "event order (or the model changed — if intentional, regenerate "
-        "with `python -m repro.scenarios goldens --write`)"
-    )
+    pins.check(name, got, goldens_mod.default_baseline_path())
 
 
 def test_digest_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
@@ -108,10 +99,12 @@ def test_digest_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
     args = ["goldens", "--cases", "tmi/baseline@2"]
     assert cli.main(args) == 2
     assert f"pin file {baseline}" in capsys.readouterr().err
-    assert cli.main(args + ["--write"]) == 0
+    [(_, was, digest)] = repin.write_digests(
+        repin.run({"tmi/baseline@2": goldens_mod.pinned_cells()["tmi/baseline@2"]}))
+    assert was is None
     assert cli.main(args) == 0
     doc = json.loads(baseline.read_text())
-    assert set(doc) == {"environment", "digests"} and set(doc["digests"]) == {"tmi/baseline@2"}
+    assert doc == {"environment": environment_fingerprint(), "digests": {"tmi/baseline@2": digest}}
     doc["digests"]["tmi/baseline@2"] = "0" * 64
     baseline.write_text(json.dumps(doc))
     capsys.readouterr()

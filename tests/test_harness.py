@@ -14,6 +14,8 @@ from repro.harness import (
 from repro.harness.digest import result_digest
 from repro.harness.figures import default_app_params
 from repro.telemetry.registry import NULL_REGISTRY, NullRegistry
+from tests import pins
+from tests.pins import STUB_PAYLOAD as _STUB_PAYLOAD
 
 
 def small(**kw):
@@ -212,13 +214,6 @@ def test_headline_over_no_comparable_cells_raises_instead_of_nan():
         headline_numbers(SweepResult())
 
 
-# Every key a stubbed driver reads from a cell payload.
-_STUB_PAYLOAD = {
-    "throughput": 1, "latency": 1.0, "rounds_completed": 0, "latency_percentiles": {},
-    "checkpoint": None, "incomplete_rounds": [], "binned_latency": [], "recovery": None,
-}
-
-
 def test_aa_at_zero_checkpoints_is_the_ap_cell_in_either_scheme_order(monkeypatch):
     """``ms-src+ap+aa@0`` is a relabelled ``ms-src+ap@0`` run, whether or
     not ``ms-src+ap`` is swept and whichever scheme comes first."""
@@ -238,33 +233,10 @@ def test_aa_at_zero_checkpoints_is_the_ap_cell_in_either_scheme_order(monkeypatc
         assert laid_out.pop() == [("ms-src+ap", 0)]
 
 
-def test_figure_cell_layout_is_pinned(monkeypatch):
+def test_figure_cell_layout_is_pinned():
     """Every figure cell's cache key material, oracle base config, failure
     instant and latency bins at the fast and the paper scale, as one hash:
-    a change to any figure's protocol shows here as a re-pinned constant."""
-    import hashlib
-
-    from repro.harness import figures
-    from repro.harness.digest import canonical_json, config_fingerprint
-
-    records = []
-
-    def fake_run_cells(specs, **kw):
-        records.extend(canonical_json(s.key_material()) for s in specs)
-        return [dict(_STUB_PAYLOAD)] * len(specs)
-
-    def fake_oracle_times(cfg, **kw):
-        records.append("oracle:" + canonical_json(config_fingerprint(cfg)))
-        return [1.0, 2.0]
-
-    monkeypatch.setattr(figures, "run_cells", fake_run_cells)
-    monkeypatch.setattr(figures, "cached_oracle_times", fake_oracle_times)
-    for window, warmup in ((150.0, 30.0), (600.0, 60.0)):
-        scale = {"window": window, "warmup": warmup}
-        figures.fig12_fig13_sweep(checkpoint_counts=[0, 1, 3, 5, 8], **scale)
-        figures.fig14_checkpoint_time(**scale)
-        figures.fig15_instantaneous_latency(app="bcp", **scale)
-        figures.fig16_recovery_time(**scale)
+    a change to any figure's protocol shows here as a moved pin."""
+    records = pins.figure_cells()
     assert len(records) == 174
-    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
-    assert digest == "8653b61c0f41bfdd25007029b402afa8ffd82c989ae6a18372b33bde5cb96410"
+    pins.check("figure-cells/key-material", pins.key_material(records))

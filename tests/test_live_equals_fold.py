@@ -29,9 +29,9 @@ from repro.harness.digest import canonical_cases, result_digest
 from repro.harness.experiment import run_experiment
 from repro.harness.sweep import run_spec
 from repro.observability import build_timeline, read_jsonl, write_jsonl
-from repro.scenarios.goldens import load_goldens, pin_files, pinned_cells
+from repro.scenarios.goldens import pin_files, pinned_cells
 from repro.simulation import Environment
-from tests.pins import on_recorded_build
+from tests import pins
 
 PINNED = pinned_cells()
 PIN_FILE = {name: path for path, names in pin_files(list(PINNED)).items() for name in names}
@@ -101,11 +101,7 @@ def test_live_record_equals_trace_fold(name, tmp_path):
         assert record.logs
     if result.config.enable_recovery and result.config.scheme != "baseline":
         assert any(rec.complete for rec in record.recoveries)
-    if on_recorded_build():
-        assert result_digest(result) == load_goldens(PIN_FILE[name])["digests"][name], (
-            f"{name} drifted from its pin in {PIN_FILE[name].name}: the event order or "
-            "the model changed (if intentional: python -m repro.scenarios goldens --write)"
-        )
+    pins.check(name, result_digest(result), PIN_FILE[name])
 
 
 def test_source_command_is_the_control_arrival():

@@ -39,9 +39,11 @@ from repro.scenarios.goldens import (
 )
 from repro.scenarios.loader import ScenarioParseError
 from repro.simulation.core import SimulationError
+from tests import pins
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples" / "scenarios"
+repin = pins.script("repin")
 
 
 def minimal_doc(**overrides):
@@ -378,14 +380,10 @@ def test_every_example_scenario_has_a_golden():
 
 
 def test_example_round_trip_reproduces_golden(tmp_path):
-    goldens = load_goldens()
     scn = compile_scenario(load_path(EXAMPLES / "single-node-kill.yaml"))
     [payload] = run_cells([scn.spec], jobs=1, cache_dir=tmp_path / "cache")
-    status = golden_status(goldens, scn.scenario_id, payload["digest"])
-    if status == "env-skip":
-        pytest.skip("goldens recorded under a different python/numpy build")
-    assert status == "ok"
     assert payload["recovery"] is not None  # the scenario's expectation holds
+    pins.check(scn.scenario_id, payload["digest"], goldens_mod.default_goldens_path())
 
 
 def test_goldens_write_and_status_transitions(tmp_path):
@@ -414,7 +412,10 @@ def test_goldens_cli_says_when_it_did_not_check(tmp_path, monkeypatch, capsys):
     args = ["goldens", "--cases", "unit-tiny-synth"]
     assert cli.main(args) == 2
     assert f"pin file {goldens}" in capsys.readouterr().err
-    assert cli.main(args + ["--write"]) == 0
+    [(name, was, digest)] = repin.write_digests(
+        repin.run({"unit-tiny-synth": pinned_cells()["unit-tiny-synth"]}))
+    assert (name, was) == ("unit-tiny-synth", None)
+    assert load_goldens(goldens)["digests"] == {"unit-tiny-synth": digest}
     assert cli.main(args) == 0
     write_goldens({"unit-tiny-synth": "cafe"}, goldens)
     assert cli.main(args) == 1

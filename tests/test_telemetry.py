@@ -3,7 +3,6 @@ exact histograms, registry semantics, the no-op default, per-HAU
 sampling, deterministic JSON snapshots, and reading a snapshot back with ``python -m repro.inspect show`` (which
 test_inspect.py covers in full)."""
 
-import hashlib
 import json
 import random  # repro-lint: disable=DET002 — seeded local Random instances only, no global state
 import sys
@@ -36,7 +35,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.quantile import nearest_rank_percentile
 from repro.telemetry.registry import DEFAULT_PERCENTILES
-from tests.pins import on_recorded_build
+from tests import pins
 
 
 def deploy(scheme, seed=7, workers=4, spares=6, telemetry=True, **graph_kw):
@@ -429,15 +428,7 @@ def test_run_experiment_telemetry(tmp_path):
 
 @pytest.fixture(scope="module")
 def observed_run():
-    """``perf``'s ``observed_run`` operation: bcp/ms-src+ap on the 55-worker
-    cluster, traced, telemetered and monitored."""
-    from repro.harness import ExperimentConfig, run_experiment
-
-    cfg = ExperimentConfig(
-        app="bcp", scheme="ms-src+ap", n_checkpoints=3, window=30.0, warmup=10.0,
-        workers=55, spares=60, racks=4, seed=1, monitor_period=5.0,
-    )
-    return run_experiment(cfg, trace=True, telemetry=True)
+    return pins.observed_run()
 
 
 def test_latency_histograms_agree_with_the_metrics_hub(observed_run):
@@ -455,39 +446,11 @@ def test_latency_histograms_agree_with_the_metrics_hub(observed_run):
         assert h.quantiles() == nearest_rank_quantiles(latencies)
 
 
-#: sha256 of the run's snapshot without its p50/p95/p99 keys, recorded at
-#: the last commit whose histograms were streaming P² estimators: exact
-#: histograms moved those three keys and nothing else — every count, sum,
-#: min, max, mean, counter, gauge and series point is the parent's.
-#: Re-pinned with every pinned digest when a source's inter-arrival wait
-#: became one park with a deadline (385e3937b17ae01a... before).
-STREAMING_PARENT_SNAPSHOT_SHA256 = (
-    "350990dbb385be99dacd94aec7719011f298b33574631906a788b71e5b33da02"
-)
-
-
 def test_snapshot_minus_percentiles_is_the_streaming_parents(observed_run):
-    if not on_recorded_build():
-        pytest.skip("pin recorded under a different python/numpy build")
-    snap = observed_run.telemetry_snapshot()
-    metrics = [
-        {k: v for k, v in metric.items() if k not in ("p50", "p95", "p99")}
-        for metric in snap["metrics"]
-    ]
-    text = json.dumps(
-        dict(snap, metrics=metrics), sort_keys=True, separators=(",", ":"), allow_nan=False
+    # exact histograms moved p50/p95/p99 and nothing else of the snapshot
+    pins.check(
+        "observed-run/snapshot-minus-percentiles", pins.snapshot_minus_percentiles(observed_run)
     )
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STREAMING_PARENT_SNAPSHOT_SHA256
-
-
-#: sha256 of ``write_telemetry``'s file for the run, recorded when every
-#: export rebuilt the snapshot on each call: built once and cached since,
-#: the file must not move by a byte.  Re-pinned with every pinned digest
-#: when a source's inter-arrival wait became one park with a deadline
-#: (c07fb65b4661279b... before).
-OBSERVED_RUN_TELEMETRY_FILE_SHA256 = (
-    "24c6204a72921f8a1be58597a0140dbfec2ae4df3e0baadbb9f2ab3302915673"
-)
 
 
 def test_snapshot_is_built_once_and_every_export_reads_it(observed_run, tmp_path):
@@ -496,13 +459,12 @@ def test_snapshot_is_built_once_and_every_export_reads_it(observed_run, tmp_path
     text = observed_run.telemetry_json()
     assert text == observed_run.telemetry_json() == dumps_snapshot(snap)
     path = tmp_path / "run.telemetry.json"
-    observed_run.write_telemetry(str(path))
+    digest = pins.telemetry_file(observed_run, path)
     assert path.read_text(encoding="utf-8") == text
     bundled = observed_run.run_bundle()["files"]["telemetry.json"]
     assert bundled is snap
-    if not on_recorded_build():
-        pytest.skip("pin recorded under a different python/numpy build")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == OBSERVED_RUN_TELEMETRY_FILE_SHA256
+    # the snapshot is built once and cached: the file moved by no byte
+    pins.check("observed-run/telemetry-file", digest)
 
 
 def test_a_processed_tuple_makes_at_most_three_telemetry_calls():
