@@ -7,7 +7,7 @@
    in one ``run_cells`` call;
 2. runs ``pytest benchmarks/bench_headline.py`` as CI does, its artifacts in
    a temporary directory;
-3. computes the five test values of ``tests/pins.py``;
+3. computes the eight test values of ``tests/pins.py``;
 4. only then rewrites the pins: ``benchmarks/BENCH_baseline.json`` and
    ``benchmarks/BUNDLE_baseline`` from the artifacts
    (``check_regression.record``), ``benchmarks/DIGEST_baseline.json`` and

@@ -1,7 +1,7 @@
 """Every value a test pins: the runs it is read from, how it is computed,
 and the one check against its pin.
 
-The five values live in ``tests/PINS.json``, which has the digest files'
+The values live in ``tests/PINS.json``, which has the digest files'
 shape (``{environment, digests}``) and is read and written by
 :mod:`repro.scenarios.goldens`.  ``python benchmarks/repin.py`` imports this
 module and rewrites the file from :func:`compute`, together with every other
@@ -16,6 +16,7 @@ from unittest import mock
 
 import pytest
 
+from repro.failures.injector import FailurePlan, PlannedFailure
 from repro.harness import ExperimentConfig, figures, run_experiment
 from repro.harness.digest import canonical_cases, canonical_json, config_fingerprint
 from repro.scenarios.goldens import golden_status, load_goldens
@@ -78,6 +79,76 @@ def observed_run():
     return run_experiment(cfg, trace=True, telemetry=True)
 
 
+def _synth(scheme: str, stages: list[dict], edges: str, **fields):
+    """A small synthetic-topology config on a four-worker cluster, seed 1;
+    ``edges`` is ``"s-w w-k"``: stage pairs, default routing."""
+    edge_list = [dict(zip(("src", "dst"), pair.split("-"))) for pair in edges.split()]
+    topology = {"stages": stages, "edges": edge_list}
+    return ExperimentConfig(
+        app="synth", scheme=scheme, workers=4, spares=4, racks=2, seed=1,
+        app_params={"topology": topology}, **fields,
+    )
+
+
+def coverage_runs() -> dict:
+    """Three small runs that reach the metrics the two runs above leave at
+    zero, by name, traced and telemetered:
+
+    - ``aa-run``: ms-src+ap+aa on a sawtooth map tier: a profile with a
+      dynamic HAU, turning points, ``icr`` and ``deadline`` decisions, and
+      a monitor whose staleness alerts fire and resolve;
+    - ``baseline-run``: the baseline on a four-HAU chain, one HAU per
+      node: a single-HAU restart, then a HAU and its upstream lost
+      together;
+    - ``diamond-run``: ms-src on a fan-in whose slow branch holds tuples
+      back behind the fast branch's token, then a node loss and a global
+      rollback.
+    """
+    sawtooth = [
+        {"name": "s", "kind": "source", "replicas": 2, "interval": 0.1},
+        {"name": "w", "kind": "map", "replicas": 4, "state_window": 32},
+        {"name": "k", "kind": "sink", "replicas": 1},
+    ]
+    aa = _synth(
+        "ms-src+ap+aa", sawtooth, "s-w w-k", n_checkpoints=3,
+        window=45.0, warmup=10.0, monitor_period=1.0,
+        monitor_slos={"checkpoint-staleness": 12.0, "latency-p99": 60.0},
+    )
+    aa.app_params["topology"]["edges"][0].update(routing="hash", pairing="all")
+    chain = [
+        {"name": "s", "kind": "source", "replicas": 1, "interval": 0.2},
+        {"name": "m", "kind": "map", "replicas": 1, "state_window": 16},
+        {"name": "n", "kind": "map", "replicas": 1, "state_window": 16},
+        {"name": "k", "kind": "sink", "replicas": 1},
+    ]
+    baseline = _synth(
+        "baseline", chain, "s-m m-n n-k", n_checkpoints=4,
+        window=40.0, warmup=10.0, enable_recovery=True,
+    )
+    # HAUs sit on w0..w3 in id order (k, m, n, s): n alone, then m with s
+    losses = FailurePlan([
+        PlannedFailure(18.0, "node", "w2"),
+        PlannedFailure(30.0, "node", "w1"),
+        PlannedFailure(30.0, "node", "w3"),
+    ])
+    fan_in = [
+        {"name": "s", "kind": "source", "replicas": 2, "interval": 0.2},
+        {"name": "a", "kind": "map", "replicas": 2},
+        {"name": "b", "kind": "map", "replicas": 2, "cost_per_byte": 1e-6},
+        {"name": "k", "kind": "sink", "replicas": 1},
+    ]
+    diamond = _synth(
+        "ms-src", fan_in, "s-a a-b a-k b-k",
+        n_checkpoints=2, window=20.0, warmup=5.0, enable_recovery=True,
+    )
+    rollback = FailurePlan([PlannedFailure(21.0, "node", "w1")])
+    return {
+        "aa-run": run_experiment(aa, trace=True, telemetry=True),
+        "baseline-run": run_experiment(baseline, trace=True, telemetry=True, failure_plan=losses),
+        "diamond-run": run_experiment(diamond, trace=True, telemetry=True, failure_plan=rollback),
+    }
+
+
 def figure_cells() -> list[str]:
     """Every figure cell's cache key material, oracle base config, failure
     instant and latency bins at the fast and the paper scale, one line
@@ -103,7 +174,7 @@ def figure_cells() -> list[str]:
     return records
 
 
-# -- the five values -----------------------------------------------------------
+# -- the values ----------------------------------------------------------------
 
 
 def _sha256(data: bytes) -> str:
@@ -147,12 +218,17 @@ def key_material(records: list[str]) -> str:
 
 
 def compute(tmp_dir: Path) -> dict[str, str]:
-    """The five values, from one run of each builder (files go to ``tmp_dir``)."""
+    """Every value, from one run of each builder (files go to ``tmp_dir``)."""
     cell, observed = recovery_cell(), observed_run()
+    coverage = {
+        f"{name}/telemetry-file": telemetry_file(res, tmp_dir / f"{name}.telemetry.json")
+        for name, res in coverage_runs().items()
+    }
     return {
         "recovery-cell/trace": recovery_cell_trace(cell),
         "recovery-cell/bundle-id": recovery_cell_bundle_id(cell),
         "observed-run/snapshot-minus-percentiles": snapshot_minus_percentiles(observed),
         "observed-run/telemetry-file": telemetry_file(observed, tmp_dir / "run.telemetry.json"),
         "figure-cells/key-material": key_material(figure_cells()),
+        **coverage,
     }

@@ -35,6 +35,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.quantile import nearest_rank_percentile
 from repro.telemetry.registry import DEFAULT_PERCENTILES
+from repro.vocabulary import METRICS
 from tests import pins
 
 
@@ -465,6 +466,43 @@ def test_snapshot_is_built_once_and_every_export_reads_it(observed_run, tmp_path
     assert bundled is snap
     # the snapshot is built once and cached: the file moved by no byte
     pins.check("observed-run/telemetry-file", digest)
+
+
+#: What the recovery cell and the observed run leave at zero.
+COVERAGE_ONLY = (
+    "ms_baseline_recovered_total", "ms_baseline_unrecoverable_total",
+    "ms_holdback_drained_total", "ms_aa_smax_bytes", "ms_aa_dynamic_haus",
+    "ms_aa_turning_points_total", "ms_aa_decisions_total", "ms_alerts_resolved_total",
+)
+
+
+@pytest.fixture(scope="module")
+def coverage_runs():
+    return pins.coverage_runs()
+
+
+def test_coverage_runs_pin_their_telemetry_files(coverage_runs, tmp_path):
+    for name, res in coverage_runs.items():
+        path = tmp_path / f"{name}.telemetry.json"
+        pins.check(f"{name}/telemetry-file", pins.telemetry_file(res, path))
+
+
+def test_every_metric_is_nonzero_in_some_pinned_snapshot(coverage_runs, observed_run):
+    """Each metric of the schema reads nonzero in at least one pinned
+    snapshot, so a pin moves if any of them does; the coverage runs reach
+    the eight the observed run (and the recovery cell) leave at zero, the
+    aa run both decision reasons."""
+    runs = {"observed-run": observed_run, **coverage_runs}
+    reached: dict[str, set[str]] = {}
+    for name, res in runs.items():
+        for metric in res.telemetry_snapshot()["metrics"]:
+            if metric.get("value", metric.get("count")):
+                reached.setdefault(metric["name"], set()).add(name)
+    schema = [name for names, _labels, _by in METRICS for name in names]
+    assert [name for name in schema if name not in reached] == []
+    assert all(reached[name] - {"observed-run"} for name in COVERAGE_ONLY)
+    decisions = coverage_runs["aa-run"].telemetry.select("ms_aa_decisions_total")
+    assert {dict(m.labels)["reason"] for m in decisions if m.value} == {"icr", "deadline"}
 
 
 def test_a_processed_tuple_makes_at_most_three_telemetry_calls():
