@@ -142,13 +142,6 @@ class MSSrcAPAA(MSSrcAP):
                         profile.observe(hau_id, env.now, float(hau.state_size()))
             self.profile_result = profile.result()
             self.dynamic_haus = list(self.profile_result.dynamic_haus)
-            if env.telemetry.enabled:
-                env.telemetry.gauge("ms_aa_smax_bytes").set(
-                    float(self.profile_result.smax)
-                )
-                env.telemetry.gauge("ms_aa_dynamic_haus").set(
-                    float(len(self.dynamic_haus))
-                )
             self.transition(
                 "aa.profile", self.name,
                 dynamic=",".join(sorted(self.dynamic_haus)),
@@ -193,10 +186,6 @@ class MSSrcAPAA(MSSrcAP):
             yield env.timeout(self.costs.control_rtt / 2)  # report latency
             self._last_icr[report.hau_id] = report.icr
             self._last_size[report.hau_id] = (report.time, report.size)
-            if env.telemetry.enabled:
-                env.telemetry.counter(
-                    "ms_aa_turning_points_total", hau=report.hau_id
-                ).inc()
             self.transition(
                 "aa.turning_point", report.hau_id,
                 at=report.time, size=float(report.size), icr=float(report.icr), turn=report.kind,
@@ -222,10 +211,6 @@ class MSSrcAPAA(MSSrcAP):
                     # "Once the controller foresees a state size increase in
                     # alert mode, it initiates a checkpoint."
                     self.decisions.append((env.now, "icr"))
-                    if env.telemetry.enabled:
-                        env.telemetry.counter(
-                            "ms_aa_decisions_total", reason="icr"
-                        ).inc()
                     self.transition(
                         "aa.decision", self.name, reason="icr", aggregate_icr=float(aggregate)
                     )
@@ -236,8 +221,6 @@ class MSSrcAPAA(MSSrcAP):
         if env.now < deadline:
             yield env.timeout(deadline - env.now)
         self.decisions.append((env.now, "deadline"))
-        if env.telemetry.enabled:
-            env.telemetry.counter("ms_aa_decisions_total", reason="deadline").inc()
         self.transition("aa.decision", self.name, reason="deadline")
         self.initiate_round()
 

@@ -107,11 +107,6 @@ class MSSrcAP(MeteorShowerBase):
         # up; the memory image is frozen (copy-on-write) at this instant.
         fork = self.costs.fork_time(hau.state_size())
         bd.fork_seconds = fork
-        if env.telemetry.enabled:
-            env.telemetry.histogram("ms_fork_seconds", scheme=self.name).observe(fork)
-            env.telemetry.counter(
-                "ms_async_checkpoints_total", scheme=self.name
-            ).inc()
         yield env.timeout(fork)
         payload = hau.build_checkpoint_payload(st.round_id, extra_out=st.out_copies)
         self._cow_active[hau.hau_id] = self._cow_active.get(hau.hau_id, 0) + 1
@@ -120,7 +115,7 @@ class MSSrcAP(MeteorShowerBase):
         )
         # Tokens in the input buffers "are erased immediately" and held-back
         # tuples flow again; the parent has returned to normal execution.
-        yield from hau.release_holdback()
+        yield from hau.release_holdback(bd)
 
     def _child_writer(self, hau: HAURuntime, payload: dict, bd):
         """The forked child: serialise and save state off the critical path."""

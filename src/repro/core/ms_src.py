@@ -63,8 +63,8 @@ class MSSrc(MeteorShowerBase):
                 "checkpoint.tokens.done", hau.hau_id,
                 round=token.round_id, edges=len(st.processed),
             )
-            yield from self._sync_checkpoint(hau, token.round_id)
-            yield from hau.release_holdback()
+            bd = yield from self._sync_checkpoint(hau, token.round_id)
+            yield from hau.release_holdback(bd)
 
     def on_recovery_reset(self) -> None:
         super().on_recovery_reset()
@@ -72,7 +72,8 @@ class MSSrc(MeteorShowerBase):
 
     # -- the synchronous individual checkpoint ---------------------------------------------
     def _sync_checkpoint(self, hau: HAURuntime, round_id: int):
-        """Suspend, serialise, write, forward token, resume.
+        """Suspend, serialise, write, forward token, resume; returns the
+        checkpoint's breakdown.
 
         Runs inside the HAU's own loop, so normal stream processing is
         suspended for the whole duration — the baseline/-src disruption
@@ -102,3 +103,4 @@ class MSSrc(MeteorShowerBase):
             )
         finally:
             hau.resume_intake()
+        return bd

@@ -114,14 +114,12 @@ class HAURuntime:
     # __weakref__ lets tests prove a rolled-back HAU is not kept alive.
     __slots__ = (
         "env", "spec", "hau_id", "node", "scheme", "metrics",
-        "_trace", "_telem", "_m_tuples", "_m_busy", "_m_latency",
-        "_m_tokens_sent", "_m_tokens_recv",
-        "operators", "ctx", "in_edges", "out_edges", "in_channels",
+        "_trace", "operators", "ctx", "in_edges", "out_edges", "in_channels",
         "out_channels", "_out_seq", "_route_cache", "_dst_ports",
         "_hook_on_emit", "inbox", "inbox_capacity", "_hands",
         "_slot_waiters", "_parked", "intake_open", "_intake_waiters", "blocked_edges",
         "holdback", "_in_seq", "_replay_backlog", "_replay_out",
-        "_replay_source", "tuples_processed", "busy_time", "_proc",
+        "_replay_source", "tuples_processed", "busy_time", "busy_total", "_proc",
         "torn_down", "__weakref__",
     )
 
@@ -145,18 +143,6 @@ class HAURuntime:
         self.scheme = scheme
         self.metrics = metrics
         self._trace = env.trace  # cached: one attribute check per emission site
-        # Telemetry handles are resolved once here (the registry is
-        # get-or-create, so caching is purely a hot-loop optimisation),
-        # and only when telemetry is on: every use checks
-        # ``self._telem.enabled`` first, so with it off they stay unset.
-        self._telem = telem = env.telemetry
-        if telem.enabled:
-            hau_id = spec.hau_id
-            self._m_tuples = telem.counter("ms_hau_tuples_total", hau=hau_id)
-            self._m_busy = telem.counter("ms_hau_busy_seconds_total", hau=hau_id)
-            self._m_latency = telem.histogram("ms_hau_tuple_latency_seconds", hau=hau_id)
-            self._m_tokens_sent = telem.counter("ms_hau_tokens_sent_total", hau=hau_id)
-            self._m_tokens_recv = telem.counter("ms_hau_tokens_received_total", hau=hau_id)
 
         self.operators: list[Operator] = spec.make_operators()
         if not self.operators:
@@ -212,7 +198,8 @@ class HAURuntime:
         self._replay_source: Sequence[DataTuple] = ()
 
         self.tuples_processed = 0
-        self.busy_time = 0.0
+        self.busy_time = 0.0  # this incarnation's
+        self.busy_total = 0.0  # the HAU id's, over every incarnation (DSPSRuntime carries it)
         self._proc: Process | None = None  # the main or source loop
         # Set by kill_local_processes: a rolled-back incarnation is never
         # restarted (rewire builds its successor), so the controller must
@@ -374,14 +361,13 @@ class HAURuntime:
         self.holdback.clear()
         return drained
 
-    def release_holdback(self):
+    def release_holdback(self, bd):
         """Unblock every edge and process what was held back behind the
         tokens, in arrival order per edge (after an individual checkpoint
-        has begun). Generator."""
+        has begun), counting it on ``bd``, the checkpoint breakdown that
+        released it. Generator."""
         drained = self.unblock_all_edges()
-        telemetry = self.env.telemetry
-        if drained and telemetry.enabled:
-            telemetry.counter("ms_holdback_drained_total", hau=self.hau_id).inc(len(drained))
+        bd.holdback_drained += len(drained)
         overhead, record = self._tuple_hooks()
         for edge_idx, item in drained:
             yield from self._process_tuple(edge_idx, item, overhead, record)
@@ -460,8 +446,7 @@ class HAURuntime:
             yield from rest
 
     def _token_sent(self, token: Token, edge_id: str, front: bool) -> None:
-        """Record one send of ``token`` down ``edge_id``: the trace row
-        and the tokens-sent counter."""
+        """Record one send of ``token`` down ``edge_id`` in the trace."""
         if self._trace.enabled:
             self._trace.emit(
                 "token.send",
@@ -472,8 +457,6 @@ class HAURuntime:
                 token_kind=token.kind,
                 front=front,
             )
-        if self._telem.enabled:
-            self._m_tokens_sent.inc()
 
     def emit_token(self, token: Token):
         """Process generator: send ``token`` down every out-edge, in order."""
@@ -603,8 +586,6 @@ class HAURuntime:
                         origin=item.origin,
                         token_kind=item.kind,
                     )
-                if self._telem.enabled:
-                    self._m_tokens_recv.inc()
                 self.scheme.on_token_arrival(self, edge_idx, item)
             if not self.enqueue(edge_idx, item):
                 if hands is None:
@@ -682,13 +663,9 @@ class HAURuntime:
     def _account(self, tup: DataTuple, cost: float, record) -> None:
         """Book one processed tuple, once its cost has elapsed."""
         self.busy_time += cost
+        self.busy_total += cost
         self.tuples_processed += 1
-        now = self.env._now
-        if self._telem.enabled:
-            self._m_tuples.inc()
-            self._m_busy.inc(cost)
-            self._m_latency.observe(now - tup.created_at)
-        record((self.hau_id, tup.created_at, now))
+        record((self.hau_id, tup.created_at, self.env._now))
 
     def _process_tuple(self, edge_idx: int, tup: DataTuple, overhead, record):
         """Process one tuple and emit the results.  Generator.

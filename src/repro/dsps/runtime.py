@@ -98,15 +98,14 @@ class CheckpointScheme:
     def attach(self, runtime: "DSPSRuntime") -> None:
         self.runtime = runtime
         self.record.expected_haus = tuple(sorted(runtime.app.graph.haus))
-        self.record.telemetry = runtime.env.telemetry
 
     def start(self) -> None:
         """Spawn controller-side processes; called after HAUs start."""
 
     def transition(self, kind: str, subject: str, **data: Any):
         """Report one checkpoint/recovery transition, once: stamp the run
-        record (which counts it when telemetry is on) and emit the trace
-        event when tracing.  Returns the record entry the kind touched."""
+        record and emit the trace event when tracing.  Returns the record
+        entry the kind touched."""
         env = self.runtime.env
         if env.trace.enabled:
             # the kind is a literal at every transition() site, checked there
@@ -235,7 +234,11 @@ class DSPSRuntime:
         self._wire_data_channels()
         self._built = True
 
-    def _make_hau(self, hau_id: str, node: Node, restored: dict | None) -> HAURuntime:
+    def _make_hau(
+        self, hau_id: str, node: Node, restored: dict | None, prev: HAURuntime | None = None
+    ) -> HAURuntime:
+        """Create ``hau_id``'s runtime; a rebuild continues ``prev``'s
+        (the incarnation it replaces) running busy total."""
         graph = self.app.graph
         hau = HAURuntime(
             env=self.env,
@@ -249,6 +252,8 @@ class DSPSRuntime:
             inbox_capacity=self.config.inbox_capacity,
             restored=restored,
         )
+        if prev is not None:
+            hau.busy_total = prev.busy_total
         self.haus[hau_id] = hau
         return hau
 
@@ -320,10 +325,6 @@ class DSPSRuntime:
                 self.env.trace.emit(
                     "control.send", t=self.env.now, subject=hau_id, message=str(tag)
                 )
-            if self.env.telemetry.enabled:
-                self.env.telemetry.counter(
-                    "ms_control_messages_total", direction="down"
-                ).inc()
             chan.send(message, size=CONTROL_MSG_SIZE)
 
     def broadcast_control(self, message: Any) -> None:
@@ -352,12 +353,12 @@ class DSPSRuntime:
         recovery phases and then calls :meth:`restart_haus`.
         """
         self.placement = dict(assignments)
-        self.haus = {}
+        prev, self.haus = self.haus, {}
         self.data_channels = {}
         for hau_id in list(self.control_down):
             self._unbind_control(hau_id)
         for hau_id in sorted(self.app.graph.haus):
-            self._make_hau(hau_id, assignments[hau_id], restored.get(hau_id))
+            self._make_hau(hau_id, assignments[hau_id], restored.get(hau_id), prev.get(hau_id))
         self._wire_data_channels()
 
     def restart_haus(self) -> None:
@@ -385,7 +386,7 @@ class DSPSRuntime:
         """
         graph = self.app.graph
         self.placement[hau_id] = node
-        hau = self._make_hau(hau_id, node, restored)
+        hau = self._make_hau(hau_id, node, restored, self.haus.get(hau_id))
         deferred: list[tuple[EdgeSpec, Channel]] = []
         for edge_idx, edge in enumerate(hau.in_edges):
             src_hau = self.haus[edge.src]

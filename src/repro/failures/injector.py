@@ -154,10 +154,6 @@ class FailureInjector:
     # -- bookkeeping -------------------------------------------------------
     def _record(self, event: PlannedFailure, **data) -> None:
         self.injected.append(event)
-        if self.env.telemetry.enabled:
-            self.env.telemetry.counter(
-                "ms_failures_injected_total", kind=event.kind
-            ).inc()
         if self.env.trace.enabled:
             self.env.trace.emit(
                 "failure.inject",

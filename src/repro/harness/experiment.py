@@ -37,6 +37,7 @@ from repro.telemetry import (
     snapshot,
     write_snapshot,
 )
+from repro.telemetry.fold import fold_run
 from repro.vocabulary import SCHEME_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,7 +99,11 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     """Outcome of one run: probe-stage metrics plus live handles for
-    deeper inspection (scheme logs, runtime, optional per-HAU samples)."""
+    deeper inspection (scheme logs, runtime, optional per-HAU samples).
+
+    Building one finishes the run's observation: the monitor ticks over
+    what the run recorded, then ``telemetry``, when given, is filled from
+    the run's records (:func:`~repro.telemetry.fold.fold_run`)."""
 
     config: ExperimentConfig
     throughput: int
@@ -114,9 +119,12 @@ class ExperimentResult:
     _snapshot: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the monitoring plane ticks over what a finished run recorded
+        # the monitoring plane ticks over what a finished run recorded,
+        # then the registry folds the run's records and the monitor's
         if self.monitor is not None:
             self.monitor.finish(self.runtime.metrics.stage_samples, self.config.end)
+        if self.telemetry is not None:
+            fold_run(self.telemetry, self.runtime, self.telemetry_sampler, self.monitor)
 
     # -- monitoring plane access (cfg.monitor_period > 0) ------------------
     @property
@@ -273,21 +281,24 @@ def run_experiment(
     it); the result's ``tracer`` / ``trace_jsonl()`` / ``trace_summary()``
     expose the recorded timeline.
 
-    ``telemetry=True`` likewise attaches a
-    :class:`~repro.telemetry.registry.MetricRegistry` before construction
-    (instrumented layers cache the handle); the result's
-    ``telemetry_snapshot()`` / ``write_telemetry()`` expose the metrics.
-    It, or ``trace_state=True`` alone (which leaves the registry off),
-    starts the per-HAU :class:`~repro.telemetry.sampler.Sampler` (one
-    sample per simulated second): ``result.telemetry_sampler`` holds its
-    series and ``result.state_series()`` sums their state sizes.
+    ``telemetry=True`` gives the result a
+    :class:`~repro.telemetry.registry.MetricRegistry`, folded after the
+    run from its trace and records (nothing in the run counts); it turns
+    tracing on, and the result's ``telemetry_snapshot()`` /
+    ``write_telemetry()`` expose the metrics.  It, or ``trace_state=True``
+    alone (which builds no registry), starts the per-HAU
+    :class:`~repro.telemetry.sampler.Sampler` (one sample per simulated
+    second): ``result.telemetry_sampler`` holds its series and
+    ``result.state_series()`` sums their state sizes.
     """
     monitor_on = cfg.monitor_period > 0.0
     env = Environment()
-    # The monitoring plane reads the trace and counts into the registry,
-    # so a monitored run enables both (and exposes them on the result).
-    tracer = env.enable_tracing() if (trace or monitor_on) else None
-    registry = env.enable_telemetry() if (telemetry or monitor_on) else None
+    # The monitoring plane and the telemetry fold read the trace; a
+    # monitored run exposes both it and a registry on the result.
+    if trace or monitor_on or telemetry:
+        env.enable_tracing()
+    tracer = env.trace if (trace or monitor_on) else None
+    registry = MetricRegistry() if (telemetry or monitor_on) else None
     builder = APPS[cfg.app]
     app = builder.build(seed=cfg.seed, **cfg.app_params)
     runtime = DSPSRuntime(
@@ -313,7 +324,7 @@ def run_experiment(
         ).attach(env)
     if failure_plan is not None and failure_plan.events:
         FailureInjector(env, runtime.dc, failure_plan).start()
-    sampler = Sampler(runtime, registry=registry) if (trace_state or telemetry) else None
+    sampler = Sampler(runtime) if (trace_state or telemetry) else None
     if failure_at is not None:
         if failure_targets is None:
             failure_targets = sorted({h.node.node_id for h in runtime.haus.values()})

@@ -23,7 +23,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.telemetry.registry import NULL_REGISTRY
 from repro.vocabulary import PHASES
 
 
@@ -66,6 +65,8 @@ class CheckpointBreakdown:
     # and they take no part in comparing a held record with a folded one.
     fork_seconds: float = field(default=0.0, compare=False)
     serialize_seconds: float = field(default=0.0, compare=False)
+    # Held-back tuples this checkpoint released (``release_holdback``).
+    holdback_drained: int = field(default=0, compare=False)
 
     @property
     def token_collection(self) -> float | None:
@@ -297,8 +298,8 @@ class RunRecord:
     # cover: the application's HAUs (a scheme knows its graph, a fold
     # collects ``hau.start`` subjects).
     expected_haus: tuple[str, ...] = ()
-    # Live records also count the transitions; a fold has no registry.
-    telemetry: Any = field(default=NULL_REGISTRY, compare=False, repr=False)
+    # Per HAU, the write seconds of its latest commit (the Sampler's series).
+    last_write: dict[str, float] = field(default_factory=dict)
     _open: RecoveryBreakdown | None = field(default=None, compare=False, repr=False)
 
     def _log(self, data: Mapping[str, Any], t: float, scheme: str | None = None) -> CheckpointLog:
@@ -316,21 +317,14 @@ class RunRecord:
     def apply(self, kind: str, t: float, subject: str, data: Mapping[str, Any]):
         """Move the record one transition forward; returns the entry the
         kind touched (None for a kind the record does not follow)."""
-        telemetry = self.telemetry
         if kind == "checkpoint.round.start":
             log = self._log(data, t, subject)
             log.expected_haus = self.expected_haus
             self.scheme = self.scheme or subject
-            if telemetry.enabled:
-                telemetry.counter("ms_checkpoint_rounds_total", scheme=subject).inc()
             return log
         if kind == "checkpoint.round.complete":
             log = self._log(data, t)
             log.completed_at = t
-            if telemetry.enabled:
-                telemetry.counter(
-                    "ms_checkpoint_rounds_completed_total", scheme=subject
-                ).inc()
             return log
         if kind == "checkpoint.abandon":
             log = self._log(data, t)
@@ -362,12 +356,8 @@ class RunRecord:
             bd = self._log(data, t).breakdown(subject)
             bd.write_end_at = t
             bd.state_bytes = int(data.get("bytes", bd.state_bytes))
-            if telemetry.enabled and bd.write_start_at is not None:
-                scheme = str(data.get("scheme", ""))
-                seconds = t - bd.write_start_at
-                telemetry.histogram("ms_checkpoint_write_seconds", scheme=scheme).observe(seconds)
-                telemetry.counter("ms_checkpoint_bytes_total", scheme=scheme).inc(bd.state_bytes)
-                telemetry.gauge("ms_hau_ckpt_write_seconds", hau=subject).set(seconds)
+            if bd.write_start_at is not None:
+                self.last_write[subject] = t - bd.write_start_at
             return bd
         if kind == "failure.detected":
             rec = self._open = RecoveryBreakdown(scheme=subject, detected_at=t)
@@ -384,15 +374,9 @@ class RunRecord:
             return rec
         if kind == "baseline.recover.done":
             self.recovered.append((t, subject))
-            if telemetry.enabled:
-                telemetry.counter("ms_baseline_recovered_total").inc()
             return None
         if kind == "baseline.unrecoverable":
             self.unrecoverable.append((t, subject))
-            if telemetry.enabled:
-                telemetry.counter(
-                    "ms_baseline_unrecoverable_total", cause=str(data.get("cause", ""))
-                ).inc()
             return None
         rec = self._open
         if rec is None:
@@ -414,9 +398,6 @@ class RunRecord:
             _read_phases(rec, data)
             rec.haus_recovered = int(data.get("haus", 0))
             self._open = None
-            if telemetry.enabled:
-                telemetry.counter("ms_recoveries_total", scheme=subject).inc()
-                telemetry.histogram("ms_recovery_seconds", scheme=subject).observe(rec.total)
         else:
             return None
         return rec

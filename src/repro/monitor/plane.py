@@ -10,8 +10,8 @@ sim-time period.  Each *tick* it
    ``(hau, created_at, processed_at)`` records of
    :attr:`~repro.metrics.collectors.MetricsHub.stage_samples`) into a
    tuple count and a per-HAU exact (nearest-rank) p99 latency,
-3. advances every burn-rate evaluator, logs ``fire`` / ``resolve``
-   alerts and counts them in the ``ms_alerts_*`` metrics, and
+3. advances every burn-rate evaluator and logs ``fire`` / ``resolve``
+   alerts (a telemetry fold counts them in the ``ms_alerts_*`` metrics), and
 4. appends one row to the window series.
 
 The plane runs after the simulation, never inside it: nothing acts on
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 from repro.monitor.health import HealthTracker
 from repro.monitor.slo import PER_HAU_KINDS, SLO, BurnEvaluator, default_slos
 from repro.observability.tracer import NULL_TRACER, Tracer
-from repro.telemetry.registry import NULL_REGISTRY, Histogram
+from repro.telemetry.registry import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
@@ -64,12 +64,12 @@ class MonitorPlane:
         self.period = float(period)
         self.slos = tuple(slos) if slos is not None else default_slos()
         self.ticks = 0
+        self.slo_samples: dict[str, int] = {}  # SLO kind -> samples observed
         self.alerts: list[dict[str, Any]] = []
         self.series: list[dict[str, Any]] = []
         self.health = HealthTracker(racks=racks, nodes=nodes)
         self._attached = False
         self._trace = NULL_TRACER
-        self._telem = NULL_REGISTRY
         self._evaluators: dict[tuple[str, str], BurnEvaluator] = {}
         self._slo_by_kind = {s.kind: s for s in self.slos}
         # trace-derived bookkeeping
@@ -80,11 +80,10 @@ class MonitorPlane:
 
     # -- live runs -----------------------------------------------------------
     def attach(self, env: "Environment") -> "MonitorPlane":
-        """Bind a live environment's tracer and registry, which
-        :meth:`finish` reads and writes once the run is over."""
+        """Bind a live environment's tracer, which :meth:`finish` reads
+        and splices once the run is over."""
         self._attached = True
         self._trace = env.trace
-        self._telem = env.telemetry
         return self
 
     def finish(self, samples: "Sequence[Sample]", until: float) -> None:
@@ -151,8 +150,6 @@ class MonitorPlane:
         self._sample_staleness(now)
         self._evaluate(now)
         self._append_series_row(now, float(len(samples)), p99 or 0.0)
-        if self._telem.enabled:
-            self._telem.counter("ms_monitor_ticks_total").inc()
 
     # -- trace ingestion -----------------------------------------------------
     def _ingest(self, events: "Sequence[TraceEvent]") -> None:
@@ -203,8 +200,7 @@ class MonitorPlane:
         if evaluator is None:
             evaluator = self._evaluators[key] = BurnEvaluator(slo, key[1])
         evaluator.observe(t, float(value) <= slo.bound)
-        if self._telem.enabled:
-            self._telem.counter("ms_monitor_samples_total", slo=kind).inc()
+        self.slo_samples[kind] = self.slo_samples.get(kind, 0) + 1
 
     # -- burn-rate evaluation ------------------------------------------------
     def _evaluate(self, now: float) -> None:
@@ -224,13 +220,6 @@ class MonitorPlane:
             }
             self.alerts.append(row)
             self.health.on_alert(now, subject, kind, action)
-            if self._telem.enabled:
-                if action == "fire":
-                    self._telem.counter("ms_alerts_fired_total", slo=kind).inc()
-                    self._telem.gauge("ms_alerts_active").inc()
-                else:
-                    self._telem.counter("ms_alerts_resolved_total", slo=kind).inc()
-                    self._telem.gauge("ms_alerts_active").dec()
 
     def _append_series_row(self, now: float, tuples: float, latency_p99: float) -> None:
         staleness_max = 0.0

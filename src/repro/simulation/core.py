@@ -39,7 +39,6 @@ from sys import getrefcount
 from typing import Any
 
 from repro.observability.tracer import NULL_TRACER, Tracer
-from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
 
 _FOREVER = float("inf")  # the horizon of a run that has none
 
@@ -482,7 +481,6 @@ class Environment:
         "past",
         "parked",
         "trace",
-        "telemetry",
         "_pools",
         "_kick_pool",
         "events_popped",
@@ -508,9 +506,6 @@ class Environment:
         # Structured tracing (repro.observability): the no-op default means
         # instrumented hot paths pay one attribute check per emission site.
         self.trace = NULL_TRACER
-        # Runtime telemetry (repro.telemetry): same contract as tracing —
-        # the shared no-op registry keeps disabled instrumentation free.
-        self.telemetry = NULL_REGISTRY
         # Free lists of the kernel's own two event classes (never shared
         # across environments), keyed by exact class.  Plus kernel counters.
         self._pools: dict[type, list[Event]] = {Event: [], Timeout: []}
@@ -526,15 +521,15 @@ class Environment:
         self.trace = tracer if tracer is not None else Tracer()
         return self.trace
 
-    def enable_telemetry(
-        self, registry: MetricRegistry | None = None
-    ) -> MetricRegistry:
-        """Attach a :class:`~repro.telemetry.registry.MetricRegistry` (a
-        fresh one unless given) and return it.  Like tracing, enable
-        before constructing the runtime: instrumented layers cache
-        ``env.telemetry`` at construction time."""
-        self.telemetry = registry if registry is not None else MetricRegistry()
-        return self.telemetry
+    def enable_telemetry(self):
+        """Turn tracing on (the telemetry fold reads the trace) and return
+        an empty :class:`~repro.telemetry.registry.MetricRegistry` for
+        the run's result to fill.  Kept for ``perf/``'s staged run."""
+        from repro.telemetry.registry import MetricRegistry
+
+        if not self.trace.enabled:
+            self.enable_tracing()
+        return MetricRegistry()
 
     @property
     def now(self) -> float:

@@ -52,6 +52,9 @@ class SharedStorage:
         self._next_version: dict[tuple[str, str], int] = {}
         self.bytes_written = 0
         self.bytes_read = 0
+        # the same bytes per namespace, for the telemetry fold
+        self.written_by_namespace: dict[str, int] = {}
+        self.read_by_namespace: dict[str, int] = {}
 
     # -- data plane (used via StorageClient) ------------------------------------
     def _absorb(self, namespace: str, key: str, value: Any, size: int, priority: int = 0):
@@ -75,19 +78,15 @@ class SharedStorage:
             )
         )
         self.bytes_written += int(size)
-        if self.env.telemetry.enabled:
-            self.env.telemetry.counter(
-                "ms_storage_bytes_written_total", namespace=namespace
-            ).inc(int(size))
+        by_ns = self.written_by_namespace
+        by_ns[namespace] = by_ns.get(namespace, 0) + int(size)
 
     def _produce(self, namespace: str, key: str, version: int | None, priority: int = 0):
         obj = self.lookup(namespace, key, version)
         yield from self.node.disk.transfer(obj.size, priority=priority)
         self.bytes_read += obj.size
-        if self.env.telemetry.enabled:
-            self.env.telemetry.counter(
-                "ms_storage_bytes_read_total", namespace=namespace
-            ).inc(obj.size)
+        by_ns = self.read_by_namespace
+        by_ns[namespace] = by_ns.get(namespace, 0) + obj.size
         return obj
 
     # -- control plane (instant metadata access for the co-located controller) --

@@ -2,9 +2,10 @@
 
 Counterpart to :mod:`repro.observability` (structured *traces*): this
 package carries aggregated *metrics* — counters, gauges and exact
-percentile histograms — registered on ``env.telemetry`` and exported as
-a deterministic JSON snapshot, which ``python -m repro.inspect show
-snapshot.json`` reads back.
+percentile histograms — folded from a finished run's records
+(:mod:`repro.telemetry.fold`) and exported as a deterministic JSON
+snapshot, which ``python -m repro.inspect show snapshot.json`` reads
+back.
 """
 
 from repro.telemetry.export import (
@@ -16,13 +17,10 @@ from repro.telemetry.export import (
 from repro.telemetry.quantile import exact_percentile
 from repro.telemetry.registry import (
     DEFAULT_PERCENTILES,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    NullRegistry,
-    ensure_registry,
 )
 from repro.telemetry.sampler import DEFAULT_INTERVAL, SERIES_METRICS, Sampler
 
@@ -33,12 +31,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "SERIES_METRICS",
     "Sampler",
     "dumps_snapshot",
-    "ensure_registry",
     "exact_percentile",
     "read_snapshot",
     "snapshot",

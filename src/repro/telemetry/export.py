@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.telemetry.registry import RegistryLike
+from repro.telemetry.registry import MetricRegistry
 
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def snapshot(
-    registry: RegistryLike,
+    registry: MetricRegistry,
     sampler=None,
     meta: dict[str, Any] | None = None,
 ) -> dict[str, Any]:

@@ -1,12 +1,8 @@
 """The metric registry: counters, gauges and exact histograms.
 
-A :class:`MetricRegistry` rides on the simulation
-:class:`~repro.simulation.core.Environment` (``env.telemetry``) the same
-way the tracer rides on ``env.trace``: the default is
-:data:`NULL_REGISTRY`, whose ``enabled`` flag is False and whose factory
-methods hand back a shared no-op metric — instrumented hot loops pay a
-single attribute check when telemetry is off, and emission sites never
-need ``if`` pyramids just to construct a metric handle.
+A :class:`MetricRegistry` holds one run's metrics.  Nothing fills it
+while the run is simulated: :func:`repro.telemetry.fold.fold_run` builds
+every metric once the run is over, from the records the run kept.
 
 Metrics are identified by ``(name, labels)``; labels are sorted
 ``(key, value)`` pairs so the identity (and every exported form) is
@@ -187,77 +183,6 @@ class Histogram:
 Metric = Counter | Gauge | Histogram
 
 
-class _NullMetric:
-    """Accepts every mutation and does nothing; reads as empty."""
-
-    __slots__ = ()
-
-    name = ""
-    labels: LabelPairs = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-    min = 0.0
-    max = 0.0
-    mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def percentile(self, p: float) -> float:
-        return 0.0
-
-    def quantiles(self) -> dict[str, float]:
-        return {}
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """The default no-op registry: ``enabled`` is False, and every
-    factory returns the shared do-nothing metric, so instrumentation can
-    be installed unconditionally and guarded by one attribute check in
-    the loops that matter."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def metrics(self) -> list[Metric]:
-        return []
-
-    def get(self, name: str, **labels: str) -> None:
-        return None
-
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_REGISTRY = NullRegistry()
-
-
 def _label_pairs(labels: dict[str, str]) -> LabelPairs:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
@@ -266,12 +191,10 @@ class MetricRegistry:
     """Holds every metric of one run, keyed by (name, sorted labels).
 
     ``counter``/``gauge``/``histogram`` are get-or-create: repeated calls
-    with the same identity return the same object, so call sites do not
-    need to cache handles for correctness (nor, since the registry
-    remembers how each spelling of an identity canonicalises, for speed).
+    with the same identity return the same object, so callers need not
+    cache handles for correctness (nor, since the registry remembers how
+    each spelling of an identity canonicalises, for speed).
     """
-
-    enabled = True
 
     def __init__(self):
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
@@ -340,11 +263,3 @@ class MetricRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MetricRegistry {len(self._metrics)} metrics>"
-
-
-RegistryLike = Any  # MetricRegistry | NullRegistry — same factory surface
-
-
-def ensure_registry(registry: RegistryLike | None) -> RegistryLike:
-    """Coerce ``None`` to the shared no-op registry."""
-    return NULL_REGISTRY if registry is None else registry

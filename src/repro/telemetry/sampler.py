@@ -6,43 +6,37 @@ simulated seconds it snapshots the per-HAU quantities the paper's own
 adaptive logic reasons about (§III-C) — input-queue depth, preservation-buffer
 bytes, ``state_size()``, in-flight tuples on the out-channels, held-back
 tuples behind checkpoint tokens, and the last checkpoint write duration
-— into both the registry's gauges (latest value) and an in-memory time
-series (for the JSON snapshot and the report's per-HAU tables).
+(read from the scheme's run record) — into an in-memory time series per
+HAU.  A telemetry run's registry takes each series' last point as its
+gauge, once the run is over (:mod:`repro.telemetry.fold`).
 
 It is the run's one periodic state sampler: its ``ms_hau_state_bytes``
 series is also what Fig. 5, Figs. 10/11 and the Oracle's minima search
-read (``run_experiment(..., trace_state=True)`` starts it without a
-registry — the gauges then go to the no-op registry).  Sampling is a
-costless observation: it spends no simulated resources, so a sampled run
-measures identically to an unsampled one.
+read (``run_experiment(..., trace_state=True)`` starts it).  Sampling is
+a costless observation: it spends no simulated resources, so a sampled
+run measures identically to an unsampled one.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.telemetry.registry import RegistryLike, ensure_registry
 from repro.vocabulary import SERIES_METRICS
 
 DEFAULT_INTERVAL = 1.0
 
 
 class Sampler:
-    """Samples per-HAU gauges on a fixed cadence into time series."""
+    """Samples per-HAU quantities on a fixed cadence into time series.
 
-    def __init__(self, runtime, registry: RegistryLike | None = None):
+    ``registry`` is accepted and ignored: ``perf/``'s staged run still
+    passes one."""
+
+    def __init__(self, runtime, registry=None):
         self.runtime = runtime
-        self.registry = ensure_registry(
-            registry if registry is not None else runtime.env.telemetry
-        )
         self.samples_taken = 0
         # metric name -> hau_id -> [(sim time, value), ...]
         self.series: dict[str, dict[str, list[tuple[float, float]]]] = {
             name: {} for name in SERIES_METRICS
         }
-        # (metric, hau_id) -> registry gauge, so a recorded point does not
-        # pay the registry's label-sorting get-or-create each time
-        self._gauges: dict[tuple[str, str], Any] = {}
         runtime.env.process(self._run(), label="telemetry-sampler")
 
     # -- the sampling process ---------------------------------------------
@@ -59,8 +53,8 @@ class Sampler:
 
     def sample_once(self) -> None:
         """Take one snapshot of every live HAU (also usable manually)."""
-        env = self.runtime.env
-        now = env.now
+        now = self.runtime.env.now
+        last_write = self.runtime.scheme.record.last_write
         for hau_id in sorted(self.runtime.haus):
             hau = self.runtime.haus[hau_id]
             if not hau.node.alive:
@@ -78,26 +72,13 @@ class Sampler:
             self._record(
                 now, "ms_hau_preserve_bytes", hau_id, self._preserve_bytes(hau_id)
             )
-            last_write = self.registry.get("ms_hau_ckpt_write_seconds", hau=hau_id)
             self._record(
-                now,
-                "ms_hau_ckpt_write_seconds",
-                hau_id,
-                float(last_write.value) if last_write is not None else 0.0,
+                now, "ms_hau_ckpt_write_seconds", hau_id, float(last_write.get(hau_id, 0.0))
             )
         self.samples_taken += 1
 
     def _record(self, t: float, metric: str, hau_id: str, value: float) -> None:
         self.series[metric].setdefault(hau_id, []).append((t, value))
-        if metric != "ms_hau_ckpt_write_seconds":
-            # write-duration gauges are owned by the checkpoint sites;
-            # everything else the sampler keeps current itself.
-            gauge = self._gauges.get((metric, hau_id))
-            if gauge is None:
-                # names come from SERIES_METRICS
-                gauge = self.registry.gauge(metric, hau=hau_id)
-                self._gauges[metric, hau_id] = gauge
-            gauge.set(value)
 
     def _preserve_bytes(self, hau_id: str) -> float:
         """Retained bytes attributable to this HAU, whichever discipline.

@@ -89,47 +89,53 @@ PHASES = ("token-wait", "safepoint-wait", "snapshot", "disk-io")
 
 # -- metrics (repro.telemetry) ----------------------------------------------
 # One row of DESIGN.md's metric-schema table each:
-# ({name: kind, ...}, labels cell, emitted-by cell).
+# ({name: kind, ...}, labels cell, folded-from cell).  Every metric is
+# folded after the run by ``repro.telemetry.fold`` from the record named.
 METRICS = (
-    ({"ms_hau_tuples_total": "counter", "ms_hau_busy_seconds_total": "counter"},
-     "`hau`", "`dsps/hau.py` per processed tuple"),
+    ({"ms_hau_tuples_total": "counter"}, "`hau`", "stage samples: one per processed tuple"),
+    ({"ms_hau_busy_seconds_total": "counter"},
+     "`hau`", "`HAURuntime.busy_total` (a rebuilt HAU continues its predecessor's)"),
     ({"ms_hau_tuple_latency_seconds": "histogram"},
-     "`hau`", "creation→completion latency per tuple"),
+     "`hau`", "stage samples: completion − creation per tuple"),
     ({"ms_hau_tokens_sent_total": "counter", "ms_hau_tokens_received_total": "counter"},
-     "`hau`", "token emission / arrival"),
+     "`hau`", "trace: `token.send` / `token.recv`"),
     ({"ms_control_messages_total": "counter"},
-     "`direction=down`", "`dsps/runtime.py` control plane (controller → HAU; there is no up-link)"),
+     "`direction=down`", "trace: `control.send` (controller → HAU; there is no up-link)"),
     ({"ms_checkpoint_rounds_total": "counter", "ms_checkpoint_rounds_completed_total": "counter"},
-     "`scheme`", "round start / all-HAUs-done"),
-    ({"ms_checkpoint_write_seconds": "histogram"}, "`scheme`", "per-HAU checkpoint write duration"),
+     "`scheme`", "trace: `checkpoint.round.start` / `.complete`"),
+    ({"ms_checkpoint_write_seconds": "histogram"},
+     "`scheme`", "trace: `checkpoint.write.start` → `checkpoint.commit`"),
     ({"ms_hau_ckpt_write_seconds": "gauge"},
-     "`hau`", "last checkpoint-write duration, per HAU (on `checkpoint.commit`)"),
-    ({"ms_checkpoint_bytes_total": "counter"}, "`scheme`", "checkpointed state volume"),
+     "`hau`", "trace: the HAU's last `checkpoint.commit` write"),
+    ({"ms_checkpoint_bytes_total": "counter"}, "`scheme`", "trace: `checkpoint.commit` bytes"),
     ({"ms_recoveries_total": "counter", "ms_recovery_seconds": "histogram"},
-     "`scheme`", "global rollbacks (on `recovery.done`)"),
+     "`scheme`", "`RunRecord.recoveries`: completed global rollbacks"),
     ({"ms_baseline_recovered_total": "counter", "ms_baseline_unrecoverable_total": "counter"},
-     "`cause` (latter)", "1-safe single-HAU restarts"),
-    ({"ms_holdback_drained_total": "counter"}, "`hau`", "holdback queue drains (src / ap)"),
+     "`cause` (latter)", "trace: `baseline.recover.done` / `baseline.unrecoverable`"),
+    ({"ms_holdback_drained_total": "counter"},
+     "`hau`", "`CheckpointBreakdown.holdback_drained` of the checkpoint that released it"),
     ({"ms_async_checkpoints_total": "counter", "ms_fork_seconds": "histogram"},
-     "`scheme`", "ms-…+ap asynchronous forks"),
+     "`scheme`", "trace: async `checkpoint.start`, with its breakdown's `fork_seconds`"),
     ({"ms_aa_smax_bytes": "gauge", "ms_aa_dynamic_haus": "gauge"},
-     "—", "adaptive-adjustment profiling"),
+     "—", "trace: `aa.profile` (`smax`, the `dynamic` list)"),
     ({"ms_aa_turning_points_total": "counter", "ms_aa_decisions_total": "counter"},
-     "`hau` / `reason=icr\\|deadline`", "AA controller"),
+     "`hau` / `reason=icr\\|deadline`", "trace: `aa.turning_point` / `aa.decision`"),
     ({"ms_storage_bytes_written_total": "counter", "ms_storage_bytes_read_total": "counter"},
-     "`namespace`", "`storage/shared.py`"),
+     "`namespace`", "`SharedStorage.written_by_namespace` / `read_by_namespace`"),
     ({"ms_failures_injected_total": "counter"},
-     "`kind={FAILURE_KINDS:\\|}`", "`failures/injector.py`"),
+     "`kind={FAILURE_KINDS:\\|}`", "trace: `failure.inject`"),
     ({"ms_alerts_fired_total": "counter", "ms_alerts_resolved_total": "counter"},
-     "`slo`", "SLO burn-rate alerts fired / resolved (`monitor/plane.py`)"),
-    ({"ms_alerts_active": "gauge"}, "—", "currently-firing SLO alerts"),
-    ({"ms_monitor_ticks_total": "counter"}, "—", "monitoring-plane window evaluations"),
-    ({"ms_monitor_samples_total": "counter"}, "`slo`", "SLO samples folded into burn-rate windows"),
+     "`slo`", "the monitor's alert log: fire / resolve rows"),
+    ({"ms_alerts_active": "gauge"}, "—", "the monitor's alert log: fires less resolves"),
+    ({"ms_monitor_ticks_total": "counter"}, "—", "the monitor's tick count"),
+    ({"ms_monitor_samples_total": "counter"},
+     "`slo`", "the monitor's SLO samples per kind (`MonitorPlane.slo_samples`)"),
 )
 
-# The per-HAU gauge series the Sampler maintains (label ``hau``), in
-# export order — the one place a metric name reaches the registry
-# through a variable.
+# The per-HAU gauge series the Sampler records (label ``hau``), in
+# export order; a telemetry run's gauge is each series' last point (the
+# write seconds excepted: the trace's last commit) — the one place a
+# metric name reaches the registry through a variable.
 SERIES_METRICS = (
     "ms_hau_inbox_depth",
     "ms_hau_state_bytes",
@@ -576,5 +582,17 @@ RETIRED = (
         "example": '    p_goldens.add_argument("--write", action="store_true")',
         "pr": 51,
         "reason": "the gates only check: `python benchmarks/repin.py` writes every pin",
+    },
+    {
+        "pattern": r"telemetry\.(counter|gauge|histogram)\(|\.telemetry\.enabled",
+        "scope": (
+            "src/repro/simulation", "src/repro/cluster", "src/repro/dsps", "src/repro/core",
+            "src/repro/storage", "src/repro/state", "src/repro/failures",
+            "src/repro/metrics/breakdown.py",
+        ),
+        "example": "        if self.env.telemetry.enabled:",
+        "pr": 52,
+        "reason": "the simulated system counts nothing: `repro.telemetry.fold` builds the"
+        " registry once, after the run, from the records the run keeps",
     },
 )

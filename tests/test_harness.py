@@ -13,7 +13,6 @@ from repro.harness import (
 )
 from repro.harness.digest import result_digest
 from repro.harness.figures import default_app_params
-from repro.telemetry.registry import NULL_REGISTRY, NullRegistry
 from tests import pins
 from tests.pins import STUB_PAYLOAD as _STUB_PAYLOAD
 
@@ -105,9 +104,20 @@ def test_state_trace_records_all_haus():
 def test_trace_state_without_telemetry_leaves_the_registry_off():
     res = run_experiment(small(), trace_state=True)
     assert res.telemetry is None
-    assert not res.runtime.env.telemetry.enabled
-    assert res.telemetry_sampler.registry is NULL_REGISTRY
-    assert NullRegistry().get("ms_hau_ckpt_write_seconds", hau="A0") is None
+    assert not res.runtime.env.trace.enabled  # nothing to fold, so no trace either
+    assert not hasattr(res.runtime.env, "telemetry")
+
+
+def test_sampled_series_are_the_same_with_and_without_telemetry():
+    """The write-seconds series reads the scheme's run record, not a
+    registry: a sampled run without telemetry records the same series
+    (it read all zeros when the sampler took the gauge from the registry)."""
+    cfg = small(scheme="ms-src+ap", n_checkpoints=2, seed=1)
+    sampled = run_experiment(cfg, trace_state=True).telemetry_sampler
+    telemetered = run_experiment(cfg, telemetry=True).telemetry_sampler
+    assert sampled.series_dict() == telemetered.series_dict()
+    written = sampled.series["ms_hau_ckpt_write_seconds"]
+    assert sum(1 for points in written.values() for _t, v in points if v > 0) > 100
 
 
 def test_find_oracle_times_within_window():

@@ -1,7 +1,8 @@
 """Tests for the runtime telemetry subsystem (repro.telemetry):
-exact histograms, registry semantics, the no-op default, per-HAU
-sampling, deterministic JSON snapshots, and reading a snapshot back with ``python -m repro.inspect show`` (which
-test_inspect.py covers in full)."""
+exact histograms, registry semantics, the fold of a
+finished run into a registry, per-HAU sampling, deterministic JSON
+snapshots, and reading a snapshot back with ``python -m repro.inspect
+show`` (which test_inspect.py covers in full)."""
 
 import json
 import random  # repro-lint: disable=DET002 — seeded local Random instances only, no global state
@@ -20,19 +21,18 @@ from repro.inspect.cli import main as inspect_main
 from repro.inspect.cli import render_snapshot
 from repro.simulation import Environment
 from repro.telemetry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
     Sampler,
     dumps_snapshot,
-    ensure_registry,
     exact_percentile,
     read_snapshot,
     snapshot,
     write_snapshot,
 )
+from repro.telemetry.fold import fold_run
 from repro.telemetry.quantile import nearest_rank_percentile
 from repro.telemetry.registry import DEFAULT_PERCENTILES
 from repro.vocabulary import METRICS
@@ -43,7 +43,7 @@ def deploy(scheme, seed=7, workers=4, spares=6, telemetry=True, **graph_kw):
     g, holder = make_chain_graph(**graph_kw)
     env = Environment()
     if telemetry:
-        env.enable_telemetry()
+        env.enable_tracing()  # what the fold reads
     rt = DSPSRuntime(
         env,
         StreamApplication(name="t", graph=g),
@@ -251,37 +251,25 @@ def test_registry_metrics_sorted_and_select():
     assert len(reg) == 3  # get() never creates
 
 
-def test_null_registry_is_free_and_shared():
-    assert not NULL_REGISTRY.enabled
-    m = NULL_REGISTRY.counter("anything", hau="x")
-    assert m is NULL_REGISTRY.histogram("other")
-    m.inc()
-    m.observe(3.0)
-    m.set(1.0)
-    assert m.value == 0.0
-    assert NULL_REGISTRY.metrics() == []
-    assert len(NULL_REGISTRY) == 0
-    assert ensure_registry(None) is NULL_REGISTRY
-    reg = MetricRegistry()
-    assert ensure_registry(reg) is reg
-
-
 def test_env_telemetry_defaults_to_null():
+    """The simulation holds no registry; ``enable_telemetry`` (kept for
+    ``perf/``) turns tracing on, keeps a tracer already on, and hands back
+    an empty registry for the fold."""
     env = Environment()
-    assert env.telemetry is NULL_REGISTRY
+    assert not hasattr(env, "telemetry") and not env.trace.enabled
     reg = env.enable_telemetry()
-    assert env.telemetry is reg and reg.enabled
-    mine = MetricRegistry()
-    assert env.enable_telemetry(mine) is mine
+    assert env.trace.enabled and len(reg) == 0
+    tracer = env.trace
+    assert env.enable_telemetry() is not reg and env.trace is tracer
 
 
-# -- instrumented runtime ------------------------------------------------------
+# -- the fold of a finished run ------------------------------------------------
 
 
 def test_runtime_populates_metrics():
     env, rt, _ = deploy(MSSrc(checkpoint_times=[3.0]), source_count=60)
     rt.run(until=10.0)
-    reg = env.telemetry
+    reg = fold_run(MetricRegistry(), rt)
     tuples = reg.get("ms_hau_tuples_total", hau="agg")
     assert tuples is not None and tuples.value > 0
     lat = reg.get("ms_hau_tuple_latency_seconds", hau="sink")
@@ -296,10 +284,14 @@ def test_runtime_populates_metrics():
 
 
 def test_runtime_without_telemetry_registers_nothing():
+    """The run never touches a registry: an untraced run folds to the
+    per-HAU metrics of its stage samples and run record alone."""
     env, rt, _ = deploy(MSSrc(checkpoint_times=[3.0]), telemetry=False, source_count=40)
     rt.run(until=8.0)
-    assert env.telemetry is NULL_REGISTRY
-    assert env.telemetry.metrics() == []
+    assert not hasattr(env, "telemetry") and env.trace.events == ()
+    reg = fold_run(MetricRegistry(), rt)
+    assert reg.get("ms_checkpoint_rounds_total", scheme="ms-src") is None
+    assert reg.get("ms_hau_tuples_total", hau="agg").value > 0
 
 
 # -- the sampler ---------------------------------------------------------------
@@ -320,9 +312,9 @@ def test_sampler_records_per_hau_series():
     assert any(v > 0 for _t, v in state["agg"])
     # preservation bytes at the source (SourcePreserver path)
     assert any(v > 0 for _t, v in series["ms_hau_preserve_bytes"]["src"])
-    # the sampler keeps registry gauges current
-    g = sampler.registry.get("ms_hau_inbox_depth", hau="agg")
-    assert g is not None
+    # a folded gauge is its series' last point
+    reg = fold_run(MetricRegistry(), rt, sampler)
+    assert reg.get("ms_hau_state_bytes", hau="agg").value == state["agg"][-1][1]
 
 
 # -- exporters -----------------------------------------------------------------
@@ -334,7 +326,7 @@ def test_snapshot_deterministic_across_same_seed_runs():
         sampler = Sampler(rt)
         rt.run(until=10.0)
         return dumps_snapshot(
-            snapshot(env.telemetry, sampler=sampler, meta={"seed": 11})
+            snapshot(fold_run(MetricRegistry(), rt, sampler), sampler=sampler, meta={"seed": 11})
         )
 
     assert one_run() == one_run()
@@ -344,7 +336,7 @@ def test_snapshot_roundtrip(tmp_path):
     env, rt, _ = deploy(MSSrc(checkpoint_times=[3.0]), source_count=40)
     sampler = Sampler(rt)
     rt.run(until=8.0)
-    snap = snapshot(env.telemetry, sampler=sampler, meta={"app": "chain"})
+    snap = snapshot(fold_run(MetricRegistry(), rt, sampler), sampler=sampler, meta={"app": "chain"})
     path = tmp_path / "snap.json"
     write_snapshot(snap, str(path))
     assert read_snapshot(str(path)) == json.loads(dumps_snapshot(snap))
@@ -354,7 +346,8 @@ def test_snapshot_text_is_one_row_per_line():
     env, rt, _ = deploy(MSSrcAP(checkpoint_times=[4.0]), source_count=60)
     sampler = Sampler(rt)
     rt.run(until=10.0)
-    snap = snapshot(env.telemetry, sampler=sampler, meta={"app": "chain", "seed": 7})
+    reg = fold_run(MetricRegistry(), rt, sampler)
+    snap = snapshot(reg, sampler=sampler, meta={"app": "chain", "seed": 7})
     text = dumps_snapshot(snap)
     assert json.loads(text) == snap
     lines = text.splitlines()
@@ -386,7 +379,7 @@ def test_report_cli(tmp_path, capsys):
     env, rt, _ = deploy(MSSrc(checkpoint_times=[3.0]), source_count=30)
     rt.run(until=6.0)
     path = tmp_path / "snap.json"
-    write_snapshot(snapshot(env.telemetry, meta={"scheme": "ms-src"}), str(path))
+    write_snapshot(snapshot(fold_run(MetricRegistry(), rt), meta={"scheme": "ms-src"}), str(path))
     assert inspect_main(["show", str(path)]) == 0
     out = capsys.readouterr().out
     assert "scheme=ms-src" in out
@@ -407,7 +400,7 @@ def test_run_experiment_telemetry(tmp_path):
         workers=8, spares=10, racks=2, seed=3, app_params={"n_minutes": 0.1},
     )
     res = run_experiment(cfg, telemetry=True)
-    assert res.telemetry is not None and res.telemetry.enabled
+    assert res.telemetry is not None and len(res.telemetry) > 0
     assert res.telemetry_sampler is not None
     assert set(res.latency_percentiles) == {"p50", "p95", "p99"}
     assert res.latency_percentiles["p50"] <= res.latency_percentiles["p99"]
@@ -433,8 +426,9 @@ def observed_run():
 
 
 def test_latency_histograms_agree_with_the_metrics_hub(observed_run):
-    """The registry and ``MetricsHub.stage_samples`` record every
-    processed tuple independently; per HAU they must tell one story."""
+    """The per-HAU latency histograms are ``MetricsHub.stage_samples``
+    folded (the one record of a processed tuple): per HAU, the same count
+    and the same nearest-rank quantiles."""
     by_hau: dict[str, list[float]] = {}
     for hau_id, created, done in observed_run.runtime.metrics.stage_samples:
         by_hau.setdefault(hau_id, []).append(done - created)
@@ -505,11 +499,12 @@ def test_every_metric_is_nonzero_in_some_pinned_snapshot(coverage_runs, observed
     assert {dict(m.labels)["reason"] for m in decisions if m.value} == {"icr", "deadline"}
 
 
-def test_a_processed_tuple_makes_at_most_three_telemetry_calls():
-    """Count gate (a count, so it cannot flake): with telemetry on, a
-    processed tuple enters ``repro.telemetry`` Python code at most three
-    times — today twice, the two counters; the latency observation is a
-    C call.  It was 10.8 when each observation fed three estimators."""
+def test_a_run_makes_no_telemetry_calls():
+    """Count gate (a count, so it cannot flake): with telemetry on, the
+    simulation enters ``repro.telemetry`` Python code not once — every
+    metric is folded after the run.  It was two calls a processed tuple
+    while the HAUs counted, 10.8 when each observation fed three
+    estimators."""
     from repro.apps import synth
     from repro.dsps.runtime import CheckpointScheme
 
@@ -524,7 +519,7 @@ def test_a_processed_tuple_makes_at_most_three_telemetry_calls():
         "edges": [{"src": a, "dst": b} for a, b in ("SW", "WA", "AB", "BK")],
     }
     env = Environment()
-    env.enable_telemetry()
+    registry = env.enable_telemetry()
     rt = DSPSRuntime(
         env, synth.build(seed=1, topology=topology), CheckpointScheme(),
         RuntimeConfig(cluster=ClusterSpec(workers=4, spares=2, racks=2)),
@@ -545,8 +540,8 @@ def test_a_processed_tuple_makes_at_most_three_telemetry_calls():
         sys.setprofile(None)
     tuples = sum(hau.tuples_processed for hau in rt.haus.values())
     assert tuples == 200  # 50 from the source through four processing stages
-    assert calls <= 3 * tuples, (calls, tuples)
-    latency = env.telemetry.select("ms_hau_tuple_latency_seconds")
+    assert calls == 0
+    latency = fold_run(registry, rt).select("ms_hau_tuple_latency_seconds")
     assert sum(h.count for h in latency) == tuples
 
 
