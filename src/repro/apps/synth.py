@@ -298,6 +298,13 @@ def _check_topology(topo: dict) -> tuple[list[dict], list[dict]]:
             by_name[edge["src"]].get("kind") != "sink",
             f"topology.edges[{i}]: sink stage {edge['src']!r} cannot emit an edge",
         )
+    for stage in stages:
+        groups = sum(edge["src"] == stage["name"] for edge in edges)
+        _require(
+            stage["kind"] != "source" or groups <= 1,
+            f"source stage {stage['name']!r} has {groups} out-edge groups, but a source"
+            " emits on one port: fan out from a map stage",
+        )
     return stages, edges
 
 

@@ -5,7 +5,7 @@ analysis cannot prove at runtime:
 
 * **free-list poisoning** (:mod:`repro.sanitize.kernel`) — the kernel's
   refcount-2 recycle guard (``simulation/core.py``) assumes no model
-  reference survives the pop; while an event sits in a free list its
+  reference survives the pop; while a timeout sits in the free list its
   class is swapped for a poisoned twin whose every entry point raises
   :class:`SanitizerError`, so a stale reference fails loudly at the use
   site instead of silently reading a recycled object;

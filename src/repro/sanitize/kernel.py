@@ -1,6 +1,6 @@
 """Kernel sanitizers: free-list poisoning + clock/heap-order assertions.
 
-The kernel recycles hot-path events through per-environment free lists,
+The kernel recycles spent timeouts through a per-environment free list,
 guarded by a refcount-2 check in ``Environment._drain`` (only the drain
 frame and the refcount probe itself hold the object, so reuse is
 supposed to be invisible).  That guard is sound for CPython refcounting but
@@ -9,13 +9,13 @@ untracked reference.  Under ``REPRO_SAN=1`` this module gives every new
 environment auditing *containers* and wraps the kernel's one
 pop-and-fire body; no kernel code is repeated here:
 
-* the free lists are :class:`_PoisoningPool` lists: an event appended
-  (recycled) has its ``__class__`` swapped for a generated *poisoned*
-  twin (same slot layout, every entry point raises
-  :class:`~repro.sanitize.SanitizerError`) and gets it back the moment a
-  factory pops (re-issues) it — so pooling behaviour, pool counters and
-  event identity stay bit-identical while any use-after-recycle
-  detonates at the offending line;
+* the free list is a :class:`_PoisoningPool`: a timeout appended
+  (recycled) has its ``__class__`` swapped for the *poisoned* twin of
+  :class:`~repro.simulation.core.Timeout` (same slot layout, every entry
+  point raises :class:`~repro.sanitize.SanitizerError`) and gets it back
+  the moment the factory pops (re-issues) it — so pooling behaviour,
+  pool counters and event identity stay bit-identical while any
+  use-after-recycle detonates at the offending line;
 * the current-instant FIFO is a :class:`_StampedFifo`: the kernel's FIFO
   carries no sequence numbers, so its appends draw from the heap's
   counter and every entry has exactly the ``(time, seq)`` key
@@ -41,24 +41,19 @@ from repro.sanitize import SanitizerError
 # triggers installation from repro.simulation's own __init__.
 _core: Any = None
 
-# -- poisoned twins ------------------------------------------------------------
+# -- the poisoned twin ---------------------------------------------------------
 
-#: original class -> generated poisoned subclass
-_POISONED: dict[type, type] = {}
-
-_BLOCKED_METHODS = ("succeed", "fail", "add_callback", "_recycle")
-_BLOCKED_PROPS = ("triggered", "ok", "value")
+#: The poisoned subclass of ``Timeout``, made by the first install() and
+#: kept: an environment built while installed goes on poisoning after it.
+_poisoned: Any = None
 
 
-def poisoned_class(cls: type) -> type:
-    """The poisoned twin of a pooled event class (generated once).
+def _poisoned_twin(cls: type) -> type:
+    """A subclass of ``cls`` whose every entry point raises.
 
     ``__slots__ = ()`` keeps the memory layout identical, so
     ``__class__`` assignment in both directions is legal and free.
     """
-    twin = _POISONED.get(cls)
-    if twin is not None:
-        return twin
 
     def _raiser(name: str):
         def raise_use_after_recycle(self, *args: Any, **kwargs: Any):
@@ -73,28 +68,24 @@ def poisoned_class(cls: type) -> type:
         return raise_use_after_recycle
 
     ns: dict[str, Any] = {"__slots__": ()}
-    for name in _BLOCKED_METHODS:
-        if hasattr(cls, name):
-            ns[name] = _raiser(name)
-    for name in _BLOCKED_PROPS:
-        if hasattr(cls, name):
-            ns[name] = property(_raiser(name))
+    for name in ("succeed", "fail", "add_callback"):
+        ns[name] = _raiser(name)
+    for name in ("triggered", "ok", "value"):
+        ns[name] = property(_raiser(name))
     ns["__repr__"] = lambda self: f"<poisoned pooled {cls.__name__}>"
-    twin = type(f"_Poisoned{cls.__name__}", (cls,), ns)
-    _POISONED[cls] = twin
-    return twin
+    return type(f"_Poisoned{cls.__name__}", (cls,), ns)
 
 
 class _PoisoningPool(list):
     """A free list whose entries are poisoned while they sit in it."""
 
     def append(self, event: Any) -> None:
-        event.__class__ = poisoned_class(event.__class__)
+        event.__class__ = _poisoned
         super().append(event)
 
     def pop(self) -> Any:
         event = super().pop()
-        event.__class__ = event.__class__.__base__  # the twin's one base
+        event.__class__ = _core.Timeout
         return event
 
 
@@ -143,7 +134,7 @@ class _StampedFifo(deque):
             raise SanitizerError(
                 f"simulation clock moved backwards: popped t={key[0]!r} at now={now!r}"
             )
-        if _POISONED.get(event.__class__.__base__) is event.__class__:  # a twin
+        if event.__class__ is _poisoned:
             raise SanitizerError(
                 f"poisoned event popped from the schedule: {event!r} was "
                 "scheduled after being recycled into a free list"
@@ -160,8 +151,7 @@ class _StampedFifo(deque):
 def _san_init(self) -> None:
     _originals["__init__"](self)
     self._fifo = _StampedFifo(self)
-    for cls in self._pools:
-        self._pools[cls] = _PoisoningPool()
+    self._timeout_pool = _PoisoningPool()
 
 
 def _san_drain(self, horizon: float, budget: int) -> None:
@@ -204,15 +194,17 @@ def install() -> None:
     """Wrap the kernel's pop seam and hand out auditing containers (idempotent).
 
     Only environments built from here on get the stamping FIFO and the
-    poisoning pools the wrapper reads; install before constructing the
+    poisoning free list the wrapper reads; install before constructing the
     ones to be audited (``REPRO_SAN=1`` installs at import).
     """
-    global _core
+    global _core, _poisoned
     if _originals:
         return
     from repro.simulation import core
 
     _core = core
+    if _poisoned is None:
+        _poisoned = _poisoned_twin(core.Timeout)
     for name, fn in _PATCHES.items():
         _originals[name] = getattr(_core.Environment, name)
         setattr(_core.Environment, name, fn)

@@ -13,13 +13,14 @@ This mirrors the structure of SimPy, trimmed to what the reproduction
 needs and tuned for determinism.
 
 Fast paths (see DESIGN.md, "Kernel performance"): the kernel recycles
-hot-path event objects through per-environment free lists, resumes
-processes through pooled :class:`_Kick` markers instead of throwaway
-``boot:``/``rewait:``/``interrupt:`` events (and an idle process that
-parks on :attr:`Environment.parked` through one more, its unpark,
-instead of a wake event of its own), keeps the first process to
-wait on an event in a slot and allocates the callback list only for
-later registrants, and settles events with inlined scheduling.  Every
+:class:`Timeout` objects, its one hot-path event, through a
+per-environment free list, resumes processes through :class:`_Kick`
+markers instead of throwaway ``boot:``/``rewait:``/``interrupt:`` events
+(and an idle process that parks on :attr:`Environment.parked` through
+one more, its unpark, instead of a wake event of its own), keeps the
+first process to wait on an event in a slot and allocates the callback
+list only for later registrants, and settles events with inlined
+scheduling.  Every
 fast path preserves the ``(time, seq)`` total order exactly,
 so same-seed runs remain bit-identical (checked by the pinned digests
 and their one gate, ``python -m repro.scenarios goldens``;
@@ -42,8 +43,9 @@ from repro.observability.tracer import NULL_TRACER, Tracer
 
 _FOREVER = float("inf")  # the horizon of a run that has none
 
-# Per-environment free-list bound: big enough to absorb the steady-state
-# churn of a 56-node run, small enough that a burst never pins memory.
+# Bound of the per-environment timeout free list: big enough to absorb the
+# steady-state churn of a 56-node run, small enough that a burst never
+# pins memory.
 _POOL_LIMIT = 512
 
 
@@ -216,22 +218,6 @@ class Event:
         else:
             cbs.append(fn)
 
-    def _recycle(self) -> None:
-        """Reset to pristine pre-settlement state before pooling.
-
-        Called by :meth:`Environment._drain` only on provably-unreferenced
-        instances of the pooled classes (:class:`Event`, :class:`Timeout`);
-        a subclass with extra references overrides and chains up so the
-        pool never pins objects.
-        """
-        self._value = None
-        self._ok = None
-        self._settled = False
-        self._scheduled = False
-        self._flushed = False
-        self.callbacks = None
-        self.name = ""
-
     # -- settlement --------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Settle the event successfully, scheduling callbacks after ``delay``.
@@ -281,7 +267,9 @@ class Timeout(Event):
 
     Prefer :meth:`Environment.timeout`, which recycles instances through
     the environment's free list (a direct construction works identically
-    but always allocates).
+    but always allocates).  A timeout is born settled, so ``_settled`` /
+    ``_ok`` / ``_scheduled`` stay True in the free list; the factory
+    re-arms ``_flushed`` / ``delay`` / ``_value``.
     """
 
     __slots__ = ("delay",)
@@ -293,12 +281,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._schedule(self, delay=delay)  # refuses a delay that is not >= 0
-
-    def _recycle(self) -> None:
-        # A timeout is born settled, so _settled/_ok/_scheduled stay True
-        # in the pool; Environment.timeout() re-arms _flushed/delay/_value.
-        self._value = None
-        self.callbacks = None
 
 
 def _awaited(event: "Event") -> None:
@@ -329,7 +311,7 @@ class _Parked(Event):
 
 
 class _Kick:
-    """A pooled direct-resume marker in the current-instant FIFO.
+    """A direct-resume marker in the current-instant FIFO.
 
     Replaces the throwaway ``boot:``/``rewait:``/``interrupt:`` kick
     events and the wake event an idle process used to wait on, and
@@ -340,31 +322,24 @@ class _Kick:
     :meth:`Process._resume` — no Event allocation, no callback-list
     flush, no second resume body.  A kick is always due now, so it
     takes the FIFO position the event it replaces would have taken and
-    the total order is untouched.  Kicks are engine-internal and never
-    escape to model code, so they recycle unconditionally after firing.
+    the total order is untouched.
 
     A pending unpark is what its process waits on, so an interrupt can
     drop it (:meth:`Process.interrupt` clears ``process``); it is still
     popped, as the wake event it replaces still fired with no waiter.
     """
 
-    __slots__ = ("env", "process", "_ok", "_value")
+    __slots__ = ("process", "_ok", "_value")
 
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self.process: Process | None = None
-        self._ok = True
-        self._value: Any = None
+    def __init__(self, process: "Process", ok: bool, value: Any):
+        self.process: Process | None = process
+        self._ok = ok
+        self._value = value
 
     def fire(self) -> None:
         process = self.process
         if process is not None:  # None: an unpark dropped by an interrupt
-            self.process = None
             process._resume(self)
-        self._value = None
-        pool = self.env._kick_pool
-        if len(pool) < _POOL_LIMIT:
-            pool.append(self)
 
 
 class Process(Event):
@@ -385,7 +360,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self.label = label
-        # Bootstrap: resume once at the current instant (pooled kick; same
+        # Bootstrap: resume once at the current instant (a kick; same
         # position the old `boot:` event occupied).
         env._schedule_kick(self)
 
@@ -443,7 +418,7 @@ class Process(Event):
         self._waiting_on = target
         if target._flushed:
             # The event already flushed its callbacks (it fired in the past):
-            # resume via a pooled kick so we stay in schedule order.
+            # resume via a kick so we stay in schedule order.
             self.env._schedule_kick(self, target._ok, target._value)
         elif target.callbacks is None and target._waiter is None:
             target._waiter = self  # first registrant: resumed directly
@@ -481,8 +456,7 @@ class Environment:
         "past",
         "parked",
         "trace",
-        "_pools",
-        "_kick_pool",
+        "_timeout_pool",
         "events_popped",
         "pool_hits",
         "pool_misses",
@@ -506,10 +480,10 @@ class Environment:
         # Structured tracing (repro.observability): the no-op default means
         # instrumented hot paths pay one attribute check per emission site.
         self.trace = NULL_TRACER
-        # Free lists of the kernel's own two event classes (never shared
-        # across environments), keyed by exact class.  Plus kernel counters.
-        self._pools: dict[type, list[Event]] = {Event: [], Timeout: []}
-        self._kick_pool: list[_Kick] = []
+        # The free list of spent timeouts (never shared across
+        # environments), and the kernel counters; the pool counts are
+        # timeouts drawn from it or allocated.
+        self._timeout_pool: list[Timeout] = []
         self.events_popped = 0
         self.pool_hits = 0
         self.pool_misses = 0
@@ -547,17 +521,10 @@ class Environment:
 
     # -- factories ----------------------------------------------------------
     def event(self, name: str = "") -> Event:
-        pool = self._pools[Event]
-        if pool:
-            self.pool_hits += 1
-            ev = pool.pop()
-            ev.name = name
-            return ev
-        self.pool_misses += 1
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._pools[Timeout]
+        pool = self._timeout_pool
         if pool:
             if not delay >= 0:
                 raise SimulationError(f"delay {delay!r} is not >= 0")
@@ -627,21 +594,13 @@ class Environment:
         return event
 
     def _schedule_kick(self, process: Process, ok: bool = True, value: Any = None) -> None:
-        """Schedule a pooled direct-resume marker at the current instant.
+        """Schedule a direct-resume marker at the current instant.
 
         ``ok`` / ``value`` are the outcome it delivers (the default is a
         boot or an unpark).  Takes the same position (after everything
         already scheduled for now) the old kick events took, so
         resumption order is unchanged."""
-        pool = self._kick_pool
-        if pool:
-            kick = pool.pop()
-        else:
-            kick = _Kick(self)
-        kick.process = process
-        kick._ok = ok
-        kick._value = value
-        self._fifo.append(kick)
+        self._fifo.append(_Kick(process, ok, value))
 
     def unpark(self, process: Process) -> None:
         """Resume ``process``, parked on :attr:`parked`, at the current instant.
@@ -717,8 +676,8 @@ class Environment:
         The kernel's one pop-and-fire body; :meth:`run` and :meth:`step`
         only choose its bounds (a negative ``budget`` is no bound).  The
         next event is the FIFO head, unless the heap's top is due now
-        (see the class docstring).  The event list, free lists and
-        counters are hoisted into locals, and so is that heap test:
+        (see the class docstring).  The event list, the timeout free list
+        and the counters are hoisted into locals, and so is that heap test:
         nothing is pushed onto the heap due now, so whether its top
         precedes the FIFO can only change when the heap is popped.
         """
@@ -726,8 +685,9 @@ class Environment:
         fifo = self._fifo
         popleft = fifo.popleft
         heap = self._heap
-        pools_get = self._pools.get
+        timeout_pool = self._timeout_pool
         kick_cls = _Kick
+        timeout_cls = Timeout
         limit = _POOL_LIMIT
         refcount = getrefcount
         pop = heappop
@@ -769,16 +729,15 @@ class Environment:
                 if callbacks is not None:
                     for cb in callbacks:
                         cb(event)
-                # Recycle provably-unreferenced hot-path events: refcount 2
-                # means only this frame's local and getrefcount's argument
-                # hold the object, so no generator or model structure can
-                # ever observe it again — reuse is invisible.  The
-                # exact-class pool lookup keeps every subclass (processes,
-                # store and resource requests) out.
-                if refcount(event) == 2:
-                    pool = pools_get(cls)
-                    if pool is not None and len(pool) < limit:
-                        event._recycle()
-                        pool.append(event)
+                # Recycle a provably-unreferenced timeout: refcount 2 means
+                # only this frame's local and getrefcount's argument hold
+                # it, so no generator or model structure can ever observe
+                # it again — reuse is invisible.  The exact-class test
+                # keeps every other event out.  It stays settled; the
+                # factory re-arms the rest.
+                if cls is timeout_cls and refcount(event) == 2 and len(timeout_pool) < limit:
+                    event._value = None
+                    event.callbacks = None
+                    timeout_pool.append(event)
         finally:
             self.events_popped += popped

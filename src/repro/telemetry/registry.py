@@ -192,30 +192,15 @@ class MetricRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create: repeated calls
     with the same identity return the same object, so callers need not
-    cache handles for correctness (nor, since the registry remembers how
-    each spelling of an identity canonicalises, for speed).
+    cache handles.  Only the fold after a run calls them, a few times per
+    trace event and HAU, so the identity is canonicalised on every call.
     """
 
     def __init__(self):
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
-        # (name, labels as a caller wrote them) -> key into _metrics
-        self._keys: dict[tuple, tuple[str, LabelPairs]] = {}
-
-    def _key(self, name: str, labels: dict[str, str]) -> tuple[str, LabelPairs]:
-        """The canonical identity, sorted and ``str()``-ed once per
-        spelling — hits and misses alike, a key is not a metric."""
-        spelling = (name, tuple(labels.items()))
-        key = self._keys.get(spelling)
-        if key is None:
-            key = (name, _label_pairs(labels))
-            # all-str spellings only: 1, 1.0 and True are one dict key
-            # but three label values
-            if all(type(v) is str for v in labels.values()):
-                self._keys[spelling] = key
-        return key
 
     def _get(self, cls, name: str, labels: dict[str, str], **kwargs) -> Metric:
-        key = self._key(name, labels)
+        key = (name, _label_pairs(labels))
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls(name, key[1], **kwargs)
@@ -250,7 +235,7 @@ class MetricRegistry:
 
     def get(self, name: str, **labels: str) -> Metric | None:
         """The metric if it exists — never creates (for tooling/tests)."""
-        return self._metrics.get(self._key(name, labels))
+        return self._metrics.get((name, _label_pairs(labels)))
 
     def select(self, prefix: str) -> list[Metric]:
         return [m for m in self.metrics() if m.name.startswith(prefix)]

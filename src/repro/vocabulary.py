@@ -531,7 +531,7 @@ RETIRED = (
         "scope": ("src/repro",),
         "example": "        ev = env.acquire(Event)",
         "pr": 42,
-        "reason": "the kernel's free lists hold its own `Event` and `Timeout` only",
+        "reason": "the kernel has one free list, its own `Timeout`'s",
     },
     {
         "pattern": r"class Gate\b|intake_gate|now=lambda",
@@ -594,5 +594,13 @@ RETIRED = (
         "pr": 52,
         "reason": "the simulated system counts nothing: `repro.telemetry.fold` builds the"
         " registry once, after the run, from the records the run keeps",
+    },
+    {
+        "pattern": r"\b_kick_pool\b|\b_pools\b|self\._keys\b",
+        "scope": ("src/repro/simulation", "src/repro/sanitize", "src/repro/telemetry"),
+        "example": "        self._pools: dict[type, list[Event]] = {Event: [], Timeout: []}",
+        "pr": 53,
+        "reason": "only timeouts are pooled, kicks and plain events are allocated; the"
+        " registry canonicalises a metric's labels on each call",
     },
 )

@@ -1,15 +1,19 @@
-"""Kernel fast-path unit tests: free-list pooling, kick direct-resume,
-and the ordering invariants the fast paths must preserve.
+"""Kernel fast-path unit tests: the timeout free list, kick
+direct-resume, and the ordering invariants the fast paths must preserve.
 
-The pool's safety contract is "reuse is invisible": an event is only
-recycled when the step() frame holds the last reference, so nothing in
-the model can observe the identity reuse.  These tests pin both halves —
-that pooling *does* happen in the steady state (the perf win is real)
-and that it *does not* happen while anyone still holds the event.
+The free list's safety contract is "reuse is invisible": a timeout is
+only recycled when the step() frame holds the last reference, so nothing
+in the model can observe the identity reuse.  These tests pin both
+halves — that pooling *does* happen in the steady state (the perf win is
+real) and that it *does not* happen while anyone still holds the
+timeout — and that no other event is ever reissued.
 """
 
+import gc
 import sys
 
+from repro.harness import experiment
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.simulation.core import (
     _POOL_LIMIT,
     Environment,
@@ -18,6 +22,7 @@ from repro.simulation.core import (
     Timeout,
 )
 from repro.simulation.resources import Store
+from tests.test_hau_intake import DrawCounting
 
 
 def drain(env):
@@ -35,20 +40,6 @@ def test_timeout_instances_are_reused():
     second = env.timeout(1.0)
     assert id(second) == ident, "steady-state timeouts should come from the pool"
     assert env.pool_hits >= 1
-
-
-def test_event_instances_are_reused():
-    env = Environment()
-    first = env.event(name="a")
-    first.succeed("va")
-    ident = id(first)
-    del first  # drop the last model-side reference before the flush
-    drain(env)
-    second = env.event(name="b")
-    assert id(second) == ident
-    assert second.name == "b"
-    assert not second.triggered
-    assert second._value is None, "recycle must clear the previous value"
 
 
 def test_held_timeout_is_never_recycled():
@@ -81,32 +72,27 @@ def test_timeout_value_visible_after_pool_reuse():
 
 def test_pool_is_bounded():
     env = Environment()
-    events = [env.event() for _ in range(2 * _POOL_LIMIT)]
-    for ev in events:
-        ev.succeed()
-    del events
+    for _ in range(2 * _POOL_LIMIT):
+        env.timeout(1.0)
     drain(env)
-    assert len(env._pools[Event]) <= _POOL_LIMIT
+    assert len(env._timeout_pool) == _POOL_LIMIT
 
 
 def test_pools_are_per_environment():
     a, b = Environment(), Environment()
     a.timeout(1.0)
     drain(a)
-    assert a._pools[Timeout] and not b._pools[Timeout]
+    assert a._timeout_pool and not b._timeout_pool
 
 
 def test_unregistered_subclass_is_not_pooled():
-    class Other(Event):
+    class Other(Timeout):
         __slots__ = ()
 
     env = Environment()
-    ev = Other(env)
-    ev.succeed()
+    Other(env, 1.0)
     drain(env)
-    assert Other not in env._pools
-    assert env.event() is not ev
-    assert set(env._pools) == {Event, Timeout}  # the kernel's own two classes only
+    assert not env._timeout_pool  # exact class only: a subclass is never pooled
 
 
 def test_kernel_stats_counts_pops():
@@ -181,21 +167,6 @@ def test_yield_already_flushed_event_resumes_via_kick():
     assert log == [(2.0, "payload")]
 
 
-def test_kick_pool_is_reused():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(0)
-
-    env.process(proc())
-    drain(env)
-    assert env._kick_pool, "boot kick should return to its pool"
-    before = len(env._kick_pool)
-    env.process(proc())
-    drain(env)
-    assert len(env._kick_pool) == before  # popped then returned
-
-
 # -- ordering invariants of the resource fast paths ---------------------------
 
 def test_store_put_get_fifo_order_preserved():
@@ -266,12 +237,35 @@ def test_store_request_events_are_not_cross_contaminated():
 
 def test_refcount_guard_is_exact():
     """The recycle guard fires at refcount 2 precisely: one extra live
-    reference (a condition, a list, a local) keeps the event out."""
+    reference (a condition, a list, a local) keeps the timeout out."""
     env = Environment()
-    ev = env.event()
-    keeper = [ev]
-    ev.succeed()
+    t = env.timeout(1.0)
+    keeper = [t]
     drain(env)
-    assert sys.getrefcount(ev) >= 3  # keeper + local + getrefcount arg
-    assert not env._pools[Event] or env._pools[Event][-1] is not ev
+    assert sys.getrefcount(t) >= 3  # keeper + local + getrefcount arg
+    assert t not in env._timeout_pool
     del keeper
+
+
+# -- only timeouts are pooled ---------------------------------------------------
+
+def test_only_timeouts_are_pooled(monkeypatch):
+    """A plain event that fired with nobody holding it is freed, never kept
+    to be reissued, and the pool counters count timeouts only: on a
+    paper-app run that draws plain events too, hits plus misses are
+    exactly the timeouts drawn."""
+    env = Environment()
+    ev = env.event(name="a")
+    ev.succeed("va")
+    del ev  # drop the last model-side reference before the flush
+    drain(env)
+    live = [o for o in gc.get_objects() if type(o) is Event and o.env is env]
+    assert live == [env.past]
+    assert (env.pool_hits, env.pool_misses) == (0, 0)
+
+    monkeypatch.setattr(experiment, "Environment", DrawCounting)
+    cfg = ExperimentConfig(app="bcp", scheme="baseline", n_checkpoints=3, window=20.0,
+                           warmup=10.0)
+    env = run_experiment(cfg).runtime.env
+    assert env.events > 0 and env.timeouts > 0
+    assert env.pool_hits + env.pool_misses == env.timeouts

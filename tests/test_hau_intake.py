@@ -483,26 +483,32 @@ def test_a_tuple_hop_costs_at_most_four_kernel_events():
     assert env.events_popped <= 4 * tuples, env.events_popped / tuples
 
 
-class TimeoutCounting(Environment):
-    __slots__ = ("timeouts",)
+class DrawCounting(Environment):
+    """Counts the events a run draws from the two factories."""
+
+    __slots__ = ("timeouts", "events")
 
     def __init__(self):
         super().__init__()
-        self.timeouts = 0
+        self.timeouts = self.events = 0
 
     def timeout(self, delay, value=None):
         self.timeouts += 1
         return super().timeout(delay, value)
 
+    def event(self, name=""):
+        self.events += 1
+        return super().event(name)
+
 
 def test_a_tuple_hop_draws_no_pooled_event_but_its_timeouts():
     """An item crosses a channel as itself, an idle loop is unparked by a
     kick and a tuple is processed without a generator: the only events
-    the run draws from the free lists are the processing costs and the
-    sources' waits.  It drew a wake event per idle wake-up as well."""
-    env = TimeoutCounting()
+    the run draws are the processing costs and the sources' waits, all
+    timeouts.  It drew a wake event per idle wake-up as well."""
+    env = DrawCounting()
     run_chain(env)
-    assert env.timeouts > 0
+    assert env.timeouts > 0 and env.events == 0
     assert env.pool_hits + env.pool_misses == env.timeouts
 
 

@@ -84,7 +84,7 @@ def test_disabled_means_untouched_kernel(monkeypatch):
     # environment plain containers
     assert Environment._drain is not san_kernel._san_drain
     env = Environment()
-    assert type(env._fifo).__name__ == "deque" and type(env._pools[Event]) is list
+    assert type(env._fifo).__name__ == "deque" and type(env._timeout_pool) is list
 
 
 def test_install_is_idempotent_and_uninstall_restores():
@@ -112,7 +112,7 @@ def test_the_sanitizer_wraps_the_pop_and_nothing_else(kernel_sanitizer):
     }
     assert patched == {"__init__", "_drain"}
     source = inspect.getsource(san_kernel)
-    for kernel_body in ("heappop", "heappush", "getrefcount", "._recycle()", "._resume("):
+    for kernel_body in ("heappop", "heappush", "getrefcount", "._resume("):
         assert kernel_body not in source
 
 
@@ -121,14 +121,13 @@ def test_the_sanitizer_wraps_the_pop_and_nothing_else(kernel_sanitizer):
 
 def test_pooled_event_is_poisoned(kernel_sanitizer):
     env = Environment()
-    ev = env.event(name="a")
-    ev.succeed("v")
-    ident = id(ev)
-    del ev
+    t = env.timeout(1.0, "v")
+    ident = id(t)
+    del t
     drain(env)
-    pooled = env._pools[Event][-1]
+    pooled = env._timeout_pool[-1]
     assert id(pooled) == ident
-    assert type(pooled).__name__ == "_PoisonedEvent"
+    assert type(pooled).__name__ == "_PoisonedTimeout"
     with pytest.raises(SanitizerError, match="use-after-recycle"):
         pooled.succeed("again")
     with pytest.raises(SanitizerError, match="use-after-recycle"):
@@ -137,16 +136,15 @@ def test_pooled_event_is_poisoned(kernel_sanitizer):
 
 def test_factory_heals_poisoned_event(kernel_sanitizer):
     env = Environment()
-    ev = env.event(name="a")
-    ev.succeed("v")
-    ident = id(ev)
-    del ev
+    t = env.timeout(1.0, "v")
+    ident = id(t)
+    del t
     drain(env)
-    reused = env.event(name="b")
+    reused = env.timeout(2.0, "w")
     assert id(reused) == ident
-    assert type(reused) is Event
-    assert not reused.triggered  # fully usable again
-    assert reused.name == "b"
+    assert type(reused) is Timeout
+    assert reused.triggered and not reused._flushed  # armed again
+    assert env.run(until=reused) == "w" and env.now == 3.0
 
 
 def test_scheduling_a_poisoned_event_is_caught(kernel_sanitizer):
@@ -154,7 +152,7 @@ def test_scheduling_a_poisoned_event_is_caught(kernel_sanitizer):
     t = env.timeout(1.0)
     del t
     drain(env)
-    poisoned = env._pools[Timeout][-1]
+    poisoned = env._timeout_pool[-1]
     # simulate a defeated refcount guard: push the pooled object back
     # onto the heap without going through a factory
     env._seq += 1
@@ -171,7 +169,7 @@ def test_poisoned_event_in_the_fifo_is_caught(kernel_sanitizer):
     t = env.timeout(1.0)
     del t
     drain(env)
-    env._fifo.append(env._pools[Timeout][-1])
+    env._fifo.append(env._timeout_pool[-1])
     with pytest.raises(SanitizerError, match="poisoned event popped"):
         drain(env)
 

@@ -202,6 +202,19 @@ def test_synth_stage_fields_are_checked_at_build_time(kind, field, value):
     assert [e.path for e in validate(doc)] == ["app.params.topology"]
 
 
+def test_a_source_stage_with_two_out_edge_groups_is_refused():
+    """A source emits on one port, so a second out-edge group of its stage
+    would get no tuple: the build and the scenario schema refuse it, naming
+    the stage and the fix."""
+    doc = tiny_synth_doc()
+    topology = doc["app"]["params"]["topology"]
+    topology["edges"].append({"src": "s", "dst": "k"})
+    with pytest.raises(synth.TopologyError,
+                       match=r"source stage 's' has 2 out-edge groups.*fan out from a map stage"):
+        synth.build(seed=1, topology=topology)
+    assert [e.path for e in validate(doc)] == ["app.params.topology"]
+
+
 def test_check_raises_with_every_error():
     with pytest.raises(ScenarioValidationError) as exc_info:
         compile_scenario({"id": "Bad Slug!", "version": 2}, source="unit.yaml")
