@@ -23,7 +23,7 @@ def test_fig11_alert_mode_decisions(benchmark, scale):
     print("\nFig. 11 — application-aware checkpoint timing (BCP)")
     print(f"  profiled smax = {scheme.profile_result.smax / 1e6:.1f} MB; "
           f"dynamic HAUs = {scheme.dynamic_haus}")
-    for t, reason in scheme.decisions:
+    for t, reason in scheme.record.decisions:
         print(f"  round initiated at t={t:8.1f}s  reason={reason}")
 
     # dynamic-state average vs what the aa rounds checkpointed
@@ -43,5 +43,5 @@ def test_fig11_alert_mode_decisions(benchmark, scale):
               f"avg checkpointed dynamic state {mean_ckpt / 1e6:.1f} MB; "
               f"reduction {reduction:.0%} (paper BCP: ~50%)")
         assert mean_ckpt < avg_dynamic, "aa failed to checkpoint below the average state"
-    assert scheme.decisions, "no rounds were initiated"
+    assert scheme.record.decisions, "no rounds were initiated"
     assert scheme.profile_result is not None

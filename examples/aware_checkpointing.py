@@ -52,7 +52,7 @@ def main() -> None:
     print(f"  smax = {scheme.profile_result.smax / 1e6:.0f} MB "
           f"(smin {scheme.profile_result.smin / 1e6:.0f} MB, "
           f"relaxation {scheme.profile_result.relaxation:.2f})")
-    for t, reason in scheme.decisions:
+    for t, reason in scheme.record.decisions:
         print(f"  round fired at t={t:.1f}s because: "
               f"{'aggregated ICR turned positive in alert mode' if reason == 'icr' else 'period-end fallback'}")
     aa_sizes = dynamic_ckpt_mb(aa)

@@ -19,8 +19,13 @@ Four schemes, one interface:
 
 All Meteor Shower variants share global rollback recovery
 (:mod:`repro.core.recovery`) and source preservation
-(:mod:`repro.core.preservation`).  :data:`SCHEMES` maps every scheme name
-to its class; ``SCHEMES[name].from_config(cfg)`` builds one for a run.
+(:mod:`repro.core.preservation`).  Saving a checkpoint is one step
+(``CheckpointScheme.write_checkpoint``) and restoring one is one step
+(:func:`repro.core.recovery.restore`, which the baseline's 1-safe restart
+drives too); what each HAU committed, the MRC and aa's decisions are read
+back from the scheme's run record (``scheme.record``), the one ledger.
+:data:`SCHEMES` maps every scheme name to its class;
+``SCHEMES[name].from_config(cfg)`` builds one for a run.
 """
 
 from repro.core.costs import CostModel
@@ -30,7 +35,6 @@ from repro.core.ms_src import MSSrc
 from repro.core.ms_ap import MSSrcAP, OracleScheme
 from repro.core.ms_aa import MSSrcAPAA
 from repro.core.recovery import GlobalRecovery
-from repro.core.replication import ReplicationEstimator
 from repro.core.delta import DeltaPolicy, DeltaTracker
 from repro.dsps.runtime import CheckpointScheme
 from repro.vocabulary import SCHEME_NAMES
@@ -54,7 +58,6 @@ __all__ = [
     "MSSrcAPAA",
     "OracleScheme",
     "GlobalRecovery",
-    "ReplicationEstimator",
     "DeltaPolicy",
     "DeltaTracker",
 ]

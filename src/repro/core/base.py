@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core.costs import CostModel
 from repro.core.preservation import SourcePreserver
-from repro.core.recovery import GlobalRecovery, failure_watcher
+from repro.core.recovery import GlobalRecovery, emitted_count, failure_watcher
 from repro.dsps.hau import HAURuntime
 from repro.dsps.runtime import CKPT_NS, CheckpointScheme
 from repro.dsps.tuples import DataTuple
@@ -32,7 +32,6 @@ class RoundState:
     processed: set = field(default_factory=set)  # edge idx with token popped
     ready: bool = False  # all tokens arrived
     snapshot_done: bool = False
-    write_done: bool = False
     recording: bool = False
     out_copies: list = field(default_factory=list)  # (edge_id, DataTuple)
 
@@ -61,10 +60,7 @@ class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
         # runs once per tuple on the hot path, and scanning every
         # (hau, round) pair there was ~5% of sweep wall-clock.
         self._hau_rounds: dict[str, list[RoundState]] = {}
-        self.completed_rounds: dict[int, dict[str, int]] = {}  # round -> hau -> version
-        self.source_markers: dict[tuple[int, str], int] = {}  # (round, src) -> emitted_count
         self.recovery: GlobalRecovery | None = None
-        self._round_counter = 0
 
     @classmethod
     def from_config(cls, cfg) -> MeteorShowerBase:
@@ -103,9 +99,9 @@ class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
         """Start one application checkpoint; scheme-specific."""
 
     def next_round_id(self) -> int:
-        self._round_counter += 1
-        self.transition("checkpoint.round.start", self.name, round=self._round_counter)
-        return self._round_counter
+        round_id = len(self.logs) + 1
+        self.transition("checkpoint.round.start", self.name, round=round_id)
+        return round_id
 
     # -- round state ----------------------------------------------------------------
     def round_state(self, hau_id: str, round_id: int) -> RoundState:
@@ -130,8 +126,17 @@ class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
 
     # -- checkpoint write -------------------------------------------------------------
     def write_checkpoint(self, hau: HAURuntime, payload: dict, billed_size: int | None = None):
+        """The commit that completes a round completes the application
+        checkpoint: report it and collect what it supersedes."""
         version = yield from super().write_checkpoint(hau, payload, billed_size)
-        self.mark_hau_done(payload["round_id"], hau.hau_id, version)
+        log = self.logs[payload["round_id"]]
+        if log.committed():
+            if not log.complete:
+                self.transition(
+                    "checkpoint.round.complete", self.name,
+                    round=log.round_id, haus=len(log.expected_haus),
+                )
+            self._garbage_collect(log)
         return version
 
     def recovery_read_plan(self, hau_id: str, cut_round: int, cut_version: int) -> list[int]:
@@ -141,50 +146,22 @@ class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
         schemes override this with the full-plus-deltas chain."""
         return [cut_version]
 
-    def mark_hau_done(self, round_id: int, hau_id: str, version: int) -> None:
-        done = self.completed_rounds.setdefault(round_id, {})
-        done[hau_id] = version
-        st = self.rounds.get((hau_id, round_id))
-        if st is not None:
-            st.write_done = True
-        if len(done) == len(self.runtime.app.graph.haus):
-            if not self.logs[round_id].complete:
-                self.transition(
-                    "checkpoint.round.complete", self.name, round=round_id, haus=len(done)
-                )
-            self._garbage_collect(round_id)
-
-    def record_source_marker(self, round_id: int, hau: HAURuntime) -> None:
-        if hau.is_source:
-            self.source_markers[(round_id, hau.hau_id)] = hau.source_operator.emitted_count
-
-    def last_complete_round(self) -> tuple[int, dict[str, int]] | None:
-        complete = [
-            (rid, versions)
-            for rid, versions in self.completed_rounds.items()
-            if len(versions) == len(self.runtime.app.graph.haus)
-        ]
-        if not complete:
-            return None
-        return max(complete, key=lambda rv: rv[0])
-
     def oldest_kept_version(self, hau_id: str, version: int) -> int | None:
         """The oldest checkpoint version of ``hau_id`` the garbage collector
         keeps once ``version`` is in a complete round (None: keep all)."""
         return version
 
-    def _garbage_collect(self, completed_round: int) -> None:
+    def _garbage_collect(self, log: CheckpointLog) -> None:
         """Drop checkpoint versions and preserved tuples superseded by the
-        newly completed application checkpoint."""
+        newly completed application checkpoint ``log``."""
         storage = self.runtime.storage
-        for hau_id, version in self.completed_rounds[completed_round].items():
-            oldest = self.oldest_kept_version(hau_id, version)
+        for src in self.runtime.app.graph.sources():
+            payload = storage.lookup(CKPT_NS, src, log.haus[src].version).value
+            self.preserver.discard_through(src, emitted_count(payload))
+        for hau_id, bd in log.haus.items():
+            oldest = self.oldest_kept_version(hau_id, bd.version)
             if oldest is not None:
                 storage.drop_versions_before(CKPT_NS, hau_id, oldest)
-        for src in self.runtime.app.graph.sources():
-            marker = self.source_markers.get((completed_round, src))
-            if marker is not None:
-                self.preserver.discard_through(src, marker)
 
     # -- recovery ------------------------------------------------------------------------
     def recover(self, dead: list[str]):
@@ -201,8 +178,11 @@ class MeteorShowerBase(CheckpointScheme, metaclass=ABCMeta):
         for round_id, log in self.logs.items():
             if not log.complete and log.abandoned_at is None:
                 self.transition("checkpoint.abandon", self.name, round=round_id, cause="rollback")
+        logs = self.logs
         self.rounds = {
-            key: st for key, st in self.rounds.items() if st.write_done
+            (hid, rid): st
+            for (hid, rid), st in self.rounds.items()
+            if (bd := logs[rid].haus.get(hid)) is not None and bd.complete
         }
         self._hau_rounds = {}
         for (hid, _rid), st in self.rounds.items():

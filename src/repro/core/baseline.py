@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from repro.core.costs import CostModel
 from repro.core.preservation import InputPreserver
-from repro.core.recovery import failure_watcher
+from repro.core.recovery import failure_watcher, restore
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import HAURuntime
 from repro.dsps.runtime import CKPT_NS, CheckpointScheme
 from repro.dsps.tuples import DataTuple
 from repro.simulation.core import Interrupt
 from repro.storage.local import DEFAULT_BUFFER_BYTES
-from repro.storage.shared import StorageClient
 
 
 class BaselineScheme(CheckpointScheme):
@@ -54,7 +53,6 @@ class BaselineScheme(CheckpointScheme):
         # executed at the upstream's own tuple boundary, so the replayed
         # tuples enter the new channel strictly before any new emission.
         self._pending_replays: dict[str, list] = {}
-        self.checkpoint_versions: dict[str, int] = {}  # hau -> latest version
 
     @classmethod
     def from_config(cls, cfg) -> BaselineScheme:
@@ -145,19 +143,13 @@ class BaselineScheme(CheckpointScheme):
     def _sync_checkpoint(self, hau: HAURuntime, counter: int):
         """No tokens to collect: the HAUs share a counter, not a round
         (``self.record.logs[counter]`` groups their counter-th checkpoints)."""
-        env = self.runtime.env
-        bd = self.transition(
+        self.transition(
             "checkpoint.start", hau.hau_id, round=counter, mode="sync", scheme=self.name
         )
         hau.pause_intake()
         try:
             payload = hau.build_checkpoint_payload(counter, include_backlog=False)
-            ser = self.costs.serialize_time(payload["state_size"])
-            bd.serialize_seconds = ser
-            if ser > 0:
-                yield env.timeout(ser)
             version = yield from self.write_checkpoint(hau, payload)
-            self.checkpoint_versions[hau.hau_id] = version
             # GC our own superseded checkpoints, then ack upstream: the
             # retained tuples we have checkpointed past can be discarded.
             self.runtime.storage.drop_versions_before(CKPT_NS, hau.hau_id, version)
@@ -205,14 +197,10 @@ class BaselineScheme(CheckpointScheme):
                 )
                 return
         spare = rt.dc.claim_spare()
-        yield env.timeout(self.costs.reload_seconds)
-        payload = None
-        version = self.checkpoint_versions.get(hau_id)
-        if version is not None:
-            client = StorageClient(spare, rt.storage)
-            obj = yield from client.read(CKPT_NS, hau_id, version=version, bulk=True)
-            payload = obj.value
-            yield env.timeout(self.costs.deserialize_time(obj.size))
+        last = self.record.last_commit.get(hau_id)
+        payload, _phases = yield from restore(
+            self, spare, hau_id, [] if last is None else [last.version]
+        )
         restored_in_seq = dict(payload.get("in_seq", {})) if payload else {}
         hau, deferred = rt.rebuild_single_hau(
             hau_id, spare, payload, attach_upstream=False

@@ -76,7 +76,6 @@ class MSSrcAPAA(MSSrcAP):
         # Totals are linearly extrapolated with the last known ICR — the
         # paper's piecewise-linear reconstruction from turning points.
         self._last_size: dict[str, tuple[float, float]] = {}
-        self.decisions: list[tuple[float, str]] = []  # (time, reason) per round
 
     @classmethod
     def from_config(cls, cfg) -> MSSrcAPAA:
@@ -210,7 +209,6 @@ class MSSrcAPAA(MSSrcAP):
                 if aggregate > 0:
                     # "Once the controller foresees a state size increase in
                     # alert mode, it initiates a checkpoint."
-                    self.decisions.append((env.now, "icr"))
                     self.transition(
                         "aa.decision", self.name, reason="icr", aggregate_icr=float(aggregate)
                     )
@@ -220,7 +218,6 @@ class MSSrcAPAA(MSSrcAP):
         # during a period, a checkpoint will be performed anyway."
         if env.now < deadline:
             yield env.timeout(deadline - env.now)
-        self.decisions.append((env.now, "deadline"))
         self.transition("aa.decision", self.name, reason="deadline")
         self.initiate_round()
 

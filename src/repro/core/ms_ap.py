@@ -102,7 +102,6 @@ class MSSrcAP(MeteorShowerBase):
             "checkpoint.start", hau.hau_id,
             round=st.round_id, mode="async", scheme=self.name, saved_out=len(st.out_copies),
         )
-        self.record_source_marker(st.round_id, hau)
         # fork(): the parent is blocked while the child's page tables are set
         # up; the memory image is frozen (copy-on-write) at this instant.
         fork = self.costs.fork_time(hau.state_size())
@@ -111,15 +110,14 @@ class MSSrcAP(MeteorShowerBase):
         payload = hau.build_checkpoint_payload(st.round_id, extra_out=st.out_copies)
         self._cow_active[hau.hau_id] = self._cow_active.get(hau.hau_id, 0) + 1
         hau.node.spawn(
-            self._child_writer(hau, payload, bd), label=f"{hau.hau_id}.ckpt{st.round_id}"
+            self._child_writer(hau, payload), label=f"{hau.hau_id}.ckpt{st.round_id}"
         )
         # Tokens in the input buffers "are erased immediately" and held-back
         # tuples flow again; the parent has returned to normal execution.
         yield from hau.release_holdback(bd)
 
-    def _child_writer(self, hau: HAURuntime, payload: dict, bd):
+    def _child_writer(self, hau: HAURuntime, payload: dict):
         """The forked child: serialise and save state off the critical path."""
-        env = self.runtime.env
         try:
             billed = payload["state_size"]
             is_full = True
@@ -127,10 +125,6 @@ class MSSrcAP(MeteorShowerBase):
                 billed, is_full = self.delta.billed_size(
                     hau.hau_id, payload["state_size"]
                 )
-            ser = self.costs.serialize_time(billed)
-            bd.serialize_seconds = ser
-            if ser > 0:
-                yield env.timeout(ser)
             version = yield from self.write_checkpoint(hau, payload, billed_size=billed)
             if self.delta is not None:
                 self.delta.record(

@@ -79,7 +79,6 @@ class MSSrc(MeteorShowerBase):
         suspended for the whole duration — the baseline/-src disruption
         the paper measures as instantaneous latency (Fig. 15).
         """
-        env = self.runtime.env
         st = self.round_state(hau.hau_id, round_id)
         st.snapshot_done = True
         if not st.processed:
@@ -91,12 +90,7 @@ class MSSrc(MeteorShowerBase):
         )
         hau.pause_intake()
         try:
-            self.record_source_marker(round_id, hau)
             payload = hau.build_checkpoint_payload(round_id)
-            ser = self.costs.serialize_time(payload["state_size"])
-            bd.serialize_seconds = ser
-            if ser > 0:
-                yield env.timeout(ser)
             yield from self.write_checkpoint(hau, payload)
             yield from hau.emit_token(
                 Token(round_id=round_id, origin=hau.hau_id, kind="cascade")

@@ -18,6 +18,37 @@ from repro.simulation.core import Interrupt
 from repro.storage.shared import StorageClient
 
 
+def emitted_count(payload: dict | None) -> int:
+    """A source checkpoint's position in its stream: the tuples emitted
+    before it, which replay and preservation GC start after."""
+    snaps = payload.get("operators", []) if payload is not None else []
+    return int(snaps[0].get("emitted_count", 0)) if snaps else 0
+
+
+def restore(scheme, node, hau_id: str, versions: list[int]):
+    """Process generator: one HAU's restore on ``node`` — reload its
+    operators, read its checkpoint ``versions`` in order, deserialise.
+    Returns the payload (None when there is nothing to read) and the
+    phases as ``recovery.hau`` spells them."""
+    env, costs = scheme.runtime.env, scheme.costs
+    t0 = env.now
+    yield env.timeout(costs.reload_seconds)
+    t1 = env.now
+    payload, nbytes = None, 0
+    client = StorageClient(node, scheme.runtime.storage)
+    for version in versions:
+        obj = yield from client.read(CKPT_NS, hau_id, version=version, bulk=True)
+        # every stored object carries the full payload (only the billed
+        # bytes differ under delta-checkpointing), so the last read yields
+        # the reconstructed state
+        payload = obj.value
+        nbytes += obj.size
+    t2 = env.now
+    if nbytes:
+        yield env.timeout(costs.deserialize_time(nbytes))
+    return payload, dict(reload=t1 - t0, disk_io=t2 - t1, deserialize=env.now - t2, bytes=nbytes)
+
+
 def failure_watcher(scheme):
     """The controller's failure detector, one for every scheme: ping the
     HAUs' nodes every ``costs.ping_interval``; when some are dead, report
@@ -51,7 +82,7 @@ class GlobalRecovery:
         rt = self.runtime
         env = rt.env
         scheme = self.scheme
-        cut = scheme.last_complete_round()
+        cut = scheme.record.last_complete_round()
         record = scheme.transition(
             "recovery.start", scheme.name,
             dead=",".join(sorted(dead_haus)), cut_round=cut[0] if cut is not None else 0,
@@ -92,35 +123,14 @@ class GlobalRecovery:
 
         def recover_one(hau_id: str):
             node = assignments[hau_id]
-            t0 = env.now
             scheme.transition("recovery.hau.start", hau_id, node=node.node_id)
-            yield env.timeout(self.costs.reload_seconds)  # phase 1: reload
-            t1 = env.now
-            payload = None
-            read_bytes = 0
-            if cut is not None and hau_id in cut[1]:
-                client = StorageClient(node, rt.storage)
-                versions = scheme.recovery_read_plan(
-                    hau_id, cut_round=cut[0], cut_version=cut[1][hau_id]
-                )
-                for version in versions:
-                    obj = yield from client.read(
-                        CKPT_NS, hau_id, version=version, bulk=True
-                    )
-                    # every stored object carries the full payload (only the
-                    # billed bytes differ under delta-checkpointing), so the
-                    # last read yields the reconstructed state
-                    payload = obj.value
-                    read_bytes += obj.size
-            t2 = env.now
-            if read_bytes:
-                yield env.timeout(self.costs.deserialize_time(read_bytes))  # phase 3
-            t3 = env.now
-            restored[hau_id] = payload
-            scheme.transition(
-                "recovery.hau", hau_id, node=node.node_id,
-                reload=t1 - t0, disk_io=t2 - t1, deserialize=t3 - t2, bytes=read_bytes,
+            versions = (
+                scheme.recovery_read_plan(hau_id, cut_round=cut[0], cut_version=cut[1][hau_id])
+                if cut is not None and hau_id in cut[1]
+                else []
             )
+            restored[hau_id], phases = yield from restore(scheme, node, hau_id, versions)
+            scheme.transition("recovery.hau", hau_id, node=node.node_id, **phases)
 
         procs = [
             env.process(recover_one(hau_id), label=f"recover:{hau_id}")
@@ -148,12 +158,7 @@ class GlobalRecovery:
         # Source replay: read the preserved tuples (billed to storage) and
         # queue them for full-speed re-emission.
         for src in rt.app.graph.sources():
-            payload = restored.get(src)
-            after_seq = 0
-            if payload is not None:
-                snaps = payload.get("operators", [])
-                if snaps:
-                    after_seq = int(snaps[0].get("emitted_count", 0))
+            after_seq = emitted_count(restored.get(src))
             tuples = scheme.preserver.replay_tuples(src, after_seq)
             if tuples:
                 node = assignments[src]

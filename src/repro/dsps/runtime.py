@@ -113,8 +113,10 @@ class CheckpointScheme:
         return self.record.apply(kind, env.now, subject, data)
 
     def write_checkpoint(self, hau: HAURuntime, payload: dict, billed_size: int | None = None):
-        """Process generator: ship the individual checkpoint to storage;
-        returns its version.
+        """Process generator: serialise the individual checkpoint (billed
+        to the HAU's breakdown in the record) and ship it to storage;
+        returns its version.  A scheme that writes checkpoints has
+        ``costs`` (a :class:`repro.core.costs.CostModel`).
 
         ``billed_size`` overrides the bytes actually moved (delta-
         checkpointing ships only the change; the stored value remains the
@@ -122,6 +124,10 @@ class CheckpointScheme:
         """
         size = billed_size if billed_size is not None else payload["state_size"]
         round_id = payload["round_id"]
+        ser = self.costs.serialize_time(size)
+        self.record.logs[round_id].haus[hau.hau_id].serialize_seconds = ser
+        if ser > 0:
+            yield self.runtime.env.timeout(ser)
         self.transition("checkpoint.write.start", hau.hau_id, round=round_id, bytes=size)
         client = StorageClient(hau.node, self.runtime.storage)
         version = yield from client.write(

@@ -60,6 +60,7 @@ class CheckpointBreakdown:
     write_start_at: float | None = None
     write_end_at: float | None = None  # the commit instant
     state_bytes: int = 0
+    version: int | None = None  # the storage version the commit wrote
     # Durations the cost model bills, set by the scheme beside the
     # transition: no trace kind carries them, so a fold leaves them 0.0
     # and they take no part in comparing a held record with a folded one.
@@ -173,6 +174,11 @@ class CheckpointLog:
         """
         missing = {h for h in self.expected_haus if h not in self.haus}
         return sorted(missing.union(self.stalled_haus()))
+
+    def committed(self) -> bool:
+        """Every expected HAU committed: the round is an application
+        checkpoint (a baseline counter, which expects none, never is)."""
+        return bool(self.expected_haus) and not self.incomplete_haus()
 
     def status(self) -> str:
         """``complete``, or why not and how far the round got."""
@@ -298,8 +304,11 @@ class RunRecord:
     # cover: the application's HAUs (a scheme knows its graph, a fold
     # collects ``hau.start`` subjects).
     expected_haus: tuple[str, ...] = ()
-    # Per HAU, the write seconds of its latest commit (the Sampler's series).
-    last_write: dict[str, float] = field(default_factory=dict)
+    # Per HAU, its latest committed checkpoint (a baseline restart reads
+    # its version, the Sampler its write seconds).
+    last_commit: dict[str, CheckpointBreakdown] = field(default_factory=dict)
+    # (instant, reason) of every ``aa.decision``: why each aware round began.
+    decisions: list[tuple[float, str]] = field(default_factory=list)
     _open: RecoveryBreakdown | None = field(default=None, compare=False, repr=False)
 
     def _log(self, data: Mapping[str, Any], t: float, scheme: str | None = None) -> CheckpointLog:
@@ -313,6 +322,15 @@ class RunRecord:
                 scheme = str(data.get("scheme", ""))
             log = self.logs[round_id] = CheckpointLog(round_id, t, scheme)
         return log
+
+    def last_complete_round(self) -> tuple[int, dict[str, int]] | None:
+        """The MRC: the newest round every expected HAU committed, with
+        each HAU's storage version (None before the first)."""
+        for round_id in sorted(self.logs, reverse=True):
+            log = self.logs[round_id]
+            if log.committed():
+                return round_id, {h: log.haus[h].version for h in log.expected_haus}
+        return None
 
     def apply(self, kind: str, t: float, subject: str, data: Mapping[str, Any]):
         """Move the record one transition forward; returns the entry the
@@ -356,9 +374,12 @@ class RunRecord:
             bd = self._log(data, t).breakdown(subject)
             bd.write_end_at = t
             bd.state_bytes = int(data.get("bytes", bd.state_bytes))
-            if bd.write_start_at is not None:
-                self.last_write[subject] = t - bd.write_start_at
+            bd.version = data.get("version")
+            self.last_commit[subject] = bd
             return bd
+        if kind == "aa.decision":
+            self.decisions.append((t, str(data.get("reason", ""))))
+            return None
         if kind == "failure.detected":
             rec = self._open = RecoveryBreakdown(scheme=subject, detected_at=t)
             self.recoveries.append(rec)

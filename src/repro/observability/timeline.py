@@ -53,13 +53,9 @@ class Timeline:
         return sorted(ids)
 
 
-def build_timeline(source: Any) -> Timeline:
-    """Fold a trace (a Tracer or a list of ``TraceEvent``s in ``seq``
-    order, as ``read_jsonl`` returns them) into a Timeline; a Timeline
-    is returned as it is."""
-    if isinstance(source, Timeline):
-        return source
-    events = list(getattr(source, "events", source))
+def fold_record(events: list[TraceEvent]) -> RunRecord:
+    """The run record a trace's events fold to: a round expects the HAUs
+    started before it, as a live scheme expects its graph's."""
     record = RunRecord()
     haus: set[str] = set()
     for e in events:
@@ -68,6 +64,17 @@ def build_timeline(source: Any) -> Timeline:
         elif e.kind == "checkpoint.round.start":
             record.expected_haus = tuple(sorted(haus))
         record.apply(e.kind, e.t, e.subject, e.data)
+    return record
+
+
+def build_timeline(source: Any) -> Timeline:
+    """Fold a trace (a Tracer or a list of ``TraceEvent``s in ``seq``
+    order, as ``read_jsonl`` returns them) into a Timeline; a Timeline
+    is returned as it is."""
+    if isinstance(source, Timeline):
+        return source
+    events = list(getattr(source, "events", source))
+    record = fold_record(events)
     return Timeline(
         rounds=sorted(record.logs.values(), key=lambda w: (w.started_at, w.round_id)),
         recoveries=record.recoveries,

@@ -54,7 +54,7 @@ class Sampler:
     def sample_once(self) -> None:
         """Take one snapshot of every live HAU (also usable manually)."""
         now = self.runtime.env.now
-        last_write = self.runtime.scheme.record.last_write
+        last_commit = self.runtime.scheme.record.last_commit
         for hau_id in sorted(self.runtime.haus):
             hau = self.runtime.haus[hau_id]
             if not hau.node.alive:
@@ -72,9 +72,9 @@ class Sampler:
             self._record(
                 now, "ms_hau_preserve_bytes", hau_id, self._preserve_bytes(hau_id)
             )
-            self._record(
-                now, "ms_hau_ckpt_write_seconds", hau_id, float(last_write.get(hau_id, 0.0))
-            )
+            bd = last_commit.get(hau_id)
+            write_s = bd.disk_io if bd is not None else None
+            self._record(now, "ms_hau_ckpt_write_seconds", hau_id, float(write_s or 0.0))
         self.samples_taken += 1
 
     def _record(self, t: float, metric: str, hau_id: str, value: float) -> None:

@@ -209,7 +209,8 @@ SCHEME_HOOKS = {
     "on_control": ("plain", "a control link's consumer (`DSPSRuntime._bind_control`)"),
     "write_checkpoint": (
         "generator",
-        "a scheme's own checkpoint (`_sync_checkpoint`, `MSSrcAP._child_writer`)",
+        "a scheme's own checkpoint (`_sync_checkpoint`, `MSSrcAP._child_writer`): serialise,"
+        " billed to the HAU's breakdown, then write and commit",
     ),
     "recover": ("generator", "`core.recovery.failure_watcher`"),
     "initiate_round": ("plain", "`MeteorShowerBase._coordinator`, `MSSrcAPAA`'s controller"),
@@ -602,5 +603,28 @@ RETIRED = (
         "pr": 53,
         "reason": "only timeouts are pooled, kicks and plain events are allocated; the"
         " registry canonicalises a metric's labels on each call",
+    },
+    {
+        "pattern": r"completed_rounds|checkpoint_versions|write_done|source_markers"
+        r"|record_source_marker|mark_hau_done|_round_counter|last_write",
+        "scope": ("src/repro/core", "src/repro/metrics", "src/repro/telemetry"),
+        "example": "        self.completed_rounds: dict[int, dict[str, int]] = {}",
+        "pr": 54,
+        "reason": "the run record is the one checkpoint ledger: a scheme reads each HAU's"
+        " commits and the MRC back from `scheme.record`",
+    },
+    {
+        # ``RunRecord`` itself keeps ``self.decisions``: refused in core only
+        "pattern": r"self\.decisions",
+        "scope": ("src/repro/core",),
+        "example": "        self.decisions.append((env.now, \"deadline\"))",
+        "pr": 54,
+        "reason": "the aware rounds' reasons are `scheme.record.decisions`, folded from"
+        " `aa.decision`",
+    },
+    {
+        "paths": ("src/repro/core/replication.py",),
+        "pr": 54,
+        "reason": "A2's replication footprint is a closed form stated in its bench",
     },
 )

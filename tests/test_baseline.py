@@ -1,12 +1,15 @@
 """Tests for the baseline: input preservation, independent checkpoints,
 1-safe recovery, and its failure under correlated faults."""
 
+import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import BaselineScheme
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
 from repro.failures import FailureInjector, FailurePlan, PlannedFailure
+from repro.harness.experiment import run_experiment
+from repro.harness.figures import figure_config
 from repro.simulation import Environment
 
 
@@ -168,3 +171,37 @@ def test_second_failure_hits_the_spare_hosting_a_recovered_hau():
     assert outcomes == [victim, victim]
     if len(scheme.recovered) == 2:
         assert rt.haus[victim].node.alive
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: a baseline ack on one out-edge discards every out-edge's"
+    " retained tuples through its per-edge sequence number",
+)
+def test_an_ack_keeps_the_other_edges_retained_tuples():
+    """Input preservation retains a tuple until *its own* downstream has
+    checkpointed past it.  On BCP's fast cell the HAUs with two or more
+    out-edges are the ones a per-edge ack can wrong: every tuple a HAU
+    sent on edge ``e`` after ``e``'s downstream last checkpointed must
+    still be retained (the one still in its preservation hook excepted),
+    or a 1-safe restart of that downstream would silently miss it."""
+    result = run_experiment(figure_config("bcp", "baseline", 3, 150, 30))
+    rt, scheme = result.runtime, result.scheme
+    fan_out = sorted(h for h, hau in rt.haus.items() if len(hau.out_edges) >= 2)
+    assert fan_out
+    lost = {}
+    for hau_id in fan_out:
+        hau = rt.haus[hau_id]
+        store = scheme.preserver._stores[hau_id]
+        retained = {(eid, seq) for seq, (eid, _tup), _size in store._mem + store._disk}
+        for edge in hau.out_edges:
+            acked = 0
+            down = scheme.record.last_commit.get(edge.dst)
+            if down is not None:
+                payload = rt.storage.lookup("ckpt", edge.dst, down.version).value
+                acked = payload["in_seq"].get(rt.app.graph.in_edge_index(edge), 0)
+            sent = hau._out_seq[edge.edge_id]
+            missing = [s for s in range(acked + 1, sent) if (edge.edge_id, s) not in retained]
+            if missing:
+                lost[edge.edge_id] = len(missing)
+    assert lost == {}

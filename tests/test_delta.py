@@ -132,7 +132,7 @@ def test_delta_recovery_reads_whole_chain_and_is_exact():
     assert scheme.recoveries
     assert failed_log == clean_log  # exactly-once holds under deltas
     # the recovery read the full + delta chain, not just one object
-    cut = scheme.last_complete_round()
+    cut = scheme.record.last_complete_round()
     chain = scheme.recovery_read_plan("agg", cut_round=cut[0], cut_version=cut[1]["agg"])
     assert len(chain) >= 1
 
@@ -143,7 +143,7 @@ def test_delta_gc_protects_chain():
     env.run(until=20.0)
     # after three completed rounds, the chain (full + 2 deltas) must all
     # still be readable
-    cut = scheme.last_complete_round()
+    cut = scheme.record.last_complete_round()
     assert cut[0] == 3
     for version in scheme.recovery_read_plan("agg", cut_round=3, cut_version=cut[1]["agg"]):
         assert rt.storage.lookup("ckpt", "agg", version) is not None

@@ -22,13 +22,14 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import MSSrc
+from repro.core import MeteorShowerBase, MSSrc
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
 from repro.dsps.testing import make_chain_graph
 from repro.harness.digest import canonical_cases, result_digest
 from repro.harness.experiment import run_experiment
 from repro.harness.sweep import run_spec
 from repro.observability import build_timeline, read_jsonl, write_jsonl
+from repro.observability.timeline import fold_record
 from repro.scenarios.goldens import pin_files, pinned_cells
 from repro.simulation import Environment
 from tests import pins
@@ -47,6 +48,11 @@ def field_differences(what, live, folded):
         for f in dataclasses.fields(live)
         if f.compare and f.name != "haus" and getattr(live, f.name) != getattr(folded, f.name)
     ]
+
+
+def latest_commits(record):
+    """Each HAU's latest commit in ``record``, as (round, storage version)."""
+    return {h: (bd.round_id, bd.version) for h, bd in record.last_commit.items()}
 
 
 def differences(scheme, source):
@@ -84,6 +90,15 @@ def differences(scheme, source):
         seen = [(e.t, e.subject) for e in timeline.events if e.kind == kind]
         if held != seen:
             out.append(f"{kind}: live {held!r} != trace {seen!r}")
+    # the breakdowns themselves are compared above; here, which one is
+    # each HAU's latest commit, and the aware rounds' reasons
+    folded = fold_record(timeline.events)
+    for name, held, seen in (
+        ("last_commit", latest_commits(record), latest_commits(folded)),
+        ("decisions", record.decisions, folded.decisions),
+    ):
+        if held != seen:
+            out.append(f"{name}: live {held!r} != fold {seen!r}")
     return out
 
 
@@ -94,7 +109,14 @@ def test_live_record_equals_trace_fold(name, tmp_path):
     # ... and the trace file is as good a witness as the live tracer
     path = tmp_path / "run.trace.jsonl"
     write_jsonl(result.tracer, str(path))
-    assert differences(result.scheme, read_jsonl(str(path))) == []
+    events = read_jsonl(str(path))
+    assert differences(result.scheme, events) == []
+    # the MRC a rollback would restore, from the trace alone (a baseline
+    # counter is no application round: nothing to compare)
+    if isinstance(result.scheme, MeteorShowerBase):
+        mrc = result.scheme.record.last_complete_round()
+        assert fold_record(result.tracer.events).last_complete_round() == mrc
+        assert fold_record(events).last_complete_round() == mrc
     # the cells between them exercise both record types
     record = result.scheme.record
     if result.config.scheme != "none":

@@ -50,7 +50,7 @@ def test_rounds_fire_once_per_period():
     logs = scheme.checkpoint_logs()
     assert len(logs) == 3
     assert all(log.complete for log in logs)
-    assert len(scheme.decisions) == 3
+    assert len(scheme.record.decisions) == 3
 
 
 def test_aa_checkpoints_smaller_state_than_fixed_time_ap():
@@ -78,8 +78,8 @@ def test_deadline_fallback_when_state_never_low():
     )
     env, rt, _ = deploy(scheme, **flat)
     env.run(until=20.0)
-    assert len(scheme.decisions) == 1
-    assert scheme.decisions[0][1] == "deadline"
+    assert len(scheme.record.decisions) == 1
+    assert scheme.record.decisions[0][1] == "deadline"
     assert scheme.checkpoint_logs()[0].complete
 
 
@@ -100,7 +100,7 @@ def test_a_report_due_at_the_deadline_is_taken_before_the_fallback(monkeypatch):
     env.run(until=30.0)
     assert "agg" in scheme.dynamic_haus and scheme.profile_result.smax > 0
     assert scheme._reports == []
-    assert scheme.decisions == [(deadline + scheme.costs.control_rtt / 2, "deadline")]
+    assert scheme.record.decisions == [(deadline + scheme.costs.control_rtt / 2, "deadline")]
 
 
 def test_icr_trigger_records_reason():
@@ -109,7 +109,7 @@ def test_icr_trigger_records_reason():
     )
     env, rt, _ = deploy(scheme, **SAW)
     env.run(until=40.0)
-    reasons = {reason for (_t, reason) in scheme.decisions}
+    reasons = {reason for (_t, reason) in scheme.record.decisions}
     # with a strong sawtooth, at least one round should be ICR-triggered
     assert "icr" in reasons
 

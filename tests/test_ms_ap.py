@@ -147,7 +147,7 @@ def test_out_copies_saved_with_checkpoint():
         make_chain_graph, scheme, source_count=400, interval=0.005, window=5, tuple_size=500_000
     )
     env.run(until=20.0)
-    cut = scheme.last_complete_round()
+    cut = scheme.record.last_complete_round()
     assert cut is not None
     total_saved = 0
     for hau_id, version in cut[1].items():

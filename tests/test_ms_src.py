@@ -39,14 +39,16 @@ def test_checkpoint_is_consistent_cut():
     scheme = MSSrc(checkpoint_times=[1.0])
     env, rt, _ = deploy(make_chain_graph, scheme)
     env.run(until=10.0)
-    cut = scheme.last_complete_round()
+    cut = scheme.record.last_complete_round()
     assert cut is not None
     round_id, versions = cut
     assert round_id == 1
-    # the source's checkpointed emitted_count matches its preservation marker
+    # the source's checkpointed emitted_count is its preservation marker:
+    # the round's GC discarded exactly the tuples up to it
     src_payload = rt.storage.lookup("ckpt", "src", versions["src"]).value
-    marker = scheme.source_markers[(1, "src")]
-    assert src_payload["operators"][0]["emitted_count"] == marker
+    marker = src_payload["operators"][0]["emitted_count"]
+    remaining = scheme.preserver.replay_tuples("src", 0)
+    assert remaining and remaining[0].seq == marker + 1
 
 
 def test_tokens_cascade_in_topological_order():
@@ -82,7 +84,8 @@ def test_gc_discards_preserved_prefix_after_round():
     scheme = MSSrc(checkpoint_times=[2.0])
     env, rt, _ = deploy(make_chain_graph, scheme)
     env.run(until=10.0)
-    marker = scheme.source_markers[(1, "src")]
+    version = scheme.record.logs[1].haus["src"].version
+    marker = rt.storage.lookup("ckpt", "src", version).value["operators"][0]["emitted_count"]
     remaining = scheme.preserver.replay_tuples("src", 0)
     assert all(t.seq > marker for t in remaining)
 
@@ -91,7 +94,7 @@ def test_multiple_rounds_supersede():
     scheme = MSSrc(checkpoint_times=[1.0, 2.0])
     env, rt, _ = deploy(make_chain_graph, scheme)
     env.run(until=10.0)
-    cut = scheme.last_complete_round()
+    cut = scheme.record.last_complete_round()
     assert cut[0] == 2
     # superseded round-1 checkpoint versions were garbage collected
     for hau_id, version in cut[1].items():

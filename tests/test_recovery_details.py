@@ -52,7 +52,7 @@ def test_recovery_uses_latest_complete_cut():
     env, rt, _ = deploy(scheme)
     kill_at(env, rt, 5.0, ["agg"])
     env.run(until=25.0)
-    cut = scheme.last_complete_round()
+    cut = scheme.record.last_complete_round()
     assert cut is not None and cut[0] == 2
 
 

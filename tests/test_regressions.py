@@ -127,7 +127,13 @@ def test_round_state_does_not_leak_across_recovery():
     env.run(until=30.0)
     assert scheme.recoveries
     # no un-snapshotted round state survives the rollback
-    stale = [st for st in scheme.rounds.values() if not st.write_done]
+    logs = scheme.record.logs
+
+    def committed(hau_id, round_id):
+        bd = logs[round_id].haus.get(hau_id)
+        return bd is not None and bd.complete
+
+    stale = [st for (hau_id, rid), st in scheme.rounds.items() if not committed(hau_id, rid)]
     assert all(st.snapshot_done or st.round_id > 2 for st in stale) or not stale
 
 
