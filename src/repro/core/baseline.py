@@ -21,14 +21,13 @@ from __future__ import annotations
 
 
 from repro.core.costs import CostModel
-from repro.core.preservation import InputPreserver
+from repro.core.preservation import DEFAULT_BUFFER_BYTES, InputPreserver
 from repro.core.recovery import failure_watcher, restore
 from repro.dsps.graph import EdgeSpec
 from repro.dsps.hau import HAURuntime
 from repro.dsps.runtime import CKPT_NS, CheckpointScheme
 from repro.dsps.tuples import DataTuple
 from repro.simulation.core import Interrupt
-from repro.storage.local import DEFAULT_BUFFER_BYTES
 
 
 class BaselineScheme(CheckpointScheme):

@@ -14,14 +14,13 @@ eliminates.
 
 from __future__ import annotations
 
-
 from repro.cluster.node import Node
 from repro.dsps.hau import HAURuntime
 from repro.dsps.tuples import DataTuple
-from repro.storage.local import DEFAULT_BUFFER_BYTES, LocalStore
 from repro.storage.shared import SharedStorage, StorageClient
 
 PRESERVE_NS = "preserve"
+DEFAULT_BUFFER_BYTES = 50 * 1024 * 1024  # 50 MB per HAU, per the paper (§II-B3)
 
 
 class SourcePreserver:
@@ -68,52 +67,93 @@ class SourcePreserver:
             ]
 
 
+class Retention:
+    """One upstream HAU's retained output on its node: the memory buffer
+    and the entries full buffers dumped to the local disk, each entry an
+    ``(edge_id, tup)`` pair, with their byte counts."""
+
+    __slots__ = ("node", "mem", "mem_bytes", "disk", "disk_bytes")
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.mem: list[tuple[str, DataTuple]] = []
+        self.mem_bytes = 0
+        self.disk: list[tuple[str, DataTuple]] = []
+        self.disk_bytes = 0
+
+
+def _drop_through(entries: list, seq: int) -> tuple[list, int]:
+    """``entries`` less those with sequence <= ``seq``, and their bytes."""
+    kept, freed = [], 0
+    for entry in entries:
+        if entry[1].seq <= seq:
+            freed += entry[1].size
+        else:
+            kept.append(entry)
+    return kept, freed
+
+
 class InputPreserver:
-    """Per-HAU bounded-buffer output retention (baseline discipline)."""
+    """Per-HAU bounded-buffer output retention (baseline discipline).
+
+    Each HAU's out-edges share one ``buffer_bytes`` memory buffer; a full
+    buffer is dumped whole to the local disk (one sequential write), and
+    a HAU restarted on another node starts with an empty one.  The node's
+    failure loses both — the baseline's 1-safety limit.
+    """
 
     def __init__(self, buffer_bytes: int = DEFAULT_BUFFER_BYTES):
-        self.buffer_bytes = buffer_bytes
-        self._stores: dict[str, LocalStore] = {}
-        self._nodes: dict[str, Node] = {}
-
-    def store_for(self, hau: HAURuntime) -> LocalStore:
-        """The HAU's retention store (recreated if the HAU moved nodes)."""
-        store = self._stores.get(hau.hau_id)
-        if store is None or self._nodes.get(hau.hau_id) is not hau.node:
-            store = LocalStore(hau.node, buffer_bytes=self.buffer_bytes)
-            self._stores[hau.hau_id] = store
-            self._nodes[hau.hau_id] = hau.node
-        return store
+        self.buffer_bytes = int(buffer_bytes)
+        self._held: dict[str, Retention] = {}
 
     def retain(self, hau: HAURuntime, edge_id: str, tup: DataTuple):
         """Process generator: retain an emitted tuple (may spill to disk)."""
-        store = self.store_for(hau)
-        yield from store.append(tup.seq, (edge_id, tup), tup.size)
+        held = self._held.get(hau.hau_id)
+        if held is None or held.node is not hau.node:
+            held = self._held[hau.hau_id] = Retention(hau.node)
+        held.node.check_alive()
+        if held.mem and held.mem_bytes + tup.size > self.buffer_bytes:
+            dump_bytes = held.mem_bytes
+            yield from held.node.disk.transfer(dump_bytes)
+            held.disk.extend(held.mem)
+            held.disk_bytes += dump_bytes
+            held.mem = []
+            held.mem_bytes = 0
+        held.mem.append((edge_id, tup))
+        held.mem_bytes += tup.size
 
     def ack(self, upstream_hau_id: str, seq: int) -> int:
-        """Downstream checkpoint ack: discard retained tuples <= seq."""
-        store = self._stores.get(upstream_hau_id)
-        if store is None:
+        """Downstream checkpoint ack: discard retained tuples <= seq;
+        returns the bytes freed."""
+        held = self._held.get(upstream_hau_id)
+        if held is None:
             return 0
-        return store.discard_through(seq)
+        held.mem, mem_freed = _drop_through(held.mem, seq)
+        held.disk, disk_freed = _drop_through(held.disk, seq)
+        held.mem_bytes -= mem_freed
+        held.disk_bytes -= disk_freed
+        return mem_freed + disk_freed
 
     def replay(self, upstream_hau_id: str, edge_id: str, after_seq: int):
-        """Process generator returning retained tuples for one edge."""
-        store = self._stores.get(upstream_hau_id)
-        if store is None:
+        """Process generator returning one edge's retained tuples after
+        ``after_seq`` in seq order; reading spilled entries costs a disk
+        read."""
+        held = self._held.get(upstream_hau_id)
+        if held is None:
             return []
-        items = yield from store.replay_after(after_seq)
-        return [tup for (_s, (eid, tup), _z) in items if eid == edge_id]
+        held.node.check_alive()
+        spilled = [e for e in held.disk if e[1].seq > after_seq]
+        if spilled:
+            yield from held.node.disk.transfer(sum(tup.size for _eid, tup in spilled))
+        hits = spilled + [e for e in held.mem if e[1].seq > after_seq]
+        return sorted((tup for eid, tup in hits if eid == edge_id), key=lambda t: t.seq)
 
     def retained_bytes(self, hau_id: str) -> int:
         """Bytes in the HAU's retention buffer, memory plus spilled disk."""
-        store = self._stores.get(hau_id)
-        return 0 if store is None else store.mem_bytes + store.disk_bytes
-
-    def total_retained_bytes(self) -> int:
-        return sum(self.retained_bytes(hau_id) for hau_id in self._stores)
+        held = self._held.get(hau_id)
+        return 0 if held is None else held.mem_bytes + held.disk_bytes
 
     def buffer_lost(self, hau_id: str) -> bool:
         """True when the node holding the HAU's retention buffer died."""
-        store = self._stores.get(hau_id)
-        return store is not None and not store.node.alive
+        held = self._held.get(hau_id)
+        return held is not None and not held.node.alive

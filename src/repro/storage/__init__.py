@@ -1,4 +1,4 @@
-"""Storage substrate: shared checkpoint store and local-disk helpers.
+"""Storage substrate: the shared checkpoint store.
 
 The paper assumes "a shared storage system in the data center where
 computing nodes can share data" (GFS-like), reachable over the network,
@@ -9,6 +9,5 @@ clients' NICs.
 """
 
 from repro.storage.shared import SharedStorage, StorageClient, StorageError
-from repro.storage.local import LocalStore
 
-__all__ = ["SharedStorage", "StorageClient", "StorageError", "LocalStore"]
+__all__ = ["SharedStorage", "StorageClient", "StorageError"]

@@ -87,7 +87,7 @@ def test_input_preserver_retain_ack_replay():
 
     env.process(proc())
     env.run(until=5.0)
-    assert pres.total_retained_bytes() == 5000
+    assert pres.retained_bytes("src") == 5000
     freed = pres.ack("src", 2)
     assert freed == 2000
 
@@ -126,12 +126,13 @@ def test_input_preserver_store_recreated_on_node_change():
     env, rt = make_runtime()
     pres = InputPreserver()
     hau = rt.haus["src"]
-    store1 = pres.store_for(hau)
-    assert pres.store_for(hau) is store1
-    other = next(n for n in rt.dc.workers if n is not hau.node)
-    hau.node = other  # simulate a restart on another node
-    store2 = pres.store_for(hau)
-    assert store2 is not store1  # fresh (empty) retention: data was lost
+    env.run(until=env.process(pres.retain(hau, "e", tup(1))))
+    old = hau.node
+    hau.node = next(n for n in rt.dc.workers if n is not old)  # a restart on another node
+    env.run(until=env.process(pres.retain(hau, "e", tup(2, size=300))))
+    assert pres.retained_bytes("src") == 300  # fresh (empty) retention: data was lost
+    old.fail("injected")
+    assert not pres.buffer_lost("src")  # the buffer lives on the new node
 
 
 def test_input_preserver_ack_unknown_hau():

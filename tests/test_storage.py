@@ -1,12 +1,16 @@
-"""Tests for shared storage and local (input-preservation) store."""
+"""Tests for shared storage and the local (input-preservation) store."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import ClusterSpec, DataCenter
+from repro.cluster import ClusterSpec, DataCenter, NodeDownError
+from repro.core.preservation import InputPreserver
 from repro.dsps import CheckpointScheme, DSPSRuntime, QueryGraph, RuntimeConfig, StreamApplication
 from repro.dsps.testing import IntervalSource, VerifySink
+from repro.dsps.tuples import DataTuple
 from repro.simulation import Environment
-from repro.storage import LocalStore, SharedStorage, StorageClient, StorageError
+from repro.storage import SharedStorage, StorageClient, StorageError
 
 
 def make_dc():
@@ -153,86 +157,62 @@ def test_write_from_dead_node_raises():
         env.run(until=p)
 
 
-# --- LocalStore ------------------------------------------------------------------
+# --- the local store: InputPreserver's per-HAU retention ----------------------
+
+
+def retain_all(env, pres, node, entries):
+    """Retain ``(seq, size)`` tuples on edge ``e`` of a HAU on ``node``;
+    the simulated seconds it took."""
+    hau = SimpleNamespace(hau_id="h", node=node)
+
+    def proc():
+        for seq, size in entries:
+            yield from pres.retain(hau, "e", DataTuple(payload=seq, size=size, seq=seq))
+
+    t0 = env.now
+    env.run(until=env.process(proc()))
+    return env.now - t0
 
 
 def test_local_store_append_within_buffer_is_free():
     env, dc, _ = make_dc()
     node = dc.workers[0]
-    store = LocalStore(node, buffer_bytes=1000)
-
-    def proc():
-        yield from store.append(0, "a", 400)
-        yield from store.append(1, "b", 400)
-
-    env.process(proc())
-    env.run()
-    assert env.now == 0.0  # no spill, no disk time
-    assert store.mem_bytes == 800
-    assert store.spills == 0
+    pres = InputPreserver(buffer_bytes=1000)
+    assert retain_all(env, pres, node, [(1, 400), (2, 400)]) == 0.0  # no spill
+    assert pres.retained_bytes("h") == 800
+    assert node.disk.bytes_moved == 0
 
 
 def test_local_store_spills_when_full():
     env, dc, _ = make_dc()
     node = dc.workers[0]
-    store = LocalStore(node, buffer_bytes=1000)
-
-    def proc():
-        yield from store.append(0, "a", 600)
-        yield from store.append(1, "b", 600)  # 600+600 > 1000 -> spill first
-
-    env.process(proc())
-    env.run()
-    assert store.spills == 1
-    assert store.bytes_spilled == 600
-    assert store.disk_bytes == 600
-    assert store.mem_bytes == 600
-    assert env.now > 0.0  # paid disk time
+    pres = InputPreserver(buffer_bytes=1000)
+    # 300+300+600 > 1000: the whole 600-byte buffer is dumped, in one write
+    assert retain_all(env, pres, node, [(1, 300), (2, 300), (3, 600)]) > 0.0
+    assert node.disk.bytes_moved == 600
+    assert pres.retained_bytes("h") == 1200
 
 
 def test_local_store_discard_through():
     env, dc, _ = make_dc()
-    node = dc.workers[0]
-    store = LocalStore(node, buffer_bytes=100)
-
-    def proc():
-        for i in range(5):
-            yield from store.append(i, f"t{i}", 60)  # spills repeatedly
-
-    env.process(proc())
-    env.run()
-    total_before = len(store)
-    freed = store.discard_through(2)
-    assert freed == 180
-    assert len(store) == total_before - 3
+    pres = InputPreserver(buffer_bytes=100)
+    retain_all(env, pres, dc.workers[0], [(i, 60) for i in range(1, 6)])  # spills repeatedly
+    assert pres.ack("h", 3) == 180
+    assert pres.retained_bytes("h") == 120
 
 
 def test_local_store_replay_after_returns_order():
     env, dc, _ = make_dc()
-    node = dc.workers[0]
-    store = LocalStore(node, buffer_bytes=100)
-    out = []
-
-    def proc():
-        for i in range(5):
-            yield from store.append(i, f"t{i}", 60)
-        items = yield from store.replay_after(1)
-        out.extend(s for (s, _i, _z) in items)
-
-    env.process(proc())
-    env.run()
-    assert out == [2, 3, 4]
+    pres = InputPreserver(buffer_bytes=100)
+    retain_all(env, pres, dc.workers[0], [(3, 60), (1, 60), (5, 60), (2, 60), (4, 60)])
+    tuples = env.run(until=env.process(pres.replay("h", "e", after_seq=1)))
+    assert [t.seq for t in tuples] == [2, 3, 4, 5]
 
 
 def test_local_store_lost_on_node_failure():
     env, dc, _ = make_dc()
     node = dc.workers[0]
-    store = LocalStore(node)
+    pres = InputPreserver()
     node.fail()
-
-    def proc():
-        yield from store.append(0, "x", 10)
-
-    p = env.process(proc())
-    with pytest.raises(Exception):
-        env.run(until=p)
+    with pytest.raises(NodeDownError):
+        retain_all(env, pres, node, [(1, 10)])
