@@ -160,7 +160,7 @@ class BaselineScheme(CheckpointScheme):
         for edge_idx, edge in enumerate(hau.in_edges):
             seq = in_seq.get(edge_idx, 0)
             if seq:
-                self.preserver.ack(edge.src, seq)
+                self.preserver.ack(edge.src, edge.edge_id, seq)
 
     # -- recovery (1-safe) -----------------------------------------------------------------
     def recover(self, dead: list[str]):

@@ -82,11 +82,12 @@ class Retention:
         self.disk_bytes = 0
 
 
-def _drop_through(entries: list, seq: int) -> tuple[list, int]:
-    """``entries`` less those with sequence <= ``seq``, and their bytes."""
+def _drop_through(entries: list, edge_id: str, seq: int) -> tuple[list, int]:
+    """``entries`` less ``edge_id``'s through sequence ``seq``, and the
+    bytes dropped."""
     kept, freed = [], 0
     for entry in entries:
-        if entry[1].seq <= seq:
+        if entry[0] == edge_id and entry[1].seq <= seq:
             freed += entry[1].size
         else:
             kept.append(entry)
@@ -113,40 +114,40 @@ class InputPreserver:
             held = self._held[hau.hau_id] = Retention(hau.node)
         held.node.check_alive()
         if held.mem and held.mem_bytes + tup.size > self.buffer_bytes:
-            dump_bytes = held.mem_bytes
-            yield from held.node.disk.transfer(dump_bytes)
+            yield from held.node.disk.transfer(held.mem_bytes)
+            # what an ack freed during the write is not on the disk
             held.disk.extend(held.mem)
-            held.disk_bytes += dump_bytes
+            held.disk_bytes += held.mem_bytes
             held.mem = []
             held.mem_bytes = 0
         held.mem.append((edge_id, tup))
         held.mem_bytes += tup.size
 
-    def ack(self, upstream_hau_id: str, seq: int) -> int:
-        """Downstream checkpoint ack: discard retained tuples <= seq;
-        returns the bytes freed."""
+    def ack(self, upstream_hau_id: str, edge_id: str, seq: int) -> int:
+        """Downstream checkpoint ack: discard the tuples retained for
+        ``edge_id`` through ``seq``; returns the bytes freed."""
         held = self._held.get(upstream_hau_id)
         if held is None:
             return 0
-        held.mem, mem_freed = _drop_through(held.mem, seq)
-        held.disk, disk_freed = _drop_through(held.disk, seq)
+        held.mem, mem_freed = _drop_through(held.mem, edge_id, seq)
+        held.disk, disk_freed = _drop_through(held.disk, edge_id, seq)
         held.mem_bytes -= mem_freed
         held.disk_bytes -= disk_freed
         return mem_freed + disk_freed
 
     def replay(self, upstream_hau_id: str, edge_id: str, after_seq: int):
-        """Process generator returning one edge's retained tuples after
-        ``after_seq`` in seq order; reading spilled entries costs a disk
-        read."""
+        """Process generator returning ``edge_id``'s retained tuples after
+        ``after_seq`` in seq order; reading its spilled ones costs a disk
+        read of their bytes."""
         held = self._held.get(upstream_hau_id)
         if held is None:
             return []
         held.node.check_alive()
-        spilled = [e for e in held.disk if e[1].seq > after_seq]
+        spilled = [tup for eid, tup in held.disk if eid == edge_id and tup.seq > after_seq]
         if spilled:
-            yield from held.node.disk.transfer(sum(tup.size for _eid, tup in spilled))
-        hits = spilled + [e for e in held.mem if e[1].seq > after_seq]
-        return sorted((tup for eid, tup in hits if eid == edge_id), key=lambda t: t.seq)
+            yield from held.node.disk.transfer(sum(tup.size for tup in spilled))
+        spilled += [tup for eid, tup in held.mem if eid == edge_id and tup.seq > after_seq]
+        return sorted(spilled, key=lambda t: t.seq)
 
     def retained_bytes(self, hau_id: str) -> int:
         """Bytes in the HAU's retention buffer, memory plus spilled disk."""

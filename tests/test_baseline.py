@@ -1,8 +1,6 @@
 """Tests for the baseline: input preservation, independent checkpoints,
 1-safe recovery, and its failure under correlated faults."""
 
-import pytest
-
 from repro.cluster import ClusterSpec
 from repro.core import BaselineScheme
 from repro.dsps import DSPSRuntime, RuntimeConfig, StreamApplication
@@ -172,11 +170,6 @@ def test_second_failure_hits_the_spare_hosting_a_recovered_hau():
         assert rt.haus[victim].node.alive
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND in CHANGES.md: a baseline ack on one out-edge discards every out-edge's"
-    " retained tuples through its per-edge sequence number",
-)
 def test_an_ack_keeps_the_other_edges_retained_tuples():
     """Input preservation retains a tuple until *its own* downstream has
     checkpointed past it.  On BCP's fast cell the HAUs with two or more

@@ -88,7 +88,7 @@ def test_input_preserver_retain_ack_replay():
     env.process(proc())
     env.run(until=5.0)
     assert pres.retained_bytes("src") == 5000
-    freed = pres.ack("src", 2)
+    freed = pres.ack("src", "e", 2)
     assert freed == 2000
 
     out = {}
@@ -122,6 +122,35 @@ def test_input_preserver_separates_edges():
     assert len(out["e1"]) == 1
 
 
+def test_an_ack_frees_only_its_own_edge_and_a_replay_bills_only_its_edge():
+    """Each edge's seqs count on their own, so an ack through ``e``'s seq
+    must leave ``f``'s lower-or-equal seqs retained, and a replay of ``e``
+    reads only ``e``'s spilled bytes from the disk."""
+    env, rt = make_runtime()
+    pres = InputPreserver(buffer_bytes=250)
+    hau = rt.haus["src"]
+
+    def proc():
+        for s in (1, 2, 3):
+            yield from pres.retain(hau, "e", tup(s, size=100))
+            yield from pres.retain(hau, "f", tup(s, size=100))
+
+    # the buffer holds two: e1 f1, then e2 f2, are dumped; e3 f3 stay in memory
+    env.run(until=env.process(proc()))
+    disk = hau.node.disk
+    assert disk.bytes_moved == 400
+    assert pres.ack("src", "e", 1) == 100
+    assert pres.retained_bytes("src") == 500
+
+    def replay(edge_id, after_seq):
+        moved = disk.bytes_moved
+        tuples = env.run(until=env.process(pres.replay("src", edge_id, after_seq)))
+        return [t.seq for t in tuples], disk.bytes_moved - moved
+
+    assert replay("e", 1) == ([2, 3], 100)  # e2 from disk; f2 is not read
+    assert replay("f", 0) == ([1, 2, 3], 200)  # f keeps every entry
+
+
 def test_input_preserver_store_recreated_on_node_change():
     env, rt = make_runtime()
     pres = InputPreserver()
@@ -137,7 +166,7 @@ def test_input_preserver_store_recreated_on_node_change():
 
 def test_input_preserver_ack_unknown_hau():
     pres = InputPreserver()
-    assert pres.ack("ghost", 10) == 0
+    assert pres.ack("ghost", "e", 10) == 0
 
 
 def test_input_preserver_replay_unknown_hau():

@@ -197,7 +197,7 @@ def test_local_store_discard_through():
     env, dc, _ = make_dc()
     pres = InputPreserver(buffer_bytes=100)
     retain_all(env, pres, dc.workers[0], [(i, 60) for i in range(1, 6)])  # spills repeatedly
-    assert pres.ack("h", 3) == 180
+    assert pres.ack("h", "e", 3) == 180
     assert pres.retained_bytes("h") == 120
 
 
