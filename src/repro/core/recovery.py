@@ -52,7 +52,8 @@ def restore(scheme, node, hau_id: str, versions: list[int]):
 def failure_watcher(scheme):
     """The controller's failure detector, one for every scheme: ping the
     HAUs' nodes every ``costs.ping_interval``; when some are dead, report
-    ``failure.detected`` and run ``scheme.recover(dead)`` to its end.
+    ``failure.detected`` and run ``scheme.recover(dead)`` to its end.  A
+    HAU the scheme declared unrecoverable stays down: it is not pinged.
 
     The ping is the only detector: the paper's upstream neighbours also
     notice a broken channel, which is not modelled.
@@ -61,7 +62,10 @@ def failure_watcher(scheme):
     try:
         while True:
             yield env.timeout(scheme.costs.ping_interval)
-            dead = sorted(h for h, hau in scheme.runtime.haus.items() if not hau.node.alive)
+            lost = {h for _t, h in scheme.record.unrecoverable}
+            dead = sorted(
+                h for h, hau in scheme.runtime.haus.items() if not hau.node.alive and h not in lost
+            )
             if dead:
                 scheme.transition("failure.detected", scheme.name, dead=",".join(dead))
                 yield from scheme.recover(dead)

@@ -471,14 +471,9 @@ def test_coverage_runs_pin_their_telemetry_files(coverage_runs, tmp_path):
         pins.check(f"{name}/telemetry-file", pins.telemetry_file(res, path))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND (ROADMAP item 4(b)): a HAU the baseline declares"
-    " unrecoverable is re-detected dead and restarted"
-))
 def test_no_baseline_hau_is_both_unrecoverable_and_recovered(coverage_runs):
-    """Today ``m`` is declared unrecoverable at 30.362 s, detected dead
-    again at 31.729 s and restarted (``baseline.recover.done``) at
-    32.102 s, so both lists name it."""
+    """``m`` is declared unrecoverable at 30.362 s and stays down: the
+    failure watcher no longer re-detects it, so it is never restarted."""
     scheme = coverage_runs["baseline-run"].scheme
     lost = {hau for _t, hau in scheme.unrecoverable}
     assert lost.isdisjoint(hau for _t, hau in scheme.recovered)
