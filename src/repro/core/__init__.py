@@ -5,7 +5,8 @@ Four schemes, one interface:
 * :class:`BaselineScheme` — state of the art circa 2012 (§II-B3):
   independent periodic synchronous checkpoints at random phases, with
   *input preservation* (every HAU retains output tuples in a 50 MB
-  buffer spilling to local disk until the downstream checkpoint acks).
+  buffer spilling to local disk until each out-edge's downstream
+  checkpoint acks them; :class:`~repro.core.preservation.InputPreserver`).
 * :class:`MSSrc` — basic Meteor Shower: cascading tokens, synchronous
   individual checkpoints, *source preservation*.
 * :class:`MSSrcAP` — + parallel (controller-broadcast 1-hop tokens) and

@@ -6,8 +6,10 @@ HAUs retain output tuples, saving them to stable (shared) storage
 accessible even if the source HAU fails".
 
 *Input preservation* (baseline, [1]): every HAU retains every output
-tuple in a bounded memory buffer that spills to local disk; downstream
-checkpoint acknowledgements discard the retained prefix.  For a chain of
+tuple in a bounded memory buffer that spills to local disk; a downstream
+checkpoint acknowledgement discards its own edge's retained prefix.  A
+node failure loses the buffer — why the baseline cannot survive a
+correlated failure of a HAU and its upstream.  For a chain of
 n operators every tuple is saved n-1 times — the overhead Meteor Shower
 eliminates.
 """
@@ -28,15 +30,11 @@ class SourcePreserver:
 
     def __init__(self, storage: SharedStorage):
         self.storage = storage
-        self.tuples_preserved = 0
-        self.bytes_preserved = 0
 
     def preserve(self, hau: HAURuntime, tup: DataTuple):
         """Process generator: write ``tup`` to stable storage before send."""
         client = StorageClient(hau.node, self.storage)
         yield from client.write(PRESERVE_NS, hau.hau_id, tup, size=tup.size)
-        self.tuples_preserved += 1
-        self.bytes_preserved += tup.size
 
     def replay_tuples(self, hau_id: str, after_seq: int) -> list[DataTuple]:
         """Preserved tuples with seq > ``after_seq``, in order (metadata)."""
@@ -47,9 +45,6 @@ class SourcePreserver:
             if isinstance(tup, DataTuple) and tup.seq > after_seq:
                 out.append(tup)
         return sorted(out, key=lambda t: t.seq)
-
-    def replay_bytes(self, hau_id: str, after_seq: int) -> int:
-        return sum(t.size for t in self.replay_tuples(hau_id, after_seq))
 
     def retained_bytes(self, hau_id: str) -> int:
         """Bytes of the HAU's preserved tuples on shared storage."""

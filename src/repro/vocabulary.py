@@ -627,4 +627,17 @@ RETIRED = (
         "pr": 54,
         "reason": "A2's replication footprint is a closed form stated in its bench",
     },
+    {
+        "pattern": r"LocalStore|repro\.storage\.local",
+        "scope": ("src/repro", "tests", "benchmarks", "examples", "perf"),
+        "example": "from repro.storage.local import LocalStore",
+        "pr": 55,
+        "reason": "input preservation is one class, `InputPreserver`: one retention record per"
+        " HAU whose entries carry their out-edge",
+    },
+    {
+        "paths": ("src/repro/storage/local.py",),
+        "pr": 55,
+        "reason": "a HAU's local-disk retention is `InputPreserver`'s, in `core/preservation.py`",
+    },
 )

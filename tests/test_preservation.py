@@ -44,11 +44,10 @@ def test_source_preserver_roundtrip_and_order():
 
     env.process(proc())
     env.run(until=5.0)
-    assert pres.tuples_preserved == 3
-    assert pres.bytes_preserved == 3000
+    assert rt.storage.written_by_namespace["preserve"] == 3000
+    assert pres.retained_bytes("src") == 3000
     replay = pres.replay_tuples("src", after_seq=1)
     assert [t.seq for t in replay] == [2, 3]  # ordered, filtered
-    assert pres.replay_bytes("src", 0) == 3000
 
 
 def test_source_preserver_discard_through():
@@ -70,7 +69,7 @@ def test_source_preserver_empty_replay():
     env, rt = make_runtime()
     pres = SourcePreserver(rt.storage)
     assert pres.replay_tuples("nope", 0) == []
-    assert pres.replay_bytes("nope", 0) == 0
+    assert pres.retained_bytes("nope") == 0
 
 
 # --- InputPreserver ---------------------------------------------------------------
