@@ -141,8 +141,8 @@ class InputPreserver:
         spilled = [tup for eid, tup in held.disk if eid == edge_id and tup.seq > after_seq]
         if spilled:
             yield from held.node.disk.transfer(sum(tup.size for tup in spilled))
-        spilled += [tup for eid, tup in held.mem if eid == edge_id and tup.seq > after_seq]
-        return sorted(spilled, key=lambda t: t.seq)
+        in_mem = [tup for eid, tup in held.mem if eid == edge_id and tup.seq > after_seq]
+        return sorted(spilled + in_mem, key=lambda t: t.seq)
 
     def retained_bytes(self, hau_id: str) -> int:
         """Bytes in the HAU's retention buffer, memory plus spilled disk."""
