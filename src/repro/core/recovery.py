@@ -53,7 +53,8 @@ def failure_watcher(scheme):
     """The controller's failure detector, one for every scheme: ping the
     HAUs' nodes every ``costs.ping_interval``; when some are dead, report
     ``failure.detected`` and run ``scheme.recover(dead)`` to its end.  A
-    HAU the scheme declared unrecoverable stays down: it is not pinged.
+    HAU the scheme declared unrecoverable stays down: it is not detected,
+    reported or restarted again.
 
     The ping is the only detector: the paper's upstream neighbours also
     notice a broken channel, which is not modelled.
